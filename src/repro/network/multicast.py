@@ -16,8 +16,9 @@ omega network, plus the combined scheme of eq. 8:
   (``2**l`` destinations whose addresses differ in ``l`` fixed bit
   positions); delivering to an arbitrary set means covering it with the
   minimal enclosing subcube and over-delivering.
-* **Combined scheme** (:func:`multicast_combined`, eq. 8) -- probe all three
-  and commit whichever is cheapest.
+* **Combined scheme** (:func:`multicast_combined`, eq. 8) -- price all three
+  by closed form (:func:`scheme_load_counts`) and build and commit only the
+  cheapest.
 
 Every function both *measures* (returns the exact per-link loads) and
 *accounts* (increments the network's link and switch counters), so closed
@@ -30,17 +31,23 @@ is performed once per network and memoised as a
 :class:`~repro.network.routeplan.RoutePlanCache`; repeat sends -- the
 common case, since the §4 Markov workloads cycle blocks through a small
 set of present-flag vectors -- replay the plan with bit-identical loads
-and counter increments.  Destinations are validated once, when the plan is
-built; the memoised fast path skips re-validation (an invalid set can
-never hit, because plans are only cached after validating).
+and counter increments.  Source and destinations are validated once, when
+the plan is built (the builders then walk unchecked); the memoised fast
+path skips re-validation (an invalid set can never hit, because plans are
+only cached after validating).
+
+A :class:`MulticastResult` carries its cost as plain arithmetic on the
+plan (``n_loads * M + tag_total``); the per-link :class:`LinkLoad` tuple is
+materialised from the plan the first time something reads ``.loads`` --
+the message log, a recorder, the timing model -- and never on the
+protocols' send path (docs/PERF.md, "The message path").
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Sequence
 
 from repro.errors import MulticastError
@@ -61,7 +68,6 @@ class MulticastScheme(enum.Enum):
     COMBINED = 4  # eq. 8: cheapest of the three
 
 
-@dataclass(frozen=True)
 class MulticastResult:
     """Outcome of one multicast operation.
 
@@ -70,25 +76,112 @@ class MulticastResult:
     coherence actions in this system (write updates, invalidations, owner-id
     updates) are idempotent and ignorable by non-holders, so over-delivery
     is functionally harmless and only costs bits.
+
+    ``cost`` is the bits placed on links (this operation's share of
+    eq. 1).  Immutable, and compares, hashes and prints as the frozen
+    dataclass of ``(scheme, source, requested, delivered, loads)`` it
+    replaces.  A result replayed from a plan (:meth:`from_plan`) holds the
+    plan instead of the loads and builds them on first read.
     """
 
-    scheme: MulticastScheme
-    source: NodeId
-    requested: frozenset[NodeId]
-    delivered: frozenset[NodeId]
-    loads: tuple[LinkLoad, ...]
+    __slots__ = (
+        "scheme",
+        "source",
+        "requested",
+        "delivered",
+        "cost",
+        "_loads",
+        "_plan",
+        "_payload_bits",
+    )
 
-    @cached_property
-    def cost(self) -> int:
-        """Bits placed on links (this operation's share of eq. 1)."""
-        return sum(load.bits for load in self.loads)
+    def __init__(
+        self,
+        scheme: MulticastScheme,
+        source: NodeId,
+        requested: frozenset[NodeId],
+        delivered: frozenset[NodeId],
+        loads: tuple[LinkLoad, ...],
+    ) -> None:
+        self._fill(
+            scheme, source, requested, delivered,
+            sum(load.bits for load in loads), loads, None, 0,
+        )
 
-    @cached_property
+    @classmethod
+    def from_plan(
+        cls, plan: RoutePlan, payload_bits: int
+    ) -> "MulticastResult":
+        """The result of replaying ``plan`` with ``payload_bits`` payload."""
+        result = cls.__new__(cls)
+        result._fill(
+            # Plain unicast plans carry no scheme tag: they are scheme 1.
+            plan.scheme or MulticastScheme.UNICAST,
+            plan.source,
+            plan.requested,
+            plan.delivered,
+            plan.cost_for(payload_bits),
+            None,
+            plan,
+            payload_bits,
+        )
+        return result
+
+    def _fill(self, *values: object) -> None:
+        """Set every slot, in ``__slots__`` order, past the frozen guard."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def loads(self) -> tuple[LinkLoad, ...]:
+        """Per-link traffic with dependency structure, in walk order."""
+        loads = self._loads
+        if loads is None:
+            loads = self._plan.loads_for(self._payload_bits)
+            object.__setattr__(self, "_loads", loads)
+        return loads
+
+    @property
     def links_used(self) -> int:
         """Distinct links touched (scheme 1 may touch one link repeatedly)."""
+        if self._plan is not None:
+            return self._plan.links_used
         # Pack (level, position) into one int per load: counting distinct
         # keys without allocating an intermediate tuple object per load.
         return len({(load.level << 32) | load.position for load in self.loads})
+
+    def _fields(self) -> tuple:
+        return (
+            self.scheme,
+            self.source,
+            self.requested,
+            self.delivered,
+            self.loads,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(scheme={self.scheme!r}, "
+            f"source={self.source!r}, requested={self.requested!r}, "
+            f"delivered={self.delivered!r}, loads={self.loads!r})"
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), self._fields())
 
 
 def _freeze(dests: Iterable[NodeId]) -> frozenset[NodeId]:
@@ -112,24 +205,33 @@ def _as_destset(network: OmegaNetwork, dests: Iterable[NodeId]) -> frozenset:
     return dest_set
 
 
+def _validate(
+    network: OmegaNetwork, source: NodeId, dest_set: frozenset[NodeId]
+) -> None:
+    """Check a plan's ports once, at plan entry.
+
+    Every position a builder then visits is a rotation of an in-range
+    one, so the walks themselves run unchecked.
+    """
+    _as_destset(network, dest_set)
+    network._check_port(source)
+
+
 def _scheme_plan(
     network: OmegaNetwork,
     scheme: MulticastScheme,
     source: NodeId,
     dest_set: frozenset[NodeId],
-    builder,
 ) -> RoutePlan:
-    """Fetch (or build, validate and cache) the plan for one scheme send."""
+    """Fetch (or validate, build and cache) the plan for one scheme send."""
     cache = getattr(network, "route_plans", None)
-    if cache is None:
-        _as_destset(network, dest_set)
-        return builder(network, source, dest_set)
     key = (scheme, source, dest_set)
-    plan = cache.get(key)
+    plan = cache.get(key) if cache is not None else None
     if plan is None:
-        _as_destset(network, dest_set)
-        plan = builder(network, source, dest_set)
-        cache.put(key, plan)
+        _validate(network, source, dest_set)
+        plan = _BUILDERS[scheme](network, source, dest_set)
+        if cache is not None:
+            cache.put(key, plan)
     return plan
 
 
@@ -146,13 +248,7 @@ def _replay(
     """
     result = plan.result_get(payload_bits)
     if result is None:
-        result = MulticastResult(
-            plan.scheme,
-            plan.source,
-            plan.requested,
-            plan.delivered,
-            plan.loads_for(payload_bits),
-        )
+        result = MulticastResult.from_plan(plan, payload_bits)
         plan.result_put(payload_bits, result)
     if commit:
         network.apply_plan_traffic(plan, payload_bits)
@@ -173,7 +269,7 @@ def _build_scheme1_plan(
     switch_ops: list[tuple[int, int, bool]] = []
     for dest in sorted(dest_set):
         base = len(entries)
-        positions = network.route_positions(source, dest)
+        positions = network._route_positions(source, dest)
         for level, position in enumerate(positions):
             parent = base + level - 1 if level > 0 else None
             entries.append((level, position, m - level, parent))
@@ -198,9 +294,7 @@ def _payload_scheme1(
     dest_set: frozenset[NodeId],
     commit: bool,
 ) -> MulticastResult:
-    plan = _scheme_plan(
-        network, MulticastScheme.UNICAST, source, dest_set, _build_scheme1_plan
-    )
+    plan = _scheme_plan(network, MulticastScheme.UNICAST, source, dest_set)
     return _replay(network, plan, payload_bits, commit)
 
 
@@ -241,7 +335,7 @@ def _build_scheme2_plan(
             next_branches: list[tuple[int, int, int, int]] = []
             half = n >> (stage + 1)  # subvector length after the split
             for position, lo, hi, parent in branches:
-                shuffled = network.shuffle(position)
+                shuffled = network._shuffle(position)
                 mid = (lo + hi) // 2
                 lo_i = bisect.bisect_left(sorted_dests, lo)
                 mid_i = bisect.bisect_left(sorted_dests, mid)
@@ -285,9 +379,7 @@ def _payload_scheme2(
     dest_set: frozenset[NodeId],
     commit: bool,
 ) -> MulticastResult:
-    plan = _scheme_plan(
-        network, MulticastScheme.VECTOR, source, dest_set, _build_scheme2_plan
-    )
+    plan = _scheme_plan(network, MulticastScheme.VECTOR, source, dest_set)
     return _replay(network, plan, payload_bits, commit)
 
 
@@ -368,7 +460,7 @@ def _build_scheme3_plan(
         tag_left = 2 * (m - stage - 1)
         next_branches: list[tuple[int, int]] = []
         for position, parent in branches:
-            shuffled = network.shuffle(position)
+            shuffled = network._shuffle(position)
             if broadcast:
                 outs = [shuffled & ~1, shuffled | 1]
             else:
@@ -407,11 +499,7 @@ def _payload_scheme3(
     if not dest_set:
         raise MulticastError("scheme 3 needs at least one destination")
     plan = _scheme_plan(
-        network,
-        MulticastScheme.BROADCAST_TAG,
-        source,
-        dest_set,
-        _build_scheme3_plan,
+        network, MulticastScheme.BROADCAST_TAG, source, dest_set
     )
     if exact and plan.over_delivers:
         raise MulticastError(
@@ -451,42 +539,114 @@ def multicast_scheme3(
 # ----------------------------------------------------------------------
 
 
-def _combined_plans(
+#: Plan builder per concrete scheme; eq. 8 considers them in this order,
+#: which is also its tie-break.
+_BUILDERS = {
+    MulticastScheme.UNICAST: _build_scheme1_plan,
+    MulticastScheme.VECTOR: _build_scheme2_plan,
+    MulticastScheme.BROADCAST_TAG: _build_scheme3_plan,
+}
+_CANDIDATE_BUILDERS = tuple(_BUILDERS.values())
+
+
+def scheme_load_counts(
+    network: OmegaNetwork, dest_set: frozenset[NodeId]
+) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """``(n_loads, tag_total)`` of schemes 1, 2 and 3, without a fabric walk.
+
+    Exactly the two numbers the built :class:`RoutePlan` of each scheme
+    would carry, so ``n_loads * M + tag_total`` is its cost for payload
+    ``M`` (they do not depend on the source: every source sees the same
+    tree shape).  With ``m = log2 N`` and ``k`` destinations, sorted:
+
+    * scheme 1 -- ``k`` paths of ``m + 1`` links whose tag shrinks from
+      ``m`` to ``0``: ``k (m + 1)`` loads, ``k m (m + 1) / 2`` tag bits
+      (eq. 2 with the payload factored out);
+    * scheme 2 -- one link per distinct destination prefix per level.  A
+      lone destination is one path (``m + 1`` loads, ``2N - 1`` tag
+      bits); each further destination whose highest bit differing from
+      its sorted predecessor is bit ``h - 1`` forks off ``h`` links
+      carrying ``2**(h-1) + ... + 1 = 2**h - 1`` tag bits;
+    * scheme 3 -- the enclosing subcube's varying mask is the OR of those
+      same adjacent differences; the branch count doubles after every
+      stage whose address bit varies, and level ``i`` carries
+      ``2 (m - i)`` tag bits per branch.
+
+    :mod:`repro.network.cost` prints the same costs for the placements
+    the paper analyses (power-of-two ``n``, aligned blocks); these hold
+    for any non-empty destination set.
+    """
+    m = network.n_stages
+    ordered = sorted(dest_set)
+    fork_loads = fork_tag = varying = 0
+    previous = ordered[0]
+    for dest in ordered[1:]:
+        differing = previous ^ dest
+        height = differing.bit_length()
+        fork_loads += height
+        fork_tag += (1 << height) - 1
+        varying |= differing
+        previous = dest
+    k = len(ordered)
+    branches = 1
+    cube_loads = 1
+    cube_tag = 2 * m
+    for level in range(1, m + 1):
+        if (varying >> (m - level)) & 1:
+            branches *= 2
+        cube_loads += branches
+        cube_tag += branches * 2 * (m - level)
+    return (
+        (k * (m + 1), k * m * (m + 1) // 2),
+        (m + 1 + fork_loads, 2 * network.n_ports - 1 + fork_tag),
+        (cube_loads, cube_tag),
+    )
+
+
+class _Eq8Record:
+    """One ``(source, destination set)``'s eq. 8 candidates.
+
+    The cache entry of a combined-scheme send: the three candidates'
+    closed-form load counts, plus the plan of each candidate that has
+    actually won a send (the winner depends on the payload size, so a
+    record can come to hold more than one; almost always it holds one).
+    """
+
+    __slots__ = ("counts", "plans")
+
+    def __init__(self, counts: tuple[tuple[int, int], ...]) -> None:
+        self.counts = counts
+        self.plans: list[RoutePlan | None] = [None, None, None]
+
+
+def _combined_plan(
     network: OmegaNetwork,
     source: NodeId,
     dest_set: frozenset[NodeId],
-) -> tuple[RoutePlan, RoutePlan, RoutePlan]:
-    """The three candidate plans of eq. 8, cached as one tuple."""
+    payload_bits: int,
+) -> RoutePlan:
+    """The eq. 8 winner's plan: chosen by arithmetic, the only one built.
+
+    Ties break in scheme order 1, 2, 3, exactly like probing all three.
+    """
     cache = getattr(network, "route_plans", None)
     key = (MulticastScheme.COMBINED, source, dest_set)
-    plans = cache.get(key) if cache is not None else None
-    if plans is None:
-        plans = (
-            _scheme_plan(
-                network,
-                MulticastScheme.UNICAST,
-                source,
-                dest_set,
-                _build_scheme1_plan,
-            ),
-            _scheme_plan(
-                network,
-                MulticastScheme.VECTOR,
-                source,
-                dest_set,
-                _build_scheme2_plan,
-            ),
-            _scheme_plan(
-                network,
-                MulticastScheme.BROADCAST_TAG,
-                source,
-                dest_set,
-                _build_scheme3_plan,
-            ),
-        )
+    record = cache.get(key) if cache is not None else None
+    if record is None:
+        _validate(network, source, dest_set)
+        record = _Eq8Record(scheme_load_counts(network, dest_set))
         if cache is not None:
-            cache.put(key, plans)
-    return plans
+            cache.put(key, record)
+    costs = [
+        n_loads * payload_bits + tag_total
+        for n_loads, tag_total in record.counts
+    ]
+    winner = costs.index(min(costs))  # first minimum: scheme order
+    plan = record.plans[winner]
+    if plan is None:
+        plan = _CANDIDATE_BUILDERS[winner](network, source, dest_set)
+        record.plans[winner] = plan
+    return plan
 
 
 def _payload_combined(
@@ -500,9 +660,8 @@ def _payload_combined(
         return MulticastResult(
             MulticastScheme.COMBINED, source, dest_set, dest_set, ()
         )
-    plans = _combined_plans(network, source, dest_set)
-    best = min(plans, key=lambda plan: plan.cost_for(payload_bits))
-    return _replay(network, best, payload_bits, commit)
+    plan = _combined_plan(network, source, dest_set, payload_bits)
+    return _replay(network, plan, payload_bits, commit)
 
 
 def multicast_combined(
@@ -512,15 +671,16 @@ def multicast_combined(
     *,
     commit: bool = True,
 ) -> MulticastResult:
-    """Probe schemes 1, 2 and 3 and commit the cheapest (eq. 8).
+    """Price schemes 1, 2 and 3 and commit the cheapest (eq. 8).
 
     Scheme 3 competes with its minimal enclosing subcube (over-delivering
     where the destination set is not itself a subcube), mirroring §3.4 where
     it addresses the whole block of ``n1`` adjacently-placed tasks.
 
-    With memoised plans the probe is O(1) arithmetic per candidate
-    (``n_loads * M + tag_total``), not three fabric walks; ties break in
-    scheme order 1, 2, 3, exactly like the original probe-all-three path.
+    The comparison is arithmetic on :func:`scheme_load_counts`
+    (``n_loads * M + tag_total`` per candidate), not three fabric walks:
+    only the winner's plan is ever built.  Ties break in scheme order
+    1, 2, 3.
     """
     return _payload_combined(
         network, message.source, message.payload_bits, _freeze(dests), commit
@@ -560,29 +720,6 @@ def multicast(
     return _DISPATCH[scheme](network, message, dests, commit=commit)
 
 
-def _payload_unicast_result(
-    network: OmegaNetwork,
-    source: NodeId,
-    payload_bits: int,
-    dest: NodeId,
-    commit: bool,
-) -> MulticastResult:
-    plan = unicast_plan(network, source, dest)
-    result = plan.result_get(payload_bits)
-    if result is None:
-        result = MulticastResult(
-            MulticastScheme.UNICAST,
-            source,
-            plan.requested,
-            plan.delivered,
-            plan.loads_for(payload_bits),
-        )
-        plan.result_put(payload_bits, result)
-    if commit:
-        network.apply_plan_traffic(plan, payload_bits)
-    return result
-
-
 def unicast_result(
     network: OmegaNetwork,
     message: Message,
@@ -596,9 +733,8 @@ def unicast_result(
     every scheme, memoised on the unicast plan so repeat sends allocate
     nothing.
     """
-    return _payload_unicast_result(
-        network, message.source, message.payload_bits, dest, commit
-    )
+    plan = unicast_plan(network, message.source, dest)
+    return _replay(network, plan, message.payload_bits, commit)
 
 
 def multicast_plan_for(
@@ -626,33 +762,11 @@ def multicast_plan_for(
         # A single destination is plain unicast under every scheme.
         (dest,) = dest_set
         return unicast_plan(network, source, dest)
-    if scheme is MulticastScheme.BROADCAST_TAG:
-        # The send path over-delivers (exact=False) for arbitrary sets.
-        return _scheme_plan(
-            network,
-            MulticastScheme.BROADCAST_TAG,
-            source,
-            dest_set,
-            _build_scheme3_plan,
-        )
     if scheme is MulticastScheme.COMBINED:
-        plans = _combined_plans(network, source, dest_set)
-        return min(plans, key=lambda plan: plan.cost_for(payload_bits))
-    if scheme is MulticastScheme.UNICAST:
-        return _scheme_plan(
-            network,
-            MulticastScheme.UNICAST,
-            source,
-            dest_set,
-            _build_scheme1_plan,
-        )
-    return _scheme_plan(
-        network,
-        MulticastScheme.VECTOR,
-        source,
-        dest_set,
-        _build_scheme2_plan,
-    )
+        return _combined_plan(network, source, dest_set, payload_bits)
+    # Scheme 3 over-delivers (exact=False) for arbitrary sets, as the
+    # send path does.
+    return _scheme_plan(network, scheme, source, dest_set)
 
 
 class Multicaster:
@@ -723,8 +837,11 @@ class Multicaster:
         if len(dest_set) == 1:
             # A single destination is plain unicast under every scheme.
             (dest,) = dest_set
-            result = _payload_unicast_result(
-                self.network, source, payload_bits, dest, True
+            result = _replay(
+                self.network,
+                unicast_plan(self.network, source, dest),
+                payload_bits,
+                True,
             )
         elif self.scheme is MulticastScheme.BROADCAST_TAG:
             result = _payload_scheme3(
@@ -742,11 +859,12 @@ class Multicaster:
         self, source: NodeId, payload_bits: int, dest: NodeId
     ) -> MulticastResult:
         """Unicast ``payload_bits`` from ``source`` to ``dest``."""
-        injector = self.network.fault_injector
+        network = self.network
+        injector = network.fault_injector
         if injector is not None:
             injector.check_route(source, dest)
-        result = _payload_unicast_result(
-            self.network, source, payload_bits, dest, True
+        result = _replay(
+            network, unicast_plan(network, source, dest), payload_bits, True
         )
         if self.recorder is not None:
             self.recorder.net_send(source, payload_bits, result)

@@ -20,7 +20,9 @@ Two classes:
   flags, and flat counter indices precomputed for
   :meth:`~repro.network.topology.OmegaNetwork.apply_plan_traffic`.
   ``cost_for(M)`` and ``loads_for(M)`` reconstitute the exact per-payload
-  numbers the switch-by-switch walk would have produced.
+  numbers the switch-by-switch walk would have produced; ``cost_for`` is
+  two multiplications, ``loads_for`` allocates one ``LinkLoad`` per link
+  and is only called when something reads a result's ``.loads``.
 * :class:`RoutePlanCache` -- a bounded LRU of plans.  Each
   :class:`~repro.network.topology.OmegaNetwork` instance owns one, so plans
   can never leak across topologies: a different network (or port count)
@@ -82,6 +84,7 @@ class RoutePlan:
         "tag_total",
         "n_loads",
         "over_delivers",
+        "_links_used",
         "_memo",
         "_results",
     )
@@ -120,6 +123,7 @@ class RoutePlan:
         self.tag_total = sum(tag for _, _, tag, _ in self.entries)
         self.n_loads = len(self.entries)
         self.over_delivers = delivered != requested
+        self._links_used: int | None = None
         # payload_bits -> loads tuple (plus scheme-specific keys); results
         # are attached lazily by the replay layer that owns the result type.
         self._memo: dict[Hashable, object] = {}
@@ -136,6 +140,13 @@ class RoutePlan:
         every load carries ``M`` payload bits plus its tag remainder.
         """
         return self.n_loads * payload_bits + self.tag_total
+
+    @property
+    def links_used(self) -> int:
+        """Distinct links touched (scheme 1 may touch one link repeatedly)."""
+        if self._links_used is None:
+            self._links_used = len({slot for slot, _ in self.link_ops})
+        return self._links_used
 
     def loads_for(self, payload_bits: int) -> tuple[LinkLoad, ...]:
         """The exact :class:`LinkLoad` tuple the cold path would build.
@@ -186,11 +197,14 @@ class RoutePlan:
 class RoutePlanCache:
     """A bounded LRU of :class:`RoutePlan` values keyed by route identity.
 
-    Keys are ``(scheme tag, source, frozen destination set)`` tuples; the
-    cache itself is owned by one network instance, so topology is implied
-    by ownership and plans can never be replayed against a network with
-    different wiring.  ``hits`` / ``misses`` make the cache observable
-    (the perf harness reports the hit rate).
+    Keys are ``(scheme tag, source, frozen destination set)`` tuples.  The
+    value under a ``COMBINED`` key is that destination set's eq. 8 record,
+    which holds the one plan it sends on, so a send is one lookup and one
+    entry under every scheme.  The cache itself is owned by one network
+    instance, so topology is implied by ownership and plans can never be
+    replayed against a network with different wiring.  ``hits`` /
+    ``misses`` make the cache observable (the perf harness reports the
+    hit rate).
     """
 
     __slots__ = ("maxsize", "hits", "misses", "_plans")

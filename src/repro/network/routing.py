@@ -64,8 +64,9 @@ def build_unicast_plan(
 ) -> RoutePlan:
     """The payload-independent plan of one destination-tag unicast.
 
-    Validates both ports (via :meth:`OmegaNetwork.route_positions`), so a
-    plan-cache hit may skip re-validation.
+    Validates both ports (once each, via
+    :meth:`OmegaNetwork.route_positions`, whose walk is then unchecked),
+    so a plan-cache hit may skip re-validation.
     """
     positions = network.route_positions(source, dest)
     m = network.n_stages

@@ -36,6 +36,17 @@ also owns the :class:`~repro.network.routeplan.RoutePlanCache` that the
 routing and multicast layers memoise their plans in; plans describe wiring,
 not traffic, so :meth:`reset_traffic` clears the counters but not the
 plans.
+
+The deferred link ledger
+------------------------
+Between :meth:`OmegaNetwork.open_window` and
+:meth:`OmegaNetwork.close_window` (only
+:func:`~repro.sim.engine.run_trace` opens one) :meth:`apply_plan_traffic`
+only counts each use of a ``(plan, payload)`` pair; closing the window --
+or any read through the accessors below, which settle first -- replays
+each counted pair once through :meth:`apply_plan_traffic_scaled`.  Array
+addition commutes, so the arrays a reader sees are exactly those per-send
+accounting would have produced (docs/PERF.md, "The message path").
 """
 
 from __future__ import annotations
@@ -57,6 +68,9 @@ class LinkUtilization(NamedTuple):
     at ``(level, position)``; likewise ``messages``.  Both are
     :class:`memoryview`\\ s over the network's live ``array('q')``
     buffers -- reading tracks ongoing traffic, and nothing is copied.
+    (Inside ``run_trace``'s accounting window the buffers move when the
+    ledger settles, which fetching a view does; a view held across sends
+    there lags until it is fetched again.)
     """
 
     n_levels: int
@@ -151,6 +165,10 @@ class OmegaNetwork:
         #: cold path see the exact same faults.  ``None`` = lossless
         #: network, zero overhead.
         self.fault_injector = None
+        #: The deferred link ledger: ``(plan, payload_bits) -> uses not
+        #: yet in the arrays`` while an accounting window is open,
+        #: ``None`` while it is closed (every use applied at once).
+        self._ledger: dict[tuple[RoutePlan, int], int] | None = None
 
     # ------------------------------------------------------------------
     # Structure
@@ -162,8 +180,13 @@ class OmegaNetwork:
         This is the wiring pattern in front of every switch stage.
         """
         self._check_port(position)
-        m = self.n_stages
-        return ((position << 1) | (position >> (m - 1))) & (self.n_ports - 1)
+        return self._shuffle(position)
+
+    def _shuffle(self, position: int) -> int:
+        """:meth:`shuffle` for a position already known to be in range."""
+        return ((position << 1) | (position >> (self.n_stages - 1))) & (
+            self.n_ports - 1
+        )
 
     def inverse_shuffle(self, position: int) -> int:
         """Inverse perfect shuffle: rotate the ``m``-bit position right."""
@@ -186,6 +209,7 @@ class OmegaNetwork:
                 f"link level must be in 0..{self.n_stages}, got {level}"
             )
         self._check_port(position)
+        self._settle()
         return self._links[level][position]
 
     def switch(self, stage: int, index: int) -> Switch:
@@ -196,6 +220,7 @@ class OmegaNetwork:
                 f"switch index must be in 0..{self.n_ports // 2 - 1}, "
                 f"got {index}"
             )
+        self._settle()
         return self._switches[stage][index]
 
     def switch_for_position(self, stage: int, position: int) -> Switch:
@@ -205,11 +230,13 @@ class OmegaNetwork:
 
     def iter_links(self):
         """Yield every link, level by level."""
+        self._settle()
         for level_links in self._links:
             yield from level_links
 
     def iter_switches(self):
         """Yield every switch, stage by stage."""
+        self._settle()
         for stage_switches in self._switches:
             yield from stage_switches
 
@@ -227,16 +254,26 @@ class OmegaNetwork:
         """
         self._check_port(source)
         self._check_port(dest)
+        return self._route_positions(source, dest)
+
+    def _route_positions(self, source: NodeId, dest: NodeId) -> list[int]:
+        """:meth:`route_positions` for ports already known to be in range.
+
+        The plan builders validate a plan's source and destinations once
+        and walk with this; every intermediate position is an ``m``-bit
+        rotation of an in-range one, in range by construction.
+        """
+        shuffle = self._shuffle
         positions = [source]
         x = source
-        for stage in range(self.n_stages):
-            x = self.shuffle(x)
-            x = (x & ~1) | self.destination_bit(dest, stage)
+        for bit in range(self.n_stages - 1, -1, -1):  # MSB first
+            x = (shuffle(x) & ~1) | ((dest >> bit) & 1)
             positions.append(x)
         return positions
 
     def route_links(self, source: NodeId, dest: NodeId) -> list[Link]:
         """The ``m + 1`` links traversed from ``source`` to ``dest``."""
+        self._settle()
         return [
             self._links[level][position]
             for level, position in enumerate(self.route_positions(source, dest))
@@ -249,9 +286,14 @@ class OmegaNetwork:
     def reset_traffic(self) -> None:
         """Zero every link and switch counter.
 
-        Memoised route plans survive: they describe the network's wiring,
-        which a traffic reset does not change.
+        Inside an open accounting window the ledger's pending posts are
+        dropped with the counters (the window stays open): a reset means
+        "no traffic so far", deferred or not.  Memoised route plans
+        survive: they describe the network's wiring, which a traffic
+        reset does not change.
         """
+        if self._ledger is not None:
+            self._ledger.clear()
         for buffer in (
             self._link_bits,
             self._link_messages,
@@ -260,6 +302,33 @@ class OmegaNetwork:
         ):
             buffer[:] = array("q", bytes(8 * len(buffer)))
 
+    def open_window(self) -> None:
+        """Start deferring plan uses to the link ledger.
+
+        Only :func:`~repro.sim.engine.run_trace` opens a window, and it
+        closes it in a ``finally``; outside one, every
+        :meth:`apply_plan_traffic` call lands in the arrays at once.
+        Without a plan cache (``route_plans = None``, the cold reference
+        path) every send builds a fresh plan, no plan can repeat, and
+        the window stays closed.
+        """
+        if self._ledger is None and self.route_plans is not None:
+            self._ledger = {}
+
+    def close_window(self) -> None:
+        """Flush the ledger into the arrays and stop deferring."""
+        self._settle()
+        self._ledger = None
+
+    def _settle(self) -> None:
+        """Apply every pending post; the window (if any) stays open."""
+        ledger = self._ledger
+        if ledger:
+            apply_scaled = self.apply_plan_traffic_scaled
+            for (plan, payload_bits), count in ledger.items():
+                apply_scaled(plan, payload_bits, count)
+            ledger.clear()
+
     def apply_plan_traffic(self, plan: RoutePlan, payload_bits: int) -> None:
         """Account one replay of ``plan`` carrying ``payload_bits`` payload.
 
@@ -267,7 +336,15 @@ class OmegaNetwork:
         walk would have: every link load adds ``payload_bits`` plus its tag
         remainder (and one message), every switch traversal adds one message
         (and one split where the tree forked).
+
+        Inside an accounting window the use is only counted in the
+        ledger; the arrays move when the window settles.
         """
+        ledger = self._ledger
+        if ledger is not None:
+            key = (plan, payload_bits)
+            ledger[key] = ledger.get(key, 0) + 1
+            return
         bits = self._link_bits
         messages = self._link_messages
         for slot, tag in plan.link_ops:
@@ -288,7 +365,8 @@ class OmegaNetwork:
         Exactly ``count`` successive :meth:`apply_plan_traffic` calls --
         the increments are linear in ``count``, so batched application is
         bit-identical and callers that know their repeat count up front
-        (the replay fast path) skip the per-replay loop.
+        (the replay fast path, the kernel, the ledger's flush) skip the
+        per-replay loop.  Always immediate, window or not.
         """
         bits = self._link_bits
         messages = self._link_messages
@@ -305,15 +383,18 @@ class OmegaNetwork:
     @property
     def total_bits(self) -> int:
         """Communication cost accumulated so far (eq. 1 over all traffic)."""
+        self._settle()
         return sum(self._link_bits)
 
     @property
     def total_messages(self) -> int:
         """Link traversals accumulated so far (each hop of each message)."""
+        self._settle()
         return sum(self._link_messages)
 
     def bits_by_level(self) -> list[int]:
         """Bits carried per link level, ``[L_0, L_1, ..., L_m]`` of eq. 1."""
+        self._settle()
         n = self.n_ports
         return [
             sum(self._link_bits[level * n : (level + 1) * n])
@@ -328,6 +409,7 @@ class OmegaNetwork:
         copies, so calling it on the hot path costs nothing.  Layout is
         row-major: slot ``level * n_ports + position``.
         """
+        self._settle()
         return LinkUtilization(
             self.n_stages + 1,
             self.n_ports,
@@ -341,6 +423,7 @@ class OmegaNetwork:
         Same contract as :meth:`link_utilization`; layout is row-major
         with ``n_ports // 2`` switches per stage.
         """
+        self._settle()
         return SwitchUtilization(
             self.n_stages,
             self.n_ports // 2,

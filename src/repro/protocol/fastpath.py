@@ -52,11 +52,7 @@ from typing import TYPE_CHECKING
 
 from repro.cache.state import Mode
 from repro.errors import TraceError
-from repro.network.multicast import (
-    Multicaster,
-    _payload_unicast_result,
-    multicast_plan_for,
-)
+from repro.network.multicast import Multicaster, multicast_plan_for
 from repro.network.routing import unicast_plan
 from repro.protocol.messages import MsgKind
 from repro.sim import stats as ev
@@ -132,6 +128,8 @@ class FastPathTable:
         if entry.state_field.owner != owner:
             return
         network = system.network
+        plan_out = unicast_plan(network, node, owner)
+        plan_back = unicast_plan(network, owner, node)
         self._reads[key] = (
             protocol.fastpath_epoch,
             entry,
@@ -140,14 +138,10 @@ class FastPathTable:
             location[1],
             owner,
             owner_entry,
-            unicast_plan(network, node, owner),
-            _payload_unicast_result(
-                network, node, protocol._cost_request, owner, False
-            ).cost,
-            unicast_plan(network, owner, node),
-            _payload_unicast_result(
-                network, owner, protocol._cost_word_owner, node, False
-            ).cost,
+            plan_out,
+            plan_out.cost_for(protocol._cost_request),
+            plan_back,
+            plan_back.cost_for(protocol._cost_word_owner),
         )
 
     def _register_write(self, node: int, block: int) -> None:

@@ -145,7 +145,11 @@ def run_trace(
     :class:`~repro.errors.CoherenceError`.
 
     The network's traffic counters are reset at the start, so the report's
-    network totals are attributable to this run alone.
+    network totals are attributable to this run alone.  For the length of
+    the replay the network counts plan uses in its link ledger
+    (:meth:`~repro.network.topology.OmegaNetwork.open_window`); it is
+    flushed before this function returns or raises, and any read of the
+    link counters through the network settles it first.
 
     ``timer``, if given, is any object with a ``lap(name)`` method (e.g.
     :class:`repro.perf.timer.PhaseTimer`); it receives ``"reset"``,
@@ -180,29 +184,38 @@ def run_trace(
         and recorder is None
     ):
         fast = protocol.fastpath()
-    if fast is not None:
-        kernel = protocol.batched_kernel()
-        if kernel is not None:
-            n_reads, n_writes = kernel.replay(trace)
+    # The one place the network's deferred link ledger is opened and
+    # flushed, whichever tier replays: a plan's uses are counted during
+    # the loop and applied once here, also when the loop raises, so the
+    # link arrays always end as per-send accounting leaves them.
+    network = system.network
+    network.open_window()
+    try:
+        if fast is not None:
+            kernel = protocol.batched_kernel()
+            if kernel is not None:
+                n_reads, n_writes = kernel.replay(trace)
+            else:
+                n_reads, n_writes = fast.replay(trace)
+            n_refs = n_reads + n_writes
+        elif isinstance(trace, CompiledTrace):
+            n_refs, n_reads, n_writes = _replay_columns(
+                protocol,
+                trace,
+                verify=verify,
+                check_invariants_every=check_invariants_every,
+                recorder=recorder,
+            )
         else:
-            n_reads, n_writes = fast.replay(trace)
-        n_refs = n_reads + n_writes
-    elif isinstance(trace, CompiledTrace):
-        n_refs, n_reads, n_writes = _replay_columns(
-            protocol,
-            trace,
-            verify=verify,
-            check_invariants_every=check_invariants_every,
-            recorder=recorder,
-        )
-    else:
-        n_refs, n_reads, n_writes = _replay_references(
-            protocol,
-            trace,
-            verify=verify,
-            check_invariants_every=check_invariants_every,
-            recorder=recorder,
-        )
+            n_refs, n_reads, n_writes = _replay_references(
+                protocol,
+                trace,
+                verify=verify,
+                check_invariants_every=check_invariants_every,
+                recorder=recorder,
+            )
+    finally:
+        network.close_window()
     # Final structural check -- unless the loop's last reference already
     # ran it (the stride divides the trace length exactly).  An empty
     # trace still gets its one check.
@@ -223,8 +236,8 @@ def run_trace(
         n_reads=n_reads,
         n_writes=n_writes,
         stats=protocol.stats,
-        network_total_bits=system.network.total_bits,
-        network_bits_by_level=tuple(system.network.bits_by_level()),
+        network_total_bits=network.total_bits,
+        network_bits_by_level=tuple(network.bits_by_level()),
         verified=bool(verify),
     )
     if timer is not None:

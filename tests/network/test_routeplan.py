@@ -16,6 +16,7 @@ from repro.network.link import Link, LinkLoad
 from repro.network.message import Message
 from repro.network.multicast import (
     Multicaster,
+    MulticastScheme,
     multicast_combined,
     multicast_scheme1,
     multicast_scheme2,
@@ -153,7 +154,7 @@ class TestPlanLifecycle:
 
     def test_combined_rechooses_winner_per_payload(self):
         # The break-even between schemes depends on the payload size, so
-        # a cached combined plan triple must re-probe per message.
+        # a cached combined record must re-price per message.
         network = OmegaNetwork(64)
         dests = frozenset(range(32))
         small = multicast_combined(network, _message(0, 0), dests)
@@ -163,6 +164,48 @@ class TestPlanLifecycle:
         cold.route_plans = None
         assert small == multicast_combined(cold, _message(0, 0), dests)
         assert large == multicast_combined(cold, _message(0, 10_000), dests)
+
+
+class TestCombinedAccounting:
+    """A destination set under COMBINED: one lookup, one entry, one plan."""
+
+    def test_cold_send_is_one_miss_and_one_entry(self):
+        network = OmegaNetwork(64)
+        caster = Multicaster(network, MulticastScheme.COMBINED)
+        dests = frozenset({3, 7, 40})
+        caster.send_payload(0, 20, dests)
+        stats = network.route_plans.stats()
+        assert (stats["plans"], stats["hits"], stats["misses"]) == (1, 0, 1)
+        for _ in range(9):
+            caster.send_payload(0, 20, dests)
+        stats = network.route_plans.stats()
+        assert (stats["plans"], stats["hits"], stats["misses"]) == (1, 9, 1)
+        assert stats["hit_rate"] == 0.9
+
+    def test_record_key_is_scheme_source_destset(self):
+        # bench/benchlib/probes.py harvests destination sets by this shape.
+        network = OmegaNetwork(64)
+        dests = frozenset({3, 7, 40})
+        Multicaster(network, MulticastScheme.COMBINED).send_payload(
+            5, 20, dests
+        )
+        assert list(network.route_plans.keys()) == [
+            (MulticastScheme.COMBINED, 5, dests)
+        ]
+
+    def test_only_winning_candidates_are_ever_built(self):
+        network = OmegaNetwork(64)
+        caster = Multicaster(network, MulticastScheme.COMBINED)
+        dests = frozenset(range(32))
+        schemes = {
+            caster.send_payload(0, bits, dests).scheme
+            for bits in (0, 20, 10_000, 0, 20)
+        }
+        (record,) = (network.route_plans.get(key) for key in
+                     list(network.route_plans.keys()))
+        built = {plan.scheme for plan in record.plans if plan is not None}
+        assert built == schemes
+        assert len(network.route_plans) == 1
 
 
 class TestRoutePlanCache:

@@ -99,6 +99,57 @@ class TestRouting:
             net.route_positions(0, -1)
 
 
+class TestValidateOncePerPlan:
+    """Plan builders check their ports at entry, not on every hop."""
+
+    def test_public_walks_keep_their_checks_and_messages(self):
+        net = OmegaNetwork(8)
+        for call, message in [
+            (lambda: net.shuffle(8), r"port 8 outside 0\.\.7"),
+            (lambda: net.route_positions(0, -1), r"port -1 outside 0\.\.7"),
+            (lambda: net.destination_bit(9, 0), r"port 9 outside 0\.\.7"),
+            (lambda: net.destination_bit(0, 3), r"stage 3 outside 0\.\.2"),
+        ]:
+            with pytest.raises(ConfigurationError, match=message):
+                call()
+
+    def test_unchecked_walk_matches_the_checked_one(self):
+        net = OmegaNetwork(64)
+        for source in (0, 21, 63):
+            assert net._shuffle(source) == net.shuffle(source)
+            for dest in (0, 42, 63):
+                positions = [source]
+                for stage in range(net.n_stages):
+                    low = net.destination_bit(dest, stage)
+                    positions.append((net.shuffle(positions[-1]) & ~1) | low)
+                assert net._route_positions(source, dest) == positions
+                assert net.route_positions(source, dest) == positions
+
+    def test_builders_check_ports_once_per_plan(self, monkeypatch):
+        from repro.network.multicast import Multicaster, MulticastScheme
+
+        checks = []
+        check_port = OmegaNetwork._check_port
+
+        def counting(self, port):
+            checks.append(port)
+            check_port(self, port)
+
+        monkeypatch.setattr(OmegaNetwork, "_check_port", counting)
+        net = OmegaNetwork(1024)
+        # One unicast plan per (source, dest), shared by every scheme.
+        Multicaster(net).send_payload_one(3, 20, 900)
+        Multicaster(net).send_payload_one(3, 20, 900)
+        assert sorted(checks) == [3, 900]
+        for scheme in MulticastScheme:
+            caster = Multicaster(net, scheme)
+            del checks[:]
+            caster.send_payload(7, 20, frozenset({1, 500, 501, 1023}))
+            caster.send_payload(7, 20, frozenset({1, 500, 501, 1023}))
+            # Destinations are range-checked as a set; the source once.
+            assert checks == [7]
+
+
 class TestTrafficCounters:
     def test_counters_start_zero(self):
         net = OmegaNetwork(8)
