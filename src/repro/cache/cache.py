@@ -81,9 +81,10 @@ class Cache:
         self.block_size_words = block_size_words
         self.n_ways = n_ways
         self.n_sets = n_entries // n_ways
-        self._sets: list[list[CacheEntry]] = [
-            [CacheEntry() for _ in range(n_ways)] for _ in range(self.n_sets)
-        ]
+        # A set's ways are built by slot_for() on first use: a replayed
+        # trace touches a few of them, and every other path to an entry
+        # goes through _index, which only install() fills.
+        self._sets: list[list[CacheEntry] | None] = [None] * self.n_sets
         # Tag index: block -> (set_index, way) for every tagged entry.
         # Tags are only ever written by install() and drop(), which keep
         # this exact; every lookup below is O(1) instead of a way scan.
@@ -111,11 +112,19 @@ class Cache:
         """The ``(set_index, way)`` of ``block``'s entry, if tagged."""
         return self._index.get(block)
 
+    def _ways(self, set_index: int) -> list[CacheEntry]:
+        ways = self._sets[set_index]
+        if ways is None:
+            ways = self._sets[set_index] = [
+                CacheEntry() for _ in range(self.n_ways)
+            ]
+        return ways
+
     def slot_for(self, block: BlockId) -> Slot:
         """Where ``block`` would live: its current slot, a free way, or the
         replacement policy's victim (in that order of preference)."""
         set_index = self.set_index(block)
-        ways = self._sets[set_index]
+        ways = self._ways(set_index)
         location = self._index.get(block)
         if location is not None:
             return Slot(set_index, location[1], ways[location[1]])
@@ -178,20 +187,26 @@ class Cache:
 
     def iter_entries(self):
         """Yield every entry (occupied or not), set by set."""
+        for set_index in range(self.n_sets):
+            yield from self._ways(set_index)
+
+    def _built_entries(self):
+        """Entries of the sets built so far; an unbuilt set holds nothing."""
         for ways in self._sets:
-            yield from ways
+            if ways is not None:
+                yield from ways
 
     def resident_blocks(self) -> list[BlockId]:
         """Tags of all occupied entries (valid or invalid placeholders)."""
         return [
             entry.tag
-            for entry in self.iter_entries()
+            for entry in self._built_entries()
             if entry.tag is not None
         ]
 
     def occupancy(self) -> float:
         """Fraction of entries currently occupied."""
-        occupied = sum(1 for entry in self.iter_entries() if entry.occupied)
+        occupied = sum(1 for entry in self._built_entries() if entry.occupied)
         return occupied / self.n_entries
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

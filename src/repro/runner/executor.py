@@ -87,12 +87,29 @@ PERMANENT_ERROR_CLASSES = frozenset(
 )
 
 
-def execute_spec(spec: ExperimentSpec) -> SimulationReport:
+def _build_trace(spec: ExperimentSpec):
+    """The replayable form of ``spec``'s workload, freshly generated.
+
+    Both forms slice and replay to bit-identical reports; the compiled
+    default takes the columnar loop (and, where the protocol offers one,
+    its stable-state fast path -- see docs/PERF.md).
+    """
+    if spec.compiled:
+        return spec.workload.build_compiled()
+    return spec.workload.build().references
+
+
+def execute_spec(spec: ExperimentSpec, trace=None) -> SimulationReport:
     """Run one cell in-process: build the machine, the trace, measure.
 
     This single function is the whole task body -- the sequential path
     calls it directly and the worker processes call it on a deserialised
     copy of the spec, which is what makes the two paths bit-identical.
+    ``trace``, when given, must be what this function would have built
+    for ``spec`` -- ``workload.build_compiled()``, or
+    ``workload.build().references`` with ``compiled`` off.  It is
+    replayed, never modified, so the sequential path hands one generation
+    to every cell with an equal ``(workload, compiled)``.
     """
     from repro.analysis.compare import default_factories
 
@@ -105,13 +122,8 @@ def execute_spec(spec: ExperimentSpec) -> SimulationReport:
     protocol = factories[spec.protocol](
         System(spec.config, fault_plan=spec.fault_plan)
     )
-    # Both trace forms slice and replay to bit-identical reports; the
-    # compiled default takes the columnar loop (and, where the protocol
-    # offers one, its stable-state fast path -- see docs/PERF.md).
-    if spec.compiled:
-        trace = spec.workload.build_compiled()
-    else:
-        trace = spec.workload.build().references
+    if trace is None:
+        trace = _build_trace(spec)
     if spec.warmup:
         run_trace(
             protocol,
@@ -301,7 +313,9 @@ class Executor:
         results: list[TaskResult | None] = [None] * len(cells)
         pending: list[tuple[int, ExperimentSpec]] = []
         for index, spec in enumerate(cells):
-            report = self.cache.get(spec) if self.cache else None
+            # "is not None", never truthiness: a cache's len() may scan a
+            # directory, or count only a hot tier that starts out empty.
+            report = self.cache.get(spec) if self.cache is not None else None
             if report is not None:
                 self.journal.task_cached(spec)
                 results[index] = TaskResult(
@@ -327,7 +341,12 @@ class Executor:
     # ------------------------------------------------------------------
 
     def _run_sequential(self, pending, results) -> None:
-        fn = execute_spec if self._task_fn is None else self._task_fn
+        # The default task body replays one generated trace for every
+        # consecutive cell with an equal (workload, compiled) -- a grid
+        # is workload-major, so that is once per workload.  The slot is
+        # this frame's: emptied before the next workload is generated,
+        # gone when run() returns.
+        shared_key = shared_trace = None
         for index, spec in pending:
             attempt = 0
             while True:
@@ -335,7 +354,15 @@ class Executor:
                 self.journal.task_start(spec, attempt)
                 t0 = time.perf_counter()
                 try:
-                    report = fn(spec)
+                    if self._task_fn is not None:
+                        report = self._task_fn(spec)
+                    else:
+                        key = (spec.workload, spec.compiled)
+                        if key != shared_key:
+                            shared_key = shared_trace = None
+                            shared_trace = _build_trace(spec)
+                            shared_key = key
+                        report = execute_spec(spec, shared_trace)
                 except Exception as exc:
                     error = traceback.format_exc()
                     error_class = type(exc).__name__

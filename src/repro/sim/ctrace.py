@@ -10,9 +10,9 @@ stream as five parallel ``array('q')`` columns::
 
 with ``ops[i]`` equal to 1 for a write and 0 for a read.  The batched loop
 in :func:`repro.sim.engine.run_trace` iterates the columns directly (C-speed
-``zip`` over arrays, no NamedTuple construction), and the workload
-generators can emit straight into the columns through
-:func:`trace_builder` without ever materialising a ``Reference``.
+``zip`` over arrays, no NamedTuple construction), and every workload
+generator builds these columns first, handing out their ``to_trace()``
+view only when asked for the reference list.
 
 Both forms describe *exactly* the same stream: ``Trace.compile()`` /
 :meth:`CompiledTrace.to_trace` round-trip losslessly, the text format of
@@ -206,23 +206,13 @@ class CompiledTrace:
     @classmethod
     def from_trace(cls, trace: Trace) -> "CompiledTrace":
         """Compile an in-memory :class:`Trace` (see ``Trace.compile``)."""
-        nodes = array("q")
-        ops = array("q")
-        blocks = array("q")
-        offsets = array("q")
-        values = array("q")
-        for ref in trace.references:
-            nodes.append(ref.node)
-            ops.append(_WRITE if ref.op is Op.WRITE else _READ)
-            blocks.append(ref.address.block)
-            offsets.append(ref.address.offset)
-            values.append(ref.value)
+        refs = trace.references
         return cls(
-            nodes,
-            ops,
-            blocks,
-            offsets,
-            values,
+            array("q", [ref.node for ref in refs]),
+            array("q", [ref.op is Op.WRITE for ref in refs]),
+            array("q", [ref.address.block for ref in refs]),
+            array("q", [ref.address.offset for ref in refs]),
+            array("q", [ref.value for ref in refs]),
             trace.n_nodes,
             trace.block_size_words,
             # A constructed Trace already validated itself.
@@ -237,7 +227,7 @@ class CompiledTrace:
 
 
 # ----------------------------------------------------------------------
-# Builders: how the workload generators emit either form
+# Builder: how the RNG-free workload generators emit
 # ----------------------------------------------------------------------
 
 
@@ -289,45 +279,6 @@ class CompiledTraceBuilder:
         )
 
 
-class ReferenceTraceBuilder:
-    """Accumulates :class:`Reference` objects (the classic ``Trace``)."""
-
-    __slots__ = ("n_nodes", "block_size_words", "_references")
-
-    def __init__(self, n_nodes: int, block_size_words: int) -> None:
-        self.n_nodes = n_nodes
-        self.block_size_words = block_size_words
-        self._references: list[Reference] = []
-
-    def read(self, node: int, block: int, offset: int) -> None:
-        self._references.append(
-            Reference(node, Op.READ, Address(block, offset))
-        )
-
-    def write(self, node: int, block: int, offset: int, value: int) -> None:
-        self._references.append(
-            Reference(node, Op.WRITE, Address(block, offset), value)
-        )
-
-    def build(self) -> Trace:
-        return Trace(self._references, self.n_nodes, self.block_size_words)
-
-
-def trace_builder(
-    n_nodes: int, block_size_words: int, *, compiled: bool
-) -> CompiledTraceBuilder | ReferenceTraceBuilder:
-    """The builder a generator should emit into for the requested form.
-
-    Both builders expose the same ``read(node, block, offset)`` /
-    ``write(node, block, offset, value)`` surface, so a generator's RNG
-    draw order (and therefore its output stream) is identical whichever
-    form it targets.
-    """
-    if compiled:
-        return CompiledTraceBuilder(n_nodes, block_size_words)
-    return ReferenceTraceBuilder(n_nodes, block_size_words)
-
-
 # ----------------------------------------------------------------------
 # Text format (same on-disk format as repro.sim.trace)
 # ----------------------------------------------------------------------
@@ -357,11 +308,7 @@ def parse_compiled_trace(stream: Iterable[str]) -> CompiledTrace:
                 f"got {text!r}"
             )
         node_text, op_text, addr_text, value_text = parts
-        if op_text == "W":
-            op = _WRITE
-        elif op_text == "R":
-            op = _READ
-        else:
+        if op_text not in ("R", "W"):
             raise TraceError(
                 f"line {line_no}: unknown operation {op_text!r}"
             )
@@ -375,7 +322,7 @@ def parse_compiled_trace(stream: Iterable[str]) -> CompiledTrace:
             raise TraceError(
                 f"line {line_no}: malformed fields in {text!r}"
             ) from None
-        ops.append(op)
+        ops.append(op_text == "W")
     return CompiledTrace(nodes, ops, blocks, offsets, values, n_nodes, block_size)
 
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import ConfigurationError
-from repro.sim.ctrace import CompiledTrace, trace_builder
+from repro.sim.ctrace import CompiledTrace, CompiledTraceBuilder
 from repro.sim.trace import Trace
 from repro.types import NodeId
-from repro.workloads.markov import _check_tasks
+from repro.workloads.markov import _check_at_least, _check_tasks
 
 
 def spinlock_trace(
@@ -48,14 +48,7 @@ def spinlock_trace(
     4. ``t`` writes the lock word again (releases).
     """
     _check_tasks(tasks, n_nodes)
-    if n_acquisitions < 0:
-        raise ConfigurationError(
-            f"n_acquisitions must be non-negative, got {n_acquisitions}"
-        )
-    if spin_reads < 0:
-        raise ConfigurationError(
-            f"spin_reads must be non-negative, got {spin_reads}"
-        )
+    _check_at_least(0, n_acquisitions=n_acquisitions, spin_reads=spin_reads)
     if not 0 < data_words <= block_size_words:
         raise ConfigurationError(
             f"data_words must be in 1..{block_size_words}, "
@@ -65,7 +58,7 @@ def spinlock_trace(
         raise ConfigurationError(
             "lock and data must live in different blocks"
         )
-    builder = trace_builder(n_nodes, block_size_words, compiled=compiled)
+    builder = CompiledTraceBuilder(n_nodes, block_size_words)
     next_value = 1
     for acquisition in range(n_acquisitions):
         holder = tasks[acquisition % len(tasks)]
@@ -80,4 +73,5 @@ def spinlock_trace(
             next_value += 1
         builder.write(holder, lock_block, 0, next_value)
         next_value += 1
-    return builder.build()
+    columns = builder.build()
+    return columns if compiled else columns.to_trace()

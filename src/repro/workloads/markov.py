@@ -14,10 +14,13 @@ simulator can detect any stale read.
 from __future__ import annotations
 
 import random
+from array import array
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 from repro.errors import ConfigurationError
-from repro.sim.ctrace import CompiledTrace, trace_builder
+from repro.sim.ctrace import CompiledTrace
 from repro.sim.trace import Trace
 from repro.types import NodeId
 
@@ -27,11 +30,38 @@ def _check_tasks(tasks: Sequence[NodeId], n_nodes: int) -> None:
         raise ConfigurationError("need at least one task")
     for task in tasks:
         if not 0 <= task < n_nodes:
-            raise ConfigurationError(
-                f"task {task} outside 0..{n_nodes - 1}"
-            )
+            raise ConfigurationError(f"task {task} outside 0..{n_nodes - 1}")
     if len(set(tasks)) != len(tasks):
         raise ConfigurationError(f"duplicate tasks in {list(tasks)}")
+
+
+def _check_at_least(minimum: int, **arguments: int) -> None:
+    """Reject generator arguments below ``minimum`` (0 or 1).
+
+    Every range a seeded generator draws from passes with ``minimum=1``:
+    the inlined bounded draw would never terminate on an empty one.
+    """
+    kind = "positive" if minimum else "non-negative"
+    for name, value in arguments.items():
+        if value < minimum:
+            raise ConfigurationError(f"{name} must be {kind}, got {value}")
+
+
+def _emit(
+    nodes, ops, blocks, offsets, n_nodes, block_size_words, compiled
+) -> Trace | CompiledTrace:
+    """A seeded generator's columns, validated, in the requested form.
+
+    Written values are sequence numbers: 1, 2, ... on the writes of
+    ``ops``, 0 on the reads.
+    """
+    columns = CompiledTrace(
+        *(array("q", column) for column in (nodes, ops, blocks, offsets)),
+        array("q", map(mul, accumulate(ops), ops)),
+        n_nodes,
+        block_size_words,
+    )
+    return columns if compiled else columns.to_trace()
 
 
 def markov_block_trace(
@@ -52,36 +82,48 @@ def markov_block_trace(
     by ``writer``, default the first task) and otherwise a read by a
     uniformly random task.  Offsets are uniform over the block.
 
-    ``compiled=True`` emits a columnar
-    :class:`~repro.sim.ctrace.CompiledTrace` instead (same RNG draw order,
-    so the streams are identical reference for reference).
+    Draw order, per reference: ``randrange(block_size_words)`` (offset),
+    ``random()`` (a write when below ``write_fraction``) and, for a read
+    only, ``randrange(len(tasks))`` (reader).  The bounded draws are
+    CPython's ``_randbelow`` inlined on ``getrandbits`` (docs/WORKLOADS.md);
+    ``compiled=True`` returns the columns, the default their ``to_trace()``.
     """
     _check_tasks(tasks, n_nodes)
     if not 0.0 <= write_fraction <= 1.0:
         raise ConfigurationError(
             f"write fraction must be in [0, 1], got {write_fraction}"
         )
-    if n_references < 0:
-        raise ConfigurationError(
-            f"n_references must be non-negative, got {n_references}"
-        )
+    _check_at_least(0, n_references=n_references)
     chosen_writer = tasks[0] if writer is None else writer
     if chosen_writer not in tasks:
         raise ConfigurationError(
             f"writer {chosen_writer} is not one of the tasks {list(tasks)}"
         )
+    _check_at_least(1, block_size_words=block_size_words)
     rng = random.Random(seed)
-    builder = trace_builder(n_nodes, block_size_words, compiled=compiled)
-    next_value = 1
+    getrandbits, uniform = rng.getrandbits, rng.random
+    offset_bits = block_size_words.bit_length()
+    n_tasks = len(tasks)
+    task_bits = n_tasks.bit_length()
+    nodes, ops, offsets = [], [], []
     for _ in range(n_references):
-        offset = rng.randrange(block_size_words)
-        if rng.random() < write_fraction:
-            builder.write(chosen_writer, block, offset, next_value)
-            next_value += 1
+        offset = getrandbits(offset_bits)
+        while offset >= block_size_words:
+            offset = getrandbits(offset_bits)
+        offsets.append(offset)
+        if uniform() < write_fraction:
+            nodes.append(chosen_writer)
+            ops.append(1)
         else:
-            reader = tasks[rng.randrange(len(tasks))]
-            builder.read(reader, block, offset)
-    return builder.build()
+            reader = getrandbits(task_bits)
+            while reader >= n_tasks:
+                reader = getrandbits(task_bits)
+            nodes.append(tasks[reader])
+            ops.append(0)
+    blocks = array("q", [block]) * n_references
+    return _emit(
+        nodes, ops, blocks, offsets, n_nodes, block_size_words, compiled
+    )
 
 
 def shared_structure_trace(
@@ -101,24 +143,40 @@ def shared_structure_trace(
     Block ``first_block + i`` is written (only) by ``tasks[i % len(tasks)]``
     and read by everyone -- the paper's whole-structure model, where
     ownership never needs to change once established.
+
+    Draw order, per reference: ``randrange(n_blocks)`` (block index),
+    ``randrange(block_size_words)`` (offset), ``random()`` (a write when
+    below ``write_fraction``) and, for a read only,
+    ``randrange(len(tasks))`` (reader) -- bounded draws inlined as in
+    :func:`markov_block_trace`.
     """
     _check_tasks(tasks, n_nodes)
-    if n_blocks <= 0:
-        raise ConfigurationError(
-            f"n_blocks must be positive, got {n_blocks}"
-        )
+    _check_at_least(1, n_blocks=n_blocks, block_size_words=block_size_words)
     rng = random.Random(seed)
-    builder = trace_builder(n_nodes, block_size_words, compiled=compiled)
-    next_value = 1
+    getrandbits, uniform = rng.getrandbits, rng.random
+    block_bits = n_blocks.bit_length()
+    offset_bits = block_size_words.bit_length()
+    n_tasks = len(tasks)
+    task_bits = n_tasks.bit_length()
+    nodes, ops, blocks, offsets = [], [], [], []
     for _ in range(n_references):
-        index = rng.randrange(n_blocks)
-        block = first_block + index
-        offset = rng.randrange(block_size_words)
-        if rng.random() < write_fraction:
-            writer = tasks[index % len(tasks)]
-            builder.write(writer, block, offset, next_value)
-            next_value += 1
+        index = getrandbits(block_bits)
+        while index >= n_blocks:
+            index = getrandbits(block_bits)
+        blocks.append(first_block + index)
+        offset = getrandbits(offset_bits)
+        while offset >= block_size_words:
+            offset = getrandbits(offset_bits)
+        offsets.append(offset)
+        if uniform() < write_fraction:
+            nodes.append(tasks[index % n_tasks])
+            ops.append(1)
         else:
-            reader = tasks[rng.randrange(len(tasks))]
-            builder.read(reader, block, offset)
-    return builder.build()
+            reader = getrandbits(task_bits)
+            while reader >= n_tasks:
+                reader = getrandbits(task_bits)
+            nodes.append(tasks[reader])
+            ops.append(0)
+    return _emit(
+        nodes, ops, blocks, offsets, n_nodes, block_size_words, compiled
+    )

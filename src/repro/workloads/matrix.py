@@ -25,9 +25,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import ConfigurationError
-from repro.sim.ctrace import CompiledTrace, trace_builder
+from repro.sim.ctrace import CompiledTrace, CompiledTraceBuilder
 from repro.sim.trace import Trace
-from repro.types import Address, NodeId
+from repro.types import NodeId
+from repro.workloads.markov import _check_at_least
 
 
 def _blocks_per_row(row_words: int, block_size_words: int) -> int:
@@ -35,18 +36,28 @@ def _blocks_per_row(row_words: int, block_size_words: int) -> int:
 
 
 def _row_addresses(
-    first_block: int,
-    row: int,
-    row_words: int,
-    block_size_words: int,
-) -> list[Address]:
-    """Addresses of every word of ``row`` under padded row-major layout."""
-    per_row = _blocks_per_row(row_words, block_size_words)
-    addresses = []
-    for word in range(row_words):
-        block = first_block + row * per_row + word // block_size_words
-        addresses.append(Address(block, word % block_size_words))
-    return addresses
+    first_block: int, row: int, row_words: int, block_size_words: int
+) -> list[tuple[int, int]]:
+    """``(block, offset)`` of every word of ``row``, padded row-major."""
+    base = first_block + row * _blocks_per_row(row_words, block_size_words)
+    return [
+        (base + word // block_size_words, word % block_size_words)
+        for word in range(row_words)
+    ]
+
+
+def _check_banding(tasks: Sequence[NodeId], n_nodes: int, rows: int) -> None:
+    """Tasks are real nodes and each gets at least one of ``rows`` rows."""
+    if not tasks:
+        raise ConfigurationError("need at least one task")
+    if rows < len(tasks):
+        raise ConfigurationError(
+            f"need at least one row per task ({rows} rows, "
+            f"{len(tasks)} tasks)"
+        )
+    for task in tasks:
+        if not 0 <= task < n_nodes:
+            raise ConfigurationError(f"task {task} outside 0..{n_nodes - 1}")
 
 
 def jacobi_trace(
@@ -67,25 +78,15 @@ def jacobi_trace(
     exactly one writing task for the whole run -- the paper's stable
     ownership case.
     """
-    if not tasks:
-        raise ConfigurationError("need at least one task")
-    if rows < len(tasks):
-        raise ConfigurationError(
-            f"need at least one row per task ({rows} rows, "
-            f"{len(tasks)} tasks)"
-        )
-    if sweeps < 0:
-        raise ConfigurationError(f"sweeps must be non-negative, got {sweeps}")
-    for task in tasks:
-        if not 0 <= task < n_nodes:
-            raise ConfigurationError(f"task {task} outside 0..{n_nodes - 1}")
+    _check_banding(tasks, n_nodes, rows)
+    _check_at_least(0, sweeps=sweeps)
 
     n_tasks = len(tasks)
     band = rows // n_tasks
     owner_of_row = [
         tasks[min(row // band, n_tasks - 1)] for row in range(rows)
     ]
-    builder = trace_builder(n_nodes, block_size_words, compiled=compiled)
+    builder = CompiledTraceBuilder(n_nodes, block_size_words)
     next_value = 1
     for _ in range(sweeps):
         for task_index, task in enumerate(tasks):
@@ -93,20 +94,19 @@ def jacobi_trace(
             high = rows if task_index == n_tasks - 1 else low + band
             read_rows = range(max(0, low - 1), min(rows, high + 1))
             for row in read_rows:
-                for address in _row_addresses(
+                for block, offset in _row_addresses(
                     first_block, row, row_words, block_size_words
                 ):
-                    builder.read(task, address.block, address.offset)
+                    builder.read(task, block, offset)
             for row in range(low, high):
                 assert owner_of_row[row] == task
-                for address in _row_addresses(
+                for block, offset in _row_addresses(
                     first_block, row, row_words, block_size_words
                 ):
-                    builder.write(
-                        task, address.block, address.offset, next_value
-                    )
+                    builder.write(task, block, offset, next_value)
                     next_value += 1
-    return builder.build()
+    columns = builder.build()
+    return columns if compiled else columns.to_trace()
 
 
 def matrix_multiply_trace(
@@ -124,16 +124,7 @@ def matrix_multiply_trace(
     read-only sharing the software schemes of §1 would simply mark
     cacheable, and a case the protocol must also handle cheaply.
     """
-    if not tasks:
-        raise ConfigurationError("need at least one task")
-    if size < len(tasks):
-        raise ConfigurationError(
-            f"need at least one row per task ({size} rows, "
-            f"{len(tasks)} tasks)"
-        )
-    for task in tasks:
-        if not 0 <= task < n_nodes:
-            raise ConfigurationError(f"task {task} outside 0..{n_nodes - 1}")
+    _check_banding(tasks, n_nodes, size)
 
     per_row = _blocks_per_row(size, block_size_words)
     a_first = first_block
@@ -141,7 +132,11 @@ def matrix_multiply_trace(
     c_first = b_first + size * per_row
     n_tasks = len(tasks)
     band = size // n_tasks
-    builder = trace_builder(n_nodes, block_size_words, compiled=compiled)
+    b_rows = [
+        _row_addresses(b_first, k, size, block_size_words)
+        for k in range(size)
+    ]
+    builder = CompiledTraceBuilder(n_nodes, block_size_words)
     next_value = 1
     for task_index, task in enumerate(tasks):
         low = task_index * band
@@ -150,14 +145,10 @@ def matrix_multiply_trace(
             a_row = _row_addresses(a_first, i, size, block_size_words)
             c_row = _row_addresses(c_first, i, size, block_size_words)
             for j in range(size):
-                for k in range(size):
-                    a_word = a_row[k]
-                    builder.read(task, a_word.block, a_word.offset)
-                    b_word = _row_addresses(
-                        b_first, k, size, block_size_words
-                    )[j]
-                    builder.read(task, b_word.block, b_word.offset)
-                c_word = c_row[j]
-                builder.write(task, c_word.block, c_word.offset, next_value)
+                for a_word, b_row in zip(a_row, b_rows):
+                    builder.read(task, *a_word)
+                    builder.read(task, *b_row[j])
+                builder.write(task, *c_row[j], next_value)
                 next_value += 1
-    return builder.build()
+    columns = builder.build()
+    return columns if compiled else columns.to_trace()

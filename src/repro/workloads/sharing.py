@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.errors import ConfigurationError
-from repro.sim.ctrace import CompiledTrace, trace_builder
+from repro.sim.ctrace import CompiledTrace, CompiledTraceBuilder
 from repro.sim.trace import Trace
 from repro.types import NodeId
-from repro.workloads.markov import _check_tasks
+from repro.workloads.markov import _check_at_least, _check_tasks
 
 
 def producer_consumer_trace(
@@ -37,11 +36,8 @@ def producer_consumer_trace(
 ) -> Trace | CompiledTrace:
     """``n_rounds`` of: producer writes every word, consumers read them."""
     _check_tasks([producer, *consumers], n_nodes)
-    if n_rounds < 0:
-        raise ConfigurationError(
-            f"n_rounds must be non-negative, got {n_rounds}"
-        )
-    builder = trace_builder(n_nodes, block_size_words, compiled=compiled)
+    _check_at_least(0, n_rounds=n_rounds)
+    builder = CompiledTraceBuilder(n_nodes, block_size_words)
     next_value = 1
     for _ in range(n_rounds):
         for offset in range(block_size_words):
@@ -50,7 +46,8 @@ def producer_consumer_trace(
         for consumer in consumers:
             for offset in range(block_size_words):
                 builder.read(consumer, block, offset)
-    return builder.build()
+    columns = builder.build()
+    return columns if compiled else columns.to_trace()
 
 
 def migratory_trace(
@@ -64,18 +61,16 @@ def migratory_trace(
 ) -> Trace | CompiledTrace:
     """Each task in turn reads then updates the block (lock-like sharing)."""
     _check_tasks(tasks, n_nodes)
-    if n_rounds < 0:
-        raise ConfigurationError(
-            f"n_rounds must be non-negative, got {n_rounds}"
-        )
-    builder = trace_builder(n_nodes, block_size_words, compiled=compiled)
+    _check_at_least(0, n_rounds=n_rounds)
+    builder = CompiledTraceBuilder(n_nodes, block_size_words)
     next_value = 1
     for _ in range(n_rounds):
         for task in tasks:
             builder.read(task, block, 0)
             builder.write(task, block, 0, next_value)
             next_value += 1
-    return builder.build()
+    columns = builder.build()
+    return columns if compiled else columns.to_trace()
 
 
 def ping_pong_trace(
@@ -90,15 +85,13 @@ def ping_pong_trace(
 ) -> Trace | CompiledTrace:
     """Two tasks alternately writing (and reading back) one word."""
     _check_tasks([first, second], n_nodes)
-    if n_rounds < 0:
-        raise ConfigurationError(
-            f"n_rounds must be non-negative, got {n_rounds}"
-        )
-    builder = trace_builder(n_nodes, block_size_words, compiled=compiled)
+    _check_at_least(0, n_rounds=n_rounds)
+    builder = CompiledTraceBuilder(n_nodes, block_size_words)
     next_value = 1
     for _ in range(n_rounds):
         for task in (first, second):
             builder.write(task, block, 0, next_value)
             builder.read(task, block, 0)
             next_value += 1
-    return builder.build()
+    columns = builder.build()
+    return columns if compiled else columns.to_trace()

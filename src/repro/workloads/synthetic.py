@@ -12,9 +12,10 @@ import random
 from typing import Sequence
 
 from repro.errors import ConfigurationError
-from repro.sim.ctrace import CompiledTrace, trace_builder
+from repro.sim.ctrace import CompiledTrace
 from repro.sim.trace import Trace
 from repro.types import NodeId
+from repro.workloads.markov import _check_at_least, _emit
 
 
 def random_trace(
@@ -35,13 +36,16 @@ def random_trace(
     node's previous block (temporal locality knob); otherwise a block is
     drawn uniformly.  Any node may write any block -- deliberately harsher
     than the paper's single-writer model, to exercise ownership transfer.
+
+    Draw order, per reference: ``randrange(len(nodes))`` (issuing node);
+    ``random()`` (repeat the node's previous block when below
+    ``locality``) only if the node has one, and ``randrange(n_blocks)``
+    when it does not repeat; ``randrange(block_size_words)`` (offset);
+    ``random()`` (a write when below ``write_fraction``).  Bounded draws
+    are inlined as in :func:`~repro.workloads.markov.markov_block_trace`.
     """
-    if n_references < 0:
-        raise ConfigurationError(
-            f"n_references must be non-negative, got {n_references}"
-        )
-    if n_blocks <= 0:
-        raise ConfigurationError(f"n_blocks must be positive, got {n_blocks}")
+    _check_at_least(0, n_references=n_references)
+    _check_at_least(1, n_blocks=n_blocks, block_size_words=block_size_words)
     if not 0.0 <= write_fraction <= 1.0:
         raise ConfigurationError(
             f"write_fraction must be in [0, 1], got {write_fraction}"
@@ -58,20 +62,32 @@ def random_trace(
         raise ConfigurationError("need at least one referencing node")
 
     rng = random.Random(seed)
+    getrandbits, uniform = rng.getrandbits, rng.random
+    n_chosen = len(chosen_nodes)
+    node_bits = n_chosen.bit_length()
+    block_bits = n_blocks.bit_length()
+    offset_bits = block_size_words.bit_length()
     last_block: dict[NodeId, int] = {}
-    builder = trace_builder(n_nodes, block_size_words, compiled=compiled)
-    next_value = 1
+    nodes, ops, blocks, offsets = [], [], [], []
     for _ in range(n_references):
-        node = chosen_nodes[rng.randrange(len(chosen_nodes))]
-        if node in last_block and rng.random() < locality:
+        pick = getrandbits(node_bits)
+        while pick >= n_chosen:
+            pick = getrandbits(node_bits)
+        node = chosen_nodes[pick]
+        if node in last_block and uniform() < locality:
             block = last_block[node]
         else:
-            block = rng.randrange(n_blocks)
-        last_block[node] = block
-        offset = rng.randrange(block_size_words)
-        if rng.random() < write_fraction:
-            builder.write(node, block, offset, next_value)
-            next_value += 1
-        else:
-            builder.read(node, block, offset)
-    return builder.build()
+            block = getrandbits(block_bits)
+            while block >= n_blocks:
+                block = getrandbits(block_bits)
+            last_block[node] = block
+        offset = getrandbits(offset_bits)
+        while offset >= block_size_words:
+            offset = getrandbits(offset_bits)
+        nodes.append(node)
+        blocks.append(block)
+        offsets.append(offset)
+        ops.append(1 if uniform() < write_fraction else 0)
+    return _emit(
+        nodes, ops, blocks, offsets, n_nodes, block_size_words, compiled
+    )

@@ -19,6 +19,7 @@ from repro.runner import (
     ResultCache,
     RunJournal,
     SweepSpec,
+    TieredResultCache,
     WorkloadSpec,
     execute_spec,
 )
@@ -220,6 +221,39 @@ class TestParallel:
             workers=2, cache=cache, task_fn=explode
         ).run([cell])
         assert results[0].cached
+
+
+class TestCacheLookupIgnoresTruthiness:
+    """``Executor.run`` asks a cache by ``is not None``, never ``bool()``.
+
+    ``len()`` of a disk cache globs its directory, and of a tiered cache
+    counts the hot tier only -- empty in every fresh process.
+    """
+
+    def test_warm_disk_tier_under_an_empty_hot_tier_is_hit(self, tmp_path):
+        cell = make_cell()
+        Executor(workers=0, cache=TieredResultCache(tmp_path)).run([cell])
+        fresh = TieredResultCache(tmp_path)
+        assert len(fresh) == 0 and fresh.get(cell) is not None
+        fresh = TieredResultCache(tmp_path)
+        journal = RunJournal()
+        results = Executor(workers=0, cache=fresh, journal=journal).run(
+            [cell]
+        )
+        assert results[0].cached
+        assert journal.counts() == {
+            "executed": 0, "cached": 1, "retried": 0, "failed": 0,
+        }
+
+    def test_disk_cache_is_never_measured(self, tmp_path):
+        class Unsized(ResultCache):
+            def __len__(self):
+                raise AssertionError("run() must not size the cache")
+
+        cache = Unsized(tmp_path)
+        first = Executor(workers=0, cache=cache).run([make_cell()])
+        second = Executor(workers=0, cache=cache).run([make_cell()])
+        assert not first[0].cached and second[0].cached
 
 
 class TestValidation:
