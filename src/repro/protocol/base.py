@@ -404,11 +404,11 @@ class CoherenceProtocol(abc.ABC):
 
         Protocols whose :meth:`fastpath` records can additionally be
         validated once per *chunk* of references (rather than once per
-        reference) return a :class:`~repro.sim.kernel.BatchedKernel`;
-        everything that gates the fast path gates this too, plus any
-        per-reference-order-dependent machinery (e.g. a counting mode
-        policy).  The base class returns ``None`` and the engine uses the
-        per-reference table, or the slow path.
+        reference) return a :class:`~repro.sim.kernel.BatchedKernel`,
+        which drives the table itself for what it cannot batch;
+        everything that gates the fast path gates this too.  The base
+        class returns ``None`` and the engine replays every reference on
+        the slow path.
         """
         return None
 

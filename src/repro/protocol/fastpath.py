@@ -42,8 +42,9 @@ The table is only handed out in configurations where the shortcut is
 sound: ``StenstromProtocol.fastpath`` returns ``None`` under fault
 injection, with a trace recorder attached, or with the message log
 enabled (a hit does not append ``LoggedMessage`` entries), and the
-engine engages it only when value verification and invariant re-checks
-are off.
+engine engages it -- as the fallback of the batched kernel
+(:mod:`repro.sim.kernel`), which drives it in short runs -- only when
+value verification and invariant re-checks are off.
 """
 
 from __future__ import annotations
@@ -226,11 +227,6 @@ class FastPathTable:
         system = protocol.system
         n_nodes = system.n_nodes
         block_size = system.config.block_size_words
-        events = protocol.stats.events
-        traffic_bits = protocol.stats.traffic_bits
-        traffic_messages = protocol.stats.traffic_messages
-        request_bits = protocol._cost_request
-        word_owner_bits = protocol._cost_word_owner
         policy = protocol.mode_policy
         reads_get = self._reads.get
         writes_get = self._writes.get
@@ -243,18 +239,6 @@ class FastPathTable:
         gr = Mode.GLOBAL_READ
         op_read = Op.READ
         op_write = Op.WRITE
-        reads_name = ev.READS
-        read_hits_name = ev.READ_HITS
-        read_misses_name = ev.READ_MISSES
-        coherence_misses_name = ev.COHERENCE_MISSES
-        global_reads_name = ev.GLOBAL_READS
-        writes_name = ev.WRITES
-        write_hits_name = ev.WRITE_HITS
-        load_direct_kind = MsgKind.LOAD_DIRECT.value
-        word_reply_kind = MsgKind.WORD_REPLY.value
-        write_update_kind = MsgKind.WRITE_UPDATE.value
-        write_updates_name = ev.WRITE_UPDATES
-        word_bits = protocol._cost_word
         hits = misses = 0
         n_reads = n_writes = 0
         # Per-hit accounting that is identical for every hit of a kind is
@@ -476,44 +460,64 @@ class FastPathTable:
                     epoch = protocol.fastpath_epoch
                     pepoch = protocol.present_epoch
         finally:
-            gr_hits = 0
-            if pending:
-                apply_scaled = system.network.apply_plan_traffic_scaled
-                bits_out = bits_back = 0
-                for record, count in pending.values():
-                    gr_hits += count
-                    bits_out += record[8] * count
-                    bits_back += record[10] * count
-                    apply_scaled(record[7], request_bits, count)
-                    apply_scaled(record[9], word_owner_bits, count)
-                traffic_bits[load_direct_kind] += bits_out
-                traffic_messages[load_direct_kind] += gr_hits
-                traffic_bits[word_reply_kind] += bits_back
-                traffic_messages[word_reply_kind] += gr_hits
-                events[read_misses_name] += gr_hits
-                events[coherence_misses_name] += gr_hits
-                events[global_reads_name] += gr_hits
-            dw_hits = 0
-            if dw_pending:
-                apply_scaled = system.network.apply_plan_traffic_scaled
-                bits_update = 0
-                for record, count in dw_pending.values():
-                    dw_hits += count
-                    bits_update += record[8] * count
-                    apply_scaled(record[7], word_bits, count)
-                traffic_bits[write_update_kind] += bits_update
-                traffic_messages[write_update_kind] += dw_hits
-                events[write_updates_name] += dw_hits
-            if local_read_hits or gr_hits:
-                events[reads_name] += local_read_hits + gr_hits
-            if local_read_hits:
-                events[read_hits_name] += local_read_hits
-            if fast_write_hits or dw_hits:
-                events[writes_name] += fast_write_hits + dw_hits
-                events[write_hits_name] += fast_write_hits + dw_hits
+            self._flush(local_read_hits, fast_write_hits, pending, dw_pending)
             self.hits += hits
             self.misses += misses
         return n_reads, n_writes
+
+    def _flush(
+        self,
+        local_read_hits: int,
+        fast_write_hits: int,
+        gr_pending: dict[int, list],
+        dw_pending: dict[int, list],
+    ) -> None:
+        """Apply a replay's deferred hit accounting (also the kernel's).
+
+        The pending dicts map ``id(record)`` to ``[record, hit count]``;
+        each record's memoised plans are replayed scaled by its count.
+        """
+        protocol = self._protocol
+        events = protocol.stats.events
+        traffic_bits = protocol.stats.traffic_bits
+        traffic_messages = protocol.stats.traffic_messages
+        apply_scaled = protocol.system.network.apply_plan_traffic_scaled
+        gr_hits = 0
+        if gr_pending:
+            request_bits = protocol._cost_request
+            word_owner_bits = protocol._cost_word_owner
+            bits_out = bits_back = 0
+            for record, count in gr_pending.values():
+                gr_hits += count
+                bits_out += record[8] * count
+                bits_back += record[10] * count
+                apply_scaled(record[7], request_bits, count)
+                apply_scaled(record[9], word_owner_bits, count)
+            traffic_bits[MsgKind.LOAD_DIRECT.value] += bits_out
+            traffic_messages[MsgKind.LOAD_DIRECT.value] += gr_hits
+            traffic_bits[MsgKind.WORD_REPLY.value] += bits_back
+            traffic_messages[MsgKind.WORD_REPLY.value] += gr_hits
+            events[ev.READ_MISSES] += gr_hits
+            events[ev.COHERENCE_MISSES] += gr_hits
+            events[ev.GLOBAL_READS] += gr_hits
+        dw_hits = 0
+        if dw_pending:
+            word_bits = protocol._cost_word
+            bits_update = 0
+            for record, count in dw_pending.values():
+                dw_hits += count
+                bits_update += record[8] * count
+                apply_scaled(record[7], word_bits, count)
+            traffic_bits[MsgKind.WRITE_UPDATE.value] += bits_update
+            traffic_messages[MsgKind.WRITE_UPDATE.value] += dw_hits
+            events[ev.WRITE_UPDATES] += dw_hits
+        if local_read_hits or gr_hits:
+            events[ev.READS] += local_read_hits + gr_hits
+        if local_read_hits:
+            events[ev.READ_HITS] += local_read_hits
+        if fast_write_hits or dw_hits:
+            events[ev.WRITES] += fast_write_hits + dw_hits
+            events[ev.WRITE_HITS] += fast_write_hits + dw_hits
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -29,7 +29,8 @@ Two selectors are provided:
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import compress
 
 from repro.cache.state import Mode
 from repro.errors import ConfigurationError
@@ -71,15 +72,12 @@ class ModePolicy(abc.ABC):
     reference completes; a non-``None`` return asks the owner to switch the
     block to that mode.
 
-    ``batchable`` declares whether the policy is safe to consult once per
-    *run* of identical references instead of once per reference: it must
-    hold that :meth:`observe` is a no-op and :meth:`decide` is a pure
-    function of ``(block, mode, n_sharers)``.  The counting policies
-    measure per-reference windows, so they keep the default ``False`` and
-    the batched kernel (docs/PERF.md) stands down for them.
+    The batched kernel (docs/PERF.md) consults a policy once per *run* of
+    hits on one block instead: :meth:`fold` says how many of the run's
+    references pass before a switch, :meth:`commit` then observes that
+    many in one step.  The defaults fold nothing, which sends every
+    reference down the per-reference path -- always correct, never batched.
     """
-
-    batchable = False
 
     @abc.abstractmethod
     def observe(
@@ -99,23 +97,47 @@ class ModePolicy(abc.ABC):
     ) -> Mode | None:
         """The mode ``block`` should run in, or ``None`` to keep ``mode``."""
 
+    def fold(
+        self, block: BlockId, ops, visible, mode: Mode, n_sharers: int
+    ) -> int:
+        """How many leading references pass before ``decide`` would switch.
 
-class StaticModePolicy(ModePolicy):
-    """Pin every block to one mode (the 'software sets the mode' case)."""
+        ``ops`` is the 0/1 (read/write) sequence of consecutive references
+        to ``block``, all made under ``(mode, n_sharers)``; ``visible``
+        their owner-visibility flags (any iterable, read at most once), or
+        ``None`` when the owner sees them all.  Pure: the answer is the
+        index of the first reference after which an ``observe``/``decide``
+        loop returns another mode, ``len(ops)`` when none does.
+        """
+        return 0
 
-    batchable = True
+    def commit(
+        self, block: BlockId, ops, visible, mode: Mode, n_sharers: int
+    ) -> None:
+        """Observe references :meth:`fold` passed, just as the loop would."""
 
-    def __init__(self, mode: Mode) -> None:
-        self.mode = mode
+
+class _PinnedPolicy(ModePolicy):
+    """A mode fixed in advance: nothing to observe, all-or-nothing folds."""
 
     def observe(self, block, op, *, owner_visible, mode, n_sharers):
         pass
+
+    def fold(self, block, ops, visible, mode, n_sharers):
+        return len(ops) if self.decide(block, mode, n_sharers) is None else 0
+
+
+class StaticModePolicy(_PinnedPolicy):
+    """Pin every block to one mode (the 'software sets the mode' case)."""
+
+    def __init__(self, mode: Mode) -> None:
+        self.mode = mode
 
     def decide(self, block, mode, n_sharers):
         return self.mode if mode is not self.mode else None
 
 
-class PerBlockModePolicy(ModePolicy):
+class PerBlockModePolicy(_PinnedPolicy):
     """Pin each block to a precomputed mode (the 'set by the software' case).
 
     §2.1: the operating mode is 'selected so as to minimize communication
@@ -126,13 +148,8 @@ class PerBlockModePolicy(ModePolicy):
     Blocks absent from the map keep their current mode.
     """
 
-    batchable = True
-
     def __init__(self, modes: dict[BlockId, Mode]) -> None:
         self.modes = dict(modes)
-
-    def observe(self, block, op, *, owner_visible, mode, n_sharers):
-        pass
 
     def decide(self, block, mode, n_sharers):
         desired = self.modes.get(block)
@@ -142,7 +159,15 @@ class PerBlockModePolicy(ModePolicy):
 
 
 class _CountingPolicy(ModePolicy):
-    """Shared machinery for the two measuring policies."""
+    """Shared machinery for the two measuring policies.
+
+    A decision falls on every ``window``-th observed reference of a block
+    and depends only on that window's counts, so :meth:`fold` takes a run
+    of references a window at a time.
+    """
+
+    #: Whether references the owner cannot see are counted all the same.
+    _sees_everything = False
 
     def __init__(self, window: int = 64) -> None:
         if window < 2:
@@ -159,29 +184,31 @@ class _CountingPolicy(ModePolicy):
             self._counters[block] = counter
         return counter
 
-    def _decide_from(
-        self,
-        counter: _BlockCounters,
-        write_fraction: float,
-        mode: Mode,
-        n_sharers: int,
-    ) -> Mode | None:
-        if counter.references < self.window:
-            return None
-        counter.reset()
-        threshold = write_fraction_threshold(n_sharers)
-        desired = (
-            Mode.DISTRIBUTED_WRITE
-            if write_fraction <= threshold
-            else Mode.GLOBAL_READ
-        )
-        return desired if desired is not mode else None
+    def _write_fraction(self, counter: _BlockCounters, mode: Mode) -> float:
+        return counter.writes / counter.references
 
+    def _desired(
+        self, counter: _BlockCounters, mode: Mode, n_sharers: int
+    ) -> Mode:
+        """The §4 rule on a full window's counts."""
+        if self._write_fraction(counter, mode) <= write_fraction_threshold(
+            n_sharers
+        ):
+            return Mode.DISTRIBUTED_WRITE
+        return Mode.GLOBAL_READ
 
-class OracleModePolicy(_CountingPolicy):
-    """Idealised selector: measures the true write fraction of each block."""
+    @staticmethod
+    def _tally(
+        counter: _BlockCounters, references: int, writes: int, mode: Mode
+    ) -> None:
+        counter.references += references
+        counter.writes += writes
+        if mode is Mode.GLOBAL_READ:
+            counter.gr_reads += references - writes
 
     def observe(self, block, op, *, owner_visible, mode, n_sharers):
+        if not (owner_visible or self._sees_everything):
+            return
         counter = self._counter(block)
         counter.references += 1
         if op is Op.WRITE:
@@ -191,10 +218,64 @@ class OracleModePolicy(_CountingPolicy):
 
     def decide(self, block, mode, n_sharers):
         counter = self._counter(block)
-        if counter.references == 0:
+        if counter.references < self.window:
             return None
-        write_fraction = counter.writes / counter.references
-        return self._decide_from(counter, write_fraction, mode, n_sharers)
+        desired = self._desired(counter, mode, n_sharers)
+        counter.reset()
+        return desired if desired is not mode else None
+
+    def _observed(self, ops, visible):
+        """The ops this policy counts, and their indices (``None``: all)."""
+        if visible is None or self._sees_everything:
+            return ops, None
+        seen = list(compress(range(len(ops)), visible))
+        return [ops[index] for index in seen], seen
+
+    def fold(self, block, ops, visible, mode, n_sharers):
+        carried = self._counters.get(block)
+        counter = replace(carried) if carried else _BlockCounters()
+        if counter.references >= self.window:
+            # Only an ``observe`` without its ``decide`` leaves a full
+            # window behind; the per-reference path sorts that out.
+            return 0
+        n_ops = len(ops)
+        ops, seen = self._observed(ops, visible)
+        # Past the first window nothing is carried in, so the verdict is
+        # a function of the window's write count alone.
+        switches: dict[int, bool] = {}
+        start, end = 0, self.window - counter.references
+        while end <= len(ops):
+            writes = sum(ops[start:end])
+            switch = switches.get(writes)
+            if switch is None:
+                self._tally(counter, end - start, writes, mode)
+                switch = self._desired(counter, mode, n_sharers) is not mode
+                counter.reset()
+                if start:
+                    switches[writes] = switch
+            if switch:
+                return end - 1 if seen is None else seen[end - 1]
+            start, end = end, end + self.window
+        return n_ops
+
+    def commit(self, block, ops, visible, mode, n_sharers):
+        if not len(ops):
+            return
+        counter = self._counter(block)
+        ops, _ = self._observed(ops, visible)
+        total = counter.references + len(ops)
+        if total >= self.window:
+            # Every full window decided "stay" and reset the counters;
+            # what remains is the tail after the last one.
+            counter.reset()
+            ops = ops[len(ops) - total % self.window :]
+        self._tally(counter, len(ops), sum(ops), mode)
+
+
+class OracleModePolicy(_CountingPolicy):
+    """Idealised selector: measures the true write fraction of each block."""
+
+    _sees_everything = True
 
 
 class AdaptiveModePolicy(_CountingPolicy):
@@ -207,24 +288,9 @@ class AdaptiveModePolicy(_CountingPolicy):
     DW mode overestimates ``w`` and the policy leans toward global read.
     """
 
-    def observe(self, block, op, *, owner_visible, mode, n_sharers):
-        if not owner_visible:
-            return
-        counter = self._counter(block)
-        counter.references += 1
-        if op is Op.WRITE:
-            counter.writes += 1
-        elif mode is Mode.GLOBAL_READ:
-            counter.gr_reads += 1
-
-    def decide(self, block, mode, n_sharers):
-        counter = self._counter(block)
-        if counter.references == 0:
-            return None
+    def _write_fraction(self, counter, mode):
         if mode is Mode.GLOBAL_READ:
             # Every reference was visible: w = 1 - (GR reads / references).
-            write_fraction = 1.0 - counter.gr_reads / counter.references
-        else:
-            # Only owner-local reads were visible: an overestimate of w.
-            write_fraction = counter.writes / counter.references
-        return self._decide_from(counter, write_fraction, mode, n_sharers)
+            return 1.0 - counter.gr_reads / counter.references
+        # Only owner-local reads were visible: an overestimate of w.
+        return counter.writes / counter.references

@@ -162,17 +162,13 @@ class StenstromProtocol(CoherenceProtocol):
     def batched_kernel(self) -> BatchedKernel | None:
         """The batched columnar kernel, when chunked replay is sound.
 
-        Everything that gates :meth:`fastpath` gates this too.  On top of
-        that, a chunk validates its records once and then skips the
-        per-reference policy consultation, so a mode policy must declare
-        itself ``batchable`` (observe a no-op, decide pure); the counting
-        policies are order-dependent and force the per-reference table.
+        Everything that gates :meth:`fastpath` gates this too, and nothing
+        else does: the kernel asks the mode policy how far each chunk may
+        run (:meth:`~repro.protocol.modes.ModePolicy.fold`) and drives the
+        table itself for the references it cannot batch.
         """
         table = self.fastpath()
         if table is None:
-            return None
-        policy = self.mode_policy
-        if policy is not None and not policy.batchable:
             return None
         if self._batched_kernel is None:
             self._batched_kernel = BatchedKernel(self, table)

@@ -116,10 +116,11 @@ def run_trace(
     replays through a loop that iterates its columns directly -- no
     ``Reference`` is ever constructed -- and, when every per-reference
     check is off (``verify=False``, invariant stride ``0``, no recorder)
-    and the protocol offers one, through its stable-state fast-path
-    table (:meth:`~repro.protocol.base.CoherenceProtocol.fastpath`).
-    Both routes are bit-identical to the reference-by-reference loop;
-    see docs/PERF.md.
+    and the protocol offers one, through its batched kernel
+    (:meth:`~repro.protocol.base.CoherenceProtocol.batched_kernel`),
+    which falls back on the stable-state fast-path table reference by
+    reference.  Both routes are bit-identical to the
+    reference-by-reference loop; see docs/PERF.md.
 
     Two independent checks are controlled by two independent knobs:
 
@@ -176,14 +177,14 @@ def run_trace(
         timer.lap("reset")
     if check_invariants_every is None:
         check_invariants_every = 1 if verify else 0
-    fast = None
+    kernel = None
     if (
         isinstance(trace, CompiledTrace)
         and not verify
         and not check_invariants_every
         and recorder is None
     ):
-        fast = protocol.fastpath()
+        kernel = protocol.batched_kernel()
     # The one place the network's deferred link ledger is opened and
     # flushed, whichever tier replays: a plan's uses are counted during
     # the loop and applied once here, also when the loop raises, so the
@@ -191,12 +192,8 @@ def run_trace(
     network = system.network
     network.open_window()
     try:
-        if fast is not None:
-            kernel = protocol.batched_kernel()
-            if kernel is not None:
-                n_reads, n_writes = kernel.replay(trace)
-            else:
-                n_reads, n_writes = fast.replay(trace)
+        if kernel is not None:
+            n_reads, n_writes = kernel.replay(trace)
             n_refs = n_reads + n_writes
         elif isinstance(trace, CompiledTrace):
             n_refs, n_reads, n_writes = _replay_columns(

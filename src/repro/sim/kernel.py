@@ -26,37 +26,48 @@ per reference again:
   multicast writes) replay their memoised route plans with
   ``apply_plan_traffic_scaled``, bit-identical to per-send accounting.
 
-Any chunk that fails validation -- an unregistered key, a stale epoch or
-present-vector stamp, a node or offset outside the configuration, a mode
-policy that wants to switch -- falls back to
-:meth:`~repro.protocol.fastpath.FastPathTable.replay` for that chunk, which
-handles misses, re-registration and error reporting exactly as before
-(``base_index`` keeps error messages numbered in the full trace).  The
-chunk size adapts: it shrinks on fallback so a churning phase pays little
-validation, and doubles on clean chunks up to a cap so a steady-state
-phase amortises validation over thousands of references.
+A mode policy is consulted per chunk too.  Once the records validate, the
+policy is asked, block by block, how many of the block's references it
+lets pass before ``decide`` would switch a mode
+(:meth:`~repro.protocol.modes.ModePolicy.fold`); the chunk is **cut at the
+earliest such reference**, the clean prefix executes batched, and the
+policy observes exactly that prefix
+(:meth:`~repro.protocol.modes.ModePolicy.commit`).  A policy that folds
+nothing (the base-class default) cuts every chunk at its first reference,
+which is the per-reference replay, in short runs.
 
-Nothing inside a clean chunk can invalidate its own validation: every
+A chunk that fails validation -- an unregistered key, a stale epoch or
+present-vector stamp, a node or offset outside the configuration -- or
+was cut hands a run of at most ``MIN_CHUNK`` references, from the first
+one not executed, to
+:meth:`~repro.protocol.fastpath.FastPathTable.replay`, which handles
+misses, re-registration, the switching reference and error reporting
+exactly as before (``base_index`` keeps error messages numbered in the
+full trace); ``fallback_reasons`` counts those runs by cause.  The run is
+short because what broke the chunk is repaired within a few references,
+and everything after it in the chunk would be a hit on the slow tier.
+The chunk size adapts: it halves on a fallback so a churning phase pays
+little validation, and doubles on clean chunks up to a cap so a
+steady-state phase amortises validation over thousands of references.
+
+Nothing inside a clean run can invalidate its own validation: every
 executed reference is a hit, hits send no un-memoised messages, never
-bump ``fastpath_epoch``/``present_epoch``, and the kernel is only handed
-out (:meth:`~repro.protocol.stenstrom.StenstromProtocol.batched_kernel`)
-when the mode policy declares itself ``batchable`` (observe a no-op,
-decide pure) -- and decide is pre-checked to return ``None`` for every
-key in the chunk.  Everything that gates the fast path (faults, recorder,
-message log, verification) gates the kernel too, so batched replay is
-bit-identical to the per-reference path (proven every ``repro perf`` run;
-docs/PERF.md).
+bump ``fastpath_epoch``/``present_epoch`` and leave each block's mode and
+present vector -- all a policy's verdict may depend on -- as they were.
+Everything that gates the fast path (faults, recorder, message log,
+verification) gates the kernel too, so batched replay is bit-identical
+to the per-reference path (proven every ``repro perf`` run; docs/PERF.md).
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
+from collections import Counter, defaultdict
 from itertools import compress
+from operator import or_
 from typing import TYPE_CHECKING
 
 from repro.cache.state import Mode
-from repro.protocol.messages import MsgKind
-from repro.sim import stats as ev
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
     from repro.protocol.fastpath import FastPathTable
@@ -65,8 +76,30 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
 
 #: Chunk-size bounds.  The kernel starts small (cheap warmup misses),
 #: doubles on every clean chunk and halves back on every fallback.
+#: ``MIN_CHUNK`` is also the most one fallback hands the per-reference
+#: table: whatever broke the chunk is usually repaired within a few
+#: references, and the rest of it are hits again.
 MIN_CHUNK = 64
 MAX_CHUNK = 8192
+
+
+def _block_view(ops, nodes, rows, owner, mode):
+    """One block's ``(ops, visible)`` for :meth:`ModePolicy.fold`.
+
+    ``rows`` are the block's positions in the chunk -- a ``range`` from 0
+    when the chunk holds no other block.  Visibility stays a lazy ``map``
+    so a policy that ignores it costs nothing.
+    """
+    if type(rows) is range:
+        ops = ops[: len(rows)]
+        nodes = nodes[: len(rows)]
+    else:
+        ops = [ops[at] for at in rows]
+        nodes = map(nodes.__getitem__, rows)
+    if mode is Mode.GLOBAL_READ:
+        return ops, None
+    # Distributed write: the owner sees writes and its own reads only.
+    return ops, map(or_, ops, map(owner.__eq__, nodes))
 
 
 class BatchedKernel:
@@ -75,10 +108,18 @@ class BatchedKernel:
     ``batched_refs`` counts references executed by clean chunks and
     ``fallback_refs`` those delegated to the per-reference table, across
     all :meth:`replay` calls -- the observability hook for benchmarks and
-    the eligibility tests.
+    the eligibility tests.  ``fallback_reasons`` counts the fallback runs
+    by what broke the chunk: ``bounds``, ``unknown_key``, ``stale_epoch``,
+    ``stale_present``, ``live_state`` or ``policy_switch``.
     """
 
-    __slots__ = ("_protocol", "_table", "batched_refs", "fallback_refs")
+    __slots__ = (
+        "_protocol",
+        "_table",
+        "batched_refs",
+        "fallback_refs",
+        "fallback_reasons",
+    )
 
     def __init__(
         self, protocol: "StenstromProtocol", table: "FastPathTable"
@@ -87,6 +128,7 @@ class BatchedKernel:
         self._table = table
         self.batched_refs = 0
         self.fallback_refs = 0
+        self.fallback_reasons: Counter[str] = Counter()
 
     def replay(self, trace: "CompiledTrace") -> tuple[int, int]:
         """Replay every column row; returns ``(n_reads, n_writes)``."""
@@ -112,7 +154,7 @@ class BatchedKernel:
         # Deferred per-record counts and scalar accumulators, flushed once
         # (same commuting argument as FastPathTable.replay: nothing reads
         # the ledgers mid-replay and Counter/array addition commutes with
-        # the interleaved fallback-chunk updates).
+        # the interleaved fallback-run updates).
         local_read_hits = 0
         fast_write_hits = 0
         gr_pending: dict[int, list] = {}
@@ -132,15 +174,17 @@ class BatchedKernel:
                 offsets = offsets_col[i:j]
                 epoch = protocol.fastpath_epoch
                 pepoch = protocol.present_epoch
-                keys = None
-                counts = None
-                ok = (
+                # What the policy needs per block: (owner, mode, sharers).
+                owners: dict[int, tuple] = {}
+                reason = None
+                if not (
                     min(nodes) >= 0
                     and max(nodes) < n_nodes
                     and min(offsets) >= 0
                     and max(offsets) < block_size
-                )
-                if ok:
+                ):
+                    reason = "bounds"
+                else:
                     keys = [
                         ((block * n_nodes + node) << 1) | op
                         for node, op, block in zip(nodes, ops, blocks)
@@ -152,178 +196,162 @@ class BatchedKernel:
                             if key & 1
                             else reads.get(key >> 1)
                         )
-                        if record is None or record[0] != epoch:
-                            ok = False
+                        if record is None:
+                            reason = "unknown_key"
+                            break
+                        if record[0] != epoch:
+                            reason = "stale_epoch"
                             break
                         field = record[1].state_field
                         if key & 1:
+                            # The writer is the owner.
+                            owner = (key >> 1) % n_nodes
+                            owner_field = field
+                            live = field.valid and field.owned
                             if len(record) == 5:
-                                if not (
-                                    field.valid
-                                    and field.owned
-                                    and (
-                                        not field.distributed_write
-                                        or len(field.present) == 1
-                                    )
-                                ):
-                                    ok = False
-                                    break
-                                mode = (
-                                    dw if field.distributed_write else gr
+                                live = live and (
+                                    not field.distributed_write
+                                    or len(field.present) == 1
                                 )
-                                n_sharers = len(field.present)
-                            else:
-                                if not (
-                                    field.valid
-                                    and field.owned
-                                    and field.distributed_write
-                                    and record[5] == pepoch
-                                ):
-                                    ok = False
+                            elif live and field.distributed_write:
+                                if record[5] != pepoch:
+                                    reason = "stale_present"
                                     break
-                                mode = dw
-                                n_sharers = len(field.present)
+                            else:
+                                live = False
                         else:
+                            owner = record[5]
                             owner_field = record[6].state_field
                             if len(record) == 7:
-                                if not field.valid:
-                                    ok = False
-                                    break
-                                mode = (
-                                    dw
-                                    if owner_field.distributed_write
-                                    else gr
-                                )
+                                live = field.valid
                             else:
-                                if field.valid or not (
-                                    owner_field.owned
+                                live = (
+                                    not field.valid
+                                    and owner_field.owned
                                     and not owner_field.distributed_write
-                                ):
-                                    ok = False
-                                    break
-                                mode = gr
-                            n_sharers = len(owner_field.present)
-                        if policy is not None and (
-                            policy.decide(
-                                (key >> 1) // n_nodes, mode, n_sharers
-                            )
-                            is not None
-                        ):
-                            # The per-reference path would switch modes
-                            # mid-chunk; let it.
-                            ok = False
+                                )
+                        if not live:
+                            reason = "live_state"
                             break
-                if not ok:
-                    nr, nw = table_replay(trace[i:j], i)
-                    n_reads += nr
-                    n_writes += nw
-                    fallback += j - i
-                    i = j
-                    if chunk > MIN_CHUNK:
-                        chunk >>= 1
-                    continue
-                # Clean chunk: every reference is a hit of a validated
-                # record and nothing below can invalidate one.
-                chunk_writes = 0
-                has_write_keys = False
-                for key, count in counts.items():
-                    if key & 1:
-                        has_write_keys = True
-                        chunk_writes += count
-                        record = writes[key >> 1]
-                        record[1].state_field.modified = True
-                        if len(record) == 5:
-                            fast_write_hits += count
-                        else:
-                            counted = dw_pending_get(id(record))
-                            if counted is None:
-                                dw_pending[id(record)] = [record, count]
-                            else:
-                                counted[1] += count
+                        if policy is not None:
+                            owners[(key >> 1) // n_nodes] = (
+                                owner,
+                                dw if owner_field.distributed_write else gr,
+                                len(owner_field.present),
+                            )
+                run = 0 if reason else j - i
+                if run and policy is not None:
+                    # Ask the policy block by block how far the hits run
+                    # before it would switch a mode, cut the chunk at the
+                    # earliest such reference, and let it observe the rest.
+                    if len(owners) == 1:
+                        rows = {blocks[0]: range(run)}
                     else:
-                        record = reads[key >> 1]
-                        if len(record) == 7:
-                            local_read_hits += count
-                        else:
-                            counted = gr_pending_get(id(record))
-                            if counted is None:
-                                gr_pending[id(record)] = [record, count]
-                            else:
-                                counted[1] += count
-                # One touch per key, in last-occurrence order: the final
-                # recency order per set depends only on each way's last
-                # touch.
-                last_pos = dict(zip(keys, range(len(keys))))
-                for key in sorted(last_pos, key=last_pos.__getitem__):
-                    record = writes[key >> 1] if key & 1 else reads[key >> 1]
-                    record[2].touch(record[3], record[4])
-                if has_write_keys:
-                    # Last value per (key, offset) wins; intermediate
-                    # values are unobservable (fast-path reads do not
-                    # read data and verification is gated off).
-                    values = values_col[i:j]
-                    stores = dict(
-                        zip(
-                            compress(zip(keys, offsets), ops),
-                            compress(values, ops),
+                        rows = defaultdict(list)
+                        for at, block in enumerate(blocks):
+                            rows[block].append(at)
+                    for block, at in rows.items():
+                        owner, mode, n_sharers = owners[block]
+                        kept = policy.fold(
+                            block,
+                            *_block_view(ops, nodes, at, owner, mode),
+                            mode,
+                            n_sharers,
                         )
-                    )
-                    for (key, offset), value in stores.items():
-                        record = writes[key >> 1]
-                        record[1].data[offset] = value
-                        if len(record) != 5:
-                            for copy_entry in record[6]:
-                                copy_entry.data[offset] = value
-                n_chunk = j - i
-                n_writes += chunk_writes
-                n_reads += n_chunk - chunk_writes
-                batched += n_chunk
+                        if kept < len(at) and at[kept] < run:
+                            run = at[kept]
+                    if run < j - i:
+                        reason = "policy_switch"
+                        keys = keys[:run]
+                        counts = Counter(keys)
+                    for block, at in rows.items():
+                        at = at[: bisect_left(at, run)]
+                        if at:
+                            owner, mode, n_sharers = owners[block]
+                            policy.commit(
+                                block,
+                                *_block_view(ops, nodes, at, owner, mode),
+                                mode,
+                                n_sharers,
+                            )
+                if run:
+                    # Clean run: every reference is a hit of a validated
+                    # record and nothing below can invalidate one.
+                    chunk_writes = 0
+                    has_write_keys = False
+                    for key, count in counts.items():
+                        if key & 1:
+                            has_write_keys = True
+                            chunk_writes += count
+                            record = writes[key >> 1]
+                            record[1].state_field.modified = True
+                            if len(record) == 5:
+                                fast_write_hits += count
+                            else:
+                                counted = dw_pending_get(id(record))
+                                if counted is None:
+                                    dw_pending[id(record)] = [record, count]
+                                else:
+                                    counted[1] += count
+                        else:
+                            record = reads[key >> 1]
+                            if len(record) == 7:
+                                local_read_hits += count
+                            else:
+                                counted = gr_pending_get(id(record))
+                                if counted is None:
+                                    gr_pending[id(record)] = [record, count]
+                                else:
+                                    counted[1] += count
+                    # One touch per key, in last-occurrence order: the
+                    # final recency order per set depends only on each
+                    # way's last touch.
+                    last_pos = dict(zip(keys, range(run)))
+                    for key in sorted(last_pos, key=last_pos.__getitem__):
+                        record = (
+                            writes[key >> 1] if key & 1 else reads[key >> 1]
+                        )
+                        record[2].touch(record[3], record[4])
+                    if has_write_keys:
+                        # Last value per (key, offset) wins; intermediate
+                        # values are unobservable (fast-path reads do not
+                        # read data and verification is gated off).
+                        stores = dict(
+                            zip(
+                                compress(zip(keys, offsets), ops),
+                                compress(values_col[i : i + run], ops),
+                            )
+                        )
+                        for (key, offset), value in stores.items():
+                            record = writes[key >> 1]
+                            record[1].data[offset] = value
+                            if len(record) != 5:
+                                for copy_entry in record[6]:
+                                    copy_entry.data[offset] = value
+                    n_writes += chunk_writes
+                    n_reads += run - chunk_writes
+                    batched += run
+                    i += run
+                if reason is None:
+                    if chunk < MAX_CHUNK:
+                        chunk <<= 1
+                    continue
+                # A short run on the per-reference table takes the
+                # reference that broke the chunk (and reports a malformed
+                # row by its index in the whole trace).
+                self.fallback_reasons[reason] += 1
+                j = min(i + MIN_CHUNK, n)
+                nr, nw = table_replay(trace[i:j], i)
+                n_reads += nr
+                n_writes += nw
+                fallback += j - i
                 i = j
-                if chunk < MAX_CHUNK:
-                    chunk <<= 1
+                if chunk > MIN_CHUNK:
+                    chunk >>= 1
         finally:
-            stats = protocol.stats
-            events = stats.events
-            traffic_bits = stats.traffic_bits
-            traffic_messages = stats.traffic_messages
-            gr_hits = 0
-            if gr_pending:
-                apply_scaled = system.network.apply_plan_traffic_scaled
-                request_bits = protocol._cost_request
-                word_owner_bits = protocol._cost_word_owner
-                bits_out = bits_back = 0
-                for record, count in gr_pending.values():
-                    gr_hits += count
-                    bits_out += record[8] * count
-                    bits_back += record[10] * count
-                    apply_scaled(record[7], request_bits, count)
-                    apply_scaled(record[9], word_owner_bits, count)
-                traffic_bits[MsgKind.LOAD_DIRECT.value] += bits_out
-                traffic_messages[MsgKind.LOAD_DIRECT.value] += gr_hits
-                traffic_bits[MsgKind.WORD_REPLY.value] += bits_back
-                traffic_messages[MsgKind.WORD_REPLY.value] += gr_hits
-                events[ev.READ_MISSES] += gr_hits
-                events[ev.COHERENCE_MISSES] += gr_hits
-                events[ev.GLOBAL_READS] += gr_hits
-            dw_hits = 0
-            if dw_pending:
-                apply_scaled = system.network.apply_plan_traffic_scaled
-                word_bits = protocol._cost_word
-                bits_update = 0
-                for record, count in dw_pending.values():
-                    dw_hits += count
-                    bits_update += record[8] * count
-                    apply_scaled(record[7], word_bits, count)
-                traffic_bits[MsgKind.WRITE_UPDATE.value] += bits_update
-                traffic_messages[MsgKind.WRITE_UPDATE.value] += dw_hits
-                events[ev.WRITE_UPDATES] += dw_hits
-            if local_read_hits or gr_hits:
-                events[ev.READS] += local_read_hits + gr_hits
-            if local_read_hits:
-                events[ev.READ_HITS] += local_read_hits
-            if fast_write_hits or dw_hits:
-                events[ev.WRITES] += fast_write_hits + dw_hits
-                events[ev.WRITE_HITS] += fast_write_hits + dw_hits
+            table._flush(
+                local_read_hits, fast_write_hits, gr_pending, dw_pending
+            )
             table.hits += batched
             self.batched_refs += batched
             self.fallback_refs += fallback

@@ -12,12 +12,20 @@ replay it observes.
 import pytest
 
 from repro.cache.state import Mode
+from repro.faults.plan import FaultPlan
 from repro.obs.hooks import attach_recorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import TraceRecorder
 from repro.obs.telemetry import TelemetrySampler
-from repro.protocol.modes import StaticModePolicy
+from repro.protocol.modes import (
+    AdaptiveModePolicy,
+    OracleModePolicy,
+    PerBlockModePolicy,
+    StaticModePolicy,
+)
+from repro.protocol.stenstrom import StenstromProtocol
 from repro.sim.engine import run_trace
+from repro.sim.system import System, SystemConfig
 from repro.workloads.markov import markov_block_trace
 
 from tests.protocol.conftest import build
@@ -86,21 +94,51 @@ class TestRecorderStandDown:
     def test_batchable_policy_does_not_override_stand_down(
         self, n_nodes, default_mode
     ):
-        # A batchable policy normally *enables* the kernel; an attached
-        # recorder must still win.
-        _, protocol = build(
-            n_nodes=n_nodes,
-            block_size_words=4,
-            mode_policy=StaticModePolicy(default_mode),
-        )
-        assert protocol.batched_kernel() is not None
-        _, observed = build(
-            n_nodes=n_nodes,
-            block_size_words=4,
-            mode_policy=StaticModePolicy(default_mode),
-        )
-        attach_recorder(observed, TraceRecorder())
-        assert observed.batched_kernel() is None
+        # Every policy runs in the kernel -- none has a say in whether
+        # it is offered.  A recorder, the message log and fault
+        # injection must still withdraw it, and value verification or
+        # an invariant stride must still keep the engine off it, for
+        # the pinned and the counting policies alike.
+        def fresh(policy, fault_plan=None):
+            system = System(
+                SystemConfig(n_nodes=n_nodes, block_size_words=4),
+                fault_plan=fault_plan,
+            )
+            return StenstromProtocol(system, mode_policy=policy)
+
+        for make_policy in (
+            lambda: StaticModePolicy(default_mode),
+            lambda: PerBlockModePolicy({0: default_mode}),
+            lambda: OracleModePolicy(32),
+            lambda: AdaptiveModePolicy(32),
+        ):
+            assert fresh(make_policy()).batched_kernel() is not None
+
+            observed = fresh(make_policy())
+            attach_recorder(observed, TraceRecorder())
+            assert observed.batched_kernel() is None
+
+            logged = fresh(make_policy())
+            logged.enable_message_log()
+            assert logged.batched_kernel() is None
+
+            faulty = fresh(
+                make_policy(), FaultPlan(drop_probability=0.1, seed=3)
+            )
+            assert faulty.batched_kernel() is None
+
+            for checks in (
+                {"verify": True},
+                {"verify": True, "check_invariants_every": 0},
+                {"verify": False, "check_invariants_every": 50},
+            ):
+                checked = fresh(make_policy())
+                run_trace(checked, _trace(n_nodes, compiled=True), **checks)
+                kernel = checked.batched_kernel()
+                assert kernel.batched_refs == kernel.fallback_refs == 0
+                assert not kernel.fallback_reasons
+                table = checked.fastpath()
+                assert table.hits == table.misses == 0
 
 
 @MODES

@@ -1,12 +1,16 @@
 """Tests for the batched columnar kernel (:mod:`repro.sim.kernel`).
 
-Three concerns, mirroring the fast-path table's suite: the kernel must
+Four concerns, mirroring the fast-path table's suite: the kernel must
 only be handed out when chunked execution is sound (gating), everything
 that can invalidate a memoised answer must be caught by the per-chunk
-revalidation (epoch and present-vector stamps), and batched replay must
-be bit-identical to the per-``Reference`` dispatch loop for every
-workload generator in the repo (equivalence).
+revalidation (epoch and present-vector stamps) and counted by cause
+(fallback reasons), and batched replay must be bit-identical to the
+per-``Reference`` dispatch loop for every workload generator in the repo
+(equivalence; tests/sim/test_kernel_policies.py does the same under the
+counting mode policies).
 """
+
+from collections import Counter
 
 import pytest
 
@@ -15,6 +19,7 @@ from repro.errors import TraceError
 from repro.faults.plan import FaultPlan
 from repro.obs.hooks import attach_recorder
 from repro.obs.recorder import TraceRecorder
+from repro.protocol.fastpath import FastPathTable
 from repro.protocol.modes import (
     AdaptiveModePolicy,
     OracleModePolicy,
@@ -114,8 +119,8 @@ class TestEquivalence:
 
     def test_batchable_policy_decisions_match_per_reference(self):
         # A per-block mode map whose decisions fire mid-trace: the kernel
-        # must refuse to batch the chunk where decide() wants a switch
-        # and route it through the per-reference path.
+        # must cut the chunk where fold() reports a switch and hand the
+        # switching reference to the per-reference path.
         n_nodes = 16
         modes = {0: Mode.DISTRIBUTED_WRITE, 1: Mode.GLOBAL_READ}
         reports = []
@@ -182,21 +187,60 @@ class TestGating:
         assert protocol.batched_kernel() is None
 
     def test_batchable_policies_allow_the_kernel(self):
+        # Every policy is: none is asked whether it can be batched, only
+        # how far (ModePolicy.fold) -- the counting ones included.
         for policy in (
             StaticModePolicy(Mode.GLOBAL_READ),
             PerBlockModePolicy({0: Mode.DISTRIBUTED_WRITE}),
+            OracleModePolicy(),
+            AdaptiveModePolicy(),
         ):
             _, protocol = build(mode_policy=policy)
             assert protocol.batched_kernel() is not None
-
-    def test_counting_policies_stand_the_kernel_down(self):
-        # Oracle/adaptive policies observe every reference, which a
-        # batched chunk cannot replicate -- but the per-reference fast
-        # path (which does observe) must stay engaged.
-        for policy in (OracleModePolicy(), AdaptiveModePolicy()):
-            _, protocol = build(mode_policy=policy)
-            assert protocol.batched_kernel() is None
             assert protocol.fastpath() is not None
+
+    def test_counting_policies_run_in_the_kernel_and_agree_with_the_table(
+        self,
+    ):
+        # Oracle/adaptive policies observe every reference; the kernel
+        # lets them observe a chunk's clean prefix in one step, and must
+        # end where the per-reference table (which observes one by one)
+        # ends: same ledgers, same counters, same hit/miss split.
+        n_nodes = 16
+        trace = markov_block_trace(
+            n_nodes, list(range(8)), 0.05, 4000, seed=3, compiled=True
+        )
+        for policy_cls in (OracleModePolicy, AdaptiveModePolicy):
+            _, protocol = build(
+                n_nodes=n_nodes,
+                block_size_words=4,
+                mode_policy=policy_cls(32),
+            )
+            run_trace(
+                protocol, trace, verify=False, check_invariants_every=0
+            )
+            kernel = protocol.batched_kernel()
+            # (The adaptive policy overestimates w in distributed write
+            # and flaps; each switch costs a few short runs on the table.)
+            assert kernel.batched_refs > len(trace) // 2
+            assert protocol.stats.events["mode_switches"] > 0
+            _, table_protocol = build(
+                n_nodes=n_nodes,
+                block_size_words=4,
+                mode_policy=policy_cls(32),
+            )
+            table = table_protocol.fastpath()
+            table.replay(trace)
+            assert protocol.stats.to_dict() == table_protocol.stats.to_dict()
+            assert (
+                protocol.mode_policy._counters
+                == table_protocol.mode_policy._counters
+            )
+            kernel_table = protocol.fastpath()
+            assert (kernel_table.hits, kernel_table.misses) == (
+                table.hits,
+                table.misses,
+            )
 
     def test_engine_skips_kernel_when_verifying(self):
         _, protocol = build(n_nodes=4)
@@ -219,6 +263,148 @@ class TestGating:
         # Batched hits count as table hits, so coverage stays total.
         table = protocol.fastpath()
         assert table.hits + table.misses == 400
+
+
+class TestFallbackReasons:
+    """One hand-built chunk per reason; every fallback run is counted."""
+
+    N_NODES = 8
+
+    @pytest.fixture
+    def table_runs(self, monkeypatch):
+        """The lengths of the runs handed to ``FastPathTable.replay``."""
+        runs = []
+        real_replay = FastPathTable.replay
+
+        def counting_replay(table, trace, base_index=0):
+            runs.append(len(trace))
+            return real_replay(table, trace, base_index)
+
+        monkeypatch.setattr(FastPathTable, "replay", counting_replay)
+        return runs
+
+    def _writes(self, n=10, node=0, offset=0):
+        refs = [
+            Reference(node, Op.WRITE, Address(0, offset), v + 1)
+            for v in range(n)
+        ]
+        return Trace(refs, self.N_NODES, 2).compile()
+
+    def _replay(self, protocol, trace):
+        """Replay ``trace``; the reasons this replay alone added."""
+        kernel = protocol.batched_kernel()
+        before = Counter(kernel.fallback_reasons)
+        run_trace(protocol, trace, verify=False, check_invariants_every=0)
+        return kernel.fallback_reasons - before
+
+    def _warm(self, **build_kwargs):
+        """A protocol whose table knows node 0's write to block 0."""
+        _, protocol = build(n_nodes=self.N_NODES, **build_kwargs)
+        assert self._replay(protocol, self._writes()) == {"unknown_key": 1}
+        assert self._replay(protocol, self._writes()) == {}
+        return protocol
+
+    def test_unknown_key_then_clean(self, table_runs):
+        protocol = self._warm()
+        assert table_runs == [10]
+        kernel = protocol.batched_kernel()
+        assert (kernel.batched_refs, kernel.fallback_refs) == (10, 10)
+
+    def test_stale_epoch(self, table_runs):
+        protocol = self._warm()
+        protocol.set_mode(0, 0, Mode.DISTRIBUTED_WRITE)  # bumps the epoch
+        assert self._replay(protocol, self._writes()) == {"stale_epoch": 1}
+
+    def test_stale_present(self, table_runs):
+        # A distributed-write owner with one copy out: the multicast
+        # record is stamped with present_epoch, which a new reader bumps
+        # without touching fastpath_epoch.
+        _, protocol = build(
+            n_nodes=self.N_NODES, default_mode=Mode.DISTRIBUTED_WRITE
+        )
+        protocol.write(0, Address(0, 0), 1)
+        protocol.read(1, Address(0, 0))
+        self._replay(protocol, self._writes())
+        assert self._replay(protocol, self._writes()) == {}
+        epoch = protocol.fastpath_epoch
+        protocol.read(2, Address(0, 0))
+        assert protocol.fastpath_epoch == epoch
+        assert self._replay(protocol, self._writes()) == {
+            "stale_present": 1
+        }
+
+    def test_live_state(self, table_runs):
+        # An exclusive distributed-write owner's record carries no
+        # stamp for the present vector; a reader joining leaves both
+        # epochs' records "current" but the write no longer local.
+        protocol = self._warm(default_mode=Mode.DISTRIBUTED_WRITE)
+        epoch = protocol.fastpath_epoch
+        protocol.read(1, Address(0, 0))
+        assert protocol.fastpath_epoch == epoch
+        assert self._replay(protocol, self._writes()) == {"live_state": 1}
+
+    def test_bounds(self, table_runs):
+        protocol = self._warm()
+        with pytest.raises(TraceError, match="reference 3"):
+            self._replay(
+                protocol,
+                Trace(
+                    [Reference(0, Op.WRITE, Address(0, 0), 1)] * 3
+                    + [Reference(self.N_NODES, Op.READ, Address(0, 0))],
+                    self.N_NODES + 1,
+                    2,
+                ).compile(),
+            )
+        assert protocol.batched_kernel().fallback_reasons["bounds"] == 1
+
+    def test_policy_switch_cuts_the_chunk(self, table_runs):
+        # An exclusive owner (threshold 2/3) under an 8-reference window.
+        # Seven references pass, the eighth completes a read-heavy window
+        # and switches the block: seven run batched, and the run handed
+        # to the table starts at the eighth.
+        policy = OracleModePolicy(window=8)
+        protocol = self._warm(mode_policy=policy)
+        write = Reference(0, Op.WRITE, Address(0, 0), 9)
+        read = Reference(0, Op.READ, Address(0, 0))
+
+        def compiled(refs):
+            return Trace(refs, self.N_NODES, 2).compile()
+
+        # _warm left 20 writes behind: two all-write windows (global
+        # read stays) and four carried.  Three writes and a read fill
+        # the third -- still write-heavy -- and register the read key.
+        assert policy._counters[0].references == 4
+        assert self._replay(protocol, compiled([write] * 3 + [read])) == {
+            "unknown_key": 1
+        }
+        assert policy._counters[0].references == 0
+        assert protocol.stats.events["mode_switches"] == 0
+        del table_runs[:]
+        kernel = protocol.batched_kernel()
+        batched = kernel.batched_refs
+        assert self._replay(
+            protocol, compiled([write] * 2 + [read] * 10)
+        ) == {"policy_switch": 1}
+        assert table_runs == [5]
+        assert kernel.batched_refs - batched == 7
+        assert protocol.stats.events["mode_switches"] == 1
+        assert policy._counters[0].references == 4
+
+    def test_reasons_sum_to_fallback_runs(self, table_runs):
+        # A churning multi-writer trace under a counting policy: many
+        # runs, several reasons, and the ledger accounts for each run.
+        n_nodes = 16
+        _, protocol = build(
+            n_nodes=n_nodes, block_size_words=4,
+            mode_policy=OracleModePolicy(2),
+        )
+        trace = _workloads(n_nodes)["shared_structure"](True)
+        run_trace(protocol, trace, verify=False, check_invariants_every=0)
+        kernel = protocol.batched_kernel()
+        assert len(kernel.fallback_reasons) > 1
+        assert sum(kernel.fallback_reasons.values()) == len(table_runs)
+        assert sum(table_runs) == kernel.fallback_refs
+        assert max(table_runs) <= 64
 
 
 class TestPresentEpochInvalidation:

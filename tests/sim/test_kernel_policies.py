@@ -1,0 +1,303 @@
+"""The counting mode policies on the route that runs by default.
+
+With a policy attached the batched kernel asks it, block by block, how
+far a validated chunk may run (``ModePolicy.fold``), cuts the chunk at
+the first reference that would switch a mode and hands a short run from
+there to the per-reference table.  Three replays of the same references
+must therefore agree in everything observable: the kernel (what
+``run_trace`` picks), ``FastPathTable.replay`` on its own, and the
+per-``Reference`` dispatch loop -- for both counting policies, every
+generator, and chunk bounds forced so that switches land on every
+position of a chunk.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from repro.cache.state import Mode
+from repro.protocol.modes import (
+    AdaptiveModePolicy,
+    ModePolicy,
+    OracleModePolicy,
+)
+from repro.sim import kernel as kernel_module
+from repro.sim.engine import run_trace
+from repro.sim.trace import Trace
+from repro.types import Address, Op, Reference
+from repro.workloads.markov import markov_block_trace, shared_structure_trace
+from repro.workloads.synthetic import random_trace
+
+from tests.protocol.conftest import build
+from tests.sim.test_kernel import _workloads
+from tests.sim.test_link_ledger import arrays
+
+POLICIES = pytest.mark.parametrize(
+    "policy_cls",
+    [OracleModePolicy, AdaptiveModePolicy],
+    ids=["oracle", "adaptive"],
+)
+
+
+def _owned_blocks_trace(n_nodes, compiled, n_blocks=8, n_references=6000):
+    """Interleaved blocks with one writer each, in write-heavy and
+    read-heavy phases: ownership never moves, so multi-block chunks
+    validate, and every block's mode keeps crossing the threshold."""
+    rng = random.Random(7)
+    refs = []
+    for index in range(n_references):
+        block = rng.randrange(n_blocks)
+        owner = block % n_nodes
+        heavy = (index // 1500 + block) % 2
+        if rng.random() < (0.6 if heavy else 0.02):
+            refs.append(
+                Reference(owner, Op.WRITE, Address(block, index % 4), index)
+            )
+        else:
+            reader = (owner + rng.randrange(4)) % n_nodes
+            refs.append(Reference(reader, Op.READ, Address(block, index % 4)))
+    trace = Trace(refs, n_nodes, 4)
+    return trace.compile() if compiled else trace
+
+
+def _observed(system, protocol):
+    """Everything a replay leaves behind, bar the report."""
+    return (
+        protocol.stats.to_dict(),
+        arrays(system.network),
+        dict(protocol.mode_policy._counters),
+        (protocol.fastpath_epoch, protocol.present_epoch),
+    )
+
+
+def _three_ways(make_trace, make_policy, n_nodes, **build_kwargs):
+    """Replay by kernel, table and ``Reference`` loop; assert agreement.
+
+    Returns the kernel-route protocol for further inspection.
+    """
+    build_kwargs = {"n_nodes": n_nodes, "block_size_words": 4, **build_kwargs}
+    compiled = make_trace(True)
+
+    kernel_system, kernel_protocol = build(
+        mode_policy=make_policy(), **build_kwargs
+    )
+    kernel_report = run_trace(
+        kernel_protocol, compiled, verify=False, check_invariants_every=0
+    )
+    kernel = kernel_protocol.batched_kernel()
+    assert kernel.batched_refs + kernel.fallback_refs == len(compiled)
+
+    table_system, table_protocol = build(
+        mode_policy=make_policy(), **build_kwargs
+    )
+    table = table_protocol.fastpath()
+    table.replay(compiled)
+
+    slow_system, slow_protocol = build(
+        mode_policy=make_policy(), **build_kwargs
+    )
+    slow_report = run_trace(
+        slow_protocol,
+        make_trace(False).references,
+        verify=False,
+        check_invariants_every=0,
+    )
+
+    assert kernel_report.to_dict() == slow_report.to_dict()
+    expected = _observed(slow_system, slow_protocol)
+    assert _observed(kernel_system, kernel_protocol) == expected
+    assert _observed(table_system, table_protocol) == expected
+    kernel_table = kernel_protocol.fastpath()
+    assert (kernel_table.hits, kernel_table.misses) == (
+        table.hits,
+        table.misses,
+    )
+    return kernel_protocol
+
+
+class TestThreeWayEquivalence:
+    @POLICIES
+    @pytest.mark.parametrize("window", [2, 32])
+    @pytest.mark.parametrize("n_nodes", [16, 64])
+    @pytest.mark.parametrize("name", sorted(_workloads(16)))
+    def test_every_generator(self, name, n_nodes, window, policy_cls):
+        _three_ways(
+            _workloads(n_nodes)[name], lambda: policy_cls(window), n_nodes
+        )
+
+    @POLICIES
+    def test_the_kernel_does_the_work(self, policy_cls):
+        # A long single-block trace with a handful of switches: nearly
+        # everything must run batched, and each switch must show up as
+        # one cut chunk.
+        n_nodes = 64
+        protocol = _three_ways(
+            lambda compiled: markov_block_trace(
+                n_nodes, list(range(16)), 0.3, 10_000, seed=1,
+                compiled=compiled,
+            ),
+            lambda: policy_cls(32),
+            n_nodes,
+        )
+        kernel = protocol.batched_kernel()
+        assert kernel.batched_refs > 0.9 * 10_000
+        switches = protocol.stats.events["mode_switches"]
+        assert switches > 0
+        # Every switch on a hit cuts a chunk; one on a miss happens
+        # inside a fallback run and cuts nothing.
+        assert 0 < kernel.fallback_reasons["policy_switch"] <= switches
+
+    @POLICIES
+    @pytest.mark.parametrize(
+        "name", ["owned_blocks", "random", "shared_structure"]
+    )
+    def test_multi_block_chunks_group_in_one_pass(
+        self, name, policy_cls, monkeypatch
+    ):
+        # A chunk's rows are regrouped per block by one ``enumerate`` over
+        # it, not by a scan per block: hook the two names the kernel
+        # looks up and compare walks against chunks keyed.
+        n_nodes = 16
+        walks = []
+        keyed = []
+
+        def counting_enumerate(rows):
+            walks.append(len(rows))
+            return enumerate(rows)
+
+        class CountingCounter(Counter):
+            def __init__(self, keys=()):
+                keyed.append(len(keys))
+                super().__init__(keys)
+
+        monkeypatch.setattr(
+            kernel_module, "enumerate", counting_enumerate, raising=False
+        )
+        monkeypatch.setattr(kernel_module, "Counter", CountingCounter)
+        tasks = list(range(6))
+        if name == "owned_blocks":
+            make = lambda compiled: _owned_blocks_trace(n_nodes, compiled)
+        elif name == "shared_structure":
+            make = lambda compiled: shared_structure_trace(
+                n_nodes, tasks, 0.05, 6000, seed=4, compiled=compiled
+            )
+        else:
+            # Any node may write any block: ownership moves too often
+            # for a 64-row chunk to validate, so grow them from one row.
+            make = lambda compiled: random_trace(
+                n_nodes, 3000, write_fraction=0.05, nodes=tasks[:4],
+                seed=9, compiled=compiled,
+            )
+            monkeypatch.setattr(kernel_module, "MIN_CHUNK", 1)
+            monkeypatch.setattr(kernel_module, "MAX_CHUNK", 16)
+        protocol = _three_ways(
+            make, lambda: policy_cls(32), n_nodes, cache_entries=64
+        )
+        kernel = protocol.batched_kernel()
+        assert kernel.batched_refs > 1000
+        # (One Counter() is the kernel's own reasons ledger.)
+        assert 0 < len(walks) < len(keyed)
+        assert max(walks) <= kernel_module.MAX_CHUNK
+        if name == "owned_blocks":
+            # Every switch retires every record (one epoch for all
+            # blocks), so eight blocks switching in turn batch far less
+            # than one block does -- but whole multi-block chunks do run.
+            assert kernel.batched_refs > 2000
+            assert kernel.fallback_reasons["policy_switch"] > 0
+
+
+class TestAdversarialChunking:
+    """Force the chunk bounds so cuts land everywhere in a chunk."""
+
+    @POLICIES
+    @pytest.mark.parametrize("window", [2, 32])
+    @pytest.mark.parametrize(
+        "bounds",
+        [(1, 1), (2, 2), (3, 3), (1, 3), "window-1", "window+1"],
+        ids=str,
+    )
+    @pytest.mark.parametrize("name", ["markov_block", "shared_structure"])
+    def test_forced_chunk_sizes(
+        self, name, bounds, window, policy_cls, monkeypatch
+    ):
+        if bounds == "window-1":
+            bounds = (max(1, window - 1),) * 2
+        elif bounds == "window+1":
+            bounds = (window + 1,) * 2
+        monkeypatch.setattr(kernel_module, "MIN_CHUNK", bounds[0])
+        monkeypatch.setattr(kernel_module, "MAX_CHUNK", bounds[1])
+        n_nodes = 16
+        protocol = _three_ways(
+            _workloads(n_nodes)[name], lambda: policy_cls(window), n_nodes
+        )
+        kernel = protocol.batched_kernel()
+        assert sum(kernel.fallback_reasons.values()) * bounds[0] >= (
+            kernel.fallback_refs
+        )
+
+    def test_a_cut_at_zero_follows_a_cut_at_zero(self, monkeypatch):
+        # A policy that folds nothing (the base-class default) cuts every
+        # chunk at its first reference: the whole trace goes down the
+        # per-reference table in MIN_CHUNK runs, and still agrees.
+        class Unfolded(OracleModePolicy):
+            fold = ModePolicy.fold
+            commit = ModePolicy.commit
+
+        monkeypatch.setattr(kernel_module, "MIN_CHUNK", 3)
+        n_nodes = 16
+        protocol = _three_ways(
+            _workloads(n_nodes)["markov_block"], lambda: Unfolded(2), n_nodes
+        )
+        kernel = protocol.batched_kernel()
+        assert kernel.batched_refs == 0
+        assert kernel.fallback_refs == 600
+        assert set(kernel.fallback_reasons) <= {
+            "unknown_key", "stale_epoch", "stale_present", "live_state",
+            "policy_switch",
+        }
+        assert kernel.fallback_reasons["policy_switch"] > 0
+        assert sum(kernel.fallback_reasons.values()) == 200
+
+    @POLICIES
+    def test_a_switch_on_every_position_of_a_chunk(
+        self, policy_cls, monkeypatch
+    ):
+        # Window 3 against chunks of exactly 4: decision points fall on
+        # chunk positions 2, 1, 0, 3, ... in turn, and a write-heavy /
+        # read-heavy alternation makes most of them switch.
+        monkeypatch.setattr(kernel_module, "MIN_CHUNK", 4)
+        monkeypatch.setattr(kernel_module, "MAX_CHUNK", 4)
+        n_nodes = 16
+
+        def make(compiled):
+            refs = []
+            value = 0
+            for phase in range(40):
+                for step in range(5):
+                    node = (step + phase) % 4
+                    if phase % 2:
+                        value += 1
+                        refs.append(
+                            Reference(node, Op.WRITE, Address(0, 0), value)
+                        )
+                    else:
+                        refs.append(Reference(node, Op.READ, Address(0, 0)))
+            trace = Trace(refs, n_nodes, 4)
+            return trace.compile() if compiled else trace
+
+        protocol = _three_ways(make, lambda: policy_cls(3), n_nodes)
+        assert protocol.stats.events["mode_switches"] > 10
+
+
+def test_default_mode_and_counting_policy_cover_both_modes():
+    # The same trace entered in distributed write: the adaptive policy's
+    # visibility filter is live from the first chunk.
+    n_nodes = 16
+    for policy_cls in (OracleModePolicy, AdaptiveModePolicy):
+        _three_ways(
+            _workloads(n_nodes)["producer_consumer"],
+            lambda: policy_cls(2),
+            n_nodes,
+            default_mode=Mode.DISTRIBUTED_WRITE,
+        )
