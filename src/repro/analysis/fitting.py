@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 
 
@@ -38,6 +36,15 @@ def fit_linear(points: Sequence[tuple[float, float]]) -> LinearFit:
         raise ConfigurationError(
             f"need at least two points to fit a line, got {len(points)}"
         )
+    # Imported here, not at module level: the runner and the CLI import
+    # this package, so its import is on every process's cold-start path.
+    try:
+        import numpy as np
+    except ImportError as error:
+        raise ConfigurationError(
+            "fit_linear needs numpy: install the 'analysis' extra "
+            "(pip install repro[analysis])"
+        ) from error
     xs = np.array([x for x, _ in points], dtype=float)
     ys = np.array([y for _, y in points], dtype=float)
     if np.allclose(xs, xs[0]):

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from scipy import stats as scipy_stats
-
 from repro.errors import ConfigurationError
 from repro.protocol.base import CoherenceProtocol
 from repro.sim.engine import run_trace
@@ -66,6 +64,15 @@ def replicate(
         raise ConfigurationError(
             f"confidence must be in (0, 1), got {confidence}"
         )
+    # Imported here, not at module level: the runner and the CLI import
+    # this package, so its import is on every process's cold-start path.
+    try:
+        from scipy import stats as scipy_stats
+    except ImportError as error:
+        raise ConfigurationError(
+            "replicate needs scipy: install the 'analysis' extra "
+            "(pip install repro[analysis])"
+        ) from error
     values = [float(measure(seed)) for seed in seeds]
     n = len(values)
     mean = sum(values) / n
