@@ -124,11 +124,13 @@ class LinkLoadProfile:
 
 def link_load_profile(network: OmegaNetwork) -> LinkLoadProfile:
     """Summarise the accumulated per-link traffic of a network."""
-    bits = getattr(network, "_link_bits", None)
-    if bits is not None:
-        # Scan the flat counter buffer directly (slot = level * N + pos,
-        # the same level-major order iter_links yields, so ties resolve
-        # identically) instead of touching every Link view.
+    utilization = getattr(network, "link_utilization", None)
+    if utilization is not None:
+        # Scan the flat counter buffer (slot = level * N + pos, the same
+        # level-major order iter_links yields, so ties resolve
+        # identically) instead of touching every Link view; fetched
+        # through the network, which first walks what a replay only priced.
+        bits = utilization().bits
         n_links = len(bits)
         total = sum(bits)
         busiest_slot = max(range(n_links), key=bits.__getitem__)

@@ -25,16 +25,19 @@ Every function both *measures* (returns the exact per-link loads) and
 forms from :mod:`repro.network.cost` can be validated against what actually
 flows through the fabric.
 
-The switch-by-switch walk for a given ``(scheme, source, destination set)``
-is performed once per network and memoised as a
-:class:`~repro.network.routeplan.RoutePlan` in the network's
-:class:`~repro.network.routeplan.RoutePlanCache`; repeat sends -- the
-common case, since the §4 Markov workloads cycle blocks through a small
-set of present-flag vectors -- replay the plan with bit-identical loads
-and counter increments.  Source and destinations are validated once, when
-the plan is built (the builders then walk unchecked); the memoised fast
-path skips re-validation (an invalid set can never hit, because plans are
-only cached after validating).
+A multicast is priced before it is walked.  The cache entry of a
+``(scheme, source, destination set)`` is a :class:`_PriceRecord`: the
+three schemes' link counts by level (:func:`scheme_level_loads`, pure
+arithmetic on the sorted destination set), from which eq. 8 picks its
+winner and :func:`message_levels` answers what a message costs on every
+level -- all a traffic report needs.  The switch-by-switch walk that says
+*which* links carry it is made once per record and scheme, the first time
+a send or a per-link read needs the
+:class:`~repro.network.routeplan.RoutePlan`; repeat sends replay the plan
+with bit-identical loads and counter increments.  Source and destinations
+are validated once, when the record is made (the builders then walk
+unchecked); the memoised fast path skips re-validation (an invalid set
+can never hit, because records are only cached after validating).
 
 A :class:`MulticastResult` carries its cost as plain arithmetic on the
 plan (``n_loads * M + tag_total``); the per-link :class:`LinkLoad` tuple is
@@ -48,6 +51,9 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import FrozenInstanceError
+from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, Sequence
 
 from repro.errors import MulticastError
@@ -217,24 +223,6 @@ def _validate(
     network._check_port(source)
 
 
-def _scheme_plan(
-    network: OmegaNetwork,
-    scheme: MulticastScheme,
-    source: NodeId,
-    dest_set: frozenset[NodeId],
-) -> RoutePlan:
-    """Fetch (or validate, build and cache) the plan for one scheme send."""
-    cache = getattr(network, "route_plans", None)
-    key = (scheme, source, dest_set)
-    plan = cache.get(key) if cache is not None else None
-    if plan is None:
-        _validate(network, source, dest_set)
-        plan = _BUILDERS[scheme](network, source, dest_set)
-        if cache is not None:
-            cache.put(key, plan)
-    return plan
-
-
 def _replay(
     network: OmegaNetwork,
     plan: RoutePlan,
@@ -287,17 +275,6 @@ def _build_scheme1_plan(
     )
 
 
-def _payload_scheme1(
-    network: OmegaNetwork,
-    source: NodeId,
-    payload_bits: int,
-    dest_set: frozenset[NodeId],
-    commit: bool,
-) -> MulticastResult:
-    plan = _scheme_plan(network, MulticastScheme.UNICAST, source, dest_set)
-    return _replay(network, plan, payload_bits, commit)
-
-
 def multicast_scheme1(
     network: OmegaNetwork,
     message: Message,
@@ -306,8 +283,9 @@ def multicast_scheme1(
     commit: bool = True,
 ) -> MulticastResult:
     """Deliver ``message`` by sending one scheme-1 unicast per destination."""
-    return _payload_scheme1(
-        network, message.source, message.payload_bits, _freeze(dests), commit
+    return _payload_send(
+        network, MulticastScheme.UNICAST, message.source,
+        message.payload_bits, _freeze(dests), commit,
     )
 
 
@@ -372,17 +350,6 @@ def _build_scheme2_plan(
     )
 
 
-def _payload_scheme2(
-    network: OmegaNetwork,
-    source: NodeId,
-    payload_bits: int,
-    dest_set: frozenset[NodeId],
-    commit: bool,
-) -> MulticastResult:
-    plan = _scheme_plan(network, MulticastScheme.VECTOR, source, dest_set)
-    return _replay(network, plan, payload_bits, commit)
-
-
 def multicast_scheme2(
     network: OmegaNetwork,
     message: Message,
@@ -397,8 +364,9 @@ def multicast_scheme2(
     a set flag.  The vector shrinks to ``N / 2**i`` bits at link level ``i``,
     which is exactly the per-stage cost the paper tabulates for eq. 3.
     """
-    return _payload_scheme2(
-        network, message.source, message.payload_bits, _freeze(dests), commit
+    return _payload_send(
+        network, MulticastScheme.VECTOR, message.source,
+        message.payload_bits, _freeze(dests), commit,
     )
 
 
@@ -488,28 +456,6 @@ def _build_scheme3_plan(
     )
 
 
-def _payload_scheme3(
-    network: OmegaNetwork,
-    source: NodeId,
-    payload_bits: int,
-    dest_set: frozenset[NodeId],
-    commit: bool,
-    exact: bool,
-) -> MulticastResult:
-    if not dest_set:
-        raise MulticastError("scheme 3 needs at least one destination")
-    plan = _scheme_plan(
-        network, MulticastScheme.BROADCAST_TAG, source, dest_set
-    )
-    if exact and plan.over_delivers:
-        raise MulticastError(
-            f"destinations {sorted(dest_set)} do not form a subcube "
-            f"(minimal cover has {len(plan.delivered)} members); "
-            f"pass exact=False to over-deliver"
-        )
-    return _replay(network, plan, payload_bits, commit)
-
-
 def multicast_scheme3(
     network: OmegaNetwork,
     message: Message,
@@ -524,143 +470,212 @@ def multicast_scheme3(
     restriction stated in §3.3); with ``exact=False`` the minimal enclosing
     subcube is used and the message is over-delivered.
     """
-    return _payload_scheme3(
-        network,
-        message.source,
-        message.payload_bits,
-        _freeze(dests),
-        commit,
-        exact,
+    return _payload_send(
+        network, MulticastScheme.BROADCAST_TAG, message.source,
+        message.payload_bits, _freeze(dests), commit, exact,
     )
 
 
 # ----------------------------------------------------------------------
-# Combined scheme (eq. 8)
+# Pricing by closed form, and the combined scheme (eq. 8)
 # ----------------------------------------------------------------------
 
 
-#: Plan builder per concrete scheme; eq. 8 considers them in this order,
-#: which is also its tie-break.
-_BUILDERS = {
-    MulticastScheme.UNICAST: _build_scheme1_plan,
-    MulticastScheme.VECTOR: _build_scheme2_plan,
-    MulticastScheme.BROADCAST_TAG: _build_scheme3_plan,
-}
-_CANDIDATE_BUILDERS = tuple(_BUILDERS.values())
+#: Plan builder per concrete scheme, indexed ``scheme.value - 1``; eq. 8
+#: considers them in this order, which is also its tie-break.
+_CANDIDATE_BUILDERS = (
+    _build_scheme1_plan,
+    _build_scheme2_plan,
+    _build_scheme3_plan,
+)
+
+
+@lru_cache(maxsize=None)
+def level_tags(m: int) -> tuple[tuple[int, ...], ...]:
+    """Tag bits on one link at levels ``0 .. m`` under schemes 1, 2 and 3.
+
+    The destination tag shrinks a bit per stage (``m - i``), the
+    present-flag vector halves (``N >> i``), Wen's tag sheds a broadcast
+    and an address bit (``2 (m - i)``).
+    """
+    levels = range(m + 1)
+    return (
+        tuple(m - i for i in levels),
+        tuple(1 << (m - i) for i in levels),
+        tuple(2 * (m - i) for i in levels),
+    )
+
+
+def scheme_level_loads(
+    network: OmegaNetwork, dest_set: frozenset[NodeId]
+) -> tuple[list[int], list[int], list[int]]:
+    """Links used at levels ``0 .. m`` by schemes 1, 2 and 3, unwalked.
+
+    Exactly the per-level link counts of each scheme's built
+    :class:`RoutePlan`, from the sorted destination set alone (they do
+    not depend on the source: every source sees the same tree shape).
+    With ``m = log2 N`` and ``k`` destinations:
+
+    * scheme 1 -- ``k`` paths: ``k`` links on every level;
+    * scheme 2 -- one link per distinct destination prefix
+      ``dest >> (m - i)``.  A destination whose highest bit differing
+      from its sorted predecessor is bit ``h - 1`` forks off at level
+      ``m + 1 - h`` and adds a link to every level from there down;
+    * scheme 3 -- the enclosing subcube's varying mask is the OR of those
+      same adjacent differences; the branch count doubles after every
+      stage whose address bit varies.
+
+    Each link at level ``i`` carries the payload plus
+    ``level_tags(m)[scheme][i]`` tag bits.  :mod:`repro.network.cost`
+    prints the same costs for the placements the paper analyses
+    (power-of-two ``n``, aligned blocks); these hold for any non-empty
+    destination set.
+    """
+    m = network.n_stages
+    ordered = sorted(dest_set)
+    forks = [1] + [0] * m
+    varying = 0
+    for previous, dest in zip(ordered, ordered[1:]):
+        differing = previous ^ dest
+        forks[m + 1 - differing.bit_length()] += 1
+        varying |= differing
+    cube = [1]
+    for level in range(1, m + 1):
+        cube.append(cube[-1] << ((varying >> (m - level)) & 1))
+    return [len(ordered)] * (m + 1), list(accumulate(forks)), cube
+
+
+class _PriceRecord:
+    """What one ``(source, destination set)`` costs, and its plans.
+
+    The cache entry of a multicast: the three schemes' closed-form link
+    counts by level and in total, plus the plan of each scheme that
+    something has walked (under eq. 8 the winner depends on the payload
+    size, so a record can come to hold more than one; almost always it
+    holds one, and a replay nobody reads per link holds none).
+    """
+
+    __slots__ = ("levels", "counts", "plans")
+
+    def __init__(
+        self, network: OmegaNetwork, dest_set: frozenset[NodeId]
+    ) -> None:
+        self.levels = scheme_level_loads(network, dest_set)
+        self.counts = tuple(
+            (sum(loads), sum(map(mul, loads, tags)))
+            for loads, tags in zip(
+                self.levels, level_tags(network.n_stages)
+            )
+        )
+        self.plans: list[RoutePlan | None] = [None, None, None]
+
+    def winner(self, scheme: MulticastScheme, payload_bits: int) -> int:
+        """Index of the scheme that sends: eq. 8 by arithmetic.
+
+        Ties break in scheme order 1, 2, 3, exactly like probing all
+        three built plans.
+        """
+        if scheme is not MulticastScheme.COMBINED:
+            return scheme.value - 1
+        costs = [
+            n_loads * payload_bits + tag_total
+            for n_loads, tag_total in self.counts
+        ]
+        return costs.index(min(costs))  # first minimum: scheme order
 
 
 def scheme_load_counts(
     network: OmegaNetwork, dest_set: frozenset[NodeId]
-) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+) -> tuple[tuple[int, int], ...]:
     """``(n_loads, tag_total)`` of schemes 1, 2 and 3, without a fabric walk.
 
     Exactly the two numbers the built :class:`RoutePlan` of each scheme
     would carry, so ``n_loads * M + tag_total`` is its cost for payload
-    ``M`` (they do not depend on the source: every source sees the same
-    tree shape).  With ``m = log2 N`` and ``k`` destinations, sorted:
-
-    * scheme 1 -- ``k`` paths of ``m + 1`` links whose tag shrinks from
-      ``m`` to ``0``: ``k (m + 1)`` loads, ``k m (m + 1) / 2`` tag bits
-      (eq. 2 with the payload factored out);
-    * scheme 2 -- one link per distinct destination prefix per level.  A
-      lone destination is one path (``m + 1`` loads, ``2N - 1`` tag
-      bits); each further destination whose highest bit differing from
-      its sorted predecessor is bit ``h - 1`` forks off ``h`` links
-      carrying ``2**(h-1) + ... + 1 = 2**h - 1`` tag bits;
-    * scheme 3 -- the enclosing subcube's varying mask is the OR of those
-      same adjacent differences; the branch count doubles after every
-      stage whose address bit varies, and level ``i`` carries
-      ``2 (m - i)`` tag bits per branch.
-
-    :mod:`repro.network.cost` prints the same costs for the placements
-    the paper analyses (power-of-two ``n``, aligned blocks); these hold
-    for any non-empty destination set.
+    ``M``: :func:`scheme_level_loads` summed over the levels.
     """
-    m = network.n_stages
-    ordered = sorted(dest_set)
-    fork_loads = fork_tag = varying = 0
-    previous = ordered[0]
-    for dest in ordered[1:]:
-        differing = previous ^ dest
-        height = differing.bit_length()
-        fork_loads += height
-        fork_tag += (1 << height) - 1
-        varying |= differing
-        previous = dest
-    k = len(ordered)
-    branches = 1
-    cube_loads = 1
-    cube_tag = 2 * m
-    for level in range(1, m + 1):
-        if (varying >> (m - level)) & 1:
-            branches *= 2
-        cube_loads += branches
-        cube_tag += branches * 2 * (m - level)
-    return (
-        (k * (m + 1), k * m * (m + 1) // 2),
-        (m + 1 + fork_loads, 2 * network.n_ports - 1 + fork_tag),
-        (cube_loads, cube_tag),
-    )
+    return _PriceRecord(network, dest_set).counts
 
 
-class _Eq8Record:
-    """One ``(source, destination set)``'s eq. 8 candidates.
-
-    The cache entry of a combined-scheme send: the three candidates'
-    closed-form load counts, plus the plan of each candidate that has
-    actually won a send (the winner depends on the payload size, so a
-    record can come to hold more than one; almost always it holds one).
-    """
-
-    __slots__ = ("counts", "plans")
-
-    def __init__(self, counts: tuple[tuple[int, int], ...]) -> None:
-        self.counts = counts
-        self.plans: list[RoutePlan | None] = [None, None, None]
-
-
-def _combined_plan(
+def _price_record(
     network: OmegaNetwork,
+    scheme: MulticastScheme,
+    source: NodeId,
+    dest_set: frozenset[NodeId],
+) -> _PriceRecord:
+    """Fetch (or validate, price and cache) one multicast's record."""
+    cache = getattr(network, "route_plans", None)
+    key = (scheme, source, dest_set)
+    record = cache.get(key) if cache is not None else None
+    if record is None:
+        _validate(network, source, dest_set)
+        record = _PriceRecord(network, dest_set)
+        if cache is not None:
+            cache.put(key, record)
+    return record
+
+
+def _record_plan(
+    network: OmegaNetwork,
+    scheme: MulticastScheme,
     source: NodeId,
     dest_set: frozenset[NodeId],
     payload_bits: int,
 ) -> RoutePlan:
-    """The eq. 8 winner's plan: chosen by arithmetic, the only one built.
-
-    Ties break in scheme order 1, 2, 3, exactly like probing all three.
-    """
-    cache = getattr(network, "route_plans", None)
-    key = (MulticastScheme.COMBINED, source, dest_set)
-    record = cache.get(key) if cache is not None else None
-    if record is None:
-        _validate(network, source, dest_set)
-        record = _Eq8Record(scheme_load_counts(network, dest_set))
-        if cache is not None:
-            cache.put(key, record)
-    costs = [
-        n_loads * payload_bits + tag_total
-        for n_loads, tag_total in record.counts
-    ]
-    winner = costs.index(min(costs))  # first minimum: scheme order
+    """The plan a send commits: the only one of the record's ever built."""
+    record = _price_record(network, scheme, source, dest_set)
+    winner = record.winner(scheme, payload_bits)
     plan = record.plans[winner]
     if plan is None:
         plan = _CANDIDATE_BUILDERS[winner](network, source, dest_set)
         record.plans[winner] = plan
+        if getattr(network, "route_plans", None) is not None:
+            network.route_plans.walks += 1
     return plan
 
 
-def _payload_combined(
+def message_levels(
     network: OmegaNetwork,
+    scheme: MulticastScheme,
+    source: NodeId,
+    dests: frozenset[NodeId],
+    payload_bits: int,
+) -> tuple[Sequence[int], tuple[int, ...]]:
+    """``(links, tag bits per link)`` by level of one message, unwalked.
+
+    Level ``i`` carries ``links[i] * (payload_bits + tags[i])`` bits,
+    which is what the committed plan's ``loads_for(payload_bits)`` sum to
+    there.
+    """
+    tags = level_tags(network.n_stages)
+    if len(dests) < 2:
+        # No destination, or one: plain unicast under every scheme.
+        return (len(dests),) * len(tags[0]), tags[0]
+    record = _price_record(network, scheme, source, dests)
+    winner = record.winner(scheme, payload_bits)
+    return record.levels[winner], tags[winner]
+
+
+def _payload_send(
+    network: OmegaNetwork,
+    scheme: MulticastScheme,
     source: NodeId,
     payload_bits: int,
     dest_set: frozenset[NodeId],
     commit: bool,
+    exact: bool = False,
 ) -> MulticastResult:
+    """One multicast by ``scheme``: scheme 3 over-delivers unless ``exact``."""
     if not dest_set:
-        return MulticastResult(
-            MulticastScheme.COMBINED, source, dest_set, dest_set, ()
+        if scheme is MulticastScheme.BROADCAST_TAG:
+            raise MulticastError("scheme 3 needs at least one destination")
+        return MulticastResult(scheme, source, dest_set, dest_set, ())
+    plan = _record_plan(network, scheme, source, dest_set, payload_bits)
+    if exact and plan.over_delivers:
+        raise MulticastError(
+            f"destinations {sorted(dest_set)} do not form a subcube "
+            f"(minimal cover has {len(plan.delivered)} members); "
+            f"pass exact=False to over-deliver"
         )
-    plan = _combined_plan(network, source, dest_set, payload_bits)
     return _replay(network, plan, payload_bits, commit)
 
 
@@ -682,22 +697,10 @@ def multicast_combined(
     only the winner's plan is ever built.  Ties break in scheme order
     1, 2, 3.
     """
-    return _payload_combined(
-        network, message.source, message.payload_bits, _freeze(dests), commit
+    return _payload_send(
+        network, MulticastScheme.COMBINED, message.source,
+        message.payload_bits, _freeze(dests), commit,
     )
-
-
-_DISPATCH = {
-    MulticastScheme.UNICAST: multicast_scheme1,
-    MulticastScheme.VECTOR: multicast_scheme2,
-    MulticastScheme.COMBINED: multicast_combined,
-}
-
-_PAYLOAD_DISPATCH = {
-    MulticastScheme.UNICAST: _payload_scheme1,
-    MulticastScheme.VECTOR: _payload_scheme2,
-    MulticastScheme.COMBINED: _payload_combined,
-}
 
 
 def multicast(
@@ -713,11 +716,10 @@ def multicast(
     For :data:`MulticastScheme.BROADCAST_TAG` the enclosing subcube is used
     (over-delivery allowed), since protocol destination sets are arbitrary.
     """
-    if scheme is MulticastScheme.BROADCAST_TAG:
-        return multicast_scheme3(
-            network, message, dests, exact=False, commit=commit
-        )
-    return _DISPATCH[scheme](network, message, dests, commit=commit)
+    return _payload_send(
+        network, scheme, message.source, message.payload_bits,
+        _freeze(dests), commit,
+    )
 
 
 def unicast_result(
@@ -746,15 +748,14 @@ def multicast_plan_for(
 ) -> RoutePlan:
     """The exact plan :meth:`Multicaster.send_payload` would commit.
 
-    This is the memoisation hook for the stable-state fast path: a
-    ``(source, present-vector)`` pair fully determines the plan -- the
-    scheme-2 split tree in particular is a pure function of it -- so a
-    caller can fetch the plan once and replay it with
+    This is how the network walks a message it has only priced: a
+    ``(source, destination set)`` pair fully determines the plan -- the
+    scheme-2 split tree in particular is a pure function of it -- so
+    replaying it with
     :meth:`~repro.network.topology.OmegaNetwork.apply_plan_traffic_scaled`
-    for bit-identical traffic without re-running scheme selection per
-    send.  ``payload_bits`` only matters under the combined scheme, where
-    it picks the eq. 8 winner (ties break in scheme order 1, 2, 3, like
-    the send path).
+    is bit-identical to that many sends.  ``payload_bits`` only matters
+    under the combined scheme, where it picks the eq. 8 winner (ties
+    break in scheme order 1, 2, 3, like the send path).
     """
     if not dest_set:
         raise MulticastError("plan lookup needs at least one destination")
@@ -762,11 +763,9 @@ def multicast_plan_for(
         # A single destination is plain unicast under every scheme.
         (dest,) = dest_set
         return unicast_plan(network, source, dest)
-    if scheme is MulticastScheme.COMBINED:
-        return _combined_plan(network, source, dest_set, payload_bits)
     # Scheme 3 over-delivers (exact=False) for arbitrary sets, as the
     # send path does.
-    return _scheme_plan(network, scheme, source, dest_set)
+    return _record_plan(network, scheme, source, dest_set, payload_bits)
 
 
 class Multicaster:
@@ -843,13 +842,10 @@ class Multicaster:
                 payload_bits,
                 True,
             )
-        elif self.scheme is MulticastScheme.BROADCAST_TAG:
-            result = _payload_scheme3(
-                self.network, source, payload_bits, dest_set, True, False
-            )
         else:
-            result = _PAYLOAD_DISPATCH[self.scheme](
-                self.network, source, payload_bits, dest_set, True
+            result = _payload_send(
+                self.network, self.scheme, source, payload_bits, dest_set,
+                True,
             )
         if self.recorder is not None:
             self.recorder.net_send(source, payload_bits, result)

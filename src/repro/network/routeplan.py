@@ -23,7 +23,8 @@ Two classes:
   numbers the switch-by-switch walk would have produced; ``cost_for`` is
   two multiplications, ``loads_for`` allocates one ``LinkLoad`` per link
   and is only called when something reads a result's ``.loads``.
-* :class:`RoutePlanCache` -- a bounded LRU of plans.  Each
+* :class:`RoutePlanCache` -- a bounded LRU of plans and of the price
+  records multicasts are priced from before any plan exists.  Each
   :class:`~repro.network.topology.OmegaNetwork` instance owns one, so plans
   can never leak across topologies: a different network (or port count)
   starts from an empty cache, and :meth:`OmegaNetwork.reset_traffic` zeroes
@@ -198,16 +199,17 @@ class RoutePlanCache:
     """A bounded LRU of :class:`RoutePlan` values keyed by route identity.
 
     Keys are ``(scheme tag, source, frozen destination set)`` tuples.  The
-    value under a ``COMBINED`` key is that destination set's eq. 8 record,
-    which holds the one plan it sends on, so a send is one lookup and one
-    entry under every scheme.  The cache itself is owned by one network
-    instance, so topology is implied by ownership and plans can never be
-    replayed against a network with different wiring.  ``hits`` /
-    ``misses`` make the cache observable (the perf harness reports the
-    hit rate).
+    value under a multicast key is that destination set's price record
+    (closed-form loads by level first, each plan only once something
+    walks it), so a send is one lookup and one entry under every scheme.
+    The cache itself is owned by one network instance, so topology is
+    implied by ownership and plans can never be replayed against a
+    network with different wiring.  ``hits`` / ``misses`` make the cache
+    observable (the perf harness reports the hit rate); ``walks`` counts
+    the plans built from a price record.
     """
 
-    __slots__ = ("maxsize", "hits", "misses", "_plans")
+    __slots__ = ("maxsize", "hits", "misses", "walks", "_plans")
 
     def __init__(self, maxsize: int = 4096) -> None:
         if maxsize < 1:
@@ -215,6 +217,7 @@ class RoutePlanCache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
+        self.walks = 0
         self._plans: OrderedDict[Hashable, object] = OrderedDict()
 
     def get(self, key: Hashable) -> object | None:
@@ -250,13 +253,14 @@ class RoutePlanCache:
         return self._plans.keys()
 
     def stats(self) -> dict[str, int | float]:
-        """Hit/miss counters and the resulting hit rate."""
+        """Hit/miss/walk counters and the resulting hit rate."""
         lookups = self.hits + self.misses
         return {
             "plans": len(self._plans),
             "maxsize": self.maxsize,
             "hits": self.hits,
             "misses": self.misses,
+            "walks": self.walks,
             "hit_rate": self.hits / lookups if lookups else 0.0,
         }
 

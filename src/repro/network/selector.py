@@ -30,9 +30,7 @@ from repro.network.multicast import (
     MulticastResult,
     MulticastScheme,
     _freeze,
-    _payload_scheme1,
-    _payload_scheme2,
-    _payload_scheme3,
+    _payload_send,
 )
 from repro.network.topology import OmegaNetwork
 from repro.types import NodeId, is_power_of_two
@@ -165,16 +163,8 @@ class RegisterMulticaster:
                 MulticastScheme.COMBINED, source, dest_set, dest_set, ()
             )
         scheme = self.registers.choose(len(dest_set))
-        if scheme is MulticastScheme.UNICAST:
-            return _payload_scheme1(
-                self.network, source, payload_bits, dest_set, True
-            )
-        if scheme is MulticastScheme.VECTOR:
-            return _payload_scheme2(
-                self.network, source, payload_bits, dest_set, True
-            )
-        return _payload_scheme3(
-            self.network, source, payload_bits, dest_set, True, False
+        return _payload_send(
+            self.network, scheme, source, payload_bits, dest_set, True
         )
 
     def send_payload_one(

@@ -37,16 +37,32 @@ routing and multicast layers memoise their plans in; plans describe wiring,
 not traffic, so :meth:`reset_traffic` clears the counters but not the
 plans.
 
-The deferred link ledger
-------------------------
+The message ledger
+------------------
 Between :meth:`OmegaNetwork.open_window` and
-:meth:`OmegaNetwork.close_window` (only
-:func:`~repro.sim.engine.run_trace` opens one) :meth:`apply_plan_traffic`
-only counts each use of a ``(plan, payload)`` pair; closing the window --
-or any read through the accessors below, which settle first -- replays
-each counted pair once through :meth:`apply_plan_traffic_scaled`.  Array
-addition commutes, so the arrays a reader sees are exactly those per-send
-accounting would have produced (docs/PERF.md, "The message path").
+:meth:`OmegaNetwork.close_window` (a protocol opens one for the length of
+a :func:`~repro.sim.engine.run_trace` replay) a protocol message is not
+sent but *posted*: the ledger counts each distinct ``(kind, source,
+dests, payload)``.  Settling -- at the close, or before any read through
+the accessors below -- prices each distinct message by closed form
+(:func:`~repro.network.multicast.message_levels`): its bits reach the
+window's ``account`` sink by kind and the network's per-level totals,
+which is all ``total_bits``, ``bits_by_level()`` and ``total_messages``
+need.  The fabric is walked, once per distinct message through
+:meth:`apply_plan_traffic_scaled`, only when something reads a link or a
+switch.  Array addition commutes, so every reader sees exactly what
+per-send accounting would have produced (docs/PERF.md, "The message
+path"), also around the window's edges
+(``tests/sim/test_link_ledger.py``):
+
+* *an exception mid-trace* -- the window is closed in a ``finally`` and
+  settles what was posted, so ledgers and arrays end as per-send
+  accounting leaves them at the failing reference;
+* *``reset_traffic()`` inside a window* -- messages posted before it are
+  counted at the ``account`` sink and absent from the links;
+* *a replay tier flushing its deferred hits with no window open* -- the
+  flush holds one of its own (or, where none can open, sends them one by
+  one), so everything is accounted when the replay returns.
 """
 
 from __future__ import annotations
@@ -68,9 +84,9 @@ class LinkUtilization(NamedTuple):
     at ``(level, position)``; likewise ``messages``.  Both are
     :class:`memoryview`\\ s over the network's live ``array('q')``
     buffers -- reading tracks ongoing traffic, and nothing is copied.
-    (Inside ``run_trace``'s accounting window the buffers move when the
-    ledger settles, which fetching a view does; a view held across sends
-    there lags until it is fetched again.)
+    (Messages a replay posted to the ledger reach the buffers when a view
+    is fetched; a view held across a replay lags until it is fetched
+    again.)
     """
 
     n_levels: int
@@ -165,10 +181,18 @@ class OmegaNetwork:
         #: cold path see the exact same faults.  ``None`` = lossless
         #: network, zero overhead.
         self.fault_injector = None
-        #: The deferred link ledger: ``(plan, payload_bits) -> uses not
-        #: yet in the arrays`` while an accounting window is open,
-        #: ``None`` while it is closed (every use applied at once).
-        self._ledger: dict[tuple[RoutePlan, int], int] | None = None
+        #: The message ledger: ``(kind, source, dests, payload_bits) ->
+        #: posts not yet priced`` while an accounting window is open
+        #: (``_window`` holds its multicast scheme and account sink),
+        #: ``None`` while it is closed.
+        self._ledger: dict[tuple, int] | None = None
+        self._window: tuple | None = None
+        #: Messages priced but not yet in the arrays, ``(scheme, source,
+        #: dests, payload_bits) -> count``, and what they add to each
+        #: level's bits and to the link traversals.
+        self._unwalked: dict[tuple, int] = {}
+        self._unwalked_bits = [0] * (self.n_stages + 1)
+        self._unwalked_hops = 0
 
     # ------------------------------------------------------------------
     # Structure
@@ -209,7 +233,7 @@ class OmegaNetwork:
                 f"link level must be in 0..{self.n_stages}, got {level}"
             )
         self._check_port(position)
-        self._settle()
+        self._walk()
         return self._links[level][position]
 
     def switch(self, stage: int, index: int) -> Switch:
@@ -220,7 +244,7 @@ class OmegaNetwork:
                 f"switch index must be in 0..{self.n_ports // 2 - 1}, "
                 f"got {index}"
             )
-        self._settle()
+        self._walk()
         return self._switches[stage][index]
 
     def switch_for_position(self, stage: int, position: int) -> Switch:
@@ -230,13 +254,13 @@ class OmegaNetwork:
 
     def iter_links(self):
         """Yield every link, level by level."""
-        self._settle()
+        self._walk()
         for level_links in self._links:
             yield from level_links
 
     def iter_switches(self):
         """Yield every switch, stage by stage."""
-        self._settle()
+        self._walk()
         for stage_switches in self._switches:
             yield from stage_switches
 
@@ -273,7 +297,7 @@ class OmegaNetwork:
 
     def route_links(self, source: NodeId, dest: NodeId) -> list[Link]:
         """The ``m + 1`` links traversed from ``source`` to ``dest``."""
-        self._settle()
+        self._walk()
         return [
             self._links[level][position]
             for level, position in enumerate(self.route_positions(source, dest))
@@ -286,14 +310,17 @@ class OmegaNetwork:
     def reset_traffic(self) -> None:
         """Zero every link and switch counter.
 
-        Inside an open accounting window the ledger's pending posts are
-        dropped with the counters (the window stays open): a reset means
-        "no traffic so far", deferred or not.  Memoised route plans
-        survive: they describe the network's wiring, which a traffic
-        reset does not change.
+        Inside an open accounting window the messages posted so far are
+        settled first, so their kinds' bits still reach the window's
+        account sink, and then dropped with the counters (the window
+        stays open): a reset means "no traffic on the links so far",
+        walked or not.  Memoised route plans survive: they describe the
+        network's wiring, which a traffic reset does not change.
         """
-        if self._ledger is not None:
-            self._ledger.clear()
+        self._settle()
+        self._unwalked.clear()
+        self._unwalked_bits = [0] * (self.n_stages + 1)
+        self._unwalked_hops = 0
         for buffer in (
             self._link_bits,
             self._link_messages,
@@ -302,32 +329,67 @@ class OmegaNetwork:
         ):
             buffer[:] = array("q", bytes(8 * len(buffer)))
 
-    def open_window(self) -> None:
-        """Start deferring plan uses to the link ledger.
+    def open_window(self, scheme, account) -> dict[tuple, int] | None:
+        """Start a message ledger and return it for the caller to post in.
 
-        Only :func:`~repro.sim.engine.run_trace` opens a window, and it
-        closes it in a ``finally``; outside one, every
-        :meth:`apply_plan_traffic` call lands in the arrays at once.
-        Without a plan cache (``route_plans = None``, the cold reference
-        path) every send builds a fresh plan, no plan can repeat, and
-        the window stays closed.
+        A post is ``ledger[kind, source, dests, payload_bits] += 1`` with
+        ``dests`` a port (a unicast) or a frozenset, multicast under
+        ``scheme``; settling calls ``account(kind, bits, messages)`` per
+        distinct message, in first-post order.  Whoever opens a window
+        closes it in a ``finally``; outside one, traffic reaches the
+        arrays send by send.  Without a plan cache (``route_plans =
+        None``, the switch-by-switch reference path) nothing is priced
+        ahead of its walk, and the window stays closed: ``None``.
         """
-        if self._ledger is None and self.route_plans is not None:
-            self._ledger = {}
+        if self.route_plans is None:
+            return None
+        self._window = (scheme, account)
+        self._ledger = {}
+        return self._ledger
 
     def close_window(self) -> None:
-        """Flush the ledger into the arrays and stop deferring."""
+        """Settle the ledger and stop taking posts."""
         self._settle()
-        self._ledger = None
+        self._ledger = self._window = None
 
     def _settle(self) -> None:
-        """Apply every pending post; the window (if any) stays open."""
+        """Price every posted message; the window (if any) stays open."""
         ledger = self._ledger
         if ledger:
-            apply_scaled = self.apply_plan_traffic_scaled
-            for (plan, payload_bits), count in ledger.items():
-                apply_scaled(plan, payload_bits, count)
+            # Imported here: the multicast layer is built on this module.
+            from repro.network.multicast import message_levels
+
+            scheme, account = self._window
+            unwalked = self._unwalked
+            level_bits = self._unwalked_bits
+            for (kind, source, dests, bits), count in ledger.items():
+                if type(dests) is int:  # a unicast, posted by its port
+                    dests = frozenset((dests,))
+                links, tags = message_levels(self, scheme, source, dests, bits)
+                cost = 0
+                for level, (n_links, tag) in enumerate(zip(links, tags)):
+                    on_level = n_links * (bits + tag) * count
+                    level_bits[level] += on_level
+                    cost += on_level
+                account(kind, cost, count)
+                if links[0]:  # an empty multicast counts, and goes nowhere
+                    self._unwalked_hops += sum(links) * count
+                    key = (scheme, source, dests, bits)
+                    unwalked[key] = unwalked.get(key, 0) + count
             ledger.clear()
+
+    def _walk(self) -> None:
+        """Settle, then put every priced message on its links and switches."""
+        self._settle()
+        if self._unwalked:
+            from repro.network.multicast import multicast_plan_for
+
+            for (scheme, source, dests, bits), count in self._unwalked.items():
+                plan = multicast_plan_for(self, scheme, source, dests, bits)
+                self.apply_plan_traffic_scaled(plan, bits, count)
+            self._unwalked.clear()
+            self._unwalked_bits = [0] * (self.n_stages + 1)
+            self._unwalked_hops = 0
 
     def apply_plan_traffic(self, plan: RoutePlan, payload_bits: int) -> None:
         """Account one replay of ``plan`` carrying ``payload_bits`` payload.
@@ -336,26 +398,8 @@ class OmegaNetwork:
         walk would have: every link load adds ``payload_bits`` plus its tag
         remainder (and one message), every switch traversal adds one message
         (and one split where the tree forked).
-
-        Inside an accounting window the use is only counted in the
-        ledger; the arrays move when the window settles.
         """
-        ledger = self._ledger
-        if ledger is not None:
-            key = (plan, payload_bits)
-            ledger[key] = ledger.get(key, 0) + 1
-            return
-        bits = self._link_bits
-        messages = self._link_messages
-        for slot, tag in plan.link_ops:
-            bits[slot] += payload_bits + tag
-            messages[slot] += 1
-        switch_messages = self._switch_messages
-        for slot in plan.switch_msg_slots:
-            switch_messages[slot] += 1
-        switch_splits = self._switch_splits
-        for slot in plan.switch_split_slots:
-            switch_splits[slot] += 1
+        self.apply_plan_traffic_scaled(plan, payload_bits, 1)
 
     def apply_plan_traffic_scaled(
         self, plan: RoutePlan, payload_bits: int, count: int
@@ -364,9 +408,8 @@ class OmegaNetwork:
 
         Exactly ``count`` successive :meth:`apply_plan_traffic` calls --
         the increments are linear in ``count``, so batched application is
-        bit-identical and callers that know their repeat count up front
-        (the replay fast path, the kernel, the ledger's flush) skip the
-        per-replay loop.  Always immediate, window or not.
+        bit-identical and the walk of a priced message, which knows its
+        repeat count up front, skips the per-replay loop.
         """
         bits = self._link_bits
         messages = self._link_messages
@@ -384,21 +427,21 @@ class OmegaNetwork:
     def total_bits(self) -> int:
         """Communication cost accumulated so far (eq. 1 over all traffic)."""
         self._settle()
-        return sum(self._link_bits)
+        return sum(self._link_bits) + sum(self._unwalked_bits)
 
     @property
     def total_messages(self) -> int:
         """Link traversals accumulated so far (each hop of each message)."""
         self._settle()
-        return sum(self._link_messages)
+        return sum(self._link_messages) + self._unwalked_hops
 
     def bits_by_level(self) -> list[int]:
         """Bits carried per link level, ``[L_0, L_1, ..., L_m]`` of eq. 1."""
         self._settle()
         n = self.n_ports
         return [
-            sum(self._link_bits[level * n : (level + 1) * n])
-            for level in range(self.n_stages + 1)
+            sum(self._link_bits[level * n : (level + 1) * n]) + unwalked
+            for level, unwalked in enumerate(self._unwalked_bits)
         ]
 
     def link_utilization(self) -> LinkUtilization:
@@ -409,7 +452,7 @@ class OmegaNetwork:
         copies, so calling it on the hot path costs nothing.  Layout is
         row-major: slot ``level * n_ports + position``.
         """
-        self._settle()
+        self._walk()
         return LinkUtilization(
             self.n_stages + 1,
             self.n_ports,
@@ -423,7 +466,7 @@ class OmegaNetwork:
         Same contract as :meth:`link_utilization`; layout is row-major
         with ``n_ports // 2`` switches per stage.
         """
-        self._settle()
+        self._walk()
         return SwitchUtilization(
             self.n_stages,
             self.n_ports // 2,

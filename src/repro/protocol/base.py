@@ -7,6 +7,14 @@ network cost.  The atomic-reference, trace-driven methodology follows
 Archibald & Baer (1986), which the paper itself cites for protocol
 evaluation; the paper's metric is traffic, not timing, so no cycle model is
 needed.
+
+Inside an accounting window (:meth:`CoherenceProtocol.open_window`, held
+by :func:`~repro.sim.engine.run_trace` for the length of a replay) a
+message is *posted*, not sent: ``_send``, ``_send_unguarded`` and
+``_multicast`` count it in the network's message ledger, which prices each
+distinct message once when the window settles
+(:mod:`repro.network.topology`, "The message ledger").  ``Stats.traffic_*``
+lag the posts until then; nothing in ``src/`` reads them inside a window.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import abc
 from typing import NamedTuple
 
 from repro.errors import TransientNetworkError, UnreachableRouteError
-from repro.network.multicast import MulticastResult
+from repro.network.multicast import Multicaster, MulticastResult
 from repro.protocol.messages import MsgKind
 from repro.sim import stats as ev
 from repro.sim.stats import Stats
@@ -84,6 +92,17 @@ class CoherenceProtocol(abc.ABC):
         #: inside a reference (e.g. while retiring an eviction victim) can
         #: be attributed to the right block for degradation.
         self._active_block: BlockId | None = None
+        #: The network's message ledger while this protocol posts instead
+        #: of sending (:meth:`open_window`), else ``None``.
+        self._ledger: dict[tuple, int] | None = None
+        # Hot message sizes, computed once; each is a pure function of
+        # the (immutable) system configuration.
+        costs = system.costs
+        self._cost_request = costs.request()
+        self._cost_ack = costs.ack()
+        self._cost_word = costs.word_data()
+        self._cost_block = costs.block_data(system.config.block_size_words)
+        self._cost_word_owner = costs.word_and_owner(system.n_nodes)
 
     def enable_message_log(self) -> None:
         """Start recording every protocol message in ``message_log``.
@@ -124,20 +143,67 @@ class CoherenceProtocol(abc.ABC):
     # Messaging helpers (cost accounting)
     # ------------------------------------------------------------------
 
+    def open_window(self) -> bool:
+        """Post messages instead of sending them, until :meth:`close_window`.
+
+        Only where nothing consumes individual sends -- no fault injector,
+        recorder or message log, a plain :class:`Multicaster` without a
+        net recorder -- and the network keeps a ledger (it has a plan
+        cache); otherwise every message is still sent one by one.
+        Returns whether a window is now open.
+        """
+        system = self.system
+        multicaster = system.multicaster
+        if (
+            system.fault_injector is None
+            and self.recorder is None
+            and self.message_log is None
+            and type(multicaster) is Multicaster
+            and multicaster.recorder is None
+        ):
+            self._ledger = system.network.open_window(
+                multicaster.scheme, self.stats.record_traffic
+            )
+        return self._ledger is not None
+
+    def close_window(self) -> None:
+        """Settle what was posted into ``stats`` and the network."""
+        self._ledger = None
+        self.system.network.close_window()
+
+    def _post(
+        self,
+        kind: MsgKind,
+        source: NodeId,
+        dests: NodeId | frozenset[NodeId],
+        bits: int,
+        count: int,
+    ) -> None:
+        """``count`` identical messages: a replay tier's deferred hits."""
+        ledger = self._ledger
+        if ledger is not None:
+            key = (kind._value_, source, dests, bits)
+            ledger[key] = ledger.get(key, 0) + count
+            return
+        send = self._send if type(dests) is int else self._multicast
+        for _ in range(count):
+            send(kind, source, dests, bits)
+
     def _send(
         self, kind: MsgKind, source: NodeId, dest: NodeId, bits: int
     ) -> None:
         """Unicast ``bits`` payload bits from ``source`` to ``dest``."""
-        if self.system.fault_injector is not None:
+        ledger = self._ledger
+        if ledger is not None:
+            # Keyed on the value, read from its slot: MsgKind.__hash__ and
+            # Enum.value are both Python-level calls.
+            key = (kind._value_, source, dest, bits)
+            ledger[key] = ledger.get(key, 0) + 1
+        elif self.system.fault_injector is not None:
             self._send_recovering(kind, source, dest, bits)
-            return
-        result = self.system.multicaster.send_payload_one(source, bits, dest)
-        self.stats.record_traffic(kind.value, result.cost)
-        if self.recorder is not None:
-            self.recorder.message(kind.value, source, (dest,), bits, result)
-        if self.message_log is not None:
-            # result.requested is exactly frozenset((dest,)).
-            self._log(kind, source, result.requested, bits, result)
+        else:
+            # No injector: an unguarded send is a plain accounted send.
+            self._send_unguarded(kind, source, dest, bits)
 
     def _multicast(
         self,
@@ -145,9 +211,14 @@ class CoherenceProtocol(abc.ABC):
         source: NodeId,
         dests: frozenset[NodeId] | set[NodeId],
         bits: int,
-    ) -> MulticastResult:
+    ) -> MulticastResult | None:
         """One-to-many send using the system's configured scheme."""
         dest_set = dests if type(dests) is frozenset else frozenset(dests)
+        ledger = self._ledger
+        if ledger is not None:
+            key = (kind._value_, source, dest_set, bits)
+            ledger[key] = ledger.get(key, 0) + 1
+            return None
         if self.system.fault_injector is not None:
             return self._multicast_recovering(kind, source, dest_set, bits)
         result = self.system.multicaster.send_payload(source, bits, dest_set)
@@ -366,6 +437,9 @@ class CoherenceProtocol(abc.ABC):
         atomic-reference model, and degraded-mode accounting stays a
         deterministic function of the reference stream.
         """
+        if self._ledger is not None:
+            self._post(kind, source, dest, bits, 1)
+            return
         injector = self.system.fault_injector
         if injector is not None and not injector.pair_alive(source, dest):
             self.stats.count(ev.FAULT_UNROUTABLE)

@@ -18,17 +18,17 @@ losing sharers -- are re-checked live on every hit, because a record's
 entry object is the protocol's own entry, not a copy.
 
 Two further record kinds cover the dominant *message-bearing* stable
-states.  The global-read remote read (§2.2 item 2(b)ii via the OWNER
-field): its two unicasts -- request out, word-and-owner back -- are a
-pure function of the ``(node, owner)`` pair, so the record carries their
-memoised route plans and costs and a hit replays the exact link, switch
-and ledger increments the slow path would have produced.  And the
-distributed-write owner write with sharers (item 3(b)): its WRITE_UPDATE
-multicast plan -- notably the scheme-2 vector-split tree -- is a pure
-function of the ``(owner, present-vector)`` pair, so the record memoises
-the plan :func:`~repro.network.multicast.multicast_plan_for` selects and
-stamps the protocol's ``present_epoch``; any present-vector membership
-change anywhere retires it.
+states, and each carries its messages as values.  The global-read remote
+read (§2.2 item 2(b)ii via the OWNER field): its two unicasts -- request
+out, word-and-owner back -- are a pure function of the ``(node, owner)``
+pair the record already holds.  And the distributed-write owner write
+with sharers (item 3(b)): its WRITE_UPDATE multicast is a pure function
+of the ``(owner, copy holders)`` pair, so the record holds the copy set
+and stamps the protocol's ``present_epoch``; any present-vector
+membership change anywhere retires it.  Hits are counted per record and
+posted, scaled, into the protocol's message ledger
+(:meth:`~repro.protocol.base.CoherenceProtocol._post`), which prices
+them exactly as the slow path's sends.
 
 A fast-path hit replicates the slow path's observable effects exactly:
 the same ``stats`` events and traffic ledgers, the same per-link network
@@ -53,8 +53,7 @@ from typing import TYPE_CHECKING
 
 from repro.cache.state import Mode
 from repro.errors import TraceError
-from repro.network.multicast import Multicaster, multicast_plan_for
-from repro.network.routing import unicast_plan
+from repro.network.multicast import Multicaster
 from repro.protocol.messages import MsgKind
 from repro.sim import stats as ev
 from repro.types import Address, Op
@@ -70,14 +69,14 @@ class FastPathTable:
     Records are keyed by the integer ``block * n_nodes + node`` (never
     negative for a registered block, so malformed trace rows simply miss).
     A local read hit is a 7-tuple ``(epoch, entry, policy, set_index,
-    way, owner, owner_entry)``; a global-read remote read is an 11-tuple
-    extending it with ``(plan_out, cost_out, plan_back, cost_back)`` --
-    the memoised request/reply unicasts; a message-free write is the
-    5-tuple ``(epoch, entry, policy, set_index, way)`` -- the writer *is*
-    the owner, so no separate owner fields are needed; a distributed-write
-    owner write with sharers is the 9-tuple extending the write record
-    with ``(present_epoch, copy_entries, plan, cost)`` -- the memoised
-    WRITE_UPDATE multicast.  Record kinds are discriminated by length.
+    way, owner, owner_entry)``; a global-read remote read is the 8-tuple
+    extending it with ``node`` -- with ``owner``, its request/reply
+    unicasts; a message-free write is the 5-tuple ``(epoch, entry,
+    policy, set_index, way)`` -- the writer *is* the owner, so no
+    separate owner fields are needed; a distributed-write owner write
+    with sharers is the 9-tuple extending the write record with
+    ``(present_epoch, copy_entries, owner, copies)`` -- the WRITE_UPDATE
+    multicast.  Record kinds are discriminated by length.
     ``hits`` and ``misses`` count fast-path engagement across all
     :meth:`replay` calls (the ``bench_fastpath_hit_rate`` checks).
     """
@@ -123,14 +122,11 @@ class FastPathTable:
             return
         # Invalid placeholder in global-read mode: the steady-state remote
         # read (2b ii via the OWNER field) is two deterministic unicasts
-        # whose plans and costs depend only on the (node, owner) pair.
+        # between node and owner.
         if owner_entry.state_field.distributed_write:
             return
         if entry.state_field.owner != owner:
             return
-        network = system.network
-        plan_out = unicast_plan(network, node, owner)
-        plan_back = unicast_plan(network, owner, node)
         self._reads[key] = (
             protocol.fastpath_epoch,
             entry,
@@ -139,10 +135,7 @@ class FastPathTable:
             location[1],
             owner,
             owner_entry,
-            plan_out,
-            plan_out.cost_for(protocol._cost_request),
-            plan_back,
-            plan_back.cost_for(protocol._cost_word_owner),
+            node,
         )
 
     def _register_write(self, node: int, block: int) -> None:
@@ -168,10 +161,9 @@ class FastPathTable:
             return
         # Non-exclusive distributed-write owner (3b): the steady-state
         # write is one WRITE_UPDATE multicast to the copy holders plus a
-        # data-word store at every copy.  The plan depends only on the
-        # (owner, present-vector) pair, so it is memoised here; a custom
-        # multicaster (or one with a net recorder) may account sends
-        # differently, so only the plain Multicaster is memoised.
+        # data-word store at every copy.  A custom multicaster (or one
+        # with a net recorder) may account sends differently, so only
+        # the plain Multicaster is recorded.
         multicaster = system.multicaster
         if (
             type(multicaster) is not Multicaster
@@ -185,14 +177,6 @@ class FastPathTable:
             if copy_entry is None or not copy_entry.state_field.valid:
                 return
             copy_entries.append(copy_entry)
-        word_bits = protocol._cost_word
-        plan = multicast_plan_for(
-            system.network,
-            multicaster.scheme,
-            node,
-            field.others(node),
-            word_bits,
-        )
         self._writes[key] = (
             protocol.fastpath_epoch,
             entry,
@@ -201,8 +185,8 @@ class FastPathTable:
             location[1],
             protocol.present_epoch,
             tuple(copy_entries),
-            plan,
-            plan.cost_for(word_bits),
+            node,
+            field.others(node),
         )
 
     # ------------------------------------------------------------------
@@ -418,8 +402,8 @@ class FastPathTable:
                             and 0 <= offset < block_size
                         ):
                             # Global-read remote read: count the hit per
-                            # record; the flush replays its memoised
-                            # request/reply unicasts.  The owner's mode
+                            # record; the flush posts its request/reply
+                            # unicasts.  The owner's mode
                             # is epoch-stable but re-checked live for
                             # free.
                             owner_field = record[6].state_field
@@ -475,42 +459,35 @@ class FastPathTable:
         """Apply a replay's deferred hit accounting (also the kernel's).
 
         The pending dicts map ``id(record)`` to ``[record, hit count]``;
-        each record's memoised plans are replayed scaled by its count.
+        each record's messages are posted scaled by its count.
         """
         protocol = self._protocol
         events = protocol.stats.events
-        traffic_bits = protocol.stats.traffic_bits
-        traffic_messages = protocol.stats.traffic_messages
-        apply_scaled = protocol.system.network.apply_plan_traffic_scaled
+        post = protocol._post
+        # Driven by hand, outside run_trace's window: one of its own.
+        own_window = protocol._ledger is None and protocol.open_window()
         gr_hits = 0
         if gr_pending:
             request_bits = protocol._cost_request
             word_owner_bits = protocol._cost_word_owner
-            bits_out = bits_back = 0
             for record, count in gr_pending.values():
                 gr_hits += count
-                bits_out += record[8] * count
-                bits_back += record[10] * count
-                apply_scaled(record[7], request_bits, count)
-                apply_scaled(record[9], word_owner_bits, count)
-            traffic_bits[MsgKind.LOAD_DIRECT.value] += bits_out
-            traffic_messages[MsgKind.LOAD_DIRECT.value] += gr_hits
-            traffic_bits[MsgKind.WORD_REPLY.value] += bits_back
-            traffic_messages[MsgKind.WORD_REPLY.value] += gr_hits
+                owner, node = record[5], record[7]
+                post(MsgKind.LOAD_DIRECT, node, owner, request_bits, count)
+                post(MsgKind.WORD_REPLY, owner, node, word_owner_bits, count)
             events[ev.READ_MISSES] += gr_hits
             events[ev.COHERENCE_MISSES] += gr_hits
             events[ev.GLOBAL_READS] += gr_hits
         dw_hits = 0
         if dw_pending:
             word_bits = protocol._cost_word
-            bits_update = 0
             for record, count in dw_pending.values():
                 dw_hits += count
-                bits_update += record[8] * count
-                apply_scaled(record[7], word_bits, count)
-            traffic_bits[MsgKind.WRITE_UPDATE.value] += bits_update
-            traffic_messages[MsgKind.WRITE_UPDATE.value] += dw_hits
+                owner, copies = record[7:]
+                post(MsgKind.WRITE_UPDATE, owner, copies, word_bits, count)
             events[ev.WRITE_UPDATES] += dw_hits
+        if own_window:
+            protocol.close_window()
         if local_read_hits or gr_hits:
             events[ev.READS] += local_read_hits + gr_hits
         if local_read_hits:

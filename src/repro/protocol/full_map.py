@@ -112,7 +112,7 @@ class FullMapProtocol(CoherenceProtocol):
                 MsgKind.OWN_REQ,
                 node,
                 self.home(block),
-                self.system.costs.request(),
+                self._cost_request,
             )
             self._invalidate_others(node, block)
         else:
@@ -130,10 +130,9 @@ class FullMapProtocol(CoherenceProtocol):
     def _fetch_block(self, node: NodeId, block: BlockId) -> CacheEntry:
         """Miss service: recall from a dirty holder, deliver from home."""
         home = self.home(block)
-        costs = self.system.costs
         memory = self.system.memory_for(block)
         directory = self._dir(block)
-        self._send(MsgKind.LOAD_REQ, node, home, costs.request())
+        self._send(MsgKind.LOAD_REQ, node, home, self._cost_request)
         if directory.dirty:
             (holder,) = directory.present
             holder_entry = self.system.caches[holder].find(block)
@@ -142,12 +141,12 @@ class FullMapProtocol(CoherenceProtocol):
                     f"full-map directory says cache {holder} holds block "
                     f"{block} dirty, but it has no entry"
                 )
-            self._send(MsgKind.DIR_RECALL, home, holder, costs.request())
+            self._send(MsgKind.DIR_RECALL, home, holder, self._cost_request)
             self._send(
                 MsgKind.WRITEBACK,
                 holder,
                 home,
-                costs.block_data(self.system.config.block_size_words),
+                self._cost_block,
             )
             self.stats.count(ev.WRITEBACKS)
             memory.write_block(block, holder_entry.data)
@@ -158,7 +157,7 @@ class FullMapProtocol(CoherenceProtocol):
             MsgKind.BLOCK_REPLY,
             home,
             node,
-            costs.block_data(self.system.config.block_size_words),
+            self._cost_block,
         )
         entry = self._allocate(node, block)
         entry.data = memory.read_block(block)
@@ -175,7 +174,7 @@ class FullMapProtocol(CoherenceProtocol):
                 MsgKind.DIR_INVALIDATE,
                 home,
                 others,
-                self.system.costs.request(),
+                self._cost_request,
             )
             self.stats.count(ev.INVALIDATIONS, len(others))
             for other in others:
@@ -199,7 +198,6 @@ class FullMapProtocol(CoherenceProtocol):
         self.stats.count(ev.REPLACEMENTS)
         state = decode_state(entry)
         home = self.home(block)
-        costs = self.system.costs
         directory = self._dir(block)
         if state is FullMapState.INVALID:
             directory.present.discard(node)
@@ -209,13 +207,13 @@ class FullMapProtocol(CoherenceProtocol):
                 MsgKind.WRITEBACK,
                 node,
                 home,
-                costs.block_data(self.system.config.block_size_words),
+                self._cost_block,
             )
             self.stats.count(ev.WRITEBACKS)
             self.system.memory_for(block).write_block(block, entry.data)
             directory.dirty = False
         else:
-            self._send(MsgKind.REPLACE_NOTIFY, node, home, costs.request())
+            self._send(MsgKind.REPLACE_NOTIFY, node, home, self._cost_request)
         directory.present.discard(node)
         entry.state_field = StateField()
 

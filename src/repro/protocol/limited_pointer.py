@@ -102,7 +102,7 @@ class LimitedPointerProtocol(CoherenceProtocol):
                 MsgKind.OWN_REQ,
                 node,
                 self.home(block),
-                self.system.costs.request(),
+                self._cost_request,
             )
             self._invalidate_others(node, block)
         else:
@@ -130,10 +130,9 @@ class LimitedPointerProtocol(CoherenceProtocol):
 
     def _fetch_block(self, node: NodeId, block: BlockId) -> CacheEntry:
         home = self.home(block)
-        costs = self.system.costs
         memory = self.system.memory_for(block)
         directory = self._dir(block)
-        self._send(MsgKind.LOAD_REQ, node, home, costs.request())
+        self._send(MsgKind.LOAD_REQ, node, home, self._cost_request)
         if directory.dirty:
             if directory.broadcast or len(directory.pointers) != 1:
                 raise ProtocolError(
@@ -147,12 +146,12 @@ class LimitedPointerProtocol(CoherenceProtocol):
                     f"directory says cache {holder} holds block {block} "
                     f"dirty, but it has no entry"
                 )
-            self._send(MsgKind.DIR_RECALL, home, holder, costs.request())
+            self._send(MsgKind.DIR_RECALL, home, holder, self._cost_request)
             self._send(
                 MsgKind.WRITEBACK,
                 holder,
                 home,
-                costs.block_data(self.system.config.block_size_words),
+                self._cost_block,
             )
             self.stats.count(ev.WRITEBACKS)
             memory.write_block(block, holder_entry.data)
@@ -163,7 +162,7 @@ class LimitedPointerProtocol(CoherenceProtocol):
             MsgKind.BLOCK_REPLY,
             home,
             node,
-            costs.block_data(self.system.config.block_size_words),
+            self._cost_block,
         )
         entry = self._allocate(node, block)
         entry.data = memory.read_block(block)
@@ -186,7 +185,7 @@ class LimitedPointerProtocol(CoherenceProtocol):
                 MsgKind.DIR_INVALIDATE,
                 home,
                 targets,
-                self.system.costs.request(),
+                self._cost_request,
             )
             invalidated = 0
             for other in targets:
@@ -216,7 +215,6 @@ class LimitedPointerProtocol(CoherenceProtocol):
         self.stats.count(ev.REPLACEMENTS)
         state = decode_state(entry)
         home = self.home(block)
-        costs = self.system.costs
         directory = self._dir(block)
         if state is FullMapState.INVALID:
             directory.pointers.discard(node)
@@ -226,13 +224,13 @@ class LimitedPointerProtocol(CoherenceProtocol):
                 MsgKind.WRITEBACK,
                 node,
                 home,
-                costs.block_data(self.system.config.block_size_words),
+                self._cost_block,
             )
             self.stats.count(ev.WRITEBACKS)
             self.system.memory_for(block).write_block(block, entry.data)
             directory.dirty = False
         else:
-            self._send(MsgKind.REPLACE_NOTIFY, node, home, costs.request())
+            self._send(MsgKind.REPLACE_NOTIFY, node, home, self._cost_request)
         directory.pointers.discard(node)
         entry.state_field = StateField()
 

@@ -25,9 +25,8 @@ class NoCacheProtocol(CoherenceProtocol):
         self.stats.count(ev.READS)
         block, offset = address
         home = self.home(block)
-        costs = self.system.costs
-        self._send(MsgKind.MEM_READ, node, home, costs.request())
-        self._send(MsgKind.WORD_REPLY, home, node, costs.word_data())
+        self._send(MsgKind.MEM_READ, node, home, self._cost_request)
+        self._send(MsgKind.WORD_REPLY, home, node, self._cost_word)
         return self.system.memory_for(block).read_word(block, offset)
 
     def write(self, node: NodeId, address: Address, value: int) -> None:
@@ -36,7 +35,5 @@ class NoCacheProtocol(CoherenceProtocol):
         self.stats.count(ev.REMOTE_WORD_WRITES)
         block, offset = address
         home = self.home(block)
-        self._send(
-            MsgKind.MEM_WRITE, node, home, self.system.costs.word_data()
-        )
+        self._send(MsgKind.MEM_WRITE, node, home, self._cost_word)
         self.system.memory_for(block).write_word(block, offset, value)

@@ -92,15 +92,6 @@ class StenstromProtocol(CoherenceProtocol):
         self._uncacheable: set[BlockId] = set()
         self._fastpath: FastPathTable | None = None
         self._batched_kernel: BatchedKernel | None = None
-        # Hot message costs, precomputed once; each is a pure function of
-        # the (immutable) system configuration.
-        costs = system.costs
-        words = system.config.block_size_words
-        self._cost_request = costs.request()
-        self._cost_ack = costs.ack()
-        self._cost_word = costs.word_data()
-        self._cost_block = costs.block_data(words)
-        self._cost_word_owner = costs.word_and_owner(system.n_nodes)
 
     # ------------------------------------------------------------------
     # Small accessors
@@ -358,7 +349,7 @@ class StenstromProtocol(CoherenceProtocol):
                     MsgKind.WRITEBACK,
                     cache.node_id,
                     home,
-                    system.costs.block_data(self._block_words()),
+                    self._cost_block,
                 )
                 memory.write_block(block, list(entry.data))
                 self.stats.count(ev.WRITEBACKS)
@@ -384,13 +375,12 @@ class StenstromProtocol(CoherenceProtocol):
         """Serve a degraded block like the no-cache baseline would."""
         block, offset = address
         home = self.home(block)
-        costs = self.system.costs
         self.stats.count(ev.FAULT_DIRECT_READS)
         if self.recorder is not None:
             self.recorder.fault(ev.FAULT_DIRECT_READS, node, block=block)
-        self._send_unguarded(MsgKind.MEM_READ, node, home, costs.request())
+        self._send_unguarded(MsgKind.MEM_READ, node, home, self._cost_request)
         self._send_unguarded(
-            MsgKind.WORD_REPLY, home, node, costs.word_data()
+            MsgKind.WORD_REPLY, home, node, self._cost_word
         )
         return self.system.memory_for(block).read_word(block, offset)
 
@@ -403,7 +393,7 @@ class StenstromProtocol(CoherenceProtocol):
         if self.recorder is not None:
             self.recorder.fault(ev.FAULT_DIRECT_WRITES, node, block=block)
         self._send_unguarded(
-            MsgKind.MEM_WRITE, node, home, self.system.costs.word_data()
+            MsgKind.MEM_WRITE, node, home, self._cost_word
         )
         self.system.memory_for(block).write_word(block, offset, value)
 
@@ -462,7 +452,7 @@ class StenstromProtocol(CoherenceProtocol):
                     MsgKind.INVALIDATE,
                     node,
                     copies,
-                    self.system.costs.request(),
+                    self._cost_request,
                 )
                 self.stats.count(ev.INVALIDATIONS, len(copies))
                 for other in copies:
@@ -653,14 +643,14 @@ class StenstromProtocol(CoherenceProtocol):
         """
         home = self.home(block)
         costs = self.system.costs
-        self._send(MsgKind.OWN_REQ, node, home, costs.request())
+        self._send(MsgKind.OWN_REQ, node, home, self._cost_request)
         old_owner, old_entry = self._owner_entry(block)
         if old_owner == node:
             raise ProtocolError(
                 f"cache {node} requested ownership of block {block} "
                 f"it already owns"
             )
-        self._send(MsgKind.OWN_FWD, home, old_owner, costs.request())
+        self._send(MsgKind.OWN_FWD, home, old_owner, self._cost_request)
         self.system.memory_for(block).block_store.set_owner(block, node)
         self.stats.count(ev.OWNERSHIP_TRANSFERS)
         self.fastpath_epoch += 1
@@ -729,7 +719,7 @@ class StenstromProtocol(CoherenceProtocol):
         """Write miss: load with ownership (4a/4b)."""
         home = self.home(block)
         costs = self.system.costs
-        self._send(MsgKind.OWN_REQ, node, home, costs.request())
+        self._send(MsgKind.OWN_REQ, node, home, self._cost_request)
         old_owner = self._owner_of(block)
         memory = self.system.memory_for(block)
         n_nodes = self.system.n_nodes
@@ -755,7 +745,7 @@ class StenstromProtocol(CoherenceProtocol):
                 f"cache {node} write-missed block {block} it owns"
             )
         # 4(b): forward to the old owner; copy + state field move.
-        self._send(MsgKind.OWN_FWD, home, old_owner, costs.request())
+        self._send(MsgKind.OWN_FWD, home, old_owner, self._cost_request)
         memory.block_store.set_owner(block, node)
         self.stats.count(ev.OWNERSHIP_TRANSFERS)
         self.fastpath_epoch += 1
@@ -915,14 +905,13 @@ class StenstromProtocol(CoherenceProtocol):
     def _replace_unowned(self, node: NodeId, block: BlockId) -> None:
         """5(c): tell the owner, via the home module, to clear our P flag."""
         home = self.home(block)
-        costs = self.system.costs
-        self._send(MsgKind.REPLACE_NOTIFY, node, home, costs.request())
+        self._send(MsgKind.REPLACE_NOTIFY, node, home, self._cost_request)
         owner = self._owner_of(block)
         if owner is None:
             # The placeholder outlived every copy (possible after mode
             # switches); nothing to clear.
             return
-        self._send(MsgKind.PRESENT_CLEAR, home, owner, costs.request())
+        self._send(MsgKind.PRESENT_CLEAR, home, owner, self._cost_request)
         owner_entry = self._cache(owner).find(block)
         if owner_entry is not None and node in owner_entry.state_field.present:
             owner_entry.state_field.present.discard(node)
@@ -940,19 +929,18 @@ class StenstromProtocol(CoherenceProtocol):
         block = entry.tag
         assert block is not None
         home = self.home(block)
-        costs = self.system.costs
         memory = self.system.memory_for(block)
         if entry.state_field.modified:
             self._send(
                 MsgKind.WRITEBACK,
                 node,
                 home,
-                costs.block_data(self._block_words()),
+                self._cost_block,
             )
             memory.write_block(block, entry.data)
             self.stats.count(ev.WRITEBACKS)
         else:
-            self._send(MsgKind.REPLACE_NOTIFY, node, home, costs.request())
+            self._send(MsgKind.REPLACE_NOTIFY, node, home, self._cost_request)
         memory.block_store.clear(block)
 
     def _replace_nonexclusive_owner(
@@ -961,15 +949,14 @@ class StenstromProtocol(CoherenceProtocol):
         """5(b): hand ownership to a cache named in the present vector."""
         block = entry.tag
         assert block is not None
-        costs = self.system.costs
         for candidate in sorted(entry.state_field.others(node)):
-            self._send(MsgKind.XFER_OFFER, node, candidate, costs.request())
+            self._send(MsgKind.XFER_OFFER, node, candidate, self._cost_request)
             candidate_entry = self._cache(candidate).find(block)
             if candidate_entry is None:
                 # Candidate replaced its copy in the meantime: NAK.
-                self._send(MsgKind.NAK, candidate, node, costs.ack())
+                self._send(MsgKind.NAK, candidate, node, self._cost_ack)
                 continue
-            self._send(MsgKind.ACK, candidate, node, costs.ack())
+            self._send(MsgKind.ACK, candidate, node, self._cost_ack)
             # "It requests the ownership according to the protocol": the
             # candidate acquires ownership through the home module, after
             # which our entry is UnOwned (DW) or an invalid placeholder

@@ -121,7 +121,6 @@ class WriteOnceProtocol(CoherenceProtocol):
         self.system.check_address(address)
         self.stats.count(ev.WRITES)
         block, offset = address
-        costs = self.system.costs
         home = self.home(block)
         entry = self.system.caches[node].find(block)
         state = decode_state(entry)
@@ -140,7 +139,7 @@ class WriteOnceProtocol(CoherenceProtocol):
             self.stats.count(ev.WRITE_HITS)
             self.system.caches[node].touch(block)
             self._send(
-                MsgKind.DIR_WRITE_THROUGH, node, home, costs.word_data()
+                MsgKind.DIR_WRITE_THROUGH, node, home, self._cost_word
             )
             self.system.memory_for(block).write_word(block, offset, value)
             self._invalidate_others(node, block)
@@ -162,10 +161,9 @@ class WriteOnceProtocol(CoherenceProtocol):
     def _fetch_block(self, node: NodeId, block: BlockId) -> CacheEntry:
         """Miss service: recall a dirty copy if one exists, then deliver."""
         home = self.home(block)
-        costs = self.system.costs
         memory = self.system.memory_for(block)
         directory = self._dir(block)
-        self._send(MsgKind.LOAD_REQ, node, home, costs.request())
+        self._send(MsgKind.LOAD_REQ, node, home, self._cost_request)
         if directory.dirty_holder is not None:
             holder = directory.dirty_holder
             holder_entry = self.system.caches[holder].find(block)
@@ -174,12 +172,12 @@ class WriteOnceProtocol(CoherenceProtocol):
                     f"directory says cache {holder} holds block {block} "
                     f"dirty, but it has no entry"
                 )
-            self._send(MsgKind.DIR_RECALL, home, holder, costs.request())
+            self._send(MsgKind.DIR_RECALL, home, holder, self._cost_request)
             self._send(
                 MsgKind.WRITEBACK,
                 holder,
                 home,
-                costs.block_data(self.system.config.block_size_words),
+                self._cost_block,
             )
             self.stats.count(ev.WRITEBACKS)
             memory.write_block(block, holder_entry.data)
@@ -190,7 +188,7 @@ class WriteOnceProtocol(CoherenceProtocol):
             MsgKind.BLOCK_REPLY,
             home,
             node,
-            costs.block_data(self.system.config.block_size_words),
+            self._cost_block,
         )
         entry = self._allocate(node, block)
         entry.data = memory.read_block(block)
@@ -208,7 +206,7 @@ class WriteOnceProtocol(CoherenceProtocol):
                 MsgKind.DIR_INVALIDATE,
                 home,
                 others,
-                self.system.costs.request(),
+                self._cost_request,
             )
             self.stats.count(ev.INVALIDATIONS, len(others))
             for other in others:
@@ -235,7 +233,6 @@ class WriteOnceProtocol(CoherenceProtocol):
         self.stats.count(ev.REPLACEMENTS)
         state = decode_state(entry)
         home = self.home(block)
-        costs = self.system.costs
         directory = self._dir(block)
         if state is WriteOnceState.INVALID:
             # An invalidated husk; the directory already dropped us.
@@ -246,13 +243,13 @@ class WriteOnceProtocol(CoherenceProtocol):
                 MsgKind.WRITEBACK,
                 node,
                 home,
-                costs.block_data(self.system.config.block_size_words),
+                self._cost_block,
             )
             self.stats.count(ev.WRITEBACKS)
             self.system.memory_for(block).write_block(block, entry.data)
         else:
             # Valid or Reserved: memory is current, just tell the home.
-            self._send(MsgKind.REPLACE_NOTIFY, node, home, costs.request())
+            self._send(MsgKind.REPLACE_NOTIFY, node, home, self._cost_request)
         directory.sharers.discard(node)
         if directory.dirty_holder == node:
             directory.dirty_holder = None

@@ -147,10 +147,11 @@ def run_trace(
 
     The network's traffic counters are reset at the start, so the report's
     network totals are attributable to this run alone.  For the length of
-    the replay the network counts plan uses in its link ledger
-    (:meth:`~repro.network.topology.OmegaNetwork.open_window`); it is
-    flushed before this function returns or raises, and any read of the
-    link counters through the network settles it first.
+    the replay the protocol posts its messages in the network's ledger
+    instead of sending them
+    (:meth:`~repro.protocol.base.CoherenceProtocol.open_window`); it is
+    settled before this function returns or raises, and any read of the
+    traffic counters through the network settles it first.
 
     ``timer``, if given, is any object with a ``lap(name)`` method (e.g.
     :class:`repro.perf.timer.PhaseTimer`); it receives ``"reset"``,
@@ -185,12 +186,12 @@ def run_trace(
         and recorder is None
     ):
         kernel = protocol.batched_kernel()
-    # The one place the network's deferred link ledger is opened and
-    # flushed, whichever tier replays: a plan's uses are counted during
-    # the loop and applied once here, also when the loop raises, so the
-    # link arrays always end as per-send accounting leaves them.
+    # The one place the message ledger is opened and settled, whichever
+    # tier replays: messages are counted during the loop and priced once
+    # here, also when the loop raises, so Stats and the network always
+    # end as per-send accounting leaves them.
     network = system.network
-    network.open_window()
+    protocol.open_window()
     try:
         if kernel is not None:
             n_reads, n_writes = kernel.replay(trace)
@@ -212,7 +213,7 @@ def run_trace(
                 recorder=recorder,
             )
     finally:
-        network.close_window()
+        protocol.close_window()
     # Final structural check -- unless the loop's last reference already
     # ran it (the stride divides the trace length exactly).  An empty
     # trace still gets its one check.

@@ -23,8 +23,8 @@ per reference again:
   offset)`` -- intermediate values are never observed, because fast-path
   reads do not read data words and value verification is gated off;
 * message-bearing records (global-read remote reads, distributed-write
-  multicast writes) replay their memoised route plans with
-  ``apply_plan_traffic_scaled``, bit-identical to per-send accounting.
+  multicast writes) post their messages, scaled, into the protocol's
+  message ledger, bit-identical to per-send accounting.
 
 A mode policy is consulted per chunk too.  Once the records validate, the
 policy is asked, block by block, how many of the block's references it

@@ -3,8 +3,13 @@
 The combined scheme prices schemes 1, 2 and 3 with
 :func:`scheme_load_counts` and builds only the winner, so these tests
 hold the closed forms against every candidate's *built* plan, and the
-chosen winner against ``min`` over the three built plans.
+chosen winner against ``min`` over the three built plans.  A replay's
+message ledger goes further and never builds a plan for a report at all:
+:func:`message_levels` must give, level by level, the links and bits the
+walked plan's ``loads_for(M)`` put there.
 """
+
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +20,7 @@ from repro.network import cost
 from repro.network.multicast import (
     Multicaster,
     MulticastScheme,
+    message_levels,
     multicast_plan_for,
     scheme_load_counts,
 )
@@ -26,6 +32,7 @@ CANDIDATES = (
     MulticastScheme.BROADCAST_TAG,
 )
 PAYLOADS = (0, 20, 84, 4096)
+ALL_SCHEMES = CANDIDATES + (MulticastScheme.COMBINED,)
 
 
 @st.composite
@@ -145,3 +152,129 @@ def test_invalid_ports_raise_before_anything_is_cached(scheme):
     with pytest.raises(ConfigurationError):
         caster.send_payload(8, 20, frozenset({1, 2}))
     assert len(network.route_plans) == 0
+
+
+# ---------------------------------------------------------------------------
+# By level: what the message ledger prices without a walk
+# ---------------------------------------------------------------------------
+
+
+def _walked_levels(network, plan, payload):
+    """``(links, bits)`` by level, summed from the plan's ``loads_for``."""
+    links = [0] * (network.n_stages + 1)
+    bits = [0] * (network.n_stages + 1)
+    for load in plan.loads_for(payload):
+        links[load.level] += 1
+        bits[load.level] += load.bits
+    return links, bits
+
+
+def _closed_levels(network, scheme, source, dests, payload):
+    links, tags = message_levels(network, scheme, source, dests, payload)
+    return list(links), [n * (payload + tag) for n, tag in zip(links, tags)]
+
+
+def _assert_levels_equal_the_walk(network, source, dest_set, payloads):
+    """All four schemes' closed forms against the three walked plans."""
+    # A concrete scheme's plan does not depend on the payload.
+    plans = [
+        multicast_plan_for(network, scheme, source, dest_set, 0)
+        for scheme in CANDIDATES
+    ]
+    for payload in payloads:
+        walked = [_walked_levels(network, plan, payload) for plan in plans]
+        costs = [plan.cost_for(payload) for plan in plans]
+        for scheme, levels, cost in zip(CANDIDATES, walked, costs):
+            closed = _closed_levels(
+                network, scheme, source, dest_set, payload
+            )
+            assert closed == levels
+            assert sum(closed[1]) == cost
+        # Eq. 8's pick and tie-break: the first minimum in scheme order.
+        winner = costs.index(min(costs))
+        assert walked[winner] == _closed_levels(
+            network, MulticastScheme.COMBINED, source, dest_set, payload
+        )
+        chosen = multicast_plan_for(
+            network, MulticastScheme.COMBINED, source, dest_set, payload
+        )
+        assert chosen.link_ops == plans[winner].link_ops
+        if len(dest_set) > 1:
+            assert chosen.scheme is CANDIDATES[winner]
+
+
+@pytest.mark.parametrize("n_ports", [4, 8])
+def test_levels_equal_the_walk_exhaustively(n_ports):
+    # Every non-empty destination set from every source, schemes 1, 2, 3
+    # and COMBINED, M in {0, 20, 84}.
+    network = OmegaNetwork(n_ports)
+    for size in range(1, n_ports + 1):
+        for members in combinations(range(n_ports), size):
+            for source in range(n_ports):
+                _assert_levels_equal_the_walk(
+                    network, source, frozenset(members), PAYLOADS[:3]
+                )
+
+
+@pytest.mark.slow
+def test_levels_equal_the_walk_exhaustively_at_16():
+    # All 65 535 sets, each from one source (inside the set and outside
+    # it by turns: the tree's shape does not depend on the source, only
+    # its positions do, and N <= 8 above tries every source) and with
+    # one of the three payloads by turns (links and bits are both linear
+    # in M, and the links are compared as such).
+    network = OmegaNetwork(16)
+    turn = 0
+    for size in range(1, 17):
+        for members in combinations(range(16), size):
+            outside = set(range(16)).difference(members)
+            source = min(outside) if outside and turn % 2 else members[0]
+            _assert_levels_equal_the_walk(
+                network, source, frozenset(members), PAYLOADS[turn % 3 :][:1]
+            )
+            turn += 1
+
+
+@pytest.mark.parametrize("n_ports", [4, 64])
+def test_one_destination_is_priced_as_a_unicast(n_ports):
+    network = OmegaNetwork(n_ports)
+    for source, dest in [(0, 0), (0, n_ports - 1), (n_ports - 1, 1)]:
+        only = frozenset((dest,))
+        plan = multicast_plan_for(
+            network, MulticastScheme.VECTOR, source, only, 20
+        )
+        for scheme in ALL_SCHEMES:
+            assert _closed_levels(
+                network, scheme, source, only, 20
+            ) == _walked_levels(network, plan, 20)
+    assert all(key[0] == "u" for key in network.route_plans.keys())
+
+
+def test_no_destination_costs_nothing_on_any_level():
+    network = OmegaNetwork(8)
+    links, _ = message_levels(
+        network, MulticastScheme.VECTOR, 0, frozenset(), 20
+    )
+    assert list(links) == [0] * (network.n_stages + 1)
+    assert len(network.route_plans) == 0
+
+
+@st.composite
+def large_sends(draw):
+    """``sends()`` at the sizes the benchmark runs, single sets included."""
+    n_ports = draw(st.sampled_from([64, 1024]))
+    port = st.integers(min_value=0, max_value=n_ports - 1)
+    span = draw(st.sampled_from([4, 16, n_ports]))
+    base = draw(st.integers(min_value=0, max_value=n_ports - span))
+    member = st.integers(min_value=base, max_value=base + span - 1)
+    dest_set = draw(st.frozensets(member, min_size=1, max_size=48))
+    return n_ports, draw(port), dest_set
+
+
+@settings(max_examples=150, deadline=None)
+@given(large_sends())
+def test_levels_equal_the_walk_at_benchmark_sizes(send):
+    n_ports, source, dest_set = send
+    _assert_levels_equal_the_walk(
+        OmegaNetwork(n_ports), source, dest_set, PAYLOADS
+    )

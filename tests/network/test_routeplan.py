@@ -181,6 +181,8 @@ class TestCombinedAccounting:
         stats = network.route_plans.stats()
         assert (stats["plans"], stats["hits"], stats["misses"]) == (1, 9, 1)
         assert stats["hit_rate"] == 0.9
+        # One plan was built from the price record, at the first send.
+        assert stats["walks"] == 1
 
     def test_record_key_is_scheme_source_destset(self):
         # bench/benchlib/probes.py harvests destination sets by this shape.
@@ -229,6 +231,7 @@ class TestRoutePlanCache:
         assert stats["misses"] == 1
         assert stats["hit_rate"] == 0.5
         assert stats["plans"] == 1
+        assert stats["walks"] == 0
 
     def test_rejects_nonpositive_maxsize(self):
         with pytest.raises(ValueError):

@@ -1,16 +1,32 @@
-"""The deferred link ledger and lazy link loads are invisible.
+"""The message ledger and lazy link loads are invisible.
 
-``run_trace`` opens an accounting window on the network: plan uses are
-counted per ``(plan, payload)`` and applied once, scaled, when the window
-closes.  These tests hold every replay tier, clean and under faults, to
-the arrays and reports of per-send accounting (the window forced shut),
-also when the trace dies half way; pin what ``reset_traffic`` and
-hand-driven references mean around a window; and check that
-``MulticastResult`` still looks like the frozen dataclass it was while
-building its loads only on demand.
+Inside ``run_trace``'s accounting window a protocol *posts* its messages:
+the network's ledger counts each distinct ``(kind, source, dests, bits)``,
+prices it once by closed form when the window settles, and walks the
+fabric only when a link or switch is read.  These tests hold every replay
+tier to the ``Stats`` (key order included), totals and arrays of per-send
+accounting (the window forced shut), and name the cases around the
+window's edges:
+
+* **something consumes individual sends** -- fault injector, recorder,
+  message log, net recorder, custom multicaster, no plan cache: the
+  ledger stays shut and nothing changes;
+* **an exception mid-trace** settles what was posted: ledgers and arrays
+  end as per-send accounting leaves them at the failing reference;
+* **``reset_traffic()`` inside a window** leaves the messages posted
+  before it counted in ``Stats`` and absent from the links;
+* **a replay tier driven by hand, no window open**
+  (``FastPathTable.replay``, ``BatchedKernel.replay``) has accounted
+  everything when it returns, with a plan cache or without;
+* **the lazy walk**: a report needs no ``RoutePlan``; the first per-link
+  read builds them, once.
+
+They also check that ``MulticastResult`` still looks like the frozen
+dataclass it was while building its loads only on demand.
 """
 
 import dataclasses
+import json
 import pickle
 
 import pytest
@@ -18,6 +34,7 @@ import pytest
 from repro.analysis.compare import default_factories
 from repro.errors import CoherenceError, TransientNetworkError
 from repro.faults.plan import FaultPlan
+from repro.network.contention import link_load_profile
 from repro.network.link import LinkLoad
 from repro.network.multicast import (
     Multicaster,
@@ -25,13 +42,17 @@ from repro.network.multicast import (
     MulticastScheme,
 )
 from repro.network.routing import unicast_plan
+from repro.network.selector import RegisterMulticaster, compile_registers
 from repro.network.topology import OmegaNetwork
 from repro.obs.heatmap import network_heatmaps
 from repro.obs.recorder import TraceRecorder
+from repro.protocol.limited_pointer import LimitedPointerProtocol
+from repro.protocol.messages import MsgKind
 from repro.sim.engine import run_trace
 from repro.sim.system import System, SystemConfig
 from repro.types import Address
 from repro.workloads.markov import markov_block_trace
+from repro.workloads.synthetic import random_trace
 
 N_NODES = 16
 FAULTY_PLAN = FaultPlan(
@@ -40,6 +61,7 @@ FAULTY_PLAN = FaultPlan(
     delay_probability=0.02,
     seed=0,
 )
+FACTORIES = {**default_factories(), "limited-pointer": LimitedPointerProtocol}
 
 
 def arrays(network):
@@ -54,30 +76,68 @@ def arrays(network):
     )
 
 
+def totals(network):
+    """What a report reads: answered without walking the fabric."""
+    return (
+        network.total_bits, network.bits_by_level(), network.total_messages
+    )
+
+
+def in_order(stats):
+    """``Stats.to_dict()`` as a string: equal only if key order is too."""
+    return json.dumps(stats.to_dict())
+
+
 @pytest.fixture
 def window_shut(monkeypatch):
     """Call to force per-send accounting from here on."""
 
     def shut():
-        monkeypatch.setattr(OmegaNetwork, "open_window", lambda self: None)
+        monkeypatch.setattr(
+            OmegaNetwork, "open_window", lambda self, *args: None
+        )
 
     return shut
 
 
-def _trace(compiled, n_references=600):
+def _trace(compiled, n_references=600, workload="markov"):
+    if workload == "migratory":
+        # Any node writes any block: ownership moves, destination sets
+        # rarely repeat (bench's ``migratory_n64`` is this kind).
+        return random_trace(
+            N_NODES, n_references, n_blocks=8, write_fraction=0.3,
+            locality=0.5, seed=2, compiled=compiled,
+        )
     return markov_block_trace(
         N_NODES, tasks=range(4), write_fraction=0.3,
         n_references=n_references, seed=2, compiled=compiled,
     )
 
 
-def _run(protocol_name, compiled, fault_plan):
+def _run(protocol_name, compiled, fault_plan, workload="markov"):
     system = System(SystemConfig(n_nodes=N_NODES), fault_plan=fault_plan)
-    protocol = default_factories()[protocol_name](system)
+    protocol = FACTORIES[protocol_name](system)
     report = run_trace(
-        protocol, _trace(compiled), verify=False, check_invariants_every=0
+        protocol, _trace(compiled, workload=workload), verify=False,
+        check_invariants_every=0,
     )
     return system, protocol, report
+
+
+def _assert_invisible(protocol_name, compiled, fault_plan, workload, shut):
+    system, _, report = _run(protocol_name, compiled, fault_plan, workload)
+    assert system.network._ledger is None  # closed again on the way out
+    shut()
+    shut_system, _, shut_report = _run(
+        protocol_name, compiled, fault_plan, workload
+    )
+    assert report.to_dict() == shut_report.to_dict()
+    assert in_order(report.stats) == in_order(shut_report.stats)
+    # Totals first: they must be exact before anything walks the fabric.
+    assert totals(system.network) == totals(shut_system.network)
+    assert arrays(system.network) == arrays(shut_system.network)
+    assert totals(system.network) == totals(shut_system.network)
+    assert report.network_total_bits == report.stats.total_bits
 
 
 @pytest.mark.parametrize("protocol_name", list(default_factories()))
@@ -88,37 +148,197 @@ def _run(protocol_name, compiled, fault_plan):
 def test_window_open_equals_per_send_accounting(
     protocol_name, compiled, fault_plan, window_shut
 ):
-    system, _, report = _run(protocol_name, compiled, fault_plan)
-    assert system.network._ledger is None  # closed again on the way out
-    window_shut()
-    shut_system, _, shut_report = _run(protocol_name, compiled, fault_plan)
-    assert report.to_dict() == shut_report.to_dict()
-    assert arrays(system.network) == arrays(shut_system.network)
-    assert report.network_total_bits == report.stats.total_bits
+    _assert_invisible(
+        protocol_name, compiled, fault_plan, "markov", window_shut
+    )
+
+
+@pytest.mark.parametrize(
+    "protocol_name, workload",
+    [(name, "migratory") for name in FACTORIES]
+    + [("limited-pointer", "markov")],
+)
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "refs"])
+def test_the_ledger_is_invisible_on_every_protocol_and_workload(
+    protocol_name, workload, compiled, window_shut
+):
+    _assert_invisible(protocol_name, compiled, None, workload, window_shut)
 
 
 def test_the_window_really_defers():
     # Guard against the equalities above holding because nothing defers.
-    network = OmegaNetwork(8)
-    plan = unicast_plan(network, 0, 5)
-    network.open_window()
-    for _ in range(4):
-        network.apply_plan_traffic(plan, 20)
-    assert network._ledger == {(plan, 20): 4}
-    assert sum(network._link_messages) == 0
-    # Any read through the network settles first and is exact.
+    system = System(SystemConfig(n_nodes=8))
+    network = system.network
+    protocol = default_factories()["no-cache"](system)
+    protocol.open_window()
+    for step in range(4):
+        protocol.write(0, Address(5, 0), step)
+    word = protocol._cost_word
+    assert network._ledger == {(MsgKind.MEM_WRITE.value, 0, 5, word): 4}
+    assert protocol.stats.total_bits == 0
+    # Any read through the network settles first and is exact ...
     assert network.total_messages == 4 * (network.n_stages + 1)
     assert network._ledger == {}
-    network.close_window()
-    assert network._ledger is None
+    assert protocol.stats.traffic_messages == {MsgKind.MEM_WRITE.value: 4}
+    assert network.total_bits == protocol.stats.total_bits
+    # ... and only a per-link read walks the fabric.
+    assert sum(network._link_messages) == 0
+    assert len(network.route_plans) == 0
+    assert sum(network.link_utilization().messages) == network.total_messages
+    assert len(network.route_plans) == 1
+    protocol.close_window()
+    assert network._ledger is None and protocol._ledger is None
 
 
 def test_no_window_without_a_plan_cache():
-    # The cold reference path builds a fresh plan per send: none repeats.
-    network = OmegaNetwork(8)
-    network.route_plans = None
-    network.open_window()
-    assert network._ledger is None
+    # The cold reference path walks switch by switch, send by send.
+    system = System(SystemConfig(n_nodes=8))
+    system.network.route_plans = None
+    protocol = default_factories()["full-map"](system)
+    protocol.open_window()
+    assert system.network._ledger is None and protocol._ledger is None
+    protocol.write(0, Address(5, 0), 1)
+    assert sum(system.network._link_bits) == protocol.stats.total_bits > 0
+    protocol.close_window()
+
+
+def _consumers():
+    """Configurations in which something consumes individual sends."""
+
+    def plain(**system_kwargs):
+        def build():
+            system = System(SystemConfig(n_nodes=N_NODES), **system_kwargs)
+            return system, default_factories()["two-mode"](system), {}
+        return build
+
+    def message_log():
+        system, protocol, _ = plain()()
+        protocol.enable_message_log()
+        return system, protocol, {}
+
+    def recorder():
+        system, protocol, _ = plain()()
+        return system, protocol, {"recorder": TraceRecorder()}
+
+    def net_recorder():
+        system, protocol, _ = plain()()
+        system.multicaster.recorder = TraceRecorder()
+        return system, protocol, {}
+
+    registers = compile_registers(N_NODES, 4, 20)
+    return {
+        "faults": plain(fault_plan=FAULTY_PLAN),
+        "recorder": recorder,
+        "message_log": message_log,
+        "net_recorder": net_recorder,
+        "custom_multicaster": plain(
+            multicaster_factory=lambda net: RegisterMulticaster(
+                net, registers
+            )
+        ),
+    }
+
+
+@pytest.mark.parametrize("consumer", list(_consumers()))
+def test_the_ledger_stays_shut_when_sends_are_consumed(
+    consumer, window_shut, monkeypatch
+):
+    def run():
+        system, protocol, kwargs = _consumers()[consumer]()
+        seen = []
+        write = protocol.write
+
+        def spying_write(*args):
+            seen.append(protocol._ledger)
+            return write(*args)
+
+        protocol.write = spying_write
+        report = run_trace(
+            protocol, _trace(True, 300), verify=False,
+            check_invariants_every=0, **kwargs,
+        )
+        assert seen and all(ledger is None for ledger in seen)
+        return system, protocol, report
+
+    system, protocol, report = run()
+    assert system.network._unwalked == {}  # every send reached its links
+    window_shut()
+    shut_system, shut_protocol, shut_report = run()
+    assert in_order(report.stats) == in_order(shut_report.stats)
+    assert protocol.message_log == shut_protocol.message_log
+    assert totals(system.network) == totals(shut_system.network)
+    assert arrays(system.network) == arrays(shut_system.network)
+
+
+class TestLazyWalk:
+    """A report needs prices, not plans; the first per-link read walks."""
+
+    def _cell(self):
+        system = System(SystemConfig(n_nodes=N_NODES))
+        protocol = default_factories()["full-map"](system)
+        report = run_trace(
+            protocol, _trace(True), verify=False, check_invariants_every=0
+        )
+        return system, report
+
+    def test_a_report_builds_no_route_plan(self):
+        system, report = self._cell()
+        cache = system.network.route_plans
+        assert report.stats.traffic_messages[MsgKind.DIR_INVALIDATE.value] > 0
+        assert report.network_total_bits == report.stats.total_bits > 0
+        assert sum(report.network_bits_by_level) == report.network_total_bits
+        assert system.route_plan_stats()["walks"] == 0
+        records = [cache.get(key) for key in list(cache.keys())]
+        # Only price records, keyed as bench's probes harvest them.
+        assert records and all(
+            record.plans == [None, None, None] for record in records
+        )
+        assert all(
+            key[0] is MulticastScheme.COMBINED and len(key[2]) > 1
+            for key in cache.keys()
+        )
+
+    def test_reading_links_walks_once_and_equals_per_send(self, window_shut):
+        system, _ = self._cell()
+        network = system.network
+        before = totals(network)
+        walked = arrays(network)
+        walks = system.route_plan_stats()["walks"]
+        assert walks > 0 and network._unwalked == {}
+        assert totals(network) == before
+        assert (sum(walked[0]), sum(walked[1])) == (before[0], before[2])
+        assert arrays(network) == walked  # a second read ...
+        assert system.route_plan_stats()["walks"] == walks  # ... walks nothing
+        window_shut()
+        shut_system, _ = self._cell()
+        assert arrays(shut_system.network) == walked
+
+    def test_the_load_profile_and_the_recorder_gauge_see_the_walk(self):
+        system = System(SystemConfig(n_nodes=N_NODES))
+        protocol = default_factories()["full-map"](system)
+        report = run_trace(protocol, _trace(True), verify=False)
+        profile = link_load_profile(system.network)
+        assert profile.total_bits == report.network_total_bits
+        assert profile.busiest_bits == max(arrays(system.network)[0]) > 0
+        # The walks a per-link reader caused are a gauge of the next
+        # recorded run, beside the cache's hits and misses.
+        recorder = TraceRecorder()
+        run_trace(protocol, _trace(True, 50), verify=False, recorder=recorder)
+        walks = recorder.metrics.gauges["route_plans_walks"]
+        assert walks == system.route_plan_stats()["walks"] > 0
+
+    def test_a_walk_mid_window_leaves_the_window_open(self):
+        system = System(SystemConfig(n_nodes=8))
+        protocol = default_factories()["no-cache"](system)
+        protocol.open_window()
+        protocol.read(1, Address(6, 0))
+        first = sum(system.network.link_utilization().bits)
+        assert first == protocol.stats.total_bits > 0
+        protocol.read(1, Address(6, 0))
+        assert protocol._ledger  # still posting
+        protocol.close_window()
+        assert system.network.total_bits == 2 * first
+        assert sum(system.network.link_utilization().bits) == 2 * first
 
 
 def _die_after(protocol, n_calls, error):
@@ -152,11 +372,36 @@ def test_coherence_error_mid_trace_leaves_per_send_arrays(
     system, protocol = run()
     window_shut()
     shut_system, shut_protocol = run()
-    assert system.network._ledger is None
+    assert system.network._ledger is None and protocol._ledger is None
     assert system.network.total_bits > 0
+    assert totals(system.network) == totals(shut_system.network)
     assert arrays(system.network) == arrays(shut_system.network)
-    assert protocol.stats.to_dict() == shut_protocol.stats.to_dict()
+    assert in_order(protocol.stats) == in_order(shut_protocol.stats)
     assert system.network.total_bits == protocol.stats.total_bits
+
+
+def test_error_mid_kernel_replay_settles_the_deferred_hits(window_shut):
+    # The kernel and the table hold hit counts of their own: their
+    # ``finally`` posts them before run_trace's settles the ledger.
+    def run():
+        system = System(SystemConfig(n_nodes=N_NODES))
+        protocol = default_factories()["two-mode"](system)
+        _die_after(protocol, 30, CoherenceError("planted", block=0, node=0))
+        with pytest.raises(CoherenceError, match="planted"):
+            run_trace(
+                protocol, _trace(True), verify=False,
+                check_invariants_every=0,
+            )
+        return system, protocol
+
+    system, protocol = run()
+    assert protocol.batched_kernel().batched_refs > 0
+    window_shut()
+    shut_system, shut_protocol = run()
+    assert in_order(protocol.stats) == in_order(shut_protocol.stats)
+    assert totals(system.network) == totals(shut_system.network)
+    assert arrays(system.network) == arrays(shut_system.network)
+    assert system.network.total_bits == protocol.stats.total_bits > 0
 
 
 def test_retry_exhaustion_mid_trace_leaves_per_send_arrays(window_shut):
@@ -213,18 +458,32 @@ def test_recorder_and_message_log_see_the_same_loads(fault_plan, window_shut):
 
 class TestResetTraffic:
     def test_reset_inside_a_window_drops_pending_posts_too(self):
-        network = OmegaNetwork(8)
-        plan = unicast_plan(network, 1, 6)
-        network.open_window()
-        for _ in range(3):
-            network.apply_plan_traffic(plan, 20)
-        network.reset_traffic()
-        assert network._ledger == {}  # still open, nothing pending
-        assert network.total_bits == 0
-        network.apply_plan_traffic(plan, 20)
-        network.close_window()
-        assert network.total_bits == plan.cost_for(20)
-        assert network.total_messages == network.n_stages + 1
+        # Posted before the reset: counted in Stats, absent from the links
+        # -- what per-send accounting leaves (the shut run below).
+        def run(open_window):
+            system = System(SystemConfig(n_nodes=8))
+            protocol = default_factories()["write-once"](system)
+            if open_window:
+                protocol.open_window()
+            for step in range(3):
+                protocol.write(step, Address(6, 0), step)
+            system.reset_traffic()
+            assert system.network.total_bits == 0
+            before = protocol.stats.total_bits
+            protocol.read(1, Address(6, 0))
+            protocol.close_window()
+            return system, protocol, before
+
+        system, protocol, before = run(True)
+        assert system.network._ledger is None
+        shut_system, shut_protocol, shut_before = run(False)
+        assert before == shut_before > 0
+        assert in_order(protocol.stats) == in_order(shut_protocol.stats)
+        assert totals(system.network) == totals(shut_system.network)
+        assert arrays(system.network) == arrays(shut_system.network)
+        assert (
+            system.network.total_bits == protocol.stats.total_bits - before
+        )
 
     def test_reset_outside_a_window_is_unchanged(self):
         network = OmegaNetwork(8)
@@ -234,6 +493,16 @@ class TestResetTraffic:
         assert network._ledger is None
         assert arrays(network) == arrays(OmegaNetwork(8))
         assert len(network.route_plans) == 1  # plans survive
+
+    def test_reset_drops_priced_messages_nobody_walked(self):
+        system, protocol, report = _run("full-map", True, None)
+        assert system.network._unwalked
+        system.reset_traffic()
+        assert totals(system.network) == (
+            0, [0] * (system.network.n_stages + 1), 0
+        )
+        assert arrays(system.network) == arrays(OmegaNetwork(N_NODES))
+        assert protocol.stats.total_bits == report.network_total_bits
 
     def test_second_run_trace_starts_from_zero(self):
         system, protocol, first = _run("two-mode", True, None)
@@ -259,6 +528,36 @@ def test_hand_driven_references_account_immediately(protocol_name):
         assert sum(system.network._link_bits) == protocol.stats.total_bits
         seen.append(system.network.total_bits)
     assert seen == sorted(seen) and seen[-1] > 0
+
+
+@pytest.mark.parametrize("tier", ["table", "kernel"])
+@pytest.mark.parametrize("protocol_name", ["global-read", "two-mode"])
+def test_hand_driven_replay_tiers_account_before_returning(
+    tier, protocol_name
+):
+    # No window open: the flush of the deferred hits holds its own, or --
+    # where none can open (no plan cache) -- sends them one by one.
+    def replay(plan_cache):
+        system = System(SystemConfig(n_nodes=N_NODES))
+        if not plan_cache:
+            system.network.route_plans = None
+        protocol = default_factories()[protocol_name](system)
+        tiers = {"table": protocol.fastpath, "kernel": protocol.batched_kernel}
+        tiers[tier]().replay(_trace(True))
+        assert protocol.fastpath().hits > 0
+        assert system.network._ledger is None and protocol._ledger is None
+        assert system.network.total_bits == protocol.stats.total_bits > 0
+        return system, protocol
+
+    system, protocol = replay(plan_cache=True)
+    cold_system, cold_protocol = replay(plan_cache=False)
+    assert not cold_system.network._unwalked
+    ran_system, _, report = _run(protocol_name, True, None)
+    for stats in (protocol.stats, cold_protocol.stats):
+        assert in_order(stats) == in_order(report.stats)
+    assert totals(system.network) == totals(ran_system.network)
+    assert arrays(system.network) == arrays(ran_system.network)
+    assert arrays(cold_system.network) == arrays(ran_system.network)
 
 
 class TestMulticastResultShape:
