@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Fourteen commands cover the common uses of the library without writing
+Thirteen commands cover the common uses of the library without writing
 code:
 
 * ``tables``  -- regenerate the paper's Tables 2, 3 and 4 next to the
@@ -14,9 +14,6 @@ code:
   :mod:`repro.runner` subsystem (``--workers`` fans cells out over
   processes, ``--cache-dir`` skips unchanged cells, ``--journal``
   records task events), optionally archived as JSON;
-* ``perf``    -- the :mod:`repro.perf` microbenchmarks: cached-vs-cold
-  equivalence checks always run; timings compare against the committed
-  ``BENCH_perf.json`` baseline (see docs/PERF.md);
 * ``chaos``   -- a fault-injection campaign (:mod:`repro.faults`):
   sweep message drop rates (plus optional duplicates, delays and dead
   links/switches) with invariants checked after every reference, and
@@ -146,74 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "export per-cell trace + heatmap artifacts to this directory "
             "(bypasses the result cache)"
         ),
-    )
-
-    perf = commands.add_parser(
-        "perf",
-        help=(
-            "run the perf microbenchmarks (trace replay, compiled "
-            "replay, fast-path hit rate, batched replay, multicast "
-            "fan-out, sweep throughput, serve hot cache) with "
-            "equivalence checks, gate against the BENCH_perf.json "
-            "baseline, and append a BENCH_history.jsonl row"
-        ),
-    )
-    perf.add_argument(
-        "--equivalence-only",
-        action="store_true",
-        help=(
-            "assert cached == cold results but skip the timing gate "
-            "(for CI machines whose timing is unreliable)"
-        ),
-    )
-    perf.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record this run as the new baseline instead of comparing",
-    )
-    perf.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline file (default: BENCH_perf.json at the repo root)",
-    )
-    perf.add_argument(
-        "--output",
-        help="also write this run's results as JSON to this path",
-    )
-    perf.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="allowed fractional slowdown before failing (default 0.25)",
-    )
-    perf.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timed repetitions per benchmark (best is kept)",
-    )
-    perf.add_argument(
-        "--only",
-        default=None,
-        metavar="NAME[,NAME...]",
-        help=(
-            "run only these comma-separated benchmarks (e.g. "
-            "batched_replay_n1024); the baseline gate then skips "
-            "benchmarks that were not run"
-        ),
-    )
-    perf.add_argument(
-        "--history",
-        default=None,
-        help=(
-            "append this run's timestamped rates to this JSONL file "
-            "(default: BENCH_history.jsonl at the repo root)"
-        ),
-    )
-    perf.add_argument(
-        "--no-history",
-        action="store_true",
-        help="skip appending to the history file",
     )
 
     chaos = commands.add_parser(
@@ -939,112 +868,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rate_delta(result, previous: dict | None) -> str:
-    """This run's rate vs the last ``BENCH_history.jsonl`` row.
-
-    Display-only (the enforced gate is the baseline comparison): the
-    history row may come from another machine or Python version, so a
-    delta here is a hint about when a rate moved, never a failure.
-    """
-    if not previous:
-        return "-"
-    rates = previous.get("rates")
-    before = rates.get(result.name) if isinstance(rates, dict) else None
-    if not isinstance(before, (int, float)) or before <= 0:
-        return "-"
-    return f"{(result.rate - before) / before:+.1%}"
-
-
-def _command_perf(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.analysis.report import render_table
-    from repro.perf import run_benchmarks
-    from repro.perf.regress import (
-        DEFAULT_BASELINE,
-        DEFAULT_HISTORY,
-        DEFAULT_THRESHOLD,
-        append_history,
-        compare_to_baseline,
-        latest_history_row,
-        load_baseline,
-        results_payload,
-        write_baseline,
-    )
-
-    from repro.errors import ConfigurationError
-
-    only = None
-    if args.only:
-        only = [name.strip() for name in args.only.split(",") if name.strip()]
-    try:
-        results = run_benchmarks(
-            equivalence_only=args.equivalence_only,
-            repeats=args.repeats,
-            only=only,
-        )
-    except ConfigurationError as exc:
-        print(f"perf: {exc}")
-        return 2
-    history_path = args.history or DEFAULT_HISTORY
-    previous = latest_history_row(history_path)
-    rows = [
-        (
-            result.name,
-            f"{result.rate:,.0f} {result.unit}/s",
-            _rate_delta(result, previous),
-            f"{result.wall_time:.3f}s",
-            "yes" if result.equivalent else "NO",
-        )
-        for result in results.values()
-    ]
-    print(
-        render_table(
-            ("benchmark", "rate", "vs last run", "wall", "cached == cold"),
-            rows,
-            title="perf microbenchmarks (pinned seeds)",
-        )
-    )
-    if args.output:
-        Path(args.output).write_text(
-            json.dumps(results_payload(results), indent=2, sort_keys=True)
-            + "\n"
-        )
-        print(f"results written to {args.output}")
-    if not args.no_history:
-        history = append_history(results, history_path)
-        print(f"history row appended to {history}")
-
-    baseline_path = Path(args.baseline or DEFAULT_BASELINE)
-    if args.write_baseline:
-        written = write_baseline(results, baseline_path)
-        print(f"baseline written to {written}")
-        return 0
-    if not baseline_path.exists():
-        print(
-            f"no baseline at {baseline_path} "
-            f"(run with --write-baseline to create one)"
-        )
-        return 0
-    problems = compare_to_baseline(
-        results,
-        load_baseline(baseline_path),
-        threshold=(
-            DEFAULT_THRESHOLD if args.threshold is None else args.threshold
-        ),
-        check_timing=not args.equivalence_only,
-        subset=only is not None,
-    )
-    if problems:
-        for problem in problems:
-            print(f"REGRESSION: {problem}")
-        return 1
-    mode = "equivalence" if args.equivalence_only else "equivalence + timing"
-    print(f"baseline {baseline_path}: pass ({mode})")
-    return 0
-
-
 def _parse_pairs(values: list[str], label: str) -> tuple[tuple[int, int], ...]:
     """``["1:3", "0:0"]`` -> ``((1, 3), (0, 0))`` with a usable error."""
     from repro.errors import ConfigurationError
@@ -1461,7 +1284,6 @@ _COMMANDS = {
     "compare": _command_compare,
     "latency": _command_latency,
     "sweep": _command_sweep,
-    "perf": _command_perf,
     "chaos": _command_chaos,
     "trace": _command_trace,
     "heatmap": _command_heatmap,

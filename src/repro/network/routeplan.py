@@ -23,23 +23,25 @@ Two classes:
   numbers the switch-by-switch walk would have produced; ``cost_for`` is
   two multiplications, ``loads_for`` allocates one ``LinkLoad`` per link
   and is only called when something reads a result's ``.loads``.
-* :class:`RoutePlanCache` -- a bounded LRU of plans and of the price
-  records multicasts are priced from before any plan exists.  Each
-  :class:`~repro.network.topology.OmegaNetwork` instance owns one, so plans
+* :class:`RoutePlanCache` -- a :class:`~repro.lru.BoundedLRU` of plans
+  and of the price records multicasts are priced from before any plan
+  exists.  Each :class:`~repro.network.topology.OmegaNetwork` instance
+  owns one, so plans
   can never leak across topologies: a different network (or port count)
   starts from an empty cache, and :meth:`OmegaNetwork.reset_traffic` zeroes
   counters while leaving the plans -- they describe wiring, not traffic.
 
 Replaying a plan is *bit-identical* to the walk it replaces: the same
 ``LinkLoad`` tuples (identical values, parents and order), the same
-per-link and per-switch counter increments, the same delivered sets.
+per-link and per-switch counter increments, the same delivered sets
+(tests/network/test_routeplan.py, against ``route_plans = None``).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
+from repro.lru import BoundedLRU
 from repro.network.link import LinkLoad
 
 #: How many distinct payload sizes one plan memoises results for before
@@ -195,7 +197,7 @@ class RoutePlan:
         )
 
 
-class RoutePlanCache:
+class RoutePlanCache(BoundedLRU):
     """A bounded LRU of :class:`RoutePlan` values keyed by route identity.
 
     Keys are ``(scheme tag, source, frozen destination set)`` tuples.  The
@@ -205,67 +207,28 @@ class RoutePlanCache:
     The cache itself is owned by one network instance, so topology is
     implied by ownership and plans can never be replayed against a
     network with different wiring.  ``hits`` / ``misses`` make the cache
-    observable (the perf harness reports the hit rate); ``walks`` counts
-    the plans built from a price record.
+    observable (``bench/`` reports the hit share); ``walks`` counts the
+    plans built from a price record.
     """
 
-    __slots__ = ("maxsize", "hits", "misses", "walks", "_plans")
+    __slots__ = ("walks",)
 
     def __init__(self, maxsize: int = 4096) -> None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
+        super().__init__(maxsize)
         self.walks = 0
-        self._plans: OrderedDict[Hashable, object] = OrderedDict()
-
-    def get(self, key: Hashable) -> object | None:
-        """The cached plan for ``key``, refreshing its LRU position."""
-        plan = self._plans.get(key)
-        if plan is None:
-            self.misses += 1
-            return None
-        self._plans.move_to_end(key)
-        self.hits += 1
-        return plan
-
-    def put(self, key: Hashable, plan: object) -> None:
-        """Insert ``plan``, evicting the least recently used on overflow."""
-        plans = self._plans
-        plans[key] = plan
-        plans.move_to_end(key)
-        while len(plans) > self.maxsize:
-            plans.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every plan (hit/miss counters are kept)."""
-        self._plans.clear()
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._plans
-
-    def keys(self) -> Iterable[Hashable]:
-        """The cached keys, least recently used first."""
-        return self._plans.keys()
 
     def stats(self) -> dict[str, int | float]:
-        """Hit/miss/walk counters and the resulting hit rate."""
-        lookups = self.hits + self.misses
+        """Hit/miss/walk counters and the resulting hit rate.
+
+        A traced run publishes every key as a ``route_plans_*`` gauge, so
+        the key set is part of the trace format.
+        """
+        stats = super().stats()
         return {
-            "plans": len(self._plans),
+            "plans": stats["entries"],
             "maxsize": self.maxsize,
             "hits": self.hits,
             "misses": self.misses,
             "walks": self.walks,
-            "hit_rate": self.hits / lookups if lookups else 0.0,
+            "hit_rate": stats["hit_rate"],
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RoutePlanCache(plans={len(self._plans)}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )

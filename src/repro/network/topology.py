@@ -172,7 +172,7 @@ class OmegaNetwork:
         #: Memoised route plans for this topology (see
         #: :mod:`repro.network.routeplan`).  Setting this to ``None``
         #: disables memoisation -- every operation re-walks the fabric --
-        #: which the perf harness uses as its cold reference path.
+        #: which is the cold reference path the tests compare against.
         self.route_plans: RoutePlanCache | None = RoutePlanCache()
         #: Optional :class:`~repro.faults.injector.FaultInjector` attached
         #: by :class:`~repro.sim.system.System` when its fault plan is

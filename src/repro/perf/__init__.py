@@ -1,61 +1,13 @@
-"""Performance measurement for the simulator itself.
+"""Timing the simulator itself.
 
-The paper's experiments sweep hundreds of configurations; how fast the
-simulator replays a reference trace bounds how much of the design space a
-session can explore.  This package measures that speed and guards it:
-
-* :mod:`repro.perf.timer` -- monotonic phase timers
-  (:class:`~repro.perf.timer.PhaseTimer`), accepted by
-  :func:`repro.sim.engine.run_trace` for coarse phase breakdowns;
-* :mod:`repro.perf.harness` -- pinned-seed microbenchmarks (trace replay,
-  multicast fan-out, sweep throughput), each paired with an *equivalence
-  check* that replays the workload with route-plan memoisation disabled
-  and asserts bit-identical results;
-* :mod:`repro.perf.regress` -- reads and writes the ``BENCH_perf.json``
-  baseline at the repo root and fails when a benchmark regresses beyond a
-  threshold.
-
-Run via ``repro perf`` (see :mod:`repro.cli`).
+Host time has one instrument, the benchmark of record (``bench/`` +
+``BENCHMARK.json``), and bit-identity between the fast paths and their
+reference paths is tier-1's job (docs/PERF.md, "Where each proof
+lives").  What remains here is the clock both use:
+:class:`~repro.perf.timer.PhaseTimer`, accepted by
+:func:`repro.sim.engine.run_trace` for coarse phase breakdowns.
 """
 
-from repro.perf.harness import (
-    BenchResult,
-    bench_batched_replay,
-    bench_compiled_replay,
-    bench_fastpath_hit_rate,
-    bench_multicast_fanout,
-    bench_serve_hot_cache,
-    bench_serve_sharded,
-    bench_sweep_throughput,
-    bench_trace_replay,
-    benchmark_names,
-    run_benchmarks,
-)
-from repro.perf.regress import (
-    PerfRegression,
-    compare_to_baseline,
-    latest_history_row,
-    load_baseline,
-    write_baseline,
-)
 from repro.perf.timer import PhaseTimer
 
-__all__ = [
-    "BenchResult",
-    "PerfRegression",
-    "PhaseTimer",
-    "bench_batched_replay",
-    "bench_compiled_replay",
-    "bench_fastpath_hit_rate",
-    "bench_multicast_fanout",
-    "bench_serve_hot_cache",
-    "bench_serve_sharded",
-    "bench_sweep_throughput",
-    "bench_trace_replay",
-    "benchmark_names",
-    "compare_to_baseline",
-    "latest_history_row",
-    "load_baseline",
-    "run_benchmarks",
-    "write_baseline",
-]
+__all__ = ["PhaseTimer"]

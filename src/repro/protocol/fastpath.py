@@ -36,7 +36,8 @@ counters, the same replacement-policy touch, the same data-word access
 and the same mode-policy consultation (which may itself trigger a
 ``set_mode`` and bump the epoch).  Replaying a compiled trace through
 the table is therefore bit-identical to replaying it reference by
-reference (proven every ``repro perf`` run; docs/PERF.md).
+reference (tests/protocol/test_fastpath.py, tests/sim/test_ctrace.py;
+docs/PERF.md, "Where each proof lives").
 
 The table is only handed out in configurations where the shortcut is
 sound: ``StenstromProtocol.fastpath`` returns ``None`` under fault

@@ -40,9 +40,9 @@ import json
 import os
 import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
 
+from repro.lru import BoundedLRU
 from repro.runner.spec import ExperimentSpec
 from repro.sim.engine import SimulationReport
 
@@ -324,18 +324,26 @@ class TieredResultCache:
             else None
         )
         self.metrics = metrics
-        self._hot: OrderedDict[str, SimulationReport] = OrderedDict()
+        self._hot = BoundedLRU(capacity)
         self._lock = threading.Lock()
-        self.hot_hits = 0
-        self.hot_misses = 0
         self.disk_hits = 0
         self.disk_misses = 0
-        self.evictions = 0
 
     # ------------------------------------------------------------------
 
-    def _count(self, name: str) -> None:
-        setattr(self, name, getattr(self, name) + 1)
+    @property
+    def hot_hits(self) -> int:
+        return self._hot.hits
+
+    @property
+    def hot_misses(self) -> int:
+        return self._hot.misses
+
+    @property
+    def evictions(self) -> int:
+        return self._hot.evictions
+
+    def _mirror(self, name: str) -> None:
         if self.metrics is not None:
             self.metrics.inc(f"result_cache.{name}")
 
@@ -360,17 +368,18 @@ class TieredResultCache:
         with self._lock:
             report = self._hot.get(spec_hash)
             if report is not None:
-                self._hot.move_to_end(spec_hash)
-                self._count("hot_hits")
+                self._mirror("hot_hits")
                 return report, "hot"
-            self._count("hot_misses")
+            self._mirror("hot_misses")
         if self.disk is None:
             return None, None
         report = self.disk.get(spec)
         if report is None:
-            self._count("disk_misses")
+            self.disk_misses += 1
+            self._mirror("disk_misses")
             return None, None
-        self._count("disk_hits")
+        self.disk_hits += 1
+        self._mirror("disk_hits")
         with self._lock:
             self._insert(spec_hash, report)
         return report, "disk"
@@ -388,12 +397,11 @@ class TieredResultCache:
             self._insert(spec.spec_hash, report)
 
     def _insert(self, spec_hash: str, report: SimulationReport) -> None:
-        # Caller holds the lock.
-        self._hot[spec_hash] = report
-        self._hot.move_to_end(spec_hash)
-        while len(self._hot) > self.capacity:
-            self._hot.popitem(last=False)
-            self._count("evictions")
+        # Caller holds the lock.  One entry in, so at most one out.
+        evictions = self._hot.evictions
+        self._hot.put(spec_hash, report)
+        if self._hot.evictions != evictions:
+            self._mirror("evictions")
         self._gauge_entries()
 
     # ------------------------------------------------------------------

@@ -37,9 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from collections import OrderedDict
-
 from repro.errors import ConfigurationError, OverloadedError, ServeError
+from repro.lru import BoundedLRU
 from repro.runner.spec import ExperimentSpec
 from repro.serve.protocol import (
     encode_frame,
@@ -120,7 +119,7 @@ class ServeClient:
         # the hash is the content, so equal keys encode to equal bytes
         # and a poll loop resubmitting the same sweep skips the
         # serialisation entirely.
-        self._submit_memo: "OrderedDict[tuple, bytes]" = OrderedDict()
+        self._submit_memo = BoundedLRU(_SUBMIT_MEMO_ENTRIES)
 
     @property
     def socket_path(self) -> str:
@@ -279,11 +278,7 @@ class ServeClient:
                 }
             )
             if len(raw) <= _SUBMIT_MEMO_MAX_FRAME:
-                self._submit_memo[key] = raw
-                while len(self._submit_memo) > _SUBMIT_MEMO_ENTRIES:
-                    self._submit_memo.popitem(last=False)
-        else:
-            self._submit_memo.move_to_end(key)
+                self._submit_memo.put(key, raw)
         with self._exchange() as stream_io:
             stream_io.write(raw)
             stream_io.flush()

@@ -45,13 +45,14 @@ import asyncio
 import contextlib
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from repro.errors import ConfigurationError, FrameError, ServeError
 from repro.faults.incidents import incident_entries
+from repro.lru import BoundedLRU
 from repro.obs.metrics import LATENCY_BUCKETS_MS, MetricsRegistry
 from repro.obs.recorder import FLIGHT_CAPACITY, FlightRecorder
 from repro.obs.telemetry import TelemetrySampler, prometheus_text
@@ -257,17 +258,14 @@ class ServeDaemon:
         # ``(spec_hash, source)``.  Content-addressed, so an entry can
         # never go stale: a given hash's report is immutable.  Serving
         # a hot cell becomes one buffer write instead of a dict build
-        # plus a JSON encode -- the difference between the
-        # ``serve_hot_cache`` and ``serve_sharded`` benchmark rates.
-        self._frame_cache: "OrderedDict[tuple[str, str], bytes]" = (
-            OrderedDict()
-        )
+        # plus a JSON encode.
+        self._frame_cache = BoundedLRU(config.hot_capacity)
         # Parsed submissions keyed by their exact wire bytes.  Sweep
         # clients (poll loops, the router's verbatim relay) resubmit
         # byte-identical frames, and spec construction dominates the
         # hot-serve path; identical bytes parse to the identical value,
         # so repeats reuse the frozen specs -- cached hashes included.
-        self._parse_memo: "OrderedDict[bytes, tuple]" = OrderedDict()
+        self._parse_memo = BoundedLRU(_PARSE_MEMO_ENTRIES)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -589,7 +587,6 @@ class ServeDaemon:
                     if parsed is not None:
                         # Byte-identical resubmission: skip the JSON
                         # decode and the spec re-construction outright.
-                        self._parse_memo.move_to_end(raw)
                         await self._handle_submit(parsed, writer, lock)
                         continue
                     frame = wire.decode_frame(raw)
@@ -670,7 +667,6 @@ class ServeDaemon:
         key = (spec_hash, source)
         raw = self._frame_cache.get(key)
         if raw is not None:
-            self._frame_cache.move_to_end(key)
             return raw
         raw = wire.encode_frame(
             {
@@ -681,9 +677,7 @@ class ServeDaemon:
                 "report": report.to_dict(),
             }
         )
-        self._frame_cache[key] = raw
-        while len(self._frame_cache) > self.config.hot_capacity:
-            self._frame_cache.popitem(last=False)
+        self._frame_cache.put(key, raw)
         return raw
 
     def _status_payload(self) -> dict:
@@ -707,6 +701,12 @@ class ServeDaemon:
                 ),
             },
             "cache": self.cache.stats(),
+            # Lookups are made on every frame before it is decoded, so
+            # the misses include pings and status requests.
+            "wire_memo": {
+                "parse_hits": self._parse_memo.hits,
+                "parse_misses": self._parse_memo.misses,
+            },
             "result_cache": {
                 name: value
                 for name, value in sorted(self.metrics.counters.items())
@@ -754,9 +754,7 @@ class ServeDaemon:
             bool(frame.get("stream", True)),
         )
         if len(raw) <= _PARSE_MEMO_MAX_FRAME:
-            self._parse_memo[raw] = parsed
-            while len(self._parse_memo) > _PARSE_MEMO_ENTRIES:
-                self._parse_memo.popitem(last=False)
+            self._parse_memo.put(raw, parsed)
         return parsed
 
     async def _handle_submit(self, parsed, writer, lock) -> None:

@@ -93,25 +93,8 @@ def _check_length(length: int) -> None:
 
 async def read_frame(reader: asyncio.StreamReader) -> dict | None:
     """Read one frame; ``None`` on clean EOF at a frame boundary."""
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean close between frames
-        raise FrameError(
-            f"connection closed mid-header "
-            f"({len(exc.partial)}/{_HEADER.size} bytes)"
-        ) from None
-    (length,) = _HEADER.unpack(header)
-    _check_length(length)
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FrameError(
-            f"connection closed mid-frame "
-            f"({len(exc.partial)}/{length} bytes)"
-        ) from None
-    return decode_payload(body)
+    raw = await read_frame_bytes(reader)
+    return None if raw is None else decode_frame(raw)
 
 
 async def read_frame_bytes(

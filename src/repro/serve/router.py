@@ -22,8 +22,8 @@ shard frame once (to learn its type), then relays the *original bytes*
 to the client (:func:`~repro.serve.protocol.read_frame_raw`), so
 progress events, results and heatmap-artifact frames flow at shard
 speed regardless of payload size.  Two throughput measures keep the
-router off the critical path (this is what ``serve_sharded_n64``
-gates): shard connections are pooled router-wide and reused across
+router off the critical path (``bench/``'s ``serve_hot`` workload
+measures it): shard connections are pooled router-wide and reused across
 submissions (a daemon connection carries any number of sequential
 requests), and a submission whose cells all land on one shard is
 relayed *verbatim* -- the client's own frame bytes go to the shard and
@@ -49,11 +49,11 @@ import signal
 import sys
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ConfigurationError, FrameError, ServeError
+from repro.lru import BoundedLRU
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import prometheus_text
 from repro.runner.journal import _HASH_PREFIX
@@ -296,7 +296,7 @@ class ServeRouter:
         # shard count), so byte-identical resubmissions -- the steady
         # state of polling sweep clients -- skip the JSON decode, the
         # per-cell hashing and the subframe re-encode entirely.
-        self._route_memo: "OrderedDict[bytes, tuple]" = OrderedDict()
+        self._route_memo = BoundedLRU(_ROUTE_MEMO_ENTRIES)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -511,7 +511,6 @@ class ServeRouter:
                     if plan is not None:
                         # Byte-identical resubmission: route it without
                         # decoding, hashing or re-encoding anything.
-                        self._route_memo.move_to_end(raw)
                         await self._handle_submit(
                             plan, raw, writer, lock
                         )
@@ -633,9 +632,7 @@ class ServeRouter:
             }
         plan = (name, request_id, len(cells), hashes, subframes)
         if len(raw) <= _ROUTE_MEMO_MAX_FRAME:
-            self._route_memo[raw] = plan
-            while len(self._route_memo) > _ROUTE_MEMO_ENTRIES:
-                self._route_memo.popitem(last=False)
+            self._route_memo.put(raw, plan)
         return plan
 
     async def _handle_submit(self, plan, raw, writer, lock) -> None:
@@ -957,6 +954,12 @@ class ServeRouter:
         admission = {"accepted": 0, "coalesced": 0, "rejected": 0,
                      "requests": 0, "max_queue": self.config.max_queue}
         cache: dict[str, int] = {}
+        # This process's route memo beside the shards' parse memos; as
+        # there, the misses include every frame that was not a submit.
+        wire_memo = {
+            "route_hits": self._route_memo.hits,
+            "route_misses": self._route_memo.misses,
+        }
         result_cache: dict[str, int] = {}
         journal_counts: dict[str, int] = {}
         for frame in frames:
@@ -970,6 +973,8 @@ class ServeRouter:
                 admission[key] += frame.get("admission", {}).get(key, 0)
             for key, value in frame.get("cache", {}).items():
                 cache[key] = cache.get(key, 0) + value
+            for key, value in frame.get("wire_memo", {}).items():
+                wire_memo[key] = wire_memo.get(key, 0) + value
             for key, value in frame.get("result_cache", {}).items():
                 result_cache[key] = result_cache.get(key, 0) + value
             for key, value in frame.get("counts", {}).items():
@@ -987,6 +992,7 @@ class ServeRouter:
             "rejected": sums["rejected"],
             "admission": dict(sorted(admission.items())),
             "cache": dict(sorted(cache.items())),
+            "wire_memo": dict(sorted(wire_memo.items())),
             "result_cache": dict(sorted(result_cache.items())),
             "counts": dict(sorted(journal_counts.items())),
             "metrics": self._merged_registry(frames).to_dict(),

@@ -162,7 +162,9 @@ def run_trace(
     ``recorder``, if given, is a
     :class:`~repro.obs.recorder.TraceRecorder`: it is attached to the
     protocol for the duration of the run (via
-    :func:`repro.obs.hooks.attach_recorder`), every reference becomes a
+    :func:`repro.obs.hooks.attach_recorder`, and detached again on the
+    way out unless the caller had attached it already, so a later
+    untraced run gets its fast tiers back), every reference becomes a
     span enclosing the protocol messages it caused, and the network's
     route-plan cache statistics land in the recorder's gauges at the
     end.  The default ``None`` leaves the loop exactly as it was --
@@ -170,9 +172,12 @@ def run_trace(
     """
     system = protocol.system
     system.reset_traffic()
+    attached_here = False
     if recorder is not None:
-        from repro.obs.hooks import attach_recorder
+        from repro.obs.hooks import attach_recorder, detach_recorder
 
+        # A recorder the caller attached itself stays attached afterwards.
+        attached_here = protocol.recorder is not recorder
         attach_recorder(protocol, recorder)
     if timer is not None:
         timer.lap("reset")
@@ -214,6 +219,8 @@ def run_trace(
             )
     finally:
         protocol.close_window()
+        if attached_here:
+            detach_recorder(protocol)
     # Final structural check -- unless the loop's last reference already
     # ran it (the stride divides the trace length exactly).  An empty
     # trace still gets its one check.

@@ -56,7 +56,8 @@ bump ``fastpath_epoch``/``present_epoch`` and leave each block's mode and
 present vector -- all a policy's verdict may depend on -- as they were.
 Everything that gates the fast path (faults, recorder, message log,
 verification) gates the kernel too, so batched replay is bit-identical
-to the per-reference path (proven every ``repro perf`` run; docs/PERF.md).
+to the per-reference path (tests/sim/test_kernel.py and
+test_kernel_policies.py; docs/PERF.md, "Where each proof lives").
 """
 
 from __future__ import annotations

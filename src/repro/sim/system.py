@@ -153,7 +153,7 @@ class System:
         """The network's route-plan cache statistics (hits, misses, size).
 
         Returns ``None`` when plan memoisation is disabled
-        (``network.route_plans = None``, the perf harness's cold path).
+        (``network.route_plans = None``, the cold reference path).
         """
         cache = self.network.route_plans
         if cache is None:

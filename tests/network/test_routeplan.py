@@ -220,6 +220,7 @@ class TestRoutePlanCache:
         assert "a" in cache and "c" in cache
         assert "b" not in cache
         assert len(cache) == 2
+        assert cache.evictions == 1
 
     def test_stats_track_hits_and_misses(self):
         cache = RoutePlanCache()

@@ -91,6 +91,45 @@ class TestRecorderStandDown:
         traced_dict["stats"].pop("metrics", None)
         assert traced_dict == batched_report.to_dict()
 
+    def test_a_traced_run_hands_the_shortcuts_back(
+        self, n_nodes, default_mode
+    ):
+        # run_trace(recorder=...) attaches for that run only: the next
+        # untraced run on the same protocol replays batched, adds nothing
+        # to the old recorder, and reports what a never-traced protocol
+        # reports for its second run.
+        def replay(protocol, recorder=None):
+            return run_trace(
+                protocol,
+                _trace(n_nodes, compiled=True),
+                verify=False,
+                check_invariants_every=0,
+                recorder=recorder,
+            )
+
+        def fresh():
+            return build(
+                n_nodes=n_nodes, block_size_words=4, default_mode=default_mode
+            )[1]
+
+        traced, recorder = fresh(), TraceRecorder()
+        replay(traced, recorder)
+        seen = len(recorder.events)
+        report = replay(traced)
+        assert traced.recorder is None
+        assert traced.batched_kernel().batched_refs > 0
+        assert len(recorder.events) == seen > 0
+        untraced = fresh()
+        replay(untraced)
+        report_dict = report.to_dict()
+        report_dict["stats"].pop("metrics", None)
+        assert report_dict == replay(untraced).to_dict()
+
+        # A recorder the caller attached itself is the caller's to detach.
+        attach_recorder(traced, recorder)
+        replay(traced, recorder)
+        assert traced.recorder is recorder
+
     def test_batchable_policy_does_not_override_stand_down(
         self, n_nodes, default_mode
     ):

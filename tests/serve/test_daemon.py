@@ -169,6 +169,8 @@ class TestTiers:
         assert first.results[0]["source"] == "queued"
         assert again.results[0]["source"] == "hot"
         assert status["executed"] == {spec.spec_hash: 1}
+        # The client re-sent the same bytes, so the daemon parsed once.
+        assert status["wire_memo"]["parse_hits"] == 1
         assert canonical(first.results[0]["report"]) == canonical(
             again.results[0]["report"]
         )

@@ -96,6 +96,20 @@ class TestFraming:
         with pytest.raises(FrameError):
             asyncio.run(scenario())
 
+    def test_asyncio_mid_header_close_is_an_error(self):
+        import asyncio
+
+        from repro.serve.protocol import read_frame
+
+        async def scenario():
+            reader = asyncio.StreamReader()
+            reader.feed_data(encode_frame({"op": "ping"})[:2])
+            reader.feed_eof()
+            await read_frame(reader)
+
+        with pytest.raises(FrameError, match="mid-header"):
+            asyncio.run(scenario())
+
 
 def spec_dict(seed=0) -> dict:
     from repro.runner.spec import ExperimentSpec, WorkloadSpec

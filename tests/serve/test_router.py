@@ -132,8 +132,16 @@ class TestRouterEndToEnd:
         assert status["executed"] == {
             spec.spec_hash: 1 for spec in GRID
         }
+        # Each client sent its rotation three times: two byte-identical
+        # repeats apiece, routed and parsed from the wire memos and --
+        # its first submission having waited for every cell -- served
+        # from the shards' hot tiers.
+        assert status["wire_memo"]["route_hits"] == 12
+        assert status["wire_memo"]["parse_hits"] > 0
         assert len(all_outcomes) == 18
-        for outcome in all_outcomes:
+        for index, outcome in enumerate(all_outcomes):
+            if index % 3:
+                assert {f["source"] for f in outcome.results} == {"hot"}
             assert outcome.done["failed"] == 0
             assert len(outcome.results) == len(GRID)
             for frame in outcome.results:

@@ -14,12 +14,15 @@ from collections import Counter
 
 import pytest
 
+from repro.analysis.compare import default_factories
 from repro.cache.state import Mode
 from repro.errors import TraceError
 from repro.faults.plan import FaultPlan
+from repro.network.multicast import MulticastScheme
 from repro.obs.hooks import attach_recorder
 from repro.obs.recorder import TraceRecorder
 from repro.protocol.fastpath import FastPathTable
+from repro.protocol.messages import MessageCosts
 from repro.protocol.modes import (
     AdaptiveModePolicy,
     OracleModePolicy,
@@ -116,6 +119,78 @@ class TestEquivalence:
             check_invariants_every=0,
         )
         assert batched_report.to_dict() == slow_report.to_dict()
+        # The column loop with both shortcuts withdrawn (the message log
+        # gates them) is the third way through the same references.
+        _, logged_protocol = build(
+            n_nodes=n_nodes, block_size_words=4, default_mode=default_mode
+        )
+        logged_protocol.enable_message_log()
+        logged_report = run_trace(
+            logged_protocol,
+            compiled_trace,
+            verify=False,
+            check_invariants_every=0,
+        )
+        assert logged_protocol.fastpath() is None
+        assert logged_report.to_dict() == slow_report.to_dict()
+
+    @pytest.mark.parametrize(
+        "protocol_name, n_nodes, tasks, seed, n_references, scheme, expected",
+        [
+            (
+                "distributed-write", 1024, range(0, 1024, 16), 11, 200_000,
+                MulticastScheme.VECTOR,
+                {
+                    "batched_refs": 199_680,
+                    "fallback_refs": 320,
+                    "total_bits": 946_079_920,
+                },
+            ),
+            (
+                "two-mode", 64, range(16), 0, 20_000,
+                MulticastScheme.COMBINED,
+                {
+                    "fastpath_hits": 19_913,
+                    "fastpath_misses": 87,
+                    "total_bits": 4_229_455,
+                },
+            ),
+        ],
+        ids=["dw-n1024", "two-mode-n64"],
+    )
+    def test_engagement_and_cost_of_the_two_reference_cells(
+        self, protocol_name, n_nodes, tasks, seed, n_references, scheme,
+        expected,
+    ):
+        # Exact, machine-independent counts of how far the fast tiers
+        # engage on the large-system cell and on the paper-size cell: a
+        # lost record kind, a new epoch-bump site or a chunk-validation
+        # regression moves them, where a host rate would only drift.
+        trace = markov_block_trace(
+            n_nodes, list(tasks), 0.3, n_references, seed=seed, compiled=True
+        )
+        system = System(
+            SystemConfig(
+                n_nodes=n_nodes,
+                costs=MessageCosts.uniform(20),
+                multicast_scheme=scheme,
+            )
+        )
+        protocol = default_factories()[protocol_name](system)
+        report = run_trace(
+            protocol, trace, verify=False, check_invariants_every=0
+        )
+        kernel, table = protocol.batched_kernel(), protocol.fastpath()
+        assert kernel.batched_refs + kernel.fallback_refs == n_references
+        assert table.hits + table.misses == n_references
+        measured = {
+            "batched_refs": kernel.batched_refs,
+            "fallback_refs": kernel.fallback_refs,
+            "fastpath_hits": table.hits,
+            "fastpath_misses": table.misses,
+            "total_bits": report.network_total_bits,
+        }
+        assert {name: measured[name] for name in expected} == expected
 
     def test_batchable_policy_decisions_match_per_reference(self):
         # A per-block mode map whose decisions fire mid-trace: the kernel

@@ -155,15 +155,11 @@ def test_daemon_submit_status_metrics_run_without_extras():
     [
         ["--help"],
         [
-            "perf", "--only", "compiled_replay_n64",
-            "--equivalence-only", "--no-history",
-        ],
-        [
             "sweep", "--nodes", "8", "--sharers", "2",
             "--references", "100", "--workers", "0",
         ],
     ],
-    ids=["help", "perf", "sweep"],
+    ids=["help", "sweep"],
 )
 def test_cli_runs_without_extras(argv, tmp_path):
     body = """
