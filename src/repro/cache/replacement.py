@@ -50,26 +50,33 @@ class LruPolicy(ReplacementPolicy):
 
     def __init__(self, n_sets: int, n_ways: int) -> None:
         super().__init__(n_sets, n_ways)
-        # Per set: ways ordered oldest-first.  Every way starts present so
-        # never-touched ways are evicted before touched ones.
-        self._order: list[OrderedDict[int, None]] = [
-            OrderedDict((way, None) for way in range(n_ways))
-            for _ in range(n_sets)
-        ]
+        # Per set: ways ordered oldest-first, built when the set is first
+        # used (a replay touches a handful of a cache's sets).  Every way
+        # starts present so never-touched ways are evicted before touched
+        # ones.
+        self._order: list[OrderedDict[int, None] | None] = [None] * n_sets
+
+    def _ways(self, set_index: int) -> OrderedDict[int, None]:
+        order = self._order[set_index]
+        if order is None:
+            order = self._order[set_index] = OrderedDict.fromkeys(
+                range(self.n_ways)
+            )
+        return order
 
     def touch(self, set_index: int, way: int) -> None:
         self._check(set_index, way)
-        order = self._order[set_index]
-        order.move_to_end(way)
+        # (Inlined: the one call every reference of every tier makes.)
+        (self._order[set_index] or self._ways(set_index)).move_to_end(way)
 
     def choose_victim(self, set_index: int) -> int:
         self._check(set_index, 0)
-        return next(iter(self._order[set_index]))
+        return next(iter(self._ways(set_index)))
 
     def forget(self, set_index: int, way: int) -> None:
         self._check(set_index, way)
         # A cleared entry becomes the coldest way again.
-        self._order[set_index].move_to_end(way, last=False)
+        self._ways(set_index).move_to_end(way, last=False)
 
 
 class FifoPolicy(ReplacementPolicy):

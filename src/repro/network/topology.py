@@ -143,32 +143,10 @@ class OmegaNetwork:
         self._link_messages = array("q", bytes(8 * n_links))
         self._switch_messages = array("q", bytes(8 * n_switches))
         self._switch_splits = array("q", bytes(8 * n_switches))
-        link_counters = (self._link_bits, self._link_messages)
-        switch_counters = (self._switch_messages, self._switch_splits)
-        self._links: list[list[Link]] = [
-            [
-                Link(
-                    level,
-                    position,
-                    counters=link_counters,
-                    slot=level * n_ports + position,
-                )
-                for position in range(n_ports)
-            ]
-            for level in range(self.n_stages + 1)
-        ]
-        self._switches: list[list[Switch]] = [
-            [
-                Switch(
-                    stage,
-                    index,
-                    counters=switch_counters,
-                    slot=stage * (n_ports // 2) + index,
-                )
-                for index in range(n_ports // 2)
-            ]
-            for stage in range(self.n_stages)
-        ]
+        #: The :class:`Link` / :class:`Switch` view objects, built when
+        #: one is first asked for: a replay accounts through the buffers.
+        self._links: list[list[Link]] | None = None
+        self._switches: list[list[Switch]] | None = None
         #: Memoised route plans for this topology (see
         #: :mod:`repro.network.routeplan`).  Setting this to ``None``
         #: disables memoisation -- every operation re-walks the fabric --
@@ -234,7 +212,7 @@ class OmegaNetwork:
             )
         self._check_port(position)
         self._walk()
-        return self._links[level][position]
+        return self._link_views()[level][position]
 
     def switch(self, stage: int, index: int) -> Switch:
         """The switch at ``(stage, index)``; stages run ``0 .. m-1``."""
@@ -245,7 +223,7 @@ class OmegaNetwork:
                 f"got {index}"
             )
         self._walk()
-        return self._switches[stage][index]
+        return self._switch_views()[stage][index]
 
     def switch_for_position(self, stage: int, position: int) -> Switch:
         """The switch whose input ports include stage position ``position``."""
@@ -255,14 +233,50 @@ class OmegaNetwork:
     def iter_links(self):
         """Yield every link, level by level."""
         self._walk()
-        for level_links in self._links:
+        for level_links in self._link_views():
             yield from level_links
 
     def iter_switches(self):
         """Yield every switch, stage by stage."""
         self._walk()
-        for stage_switches in self._switches:
+        for stage_switches in self._switch_views():
             yield from stage_switches
+
+    def _link_views(self) -> list[list[Link]]:
+        if self._links is None:
+            counters = (self._link_bits, self._link_messages)
+            n_ports = self.n_ports
+            self._links = [
+                [
+                    Link(
+                        level,
+                        position,
+                        counters=counters,
+                        slot=level * n_ports + position,
+                    )
+                    for position in range(n_ports)
+                ]
+                for level in range(self.n_stages + 1)
+            ]
+        return self._links
+
+    def _switch_views(self) -> list[list[Switch]]:
+        if self._switches is None:
+            counters = (self._switch_messages, self._switch_splits)
+            per_stage = self.n_ports // 2
+            self._switches = [
+                [
+                    Switch(
+                        stage,
+                        index,
+                        counters=counters,
+                        slot=stage * per_stage + index,
+                    )
+                    for index in range(per_stage)
+                ]
+                for stage in range(self.n_stages)
+            ]
+        return self._switches
 
     # ------------------------------------------------------------------
     # Paths
@@ -298,8 +312,9 @@ class OmegaNetwork:
     def route_links(self, source: NodeId, dest: NodeId) -> list[Link]:
         """The ``m + 1`` links traversed from ``source`` to ``dest``."""
         self._walk()
+        links = self._link_views()
         return [
-            self._links[level][position]
+            links[level][position]
             for level, position in enumerate(self.route_positions(source, dest))
         ]
 

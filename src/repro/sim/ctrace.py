@@ -18,8 +18,8 @@ Both forms describe *exactly* the same stream: ``Trace.compile()`` /
 :meth:`CompiledTrace.to_trace` round-trip losslessly, the text format of
 :mod:`repro.sim.trace` reads and writes both, and replaying either through
 the same protocol produces bit-identical
-:class:`~repro.sim.engine.SimulationReport` results (proven every ``repro
-perf`` run; see docs/PERF.md).
+:class:`~repro.sim.engine.SimulationReport` results (docs/PERF.md, "Where
+each proof lives").
 """
 
 from __future__ import annotations
@@ -38,7 +38,14 @@ _READ = 0
 
 
 class CompiledTrace:
-    """A reference stream as five parallel ``array('q')`` columns."""
+    """A reference stream as five parallel ``array('q')`` columns.
+
+    The columns are **immutable once the trace is constructed** (build a
+    new trace instead).  Two facts rely on it, each established at most
+    once and shared with every contiguous slice: the bounds proof
+    (:meth:`fits` -- the constructor validated, so a replay need not look
+    at a row's bounds again) and the folded column (:meth:`folded`).
+    """
 
     __slots__ = (
         "nodes",
@@ -48,6 +55,10 @@ class CompiledTrace:
         "values",
         "n_nodes",
         "block_size_words",
+        "_proven",
+        "_root",
+        "_start",
+        "_fold",
     )
 
     def __init__(
@@ -69,8 +80,16 @@ class CompiledTrace:
         self.values = values
         self.n_nodes = n_nodes
         self.block_size_words = block_size_words
+        #: The trace this one is a contiguous slice of, and where in it
+        #: this one starts; ``None`` on a trace that is nobody's slice.
+        self._root: CompiledTrace | None = None
+        self._start = 0
+        #: ``((n_nodes, block_size_words), column)``, on a root only.
+        self._fold: tuple | None = None
         if validate:
             self.validate()
+        #: Whether :meth:`validate` passed on these rows (or a superset).
+        self._proven = validate
 
     # ------------------------------------------------------------------
     # Validation (same contract as Trace.validate)
@@ -135,6 +154,50 @@ class CompiledTrace:
                 f"expected 0 (read) or 1 (write)"
             )
 
+    def fits(self, n_nodes: int, block_size_words: int) -> bool:
+        """Whether every row is already proven to fit such a system.
+
+        True when the constructor validated and the system is at least
+        as large as the declared geometry; a ``validate=False`` trace, or
+        a smaller system, has to be checked row by row by whoever
+        replays it.
+        """
+        return (
+            self._proven
+            and self.n_nodes <= n_nodes
+            and self.block_size_words <= block_size_words
+        )
+
+    def folded(self, n_nodes: int, block_size_words: int):
+        """``(column, start)``: the folded column and this trace's row 0.
+
+        The column holds ``((block * n_nodes + node) * 2 + op) *
+        block_size_words + offset`` per reference of the *root* trace --
+        one integer that tells two references apart exactly when node,
+        block, operation or word differ, given rows within the bounds of
+        such a system.  It is built on first use, kept on the root and
+        shared by every contiguous slice (whose rows start at ``start``);
+        asking for another geometry rebuilds it.
+        """
+        root = self._root or self
+        geometry = (n_nodes, block_size_words)
+        if root._fold is None or root._fold[0] != geometry:
+            root._fold = (geometry, root._build_fold(*geometry))
+        return root._fold[1], self._start
+
+    def _build_fold(self, n_nodes: int, block_size_words: int):
+        stride = 2 * block_size_words
+        column = [
+            (block * n_nodes + node) * stride + op * block_size_words + offset
+            for node, op, block, offset in zip(
+                self.nodes, self.ops, self.blocks, self.offsets
+            )
+        ]
+        try:
+            return array("q", column)
+        except OverflowError:  # block numbers near 2**63: stay a list
+            return column
+
     # ------------------------------------------------------------------
     # Sequence behaviour
     # ------------------------------------------------------------------
@@ -155,7 +218,10 @@ class CompiledTrace:
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return CompiledTrace(
+            start, stop, step = item.indices(len(self))
+            if (start, stop, step) == (0, len(self), 1):
+                return self  # immutable, so the whole trace is its own slice
+            piece = CompiledTrace(
                 self.nodes[item],
                 self.ops[item],
                 self.blocks[item],
@@ -165,6 +231,11 @@ class CompiledTrace:
                 self.block_size_words,
                 validate=False,
             )
+            piece._proven = self._proven
+            if step == 1:
+                piece._root = self._root or self
+                piece._start = self._start + start
+            return piece
         return Reference(
             self.nodes[item],
             Op.WRITE if self.ops[item] else Op.READ,
@@ -215,8 +286,6 @@ class CompiledTrace:
             array("q", [ref.value for ref in refs]),
             trace.n_nodes,
             trace.block_size_words,
-            # A constructed Trace already validated itself.
-            validate=False,
         )
 
     def to_trace(self) -> Trace:
@@ -268,15 +337,16 @@ class CompiledTraceBuilder:
         self._values.append(value)
 
     def build(self) -> CompiledTrace:
-        return CompiledTrace(
-            self._nodes,
-            self._ops,
-            self._blocks,
-            self._offsets,
-            self._values,
-            self.n_nodes,
-            self.block_size_words,
+        """Hand the columns over to a trace; the builder starts afresh.
+
+        A trace's columns are immutable, so a ``read``/``write`` after
+        ``build`` must not reach the arrays the trace now owns.
+        """
+        columns = (
+            self._nodes, self._ops, self._blocks, self._offsets, self._values
         )
+        self.__init__(self.n_nodes, self.block_size_words)
+        return CompiledTrace(*columns, self.n_nodes, self.block_size_words)
 
 
 # ----------------------------------------------------------------------

@@ -6,22 +6,28 @@ a Python-level dispatch -- dict probe, epoch compare, live state checks,
 policy consultation -- for *every* reference.  At N=1024 that dispatch, not
 the protocol, is the simulation's bottleneck.
 
-:class:`BatchedKernel` removes it.  A compiled trace's ``array('q')``
-columns are scanned in chunks; each chunk is folded to its distinct
-``(node, block, op)`` keys in one C-speed pass, and the fast-path record
-behind each key is validated *once per chunk* instead of once per
-reference.  A fully-validated chunk then executes without touching Python
-per reference again:
+:class:`BatchedKernel` removes it.  What depends on the *trace* alone the
+trace computes once, for every slice and every cell that replays it: the
+proof that its rows fit the system (``CompiledTrace.fits``; an unproven
+trace has each chunk's bounds tested here) and one folded column,
+``((block * N + node) * 2 + op) * B + offset`` per reference
+(``CompiledTrace.folded``).  The kernel scans that column in chunks; a
+chunk is counted by distinct value in one C-speed pass, regrouped to its
+``(node, block, op)`` keys, and the fast-path record behind each key is
+validated *once per chunk* instead of once per reference.  A validated
+chunk then executes without touching Python per reference again:
 
-* reference counts per record come from one :class:`collections.Counter`
+* reference counts per record come from that :class:`collections.Counter`
   pass, and identical per-hit ledger/Stats deltas are accumulated as plain
   integers and flushed once at the end of the replay;
-* replacement-policy touches collapse to one touch per distinct key, in
-  last-occurrence order -- for a recency policy the final per-set order
-  depends only on each way's *last* touch, so this is exact;
-* data-word stores collapse to the last value written per ``(key,
-  offset)`` -- intermediate values are never observed, because fast-path
-  reads do not read data words and value verification is gated off;
+* a second pass finds where each distinct value occurs last.
+  Replacement-policy touches collapse to one per value, in that order --
+  for a recency policy the final per-set order depends only on each way's
+  *last* touch, and that one is among them, so this is exact;
+* data-word stores collapse to the value at a write's last position
+  (``divmod`` by ``B`` gives key and word back) -- earlier values are
+  never observed, because fast-path reads do not read data words and
+  value verification is gated off;
 * message-bearing records (global-read remote reads, distributed-write
   multicast writes) post their messages, scaled, into the protocol's
   message ledger, bit-identical to per-send accounting.
@@ -64,8 +70,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from itertools import compress
-from operator import or_
+from operator import itemgetter, or_
 from typing import TYPE_CHECKING
 
 from repro.cache.state import Mode
@@ -101,6 +106,19 @@ def _block_view(ops, nodes, rows, owner, mode):
         return ops, None
     # Distributed write: the owner sees writes and its own reads only.
     return ops, map(or_, ops, map(owner.__eq__, nodes))
+
+
+def _key_counts(fold, block_size):
+    """References per ``(node, block, op)`` key of a folded chunk.
+
+    One C-speed count of the folded values, regrouped over the distinct
+    ones (at most ``block_size`` per key) by dropping the offset.
+    """
+    counts: dict[int, int] = {}
+    for folded, count in Counter(fold).items():
+        key = folded // block_size
+        counts[key] = counts.get(key, 0) + count
+    return counts
 
 
 class BatchedKernel:
@@ -150,6 +168,10 @@ class BatchedKernel:
         offsets_col = trace.offsets
         values_col = trace.values
         n = len(nodes_col)
+        # The trace's own facts: ``fold_col`` is its root's folded column,
+        # in which this trace's rows start at ``base``.
+        proven = trace.fits(n_nodes, block_size)
+        fold_col, base = trace.folded(n_nodes, block_size)
         n_reads = n_writes = 0
         batched = fallback = 0
         # Deferred per-record counts and scalar accumulators, flushed once
@@ -159,16 +181,12 @@ class BatchedKernel:
         local_read_hits = 0
         fast_write_hits = 0
         gr_pending: dict[int, list] = {}
-        gr_pending_get = gr_pending.get
         dw_pending: dict[int, list] = {}
-        dw_pending_get = dw_pending.get
         chunk = MIN_CHUNK
         i = 0
         try:
             while i < n:
-                j = i + chunk
-                if j > n:
-                    j = n
+                j = min(i + chunk, n)
                 nodes = nodes_col[i:j]
                 ops = ops_col[i:j]
                 blocks = blocks_col[i:j]
@@ -178,7 +196,7 @@ class BatchedKernel:
                 # What the policy needs per block: (owner, mode, sharers).
                 owners: dict[int, tuple] = {}
                 reason = None
-                if not (
+                if not proven and not (
                     min(nodes) >= 0
                     and max(nodes) < n_nodes
                     and min(offsets) >= 0
@@ -186,17 +204,10 @@ class BatchedKernel:
                 ):
                     reason = "bounds"
                 else:
-                    keys = [
-                        ((block * n_nodes + node) << 1) | op
-                        for node, op, block in zip(nodes, ops, blocks)
-                    ]
-                    counts = Counter(keys)
+                    fold = fold_col[base + i : base + j]
+                    counts = _key_counts(fold, block_size)
                     for key in counts:
-                        record = (
-                            writes.get(key >> 1)
-                            if key & 1
-                            else reads.get(key >> 1)
-                        )
+                        record = (writes if key & 1 else reads).get(key >> 1)
                         if record is None:
                             reason = "unknown_key"
                             break
@@ -263,8 +274,8 @@ class BatchedKernel:
                             run = at[kept]
                     if run < j - i:
                         reason = "policy_switch"
-                        keys = keys[:run]
-                        counts = Counter(keys)
+                        fold = fold[:run]
+                        counts = _key_counts(fold, block_size)
                     for block, at in rows.items():
                         at = at[: bisect_left(at, run)]
                         if at:
@@ -279,56 +290,42 @@ class BatchedKernel:
                     # Clean run: every reference is a hit of a validated
                     # record and nothing below can invalidate one.
                     chunk_writes = 0
-                    has_write_keys = False
                     for key, count in counts.items():
                         if key & 1:
-                            has_write_keys = True
                             chunk_writes += count
                             record = writes[key >> 1]
                             record[1].state_field.modified = True
                             if len(record) == 5:
                                 fast_write_hits += count
-                            else:
-                                counted = dw_pending_get(id(record))
-                                if counted is None:
-                                    dw_pending[id(record)] = [record, count]
-                                else:
-                                    counted[1] += count
+                                continue
+                            pending = dw_pending
                         else:
                             record = reads[key >> 1]
                             if len(record) == 7:
                                 local_read_hits += count
-                            else:
-                                counted = gr_pending_get(id(record))
-                                if counted is None:
-                                    gr_pending[id(record)] = [record, count]
-                                else:
-                                    counted[1] += count
-                    # One touch per key, in last-occurrence order: the
-                    # final recency order per set depends only on each
-                    # way's last touch.
-                    last_pos = dict(zip(keys, range(run)))
-                    for key in sorted(last_pos, key=last_pos.__getitem__):
-                        record = (
-                            writes[key >> 1] if key & 1 else reads[key >> 1]
-                        )
-                        record[2].touch(record[3], record[4])
-                    if has_write_keys:
-                        # Last value per (key, offset) wins; intermediate
-                        # values are unobservable (fast-path reads do not
-                        # read data and verification is gated off).
-                        stores = dict(
-                            zip(
-                                compress(zip(keys, offsets), ops),
-                                compress(values_col[i : i + run], ops),
-                            )
-                        )
-                        for (key, offset), value in stores.items():
+                                continue
+                            pending = gr_pending
+                        counted = pending.get(id(record))
+                        if counted is None:
+                            pending[id(record)] = [record, count]
+                        else:
+                            counted[1] += count
+                    # Per distinct (key, offset), in last-occurrence
+                    # order: one touch and, for a write, the last value
+                    # stored (exactness: the module docstring).
+                    last = dict(zip(fold, range(run)))
+                    for folded, at in sorted(last.items(), key=itemgetter(1)):
+                        key, offset = divmod(folded, block_size)
+                        if key & 1:
                             record = writes[key >> 1]
+                            value = values_col[i + at]
                             record[1].data[offset] = value
                             if len(record) != 5:
                                 for copy_entry in record[6]:
                                     copy_entry.data[offset] = value
+                        else:
+                            record = reads[key >> 1]
+                        record[2].touch(record[3], record[4])
                     n_writes += chunk_writes
                     n_reads += run - chunk_writes
                     batched += run

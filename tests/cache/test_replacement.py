@@ -40,6 +40,24 @@ class TestLru:
         assert policy.choose_victim(0) == 1
         assert policy.choose_victim(1) == 0
 
+    def test_sets_are_built_on_first_use(self):
+        # A set nobody touched evicts way 0 first, whichever of the three
+        # operations reaches it first.
+        policy = LruPolicy(1024, 4)
+        assert not any(policy._order)
+        assert policy.choose_victim(7) == 0
+        assert policy.choose_victim(7) == 0  # choosing is not touching
+        policy.touch(9, 0)
+        assert policy.choose_victim(9) == 1
+        policy.forget(11, 2)
+        assert policy.choose_victim(11) == 2
+        for way in (2, 0, 1, 3):
+            policy.touch(11, way)
+        assert policy.choose_victim(11) == 2
+        assert [
+            index for index, order in enumerate(policy._order) if order
+        ] == [7, 9, 11]
+
     def test_out_of_range_rejected(self):
         policy = LruPolicy(2, 2)
         with pytest.raises(ConfigurationError):

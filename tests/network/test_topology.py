@@ -32,6 +32,25 @@ class TestConstruction:
         net = OmegaNetwork(16)
         assert len(list(net.iter_links())) == (net.n_stages + 1) * 16
 
+    def test_view_objects_are_built_on_first_access_and_kept(self):
+        # A replay accounts through the flat buffers; the Link / Switch
+        # views over them exist once somebody asks for one.
+        net = OmegaNetwork(8)
+        assert net._links is None and net._switches is None
+        link = net.link(2, 5)
+        assert net._switches is None
+        assert net.link(2, 5) is link
+        assert link in list(net.iter_links())
+        assert net.route_links(0, 5)[0] is net.link(0, 0)
+        switch = net.switch(1, 3)
+        assert net.switch(1, 3) is switch
+        assert net.switch_for_position(1, 7) is switch
+        assert switch in list(net.iter_switches())
+        # Views made late still read traffic accounted before them.
+        late = OmegaNetwork(8)
+        late._link_bits[2 * 8 + 5] += 11
+        assert late.link(2, 5).bits == 11
+
 
 class TestShuffle:
     def test_shuffle_is_rotate_left(self):

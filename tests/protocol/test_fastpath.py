@@ -214,12 +214,8 @@ class TestEquivalence:
         # the two loops agree on everything up to the bad row.
         n = 4
         good = [Reference(0, Op.WRITE, Address(0, 0), 1)] * 10
-        bad_tail = compiled(good, 8)[0:11]
-        bad_tail.nodes.append(7)  # out of range for the 4-node system
-        bad_tail.ops.append(0)
-        bad_tail.blocks.append(0)
-        bad_tail.offsets.append(0)
-        bad_tail.values.append(0)
+        # Node 7 is out of range for the 4-node system.
+        bad_tail = compiled(good + [Reference(7, Op.READ, Address(0, 0))], 8)
         _, fast_protocol = build(n_nodes=n)
         with pytest.raises(TraceError):
             run_trace(

@@ -114,6 +114,108 @@ class TestSequenceBehaviour:
         assert compiled == sample_trace().compile()
 
 
+def _fold(trace, n_nodes, block_size_words):
+    """The folded column's definition, row by row."""
+    return [
+        ((ref.address.block * n_nodes + ref.node) * 2 + ref.is_write)
+        * block_size_words
+        + ref.address.offset
+        for ref in trace
+    ]
+
+
+class TestProofAndFold:
+    """What a trace establishes once and its slices inherit."""
+
+    def _root(self):
+        return CompiledTrace(
+            *columns(
+                *(
+                    (row % 4, row % 2, row // 3, row % 2, row)
+                    for row in range(10)
+                )
+            ),
+            4,
+            2,
+        )
+
+    def test_a_slice_of_everything_is_the_trace_itself(self):
+        root = self._root()
+        assert root[:] is root
+        assert root[0:] is root
+        assert root[0:99] is root
+        assert root[-99:] is root
+        empty = CompiledTrace(*columns(), 4, 2)
+        assert empty[:] is empty
+        assert root[1:] is not root
+        assert root[::1] is root
+        assert root[::-1] is not root
+
+    def test_slices_share_the_roots_fold(self):
+        root = self._root()
+        column, start = root.folded(8, 4)
+        assert start == 0
+        assert list(column) == _fold(root, 8, 4)
+        outer = root[2:9]
+        inner = outer[1:4]
+        assert list(inner) == list(root)[3:6]
+        for piece, first in ((outer, 2), (inner, 3), (inner[1:], 4)):
+            shared, start = piece.folded(8, 4)
+            assert shared is column
+            assert start == first
+            assert list(shared[start : start + len(piece)]) == _fold(
+                piece, 8, 4
+            )
+
+    def test_a_stepped_slice_folds_for_itself(self):
+        root = self._root()
+        column, _ = root.folded(8, 4)
+        stepped = root[1::2]
+        own, start = stepped.folded(8, 4)
+        assert own is not column
+        assert start == 0
+        assert list(own) == _fold(stepped, 8, 4)
+        # ... and a contiguous slice of it shares *its* column.
+        assert stepped[2:].folded(8, 4) == (own, 2)
+
+    def test_an_empty_slice(self):
+        root = self._root()
+        for empty in (root[5:2], root[10:], root[3:3]):
+            assert len(empty) == 0
+            assert empty.fits(4, 2)
+            column, start = empty.folded(4, 2)
+            assert len(column[start : start + len(empty)]) == 0
+
+    def test_another_geometry_refolds(self):
+        root = self._root()
+        first, _ = root.folded(4, 2)
+        assert root.folded(4, 2)[0] is first
+        second, _ = root.folded(8, 4)
+        assert list(second) == _fold(root, 8, 4) != list(first)
+        # One column is kept, for the geometry asked last.
+        assert root[1:].folded(4, 2)[0] is not first
+        assert list(root.folded(4, 2)[0]) == _fold(root, 4, 2)
+
+    def test_the_proof_covers_systems_at_least_as_large(self):
+        root = self._root()
+        assert root.fits(4, 2) and root.fits(1024, 8)
+        assert not root.fits(2, 2)
+        assert not root.fits(4, 1)
+        assert root[2:7].fits(4, 2) and root[::3].fits(4, 2)
+
+    def test_an_unvalidated_trace_is_unproven(self):
+        raw = CompiledTrace(
+            *columns((1, 0, 0, 0, 0), (9, 0, 0, 0, 0)), 4, 2, validate=False
+        )
+        assert not raw.fits(4, 2) and not raw[:1].fits(4, 2)
+        assert not raw.fits(1024, 8)
+
+    def test_a_fold_past_int64_stays_exact(self):
+        huge = CompiledTrace(*columns((1, 1, 2**62, 1, 7)), 4, 2)
+        column, _ = huge.folded(4, 2)
+        assert list(column) == _fold(huge, 4, 2)
+
+
 class TestValidation:
     def test_node_out_of_range_rejected(self):
         with pytest.raises(TraceError, match="node 4"):
@@ -157,8 +259,22 @@ class TestBuilders:
         builder.write(0, 3, 1, 42)
         builder.read(2, 3, 1)
         builder.read(1, 0, 0)
-        assert builder.build() == sample_trace().compile()
-        assert builder.build().to_trace() == sample_trace()
+        built = builder.build()
+        assert built == sample_trace().compile()
+        assert built.to_trace() == sample_trace()
+
+    def test_build_hands_the_columns_over(self):
+        # A trace's columns are immutable (its bounds proof and folded
+        # column rely on it): what the builder takes after build() lands
+        # in fresh arrays, never in the trace already handed out.
+        builder = CompiledTraceBuilder(4, 2)
+        builder.write(0, 3, 1, 42)
+        first = builder.build()
+        builder.read(2, 3, 1)
+        second = builder.build()
+        assert len(first) == 1 and first[0].value == 42
+        assert len(second) == 1 and second[0].node == 2
+        assert len(builder.build()) == 0
 
     def test_builder_output_validates(self):
         builder = CompiledTraceBuilder(2, 2)

@@ -10,13 +10,15 @@ per-``Reference`` dispatch loop for every workload generator in the repo
 counting mode policies).
 """
 
+import sys
+from array import array
 from collections import Counter
 
 import pytest
 
 from repro.analysis.compare import default_factories
 from repro.cache.state import Mode
-from repro.errors import TraceError
+from repro.errors import ReproError, TraceError
 from repro.faults.plan import FaultPlan
 from repro.network.multicast import MulticastScheme
 from repro.obs.hooks import attach_recorder
@@ -30,6 +32,9 @@ from repro.protocol.modes import (
     StaticModePolicy,
 )
 from repro.protocol.stenstrom import StenstromProtocol
+from repro.runner import Executor, SweepSpec, WorkloadSpec
+from repro.sim import kernel as kernel_module
+from repro.sim.ctrace import CompiledTrace
 from repro.sim.engine import run_trace
 from repro.sim.kernel import BatchedKernel
 from repro.sim.system import System, SystemConfig
@@ -432,6 +437,51 @@ class TestFallbackReasons:
             )
         assert protocol.batched_kernel().fallback_reasons["bounds"] == 1
 
+    @pytest.mark.parametrize(
+        "declared, validate, bad_row, error",
+        [
+            ((N_NODES, 2), False, (N_NODES, 0, 0, 0, 0), "reference 3"),
+            ((N_NODES, 4), True, (0, 1, 0, 3, 1), "offset 3 outside"),
+        ],
+        ids=["unvalidated", "wider-blocks"],
+    )
+    def test_bounds_of_an_unproven_trace(
+        self, table_runs, declared, validate, bad_row, error
+    ):
+        # Like a trace declared for more nodes than the system has
+        # (test_bounds), one never validated or declared with wider
+        # blocks carries no proof: every chunk's bounds are tested, as
+        # they always were, and the table reports the bad row.
+        protocol = self._warm()
+        rows = [(0, 1, 0, 0, 1)] * 3 + [bad_row]
+        trace = CompiledTrace(
+            *(array("q", column) for column in zip(*rows)),
+            *declared,
+            validate=validate,
+        )
+        assert not trace.fits(self.N_NODES, 2)
+        with pytest.raises(ReproError, match=error):
+            self._replay(protocol, trace)
+        assert protocol.batched_kernel().fallback_reasons["bounds"] == 1
+        assert table_runs[-1] == 4
+
+    @pytest.mark.parametrize(
+        "declared", [(N_NODES // 2, 1), (N_NODES, 2)], ids=["smaller", "equal"]
+    )
+    def test_a_proven_trace_skips_the_bounds_test(
+        self, table_runs, declared, monkeypatch
+    ):
+        # validate() ran, on a geometry the system contains: no chunk is
+        # tested again (``max`` is a name only the bounds test looks up).
+        protocol = self._warm()
+        trace = Trace(
+            [Reference(0, Op.WRITE, Address(0, 0), 1)] * 200, *declared
+        ).compile()
+        assert trace.fits(self.N_NODES, 2)
+        monkeypatch.setattr(kernel_module, "max", pytest.fail, raising=False)
+        assert self._replay(protocol, trace) == {}
+        assert protocol.batched_kernel().batched_refs == 10 + 200
+
     def test_policy_switch_cuts_the_chunk(self, table_runs):
         # An exclusive owner (threshold 2/3) under an 8-reference window.
         # Seven references pass, the eighth completes a read-heavy window
@@ -480,6 +530,127 @@ class TestFallbackReasons:
         assert sum(kernel.fallback_reasons.values()) == len(table_runs)
         assert sum(table_runs) == kernel.fallback_refs
         assert max(table_runs) <= 64
+
+
+@pytest.fixture
+def fold_builds(monkeypatch):
+    """``(trace length, n_nodes, block_size_words)`` per column folded."""
+    builds = []
+    build_fold = CompiledTrace._build_fold
+
+    def counting_build_fold(trace, *geometry):
+        builds.append((len(trace), *geometry))
+        return build_fold(trace, *geometry)
+
+    monkeypatch.setattr(CompiledTrace, "_build_fold", counting_build_fold)
+    return builds
+
+
+class TestFoldedColumn:
+    """The fold is per trace: shared by cells, redone per geometry."""
+
+    def test_two_systems_refold_one_trace(self, fold_builds):
+        # The column's arithmetic depends on the system's (N, B): a second
+        # system must not read the first one's.
+        n_nodes = 16
+        make = _workloads(n_nodes)["markov_block"]
+        trace = make(True)
+        geometries = [(16, 4), (32, 8), (16, 4)]
+        for n, block_size_words in geometries:
+            reports = []
+            for references in (trace, make(False).references):
+                _, protocol = build(
+                    n_nodes=n, block_size_words=block_size_words
+                )
+                reports.append(
+                    run_trace(
+                        protocol,
+                        references,
+                        verify=False,
+                        check_invariants_every=0,
+                    ).to_dict()
+                )
+                if references is trace:
+                    # A stale column would decode to unknown keys.
+                    assert protocol.batched_kernel().batched_refs > 300
+            assert reports[0] == reports[1]
+        assert fold_builds == [
+            (len(trace), *geometry) for geometry in geometries
+        ]
+
+    @pytest.mark.parametrize("warmup", [0, 150])
+    def test_a_protocol_sweep_folds_its_workload_once(
+        self, fold_builds, warmup
+    ):
+        sweep = SweepSpec.from_grid(
+            "one-workload",
+            protocols=["distributed-write", "global-read", "two-mode"],
+            workloads=[
+                WorkloadSpec(
+                    kind="markov", n_nodes=16, n_references=600,
+                    write_fraction=0.3, seed=5, tasks=tuple(range(8)),
+                )
+            ],
+            configs=[SystemConfig(n_nodes=16)],
+            warmup=warmup,
+        )
+        results = Executor(workers=0).run(sweep)
+        assert len(results) == 3 and not any(r.failed for r in results)
+        assert fold_builds == [(600, 16, 4)]
+
+    def test_clean_chunks_do_no_work_per_reference(self):
+        # The alarm for Python work creeping back into a clean chunk,
+        # independent of the host: count profile events (Python calls and
+        # C calls) during steady-state replays of n and of 2n references
+        # of the N=1024 cell.  What a chunk costs is bounded by its
+        # distinct (node, block, op, offset) values -- 64 tasks x 2 ops x
+        # 4 words here -- so the count must grow with the chunks, by less
+        # than one event per added reference.  (Counts repeat exactly,
+        # rates do not; a loop that calls nothing raises no event, so
+        # this complements bench-smoke's share check, not replaces it.)
+        n_nodes, tasks, warm, n = 1024, range(0, 1024, 16), 20_000, 30_000
+        trace = markov_block_trace(
+            n_nodes, list(tasks), 0.3, warm + 3 * n, seed=11, compiled=True
+        )
+        system = System(
+            SystemConfig(
+                n_nodes=n_nodes,
+                costs=MessageCosts.uniform(20),
+                multicast_scheme=MulticastScheme.VECTOR,
+            )
+        )
+        protocol = default_factories()["distributed-write"](system)
+        run_trace(
+            protocol, trace[:warm], verify=False, check_invariants_every=0
+        )
+        kernel = protocol.batched_kernel()
+
+        def events_and_chunks(piece):
+            counts = Counter()
+
+            def hook(frame, event, arg):
+                if event == "call":
+                    counts[frame.f_code.co_name] += 1
+                elif event == "c_call":
+                    counts["<c>"] += 1
+
+            fallback = kernel.fallback_refs
+            previous = sys.getprofile()
+            sys.setprofile(hook)
+            try:
+                kernel.replay(piece)
+            finally:
+                sys.setprofile(previous)
+            assert kernel.fallback_refs == fallback  # all chunks clean
+            return sum(counts.values()), counts["_key_counts"]
+
+        small = events_and_chunks(trace[warm : warm + n])
+        large = events_and_chunks(trace[warm + n :])
+        assert events_and_chunks(trace[warm : warm + n]) == small
+        per_chunk = 6 * len(tasks) * 2 * trace.block_size_words
+        assert small[0] <= per_chunk * small[1]
+        assert large[1] > small[1]
+        assert large[0] - small[0] <= per_chunk * (large[1] - small[1]) < n
 
 
 class TestPresentEpochInvalidation:

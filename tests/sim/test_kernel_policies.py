@@ -8,7 +8,8 @@ must therefore agree in everything observable: the kernel (what
 ``run_trace`` picks), ``FastPathTable.replay`` on its own, and the
 per-``Reference`` dispatch loop -- for both counting policies, every
 generator, and chunk bounds forced so that switches land on every
-position of a chunk.
+position of a chunk -- whether the trace replays whole, as a warm-up
+split or as a slice of a slice, which all read one folded column.
 """
 
 import random
@@ -30,7 +31,7 @@ from repro.workloads.markov import markov_block_trace, shared_structure_trace
 from repro.workloads.synthetic import random_trace
 
 from tests.protocol.conftest import build
-from tests.sim.test_kernel import _workloads
+from tests.sim.test_kernel import _workloads, fold_builds  # noqa: F401
 from tests.sim.test_link_ledger import arrays
 
 POLICIES = pytest.mark.parametrize(
@@ -71,20 +72,40 @@ def _observed(system, protocol):
     )
 
 
-def _three_ways(make_trace, make_policy, n_nodes, **build_kwargs):
+#: How a trace reaches the replay: in one piece, or in consecutive pieces
+#: cut from it (a compiled trace and a reference list slice alike).
+VIEWS = {
+    "root": lambda trace: [trace],
+    "warmup-split": lambda trace: [
+        trace[: len(trace) // 3], trace[len(trace) // 3 :]
+    ],
+    "slice-of-slice": lambda trace: [
+        trace[: len(trace) // 5 * 2],
+        trace[len(trace) // 5 :][len(trace) // 5 :],
+    ],
+}
+ALL_VIEWS = pytest.mark.parametrize("view", sorted(VIEWS))
+
+
+def _three_ways(
+    make_trace, make_policy, n_nodes, view="root", **build_kwargs
+):
     """Replay by kernel, table and ``Reference`` loop; assert agreement.
 
     Returns the kernel-route protocol for further inspection.
     """
     build_kwargs = {"n_nodes": n_nodes, "block_size_words": 4, **build_kwargs}
     compiled = make_trace(True)
+    pieces = VIEWS[view](compiled)
+    assert sum(map(len, pieces)) == len(compiled)
 
     kernel_system, kernel_protocol = build(
         mode_policy=make_policy(), **build_kwargs
     )
-    kernel_report = run_trace(
-        kernel_protocol, compiled, verify=False, check_invariants_every=0
-    )
+    for piece in pieces:
+        kernel_report = run_trace(
+            kernel_protocol, piece, verify=False, check_invariants_every=0
+        )
     kernel = kernel_protocol.batched_kernel()
     assert kernel.batched_refs + kernel.fallback_refs == len(compiled)
 
@@ -92,17 +113,17 @@ def _three_ways(make_trace, make_policy, n_nodes, **build_kwargs):
         mode_policy=make_policy(), **build_kwargs
     )
     table = table_protocol.fastpath()
-    table.replay(compiled)
+    for piece in pieces:
+        table_protocol.system.reset_traffic()  # as run_trace does
+        table.replay(piece)
 
     slow_system, slow_protocol = build(
         mode_policy=make_policy(), **build_kwargs
     )
-    slow_report = run_trace(
-        slow_protocol,
-        make_trace(False).references,
-        verify=False,
-        check_invariants_every=0,
-    )
+    for piece in VIEWS[view](make_trace(False).references):
+        slow_report = run_trace(
+            slow_protocol, piece, verify=False, check_invariants_every=0
+        )
 
     assert kernel_report.to_dict() == slow_report.to_dict()
     expected = _observed(slow_system, slow_protocol)
@@ -125,6 +146,21 @@ class TestThreeWayEquivalence:
         _three_ways(
             _workloads(n_nodes)[name], lambda: policy_cls(window), n_nodes
         )
+
+    @POLICIES
+    @ALL_VIEWS
+    @pytest.mark.parametrize(
+        "name", ["markov_block", "producer_consumer", "shared_structure"]
+    )
+    def test_every_view_of_one_trace(
+        self, name, view, policy_cls, fold_builds
+    ):
+        # Whole, split at a warm-up boundary or cut twice: every piece
+        # replays out of the one column folded on the root.
+        n_nodes = 16
+        make = _workloads(n_nodes)[name]
+        _three_ways(make, lambda: policy_cls(32), n_nodes, view=view)
+        assert fold_builds == [(len(make(True)), n_nodes, 4)]
 
     @POLICIES
     def test_the_kernel_does_the_work(self, policy_cls):
@@ -234,6 +270,24 @@ class TestAdversarialChunking:
         kernel = protocol.batched_kernel()
         assert sum(kernel.fallback_reasons.values()) * bounds[0] >= (
             kernel.fallback_refs
+        )
+
+    @POLICIES
+    @ALL_VIEWS
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_forced_chunk_sizes_on_every_view(
+        self, size, view, policy_cls, monkeypatch
+    ):
+        # Tiny chunks put every chunk edge of a slice on a different row
+        # of the root's column than the same edge of the whole trace.
+        monkeypatch.setattr(kernel_module, "MIN_CHUNK", size)
+        monkeypatch.setattr(kernel_module, "MAX_CHUNK", size)
+        n_nodes = 16
+        _three_ways(
+            _workloads(n_nodes)["markov_block"],
+            lambda: policy_cls(2),
+            n_nodes,
+            view=view,
         )
 
     def test_a_cut_at_zero_follows_a_cut_at_zero(self, monkeypatch):
