@@ -44,11 +44,14 @@ Between :meth:`OmegaNetwork.open_window` and
 a :func:`~repro.sim.engine.run_trace` replay) a protocol message is not
 sent but *posted*: the ledger counts each distinct ``(kind, source,
 dests, payload)``.  Settling -- at the close, or before any read through
-the accessors below -- prices each distinct message by closed form
-(:func:`~repro.network.multicast.message_levels`): its bits reach the
-window's ``account`` sink by kind and the network's per-level totals,
-which is all ``total_bits``, ``bits_by_level()`` and ``total_messages``
-need.  The fabric is walked, once per distinct message through
+the accessors below -- prices the ledger by closed form: a unicast
+crosses every level whatever its ports, so unicasts are priced once per
+``(kind, payload)``, a multicast by its record
+(:func:`~repro.network.multicast.message_levels`).  The bits reach the
+window's ``account`` sink once per kind and the network's per-level
+totals, which is all ``total_bits``, ``bits_by_level()`` and
+``total_messages`` need.  The settled ledger is kept as it is, and the
+fabric is walked, once per distinct message through
 :meth:`apply_plan_traffic_scaled`, only when something reads a link or a
 switch.  Array addition commutes, so every reader sees exactly what
 per-send accounting would have produced (docs/PERF.md, "The message
@@ -68,6 +71,7 @@ path"), also around the window's edges
 from __future__ import annotations
 
 from array import array
+from operator import itemgetter
 from typing import NamedTuple
 
 from repro.errors import ConfigurationError
@@ -165,10 +169,10 @@ class OmegaNetwork:
         #: ``None`` while it is closed.
         self._ledger: dict[tuple, int] | None = None
         self._window: tuple | None = None
-        #: Messages priced but not yet in the arrays, ``(scheme, source,
-        #: dests, payload_bits) -> count``, and what they add to each
+        #: Messages priced but not yet in the arrays -- each settled
+        #: ledger as ``(scheme, ledger)`` -- and what they add to each
         #: level's bits and to the link traversals.
-        self._unwalked: dict[tuple, int] = {}
+        self._unwalked: list[tuple] = []
         self._unwalked_bits = [0] * (self.n_stages + 1)
         self._unwalked_hops = 0
 
@@ -349,8 +353,8 @@ class OmegaNetwork:
 
         A post is ``ledger[kind, source, dests, payload_bits] += 1`` with
         ``dests`` a port (a unicast) or a frozenset, multicast under
-        ``scheme``; settling calls ``account(kind, bits, messages)`` per
-        distinct message, in first-post order.  Whoever opens a window
+        ``scheme``; settling calls ``account(kind, bits, messages)`` once
+        per kind, in first-post order.  Whoever opens a window
         closes it in a ``finally``; outside one, traffic reaches the
         arrays send by send.  Without a plan cache (``route_plans =
         None``, the switch-by-switch reference path) nothing is priced
@@ -364,34 +368,73 @@ class OmegaNetwork:
 
     def close_window(self) -> None:
         """Settle the ledger and stop taking posts."""
-        self._settle()
-        self._ledger = self._window = None
+        try:
+            self._settle()
+        finally:
+            self._ledger = self._window = None
 
     def _settle(self) -> None:
-        """Price every posted message; the window (if any) stays open."""
-        ledger = self._ledger
-        if ledger:
-            # Imported here: the multicast layer is built on this module.
-            from repro.network.multicast import message_levels
+        """Price every posted message; the window (if any) stays open.
 
-            scheme, account = self._window
-            unwalked = self._unwalked
-            level_bits = self._unwalked_bits
-            for (kind, source, dests, bits), count in ledger.items():
-                if type(dests) is int:  # a unicast, posted by its port
-                    dests = frozenset((dests,))
-                links, tags = message_levels(self, scheme, source, dests, bits)
-                cost = 0
-                for level, (n_links, tag) in enumerate(zip(links, tags)):
-                    on_level = n_links * (bits + tag) * count
-                    level_bits[level] += on_level
-                    cost += on_level
-                account(kind, cost, count)
-                if links[0]:  # an empty multicast counts, and goes nowhere
-                    self._unwalked_hops += sum(links) * count
-                    key = (scheme, source, dests, bits)
-                    unwalked[key] = unwalked.get(key, 0) + count
-            ledger.clear()
+        A unicast crosses all ``m + 1`` levels whatever its ports, so
+        unicasts are priced once per ``(kind, payload)``, a multicast by
+        its record.  Nothing is accounted until all of it is priced and
+        every unicast's ports are checked.
+        """
+        ledger = self._ledger
+        if not ledger:
+            return
+        # Imported here: the multicast layer is built on this module.
+        from repro.network.multicast import level_tags, message_levels
+
+        scheme, account = self._window
+        n_ports = self.n_ports
+        # Kinds in first-post order: the key order per-send accounting
+        # leaves in ``Stats``.
+        spent = dict.fromkeys(map(itemgetter(0), ledger), 0)
+        sent = dict.fromkeys(spent, 0)
+        levels = [0] * (self.n_stages + 1)
+        hops = 0
+        unicasts: dict[tuple, int] = {}
+        for (kind, source, dest, bits), count in ledger.items():
+            if type(dest) is not int:
+                if len(dest) != 1:
+                    links, tags = message_levels(
+                        self, scheme, source, dest, bits
+                    )
+                    cost = 0
+                    for level, (n_links, tag) in enumerate(zip(links, tags)):
+                        on_level = n_links * (bits + tag) * count
+                        levels[level] += on_level
+                        cost += on_level
+                    spent[kind] += cost
+                    sent[kind] += count
+                    hops += sum(links) * count
+                    continue
+                (dest,) = dest
+            if not (0 <= source < n_ports and 0 <= dest < n_ports):
+                self._check_port(source)
+                self._check_port(dest)
+            group = (kind, bits)
+            unicasts[group] = unicasts.get(group, 0) + count
+        tags = level_tags(self.n_stages)[0]
+        payload = messages = 0
+        for (kind, bits), count in unicasts.items():
+            spent[kind] += count * (bits * len(tags) + sum(tags))
+            sent[kind] += count
+            payload += bits * count
+            messages += count
+        for kind, bits in spent.items():
+            account(kind, bits, sent[kind])
+        self._unwalked_bits = [
+            unwalked + on_level + payload + tag * messages
+            for unwalked, on_level, tag in zip(
+                self._unwalked_bits, levels, tags
+            )
+        ]
+        self._unwalked_hops += hops + messages * len(tags)
+        self._unwalked.append((scheme, dict(ledger)))
+        ledger.clear()
 
     def _walk(self) -> None:
         """Settle, then put every priced message on its links and switches."""
@@ -399,9 +442,15 @@ class OmegaNetwork:
         if self._unwalked:
             from repro.network.multicast import multicast_plan_for
 
-            for (scheme, source, dests, bits), count in self._unwalked.items():
-                plan = multicast_plan_for(self, scheme, source, dests, bits)
-                self.apply_plan_traffic_scaled(plan, bits, count)
+            for scheme, entries in self._unwalked:
+                for (_, source, dests, bits), count in entries.items():
+                    if type(dests) is int:  # a unicast, posted by its port
+                        dests = frozenset((dests,))
+                    if dests:  # an empty multicast counts, goes nowhere
+                        plan = multicast_plan_for(
+                            self, scheme, source, dests, bits
+                        )
+                        self.apply_plan_traffic_scaled(plan, bits, count)
             self._unwalked.clear()
             self._unwalked_bits = [0] * (self.n_stages + 1)
             self._unwalked_hops = 0

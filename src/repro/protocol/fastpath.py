@@ -50,6 +50,7 @@ value verification and invariant re-checks are off.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.cache.state import Mode
@@ -80,12 +81,16 @@ class FastPathTable:
     multicast.  Record kinds are discriminated by length.
     ``hits`` and ``misses`` count fast-path engagement across all
     :meth:`replay` calls (the ``bench_fastpath_hit_rate`` checks).
+
+    The protocol owns its table; the table reaches the protocol through
+    a weak reference, so a finished cell is freed by reference counting
+    and leaves the cyclic collector nothing to trace.
     """
 
     __slots__ = ("_protocol", "_reads", "_writes", "hits", "misses")
 
     def __init__(self, protocol: "StenstromProtocol") -> None:
-        self._protocol = protocol
+        self._protocol = weakref.ref(protocol)
         self._reads: dict[int, tuple] = {}
         self._writes: dict[int, tuple] = {}
         self.hits = 0
@@ -96,7 +101,7 @@ class FastPathTable:
     # ------------------------------------------------------------------
 
     def _register_read(self, node: int, block: int) -> None:
-        protocol = self._protocol
+        protocol = self._protocol()
         system = protocol.system
         cache = system.caches[node]
         location = cache.locate(block)
@@ -140,7 +145,7 @@ class FastPathTable:
         )
 
     def _register_write(self, node: int, block: int) -> None:
-        protocol = self._protocol
+        protocol = self._protocol()
         system = protocol.system
         cache = system.caches[node]
         location = cache.locate(block)
@@ -208,7 +213,7 @@ class FastPathTable:
         of a larger trace (the batched kernel's fallback) reports the
         position in the original trace.
         """
-        protocol = self._protocol
+        protocol = self._protocol()
         system = protocol.system
         n_nodes = system.n_nodes
         block_size = system.config.block_size_words
@@ -462,7 +467,7 @@ class FastPathTable:
         The pending dicts map ``id(record)`` to ``[record, hit count]``;
         each record's messages are posted scaled by its count.
         """
-        protocol = self._protocol
+        protocol = self._protocol()
         events = protocol.stats.events
         post = protocol._post
         # Driven by hand, outside run_trace's window: one of its own.

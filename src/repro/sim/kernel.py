@@ -68,6 +68,7 @@ test_kernel_policies.py; docs/PERF.md, "Where each proof lives").
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from operator import itemgetter, or_
@@ -130,6 +131,9 @@ class BatchedKernel:
     the eligibility tests.  ``fallback_reasons`` counts the fallback runs
     by what broke the chunk: ``bounds``, ``unknown_key``, ``stale_epoch``,
     ``stale_present``, ``live_state`` or ``policy_switch``.
+
+    Like its table, the kernel is owned by the protocol and reaches it
+    through a weak reference: no cycle keeps a finished cell alive.
     """
 
     __slots__ = (
@@ -143,7 +147,7 @@ class BatchedKernel:
     def __init__(
         self, protocol: "StenstromProtocol", table: "FastPathTable"
     ) -> None:
-        self._protocol = protocol
+        self._protocol = weakref.ref(protocol)
         self._table = table
         self.batched_refs = 0
         self.fallback_refs = 0
@@ -151,7 +155,7 @@ class BatchedKernel:
 
     def replay(self, trace: "CompiledTrace") -> tuple[int, int]:
         """Replay every column row; returns ``(n_reads, n_writes)``."""
-        protocol = self._protocol
+        protocol = self._protocol()
         table = self._table
         system = protocol.system
         n_nodes = system.n_nodes

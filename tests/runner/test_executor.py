@@ -6,6 +6,7 @@ sweep run with ``workers=4`` must produce byte-identical per-cell
 path, and a second invocation over the same cache must execute nothing.
 """
 
+import gc
 import json
 import multiprocessing
 import os
@@ -13,7 +14,10 @@ import time
 
 import pytest
 
+from repro.analysis.compare import default_factories
 from repro.errors import ConfigurationError, ExecutionError
+from repro.protocol.base import CoherenceProtocol
+from repro.protocol.fastpath import FastPathTable
 from repro.runner import (
     Executor,
     ResultCache,
@@ -24,7 +28,8 @@ from repro.runner import (
     execute_spec,
 )
 from repro.runner.spec import ExperimentSpec
-from repro.sim.system import SystemConfig
+from repro.sim.kernel import BatchedKernel
+from repro.sim.system import System, SystemConfig
 
 fork_only = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -301,3 +306,50 @@ class TestCompiledReplay:
         assert json.dumps(
             compiled_report.to_dict(), sort_keys=True
         ) == json.dumps(reference_report.to_dict(), sort_keys=True)
+
+
+class TestCycleFreeCells:
+    """A finished cell is freed by reference counting alone.
+
+    A back-reference closing a cycle through the machine (a replay tier
+    holding its protocol strongly, say) leaves every cell for the cyclic
+    collector, whose full passes then trace all of them.
+    """
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "refs"])
+    @pytest.mark.parametrize("protocol", list(default_factories()))
+    def test_a_finished_cell_leaves_the_collector_nothing(
+        self, protocol, compiled
+    ):
+        spec = ExperimentSpec(
+            protocol=protocol,
+            workload=WorkloadSpec(
+                kind="random",
+                n_nodes=8,
+                n_references=300,
+                write_fraction=0.3,
+                seed=5,
+            ),
+            config=SystemConfig(n_nodes=8),
+            warmup=50,
+            compiled=compiled,
+        )
+        cell_types = (System, CoherenceProtocol, FastPathTable, BatchedKernel)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            execute_spec(spec)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            left = [
+                type(obj).__name__
+                for obj in gc.garbage
+                if isinstance(obj, cell_types)
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert left == []

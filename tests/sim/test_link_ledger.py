@@ -2,8 +2,9 @@
 
 Inside ``run_trace``'s accounting window a protocol *posts* its messages:
 the network's ledger counts each distinct ``(kind, source, dests, bits)``,
-prices it once by closed form when the window settles, and walks the
-fabric only when a link or switch is read.  These tests hold every replay
+prices it by closed form when the window settles (unicasts once per
+``(kind, bits)``, each multicast once), and walks the fabric only when a
+link or switch is read.  These tests hold every replay
 tier to the ``Stats`` (key order included), totals and arrays of per-send
 accounting (the window forced shut), and name the cases around the
 window's edges:
@@ -19,20 +20,27 @@ window's edges:
   (``FastPathTable.replay``, ``BatchedKernel.replay``) has accounted
   everything when it returns, with a plan cache or without;
 * **the lazy walk**: a report needs no ``RoutePlan``; the first per-link
-  read builds them, once.
+  read builds them, once;
+* **a posted unicast to a port outside the network** raises the per-send
+  error at the settle, before anything is accounted.
 
 They also check that ``MulticastResult`` still looks like the frozen
 dataclass it was while building its loads only on demand.
 """
 
 import dataclasses
+import importlib
 import json
 import pickle
 
 import pytest
 
 from repro.analysis.compare import default_factories
-from repro.errors import CoherenceError, TransientNetworkError
+from repro.errors import (
+    CoherenceError,
+    ConfigurationError,
+    TransientNetworkError,
+)
 from repro.faults.plan import FaultPlan
 from repro.network.contention import link_load_profile
 from repro.network.link import LinkLoad
@@ -49,8 +57,9 @@ from repro.obs.recorder import TraceRecorder
 from repro.protocol.limited_pointer import LimitedPointerProtocol
 from repro.protocol.messages import MsgKind
 from repro.sim.engine import run_trace
+from repro.sim.stats import Stats
 from repro.sim.system import System, SystemConfig
-from repro.types import Address
+from repro.types import Address, Op
 from repro.workloads.markov import markov_block_trace
 from repro.workloads.synthetic import random_trace
 
@@ -190,6 +199,66 @@ def test_the_window_really_defers():
     assert network._ledger is None and protocol._ledger is None
 
 
+@pytest.mark.parametrize(
+    "source, dests",
+    [(0, 99), (0, frozenset({99})), (99, 0)],
+    ids=["dest", "dest-set", "source"],
+)
+@pytest.mark.parametrize("window", [True, False], ids=["open", "shut"])
+def test_an_out_of_range_unicast_raises_before_anything_is_priced(
+    window, source, dests
+):
+    # Sent, the plan lookup rejects the port at once; posted, the settle
+    # does -- with the same error, before it accounts anything.
+    system = System(SystemConfig(n_nodes=8))
+    protocol = default_factories()["no-cache"](system)
+    if window:
+        protocol.open_window()
+    with pytest.raises(ConfigurationError, match=r"^port 99 outside 0\.\.7$"):
+        try:
+            protocol._post(MsgKind.MEM_READ, source, dests, 10, 1)
+        finally:
+            protocol.close_window()
+    assert system.network._ledger is None
+    assert protocol.stats.to_dict() == Stats().to_dict()
+    assert totals(system.network) == (0, [0] * 4, 0)
+
+
+@pytest.mark.parametrize("protocol_name", ["full-map", "two-mode"])
+def test_a_settle_prices_each_multicast_and_no_unicast(
+    protocol_name, monkeypatch
+):
+    # A count alarm for per-entry pricing creeping back into the settle:
+    # counts repeat exactly where rates do not.
+    system = System(SystemConfig(n_nodes=N_NODES))
+    protocol = FACTORIES[protocol_name](system)
+    protocol.open_window()
+    for node, op, address, value in _trace(False, workload="migratory"):
+        if op is Op.WRITE:
+            protocol.write(node, address, value)
+        else:
+            protocol.read(node, address)
+    ledger = system.network._ledger
+    multicasts = [
+        dests for _, _, dests, _ in ledger
+        if type(dests) is frozenset and len(dests) != 1
+    ]
+    assert multicasts and len(ledger) > len(multicasts)  # unicasts too
+    priced = []
+    # By module object: ``repro.network.multicast`` is also a function.
+    module = importlib.import_module("repro.network.multicast")
+    message_levels = module.message_levels
+
+    def counted(network, scheme, source, dests, bits):
+        priced.append(dests)
+        return message_levels(network, scheme, source, dests, bits)
+
+    monkeypatch.setattr(module, "message_levels", counted)
+    protocol.close_window()
+    assert priced == multicasts
+    assert system.network.total_bits == protocol.stats.total_bits > 0
+
+
 def test_no_window_without_a_plan_cache():
     # The cold reference path walks switch by switch, send by send.
     system = System(SystemConfig(n_nodes=8))
@@ -261,7 +330,9 @@ def test_the_ledger_stays_shut_when_sends_are_consumed(
         return system, protocol, report
 
     system, protocol, report = run()
-    assert system.network._unwalked == {}  # every send reached its links
+    # Every send reached its links: the raw arrays already hold it all.
+    network = system.network
+    assert sum(network._link_messages) == network.total_messages > 0
     window_shut()
     shut_system, shut_protocol, shut_report = run()
     assert in_order(report.stats) == in_order(shut_report.stats)
@@ -304,7 +375,8 @@ class TestLazyWalk:
         before = totals(network)
         walked = arrays(network)
         walks = system.route_plan_stats()["walks"]
-        assert walks > 0 and network._unwalked == {}
+        assert walks > 0
+        assert sum(network._link_bits) == network.total_bits  # all walked
         assert totals(network) == before
         assert (sum(walked[0]), sum(walked[1])) == (before[0], before[2])
         assert arrays(network) == walked  # a second read ...
@@ -456,28 +528,59 @@ def test_recorder_and_message_log_see_the_same_loads(fault_plan, window_shut):
         assert sum(load.bits for load in message.loads) == message.cost
 
 
+def _writes(protocol):
+    """Three nodes write one block."""
+    for step in range(3):
+        protocol.write(step, Address(6, 0), step)
+
+
+def _grouped(protocol):
+    """A ledger through every branch of the grouped settle.
+
+    The first kind posted is an empty multicast (counted, never walked),
+    so a settle that accounts unicasts before multicasts reorders
+    ``Stats``; one price group holds unicasts posted by port, by
+    one-element set and as a scaled deferred hit.
+    """
+    word = protocol._cost_word
+    protocol._multicast(MsgKind.INVALIDATE, 2, frozenset(), word)
+    protocol._multicast(MsgKind.MEM_READ, 0, frozenset({5}), word)
+    protocol._send(MsgKind.ACK, 3, 1, protocol._cost_ack)
+    protocol._send(MsgKind.MEM_READ, 4, 7, word)
+    protocol._multicast(MsgKind.INVALIDATE, 2, frozenset({1, 6, 7}), word)
+    protocol._post(MsgKind.MEM_READ, 1, 3, word, 3)
+
+
 class TestResetTraffic:
-    def test_reset_inside_a_window_drops_pending_posts_too(self):
+    @pytest.mark.parametrize(
+        "posts", [_writes, _grouped], ids=["writes", "grouped"]
+    )
+    def test_reset_inside_a_window_drops_pending_posts_too(self, posts):
         # Posted before the reset: counted in Stats, absent from the links
-        # -- what per-send accounting leaves (the shut run below).
+        # -- what per-send accounting leaves (the shut run below).  The
+        # same posts then settle twice more, split by a total read, and a
+        # link read walks them.
         def run(open_window):
             system = System(SystemConfig(n_nodes=8))
             protocol = default_factories()["write-once"](system)
             if open_window:
                 protocol.open_window()
-            for step in range(3):
-                protocol.write(step, Address(6, 0), step)
+            posts(protocol)
             system.reset_traffic()
             assert system.network.total_bits == 0
             before = protocol.stats.total_bits
+            posts(protocol)
+            mid = totals(system.network)
+            posts(protocol)
             protocol.read(1, Address(6, 0))
             protocol.close_window()
-            return system, protocol, before
+            return system, protocol, before, mid
 
-        system, protocol, before = run(True)
+        system, protocol, before, mid = run(True)
         assert system.network._ledger is None
-        shut_system, shut_protocol, shut_before = run(False)
+        shut_system, shut_protocol, shut_before, shut_mid = run(False)
         assert before == shut_before > 0
+        assert mid == shut_mid
         assert in_order(protocol.stats) == in_order(shut_protocol.stats)
         assert totals(system.network) == totals(shut_system.network)
         assert arrays(system.network) == arrays(shut_system.network)
