@@ -1002,51 +1002,39 @@ def _command_heatmap(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import signal
-
-    if args.shards > 1:
-        return _command_serve_router(args)
-
-    from repro.serve.daemon import ServeConfig, ServeDaemon
-
-    config = ServeConfig(
+    # What a daemon takes and a router forwards to each of its shards.
+    common = dict(
         socket_path=args.socket,
+        listen=args.listen,
         workers=args.workers,
         exec_workers=args.exec_workers,
         max_queue=args.max_queue,
         hot_capacity=args.hot_capacity,
         cache_dir=args.cache_dir,
-        journal_path=args.journal,
         sample_interval=args.sample_interval,
-        flight_capacity=args.flight_capacity,
-        flight_dir=args.flight_dir,
-        listen=args.listen,
         disk_max_bytes=args.disk_max_bytes,
         disk_max_age=args.disk_max_age,
         stream_artifacts=args.stream_artifacts,
     )
-    daemon = ServeDaemon(config)
+    if args.shards > 1:
+        return _command_serve_router(args, common)
 
-    async def _main() -> None:
-        await daemon.start()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, daemon.request_stop)
-        listen = (
-            f", tcp port {daemon.tcp_port}"
-            if daemon.tcp_port is not None
-            else ""
-        )
-        print(
-            f"serving on {args.socket} "
-            f"(workers={args.workers}, max_queue={args.max_queue}, "
-            f"hot_capacity={args.hot_capacity}{listen})",
-            flush=True,
-        )
-        await daemon.run_until_stopped()
+    from repro.serve.daemon import ServeConfig, ServeDaemon
 
-    asyncio.run(_main())
+    daemon = ServeDaemon(
+        ServeConfig(
+            **common,
+            journal_path=args.journal,
+            flight_capacity=args.flight_capacity,
+            flight_dir=args.flight_dir,
+        )
+    )
+    _serve_until_stopped(
+        daemon,
+        f"serving on {args.socket} "
+        f"(workers={args.workers}, max_queue={args.max_queue}, "
+        f"hot_capacity={args.hot_capacity}",
+    )
     counts = daemon.journal.counts()
     print(
         f"drained: {counts['executed']} executed, "
@@ -1057,49 +1045,22 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_serve_router(args: argparse.Namespace) -> int:
-    import asyncio
-    import signal
-
+def _command_serve_router(args: argparse.Namespace, common: dict) -> int:
     from repro.serve.router import RouterConfig, ServeRouter
 
-    config = RouterConfig(
-        socket_path=args.socket,
-        shards=args.shards,
-        listen=args.listen,
-        shard_dir=args.shard_dir,
-        workers=args.workers,
-        exec_workers=args.exec_workers,
-        max_queue=args.max_queue,
-        hot_capacity=args.hot_capacity,
-        cache_dir=args.cache_dir,
-        journal_dir=args.journal,
-        sample_interval=args.sample_interval,
-        disk_max_bytes=args.disk_max_bytes,
-        disk_max_age=args.disk_max_age,
-        stream_artifacts=args.stream_artifacts,
+    router = ServeRouter(
+        RouterConfig(
+            **common,
+            shards=args.shards,
+            shard_dir=args.shard_dir,
+            journal_dir=args.journal,
+        )
     )
-    router = ServeRouter(config)
-
-    async def _main() -> None:
-        await router.start()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, router.request_stop)
-        listen = (
-            f", tcp port {router.tcp_port}"
-            if router.tcp_port is not None
-            else ""
-        )
-        print(
-            f"routing on {args.socket} across {args.shards} shards "
-            f"(workers={args.workers} each, "
-            f"max_queue={args.max_queue}{listen})",
-            flush=True,
-        )
-        await router.run_until_stopped()
-
-    asyncio.run(_main())
+    _serve_until_stopped(
+        router,
+        f"routing on {args.socket} across {args.shards} shards "
+        f"(workers={args.workers} each, max_queue={args.max_queue}",
+    )
     counters = router.metrics.counters
     print(
         f"drained: {counters.get('router.requests', 0)} requests, "
@@ -1107,6 +1068,31 @@ def _command_serve_router(args: argparse.Namespace) -> int:
         f"{counters.get('router.shard_restarts', 0)} shard restarts"
     )
     return 0
+
+
+def _serve_until_stopped(service, banner: str) -> None:
+    """Start ``service``, stop it on SIGTERM/SIGINT, serve until drained.
+
+    ``banner`` is printed once the endpoints are bound, closed by the
+    TCP port (when there is one) and a parenthesis.
+    """
+    import asyncio
+    import signal
+
+    async def _main() -> None:
+        await service.start()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(signum, service.request_stop)
+        listen = (
+            f", tcp port {service.tcp_port}"
+            if service.tcp_port is not None
+            else ""
+        )
+        print(f"{banner}{listen})", flush=True)
+        await service.run_until_stopped()
+
+    asyncio.run(_main())
 
 
 def _command_submit(args: argparse.Namespace) -> int:

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.errors import ConfigurationError, FrameError, ServeError
+from repro.errors import ConfigurationError
 from repro.faults.incidents import incident_entries
 from repro.lru import BoundedLRU
 from repro.obs.metrics import LATENCY_BUCKETS_MS, MetricsRegistry
@@ -61,6 +61,7 @@ from repro.runner.executor import Executor
 from repro.runner.journal import _HASH_PREFIX, RunJournal
 from repro.runner.spec import ExperimentSpec
 from repro.serve import protocol as wire
+from repro.serve.listener import Listener, ListenerThread, _check_listen
 
 #: Rejection-burst window: this many rejections inside
 #: ``_REJECT_BURST_WINDOW`` seconds counts as an overload incident and
@@ -71,13 +72,6 @@ _REJECT_BURST_WINDOW = 10.0
 #: half is dropped from RAM (the file, when configured, keeps all of
 #: them).  Counts stay exact -- they are tallied incrementally.
 _JOURNAL_EVENT_CAP = 20000
-
-#: Submission-parse memo bounds: entries hold the raw frame bytes as
-#: key plus the parsed frozen specs, so both knobs bound memory
-#: (<= entries * max-frame bytes of keys).
-_PARSE_MEMO_ENTRIES = 32
-_PARSE_MEMO_MAX_FRAME = 256 * 1024
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -146,12 +140,7 @@ class ServeConfig:
             raise ConfigurationError(
                 f"reject_burst must be >= 2, got {self.reject_burst}"
             )
-        if self.listen is not None:
-            kind = wire.parse_address(self.listen)
-            if kind[0] != "tcp":
-                raise ConfigurationError(
-                    f"listen must be a tcp host:port, got {self.listen!r}"
-                )
+        _check_listen(self.listen)
         if self.stream_artifacts and self.exec_workers != 0:
             raise ConfigurationError(
                 "stream_artifacts needs the in-process task body "
@@ -204,18 +193,17 @@ class _DaemonJournal(RunJournal):
             return dict(self._tally)
 
 
-class ServeDaemon:
+class ServeDaemon(Listener):
     """The asyncio serving core.  See the module docstring for the model.
 
     Lifecycle: :meth:`start` binds the socket and launches the worker
-    pool; :meth:`run` starts, waits for :meth:`request_stop` (signal
-    handlers, a ``drain`` request, or a test), then :meth:`drain`\\ s.
-    All coroutine methods must run on one event loop; only
-    :meth:`request_stop` is thread-safe.
+    pool; the rest (:meth:`~Listener.run_until_stopped`,
+    :meth:`~Listener.request_stop`, the drain skeleton and the
+    connection loop) is the :class:`~repro.serve.listener.Listener`'s.
     """
 
     def __init__(self, config: ServeConfig) -> None:
-        self.config = config
+        super().__init__(config)
         self.metrics = MetricsRegistry()
         self.cache = TieredResultCache(
             config.cache_dir,
@@ -230,24 +218,15 @@ class ServeDaemon:
         self.flight = FlightRecorder(config.flight_capacity)
         self.sampler = TelemetrySampler(self.metrics)
         self.sampler.add_source(self._telemetry_gauges)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._tcp_server: asyncio.AbstractServer | None = None
-        #: The bound TCP port once started with ``listen`` (port 0 in
-        #: the config resolves to the kernel-assigned port here).
-        self.tcp_port: int | None = None
-        self._queue: asyncio.Queue | None = None
-        self._stop: asyncio.Event | None = None
+        self._queue: asyncio.Queue = asyncio.Queue()
         self._inflight: dict[str, asyncio.Future] = {}
         self._executed: dict[str, int] = {}
         self._coalesced = 0
         self._rejected = 0
         self._accepted = 0
         self._busy_workers = 0
-        self._draining = False
         self._subscribers: dict[str, set[asyncio.Queue]] = {}
         self._workers: list[asyncio.Task] = []
-        self._conn_tasks: set[asyncio.Task] = set()
         self._sampler_task: asyncio.Task | None = None
         self._reject_times: deque[float] = deque(
             maxlen=config.reject_burst
@@ -260,39 +239,17 @@ class ServeDaemon:
         # a hot cell becomes one buffer write instead of a dict build
         # plus a JSON encode.
         self._frame_cache = BoundedLRU(config.hot_capacity)
-        # Parsed submissions keyed by their exact wire bytes.  Sweep
-        # clients (poll loops, the router's verbatim relay) resubmit
-        # byte-identical frames, and spec construction dominates the
-        # hot-serve path; identical bytes parse to the identical value,
-        # so repeats reuse the frozen specs -- cached hashes included.
-        self._parse_memo = BoundedLRU(_PARSE_MEMO_ENTRIES)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the unix socket and launch the worker pool."""
-        self._loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue()
-        self._stop = asyncio.Event()
-        path = Path(self.config.socket_path)
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        # A socket file left by a dead daemon would make bind() fail;
-        # a *live* daemon holds the listener, so unlinking is safe.
-        with contextlib.suppress(OSError):
-            path.unlink()
-        self._server = await asyncio.start_unix_server(
-            self._handle_connection, path=str(path)
-        )
+        """Bind the endpoints and launch the worker pool."""
+        await self._bind()
         listen_bound = None
-        if self.config.listen is not None:
-            _kind, host, port = wire.parse_address(self.config.listen)
-            self._tcp_server = await asyncio.start_server(
-                self._handle_connection, host=host, port=port
-            )
-            self.tcp_port = self._tcp_server.sockets[0].getsockname()[1]
+        if self.tcp_port is not None:
+            host = wire.parse_address(self.config.listen)[1]
             listen_bound = f"{host}:{self.tcp_port}"
         self._workers = [
             asyncio.create_task(self._worker(), name=f"serve-worker-{i}")
@@ -303,62 +260,26 @@ class ServeDaemon:
         )
         self.journal.record(
             "serve_start",
-            socket=str(path),
+            socket=str(Path(self.config.socket_path)),
             listen=listen_bound,
             workers=self.config.workers,
             max_queue=self.config.max_queue,
             hot_capacity=self.config.hot_capacity,
         )
 
-    def request_stop(self) -> None:
-        """Ask the daemon to drain and stop (safe from any thread)."""
-        loop = self._loop
-        if loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(self._stop.set)
-
-    async def run(self) -> None:
-        """Start, serve until :meth:`request_stop`, then drain."""
-        await self.start()
-        await self.run_until_stopped()
-
-    async def run_until_stopped(self) -> None:
-        """After :meth:`start`: serve until :meth:`request_stop`, then drain."""
-        await self._stop.wait()
-        await self.drain()
-
-    async def drain(self) -> None:
-        """Finish all admitted work, then shut everything down cleanly.
-
-        New submissions are rejected from the moment drain begins; every
-        queued and in-flight cell completes; connected clients get up to
-        a grace period to collect results and hang up before their
-        connections are cancelled.  The socket file is removed last, so
-        its absence means the daemon is truly gone.
-        """
-        if self._draining:
-            return
-        self._draining = True
+    async def _finish(self) -> None:
+        """Drain: every queued and in-flight cell completes."""
         self.journal.record(
             "serve_drain",
             queue_depth=self._queue.qsize(),
             in_flight=len(self._inflight),
         )
-        self._server.close()
-        await self._server.wait_closed()
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
         await self._queue.join()
         for _ in self._workers:
             self._queue.put_nowait(None)
         await asyncio.gather(*self._workers, return_exceptions=True)
-        if self._conn_tasks:
-            _done, pending = await asyncio.wait(
-                self._conn_tasks, timeout=5.0
-            )
-            for task in pending:
-                task.cancel()
-            await asyncio.gather(*pending, return_exceptions=True)
+
+    async def _shutdown(self) -> None:
         if self._sampler_task is not None:
             self._sampler_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -371,8 +292,6 @@ class ServeDaemon:
             rejected=self._rejected,
         )
         self.journal.close()
-        with contextlib.suppress(OSError):
-            Path(self.config.socket_path).unlink()
 
     # ------------------------------------------------------------------
     # Telemetry (sampler loop, gauges, flight recorder)
@@ -390,9 +309,7 @@ class ServeDaemon:
     def _telemetry_gauges(self) -> dict[str, float]:
         """Live state folded into gauges at every sample and scrape."""
         gauges = {
-            "serve.queue_depth": (
-                self._queue.qsize() if self._queue is not None else 0
-            ),
+            "serve.queue_depth": self._queue.qsize(),
             "serve.in_flight": len(self._inflight),
             "serve.workers_busy": self._busy_workers,
             "serve.subscribers": len(self._subscribers),
@@ -426,7 +343,7 @@ class ServeDaemon:
             and entry.get("error_class") == "CoherenceError"
         ):
             self._dump_flight("coherence-error")
-        self._event_from_any_thread(entry)
+        self._call_soon(self._dispatch_event, entry)
 
     def _note_rejection(self) -> None:
         """Track rejection timing; a burst dumps the flight recorder."""
@@ -464,11 +381,6 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     # Event broadcast (journal -> subscribed submissions)
     # ------------------------------------------------------------------
-
-    def _event_from_any_thread(self, entry: dict) -> None:
-        loop = self._loop
-        if loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(self._dispatch_event, entry)
 
     def _dispatch_event(self, entry: dict) -> None:
         task = entry.get("task")
@@ -550,11 +462,7 @@ class ServeDaemon:
 
         report, heatmaps = execute_spec_with_heatmaps(spec)
         self.metrics.inc("serve.artifacts")
-        loop = self._loop
-        if loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(
-                self._dispatch_artifact, spec.spec_hash, heatmaps
-            )
+        self._call_soon(self._dispatch_artifact, spec.spec_hash, heatmaps)
         return report
 
     def _dispatch_artifact(self, spec_hash: str, heatmaps: dict) -> None:
@@ -570,89 +478,8 @@ class ServeDaemon:
             )
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Listener hooks
     # ------------------------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        lock = asyncio.Lock()
-        try:
-            while True:
-                try:
-                    raw = await wire.read_frame_bytes(reader)
-                    if raw is None:
-                        break
-                    parsed = self._parse_memo.get(raw)
-                    if parsed is not None:
-                        # Byte-identical resubmission: skip the JSON
-                        # decode and the spec re-construction outright.
-                        await self._handle_submit(parsed, writer, lock)
-                        continue
-                    frame = wire.decode_frame(raw)
-                except FrameError as exc:
-                    await self._send(
-                        writer, lock, {"type": "error", "error": str(exc)}
-                    )
-                    break
-                op = frame.get("op")
-                if op == "ping":
-                    await self._send(
-                        writer,
-                        lock,
-                        {"type": "pong", "draining": self._draining},
-                    )
-                elif op == "status":
-                    await self._send(writer, lock, self._status_payload())
-                elif op == "metrics":
-                    await self._send(
-                        writer, lock, self._metrics_payload()
-                    )
-                elif op == "drain":
-                    self.request_stop()
-                    await self._send(writer, lock, {"type": "draining"})
-                elif op == "submit":
-                    try:
-                        parsed = self._parse_submit(frame, raw)
-                    except ConfigurationError as exc:
-                        self.journal.record(
-                            "serve_invalid", error=str(exc)
-                        )
-                        await self._send(
-                            writer,
-                            lock,
-                            {
-                                "type": "error",
-                                "error": str(exc),
-                                "id": frame.get("id"),
-                            },
-                        )
-                    else:
-                        await self._handle_submit(parsed, writer, lock)
-                else:
-                    await self._send(
-                        writer,
-                        lock,
-                        {"type": "error", "error": f"unknown op {op!r}"},
-                    )
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away; nothing left to tell it
-        finally:
-            self._conn_tasks.discard(task)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    @staticmethod
-    async def _send(writer, lock: asyncio.Lock, payload: dict) -> None:
-        async with lock:
-            await wire.write_frame(writer, payload)
-
-    @staticmethod
-    async def _send_raw(writer, lock: asyncio.Lock, raw: bytes) -> None:
-        async with lock:
-            writer.write(raw)
-            await writer.drain()
 
     def _result_frame(
         self, spec_hash: str, prefix: str, source: str, report
@@ -680,7 +507,7 @@ class ServeDaemon:
         self._frame_cache.put(key, raw)
         return raw
 
-    def _status_payload(self) -> dict:
+    async def _status_payload(self) -> dict:
         self.metrics.set_gauge("serve.queue_depth", self._queue.qsize())
         return {
             "type": "status",
@@ -704,8 +531,8 @@ class ServeDaemon:
             # Lookups are made on every frame before it is decoded, so
             # the misses include pings and status requests.
             "wire_memo": {
-                "parse_hits": self._parse_memo.hits,
-                "parse_misses": self._parse_memo.misses,
+                "parse_hits": self._memo.hits,
+                "parse_misses": self._memo.misses,
             },
             "result_cache": {
                 name: value
@@ -716,7 +543,7 @@ class ServeDaemon:
             "metrics": self.metrics.to_dict(),
         }
 
-    def _metrics_payload(self) -> dict:
+    async def _metrics_payload(self) -> dict:
         """The ``metrics`` op: exposition text, registry, rings, flight.
 
         Takes a fresh sample first, so a scrape always reflects *now*
@@ -736,28 +563,21 @@ class ServeDaemon:
             },
         }
 
-    # ------------------------------------------------------------------
-
-    def _parse_submit(self, frame: dict, raw: bytes) -> tuple:
+    def _admit(self, frame: dict) -> tuple:
         """Validate a submit frame into ``(name, specs, id, stream)``.
 
-        Memoised on the exact wire bytes (see ``_parse_memo``); a
+        The listener memoises the result on the frame's exact bytes; a
         malformed frame raises before anything is cached.  The specs
         list is shared across repeats -- safe because every spec is a
         frozen dataclass and ``_handle_submit`` only reads it.
         """
         name, specs = wire.parse_submit_cells(frame)
-        parsed = (
-            name,
-            specs,
-            frame.get("id"),
-            bool(frame.get("stream", True)),
-        )
-        if len(raw) <= _PARSE_MEMO_MAX_FRAME:
-            self._parse_memo.put(raw, parsed)
-        return parsed
+        return (name, specs, frame.get("id"), bool(frame.get("stream", True)))
 
-    async def _handle_submit(self, parsed, writer, lock) -> None:
+    def _on_invalid(self, exc: ConfigurationError) -> None:
+        self.journal.record("serve_invalid", error=str(exc))
+
+    async def _handle_submit(self, parsed, _raw, writer, lock) -> None:
         received_at = time.monotonic()
         self.metrics.inc("serve.requests")
         name, specs, request_id, stream_events = parsed
@@ -964,7 +784,7 @@ class ServeDaemon:
                 dead = True  # keep draining so the sentinel arrives
 
 
-class DaemonThread:
+class DaemonThread(ListenerThread):
     """A :class:`ServeDaemon` on a private event loop in a thread.
 
     The in-process deployment shape: benchmarks and tests start a real
@@ -973,49 +793,11 @@ class DaemonThread:
     joins.  Usable as a context manager.
     """
 
+    _label = "serve daemon"
+    _thread_name = "repro-serve"
+    _start_timeout = 10.0
+    _stop_timeout = 30.0
+
     def __init__(self, config: ServeConfig) -> None:
-        self.config = config
         self.daemon = ServeDaemon(config)
-        self._ready = threading.Event()
-        self._failure: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True
-        )
-
-    def start(self, timeout: float = 10.0) -> "DaemonThread":
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise ServeError(
-                f"serve daemon did not start within {timeout:g}s"
-            )
-        if self._failure is not None:
-            raise ServeError(
-                f"serve daemon failed to start: {self._failure!r}"
-            ) from self._failure
-        return self
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # surfaced by start() or stop()
-            self._failure = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        await self.daemon.start()
-        self._ready.set()
-        await self.daemon.run_until_stopped()
-
-    def stop(self, timeout: float = 30.0) -> None:
-        self.daemon.request_stop()
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise ServeError(
-                f"serve daemon did not drain within {timeout:g}s"
-            )
-
-    def __enter__(self) -> "DaemonThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+        super().__init__(self.daemon)

@@ -40,7 +40,8 @@ MAX_FRAME_BYTES = 32 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
 
-#: Request operations the daemon understands.
+#: Request operations a daemon or router answers; any other ``op`` gets
+#: an ``error`` frame (``repro.serve.listener`` dispatches on this).
 REQUEST_OPS = ("ping", "status", "metrics", "submit", "drain")
 
 
@@ -278,16 +279,8 @@ def parse_address(address: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def parse_submit_cells(frame: dict) -> tuple[str, list[ExperimentSpec]]:
-    """Validate a ``submit`` frame into ``(name, specs)``.
-
-    The ``cells`` field is a non-empty list of serialised
-    :class:`~repro.runner.spec.ExperimentSpec` objects; every cell is
-    fully validated (spec construction re-runs all the constructor
-    checks), so nothing malformed ever reaches the execution pipeline.
-    Raises :class:`~repro.errors.ConfigurationError` with a cell index
-    in the message so clients can fix the right one.
-    """
+def _submit_shape(frame: dict) -> tuple[str, list]:
+    """The ``(name, cells)`` of a ``submit`` frame, shape-checked only."""
     name = frame.get("name", "submit")
     if not isinstance(name, str) or not name:
         raise ConfigurationError(
@@ -298,6 +291,20 @@ def parse_submit_cells(frame: dict) -> tuple[str, list[ExperimentSpec]]:
         raise ConfigurationError(
             "submit needs a non-empty 'cells' list of experiment specs"
         )
+    return name, cells
+
+
+def parse_submit_cells(frame: dict) -> tuple[str, list[ExperimentSpec]]:
+    """Validate a ``submit`` frame into ``(name, specs)``.
+
+    The ``cells`` field is a non-empty list of serialised
+    :class:`~repro.runner.spec.ExperimentSpec` objects; every cell is
+    fully validated (spec construction re-runs all the constructor
+    checks), so nothing malformed ever reaches the execution pipeline.
+    Raises :class:`~repro.errors.ConfigurationError` with a cell index
+    in the message so clients can fix the right one.
+    """
+    name, cells = _submit_shape(frame)
     specs = []
     for index, cell in enumerate(cells):
         if not isinstance(cell, dict):
@@ -330,16 +337,7 @@ def route_submit_cells(frame: dict) -> tuple[str, list, list[str]]:
     the validation authority: a malformed cell is refused there and the
     refusal relays to the client unchanged.
     """
-    name = frame.get("name", "submit")
-    if not isinstance(name, str) or not name:
-        raise ConfigurationError(
-            f"submit name must be a non-empty string, got {name!r}"
-        )
-    cells = frame.get("cells")
-    if not isinstance(cells, list) or not cells:
-        raise ConfigurationError(
-            "submit needs a non-empty 'cells' list of experiment specs"
-        )
+    name, cells = _submit_shape(frame)
     hashes = [
         hashlib.sha256(
             _canonical_json(cell).encode("utf-8")

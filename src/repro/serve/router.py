@@ -37,7 +37,8 @@ shard crash receives per-cell ``error`` frames for the unanswered
 cells (the client's submission still terminates with ``done``), and a
 resubmission after the restart re-executes and returns byte-identical
 results.  Draining SIGTERMs every shard, which runs the daemon's own
-graceful drain; the router socket is unlinked last.
+graceful drain; the router socket is unlinked last.  A start that fails
+after the spawn terminates every shard before the error propagates.
 """
 
 from __future__ import annotations
@@ -47,17 +48,16 @@ import contextlib
 import os
 import signal
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ConfigurationError, FrameError, ServeError
-from repro.lru import BoundedLRU
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import prometheus_text
 from repro.runner.journal import _HASH_PREFIX
 from repro.serve import protocol as wire
+from repro.serve.listener import Listener, ListenerThread, _check_listen
 
 #: Hex digits of the spec hash used for shard selection.  Eight digits
 #: (32 bits) spread uniformly; using a *prefix* keeps the mapping stable
@@ -78,13 +78,6 @@ _SPAWN_TIMEOUT = 30.0
 #: Idle shard connections kept per shard for reuse; beyond this,
 #: checked-in connections are simply closed.
 _POOL_CAP = 32
-
-#: Route-plan memo bounds (see ``ServeRouter._plan_submit``): keys are
-#: raw frame bytes, values hold the pre-encoded per-shard subframes,
-#: so both knobs bound memory.
-_ROUTE_MEMO_ENTRIES = 32
-_ROUTE_MEMO_MAX_FRAME = 256 * 1024
-
 
 def shard_for(spec_hash: str, n_shards: int) -> int:
     """The shard that owns ``spec_hash`` -- stable, uniform, stateless."""
@@ -144,12 +137,7 @@ class RouterConfig:
             raise ConfigurationError(
                 f"max_restarts must be >= 0, got {self.max_restarts}"
             )
-        if self.listen is not None:
-            kind = wire.parse_address(self.listen)
-            if kind[0] != "tcp":
-                raise ConfigurationError(
-                    f"listen must be a tcp host:port, got {self.listen!r}"
-                )
+        _check_listen(self.listen)
 
     def resolved_shard_dir(self) -> Path:
         if self.shard_dir is not None:
@@ -263,123 +251,75 @@ class ShardProcess:
             await process.wait()
 
 
-class ServeRouter:
+class ServeRouter(Listener):
     """The client-facing endpoint over a supervised shard fleet.
 
-    Lifecycle mirrors :class:`~repro.serve.daemon.ServeDaemon`:
-    :meth:`start` spawns the shards and binds the endpoints,
-    :meth:`run_until_stopped` serves until :meth:`request_stop`, then
-    :meth:`drain`\\ s.  Only :meth:`request_stop` is thread-safe.
+    Lifecycle mirrors :class:`~repro.serve.daemon.ServeDaemon` (both
+    are :class:`~repro.serve.listener.Listener`\\ s): :meth:`start`
+    spawns the shards and binds the endpoints, then the service runs
+    until :meth:`~Listener.request_stop` and drains.
     """
 
+    #: In-progress submissions need live shards to finish, so open
+    #: connections get longer than a daemon's before shards go down.
+    _connection_grace = 30.0
+
     def __init__(self, config: RouterConfig) -> None:
-        self.config = config
+        super().__init__(config)
         self.metrics = MetricsRegistry()
         self.shards = [
             ShardProcess(index, config) for index in range(config.shards)
         ]
-        self.tcp_port: int | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._tcp_server: asyncio.AbstractServer | None = None
-        self._stop: asyncio.Event | None = None
-        self._draining = False
-        self._conn_tasks: set[asyncio.Task] = set()
         self._supervisors: list[asyncio.Task] = []
         # Router-wide free lists of idle shard connections, one per
         # shard index.  A daemon connection serves requests strictly in
         # sequence, so a connection is either checked out (owned by one
         # in-flight submission) or idle here -- never shared.
         self._pools: dict[int, list[tuple]] = {}
-        # Route plans keyed by the submission's exact wire bytes: the
-        # shard split is a pure function of the frame (and the fixed
-        # shard count), so byte-identical resubmissions -- the steady
-        # state of polling sweep clients -- skip the JSON decode, the
-        # per-cell hashing and the subframe re-encode entirely.
-        self._route_memo = BoundedLRU(_ROUTE_MEMO_ENTRIES)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
+        """Spawn the shards, then bind; a failure terminates every shard."""
         shard_dir = self.config.resolved_shard_dir()
         shard_dir.mkdir(parents=True, exist_ok=True)
         if self.config.journal_dir is not None:
             Path(self.config.journal_dir).mkdir(
                 parents=True, exist_ok=True
             )
-        await asyncio.gather(
-            *(shard.spawn() for shard in self.shards)
-        )
-        self._supervisors = [
-            asyncio.create_task(
-                self._supervise(shard), name=f"shard-supervisor-{shard.index}"
+        try:
+            spawned = await asyncio.gather(
+                *(shard.spawn() for shard in self.shards),
+                return_exceptions=True,
             )
-            for shard in self.shards
-        ]
-        path = Path(self.config.socket_path)
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        with contextlib.suppress(OSError):
-            path.unlink()
-        self._server = await asyncio.start_unix_server(
-            self._handle_connection, path=str(path)
-        )
-        if self.config.listen is not None:
-            _kind, host, port = wire.parse_address(self.config.listen)
-            self._tcp_server = await asyncio.start_server(
-                self._handle_connection, host=host, port=port
-            )
-            self.tcp_port = self._tcp_server.sockets[0].getsockname()[1]
+            for outcome in spawned:
+                if isinstance(outcome, BaseException):
+                    raise outcome
+            self._supervisors = [
+                asyncio.create_task(
+                    self._supervise(shard),
+                    name=f"shard-supervisor-{shard.index}",
+                )
+                for shard in self.shards
+            ]
+            await self._bind()
+        except BaseException:
+            await self._stop_fleet()
+            raise
 
-    def request_stop(self) -> None:
-        """Ask the router to drain and stop (safe from any thread)."""
-        loop = self._loop
-        if loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(self._stop.set)
-
-    async def run(self) -> None:
-        await self.start()
-        await self.run_until_stopped()
-
-    async def run_until_stopped(self) -> None:
-        await self._stop.wait()
-        await self.drain()
-
-    async def drain(self) -> None:
-        """Stop admitting, drain every shard, unlink the socket last."""
-        if self._draining:
-            return
-        self._draining = True
-        self._server.close()
-        await self._server.wait_closed()
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-        # In-progress submissions need live shards to finish: give the
-        # connection handlers a grace period before tearing down.
-        if self._conn_tasks:
-            _done, pending = await asyncio.wait(
-                self._conn_tasks, timeout=30.0
-            )
-            for task in pending:
-                task.cancel()
-            await asyncio.gather(*pending, return_exceptions=True)
+    async def _shutdown(self) -> None:
+        """Drain every shard (SIGTERM runs each daemon's own drain)."""
         for index in list(self._pools):
             self._close_pool(index)
+        await self._stop_fleet()
+
+    async def _stop_fleet(self) -> None:
         for supervisor in self._supervisors:
             supervisor.cancel()
-        await asyncio.gather(
-            *self._supervisors, return_exceptions=True
-        )
-        await asyncio.gather(
-            *(shard.terminate() for shard in self.shards)
-        )
-        with contextlib.suppress(OSError):
-            Path(self.config.socket_path).unlink()
+        await asyncio.gather(*self._supervisors, return_exceptions=True)
+        await asyncio.gather(*(shard.terminate() for shard in self.shards))
 
     # ------------------------------------------------------------------
     # Supervision
@@ -475,134 +415,42 @@ class ServeRouter:
                 await writer.drain()
                 got = await wire.read_frame_raw(reader)
             except (FrameError, ConnectionError, OSError) as exc:
-                writer.close()
-                if fresh:
-                    raise ServeError(f"shard {index}: {exc}") from None
-                fresh = True
-                conn = await self._connect_shard(shard)
-                continue
-            if got is None:
-                writer.close()
-                if fresh:
-                    raise ServeError(
-                        f"shard {index} closed before answering"
-                    )
-                fresh = True
-                conn = await self._connect_shard(shard)
-                continue
-            payload, first_raw = got
-            return conn, payload, first_raw
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        lock = asyncio.Lock()
-        try:
-            while True:
-                try:
-                    raw = await wire.read_frame_bytes(reader)
-                    if raw is None:
-                        break
-                    plan = self._route_memo.get(raw)
-                    if plan is not None:
-                        # Byte-identical resubmission: route it without
-                        # decoding, hashing or re-encoding anything.
-                        await self._handle_submit(
-                            plan, raw, writer, lock
-                        )
-                        continue
-                    frame = wire.decode_frame(raw)
-                except FrameError as exc:
-                    await self._send(
-                        writer, lock, {"type": "error", "error": str(exc)}
-                    )
-                    break
-                op = frame.get("op")
-                if op == "ping":
-                    await self._send(
-                        writer,
-                        lock,
-                        {
-                            "type": "pong",
-                            "draining": self._draining,
-                            "router": True,
-                            "shards": self.config.shards,
-                        },
-                    )
-                elif op == "status":
-                    await self._send(
-                        writer, lock, await self._status_payload()
-                    )
-                elif op == "metrics":
-                    await self._send(
-                        writer, lock, await self._metrics_payload()
-                    )
-                elif op == "drain":
-                    self.request_stop()
-                    await self._send(writer, lock, {"type": "draining"})
-                elif op == "submit":
-                    try:
-                        plan = self._plan_submit(frame, raw)
-                    except ConfigurationError as exc:
-                        await self._send(
-                            writer,
-                            lock,
-                            {
-                                "type": "error",
-                                "error": str(exc),
-                                "id": frame.get("id"),
-                            },
-                        )
-                    else:
-                        await self._handle_submit(
-                            plan, raw, writer, lock
-                        )
-                else:
-                    await self._send(
-                        writer,
-                        lock,
-                        {"type": "error", "error": f"unknown op {op!r}"},
-                    )
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away; nothing left to tell it
-        finally:
-            self._conn_tasks.discard(task)
+                failure = ServeError(f"shard {index}: {exc}")
+            else:
+                if got is not None:
+                    return (conn, *got)
+                failure = ServeError(f"shard {index} closed before answering")
             writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    @staticmethod
-    async def _send(writer, lock: asyncio.Lock, payload: dict) -> None:
-        async with lock:
-            await wire.write_frame(writer, payload)
-
-    @staticmethod
-    async def _relay(writer, lock: asyncio.Lock, raw: bytes) -> None:
-        async with lock:
-            writer.write(raw)
-            await writer.drain()
+            if fresh:
+                raise failure
+            fresh = True
+            conn = await self._connect_shard(shard)
 
     # ------------------------------------------------------------------
     # Submission fan-out
     # ------------------------------------------------------------------
 
-    def _plan_submit(self, frame: dict, raw: bytes) -> tuple:
-        """Split a submission by owning shard, memoised on wire bytes.
+    async def _ping_payload(self) -> dict:
+        return {
+            "type": "pong",
+            "draining": self._draining,
+            "router": True,
+            "shards": self.config.shards,
+        }
+
+    def _admit(self, frame: dict) -> tuple:
+        """Split a submission by owning shard.
 
         The plan is ``(name, request_id, n_cells, hashes, subframes)``
         where ``hashes`` maps shard index to the spec hashes it owns
         and ``subframes`` holds the pre-encoded per-shard submit frame
         -- or ``None`` when every cell lands on one shard, which is
-        the verbatim-relay fast path.  Cell order is preserved within
+        the verbatim-relay path.  Cell order is preserved within
         each shard (the shard streams results in cell order, keeping
         the relayed stream deterministic per shard), and cells are
         forwarded exactly as received: the shard is the validation
-        authority, the router only routes by hash.  A malformed frame
-        raises before anything is memoised.
+        authority, the router only routes by hash.  The split is a pure
+        function of the frame, so the wire memo may replay it.
         """
         name, cells, cell_hashes = wire.route_submit_cells(frame)
         request_id = frame.get("id")
@@ -630,12 +478,17 @@ class ServeRouter:
                 )
                 for index in groups
             }
-        plan = (name, request_id, len(cells), hashes, subframes)
-        if len(raw) <= _ROUTE_MEMO_MAX_FRAME:
-            self._route_memo.put(raw, plan)
-        return plan
+        return (name, request_id, len(cells), hashes, subframes)
 
     async def _handle_submit(self, plan, raw, writer, lock) -> None:
+        """Fan a submission out to its shards and relay their streams.
+
+        One shard gets the client's own bytes, and its answer, from
+        ``accepted`` to ``done``, is relayed untouched.  For several,
+        the router writes ``accepted`` and ``done`` itself.  A shard
+        lost mid-stream gets one ``error`` frame per unanswered cell
+        and the router's own ``done``.
+        """
         self.metrics.inc("router.requests")
         name, request_id, n_cells, hashes, subframes = plan
         if self._draining:
@@ -650,33 +503,19 @@ class ServeRouter:
                 },
             )
             return
-
         if subframes is None:
-            (index,) = hashes
-            await self._submit_single(
-                index, request_id, raw, hashes[index], writer, lock
-            )
-            return
-
-        shard_conns: dict[int, tuple] = {}
-
-        def drop_conn(index: int) -> None:
-            conn = shard_conns.pop(index, None)
-            if conn is not None:
-                conn[1].close()
-
-        async def open_one(index: int) -> dict:
-            conn, first, _raw = await self._shard_first(
-                index, subframes[index]
-            )
-            shard_conns[index] = conn
-            return first
-
+            subframes = dict.fromkeys(hashes, raw)
+        verbatim = len(subframes) == 1
         indices = sorted(subframes)
-        firsts = await asyncio.gather(
-            *(open_one(index) for index in indices),
+        answers = await _each(
+            [self._shard_first(index, subframes[index]) for index in indices],
             return_exceptions=True,
         )
+        shard_conns = {
+            index: answer[0]
+            for index, answer in zip(indices, answers)
+            if not isinstance(answer, BaseException)
+        }
 
         # First-frame barrier: the client protocol promises exactly one
         # accepted/rejected/error frame before any streaming.  If any
@@ -684,54 +523,60 @@ class ServeRouter:
         # matching the daemon's own admission) and the accepted shards'
         # connections are dropped -- their work completes harmlessly
         # into their caches.
-        refusal = None
-        for index, first in zip(indices, firsts):
-            if isinstance(first, BaseException):
-                refusal = refusal or {
-                    "type": "error",
-                    "error": str(first),
-                    "id": request_id,
-                }
-            elif first.get("type") == "rejected":
-                refusal = refusal or {
-                    "type": "rejected",
-                    "reason": (
-                        f"shard {index}: {first.get('reason')}"
-                    ),
-                    "id": request_id,
-                }
-            elif first.get("type") != "accepted":
-                refusal = refusal or {
-                    "type": "error",
-                    "error": (
-                        f"shard {index}: {first.get('error', first)}"
-                    ),
-                    "id": request_id,
-                }
-        if refusal is not None:
-            for index in indices:
-                drop_conn(index)
-            if refusal["type"] == "rejected":
+        for index, answer in zip(indices, answers):
+            if isinstance(answer, BaseException):
+                kind = "error"
+                refusal = {"type": kind, "error": str(answer)}
+            else:
+                _conn, first, first_raw = answer
+                kind = first.get("type")
+                if kind == "accepted":
+                    continue
+                if verbatim:  # relayed as the shard's own bytes
+                    refusal = first_raw
+                elif kind == "rejected":
+                    reason = f"shard {index}: {first.get('reason')}"
+                    refusal = {"type": kind, "reason": reason}
+                else:
+                    error = f"shard {index}: {first.get('error', first)}"
+                    refusal = {"type": "error", "error": error}
+            if isinstance(refusal, dict):
+                refusal = wire.encode_frame({**refusal, "id": request_id})
+            for owner, conn in shard_conns.items():
+                if verbatim:  # the refusal was the shard's whole answer
+                    self._checkin(owner, conn)
+                else:
+                    conn[1].close()
+            if kind == "rejected":
                 self.metrics.inc("router.rejected")
-            await self._send(writer, lock, refusal)
+            await self._send_raw(writer, lock, refusal)
             return
 
-        accepted = {
-            "type": "accepted",
-            "id": request_id,
-            "name": name,
-            "tasks": n_cells,
-            "unique": sum(first["unique"] for first in firsts),
-            "queued": sum(first["queued"] for first in firsts),
-            "coalesced": sum(first["coalesced"] for first in firsts),
-            "cached": sum(first["cached"] for first in firsts),
+        totals = {
+            key: sum(first[key] for _conn, first, _raw in answers)
+            for key in ("unique", "queued", "coalesced", "cached")
         }
         self.metrics.inc("router.accepted")
-        await self._send(writer, lock, accepted)
+        if verbatim:
+            await self._send_raw(writer, lock, answers[0][2])
+        else:
+            await self._send(
+                writer,
+                lock,
+                {
+                    "type": "accepted",
+                    "id": request_id,
+                    "name": name,
+                    "tasks": n_cells,
+                    **totals,
+                },
+            )
 
-        counts = {"failed": 0}
+        failed = 0
 
-        async def pump(index: int) -> None:
+        async def pump(index: int) -> bool:
+            """Relay shard ``index``'s stream; False if it broke off."""
+            nonlocal failed
             shard_reader = shard_conns[index][0]
             pending = set(hashes[index])
             try:
@@ -744,25 +589,29 @@ class ServeRouter:
                     # Tail-peek instead of JSON-decoding: the relay
                     # only needs the kind (and, for result/error, the
                     # hash to retire); the payload stays opaque.  Only
-                    # the one ``done`` frame is decoded, for counts.
+                    # a ``done`` the router answers for is decoded.
                     kind = wire.peek_frame_type(shard_raw)
                     if kind == "done":
-                        payload = wire.decode_frame(shard_raw)
-                        counts["failed"] += payload.get("failed", 0)
-                        conn = shard_conns.pop(index)
-                        self._checkin(index, conn)
-                        return
+                        self._checkin(index, shard_conns.pop(index))
+                        if verbatim:
+                            await self._send_raw(writer, lock, shard_raw)
+                        else:
+                            payload = wire.decode_frame(shard_raw)
+                            failed += payload.get("failed", 0)
+                        return True
                     if kind in ("result", "error"):
                         pending.discard(wire.peek_spec_hash(shard_raw))
-                    await self._relay(writer, lock, shard_raw)
+                    await self._send_raw(writer, lock, shard_raw)
             except (FrameError, ConnectionError, OSError, ServeError) as exc:
                 # Shard lost mid-stream (crash, restart): answer every
                 # still-pending cell with an error frame so the client's
                 # submission terminates deterministically.
-                drop_conn(index)
+                conn = shard_conns.pop(index, None)
+                if conn is not None:
+                    conn[1].close()
                 self.metrics.inc("router.relay_breaks")
                 for spec_hash in sorted(pending):
-                    counts["failed"] += 1
+                    failed += 1
                     await self._send(
                         writer,
                         lock,
@@ -775,8 +624,11 @@ class ServeRouter:
                             ),
                         },
                     )
+                return False
 
-        await asyncio.gather(*(pump(index) for index in indices))
+        relayed = await _each([pump(index) for index in indices])
+        if verbatim and relayed[0]:
+            return  # the shard's own ``done`` went out
         await self._send(
             writer,
             lock,
@@ -785,92 +637,12 @@ class ServeRouter:
                 "id": request_id,
                 "name": name,
                 "tasks": n_cells,
-                "queued": accepted["queued"],
-                "coalesced": accepted["coalesced"],
-                "cached": accepted["cached"],
-                "failed": counts["failed"],
+                "queued": totals["queued"],
+                "coalesced": totals["coalesced"],
+                "cached": totals["cached"],
+                "failed": failed,
             },
         )
-
-    async def _submit_single(
-        self, index, request_id, raw, pending_hashes, writer, lock
-    ) -> None:
-        """Fast path: every cell owned by one shard -> verbatim relay.
-
-        The client's own frame bytes go to the shard and every response
-        frame (``accepted`` through ``done``) is relayed untouched --
-        the shard's answer for the whole submission *is* the router's
-        answer, bit for bit.  Only a mid-stream connection loss makes
-        the router speak for itself: per-cell ``error`` frames for the
-        unanswered cells, then a synthesised ``done``.
-        """
-        try:
-            conn, first, first_raw = await self._shard_first(index, raw)
-        except ServeError as exc:
-            await self._send(
-                writer,
-                lock,
-                {"type": "error", "error": str(exc), "id": request_id},
-            )
-            return
-        if first.get("type") != "accepted":
-            if first.get("type") == "rejected":
-                self.metrics.inc("router.rejected")
-            self._checkin(index, conn)
-            await self._relay(writer, lock, first_raw)
-            return
-        self.metrics.inc("router.accepted")
-        await self._relay(writer, lock, first_raw)
-        pending = set(pending_hashes)
-        shard_reader = conn[0]
-        try:
-            while True:
-                shard_raw = await wire.read_frame_bytes(shard_reader)
-                if shard_raw is None:
-                    raise ServeError(
-                        f"shard {index} closed mid-submission"
-                    )
-                # Tail-peek, never decode: result payloads relay as
-                # opaque bytes; only the kind steers the loop.
-                kind = wire.peek_frame_type(shard_raw)
-                if kind in ("result", "error"):
-                    pending.discard(wire.peek_spec_hash(shard_raw))
-                await self._relay(writer, lock, shard_raw)
-                if kind == "done":
-                    self._checkin(index, conn)
-                    return
-        except (FrameError, ConnectionError, OSError, ServeError) as exc:
-            conn[1].close()
-            self.metrics.inc("router.relay_breaks")
-            failed = 0
-            for spec_hash in sorted(pending):
-                failed += 1
-                await self._send(
-                    writer,
-                    lock,
-                    {
-                        "type": "error",
-                        "task": spec_hash[:_HASH_PREFIX],
-                        "spec_hash": spec_hash,
-                        "error": (
-                            f"shard {index} connection lost: {exc}"
-                        ),
-                    },
-                )
-            await self._send(
-                writer,
-                lock,
-                {
-                    "type": "done",
-                    "id": request_id,
-                    "name": first.get("name"),
-                    "tasks": first.get("tasks"),
-                    "queued": first.get("queued"),
-                    "coalesced": first.get("coalesced"),
-                    "cached": first.get("cached"),
-                    "failed": failed,
-                },
-            )
 
     # ------------------------------------------------------------------
     # Aggregation (status / metrics ops)
@@ -894,14 +666,16 @@ class ServeRouter:
             with contextlib.suppress(Exception):
                 await shard_writer.wait_closed()
 
+    async def _fan_out(self, op: str) -> list:
+        """One ``op`` round trip per shard, in order; None: no answer."""
+        return await asyncio.gather(
+            *(self._shard_roundtrip(shard, op) for shard in self.shards)
+        )
+
     def _shard_info(self, frames: list) -> list[dict]:
         info = []
         for shard, frame in zip(self.shards, frames):
-            counters = (
-                frame.get("metrics", {}).get("counters", {})
-                if isinstance(frame, dict)
-                else {}
-            )
+            counters = (frame or {}).get("metrics", {}).get("counters", {})
             info.append(
                 {
                     "index": shard.index,
@@ -915,101 +689,64 @@ class ServeRouter:
             )
         return info
 
-    def _merged_registry(self, frames: list) -> MetricsRegistry:
+    def _merged_registry(self, live: list[dict]) -> MetricsRegistry:
         """Counters and histogram cells add; gauges sum across shards."""
         merged = MetricsRegistry()
-        gauge_sums: dict[str, float] = {}
-        for frame in frames:
-            if not isinstance(frame, dict):
-                continue
-            registry = MetricsRegistry.from_dict(
-                frame.get("metrics", {})
-            )
+        gauges: dict[str, float] = {}
+        for frame in live:
+            registry = MetricsRegistry.from_dict(frame.get("metrics", {}))
             merged.merge(registry)
-            for gauge_name, value in registry.gauges.items():
-                gauge_sums[gauge_name] = (
-                    gauge_sums.get(gauge_name, 0) + value
-                )
+            gauges = _key_sums((gauges, registry.gauges))
         merged.merge(self.metrics)
-        gauge_sums.update(self.metrics.gauges)
         merged.gauges.clear()
-        merged.gauges.update(gauge_sums)
+        merged.gauges.update({**gauges, **self.metrics.gauges})
         return merged
 
     async def _status_payload(self) -> dict:
-        frames = await asyncio.gather(
-            *(
-                self._shard_roundtrip(shard, "status")
-                for shard in self.shards
-            )
-        )
-        executed: dict[str, int] = {}
-        sums = {
-            "queue_depth": 0,
-            "in_flight": 0,
-            "workers_busy": 0,
-            "coalesced": 0,
-            "rejected": 0,
-        }
-        admission = {"accepted": 0, "coalesced": 0, "rejected": 0,
-                     "requests": 0, "max_queue": self.config.max_queue}
-        cache: dict[str, int] = {}
-        # This process's route memo beside the shards' parse memos; as
-        # there, the misses include every frame that was not a submit.
-        wire_memo = {
-            "route_hits": self._route_memo.hits,
-            "route_misses": self._route_memo.misses,
-        }
-        result_cache: dict[str, int] = {}
-        journal_counts: dict[str, int] = {}
-        for frame in frames:
-            if not isinstance(frame, dict):
-                continue
-            for spec_hash, count in frame.get("executed", {}).items():
-                executed[spec_hash] = executed.get(spec_hash, 0) + count
-            for key in sums:
-                sums[key] += frame.get(key, 0)
-            for key in ("accepted", "coalesced", "rejected", "requests"):
-                admission[key] += frame.get("admission", {}).get(key, 0)
-            for key, value in frame.get("cache", {}).items():
-                cache[key] = cache.get(key, 0) + value
-            for key, value in frame.get("wire_memo", {}).items():
-                wire_memo[key] = wire_memo.get(key, 0) + value
-            for key, value in frame.get("result_cache", {}).items():
-                result_cache[key] = result_cache.get(key, 0) + value
-            for key, value in frame.get("counts", {}).items():
-                journal_counts[key] = journal_counts.get(key, 0) + value
+        frames = await self._fan_out("status")
+        live = [frame for frame in frames if frame is not None]
+
+        def total(field: str, start: dict | None = None) -> dict:
+            return _key_sums((frame.get(field, {}) for frame in live), start)
+
+        admitted = ("accepted", "coalesced", "rejected", "requests")
+        admission = total("admission", dict.fromkeys(admitted, 0))
         return {
             "type": "status",
             "router": True,
             "draining": self._draining,
             "shards": self._shard_info(frames),
-            "executed": dict(sorted(executed.items())),
-            "queue_depth": sums["queue_depth"],
-            "in_flight": sums["in_flight"],
-            "workers_busy": sums["workers_busy"],
-            "coalesced": sums["coalesced"],
-            "rejected": sums["rejected"],
-            "admission": dict(sorted(admission.items())),
-            "cache": dict(sorted(cache.items())),
-            "wire_memo": dict(sorted(wire_memo.items())),
-            "result_cache": dict(sorted(result_cache.items())),
-            "counts": dict(sorted(journal_counts.items())),
-            "metrics": self._merged_registry(frames).to_dict(),
+            "executed": total("executed"),
+            **{
+                key: sum(frame.get(key, 0) for frame in live)
+                for key in (
+                    "queue_depth", "in_flight", "workers_busy",
+                    "coalesced", "rejected",
+                )
+            },
+            "admission": {**admission, "max_queue": self.config.max_queue},
+            "cache": total("cache"),
+            # This process's route memo beside the shards' parse memos;
+            # as there, the misses include every frame that was not a
+            # submit.
+            "wire_memo": total(
+                "wire_memo",
+                {
+                    "route_hits": self._memo.hits,
+                    "route_misses": self._memo.misses,
+                },
+            ),
+            "result_cache": total("result_cache"),
+            "counts": total("counts"),
+            "metrics": self._merged_registry(live).to_dict(),
         }
 
     async def _metrics_payload(self) -> dict:
-        frames = await asyncio.gather(
-            *(
-                self._shard_roundtrip(shard, "metrics")
-                for shard in self.shards
-            )
-        )
-        merged = self._merged_registry(frames)
+        frames = await self._fan_out("metrics")
+        live = [frame for frame in frames if frame is not None]
+        merged = self._merged_registry(live)
         series: dict[str, dict] = {}
-        for frame in frames:
-            if not isinstance(frame, dict):
-                continue
+        for frame in live:
             for series_name, ring in frame.get("series", {}).items():
                 into = series.setdefault(
                     series_name, {"ticks": [], "values": []}
@@ -1028,12 +765,6 @@ class ServeRouter:
                 offset = len(into["values"]) - len(values)
                 for position, value in enumerate(values):
                     into["values"][offset + position] += value
-        flight = {"events": 0, "dropped": 0, "dumps": 0}
-        for frame in frames:
-            if not isinstance(frame, dict):
-                continue
-            for key in flight:
-                flight[key] += frame.get("flight", {}).get(key, 0)
         return {
             "type": "metrics",
             "router": True,
@@ -1044,11 +775,42 @@ class ServeRouter:
             "series": {
                 name: series[name] for name in sorted(series)
             },
-            "flight": flight,
+            "flight": _key_sums(
+                (frame.get("flight", {}) for frame in live),
+                {"events": 0, "dropped": 0, "dumps": 0},
+            ),
         }
 
 
-class RouterThread:
+async def _each(coros: list, return_exceptions: bool = False) -> list:
+    """:func:`asyncio.gather`, except that a lone coroutine is awaited.
+
+    One shard is the common case, and a gather costs it a task and an
+    event-loop pass per step -- about doubling the router's own time
+    per hot single-shard submission.
+    """
+    if len(coros) != 1:
+        return await asyncio.gather(
+            *coros, return_exceptions=return_exceptions
+        )
+    try:
+        return [await coros[0]]
+    except Exception as exc:
+        if not return_exceptions:
+            raise
+        return [exc]
+
+
+def _key_sums(parts, start: dict | None = None) -> dict:
+    """Add ``parts`` up key by key onto ``start`` (whose keys all stay)."""
+    total = dict(start or {})
+    for part in parts:
+        for key, value in part.items():
+            total[key] = total.get(key, 0) + value
+    return total
+
+
+class RouterThread(ListenerThread):
     """A :class:`ServeRouter` on a private event loop in a thread.
 
     The in-process deployment shape for tests and benchmarks, mirroring
@@ -1056,49 +818,11 @@ class RouterThread:
     subprocesses, context-manager lifecycle.
     """
 
+    _label = "serve router"
+    _thread_name = "repro-serve-router"
+    _start_timeout = 60.0
+    _stop_timeout = 60.0
+
     def __init__(self, config: RouterConfig) -> None:
-        self.config = config
         self.router = ServeRouter(config)
-        self._ready = threading.Event()
-        self._failure: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve-router", daemon=True
-        )
-
-    def start(self, timeout: float = 60.0) -> "RouterThread":
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise ServeError(
-                f"serve router did not start within {timeout:g}s"
-            )
-        if self._failure is not None:
-            raise ServeError(
-                f"serve router failed to start: {self._failure!r}"
-            ) from self._failure
-        return self
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # surfaced by start() or stop()
-            self._failure = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        await self.router.start()
-        self._ready.set()
-        await self.router.run_until_stopped()
-
-    def stop(self, timeout: float = 60.0) -> None:
-        self.router.request_stop()
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise ServeError(
-                f"serve router did not drain within {timeout:g}s"
-            )
-
-    def __enter__(self) -> "RouterThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+        super().__init__(self.router)

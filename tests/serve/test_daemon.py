@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.errors import ConfigurationError, OverloadedError
+from repro.errors import ConfigurationError, OverloadedError, ServeError
 from repro.runner import execute_spec
 from repro.runner.spec import ExperimentSpec, WorkloadSpec
 from repro.serve import DaemonThread, ServeClient, ServeConfig
@@ -87,6 +87,19 @@ class TestLifecycle:
         leftover.close()  # dead daemon's socket file stays behind
         with DaemonThread(ServeConfig(socket_path=socket_path)):
             assert ServeClient(socket_path).ping()["type"] == "pong"
+
+    def test_failed_start_leaves_nothing_behind(self, socket_path):
+        # The unix socket binds first; the TCP port is already taken.
+        with socket_module.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            config = ServeConfig(
+                socket_path=socket_path, listen=f"127.0.0.1:{port}"
+            )
+            with pytest.raises(ServeError, match="failed to start"):
+                DaemonThread(config).start()
+        assert not os.path.exists(socket_path)
 
 
 class TestCoalescing:

@@ -9,18 +9,27 @@ supervisor and a resubmission returns byte-identical results; draining
 the router unlinks every socket it bound.
 """
 
+import contextlib
 import json
 import os
 import signal
+import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ServeError
 from repro.runner import execute_spec
 from repro.runner.spec import ExperimentSpec, WorkloadSpec
-from repro.serve import RouterConfig, RouterThread, ServeClient, shard_for
+from repro.serve import (
+    RouterConfig,
+    RouterThread,
+    ServeClient,
+    decode_frame,
+    encode_frame,
+    shard_for,
+)
 from repro.sim.system import SystemConfig
 
 
@@ -41,6 +50,21 @@ def make_spec(protocol="no-cache", seed=0) -> ExperimentSpec:
 
 def canonical(report_dict: dict) -> str:
     return json.dumps(report_dict, sort_keys=True)
+
+
+def exchange(address, raw: bytes) -> list[bytes]:
+    """Send one raw submit frame; every answer frame's bytes, to ``done``."""
+    frames = []
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(120)
+        sock.connect(str(address))
+        sock.sendall(raw)
+        with sock.makefile("rb") as stream:
+            while not frames or decode_frame(frames[-1])["type"] != "done":
+                header = stream.read(4)
+                body = stream.read(int.from_bytes(header, "big"))
+                frames.append(header + body)
+    return frames
 
 
 GRID = [
@@ -203,3 +227,63 @@ class TestRouterEndToEnd:
         assert not socket_path.exists()
         for sock in shard_socks:
             assert not sock.exists()
+
+    def test_one_shard_submission_is_relayed_byte_for_byte(self, tmp_path):
+        """Every cell on shard 0: once hot, the router's answer is the
+        shard's own answer to the same bytes, frame for frame."""
+        socket_path = tmp_path / "router.sock"
+        config = RouterConfig(socket_path=socket_path, shards=2)
+        cells = [
+            spec
+            for spec in (make_spec(seed=seed) for seed in range(16))
+            if shard_for(spec.spec_hash, 2) == 0
+        ][:2]
+        raw = encode_frame(
+            {
+                "op": "submit",
+                "id": "relay",
+                "name": "relay",
+                "stream": False,
+                "cells": [spec.to_dict() for spec in cells],
+            }
+        )
+        with RouterThread(config):
+            routed = [exchange(socket_path, raw) for _ in range(2)]
+            direct = exchange(
+                config.resolved_shard_dir() / "shard-0.sock", raw
+            )
+        assert len(cells) == 2
+        assert [decode_frame(frame)["type"] for frame in direct] == [
+            "accepted", "result", "result", "done",
+        ]
+        assert routed[1] == direct
+
+    def test_failed_start_leaves_no_shard_running(self, tmp_path):
+        """The shards spawn, then the TCP port turns out to be taken:
+        every shard is terminated and no socket is left on disk."""
+        socket_path = tmp_path / "router.sock"
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            config = RouterConfig(
+                socket_path=socket_path,
+                shards=2,
+                listen=f"127.0.0.1:{port}",
+            )
+            thread = RouterThread(config)
+            try:
+                with pytest.raises(ServeError, match="failed to start"):
+                    thread.start()
+                codes = [
+                    shard.process.returncode for shard in thread.router.shards
+                ]
+                assert None not in codes
+            finally:
+                # A shard left running would outlive the test run.
+                for shard in thread.router.shards:
+                    if shard.process and shard.process.returncode is None:
+                        with contextlib.suppress(ProcessLookupError):
+                            os.kill(shard.pid, signal.SIGKILL)
+        assert not socket_path.exists()
+        assert list(config.resolved_shard_dir().glob("*.sock")) == []
