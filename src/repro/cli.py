@@ -1073,17 +1073,20 @@ def _command_serve_router(args: argparse.Namespace, common: dict) -> int:
 def _serve_until_stopped(service, banner: str) -> None:
     """Start ``service``, stop it on SIGTERM/SIGINT, serve until drained.
 
-    ``banner`` is printed once the endpoints are bound, closed by the
-    TCP port (when there is one) and a parenthesis.
+    The handlers go in before ``start`` binds anything: a signal during
+    the start drains once it is done, and never kills the process with
+    its socket file still on disk.  ``banner`` is printed once the
+    endpoints are bound, closed by the TCP port (when there is one) and
+    a parenthesis.
     """
     import asyncio
     import signal
 
     async def _main() -> None:
-        await service.start()
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(signum, service.request_stop)
+        await service.start()
         listen = (
             f", tcp port {service.tcp_port}"
             if service.tcp_port is not None

@@ -49,40 +49,17 @@ def detach_recorder(protocol) -> None:
 def execute_spec_traced(spec, trace_dir: str | Path):
     """Run one cell with tracing on; export trace + heatmap artifacts.
 
-    Same build-warmup-measure sequence as
-    :func:`~repro.runner.executor.execute_spec`; the recorder is attached
-    only to the measured run, so the artifacts (and the metrics folded
-    into the report) describe exactly what the report's counters count.
+    Same build-warmup-measure body as
+    :func:`~repro.runner.executor.execute_spec`, over the reference-list
+    form of the workload; the recorder is attached only to the measured
+    run, so the artifacts (and the metrics folded into the report)
+    describe exactly what the report's counters count.
     """
-    from repro.analysis.compare import default_factories
-    from repro.errors import ConfigurationError
-    from repro.sim.engine import run_trace
-    from repro.sim.system import System
+    from repro.runner.executor import _run_cell
 
-    factories = default_factories()
-    if spec.protocol not in factories:
-        raise ConfigurationError(
-            f"unknown protocol {spec.protocol!r}; "
-            f"expected one of {sorted(factories)}"
-        )
-    protocol = factories[spec.protocol](
-        System(spec.config, fault_plan=spec.fault_plan)
-    )
-    references = spec.workload.build().references
-    if spec.warmup:
-        run_trace(
-            protocol,
-            references[: spec.warmup],
-            verify=False,
-            check_invariants_every=0,
-        )
     recorder = TraceRecorder()
-    report = run_trace(
-        protocol,
-        references[spec.warmup :],
-        verify=spec.verify,
-        check_invariants_every=spec.check_invariants_every,
-        recorder=recorder,
+    report, system = _run_cell(
+        spec, spec.workload.build().references, recorder
     )
     trace_dir = Path(trace_dir)
     trace_dir.mkdir(parents=True, exist_ok=True)
@@ -93,16 +70,14 @@ def execute_spec_traced(spec, trace_dir: str | Path):
         trace_dir / f"{stem}.chrome.json",
         process_name=f"{spec.protocol} {stem}",
     )
-    write_heatmaps(
-        protocol.system.network, trace_dir / f"{stem}.heatmap.json"
-    )
+    write_heatmaps(system.network, trace_dir / f"{stem}.heatmap.json")
     return report
 
 
 def execute_spec_with_heatmaps(spec):
     """Run one cell in-process; return ``(report, heatmaps-dict)``.
 
-    Same build-warmup-measure sequence as
+    Same build-warmup-measure body as
     :func:`~repro.runner.executor.execute_spec` (compiled traces
     included, unlike the traced twin above -- no recorder is attached,
     so the fast paths stay eligible), plus a
@@ -112,36 +87,8 @@ def execute_spec_with_heatmaps(spec):
     fresh execution can stream its link/switch heatmaps to subscribed
     clients.
     """
-    from repro.analysis.compare import default_factories
-    from repro.errors import ConfigurationError
     from repro.obs.heatmap import network_heatmaps
-    from repro.sim.engine import run_trace
-    from repro.sim.system import System
+    from repro.runner.executor import _run_cell
 
-    factories = default_factories()
-    if spec.protocol not in factories:
-        raise ConfigurationError(
-            f"unknown protocol {spec.protocol!r}; "
-            f"expected one of {sorted(factories)}"
-        )
-    protocol = factories[spec.protocol](
-        System(spec.config, fault_plan=spec.fault_plan)
-    )
-    if spec.compiled:
-        trace = spec.workload.build_compiled()
-    else:
-        trace = spec.workload.build().references
-    if spec.warmup:
-        run_trace(
-            protocol,
-            trace[: spec.warmup],
-            verify=False,
-            check_invariants_every=0,
-        )
-    report = run_trace(
-        protocol,
-        trace[spec.warmup :],
-        verify=spec.verify,
-        check_invariants_every=spec.check_invariants_every,
-    )
-    return report, network_heatmaps(protocol.system.network)
+    report, system = _run_cell(spec)
+    return report, network_heatmaps(system.network)

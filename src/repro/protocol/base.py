@@ -143,26 +143,41 @@ class CoherenceProtocol(abc.ABC):
     # Messaging helpers (cost accounting)
     # ------------------------------------------------------------------
 
+    def _sends_watched(self) -> bool:
+        """Whether faults, a recorder or the message log see each send.
+
+        Each needs every message sent one by one, and every reference
+        replayed in full, so each shuts the ledger and the fast tiers.
+        """
+        return (
+            self.system.fault_injector is not None
+            or self.recorder is not None
+            or self.message_log is not None
+        )
+
+    def _plain_multicaster(self) -> bool:
+        """Whether sends go through a plain :class:`Multicaster`.
+
+        A subclass, or one with a net recorder, may account a send
+        differently from the closed form that prices posted messages.
+        """
+        multicaster = self.system.multicaster
+        return (
+            type(multicaster) is Multicaster and multicaster.recorder is None
+        )
+
     def open_window(self) -> bool:
         """Post messages instead of sending them, until :meth:`close_window`.
 
-        Only where nothing consumes individual sends -- no fault injector,
-        recorder or message log, a plain :class:`Multicaster` without a
-        net recorder -- and the network keeps a ledger (it has a plan
-        cache); otherwise every message is still sent one by one.
-        Returns whether a window is now open.
+        Only where nothing consumes individual sends
+        (:meth:`_sends_watched`, :meth:`_plain_multicaster`) and the
+        network keeps a ledger (it has a plan cache); otherwise every
+        message is still sent one by one.  Returns whether a window is
+        now open.
         """
-        system = self.system
-        multicaster = system.multicaster
-        if (
-            system.fault_injector is None
-            and self.recorder is None
-            and self.message_log is None
-            and type(multicaster) is Multicaster
-            and multicaster.recorder is None
-        ):
-            self._ledger = system.network.open_window(
-                multicaster.scheme, self.stats.record_traffic
+        if not self._sends_watched() and self._plain_multicaster():
+            self._ledger = self.system.network.open_window(
+                self.system.multicaster.scheme, self.stats.record_traffic
             )
         return self._ledger is not None
 

@@ -33,16 +33,18 @@ them exactly as the slow path's sends.
 A fast-path hit replicates the slow path's observable effects exactly:
 the same ``stats`` events and traffic ledgers, the same per-link network
 counters, the same replacement-policy touch, the same data-word access
-and the same mode-policy consultation (which may itself trigger a
-``set_mode`` and bump the epoch).  Replaying a compiled trace through
-the table is therefore bit-identical to replaying it reference by
-reference (tests/protocol/test_fastpath.py, tests/sim/test_ctrace.py;
+and the same mode-policy consultation -- the slow path's own
+``_apply_mode_policy``, handed the owner the record holds (it may
+itself trigger a ``set_mode`` and bump the epoch).  Replaying a
+compiled trace through the table is therefore bit-identical to the
+slow loop (tests/protocol/test_fastpath.py, tests/sim/test_ctrace.py;
 docs/PERF.md, "Where each proof lives").
 
 The table is only handed out in configurations where the shortcut is
 sound: ``StenstromProtocol.fastpath`` returns ``None`` under fault
 injection, with a trace recorder attached, or with the message log
-enabled (a hit does not append ``LoggedMessage`` entries), and the
+enabled (``CoherenceProtocol._sends_watched``: a hit does not append
+``LoggedMessage`` entries), and the
 engine engages it -- as the fallback of the batched kernel
 (:mod:`repro.sim.kernel`), which drives it in short runs -- only when
 value verification and invariant re-checks are off.
@@ -53,9 +55,7 @@ from __future__ import annotations
 import weakref
 from typing import TYPE_CHECKING
 
-from repro.cache.state import Mode
 from repro.errors import TraceError
-from repro.network.multicast import Multicaster
 from repro.protocol.messages import MsgKind
 from repro.sim import stats as ev
 from repro.types import Address, Op
@@ -80,7 +80,8 @@ class FastPathTable:
     ``(present_epoch, copy_entries, owner, copies)`` -- the WRITE_UPDATE
     multicast.  Record kinds are discriminated by length.
     ``hits`` and ``misses`` count fast-path engagement across all
-    :meth:`replay` calls (the ``bench_fastpath_hit_rate`` checks).
+    :meth:`replay` calls (pinned by tests/protocol/test_fastpath.py and
+    tests/sim/test_kernel.py).
 
     The protocol owns its table; the table reaches the protocol through
     a weak reference, so a finished cell is freed by reference counting
@@ -167,14 +168,9 @@ class FastPathTable:
             return
         # Non-exclusive distributed-write owner (3b): the steady-state
         # write is one WRITE_UPDATE multicast to the copy holders plus a
-        # data-word store at every copy.  A custom multicaster (or one
-        # with a net recorder) may account sends differently, so only
-        # the plain Multicaster is recorded.
-        multicaster = system.multicaster
-        if (
-            type(multicaster) is not Multicaster
-            or multicaster.recorder is not None
-        ):
+        # data-word store at every copy; recorded only where its posted
+        # price is what a send would have cost.
+        if not protocol._plain_multicaster():
             return
         copy_entries = []
         caches = system.caches
@@ -218,15 +214,13 @@ class FastPathTable:
         n_nodes = system.n_nodes
         block_size = system.config.block_size_words
         policy = protocol.mode_policy
+        consult = protocol._apply_mode_policy
         reads_get = self._reads.get
         writes_get = self._writes.get
         read_slow = protocol.read
         write_slow = protocol.write
-        set_mode = protocol.set_mode
         register_read = self._register_read
         register_write = self._register_write
-        dw = Mode.DISTRIBUTED_WRITE
-        gr = Mode.GLOBAL_READ
         op_read = Op.READ
         op_write = Op.WRITE
         hits = misses = 0
@@ -265,70 +259,41 @@ class FastPathTable:
                         f"outside this {n_nodes}-node system"
                     )
                 key = block * n_nodes + node
+                hit = False
                 if op:
                     n_writes += 1
                     record = writes_get(key)
-                    if record is not None and record[0] == epoch:
+                    if (
+                        record is not None
+                        and record[0] == epoch
+                        and 0 <= offset < block_size
+                    ):
                         entry = record[1]
                         field = entry.state_field
                         if len(record) == 5:
                             # Exclusivity is re-checked live: the present
                             # vector changes without bumping the epoch.
-                            if (
+                            hit = (
                                 field.valid
                                 and field.owned
                                 and (
                                     not field.distributed_write
                                     or len(field.present) == 1
                                 )
-                                and 0 <= offset < block_size
-                            ):
-                                hits += 1
-                                fast_write_hits += 1
-                                record[2].touch(record[3], record[4])
-                                entry.data[offset] = value
-                                field.modified = True
-                                if policy is not None:
-                                    mode = (
-                                        dw
-                                        if field.distributed_write
-                                        else gr
-                                    )
-                                    n_sharers = len(field.present)
-                                    policy.observe(
-                                        block,
-                                        op_write,
-                                        owner_visible=True,
-                                        mode=mode,
-                                        n_sharers=n_sharers,
-                                    )
-                                    desired = policy.decide(
-                                        block, mode, n_sharers
-                                    )
-                                    if (
-                                        desired is not None
-                                        and desired is not mode
-                                    ):
-                                        set_mode(node, block, desired)
-                                        epoch = protocol.fastpath_epoch
-                                        pepoch = protocol.present_epoch
-                                continue
+                            )
+                            fast_write_hits += hit
                         elif (
                             field.valid
                             and field.owned
                             and field.distributed_write
                             and record[5] == pepoch
-                            and 0 <= offset < block_size
                         ):
                             # Distributed-write multicast hit: the word
-                            # lands at the owner and every copy now; the
-                            # per-hit WRITE_UPDATE traffic is identical
-                            # for every hit of the record, so it is
-                            # counted here and flushed scaled.
-                            hits += 1
-                            record[2].touch(record[3], record[4])
-                            entry.data[offset] = value
-                            field.modified = True
+                            # lands at every copy now; the per-hit
+                            # WRITE_UPDATE traffic is identical for every
+                            # hit of the record, so it is counted here
+                            # and flushed scaled.
+                            hit = True
                             for copy_entry in record[6]:
                                 copy_entry.data[offset] = value
                             counted = dw_pending_get(id(record))
@@ -336,117 +301,55 @@ class FastPathTable:
                                 dw_pending[id(record)] = [record, 1]
                             else:
                                 counted[1] += 1
-                            if policy is not None:
-                                n_sharers = len(field.present)
-                                policy.observe(
-                                    block,
-                                    op_write,
-                                    owner_visible=True,
-                                    mode=dw,
-                                    n_sharers=n_sharers,
-                                )
-                                desired = policy.decide(
-                                    block, dw, n_sharers
-                                )
-                                if (
-                                    desired is not None
-                                    and desired is not dw
-                                ):
-                                    set_mode(node, block, desired)
-                                    epoch = protocol.fastpath_epoch
-                                    pepoch = protocol.present_epoch
-                            continue
-                    misses += 1
-                    write_slow(node, Address(block, offset), value)
-                    register_write(node, block)
-                    epoch = protocol.fastpath_epoch
-                    pepoch = protocol.present_epoch
+                    if not hit:
+                        misses += 1
+                        write_slow(node, Address(block, offset), value)
+                        register_write(node, block)
+                        epoch = protocol.fastpath_epoch
+                        pepoch = protocol.present_epoch
+                        continue
+                    entry.data[offset] = value
+                    field.modified = True
+                    owner, owner_field, ref_op = node, field, op_write
                 else:
                     n_reads += 1
                     record = reads_get(key)
-                    if record is not None and record[0] == epoch:
-                        entry = record[1]
+                    if (
+                        record is not None
+                        and record[0] == epoch
+                        and 0 <= offset < block_size
+                    ):
+                        owner_field = record[6].state_field
                         if len(record) == 7:
-                            if (
-                                entry.state_field.valid
-                                and 0 <= offset < block_size
-                            ):
-                                hits += 1
-                                local_read_hits += 1
-                                record[2].touch(record[3], record[4])
-                                if policy is not None:
-                                    owner = record[5]
-                                    owner_field = record[6].state_field
-                                    mode = (
-                                        dw
-                                        if owner_field.distributed_write
-                                        else gr
-                                    )
-                                    n_sharers = len(owner_field.present)
-                                    policy.observe(
-                                        block,
-                                        op_read,
-                                        owner_visible=(
-                                            node == owner or mode is gr
-                                        ),
-                                        mode=mode,
-                                        n_sharers=n_sharers,
-                                    )
-                                    desired = policy.decide(
-                                        block, mode, n_sharers
-                                    )
-                                    if (
-                                        desired is not None
-                                        and desired is not mode
-                                    ):
-                                        set_mode(owner, block, desired)
-                                        epoch = protocol.fastpath_epoch
-                                        pepoch = protocol.present_epoch
-                                continue
+                            hit = record[1].state_field.valid
+                            local_read_hits += hit
                         elif (
-                            not entry.state_field.valid
-                            and 0 <= offset < block_size
+                            not record[1].state_field.valid
+                            and owner_field.owned
+                            and not owner_field.distributed_write
                         ):
                             # Global-read remote read: count the hit per
                             # record; the flush posts its request/reply
-                            # unicasts.  The owner's mode
-                            # is epoch-stable but re-checked live for
-                            # free.
-                            owner_field = record[6].state_field
-                            if (
-                                owner_field.owned
-                                and not owner_field.distributed_write
-                            ):
-                                hits += 1
-                                counted = pending_get(id(record))
-                                if counted is None:
-                                    pending[id(record)] = [record, 1]
-                                else:
-                                    counted[1] += 1
-                                record[2].touch(record[3], record[4])
-                                if policy is not None:
-                                    n_sharers = len(owner_field.present)
-                                    policy.observe(
-                                        block,
-                                        op_read,
-                                        owner_visible=True,
-                                        mode=gr,
-                                        n_sharers=n_sharers,
-                                    )
-                                    desired = policy.decide(
-                                        block, gr, n_sharers
-                                    )
-                                    if (
-                                        desired is not None
-                                        and desired is not gr
-                                    ):
-                                        set_mode(record[5], block, desired)
-                                        epoch = protocol.fastpath_epoch
-                                        pepoch = protocol.present_epoch
-                                continue
-                    misses += 1
-                    read_slow(node, Address(block, offset))
-                    register_read(node, block)
+                            # unicasts.  The owner's mode is epoch-stable
+                            # but re-checked live for free.
+                            hit = True
+                            counted = pending_get(id(record))
+                            if counted is None:
+                                pending[id(record)] = [record, 1]
+                            else:
+                                counted[1] += 1
+                    if not hit:
+                        misses += 1
+                        read_slow(node, Address(block, offset))
+                        register_read(node, block)
+                        epoch = protocol.fastpath_epoch
+                        pepoch = protocol.present_epoch
+                        continue
+                    owner, ref_op = record[5], op_read
+                hits += 1
+                record[2].touch(record[3], record[4])
+                if policy is not None:
+                    consult(node, block, ref_op, owner, owner_field)
                     epoch = protocol.fastpath_epoch
                     pepoch = protocol.present_epoch
         finally:

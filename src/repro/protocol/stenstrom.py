@@ -138,13 +138,10 @@ class StenstromProtocol(CoherenceProtocol):
         an attached recorder must see every reference as a span, and the
         message log must receive a ``LoggedMessage`` per send; each makes
         the memoised per-reference answer incomplete, so those
-        configurations replay entirely on the slow path.
+        configurations (:meth:`_sends_watched`) replay entirely on the
+        slow path.
         """
-        if (
-            self.system.fault_injector is not None
-            or self.recorder is not None
-            or self.message_log is not None
-        ):
+        if self._sends_watched():
             return None
         if self._fastpath is None:
             self._fastpath = FastPathTable(self)
@@ -975,6 +972,7 @@ class StenstromProtocol(CoherenceProtocol):
     def _consult_mode_policy(
         self, node: NodeId, block: BlockId, op: Op
     ) -> None:
+        """The slow path's consult: find the owner, then apply."""
         if self.mode_policy is None:
             return
         owner = self._owner_of(block)
@@ -983,8 +981,25 @@ class StenstromProtocol(CoherenceProtocol):
         owner_entry = self._cache(owner).find(block)
         if owner_entry is None:
             return
-        mode = owner_entry.state_field.mode
-        n_sharers = len(owner_entry.state_field.present)
+        self._apply_mode_policy(
+            node, block, op, owner, owner_entry.state_field
+        )
+
+    def _apply_mode_policy(
+        self,
+        node: NodeId,
+        block: BlockId,
+        op: Op,
+        owner: NodeId,
+        owner_field: StateField,
+    ) -> None:
+        """§5: show the policy one reference; switch if it asks to.
+
+        The slow path and every fast-path hit call this, each with the
+        owner it already holds.  A switch bumps ``fastpath_epoch``.
+        """
+        mode = owner_field.mode
+        n_sharers = len(owner_field.present)
         owner_visible = (
             node == owner or op is Op.WRITE or mode is Mode.GLOBAL_READ
         )

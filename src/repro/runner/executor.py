@@ -99,17 +99,13 @@ def _build_trace(spec: ExperimentSpec):
     return spec.workload.build().references
 
 
-def execute_spec(spec: ExperimentSpec, trace=None) -> SimulationReport:
-    """Run one cell in-process: build the machine, the trace, measure.
+def _run_cell(spec: ExperimentSpec, trace=None, recorder=None):
+    """Build the machine, warm it up, measure: ``(report, system)``.
 
-    This single function is the whole task body -- the sequential path
-    calls it directly and the worker processes call it on a deserialised
-    copy of the spec, which is what makes the two paths bit-identical.
-    ``trace``, when given, must be what this function would have built
-    for ``spec`` -- ``workload.build_compiled()``, or
-    ``workload.build().references`` with ``compiled`` off.  It is
-    replayed, never modified, so the sequential path hands one generation
-    to every cell with an equal ``(workload, compiled)``.
+    The one cell body behind :func:`execute_spec` and its two twins in
+    :mod:`repro.obs.hooks`.  ``trace``, when given, is replayed instead
+    of a fresh :func:`_build_trace`, never modified; ``recorder``, when
+    given, watches the measured run only.
     """
     from repro.analysis.compare import default_factories
 
@@ -119,9 +115,8 @@ def execute_spec(spec: ExperimentSpec, trace=None) -> SimulationReport:
             f"unknown protocol {spec.protocol!r}; "
             f"expected one of {sorted(factories)}"
         )
-    protocol = factories[spec.protocol](
-        System(spec.config, fault_plan=spec.fault_plan)
-    )
+    system = System(spec.config, fault_plan=spec.fault_plan)
+    protocol = factories[spec.protocol](system)
     if trace is None:
         trace = _build_trace(spec)
     if spec.warmup:
@@ -131,12 +126,28 @@ def execute_spec(spec: ExperimentSpec, trace=None) -> SimulationReport:
             verify=False,
             check_invariants_every=0,
         )
-    return run_trace(
+    report = run_trace(
         protocol,
         trace[spec.warmup :],
         verify=spec.verify,
         check_invariants_every=spec.check_invariants_every,
+        recorder=recorder,
     )
+    return report, system
+
+
+def execute_spec(spec: ExperimentSpec, trace=None) -> SimulationReport:
+    """Run one cell in-process: build the machine, the trace, measure.
+
+    The sequential path calls this directly and the worker processes
+    call it on a deserialised copy of the spec, which is what makes the
+    two paths bit-identical.  ``trace``, when given, must be what this
+    function would have built for ``spec`` -- ``workload.build_compiled()``,
+    or ``workload.build().references`` with ``compiled`` off.  It is
+    replayed, never modified, so the sequential path hands one generation
+    to every cell with an equal ``(workload, compiled)``.
+    """
+    return _run_cell(spec, trace)[0]
 
 
 def _worker_main(spec_dict: dict, task_fn, conn) -> None:

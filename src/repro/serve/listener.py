@@ -108,8 +108,16 @@ class Listener:
             server.close()
 
     def request_stop(self) -> None:
-        """Ask the service to drain and stop (safe from any thread)."""
-        self._call_soon(self._stop.set)
+        """Ask the service to drain and stop (safe from any thread).
+
+        A request before the bind has no loop to go to yet, and nothing
+        waits on the event yet either: it is set at once, so the service
+        drains as soon as its start is done.
+        """
+        if self._loop is None:
+            self._stop.set()
+        else:
+            self._call_soon(self._stop.set)
 
     def _call_soon(self, callback, *args) -> None:
         """Run ``callback(*args)`` on the service's loop, from any thread."""

@@ -277,13 +277,8 @@ class CompiledTrace:
     @classmethod
     def from_trace(cls, trace: Trace) -> "CompiledTrace":
         """Compile an in-memory :class:`Trace` (see ``Trace.compile``)."""
-        refs = trace.references
         return cls(
-            array("q", [ref.node for ref in refs]),
-            array("q", [ref.op is Op.WRITE for ref in refs]),
-            array("q", [ref.address.block for ref in refs]),
-            array("q", [ref.address.offset for ref in refs]),
-            array("q", [ref.value for ref in refs]),
+            *_pack_columns(trace.references),
             trace.n_nodes,
             trace.block_size_words,
         )
@@ -293,6 +288,21 @@ class CompiledTrace:
         return Trace(
             list(self), self.n_nodes, self.block_size_words
         )
+
+
+def _pack_columns(references: Iterable[Reference]) -> tuple[array, ...]:
+    """The five columns of any iterable of references, in one pass."""
+    columns = nodes, ops, blocks, offsets, values = tuple(
+        array("q") for _ in range(5)
+    )
+    write = Op.WRITE
+    for node, op, (block, offset), value in references:
+        nodes.append(node)
+        ops.append(op is write)
+        blocks.append(block)
+        offsets.append(offset)
+        values.append(value)
+    return columns
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import CoherenceError, TraceError
-from repro.sim.ctrace import CompiledTrace
+from repro.sim.ctrace import CompiledTrace, _pack_columns
 from repro.sim.stats import Stats
 from repro.types import Address, Reference
 
@@ -110,17 +110,19 @@ def run_trace(
 ) -> SimulationReport:
     """Run ``trace`` through ``protocol`` and report traffic and events.
 
-    ``trace`` is either an iterable of :class:`~repro.types.Reference`
-    items (a :class:`~repro.sim.trace.Trace`, a list, a generator) or a
-    columnar :class:`~repro.sim.ctrace.CompiledTrace`.  A compiled trace
-    replays through a loop that iterates its columns directly -- no
-    ``Reference`` is ever constructed -- and, when every per-reference
-    check is off (``verify=False``, invariant stride ``0``, no recorder)
-    and the protocol offers one, through its batched kernel
-    (:meth:`~repro.protocol.base.CoherenceProtocol.batched_kernel`),
-    which falls back on the stable-state fast-path table reference by
-    reference.  Both routes are bit-identical to the
-    reference-by-reference loop; see docs/PERF.md.
+    ``trace`` is either a columnar
+    :class:`~repro.sim.ctrace.CompiledTrace` or any iterable of
+    :class:`~repro.types.Reference` items (a
+    :class:`~repro.sim.trace.Trace`, a list, a generator), which is
+    packed into unvalidated columns first.  Every reference replays
+    through one loop over the columns -- the slow path, one
+    ``read``/``write`` call each -- except that a compiled trace, when
+    every per-reference check is off (``verify=False``, invariant stride
+    ``0``) and the protocol offers one, replays through its batched
+    kernel (:meth:`~repro.protocol.base.CoherenceProtocol.batched_kernel`,
+    withheld while a recorder is attached), which falls back on the
+    stable-state fast-path table reference by reference.  Both routes
+    are bit-identical; see docs/PERF.md.
 
     Two independent checks are controlled by two independent knobs:
 
@@ -188,7 +190,6 @@ def run_trace(
         isinstance(trace, CompiledTrace)
         and not verify
         and not check_invariants_every
-        and recorder is None
     ):
         kernel = protocol.batched_kernel()
     # The one place the message ledger is opened and settled, whichever
@@ -200,17 +201,8 @@ def run_trace(
     try:
         if kernel is not None:
             n_reads, n_writes = kernel.replay(trace)
-            n_refs = n_reads + n_writes
-        elif isinstance(trace, CompiledTrace):
-            n_refs, n_reads, n_writes = _replay_columns(
-                protocol,
-                trace,
-                verify=verify,
-                check_invariants_every=check_invariants_every,
-                recorder=recorder,
-            )
         else:
-            n_refs, n_reads, n_writes = _replay_references(
+            n_reads, n_writes = _replay_columns(
                 protocol,
                 trace,
                 verify=verify,
@@ -221,6 +213,7 @@ def run_trace(
         protocol.close_window()
         if attached_here:
             detach_recorder(protocol)
+    n_refs = n_reads + n_writes
     # Final structural check -- unless the loop's last reference already
     # ran it (the stride divides the trace length exactly).  An empty
     # trace still gets its one check.
@@ -250,88 +243,37 @@ def run_trace(
     return report
 
 
-def _replay_references(
-    protocol: "CoherenceProtocol",
-    trace: Iterable[Reference],
-    *,
-    verify: bool,
-    check_invariants_every: int,
-    recorder,
-) -> tuple[int, int, int]:
-    """The classic loop over :class:`Reference` items."""
-    n_nodes = protocol.system.n_nodes
-    shadow: dict[tuple[int, int], int] = {}
-    n_refs = n_reads = n_writes = 0
-    for index, ref in enumerate(trace):
-        if not 0 <= ref.node < n_nodes:
-            raise TraceError(
-                f"reference {index}: node {ref.node} outside this "
-                f"{n_nodes}-node system"
-            )
-        n_refs += 1
-        if recorder is not None:
-            recorder.begin_reference(
-                index,
-                ref.node,
-                "write" if ref.is_write else "read",
-                ref.address.block,
-                ref.address.offset,
-            )
-        if ref.is_write:
-            n_writes += 1
-            protocol.write(ref.node, ref.address, ref.value)
-            if verify:
-                shadow[ref.address] = ref.value
-        else:
-            n_reads += 1
-            observed = protocol.read(ref.node, ref.address)
-            if verify:
-                expected = shadow.get(ref.address, 0)
-                if observed != expected:
-                    raise CoherenceError(
-                        f"reference {index}: node {ref.node} read "
-                        f"{observed} from {ref.address}, but the most "
-                        f"recent write stored {expected}",
-                        block=ref.address.block,
-                        node=ref.node,
-                        detail=f"read {observed}, expected {expected}",
-                    )
-        if recorder is not None:
-            recorder.end_reference()
-        if check_invariants_every and (index + 1) % check_invariants_every == 0:
-            protocol.check_invariants()
-    return n_refs, n_reads, n_writes
-
-
 def _replay_columns(
     protocol: "CoherenceProtocol",
-    trace: CompiledTrace,
+    trace: "Iterable[Reference] | CompiledTrace",
     *,
     verify: bool,
     check_invariants_every: int,
     recorder,
-) -> tuple[int, int, int]:
-    """Column iteration for :class:`CompiledTrace` -- no ``Reference``.
+) -> tuple[int, int]:
+    """The slow loop: one ``read``/``write`` per column row.
 
-    Used whenever a compiled trace replays with verification, an
-    invariant stride, a recorder, or a protocol without a fast path;
-    observable behaviour (shadow checks, recorder spans, error messages)
-    matches :func:`_replay_references` exactly.
+    Taken whenever the batched kernel is not: with verification, an
+    invariant stride, a recorder, a protocol without a kernel, or any
+    input that is not a compiled trace -- which is packed into columns
+    first, unvalidated, so a bad row still raises here at its own index.
+    Returns ``(n_reads, n_writes)``.
     """
-    n_nodes = protocol.system.n_nodes
-    shadow: dict[tuple[int, int], int] = {}
-    n_refs = n_reads = n_writes = 0
-    for index, (node, op, block, offset, value) in enumerate(
-        zip(
+    if isinstance(trace, CompiledTrace):
+        columns = (
             trace.nodes, trace.ops, trace.blocks, trace.offsets, trace.values
         )
-    ):
+    else:
+        columns = _pack_columns(trace)
+    n_nodes = protocol.system.n_nodes
+    shadow: dict[tuple[int, int], int] = {}
+    n_reads = n_writes = 0
+    for index, (node, op, block, offset, value) in enumerate(zip(*columns)):
         if not 0 <= node < n_nodes:
             raise TraceError(
                 f"reference {index}: node {node} outside this "
                 f"{n_nodes}-node system"
             )
-        n_refs += 1
         if recorder is not None:
             recorder.begin_reference(
                 index, node, "write" if op else "read", block, offset
@@ -360,4 +302,4 @@ def _replay_columns(
             recorder.end_reference()
         if check_invariants_every and (index + 1) % check_invariants_every == 0:
             protocol.check_invariants()
-    return n_refs, n_reads, n_writes
+    return n_reads, n_writes

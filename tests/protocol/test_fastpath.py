@@ -12,6 +12,7 @@ import pytest
 from repro.cache.state import Mode
 from repro.errors import TraceError
 from repro.faults.plan import FaultPlan
+from repro.network.multicast import Multicaster
 from repro.obs.hooks import attach_recorder
 from repro.obs.recorder import TraceRecorder
 from repro.protocol.stenstrom import StenstromProtocol
@@ -69,6 +70,60 @@ class TestGating:
         run_trace(protocol, trace, verify=False, check_invariants_every=10)
         table = protocol.fastpath()
         assert table.hits == table.misses == 0
+
+    @pytest.mark.parametrize("multicaster", ["subclass", "net-recorder"])
+    def test_a_multicaster_that_is_not_plain_shuts_the_window(
+        self, multicaster
+    ):
+        # Only a plain Multicaster prices a posted message as a sent one:
+        # a subclass, or a net recorder, keeps the ledger shut and gets
+        # no distributed-write multicast record -- and the replay reports
+        # exactly what the plain run reports.
+        class Subclassed(Multicaster):
+            pass
+
+        def run(kind):
+            system = System(
+                SystemConfig(n_nodes=16, cache_entries=4, block_size_words=4),
+                multicaster_factory=(
+                    Subclassed if kind == "subclass" else None
+                ),
+            )
+            if kind == "net-recorder":
+                system.multicaster.recorder = TraceRecorder()
+            protocol = StenstromProtocol(
+                system, default_mode=Mode.DISTRIBUTED_WRITE
+            )
+            ledgers = []
+            write = protocol.write
+
+            def spying_write(*args):
+                ledgers.append(protocol._ledger)
+                return write(*args)
+
+            protocol.write = spying_write
+            report = run_trace(
+                protocol,
+                markov_block_trace(
+                    16, range(4), 0.3, 1200, seed=3, compiled=True
+                ),
+                verify=False,
+                check_invariants_every=0,
+            )
+            multicast_records = [
+                record
+                for record in protocol.fastpath()._writes.values()
+                if len(record) == 9
+            ]
+            return report, ledgers, multicast_records
+
+        plain_report, plain_ledgers, plain_records = run("plain")
+        assert plain_records
+        assert plain_ledgers and None not in plain_ledgers
+        report, ledgers, records = run(multicaster)
+        assert ledgers and all(ledger is None for ledger in ledgers)
+        assert records == []
+        assert report.to_dict() == plain_report.to_dict()
 
 
 class TestEpochInvalidation:

@@ -225,3 +225,38 @@ class TestServeEndToEnd:
             returncode = stop_daemon(process)
         assert returncode == 0
         assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+    def test_sigterm_during_start_drains(self, serve_dir):
+        """A SIGTERM between the bind and the end of ``start()`` -- what a
+        router stopping its fleet mid-start sends -- drains the daemon:
+        exit 0, the ``drained:`` line, no socket file left on disk."""
+        socket_path = serve_dir / "d.sock"
+        script = "\n".join(
+            [
+                "import os, signal, sys",
+                "from repro.cli import main",
+                "from repro.serve.daemon import ServeDaemon",
+                "bind = ServeDaemon._bind",
+                "async def _bind(self):",
+                "    await bind(self)",
+                "    os.kill(os.getpid(), signal.SIGTERM)",
+                "ServeDaemon._bind = _bind",
+                "sys.exit(main(sys.argv[1:]))",
+            ]
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        result = subprocess.run(
+            [
+                sys.executable, "-c", script,
+                "serve", "--socket", str(socket_path),
+            ],
+            cwd=REPO_ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "drained:" in result.stdout
+        assert not socket_path.exists()

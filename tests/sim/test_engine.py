@@ -1,10 +1,13 @@
 """Unit tests for the verifying simulation engine."""
 
+from array import array
+
 import pytest
 
 from repro.errors import CoherenceError, TraceError
 from repro.protocol.no_cache import NoCacheProtocol
 from repro.protocol.stenstrom import StenstromProtocol
+from repro.sim.ctrace import CompiledTrace
 from repro.sim.engine import run_trace
 from repro.sim.system import System, SystemConfig
 from repro.types import Address, Op, Reference
@@ -57,10 +60,37 @@ class TestVerification:
         report = run_trace(protocol, trace, verify=False)
         assert not report.verified
 
-    def test_foreign_node_rejected(self):
-        trace = [Reference(9, Op.READ, Address(0, 0))]
-        with pytest.raises(TraceError):
-            run_trace(build_protocol(), trace)
+    @pytest.mark.parametrize(
+        "form", ["references", "generator", "unvalidated-columns"]
+    )
+    def test_foreign_node_rejected(self, form):
+        # Two good reads, then a node this 4-node system lacks: every
+        # input form runs the first two and stops at index 2.
+        references = [
+            Reference(0, Op.READ, Address(0, 0)),
+            Reference(1, Op.READ, Address(0, 0)),
+            Reference(9, Op.READ, Address(0, 0)),
+        ]
+        if form == "references":
+            trace = references
+        elif form == "generator":
+            trace = (ref for ref in references)
+        else:
+            # Nodes 0, 1, 9; ops, blocks, offsets and values all zero.
+            trace = CompiledTrace(
+                array("q", [0, 1, 9]),
+                *(array("q", [0, 0, 0]) for _ in range(4)),
+                4,
+                1,
+                validate=False,
+            )
+        protocol = build_protocol()
+        with pytest.raises(
+            TraceError,
+            match=r"^reference 2: node 9 outside this 4-node system$",
+        ):
+            run_trace(protocol, trace)
+        assert protocol.stats.events["reads"] == 2
 
 
 class TestReportContents:
