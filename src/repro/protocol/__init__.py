@@ -6,11 +6,17 @@
 * :mod:`repro.protocol.modes` -- per-block operating-mode selection policies,
   including the ``w1 = 2/(n+2)`` threshold of §4 and the counter-based
   adaptive selector sketched in §5;
+* :mod:`repro.protocol.directory` -- the shared core of the three
+  directory baselines below: read path, miss service, invalidation,
+  replacement and the invariant walk, written once;
 * :mod:`repro.protocol.write_once` -- Goodman's write-once protocol adapted
   to a directory setting (the paper's main comparison point);
 * :mod:`repro.protocol.full_map` -- a Censier-Feautrier full-map
   write-invalidate directory (the ``O(N M)`` state baseline of §1);
-* :mod:`repro.protocol.no_cache` -- the uncached baseline of eq. 9;
+* :mod:`repro.protocol.limited_pointer` -- a limited-pointer (Dir_i B)
+  directory that overflows to broadcast;
+* :mod:`repro.protocol.no_cache` -- the uncached baseline of eq. 9, with
+  a closed-form replay of whole traces;
 * :mod:`repro.protocol.costs` -- the analytic per-reference cost models of
   §4 (eqs. 9-12, Figure 8);
 * :mod:`repro.protocol.invariants` -- structural coherence invariants,

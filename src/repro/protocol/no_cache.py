@@ -5,9 +5,16 @@ each reference to this block is ``CC_NC = (1 - w) 2 CC1 + w CC1``" -- a
 read is a request plus a word reply (two traversals), a write is a single
 word message (one traversal, the §4 simplification that a read costs twice
 a write).
+
+A reference is therefore a pure function of ``(node, home, op)`` plus, for
+a write, one memory word: :class:`NoCacheKernel` replays a whole trace in
+closed form (docs/PERF.md, "The no-cache closed form").
 """
 
 from __future__ import annotations
+
+import weakref
+from collections import Counter
 
 from repro.protocol.base import CoherenceProtocol
 from repro.protocol.messages import MsgKind
@@ -19,6 +26,10 @@ class NoCacheProtocol(CoherenceProtocol):
     """Shared memory without caches: all data lives at the home modules."""
 
     name = "no-cache"
+
+    def __init__(self, system) -> None:
+        super().__init__(system)
+        self._kernel: NoCacheKernel | None = None
 
     def read(self, node: NodeId, address: Address) -> int:
         self.system.check_address(address)
@@ -37,3 +48,90 @@ class NoCacheProtocol(CoherenceProtocol):
         home = self.home(block)
         self._send(MsgKind.MEM_WRITE, node, home, self._cost_word)
         self.system.memory_for(block).write_word(block, offset, value)
+
+    def batched_kernel(self) -> NoCacheKernel | None:
+        """The closed-form replay, unless something sees each send.
+
+        Refused under :meth:`_sends_watched` or a non-plain multicaster:
+        both need every message sent one by one, in reference order.
+        """
+        if self._sends_watched() or not self._plain_multicaster():
+            return None
+        if self._kernel is None:
+            self._kernel = NoCacheKernel(self)
+        return self._kernel
+
+
+class NoCacheKernel:
+    """A whole ``no-cache`` replay from two passes over the folded column.
+
+    One :class:`~collections.Counter` gives the references per ``(node,
+    home, op)``, posted as scaled messages and counted into ``Stats``;
+    one last-position dict gives each written word its last value.  Both
+    are walked in first-occurrence order, which is the order per-reference
+    replay first counts each event, posts each message and stores each
+    block, so ``Stats``, the ledger and every module's ``_data`` end
+    exactly as it leaves them.  ``batched_refs`` counts what ran here.
+    Owned by its protocol, held through a weak reference.
+    """
+
+    __slots__ = ("_protocol", "batched_refs")
+
+    def __init__(self, protocol: NoCacheProtocol) -> None:
+        self._protocol = weakref.ref(protocol)
+        self.batched_refs = 0
+
+    def replay(self, trace) -> tuple[int, int]:
+        """Replay every row of a compiled trace; ``(n_reads, n_writes)``."""
+        protocol = self._protocol()
+        system = protocol.system
+        n_nodes = system.n_nodes
+        block_size = system.config.block_size_words
+        if not trace.fits(n_nodes, block_size):
+            # An unproven row may be out of range: the slow loop raises
+            # at its index.
+            from repro.sim.engine import _replay_columns
+
+            return _replay_columns(
+                protocol, trace, verify=False, check_invariants_every=0,
+                recorder=None,
+            )
+        n = len(trace)
+        fold_col, base = trace.folded(n_nodes, block_size)
+        fold = fold_col[base : base + n]
+        per_block = 2 * n_nodes * block_size
+        groups: dict[int, int] = {}  # (home * N + node) * 2 + op -> refs
+        stores: dict[int, int] = {}  # block * B + offset -> last position
+        last = dict(zip(fold, range(n)))
+        for (folded, count), at in zip(Counter(fold).items(), last.values()):
+            block, row = divmod(folded, per_block)
+            group = (block % n_nodes) * 2 * n_nodes + row // block_size
+            groups[group] = groups.get(group, 0) + count
+            if group & 1:
+                word = block * block_size + folded % block_size
+                if stores.get(word, -1) < at:
+                    stores[word] = at
+        events = protocol.stats.events
+        post = protocol._post
+        request, word_bits = protocol._cost_request, protocol._cost_word
+        n_writes = 0
+        for group, count in groups.items():
+            home, node = divmod(group >> 1, n_nodes)
+            if group & 1:
+                n_writes += count
+                events[ev.WRITES] += count
+                events[ev.REMOTE_WORD_WRITES] += count
+                post(MsgKind.MEM_WRITE, node, home, word_bits, count)
+            else:
+                events[ev.READS] += count
+                post(MsgKind.MEM_READ, node, home, request, count)
+                post(MsgKind.WORD_REPLY, home, node, word_bits, count)
+        values = trace.values
+        for word, at in stores.items():
+            block, offset = divmod(word, block_size)
+            system.memory_for(block).write_word(block, offset, values[at])
+        self.batched_refs += n
+        return n - n_writes, n_writes
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"NoCacheKernel(batched={self.batched_refs})"

@@ -205,6 +205,8 @@ class BatchedKernel:
                     and max(nodes) < n_nodes
                     and min(offsets) >= 0
                     and max(offsets) < block_size
+                    and min(ops) >= 0
+                    and max(ops) <= 1
                 ):
                     reason = "bounds"
                 else:

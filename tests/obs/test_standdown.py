@@ -11,6 +11,7 @@ replay it observes.
 
 import pytest
 
+from repro.analysis.compare import default_factories
 from repro.cache.state import Mode
 from repro.faults.plan import FaultPlan
 from repro.obs.hooks import attach_recorder
@@ -178,6 +179,58 @@ class TestRecorderStandDown:
                 assert not kernel.fallback_reasons
                 table = checked.fastpath()
                 assert table.hits == table.misses == 0
+
+
+@SIZES
+class TestNoCacheStandDown:
+    """``no-cache``'s closed form stands down for the same observers."""
+
+    def _run(self, n_nodes, consumer=None, compiled=True):
+        fault_plan = (
+            FaultPlan(drop_probability=0.1, seed=3)
+            if consumer == "faults"
+            else None
+        )
+        system = System(
+            SystemConfig(n_nodes=n_nodes, block_size_words=4),
+            fault_plan=fault_plan,
+        )
+        protocol = default_factories()["no-cache"](system)
+        recorder = None
+        if consumer == "recorder":
+            recorder = attach_recorder(protocol, TraceRecorder())
+        elif consumer == "message_log":
+            protocol.enable_message_log()
+        elif consumer == "net_recorder":
+            system.multicaster.recorder = TraceRecorder()
+        trace = _trace(n_nodes, compiled=compiled)
+        report = run_trace(
+            protocol,
+            trace if compiled else trace.references,
+            verify=False,
+            check_invariants_every=0,
+            recorder=recorder,
+        ).to_dict()
+        kernel = protocol.batched_kernel()
+        if consumer is None:
+            assert kernel.batched_refs == len(trace)
+        else:
+            assert kernel is None
+        report["stats"].pop("metrics", None)
+        return report
+
+    @pytest.mark.parametrize(
+        "consumer", ["recorder", "message_log", "net_recorder"]
+    )
+    def test_observers_withdraw_it_and_see_the_same_run(
+        self, n_nodes, consumer
+    ):
+        assert self._run(n_nodes, consumer) == self._run(n_nodes)
+
+    def test_a_fault_plan_withdraws_it(self, n_nodes):
+        assert self._run(n_nodes, "faults") == self._run(
+            n_nodes, "faults", compiled=False
+        )
 
 
 @MODES

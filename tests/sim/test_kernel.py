@@ -51,6 +51,7 @@ from repro.workloads.sharing import (
 from repro.workloads.synthetic import random_trace
 
 from tests.protocol.conftest import build
+from tests.sim.test_link_ledger import arrays, in_order
 
 
 def _workloads(n_nodes):
@@ -466,6 +467,42 @@ class TestFallbackReasons:
         assert table_runs[-1] == 4
 
     @pytest.mark.parametrize(
+        "protocol_name", ["distributed-write", "global-read", "two-mode"]
+    )
+    @pytest.mark.parametrize("op", [2, -1])
+    def test_an_out_of_range_op_takes_the_bounds_fallback(
+        self, op, protocol_name
+    ):
+        # Node 0 writes and node 1 reads one word, turn about.  Folded, an
+        # op of 2 is a read by the next node and -1 a write by the
+        # previous one -- here both registered hits -- so an unproven
+        # chunk must test its ops too, and the table's ``if op:`` (the
+        # slow loop's) decide the row.
+        rows = [(k % 2, 1 - k % 2, 0, 0, k) for k in range(400)]
+        at = 300 if op == 2 else 301
+        rows[at] = (rows[at][0], op, *rows[at][2:])
+
+        def replay(slow):
+            system = System(SystemConfig(n_nodes=self.N_NODES))
+            protocol = default_factories()[protocol_name](system)
+            if slow:
+                protocol.enable_message_log()  # stands the kernel down
+            trace = CompiledTrace(
+                *(array("q", column) for column in zip(*rows)),
+                self.N_NODES,
+                2,
+                validate=False,
+            )
+            report = run_trace(
+                protocol, trace, verify=False, check_invariants_every=0
+            )
+            return protocol, report.to_dict()
+
+        protocol, report = replay(slow=False)
+        assert report == replay(slow=True)[1]
+        assert protocol.batched_kernel().fallback_reasons["bounds"] >= 1
+
+    @pytest.mark.parametrize(
         "declared", [(N_NODES // 2, 1), (N_NODES, 2)], ids=["smaller", "equal"]
     )
     def test_a_proven_trace_skips_the_bounds_test(
@@ -651,6 +688,91 @@ class TestFoldedColumn:
         assert small[0] <= per_chunk * small[1]
         assert large[1] > small[1]
         assert large[0] - small[0] <= per_chunk * (large[1] - small[1]) < n
+
+
+class TestNoCacheClosedForm:
+    """``no-cache``'s kernel against its slow loop, on every workload."""
+
+    VIEWS = {
+        # (warm-up rows or None, slice applied to the root trace, to that)
+        "root": (None, slice(None), slice(None)),
+        "warmup-split": (150, slice(None), slice(None)),
+        "slice-of-slice": (None, slice(40, -30), slice(25, -25)),
+    }
+
+    def _replay(self, n_nodes, trace, view):
+        warmup, outer, inner = self.VIEWS[view]
+        system = System(SystemConfig(n_nodes=n_nodes, block_size_words=4))
+        protocol = default_factories()["no-cache"](system)
+        trace = trace[outer][inner]
+        counts = []
+        for piece in (
+            (trace[:warmup], trace[warmup:]) if warmup else (trace,)
+        ):
+            report = run_trace(
+                protocol, piece, verify=False, check_invariants_every=0
+            )
+            counts.append((report.n_reads, report.n_writes))
+        memory = [list(module._data.items()) for module in system.memories]
+        return (
+            in_order(protocol.stats),
+            arrays(system.network),
+            memory,
+            counts,
+        ), protocol
+
+    @pytest.mark.parametrize("view", list(VIEWS))
+    @pytest.mark.parametrize("n_nodes", [16, 64])
+    @pytest.mark.parametrize("name", sorted(_workloads(16)))
+    def test_closed_form_matches_the_slow_loop(
+        self, name, n_nodes, view, fold_builds
+    ):
+        make = _workloads(n_nodes)[name]
+        compiled_trace = make(True)
+        batched, protocol = self._replay(n_nodes, compiled_trace, view)
+        assert fold_builds == [(len(compiled_trace), n_nodes, 4)]
+        kernel = protocol.batched_kernel()
+        assert kernel.batched_refs == sum(map(sum, batched[3])) > 0
+        slow, slow_protocol = self._replay(
+            n_nodes, make(False).references, view
+        )
+        assert slow_protocol.batched_kernel().batched_refs == 0
+        assert batched == slow
+
+    def test_modules_store_blocks_in_first_write_order(self):
+        # Four nodes, sixteen blocks: each module homes four, first
+        # written out of block order, which the kernel must keep.
+        def make(compiled):
+            return random_trace(
+                4, 400, n_blocks=16, seed=7, compiled=compiled
+            )
+
+        batched, _ = self._replay(4, make(True), "root")
+        slow, _ = self._replay(4, make(False).references, "root")
+        assert batched == slow
+        orders = [[block for block, _ in module] for module in batched[2]]
+        assert any(order != sorted(order) for order in orders)
+
+    def test_an_unproven_trace_raises_at_the_slow_loops_index(self):
+        # Nodes 0, 1, 9 on a 4-node system: the closed form never sees
+        # the rows, and the slow loop stops at the bad one.
+        trace = CompiledTrace(
+            array("q", [0, 1, 9]),
+            *(array("q", [0, 0, 0]) for _ in range(4)),
+            4,
+            1,
+            validate=False,
+        )
+        protocol = default_factories()["no-cache"](
+            System(SystemConfig(n_nodes=4))
+        )
+        with pytest.raises(
+            TraceError,
+            match=r"^reference 2: node 9 outside this 4-node system$",
+        ):
+            run_trace(protocol, trace, verify=False, check_invariants_every=0)
+        assert protocol.stats.events["reads"] == 2
+        assert protocol.batched_kernel().batched_refs == 0
 
 
 class TestPresentEpochInvalidation:
