@@ -43,8 +43,10 @@ class CompiledTrace:
     The columns are **immutable once the trace is constructed** (build a
     new trace instead).  Two facts rely on it, each established at most
     once and shared with every contiguous slice: the bounds proof
-    (:meth:`fits` -- the constructor validated, so a replay need not look
-    at a row's bounds again) and the folded column (:meth:`folded`).
+    (:meth:`fits` -- the constructor validated, or the generator's own
+    checks bound every row, so a replay need not look at a row's bounds
+    again) and the folded column (:meth:`folded`, handed over by the
+    generators for their declared geometry).
     """
 
     __slots__ = (
@@ -88,7 +90,7 @@ class CompiledTrace:
         self._fold: tuple | None = None
         if validate:
             self.validate()
-        #: Whether :meth:`validate` passed on these rows (or a superset).
+        #: Whether these rows (or a superset) are known to be in bounds.
         self._proven = validate
 
     # ------------------------------------------------------------------
@@ -175,7 +177,8 @@ class CompiledTrace:
         block_size_words + offset`` per reference of the *root* trace --
         one integer that tells two references apart exactly when node,
         block, operation or word differ, given rows within the bounds of
-        such a system.  It is built on first use, kept on the root and
+        such a system.  It is built on first use (unless the trace's maker
+        handed it over, see :meth:`_with_fold`), kept on the root and
         shared by every contiguous slice (whose rows start at ``start``);
         asking for another geometry rebuilds it.
         """
@@ -184,6 +187,18 @@ class CompiledTrace:
         if root._fold is None or root._fold[0] != geometry:
             root._fold = (geometry, root._build_fold(*geometry))
         return root._fold[1], self._start
+
+    @classmethod
+    def _with_fold(cls, *columns, fold, proven: bool) -> "CompiledTrace":
+        """A trace handed over with its fold for its declared geometry.
+
+        ``proven``: its maker's checks bound every row, so :meth:`validate`
+        does not run (otherwise the constructor validates as usual).
+        """
+        trace = cls(*columns, validate=not proven)
+        trace._proven = True
+        trace._fold = ((trace.n_nodes, trace.block_size_words), fold)
+        return trace
 
     def _build_fold(self, n_nodes: int, block_size_words: int):
         stride = 2 * block_size_words
@@ -311,7 +326,9 @@ def _pack_columns(references: Iterable[Reference]) -> tuple[array, ...]:
 
 
 class CompiledTraceBuilder:
-    """Accumulates references straight into columns (no ``Reference``)."""
+    """Accumulates references straight into columns (no ``Reference``),
+    and their folded column for the declared geometry; ``build`` validates.
+    """
 
     __slots__ = (
         "n_nodes",
@@ -321,6 +338,7 @@ class CompiledTraceBuilder:
         "_blocks",
         "_offsets",
         "_values",
+        "_fold",
     )
 
     def __init__(self, n_nodes: int, block_size_words: int) -> None:
@@ -331,20 +349,25 @@ class CompiledTraceBuilder:
         self._blocks = array("q")
         self._offsets = array("q")
         self._values = array("q")
+        self._fold = array("q")
 
     def read(self, node: int, block: int, offset: int) -> None:
-        self._nodes.append(node)
-        self._ops.append(_READ)
-        self._blocks.append(block)
-        self._offsets.append(offset)
-        self._values.append(0)
+        self._append(node, _READ, block, offset, 0)
 
     def write(self, node: int, block: int, offset: int, value: int) -> None:
+        self._append(node, _WRITE, block, offset, value)
+
+    def _append(self, node, op, block, offset, value) -> None:
         self._nodes.append(node)
-        self._ops.append(_WRITE)
+        self._ops.append(op)
         self._blocks.append(block)
         self._offsets.append(offset)
         self._values.append(value)
+        key = ((block * self.n_nodes + node) * 2 + op) * self.block_size_words
+        try:
+            self._fold.append(key + offset)
+        except OverflowError:  # block numbers near 2**63: stay a list
+            self._fold = [*self._fold, key + offset]
 
     def build(self) -> CompiledTrace:
         """Hand the columns over to a trace; the builder starts afresh.
@@ -355,8 +378,12 @@ class CompiledTraceBuilder:
         columns = (
             self._nodes, self._ops, self._blocks, self._offsets, self._values
         )
+        fold = self._fold
         self.__init__(self.n_nodes, self.block_size_words)
-        return CompiledTrace(*columns, self.n_nodes, self.block_size_words)
+        return CompiledTrace._with_fold(
+            *columns, self.n_nodes, self.block_size_words,
+            fold=fold, proven=False,
+        )
 
 
 # ----------------------------------------------------------------------

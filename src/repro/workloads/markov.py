@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import random
 from array import array
-from itertools import accumulate
-from operator import mul
 from typing import Sequence
 
 from repro.errors import ConfigurationError
@@ -47,19 +45,29 @@ def _check_at_least(minimum: int, **arguments: int) -> None:
             raise ConfigurationError(f"{name} must be {kind}, got {value}")
 
 
-def _emit(
-    nodes, ops, blocks, offsets, n_nodes, block_size_words, compiled
-) -> Trace | CompiledTrace:
-    """A seeded generator's columns, validated, in the requested form.
+def _fold_column(low: int, high: int):
+    """An empty folded column for keys in ``[low, high)``: ``array('q')``
+    if they fit int64, else a list of exact ints (as ``_build_fold``)."""
+    return array("q") if -(1 << 63) <= low and high <= 1 << 63 else []
 
-    Written values are sequence numbers: 1, 2, ... on the writes of
-    ``ops``, 0 on the reads.
+
+def _emit(
+    nodes, ops, blocks, offsets, values, fold, proven,
+    n_nodes, block_size_words, compiled,
+) -> Trace | CompiledTrace:
+    """A seeded generator's columns, in the requested form.
+
+    The draw loop made ``values`` (1, 2, ... on the writes, 0 on the
+    reads) and ``fold`` (for the declared geometry); ``proven`` says its
+    argument checks bound every row, else (a negative block) they are
+    validated.
     """
-    columns = CompiledTrace(
-        *(array("q", column) for column in (nodes, ops, blocks, offsets)),
-        array("q", map(mul, accumulate(ops), ops)),
-        n_nodes,
-        block_size_words,
+    columns = CompiledTrace._with_fold(
+        *(
+            column if isinstance(column, array) else array("q", column)
+            for column in (nodes, ops, blocks, offsets)
+        ),
+        values, n_nodes, block_size_words, fold=fold, proven=proven,
     )
     return columns if compiled else columns.to_trace()
 
@@ -105,7 +113,11 @@ def markov_block_trace(
     offset_bits = block_size_words.bit_length()
     n_tasks = len(tasks)
     task_bits = n_tasks.bit_length()
-    nodes, ops, offsets = [], [], []
+    stride, row = 2 * block_size_words, 2 * block_size_words * n_nodes
+    read_keys = [block * row + task * stride for task in tasks]
+    write_key = block * row + chosen_writer * stride + block_size_words
+    fold = _fold_column(block * row, (block + 1) * row)
+    nodes, ops, offsets, values, written = [], [], [], array("q"), 0
     for _ in range(n_references):
         offset = getrandbits(offset_bits)
         while offset >= block_size_words:
@@ -114,15 +126,21 @@ def markov_block_trace(
         if uniform() < write_fraction:
             nodes.append(chosen_writer)
             ops.append(1)
+            fold.append(write_key + offset)
+            written += 1
+            values.append(written)
         else:
             reader = getrandbits(task_bits)
             while reader >= n_tasks:
                 reader = getrandbits(task_bits)
             nodes.append(tasks[reader])
             ops.append(0)
+            fold.append(read_keys[reader] + offset)
+            values.append(0)
     blocks = array("q", [block]) * n_references
     return _emit(
-        nodes, ops, blocks, offsets, n_nodes, block_size_words, compiled
+        nodes, ops, blocks, offsets, values, fold, block >= 0,
+        n_nodes, block_size_words, compiled,
     )
 
 
@@ -158,25 +176,38 @@ def shared_structure_trace(
     offset_bits = block_size_words.bit_length()
     n_tasks = len(tasks)
     task_bits = n_tasks.bit_length()
-    nodes, ops, blocks, offsets = [], [], [], []
+    stride, row = 2 * block_size_words, 2 * block_size_words * n_nodes
+    read_keys = [task * stride for task in tasks]
+    write_keys = [key + block_size_words for key in read_keys]
+    fold = _fold_column(first_block * row, (first_block + n_blocks) * row)
+    nodes, ops, blocks, offsets, values = [], [], [], [], array("q")
+    written = 0
     for _ in range(n_references):
         index = getrandbits(block_bits)
         while index >= n_blocks:
             index = getrandbits(block_bits)
-        blocks.append(first_block + index)
+        block = first_block + index
+        blocks.append(block)
         offset = getrandbits(offset_bits)
         while offset >= block_size_words:
             offset = getrandbits(offset_bits)
         offsets.append(offset)
         if uniform() < write_fraction:
-            nodes.append(tasks[index % n_tasks])
+            writer = index % n_tasks
+            nodes.append(tasks[writer])
             ops.append(1)
+            fold.append(block * row + write_keys[writer] + offset)
+            written += 1
+            values.append(written)
         else:
             reader = getrandbits(task_bits)
             while reader >= n_tasks:
                 reader = getrandbits(task_bits)
             nodes.append(tasks[reader])
             ops.append(0)
+            fold.append(block * row + read_keys[reader] + offset)
+            values.append(0)
     return _emit(
-        nodes, ops, blocks, offsets, n_nodes, block_size_words, compiled
+        nodes, ops, blocks, offsets, values, fold, first_block >= 0,
+        n_nodes, block_size_words, compiled,
     )

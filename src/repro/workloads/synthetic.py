@@ -9,13 +9,14 @@ structured workloads while staying reproducible.
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.ctrace import CompiledTrace
 from repro.sim.trace import Trace
 from repro.types import NodeId
-from repro.workloads.markov import _check_at_least, _emit
+from repro.workloads.markov import _check_at_least, _emit, _fold_column
 
 
 def random_trace(
@@ -67,8 +68,11 @@ def random_trace(
     node_bits = n_chosen.bit_length()
     block_bits = n_blocks.bit_length()
     offset_bits = block_size_words.bit_length()
+    stride = 2 * block_size_words
+    fold = _fold_column(0, n_blocks * n_nodes * stride)
     last_block: dict[NodeId, int] = {}
-    nodes, ops, blocks, offsets = [], [], [], []
+    nodes, ops, blocks, offsets, values = [], [], [], [], array("q")
+    written = 0
     for _ in range(n_references):
         pick = getrandbits(node_bits)
         while pick >= n_chosen:
@@ -87,7 +91,17 @@ def random_trace(
         nodes.append(node)
         blocks.append(block)
         offsets.append(offset)
-        ops.append(1 if uniform() < write_fraction else 0)
+        key = (block * n_nodes + node) * stride + offset
+        if uniform() < write_fraction:
+            ops.append(1)
+            fold.append(key + block_size_words)
+            written += 1
+            values.append(written)
+        else:
+            ops.append(0)
+            fold.append(key)
+            values.append(0)
     return _emit(
-        nodes, ops, blocks, offsets, n_nodes, block_size_words, compiled
+        nodes, ops, blocks, offsets, values, fold, True,
+        n_nodes, block_size_words, compiled,
     )

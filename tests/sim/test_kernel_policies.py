@@ -156,10 +156,15 @@ class TestThreeWayEquivalence:
         self, name, view, policy_cls, fold_builds
     ):
         # Whole, split at a warm-up boundary or cut twice: every piece
-        # replays out of the one column folded on the root.
+        # replays out of the one column folded on the root.  A compiled
+        # reference list arrives unfolded, so that one fold is counted.
         n_nodes = 16
         make = _workloads(n_nodes)[name]
-        _three_ways(make, lambda: policy_cls(32), n_nodes, view=view)
+
+        def make_unfolded(compiled):
+            return make(False).compile() if compiled else make(False)
+
+        _three_ways(make_unfolded, lambda: policy_cls(32), n_nodes, view=view)
         assert fold_builds == [(len(make(True)), n_nodes, 4)]
 
     @POLICIES
