@@ -722,23 +722,6 @@ def multicast(
     )
 
 
-def unicast_result(
-    network: OmegaNetwork,
-    message: Message,
-    dest: NodeId,
-    *,
-    commit: bool = True,
-) -> MulticastResult:
-    """A single-destination send as a :class:`MulticastResult`.
-
-    This is the :class:`Multicaster` degenerate path: plain unicast under
-    every scheme, memoised on the unicast plan so repeat sends allocate
-    nothing.
-    """
-    plan = unicast_plan(network, message.source, dest)
-    return _replay(network, plan, message.payload_bits, commit)
-
-
 def multicast_plan_for(
     network: OmegaNetwork,
     scheme: MulticastScheme,
@@ -810,12 +793,6 @@ class Multicaster:
     ) -> MulticastResult:
         """Deliver ``message`` to ``dests`` and account its traffic."""
         return self.send_payload(message.source, message.payload_bits, dests)
-
-    def send_one(self, message: Message, dest: NodeId) -> MulticastResult:
-        """Unicast convenience wrapper with the same result type."""
-        return self.send_payload_one(
-            message.source, message.payload_bits, dest
-        )
 
     def send_payload(
         self,

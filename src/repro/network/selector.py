@@ -147,9 +147,6 @@ class RegisterMulticaster:
     ) -> MulticastResult:
         return self.send_payload(message.source, message.payload_bits, dests)
 
-    def send_one(self, message: Message, dest: NodeId) -> MulticastResult:
-        return self.send_payload(message.source, message.payload_bits, (dest,))
-
     def send_payload(
         self, source: NodeId, payload_bits: int, dests
     ) -> MulticastResult:

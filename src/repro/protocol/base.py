@@ -477,10 +477,10 @@ class CoherenceProtocol(abc.ABC):
         return self.system.home(block)
 
     def fastpath(self):
-        """A stable-state fast-path table for the replay loop, or ``None``.
+        """A stable-state fast-path table for the batched kernel, or ``None``.
 
-        Protocols that can answer "this reference is a message-free hit"
-        without a full :meth:`read`/:meth:`write` dispatch return a
+        Protocols that can answer "this reference is a hit" without a
+        full :meth:`read`/:meth:`write` dispatch return a
         :class:`~repro.protocol.fastpath.FastPathTable`; the base class --
         and any protocol in a configuration where the shortcut would be
         unsound (fault injection, attached recorder) -- returns ``None``
@@ -494,10 +494,10 @@ class CoherenceProtocol(abc.ABC):
         Protocols whose :meth:`fastpath` records can additionally be
         validated once per *chunk* of references (rather than once per
         reference) return a :class:`~repro.sim.kernel.BatchedKernel`,
-        which drives the table itself for what it cannot batch;
-        everything that gates the fast path gates this too.  The base
-        class returns ``None`` and the engine replays every reference on
-        the slow path.
+        the one code that executes those records, which hands what it
+        cannot batch to the engine's slow loop; everything that gates
+        the fast path gates this too.  The base class returns ``None``
+        and the engine replays every reference on the slow path.
         """
         return None
 

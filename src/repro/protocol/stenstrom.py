@@ -132,7 +132,7 @@ class StenstromProtocol(CoherenceProtocol):
     # ------------------------------------------------------------------
 
     def fastpath(self) -> FastPathTable | None:
-        """The replay fast-path table, when the shortcut is sound.
+        """The fast-path records the batched kernel executes, when sound.
 
         Fault injection can degrade blocks and kill routes mid-reference,
         an attached recorder must see every reference as a span, and the
@@ -152,8 +152,9 @@ class StenstromProtocol(CoherenceProtocol):
 
         Everything that gates :meth:`fastpath` gates this too, and nothing
         else does: the kernel asks the mode policy how far each chunk may
-        run (:meth:`~repro.protocol.modes.ModePolicy.fold`) and drives the
-        table itself for the references it cannot batch.
+        run (:meth:`~repro.protocol.modes.ModePolicy.fold`), rebuilds the
+        table's records itself and hands the references it cannot batch
+        to the engine's slow loop.
         """
         table = self.fastpath()
         if table is None:
@@ -972,7 +973,13 @@ class StenstromProtocol(CoherenceProtocol):
     def _consult_mode_policy(
         self, node: NodeId, block: BlockId, op: Op
     ) -> None:
-        """The slow path's consult: find the owner, then apply."""
+        """§5: show the policy one reference; switch if it asks to.
+
+        The slow path's consult, after every reference; the batched
+        kernel shows the policy a chunk's hits at once instead
+        (:meth:`~repro.protocol.modes.ModePolicy.fold` / ``commit``).  A
+        switch bumps ``fastpath_epoch``.
+        """
         if self.mode_policy is None:
             return
         owner = self._owner_of(block)
@@ -981,23 +988,7 @@ class StenstromProtocol(CoherenceProtocol):
         owner_entry = self._cache(owner).find(block)
         if owner_entry is None:
             return
-        self._apply_mode_policy(
-            node, block, op, owner, owner_entry.state_field
-        )
-
-    def _apply_mode_policy(
-        self,
-        node: NodeId,
-        block: BlockId,
-        op: Op,
-        owner: NodeId,
-        owner_field: StateField,
-    ) -> None:
-        """§5: show the policy one reference; switch if it asks to.
-
-        The slow path and every fast-path hit call this, each with the
-        owner it already holds.  A switch bumps ``fastpath_epoch``.
-        """
+        owner_field = owner_entry.state_field
         mode = owner_field.mode
         n_sharers = len(owner_field.present)
         owner_visible = (

@@ -120,9 +120,9 @@ def run_trace(
     every per-reference check is off (``verify=False``, invariant stride
     ``0``) and the protocol offers one, replays through its batched
     kernel (:meth:`~repro.protocol.base.CoherenceProtocol.batched_kernel`,
-    withheld while a recorder is attached), which falls back on the
-    stable-state fast-path table reference by reference.  Both routes
-    are bit-identical; see docs/PERF.md.
+    withheld while a recorder is attached), which hands what it cannot
+    batch back to that one loop.  Both routes are bit-identical; see
+    docs/PERF.md.
 
     Two independent checks are controlled by two independent knobs:
 
@@ -250,6 +250,7 @@ def _replay_columns(
     verify: bool,
     check_invariants_every: int,
     recorder,
+    start: int = 0,
 ) -> tuple[int, int]:
     """The slow loop: one ``read``/``write`` per column row.
 
@@ -257,7 +258,9 @@ def _replay_columns(
     invariant stride, a recorder, a protocol without a kernel, or any
     input that is not a compiled trace -- which is packed into columns
     first, unvalidated, so a bad row still raises here at its own index.
-    Returns ``(n_reads, n_writes)``.
+    The kernel hands it the references it cannot batch, as a slice whose
+    first row is row ``start`` of the whole trace.  Returns ``(n_reads,
+    n_writes)``.
     """
     if isinstance(trace, CompiledTrace):
         columns = (
@@ -268,7 +271,9 @@ def _replay_columns(
     n_nodes = protocol.system.n_nodes
     shadow: dict[tuple[int, int], int] = {}
     n_reads = n_writes = 0
-    for index, (node, op, block, offset, value) in enumerate(zip(*columns)):
+    for index, (node, op, block, offset, value) in enumerate(
+        zip(*columns), start
+    ):
         if not 0 <= node < n_nodes:
             raise TraceError(
                 f"reference {index}: node {node} outside this "

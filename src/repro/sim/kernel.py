@@ -1,21 +1,18 @@
-"""Batched columnar replay: chunk-at-a-time execution of compiled traces.
+"""Batched columnar replay: the one interpreter of fast-path records.
 
-The per-reference fast path (:class:`~repro.protocol.fastpath.FastPathTable`)
-already answers most steady-state references from a memo, but it still pays
-a Python-level dispatch -- dict probe, epoch compare, live state checks,
-policy consultation -- for *every* reference.  At N=1024 that dispatch, not
-the protocol, is the simulation's bottleneck.
-
-:class:`BatchedKernel` removes it.  What depends on the *trace* alone the
-trace computes once, for every slice and every cell that replays it: the
-proof that its rows fit the system (``CompiledTrace.fits``; an unproven
-trace has each chunk's bounds tested here) and one folded column,
-``((block * N + node) * 2 + op) * B + offset`` per reference
-(``CompiledTrace.folded``).  The kernel scans that column in chunks; a
-chunk is counted by distinct value in one C-speed pass, regrouped to its
-``(node, block, op)`` keys, and the fast-path record behind each key is
-validated *once per chunk* instead of once per reference.  A validated
-chunk then executes without touching Python per reference again:
+A :class:`~repro.protocol.fastpath.FastPathTable` memoises, per ``(node,
+block, op)``, the answer to "this reference is a hit".
+:class:`BatchedKernel` executes those records a chunk at a time, so
+steady-state replay pays no Python-level dispatch per reference.  What
+depends on the *trace* alone the trace computes once, for every slice
+and every cell that replays it: the proof that its rows fit the system
+(``CompiledTrace.fits``; an unproven trace has each chunk's bounds
+tested here) and one folded column, ``((block * N + node) * 2 + op) * B
++ offset`` per reference (``CompiledTrace.folded``).  A chunk of that
+column is counted by distinct value in one C-speed pass, regrouped to
+its ``(node, block, op)`` keys, and the record behind each key is
+validated *once per chunk*.  A validated chunk then executes without
+touching Python per reference again:
 
 * reference counts per record come from that :class:`collections.Counter`
   pass, and identical per-hit ledger/Stats deltas are accumulated as plain
@@ -26,35 +23,35 @@ chunk then executes without touching Python per reference again:
   *last* touch, and that one is among them, so this is exact;
 * data-word stores collapse to the value at a write's last position
   (``divmod`` by ``B`` gives key and word back) -- earlier values are
-  never observed, because fast-path reads do not read data words and
-  value verification is gated off;
+  never observed, because hits do not read data words and value
+  verification is gated off;
 * message-bearing records (global-read remote reads, distributed-write
   multicast writes) post their messages, scaled, into the protocol's
   message ledger, bit-identical to per-send accounting.
 
-A mode policy is consulted per chunk too.  Once the records validate, the
+**Validation rebuilds.**  Keys are walked in first-occurrence order.  A
+key whose record is missing, stamped with an old ``fastpath_epoch`` /
+``present_epoch`` or failing its live check is rebuilt once from the
+current state (``_register_read`` / ``_register_write``) -- the record a
+slow reference would leave, since a clean prefix changes nothing
+registration reads -- and checked again.  The chunk is **cut at the
+first row of the first key that is still not a hit**.
+
+A mode policy is consulted per chunk too.  Once the prefix validates, the
 policy is asked, block by block, how many of the block's references it
 lets pass before ``decide`` would switch a mode
-(:meth:`~repro.protocol.modes.ModePolicy.fold`); the chunk is **cut at the
-earliest such reference**, the clean prefix executes batched, and the
+(:meth:`~repro.protocol.modes.ModePolicy.fold`); the cut moves to the
+earliest such reference, the clean prefix executes batched, and the
 policy observes exactly that prefix
-(:meth:`~repro.protocol.modes.ModePolicy.commit`).  A policy that folds
-nothing (the base-class default) cuts every chunk at its first reference,
-which is the per-reference replay, in short runs.
+(:meth:`~repro.protocol.modes.ModePolicy.commit`).
 
-A chunk that fails validation -- an unregistered key, a stale epoch or
-present-vector stamp, a node or offset outside the configuration -- or
-was cut hands a run of at most ``MIN_CHUNK`` references, from the first
-one not executed, to
-:meth:`~repro.protocol.fastpath.FastPathTable.replay`, which handles
-misses, re-registration, the switching reference and error reporting
-exactly as before (``base_index`` keeps error messages numbered in the
-full trace); ``fallback_reasons`` counts those runs by cause.  The run is
-short because what broke the chunk is repaired within a few references,
-and everything after it in the chunk would be a hit on the slow tier.
-The chunk size adapts: it halves on a fallback so a churning phase pays
-little validation, and doubles on clean chunks up to a cap so a
-steady-state phase amortises validation over thousands of references.
+The reference at the cut goes to the engine's one slow loop
+(:func:`~repro.sim.engine._replay_columns`, numbering errors by their
+row in the whole trace).  After progress that is one reference.  A cut
+at row 0 -- a churning phase, an unproven chunk out of bounds, a policy
+that folds nothing -- hands over ``MIN_CHUNK`` references and halves the
+chunk size, which doubles on clean chunks up to a cap so a steady-state phase
+amortises validation over thousands of references.
 
 Nothing inside a clean run can invalidate its own validation: every
 executed reference is a hit, hits send no un-memoised messages, never
@@ -62,8 +59,8 @@ bump ``fastpath_epoch``/``present_epoch`` and leave each block's mode and
 present vector -- all a policy's verdict may depend on -- as they were.
 Everything that gates the fast path (faults, recorder, message log,
 verification) gates the kernel too, so batched replay is bit-identical
-to the per-reference path (tests/sim/test_kernel.py and
-test_kernel_policies.py; docs/PERF.md, "Where each proof lives").
+to the slow loop (tests/sim/test_kernel.py and test_kernel_policies.py;
+docs/PERF.md, "Where each proof lives").
 """
 
 from __future__ import annotations
@@ -75,6 +72,7 @@ from operator import itemgetter, or_
 from typing import TYPE_CHECKING
 
 from repro.cache.state import Mode
+from repro.sim.engine import _replay_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
     from repro.protocol.fastpath import FastPathTable
@@ -82,10 +80,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
     from repro.sim.ctrace import CompiledTrace
 
 #: Chunk-size bounds.  The kernel starts small (cheap warmup misses),
-#: doubles on every clean chunk and halves back on every fallback.
-#: ``MIN_CHUNK`` is also the most one fallback hands the per-reference
-#: table: whatever broke the chunk is usually repaired within a few
-#: references, and the rest of it are hits again.
+#: doubles on every clean chunk and halves back on every cut at row 0,
+#: which hands the slow loop ``MIN_CHUNK`` references.
 MIN_CHUNK = 64
 MAX_CHUNK = 8192
 
@@ -113,7 +109,8 @@ def _key_counts(fold, block_size):
     """References per ``(node, block, op)`` key of a folded chunk.
 
     One C-speed count of the folded values, regrouped over the distinct
-    ones (at most ``block_size`` per key) by dropping the offset.
+    ones (at most ``block_size`` per key) by dropping the offset.  Keys
+    come in first-occurrence order.
     """
     counts: dict[int, int] = {}
     for folded, count in Counter(fold).items():
@@ -122,15 +119,26 @@ def _key_counts(fold, block_size):
     return counts
 
 
+def _first_row(fold, key, block_size):
+    """The row of ``key``'s first reference in a folded chunk."""
+    row = len(fold)
+    for folded in range(key * block_size, (key + 1) * block_size):
+        try:
+            row = fold.index(folded, 0, row)
+        except ValueError:
+            pass
+    return row
+
+
 class BatchedKernel:
     """Chunked replay over a :class:`FastPathTable`'s records.
 
     ``batched_refs`` counts references executed by clean chunks and
-    ``fallback_refs`` those delegated to the per-reference table, across
-    all :meth:`replay` calls -- the observability hook for benchmarks and
-    the eligibility tests.  ``fallback_reasons`` counts the fallback runs
-    by what broke the chunk: ``bounds``, ``unknown_key``, ``stale_epoch``,
-    ``stale_present``, ``live_state`` or ``policy_switch``.
+    ``fallback_refs`` those handed to the slow loop, across all
+    :meth:`replay` calls -- the observability hook for benchmarks and
+    the eligibility tests; the table's ``hits`` and ``misses`` move with
+    them.  ``fallback_reasons`` counts the slow-loop runs by what cut the
+    chunk: ``bounds``, ``miss`` or ``policy_switch``.
 
     Like its table, the kernel is owned by the protocol and reaches it
     through a weak reference: no cycle keeps a finished cell alive.
@@ -163,7 +171,8 @@ class BatchedKernel:
         policy = protocol.mode_policy
         reads = table._reads
         writes = table._writes
-        table_replay = table.replay
+        register_read = table._register_read
+        register_write = table._register_write
         dw = Mode.DISTRIBUTED_WRITE
         gr = Mode.GLOBAL_READ
         nodes_col = trace.nodes
@@ -179,9 +188,8 @@ class BatchedKernel:
         n_reads = n_writes = 0
         batched = fallback = 0
         # Deferred per-record counts and scalar accumulators, flushed once
-        # (same commuting argument as FastPathTable.replay: nothing reads
-        # the ledgers mid-replay and Counter/array addition commutes with
-        # the interleaved fallback-run updates).
+        # (nothing reads the ledgers mid-replay, and Counter/array
+        # addition commutes with the slow loop's interleaved updates).
         local_read_hits = 0
         fast_write_hits = 0
         gr_pending: dict[int, list] = {}
@@ -191,65 +199,80 @@ class BatchedKernel:
         try:
             while i < n:
                 j = min(i + chunk, n)
-                nodes = nodes_col[i:j]
-                ops = ops_col[i:j]
-                blocks = blocks_col[i:j]
-                offsets = offsets_col[i:j]
-                epoch = protocol.fastpath_epoch
-                pepoch = protocol.present_epoch
-                # What the policy needs per block: (owner, mode, sharers).
-                owners: dict[int, tuple] = {}
+                run = j - i
                 reason = None
-                if not proven and not (
-                    min(nodes) >= 0
-                    and max(nodes) < n_nodes
-                    and min(offsets) >= 0
-                    and max(offsets) < block_size
-                    and min(ops) >= 0
-                    and max(ops) <= 1
-                ):
-                    reason = "bounds"
-                else:
+                if not proven:
+                    nodes = nodes_col[i:j]
+                    ops = ops_col[i:j]
+                    offsets = offsets_col[i:j]
+                    if not (
+                        min(nodes) >= 0
+                        and max(nodes) < n_nodes
+                        and min(offsets) >= 0
+                        and max(offsets) < block_size
+                        and min(ops) >= 0
+                        and max(ops) <= 1
+                    ):
+                        run = 0
+                        reason = "bounds"
+                if run:
+                    epoch = protocol.fastpath_epoch
+                    pepoch = protocol.present_epoch
+                    # What the policy needs per block: (owner, mode, sharers).
+                    owners: dict[int, tuple] = {}
                     fold = fold_col[base + i : base + j]
                     counts = _key_counts(fold, block_size)
                     for key in counts:
-                        record = (writes if key & 1 else reads).get(key >> 1)
-                        if record is None:
-                            reason = "unknown_key"
-                            break
-                        if record[0] != epoch:
-                            reason = "stale_epoch"
-                            break
-                        field = record[1].state_field
-                        if key & 1:
-                            # The writer is the owner.
-                            owner = (key >> 1) % n_nodes
-                            owner_field = field
-                            live = field.valid and field.owned
-                            if len(record) == 5:
-                                live = live and (
-                                    not field.distributed_write
-                                    or len(field.present) == 1
-                                )
-                            elif live and field.distributed_write:
-                                if record[5] != pepoch:
-                                    reason = "stale_present"
-                                    break
+                        records = writes if key & 1 else reads
+                        record = records.get(key >> 1)
+                        for rebuilt in (False, True):
+                            live = False
+                            if record is not None and record[0] == epoch:
+                                field = record[1].state_field
+                                if key & 1:
+                                    # The writer is the owner.
+                                    owner = (key >> 1) % n_nodes
+                                    owner_field = field
+                                    live = (
+                                        field.valid
+                                        and field.owned
+                                        and (
+                                            not field.distributed_write
+                                            or len(field.present) == 1
+                                        )
+                                        if len(record) == 5
+                                        else field.valid
+                                        and field.owned
+                                        and field.distributed_write
+                                        and record[5] == pepoch
+                                    )
+                                elif len(record) == 7:
+                                    owner = record[5]
+                                    owner_field = record[6].state_field
+                                    live = field.valid
+                                else:
+                                    # A placeholder outside the present
+                                    # vector is a real miss: the slow path
+                                    # adds it there.
+                                    owner = record[5]
+                                    owner_field = record[6].state_field
+                                    live = (
+                                        not field.valid
+                                        and owner_field.owned
+                                        and not owner_field.distributed_write
+                                        and record[7] in owner_field.present
+                                    )
+                            if live or rebuilt:
+                                break
+                            block, node = divmod(key >> 1, n_nodes)
+                            if key & 1:
+                                register_write(node, block)
                             else:
-                                live = False
-                        else:
-                            owner = record[5]
-                            owner_field = record[6].state_field
-                            if len(record) == 7:
-                                live = field.valid
-                            else:
-                                live = (
-                                    not field.valid
-                                    and owner_field.owned
-                                    and not owner_field.distributed_write
-                                )
+                                register_read(node, block)
+                            record = records.get(key >> 1)
                         if not live:
-                            reason = "live_state"
+                            run = _first_row(fold, key, block_size)
+                            reason = "miss"
                             break
                         if policy is not None:
                             owners[(key >> 1) // n_nodes] = (
@@ -257,17 +280,20 @@ class BatchedKernel:
                                 dw if owner_field.distributed_write else gr,
                                 len(owner_field.present),
                             )
-                run = 0 if reason else j - i
                 if run and policy is not None:
                     # Ask the policy block by block how far the hits run
                     # before it would switch a mode, cut the chunk at the
                     # earliest such reference, and let it observe the rest.
+                    nodes = nodes_col[i : i + run]
+                    ops = ops_col[i : i + run]
+                    blocks = blocks_col[i : i + run]
                     if len(owners) == 1:
                         rows = {blocks[0]: range(run)}
                     else:
                         rows = defaultdict(list)
                         for at, block in enumerate(blocks):
                             rows[block].append(at)
+                    cut = run
                     for block, at in rows.items():
                         owner, mode, n_sharers = owners[block]
                         kept = policy.fold(
@@ -278,10 +304,8 @@ class BatchedKernel:
                         )
                         if kept < len(at) and at[kept] < run:
                             run = at[kept]
-                    if run < j - i:
+                    if run < cut:
                         reason = "policy_switch"
-                        fold = fold[:run]
-                        counts = _key_counts(fold, block_size)
                     for block, at in rows.items():
                         at = at[: bisect_left(at, run)]
                         if at:
@@ -293,6 +317,9 @@ class BatchedKernel:
                                 n_sharers,
                             )
                 if run:
+                    if run < j - i:
+                        fold = fold[:run]
+                        counts = _key_counts(fold, block_size)
                     # Clean run: every reference is a hit of a validated
                     # record and nothing below can invalidate one.
                     chunk_writes = 0
@@ -340,23 +367,33 @@ class BatchedKernel:
                     if chunk < MAX_CHUNK:
                         chunk <<= 1
                     continue
-                # A short run on the per-reference table takes the
-                # reference that broke the chunk (and reports a malformed
-                # row by its index in the whole trace).
+                # The slow loop takes the reference at the cut (and
+                # reports a malformed row by its index in the whole trace).
                 self.fallback_reasons[reason] += 1
-                j = min(i + MIN_CHUNK, n)
-                nr, nw = table_replay(trace[i:j], i)
+                if run:
+                    j = i + 1
+                else:
+                    j = min(i + MIN_CHUNK, n)
+                    if chunk > MIN_CHUNK:
+                        chunk >>= 1
+                nr, nw = _replay_columns(
+                    protocol,
+                    trace[i:j],
+                    verify=False,
+                    check_invariants_every=0,
+                    recorder=None,
+                    start=i,
+                )
                 n_reads += nr
                 n_writes += nw
                 fallback += j - i
                 i = j
-                if chunk > MIN_CHUNK:
-                    chunk >>= 1
         finally:
             table._flush(
                 local_read_hits, fast_write_hits, gr_pending, dw_pending
             )
             table.hits += batched
+            table.misses += fallback
             self.batched_refs += batched
             self.fallback_refs += fallback
         return n_reads, n_writes

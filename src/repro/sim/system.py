@@ -68,8 +68,8 @@ class System:
 
     ``multicaster_factory`` optionally replaces the default
     :class:`~repro.network.multicast.Multicaster` with any object offering
-    the same ``send`` / ``send_one`` / ``send_payload`` /
-    ``send_payload_one`` interface built over this system's network --
+    the same ``send`` / ``send_payload`` / ``send_payload_one``
+    interface built over this system's network --
     e.g. the §5 register-driven selector
     (:class:`~repro.network.selector.RegisterMulticaster`).
 

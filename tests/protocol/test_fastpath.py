@@ -2,9 +2,11 @@
 
 Three concerns: the table must only be handed out when the shortcut is
 sound (gating), every event that could change a memoised answer must
-bump ``fastpath_epoch`` (invalidation), and replaying through the table
-must be bit-identical to the slow path (equivalence) -- including under
-ownership churn and for the message-bearing global-read records.
+bump ``fastpath_epoch`` (invalidation), and replaying a compiled trace
+through ``run_trace`` -- the batched kernel executing the table's
+records -- must be bit-identical to the slow path (equivalence),
+including under ownership churn and for the message-bearing global-read
+records.
 """
 
 import pytest
@@ -166,16 +168,19 @@ class TestEpochInvalidation:
         n = 4
         _, protocol = build(n_nodes=n)
         table = protocol.fastpath()
-        # Warm a write record for node 0, then steal ownership via the
-        # slow path: the record's epoch stamp is now stale.
-        warm = compiled([Reference(0, Op.WRITE, Address(0, 0), 1)] * 3, n)
-        table.replay(warm)
-        assert table.hits == 2 and table.misses == 1
+        # A cold block: the slow loop takes the first MIN_CHUNK writes,
+        # then node 0's write record is built and the rest hit.
+        warm = compiled([Reference(0, Op.WRITE, Address(0, 0), 1)] * 100, n)
+        run_trace(protocol, warm, verify=False, check_invariants_every=0)
+        assert (table.hits, table.misses) == (36, 64)
+        # Steal ownership via the slow path: the record's epoch stamp is
+        # now stale and node 0 holds only a placeholder, so no rebuild
+        # makes its write a hit -- the slow loop takes the first writes
+        # back, and the rebuilt record serves the rest.
         protocol.write(1, Address(0, 0), 9)
-        table.replay(warm)  # first row misses (stale), rest hit again
-        assert table.misses == 2
-        assert table.hits == 4
-
+        run_trace(protocol, warm, verify=False, check_invariants_every=0)
+        assert (table.hits, table.misses) == (72, 128)
+        assert table._writes[0][0] == protocol.fastpath_epoch
 
 class TestCounters:
     def test_hits_and_misses_cover_every_reference(self):

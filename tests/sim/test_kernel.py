@@ -3,11 +3,12 @@
 Four concerns, mirroring the fast-path table's suite: the kernel must
 only be handed out when chunked execution is sound (gating), everything
 that can invalidate a memoised answer must be caught by the per-chunk
-revalidation (epoch and present-vector stamps) and counted by cause
-(fallback reasons), and batched replay must be bit-identical to the
-per-``Reference`` dispatch loop for every workload generator in the repo
-(equivalence; tests/sim/test_kernel_policies.py does the same under the
-counting mode policies).
+revalidation (epoch and present-vector stamps, live checks) and either
+rebuilt or handed to the slow loop, counted by cause (fallback reasons),
+and batched replay must be bit-identical to the per-``Reference``
+dispatch loop for every workload generator in the repo (equivalence;
+tests/sim/test_kernel_policies.py does the same under the counting mode
+policies).
 """
 
 import gc
@@ -24,7 +25,6 @@ from repro.faults.plan import FaultPlan
 from repro.network.multicast import MulticastScheme
 from repro.obs.hooks import attach_recorder
 from repro.obs.recorder import TraceRecorder
-from repro.protocol.fastpath import FastPathTable
 from repro.protocol.messages import MessageCosts
 from repro.protocol.modes import (
     AdaptiveModePolicy,
@@ -148,8 +148,8 @@ class TestEquivalence:
                 "distributed-write", 1024, range(0, 1024, 16), 11, 200_000,
                 MulticastScheme.VECTOR,
                 {
-                    "batched_refs": 199_680,
-                    "fallback_refs": 320,
+                    "batched_refs": 199_799,
+                    "fallback_refs": 201,
                     "total_bits": 946_079_920,
                 },
             ),
@@ -157,8 +157,8 @@ class TestEquivalence:
                 "two-mode", 64, range(16), 0, 20_000,
                 MulticastScheme.COMBINED,
                 {
-                    "fastpath_hits": 19_913,
-                    "fastpath_misses": 87,
+                    "fastpath_hits": 19_802,
+                    "fastpath_misses": 198,
                     "total_bits": 4_229_455,
                 },
             ),
@@ -189,7 +189,10 @@ class TestEquivalence:
         )
         kernel, table = protocol.batched_kernel(), protocol.fastpath()
         assert kernel.batched_refs + kernel.fallback_refs == n_references
-        assert table.hits + table.misses == n_references
+        assert (table.hits, table.misses) == (
+            kernel.batched_refs,
+            kernel.fallback_refs,
+        )
         measured = {
             "batched_refs": kernel.batched_refs,
             "fallback_refs": kernel.fallback_refs,
@@ -202,7 +205,7 @@ class TestEquivalence:
     def test_batchable_policy_decisions_match_per_reference(self):
         # A per-block mode map whose decisions fire mid-trace: the kernel
         # must cut the chunk where fold() reports a switch and hand the
-        # switching reference to the per-reference path.
+        # switching reference to the slow loop.
         n_nodes = 16
         modes = {0: Mode.DISTRIBUTED_WRITE, 1: Mode.GLOBAL_READ}
         reports = []
@@ -233,7 +236,7 @@ class TestEquivalence:
 
     def test_malformed_row_raises_with_absolute_index(self):
         # The bad row lands in a later chunk, so the index in the error
-        # must survive the kernel's chunk-relative fallback replay.
+        # must survive the kernel handing a slice to the slow loop.
         good = [Reference(0, Op.WRITE, Address(0, 0), 1)] * 100
         bad = good + [Reference(7, Op.READ, Address(0, 0))]
         trace = Trace(bad, 8, 2).compile()
@@ -281,47 +284,44 @@ class TestGating:
             assert protocol.batched_kernel() is not None
             assert protocol.fastpath() is not None
 
-    def test_counting_policies_run_in_the_kernel_and_agree_with_the_table(
+    def test_counting_policies_run_in_the_kernel_and_agree_with_the_slow_loop(
         self,
     ):
         # Oracle/adaptive policies observe every reference; the kernel
         # lets them observe a chunk's clean prefix in one step, and must
-        # end where the per-reference table (which observes one by one)
-        # ends: same ledgers, same counters, same hit/miss split.
+        # end where the slow loop (which observes one by one) ends: same
+        # ledgers, same counters.
         n_nodes = 16
         trace = markov_block_trace(
             n_nodes, list(range(8)), 0.05, 4000, seed=3, compiled=True
         )
         for policy_cls in (OracleModePolicy, AdaptiveModePolicy):
-            _, protocol = build(
-                n_nodes=n_nodes,
-                block_size_words=4,
-                mode_policy=policy_cls(32),
-            )
-            run_trace(
-                protocol, trace, verify=False, check_invariants_every=0
-            )
-            kernel = protocol.batched_kernel()
+            protocols = []
+            for references in (trace, list(trace)):
+                _, protocol = build(
+                    n_nodes=n_nodes,
+                    block_size_words=4,
+                    mode_policy=policy_cls(32),
+                )
+                run_trace(
+                    protocol, references, verify=False,
+                    check_invariants_every=0,
+                )
+                protocols.append(protocol)
+            kernel_protocol, slow_protocol = protocols
+            kernel = kernel_protocol.batched_kernel()
             # (The adaptive policy overestimates w in distributed write
-            # and flaps; each switch costs a few short runs on the table.)
+            # and flaps; each switch costs a reference on the slow loop.)
             assert kernel.batched_refs > len(trace) // 2
-            assert protocol.stats.events["mode_switches"] > 0
-            _, table_protocol = build(
-                n_nodes=n_nodes,
-                block_size_words=4,
-                mode_policy=policy_cls(32),
-            )
-            table = table_protocol.fastpath()
-            table.replay(trace)
-            assert protocol.stats.to_dict() == table_protocol.stats.to_dict()
+            assert kernel_protocol.stats.events["mode_switches"] > 0
+            assert slow_protocol.batched_kernel().batched_refs == 0
             assert (
-                protocol.mode_policy._counters
-                == table_protocol.mode_policy._counters
+                kernel_protocol.stats.to_dict()
+                == slow_protocol.stats.to_dict()
             )
-            kernel_table = protocol.fastpath()
-            assert (kernel_table.hits, kernel_table.misses) == (
-                table.hits,
-                table.misses,
+            assert (
+                kernel_protocol.mode_policy._counters
+                == slow_protocol.mode_policy._counters
             )
 
     def test_engine_skips_kernel_when_verifying(self):
@@ -342,32 +342,36 @@ class TestGating:
         assert first == 200
         run_trace(protocol, trace, verify=False, check_invariants_every=0)
         assert kernel.batched_refs + kernel.fallback_refs == 400
-        # Batched hits count as table hits, so coverage stays total.
+        # The table's counters move with the kernel's.
         table = protocol.fastpath()
         assert table.hits + table.misses == 400
 
 
 class TestFallbackReasons:
-    """One hand-built chunk per reason; every fallback run is counted."""
+    """One hand-built chunk per reason; every slow-loop run is counted.
+
+    A record that is missing, stale or dead is no reason: the kernel
+    rebuilds it and only a key that is still not a hit cuts the chunk.
+    """
 
     N_NODES = 8
 
     @pytest.fixture
     def table_runs(self, monkeypatch):
-        """The lengths of the runs handed to ``FastPathTable.replay``."""
+        """The lengths of the runs the kernel hands the slow loop."""
         runs = []
-        real_replay = FastPathTable.replay
+        real_replay = kernel_module._replay_columns
 
-        def counting_replay(table, trace, base_index=0):
+        def counting_replay(protocol, trace, **kwargs):
             runs.append(len(trace))
-            return real_replay(table, trace, base_index)
+            return real_replay(protocol, trace, **kwargs)
 
-        monkeypatch.setattr(FastPathTable, "replay", counting_replay)
+        monkeypatch.setattr(kernel_module, "_replay_columns", counting_replay)
         return runs
 
-    def _writes(self, n=10, node=0, offset=0):
+    def _writes(self, n=10, node=0, offset=0, value_base=0):
         refs = [
-            Reference(node, Op.WRITE, Address(0, offset), v + 1)
+            Reference(node, Op.WRITE, Address(0, offset), value_base + v + 1)
             for v in range(n)
         ]
         return Trace(refs, self.N_NODES, 2).compile()
@@ -382,11 +386,13 @@ class TestFallbackReasons:
     def _warm(self, **build_kwargs):
         """A protocol whose table knows node 0's write to block 0."""
         _, protocol = build(n_nodes=self.N_NODES, **build_kwargs)
-        assert self._replay(protocol, self._writes()) == {"unknown_key": 1}
+        assert self._replay(protocol, self._writes()) == {"miss": 1}
         assert self._replay(protocol, self._writes()) == {}
         return protocol
 
     def test_unknown_key_then_clean(self, table_runs):
+        # An uncached block is a miss at row 0: the slow loop takes up to
+        # MIN_CHUNK references, and the next replay rebuilds the record.
         protocol = self._warm()
         assert table_runs == [10]
         kernel = protocol.batched_kernel()
@@ -395,35 +401,39 @@ class TestFallbackReasons:
     def test_stale_epoch(self, table_runs):
         protocol = self._warm()
         protocol.set_mode(0, 0, Mode.DISTRIBUTED_WRITE)  # bumps the epoch
-        assert self._replay(protocol, self._writes()) == {"stale_epoch": 1}
+        assert self._replay(protocol, self._writes()) == {}
+        assert table_runs == [10]
 
     def test_stale_present(self, table_runs):
         # A distributed-write owner with one copy out: the multicast
         # record is stamped with present_epoch, which a new reader bumps
-        # without touching fastpath_epoch.
+        # without touching fastpath_epoch.  The rebuilt record multicasts
+        # to both copies.
         _, protocol = build(
             n_nodes=self.N_NODES, default_mode=Mode.DISTRIBUTED_WRITE
         )
         protocol.write(0, Address(0, 0), 1)
         protocol.read(1, Address(0, 0))
-        self._replay(protocol, self._writes())
         assert self._replay(protocol, self._writes()) == {}
         epoch = protocol.fastpath_epoch
         protocol.read(2, Address(0, 0))
         assert protocol.fastpath_epoch == epoch
-        assert self._replay(protocol, self._writes()) == {
-            "stale_present": 1
-        }
+        assert self._replay(protocol, self._writes(value_base=20)) == {}
+        assert table_runs == []
+        for reader in (1, 2):
+            assert protocol.read(reader, Address(0, 0)) == 30
 
     def test_live_state(self, table_runs):
         # An exclusive distributed-write owner's record carries no
         # stamp for the present vector; a reader joining leaves both
-        # epochs' records "current" but the write no longer local.
+        # epochs' records "current" but the write no longer local: the
+        # live check fails and the rebuild makes it a multicast record.
         protocol = self._warm(default_mode=Mode.DISTRIBUTED_WRITE)
         epoch = protocol.fastpath_epoch
         protocol.read(1, Address(0, 0))
         assert protocol.fastpath_epoch == epoch
-        assert self._replay(protocol, self._writes()) == {"live_state": 1}
+        assert self._replay(protocol, self._writes()) == {}
+        assert len(protocol.fastpath()._writes[0]) == 9
 
     def test_bounds(self, table_runs):
         protocol = self._warm()
@@ -523,8 +533,9 @@ class TestFallbackReasons:
     def test_policy_switch_cuts_the_chunk(self, table_runs):
         # An exclusive owner (threshold 2/3) under an 8-reference window.
         # Seven references pass, the eighth completes a read-heavy window
-        # and switches the block: seven run batched, and the run handed
-        # to the table starts at the eighth.
+        # and switches the block: seven run batched, the eighth alone
+        # goes to the slow loop, and the rest -- their records stale
+        # after the switch -- are rebuilt and run batched again.
         policy = OracleModePolicy(window=8)
         protocol = self._warm(mode_policy=policy)
         write = Reference(0, Op.WRITE, Address(0, 0), 9)
@@ -535,11 +546,10 @@ class TestFallbackReasons:
 
         # _warm left 20 writes behind: two all-write windows (global
         # read stays) and four carried.  Three writes and a read fill
-        # the third -- still write-heavy -- and register the read key.
+        # the third -- still write-heavy -- and the read key is built
+        # on sight.
         assert policy._counters[0].references == 4
-        assert self._replay(protocol, compiled([write] * 3 + [read])) == {
-            "unknown_key": 1
-        }
+        assert self._replay(protocol, compiled([write] * 3 + [read])) == {}
         assert policy._counters[0].references == 0
         assert protocol.stats.events["mode_switches"] == 0
         del table_runs[:]
@@ -548,8 +558,8 @@ class TestFallbackReasons:
         assert self._replay(
             protocol, compiled([write] * 2 + [read] * 10)
         ) == {"policy_switch": 1}
-        assert table_runs == [5]
-        assert kernel.batched_refs - batched == 7
+        assert table_runs == [1]
+        assert kernel.batched_refs - batched == 11
         assert protocol.stats.events["mode_switches"] == 1
         assert policy._counters[0].references == 4
 
@@ -821,8 +831,9 @@ class TestPresentEpochInvalidation:
             n_nodes,
             2,
         ).compile()
-        table.replay(warm)
-        assert (table.hits, table.misses) == (2, 1)
+        run_trace(protocol, warm, verify=False, check_invariants_every=0)
+        assert (table.hits, table.misses) == (3, 0)
+        record = table._writes[0]
         # A new reader grows the present vector without touching
         # fastpath_epoch; only the present stamp can catch it.
         epoch = protocol.fastpath_epoch
@@ -830,8 +841,113 @@ class TestPresentEpochInvalidation:
         protocol.read(3, Address(0, 0))
         assert protocol.fastpath_epoch == epoch
         assert protocol.present_epoch > stamp
-        table.replay(warm)  # first row re-registers, rest hit again
-        assert (table.hits, table.misses) == (4, 2)
+        # The kernel rebuilds the record on sight; every row hits again.
+        run_trace(protocol, warm, verify=False, check_invariants_every=0)
+        assert (table.hits, table.misses) == (6, 0)
+        assert table._writes[0] is not record
         # The refreshed record multicasts to all three copies now.
         for reader in (1, 2, 3):
             assert protocol.read(reader, Address(0, 0)) == 4
+
+
+class TestRebuild:
+    """Records the kernel rebuilds from the current state, and one it
+    must not trust."""
+
+    def _twins(self, prepare, trace, n_nodes=8):
+        """``prepare`` then replay ``trace``, by kernel and by slow loop.
+
+        Returns the kernel protocol and, per twin, everything observable:
+        ``Stats``, the four flat arrays, both epochs and every owner's
+        present vector.
+        """
+        observed = []
+        for logged in (False, True):
+            system, protocol = build(n_nodes=n_nodes)
+            if logged:
+                protocol.enable_message_log()  # stands the kernel down
+            prepare(protocol)
+            run_trace(protocol, trace, verify=False, check_invariants_every=0)
+            vectors = [
+                sorted(entry.state_field.present)
+                for cache in system.caches
+                for entry in cache.iter_entries()
+                if entry.state_field.owned
+            ]
+            observed.append(
+                (
+                    protocol.stats.to_dict(),
+                    arrays(system.network),
+                    (protocol.fastpath_epoch, protocol.present_epoch),
+                    vectors,
+                )
+            )
+            if not logged:
+                kernel_protocol = protocol
+        assert observed[0] == observed[1]
+        return kernel_protocol
+
+    def test_a_mode_switch_leaves_a_steady_slice_batched(self):
+        # Four nodes, each reading and writing its own block.  A
+        # hand-driven set_mode bumps fastpath_epoch and retires every
+        # record; replaying the steady slice again rebuilds them and
+        # hands the slow loop nothing.
+        n_nodes = 8
+        trace = Trace(
+            [
+                Reference(
+                    step % 4,
+                    Op.WRITE if step % 3 else Op.READ,
+                    Address(step % 4, step % 2),
+                    step,
+                )
+                for step in range(300)
+            ],
+            n_nodes,
+            2,
+        ).compile()
+        steps = []
+
+        def prepare(protocol):
+            run_trace(protocol, trace, verify=False, check_invariants_every=0)
+            if protocol.batched_kernel() is not None:
+                steps.append(protocol.batched_kernel().fallback_refs)
+            epoch = protocol.fastpath_epoch
+            protocol.set_mode(0, 0, Mode.DISTRIBUTED_WRITE)
+            protocol.set_mode(1, 1, Mode.DISTRIBUTED_WRITE)
+            assert protocol.fastpath_epoch > epoch
+
+        protocol = self._twins(prepare, trace, n_nodes)
+        kernel = protocol.batched_kernel()
+        assert kernel.fallback_refs == steps[0]
+        assert kernel.batched_refs >= 300
+
+    def test_a_placeholder_outside_the_present_vector_is_a_miss(self):
+        # Node 1's global-read placeholder keeps OWNER = 0 through a
+        # GR -> DW -> GR round trip, but the switch to distributed write
+        # dropped it from the owner's present vector.  Its rebuilt
+        # remote-read record must not hit: the slow path puts node 1 back
+        # in the vector and bumps present_epoch.  (Deleting the kernel's
+        # ``record[7] in owner_field.present`` clause fails this test.)
+        n_nodes = 8
+
+        def prepare(protocol):
+            system = protocol.system
+            protocol.write(0, Address(0, 0), 5)
+            protocol.read(1, Address(0, 0))
+            protocol.set_mode(0, 0, Mode.DISTRIBUTED_WRITE)
+            protocol.set_mode(0, 0, Mode.GLOBAL_READ)
+            placeholder = system.caches[1].find(0).state_field
+            assert not placeholder.valid and placeholder.owner == 0
+            assert system.caches[0].find(0).state_field.present == {0}
+
+        trace = Trace(
+            [Reference(1, Op.READ, Address(0, 0))] * 100, n_nodes, 2
+        ).compile()
+        protocol = self._twins(prepare, trace, n_nodes)
+        assert protocol.system.caches[0].find(0).state_field.present == {
+            0, 1
+        }
+        kernel = protocol.batched_kernel()
+        assert kernel.fallback_reasons == {"miss": 1}
+        assert kernel.batched_refs == 100 - kernel_module.MIN_CHUNK

@@ -16,9 +16,9 @@ window's edges:
   end as per-send accounting leaves them at the failing reference;
 * **``reset_traffic()`` inside a window** leaves the messages posted
   before it counted in ``Stats`` and absent from the links;
-* **a replay tier driven by hand, no window open**
-  (``FastPathTable.replay``, ``BatchedKernel.replay``) has accounted
-  everything when it returns, with a plan cache or without;
+* **the kernel driven by hand, no window open**
+  (``BatchedKernel.replay``) has accounted everything when it returns,
+  with a plan cache or without, as ``run_trace`` has;
 * **the lazy walk**: a report needs no ``RoutePlan``; the first per-link
   read builds them, once;
 * **a posted unicast to a port outside the network** raises the per-send
@@ -453,12 +453,13 @@ def test_coherence_error_mid_trace_leaves_per_send_arrays(
 
 
 def test_error_mid_kernel_replay_settles_the_deferred_hits(window_shut):
-    # The kernel and the table hold hit counts of their own: their
-    # ``finally`` posts them before run_trace's settles the ledger.
+    # The kernel holds hit counts of its own: its ``finally`` posts them
+    # before run_trace's settles the ledger.  The error is planted in a
+    # slow-loop run after the kernel has batched.
     def run():
         system = System(SystemConfig(n_nodes=N_NODES))
         protocol = default_factories()["two-mode"](system)
-        _die_after(protocol, 30, CoherenceError("planted", block=0, node=0))
+        _die_after(protocol, 100, CoherenceError("planted", block=0, node=0))
         with pytest.raises(CoherenceError, match="planted"):
             run_trace(
                 protocol, _trace(True), verify=False,
@@ -633,20 +634,26 @@ def test_hand_driven_references_account_immediately(protocol_name):
     assert seen == sorted(seen) and seen[-1] > 0
 
 
-@pytest.mark.parametrize("tier", ["table", "kernel"])
+@pytest.mark.parametrize("tier", ["run_trace", "kernel"])
 @pytest.mark.parametrize("protocol_name", ["global-read", "two-mode"])
 def test_hand_driven_replay_tiers_account_before_returning(
     tier, protocol_name
 ):
-    # No window open: the flush of the deferred hits holds its own, or --
-    # where none can open (no plan cache) -- sends them one by one.
+    # Driven by hand no window is open: the flush of the deferred hits
+    # holds its own, or -- where none can open (no plan cache) -- sends
+    # them one by one.  Through run_trace the flush lands in its window.
     def replay(plan_cache):
         system = System(SystemConfig(n_nodes=N_NODES))
         if not plan_cache:
             system.network.route_plans = None
         protocol = default_factories()[protocol_name](system)
-        tiers = {"table": protocol.fastpath, "kernel": protocol.batched_kernel}
-        tiers[tier]().replay(_trace(True))
+        if tier == "kernel":
+            protocol.batched_kernel().replay(_trace(True))
+        else:
+            run_trace(
+                protocol, _trace(True), verify=False,
+                check_invariants_every=0,
+            )
         assert protocol.fastpath().hits > 0
         assert system.network._ledger is None and protocol._ledger is None
         assert system.network.total_bits == protocol.stats.total_bits > 0
