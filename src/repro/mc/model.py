@@ -6,10 +6,28 @@ reference (`read`/`write`), an explicit eviction, a mode switch -- or a
 fault-recovery transition from PR 3's recovery layer: degradation to
 memory-direct service, and the partial delivery / per-destination
 re-send / budget-exhaustion lifecycle of a distributed-write update
-multicast.  Effects are transcribed from the concrete implementation
-(§2.2 items 1-7 plus the documented deviations), so the differential
-fuzzer (:mod:`repro.mc.diff`) can demand *lockstep equality* between
-the two, not mere similarity.
+multicast.  Each §2.2 step (items 1-7 plus the documented deviations)
+is defined once on each side, under the same name where the concrete
+protocol has one, so the differential fuzzer (:mod:`repro.mc.diff`)
+can demand *lockstep equality* between the two, not mere similarity:
+
+=================================  ===============================
+concrete (``StenstromProtocol``)   model
+=================================  ===============================
+``read`` / ``_read_body``          ``_apply_read``
+``write`` / ``_write_body``        ``_apply_write``
+``evict`` / ``_evict_body``        ``_apply_evict``
+``set_mode`` / ``_set_mode_body``  ``_apply_set_mode``
+``_exclusive_load`` (2a, 4a)       ``_exclusive_load``
+``_serve_read_at_owner`` (2b)      ``_serve_read_at_owner``
+``_perform_owner_write`` (3a-c)    ``_perform_owner_write``
+``_acquire_ownership`` (3d/4/5b)   ``_acquire_ownership``
+``_ensure_owner``                  ``_ensure_owner``
+``_replace_unowned`` (5c)          ``_replace_unowned``
+``_degrade_block``                 ``_degrade``
+``_with_recovery``                 ``degrade``, ``write_partial``,
+                                   ``redeliver``, ``drop_round``
+=================================  ===============================
 
 All functions are pure: they take an :class:`~repro.mc.state.MCState`
 and return a new one plus an observation dict (currently the freshness
@@ -113,7 +131,9 @@ def _exclusive_load(
     )
 
 
-def _serve_read(bs: BlockState, node: int) -> tuple[BlockState, bool]:
+def _serve_read_at_owner(
+    bs: BlockState, node: int
+) -> tuple[BlockState, bool]:
     """2(b): the owner serves a remote read miss per its mode.
 
     Returns the new block state and the freshness of the value the
@@ -137,61 +157,30 @@ def _serve_read(bs: BlockState, node: int) -> tuple[BlockState, bool]:
     )
 
 
-def _acquire_ownership(bs: BlockState, node: int) -> BlockState:
-    """3(d): ownership transfer to ``node`` (which holds an entry).
+def _acquire_ownership(
+    cfg: ModelConfig, bs: BlockState, node: int
+) -> BlockState:
+    """3(d), 4(a)/(b), the 5(b) hand-off and the ``set_mode`` prologue.
 
-    Also the hand-off half of replacement 5(b), where in global-read
-    mode the requester holds only a placeholder and the data rides
-    along with the state field.
+    One rule decides what moves: in DW mode a requester holding a valid
+    copy receives only the state field (its copy has every write); in
+    every other case the owner's data moves too, and in GR mode the
+    placeholders repoint at ``node`` and the old owner keeps one.
     """
     old = bs.owner
-    assert old is not None and old != node
-    old_copy = bs.copies[old]
-    assert old_copy is not None
-    present = _add_present(bs.present, node)
-    node_copy = bs.copies[node]
-    copies = bs.copies
-    if bs.dw:
-        # 3(d)i: state only; the requester's copy is already current.
-        assert node_copy is not None and node_copy.kind == COPY
-        new_owner = Copy(
-            OWNER, ptr=node, fresh=node_copy.fresh, modified=old_copy.modified
-        )
-        copies = _set_copy(copies, old, Copy(COPY, node, old_copy.fresh, False))
-    else:
-        # 3(d)ii: copy + state move; placeholders repoint; the old
-        # owner invalidates itself.
-        new_owner = Copy(
-            OWNER, ptr=node, fresh=old_copy.fresh, modified=old_copy.modified
-        )
-        for member in present:
-            if member in (old, node):
-                continue
-            member_copy = copies[member]
-            if member_copy is not None:
-                copies = _set_copy(
-                    copies,
-                    member,
-                    member_copy._replace(ptr=node),
-                )
-        copies = _set_copy(copies, old, Copy(PLACEHOLDER, node, False, False))
-    copies = _set_copy(copies, node, new_owner)
-    return bs._replace(owner=node, present=present, copies=copies)
-
-
-def _miss_acquire(cfg: ModelConfig, bs: BlockState, node: int) -> BlockState:
-    """4(a)/4(b): write miss -- load with ownership."""
-    old = bs.owner
     if old is None:
+        # 4(a): no cached copy anywhere.
         return _exclusive_load(cfg, bs, node)
     assert old != node
     old_copy = bs.copies[old]
     assert old_copy is not None
+    node_copy = bs.copies[node]
+    if bs.dw and _valid(node_copy):
+        fresh = node_copy.fresh
+    else:
+        fresh = old_copy.fresh
     present = _add_present(bs.present, node)
     copies = bs.copies
-    new_owner = Copy(
-        OWNER, ptr=node, fresh=old_copy.fresh, modified=old_copy.modified
-    )
     if bs.dw:
         copies = _set_copy(copies, old, Copy(COPY, node, old_copy.fresh, False))
     else:
@@ -204,11 +193,13 @@ def _miss_acquire(cfg: ModelConfig, bs: BlockState, node: int) -> BlockState:
                     copies, member, member_copy._replace(ptr=node)
                 )
         copies = _set_copy(copies, old, Copy(PLACEHOLDER, node, False, False))
-    copies = _set_copy(copies, node, new_owner)
+    copies = _set_copy(
+        copies, node, Copy(OWNER, node, fresh, old_copy.modified)
+    )
     return bs._replace(owner=node, present=present, copies=copies)
 
 
-def _owner_write(
+def _perform_owner_write(
     bs: BlockState, node: int, missed: tuple[int, ...] = ()
 ) -> BlockState:
     """3(a)/3(b)/3(c): write at the owning cache, distributing if DW.
@@ -234,13 +225,10 @@ def _owner_write(
 
 
 def _ensure_owner(cfg: ModelConfig, bs: BlockState, node: int) -> BlockState:
-    """Make ``node`` the owner (the ``set_mode`` prologue)."""
-    copy = bs.copies[node]
-    if _valid(copy):
-        if bs.owner != node:
-            return _acquire_ownership(bs, node)
+    """Make ``node`` the owner (the ``set_mode`` prologue; ``write``'s too)."""
+    if _valid(bs.copies[node]) and bs.owner == node:
         return bs
-    return _miss_acquire(cfg, bs, node)
+    return _acquire_ownership(cfg, bs, node)
 
 
 def _replace_unowned(bs: BlockState, node: int) -> BlockState:
@@ -346,7 +334,7 @@ def apply(cfg: ModelConfig, state: MCState, action: tuple) -> tuple[MCState, dic
     if name == "write":
         return _apply_write(cfg, state, action[1], action[2])
     if name == "evict":
-        return _apply_evict(state, action[1], action[2])
+        return _apply_evict(cfg, state, action[1], action[2])
     if name == "set_mode":
         return _apply_set_mode(cfg, state, action[1], action[2], action[3])
     if name == "degrade":
@@ -380,7 +368,7 @@ def _apply_read(
         return _with_block(state, block, new_bs), {"read_fresh": bs.mem_fresh}
     # 2(b), via the home module or the OWNER-field bypass: the owner
     # serves the miss per its mode.
-    new_bs, fresh = _serve_read(bs, node)
+    new_bs, fresh = _serve_read_at_owner(bs, node)
     return _with_block(state, block, new_bs), {"read_fresh": fresh}
 
 
@@ -393,18 +381,14 @@ def _apply_write(
         # Memory-direct: the write lands in memory, which is therefore
         # the (new) most recent value.
         return _with_block(state, block, bs._replace(mem_fresh=True)), {}
-    copy = bs.copies[node]
-    if _valid(copy):
-        if bs.owner != node:
-            bs = _acquire_ownership(bs, node)
-    else:
-        bs = _miss_acquire(cfg, bs, node)
-    bs = _owner_write(bs, node)
+    # A write hit on an UnOwned copy (3d) or a write miss (4) moves
+    # ownership exactly as the ``set_mode`` prologue does.
+    bs = _perform_owner_write(_ensure_owner(cfg, bs, node), node)
     return _with_block(state, block, bs), {}
 
 
 def _apply_evict(
-    state: MCState, node: int, block: int
+    cfg: ModelConfig, state: MCState, node: int, block: int
 ) -> tuple[MCState, dict]:
     assert state.inflight is None
     bs = state.blocks[block]
@@ -429,7 +413,7 @@ def _apply_evict(
     # (the concrete protocol offers in sorted order and every vector
     # member holds an entry at quiescent points), then retire as 5(c).
     candidate = min(n for n in bs.present if n != node)
-    bs = _acquire_ownership(bs, candidate)
+    bs = _acquire_ownership(cfg, bs, candidate)
     bs = _replace_unowned(bs, node)
     return _with_block(state, block, bs), {}
 
@@ -471,7 +455,7 @@ def _apply_write_partial(
     assert state.inflight is None
     bs = state.blocks[block]
     assert bs.owner == node and bs.dw and missed
-    bs = _owner_write(bs, node, missed=missed)
+    bs = _perform_owner_write(bs, node, missed=missed)
     new_state = _with_block(state, block, bs)
     # The initial delivery round failed for ``missed``; the concrete
     # recovery layer has counted one round and will re-send -- unless

@@ -114,19 +114,6 @@ class StenstromProtocol(CoherenceProtocol):
             else ev.COHERENCE_MISSES
         )
 
-    def _owner_entry(self, block: BlockId) -> tuple[NodeId, CacheEntry]:
-        """The current owner and its entry; raises if bookkeeping broke."""
-        owner = self._owner_of(block)
-        if owner is None:
-            raise ProtocolError(f"block {block} has no recorded owner")
-        entry = self._cache(owner).find(block)
-        if entry is None or not entry.state_field.owned:
-            raise ProtocolError(
-                f"block store says cache {owner} owns block {block}, "
-                f"but it does not"
-            )
-        return owner, entry
-
     # ------------------------------------------------------------------
     # Stable-state fast path
     # ------------------------------------------------------------------
@@ -168,18 +155,15 @@ class StenstromProtocol(CoherenceProtocol):
     # ------------------------------------------------------------------
 
     def read(self, node: NodeId, address: Address) -> int:
-        """§2.2 items 1 and 2."""
+        """§2.2 items 1 and 2: a read hit, or a read miss served via the
+        home module (2a/2b) or the invalid placeholder's OWNER field."""
         self.system.check_address(address)
         self.stats.count(ev.READS)
         if self.system.fault_injector is None:
             return self._read_body(node, address)
-        while True:
-            try:
-                return self._read_body(node, address)
-            except UnreachableRouteError as exc:
-                self._recover_dead_route(exc, address.block)
-            except TransientNetworkError as exc:
-                self._recover_retry_exhaustion(exc, address.block)
+        return self._with_recovery(
+            self._read_body, address.block, node, address
+        )
 
     def _read_body(self, node: NodeId, address: Address) -> int:
         block, offset = address
@@ -202,20 +186,16 @@ class StenstromProtocol(CoherenceProtocol):
         return value
 
     def write(self, node: NodeId, address: Address, value: int) -> None:
-        """§2.2 items 3 and 4."""
+        """§2.2 items 3 and 4: a write hit at the owner (3a-c) or on an
+        UnOwned copy (3d), or a write miss loading with ownership (4)."""
         self.system.check_address(address)
         self.stats.count(ev.WRITES)
         if self.system.fault_injector is None:
             self._write_body(node, address, value)
-            return
-        while True:
-            try:
-                self._write_body(node, address, value)
-                return
-            except UnreachableRouteError as exc:
-                self._recover_dead_route(exc, address.block)
-            except TransientNetworkError as exc:
-                self._recover_retry_exhaustion(exc, address.block)
+        else:
+            self._with_recovery(
+                self._write_body, address.block, node, address, value
+            )
 
     def _write_body(
         self, node: NodeId, address: Address, value: int
@@ -231,11 +211,12 @@ class StenstromProtocol(CoherenceProtocol):
             self._cache(node).touch(block)
             if not entry.state_field.owned:
                 # Write hit on an UnOwned copy: acquire ownership (3d).
-                self._acquire_ownership(node, block)
+                self._acquire_ownership(node, block, entry)
         else:
             self.stats.count(ev.WRITE_MISSES)
             self._classify_miss(block)
-            entry = self._miss_acquire_ownership(node, block)
+            # Load with ownership (4a/4b).
+            entry = self._acquire_ownership(node, block)
         self._perform_owner_write(node, entry, offset, value)
         self._consult_mode_policy(node, block, Op.WRITE)
 
@@ -259,6 +240,23 @@ class StenstromProtocol(CoherenceProtocol):
     def uncacheable_blocks(self) -> frozenset[BlockId]:
         """Blocks degraded to memory-direct service (empty without faults)."""
         return frozenset(self._uncacheable)
+
+    def _with_recovery(self, body, block: BlockId, *args):
+        """Run ``body(*args)`` until it completes, recovering on the way.
+
+        The one fault-retry loop of :meth:`read`, :meth:`write`,
+        :meth:`set_mode` and :meth:`evict`, reached only under fault
+        injection (fault-free entries call their body directly).  Each
+        recovery degrades the block the fault names (``block`` when it
+        names none) and the body runs again from the top.
+        """
+        while True:
+            try:
+                return body(*args)
+            except UnreachableRouteError as exc:
+                self._recover_dead_route(exc, block)
+            except TransientNetworkError as exc:
+                self._recover_retry_exhaustion(exc, block)
 
     def _recover_dead_route(
         self, exc: UnreachableRouteError, fallback_block: BlockId
@@ -400,7 +398,8 @@ class StenstromProtocol(CoherenceProtocol):
     # ------------------------------------------------------------------
 
     def set_mode(self, node: NodeId, block: BlockId, mode: Mode) -> None:
-        """Switch ``block`` to ``mode``, acquiring ownership first.
+        """§2.2 items 6 and 7: switch ``block`` to ``mode``, acquiring
+        ownership first (through the 3(d)/4 transfer).
 
         Under fault injection the switch carries the same reference-level
         recovery as :meth:`read` / :meth:`write`: a dead route or an
@@ -409,15 +408,8 @@ class StenstromProtocol(CoherenceProtocol):
         """
         if self.system.fault_injector is None:
             self._set_mode_body(node, block, mode)
-            return
-        while True:
-            try:
-                self._set_mode_body(node, block, mode)
-                return
-            except UnreachableRouteError as exc:
-                self._recover_dead_route(exc, block)
-            except TransientNetworkError as exc:
-                self._recover_retry_exhaustion(exc, block)
+        else:
+            self._with_recovery(self._set_mode_body, block, node, block, mode)
 
     def _set_mode_body(
         self, node: NodeId, block: BlockId, mode: Mode
@@ -487,24 +479,8 @@ class StenstromProtocol(CoherenceProtocol):
         self._send(MsgKind.LOAD_REQ, node, home, self._cost_request)
         owner = self._owner_of(block)
         if owner is None:
-            # 2(a): no cached copy anywhere; load from memory and own it
-            # exclusively in the default mode.
-            memory = self.system.memory_for(block)
-            self._send(MsgKind.BLOCK_REPLY, home, node, self._cost_block)
-            entry = self._reuse_or_allocate(node, block)
-            entry.data = memory.read_block(block)
-            entry.state_field = StateField(
-                valid=True,
-                owned=True,
-                modified=False,
-                distributed_write=(
-                    self.default_mode is Mode.DISTRIBUTED_WRITE
-                ),
-                present={node},
-                owner=node,
-            )
-            memory.block_store.set_owner(block, node)
-            return entry.read_word(offset)
+            # 2(a): no cached copy anywhere.
+            return self._exclusive_load(node, block).read_word(offset)
         # 2(b): forward to the owner, which serves per its mode.
         self._send(MsgKind.LOAD_FWD, home, owner, self._cost_request)
         return self._serve_read_at_owner(node, address, owner)
@@ -599,6 +575,26 @@ class StenstromProtocol(CoherenceProtocol):
         entry.state_field = StateField(valid=False, owner=owner)
         return owner_entry.read_word(offset)
 
+    def _exclusive_load(self, node: NodeId, block: BlockId) -> CacheEntry:
+        """2(a)/4(a): no cached copy anywhere; load the block from memory
+        and own it exclusively in the default mode."""
+        memory = self.system.memory_for(block)
+        self._send(
+            MsgKind.BLOCK_REPLY, self.home(block), node, self._cost_block
+        )
+        entry = self._reuse_or_allocate(node, block)
+        entry.data = memory.read_block(block)
+        entry.state_field = StateField(
+            valid=True,
+            owned=True,
+            modified=False,
+            distributed_write=self.default_mode is Mode.DISTRIBUTED_WRITE,
+            present={node},
+            owner=node,
+        )
+        memory.block_store.set_owner(block, node)
+        return entry
+
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
@@ -632,17 +628,40 @@ class StenstromProtocol(CoherenceProtocol):
                     )
                 other_entry.write_word(offset, value)
 
-    def _acquire_ownership(self, node: NodeId, block: BlockId) -> None:
-        """Ownership request from a cache holding a valid UnOwned copy (3d).
+    def _acquire_ownership(
+        self, node: NodeId, block: BlockId, entry: CacheEntry | None = None
+    ) -> CacheEntry:
+        """Move ownership of ``block`` to ``node`` via the home module.
 
-        Also reused for the hand-off in replacement (5b), where in
-        global-read mode the requester may hold only an invalid
-        placeholder; the data rides along with the state field then.
+        The one transfer of 3(d) (a write hit on an UnOwned copy), 4(a)/(b)
+        (a write miss: load with ownership), the 5(b) hand-off and the
+        ``set_mode`` prologue.  ``entry`` is the requester's entry when it
+        keeps it (3(d), 5(b)); it is neither touched nor reallocated.  A
+        miss passes ``None`` and claims its entry only after the old owner
+        has retired, so the messages of any victim the allocation
+        replaces come last.
+
+        One rule decides what moves.  In DW mode a requester holding a
+        valid copy has received every distributed write, so only the state
+        field moves (3(d)i).  In every other case the data moves with it,
+        and in GR mode the old owner repoints the placeholders at the new
+        owner and keeps a placeholder itself (3(d)ii, 4(b), 5(b) in GR).
         """
         home = self.home(block)
         costs = self.system.costs
         self._send(MsgKind.OWN_REQ, node, home, self._cost_request)
-        old_owner, old_entry = self._owner_entry(block)
+        old_owner = self._owner_of(block)
+        if old_owner is None:
+            if entry is None:
+                # 4(a): no cached copy anywhere.
+                return self._exclusive_load(node, block)
+            raise ProtocolError(f"block {block} has no recorded owner")
+        old_entry = self._cache(old_owner).find(block)
+        if old_entry is None or not old_entry.state_field.owned:
+            raise ProtocolError(
+                f"block store says cache {old_owner} owns block {block}, "
+                f"but it does not"
+            )
         if old_owner == node:
             raise ProtocolError(
                 f"cache {node} requested ownership of block {block} "
@@ -658,135 +677,43 @@ class StenstromProtocol(CoherenceProtocol):
         old_field = old_entry.state_field
         old_field.present.add(node)
         transferred = old_field.copy()
-        entry = self._cache(node).find(block)
+        n_nodes = self.system.n_nodes
+        if (
+            old_field.distributed_write
+            and entry is not None
+            and entry.state_field.valid
+        ):
+            data = None
+            kind, bits = MsgKind.STATE_XFER, costs.state_field(n_nodes)
+        else:
+            data = list(old_entry.data)
+            kind = MsgKind.DATA_STATE_XFER
+            bits = costs.block_and_state(self._block_words(), n_nodes)
+        self._send(kind, old_owner, node, bits)
+        if old_field.distributed_write:
+            old_entry.state_field = StateField(
+                valid=True, owned=False, owner=node
+            )
+        else:
+            placeholders = frozenset(
+                transferred.present - {old_owner, node}
+            )
+            if placeholders:
+                self._multicast(
+                    MsgKind.OWNER_UPDATE,
+                    old_owner,
+                    placeholders,
+                    costs.owner_id(n_nodes),
+                )
+                for other in placeholders:
+                    other_entry = self._cache(other).find(block)
+                    if other_entry is not None:
+                        other_entry.state_field.owner = node
+            old_entry.state_field = StateField(valid=False, owner=node)
         if entry is None:
-            raise ProtocolError(
-                f"cache {node} acquiring ownership of block {block} "
-                f"without an entry for it"
-            )
-        n_nodes = self.system.n_nodes
-        if old_field.distributed_write:
-            # 3(d)i: only the state field moves; the requester's copy is
-            # already current (it received every distributed write).
-            self._send(
-                MsgKind.STATE_XFER,
-                old_owner,
-                node,
-                costs.state_field(n_nodes),
-            )
-            old_entry.state_field = StateField(
-                valid=True, owned=False, owner=node
-            )
-        else:
-            # 3(d)ii: copy + state field move; the old owner repoints the
-            # invalid placeholders at the new owner and invalidates itself.
-            self._send(
-                MsgKind.DATA_STATE_XFER,
-                old_owner,
-                node,
-                costs.block_and_state(self._block_words(), n_nodes),
-            )
-            entry.data = list(old_entry.data)
-            placeholders = frozenset(
-                transferred.present - {old_owner, node}
-            )
-            if placeholders:
-                self._multicast(
-                    MsgKind.OWNER_UPDATE,
-                    old_owner,
-                    placeholders,
-                    costs.owner_id(n_nodes),
-                )
-                for other in placeholders:
-                    other_entry = self._cache(other).find(block)
-                    if other_entry is not None:
-                        other_entry.state_field.owner = node
-            old_entry.state_field = StateField(valid=False, owner=node)
-        entry.state_field = StateField(
-            valid=True,
-            owned=True,
-            modified=transferred.modified,
-            distributed_write=transferred.distributed_write,
-            present=set(transferred.present),
-            owner=node,
-        )
-
-    def _miss_acquire_ownership(
-        self, node: NodeId, block: BlockId
-    ) -> CacheEntry:
-        """Write miss: load with ownership (4a/4b)."""
-        home = self.home(block)
-        costs = self.system.costs
-        self._send(MsgKind.OWN_REQ, node, home, self._cost_request)
-        old_owner = self._owner_of(block)
-        memory = self.system.memory_for(block)
-        n_nodes = self.system.n_nodes
-        if old_owner is None:
-            # 4(a): no cached copy; load from memory, own exclusively.
-            self._send(MsgKind.BLOCK_REPLY, home, node, self._cost_block)
             entry = self._reuse_or_allocate(node, block)
-            entry.data = memory.read_block(block)
-            entry.state_field = StateField(
-                valid=True,
-                owned=True,
-                modified=False,
-                distributed_write=(
-                    self.default_mode is Mode.DISTRIBUTED_WRITE
-                ),
-                present={node},
-                owner=node,
-            )
-            memory.block_store.set_owner(block, node)
-            return entry
-        if old_owner == node:
-            raise ProtocolError(
-                f"cache {node} write-missed block {block} it owns"
-            )
-        # 4(b): forward to the old owner; copy + state field move.
-        self._send(MsgKind.OWN_FWD, home, old_owner, self._cost_request)
-        memory.block_store.set_owner(block, node)
-        self.stats.count(ev.OWNERSHIP_TRANSFERS)
-        self.fastpath_epoch += 1
-        if self.recorder is not None:
-            self.recorder.ownership_transfer(block, old_owner, node)
-        old_entry = self._cache(old_owner).find(block)
-        if old_entry is None or not old_entry.state_field.owned:
-            raise ProtocolError(
-                f"block store names cache {old_owner} as owner of block "
-                f"{block}, but it is not"
-            )
-        old_field = old_entry.state_field
-        old_field.present.add(node)
-        transferred = old_field.copy()
-        self._send(
-            MsgKind.DATA_STATE_XFER,
-            old_owner,
-            node,
-            costs.block_and_state(self._block_words(), n_nodes),
-        )
-        data = list(old_entry.data)
-        if old_field.distributed_write:
-            old_entry.state_field = StateField(
-                valid=True, owned=False, owner=node
-            )
-        else:
-            placeholders = frozenset(
-                transferred.present - {old_owner, node}
-            )
-            if placeholders:
-                self._multicast(
-                    MsgKind.OWNER_UPDATE,
-                    old_owner,
-                    placeholders,
-                    costs.owner_id(n_nodes),
-                )
-                for other in placeholders:
-                    other_entry = self._cache(other).find(block)
-                    if other_entry is not None:
-                        other_entry.state_field.owner = node
-            old_entry.state_field = StateField(valid=False, owner=node)
-        entry = self._reuse_or_allocate(node, block)
-        entry.data = data
+        if data is not None:
+            entry.data = data
         entry.state_field = StateField(
             valid=True,
             owned=True,
@@ -800,11 +727,11 @@ class StenstromProtocol(CoherenceProtocol):
     def _ensure_owner(self, node: NodeId, block: BlockId) -> CacheEntry:
         """Make ``node`` the owner of ``block`` (for ``set_mode``)."""
         entry = self._cache(node).find(block)
-        if entry is not None and entry.state_field.valid:
-            if not entry.state_field.owned:
-                self._acquire_ownership(node, block)
+        if entry is None or not entry.state_field.valid:
+            return self._acquire_ownership(node, block)
+        if entry.state_field.owned:
             return entry
-        return self._miss_acquire_ownership(node, block)
+        return self._acquire_ownership(node, block, entry)
 
     # ------------------------------------------------------------------
     # Replacement (item 5)
@@ -837,7 +764,8 @@ class StenstromProtocol(CoherenceProtocol):
         return self._allocate(node, block)
 
     def evict(self, node: NodeId, block: BlockId) -> None:
-        """Explicitly replace ``block`` at ``node`` (protocol actions + drop).
+        """§2.2 item 5: explicitly replace ``block`` at ``node`` (protocol
+        actions + drop).
 
         Not triggered by the reference stream (that happens through
         :meth:`_allocate`); exposed for experiments that force evictions.
@@ -847,34 +775,22 @@ class StenstromProtocol(CoherenceProtocol):
         retiring the entry degrades the block -- which purges the entry
         everywhere, completing the eviction by a harder road.
         """
-        entry = self._cache(node).find(block)
-        if entry is None:
+        if self._cache(node).find(block) is None:
             raise ProtocolError(
                 f"cache {node} has no entry for block {block} to evict"
             )
         if self.system.fault_injector is None:
+            self._evict_body(node, block)
+        else:
+            self._with_recovery(self._evict_body, block, node, block)
+
+    def _evict_body(self, node: NodeId, block: BlockId) -> None:
+        # Found afresh on each attempt: a recovery that degraded this
+        # block purged the entry, and that completes the eviction.
+        entry = self._cache(node).find(block)
+        if entry is not None:
             self._replace_entry(node, entry)
             self._cache(node).drop(block)
-            return
-        while True:
-            try:
-                self._replace_entry(node, entry)
-                self._cache(node).drop(block)
-                return
-            except UnreachableRouteError as exc:
-                self._recover_dead_route(exc, block)
-            except TransientNetworkError as exc:
-                self._recover_retry_exhaustion(exc, block)
-            # Recovery degraded a block.  If it was this one the entry is
-            # gone from every cache and the eviction is complete; if it
-            # was another block (impossible today -- retirement pins
-            # ``_active_block`` to the victim -- but cheap to guard), the
-            # retirement retries with the still-present entry.
-            if block in self._uncacheable:
-                return
-            entry = self._cache(node).find(block)
-            if entry is None:
-                return
 
     def _replace_entry(self, node: NodeId, entry: CacheEntry) -> None:
         """§2.2 item 5, dispatched on the victim's state."""
@@ -959,7 +875,7 @@ class StenstromProtocol(CoherenceProtocol):
             # candidate acquires ownership through the home module, after
             # which our entry is UnOwned (DW) or an invalid placeholder
             # (GR) and retires through the 5(c) path.
-            self._acquire_ownership(candidate, block)
+            self._acquire_ownership(candidate, block, candidate_entry)
             self._replace_unowned(node, block)
             return
         # Every candidate NAKed: no other copy actually exists, so retire

@@ -8,7 +8,12 @@ import pytest
 
 import repro.sim.stats as ev
 from repro.cache.state import Mode
-from repro.faults import DropRule, attach_scripted
+from repro.faults import (
+    DropRule,
+    FaultPlan,
+    ScriptedInjector,
+    attach_scripted,
+)
 from repro.obs import TraceRecorder, attach_recorder
 from repro.protocol.messages import MsgKind
 from repro.protocol.stenstrom import StenstromProtocol
@@ -138,6 +143,88 @@ class TestResendExhaustionDegrades:
         protocol2.write(0, addr(0), 11)
         assert not protocol2.uncacheable_blocks
         assert protocol2.read(1, addr(0)) == 11
+
+
+class TestEvictAndSetModeRecover:
+    """The fault-retry wrapper around ``evict`` and ``set_mode``."""
+
+    def test_handoff_into_a_dead_route_degrades_the_victim(self):
+        system = System(
+            SystemConfig(n_nodes=8, cache_entries=8, block_size_words=2)
+        )
+        protocol = StenstromProtocol(
+            system, default_mode=Mode.DISTRIBUTED_WRITE
+        )
+        protocol.write(0, addr(5), 10)
+        protocol.read(1, addr(5))  # node 0 is now a non-exclusive owner
+        # Kill one link between the candidate and the block's home: the
+        # offer and its ACK (0 <-> 1) still pass, and the candidate's
+        # OWN_REQ, inside the 5(b) ownership transfer, is the first send
+        # that dies.
+        network = system.network
+        home = protocol.home(5)
+        offer_links = {
+            link
+            for source, dest in ((0, 1), (1, 0))
+            for link in enumerate(network.route_positions(source, dest))
+        }
+        dead = next(
+            link
+            for link in enumerate(network.route_positions(1, home))
+            if link not in offer_links
+        )
+        injector = ScriptedInjector(network, FaultPlan(dead_links=(dead,)))
+        system.fault_injector = injector
+        network.fault_injector = injector
+
+        protocol.evict(0, 5)
+
+        (dead_route,) = [
+            e for e in protocol.stats.fault_event_log()
+            if e["event"] == ev.FAULT_DEAD_ROUTES
+        ]
+        assert (dead_route["source"], dead_route["dest"]) == (1, home)
+        assert protocol.uncacheable_blocks == {5}
+        for cache in system.caches:
+            assert cache.find(5) is None
+        degraded = [
+            e for e in protocol.stats.fault_event_log()
+            if e["event"] == ev.FAULT_DEGRADED_BLOCKS
+        ]
+        assert len(degraded) == 1
+        assert degraded[0]["block"] == 5
+        assert degraded[0]["cause"] == "dead_route"
+        # The owner's modified copy reached memory before the purge.
+        assert protocol.read(2, addr(5)) == 10
+        protocol.check_invariants()
+
+    def test_switch_to_gr_whose_invalidation_exhausts_degrades(self):
+        protocol, scripted, _ = build(8, max_retries=1)
+        protocol.write(0, addr(0), 10)
+        protocol.read(1, addr(0))
+        protocol.read(2, addr(0))
+        # The initial INVALIDATE round and its one re-send both miss
+        # node 1: the multicast budget is spent mid-switch.
+        scripted.add_rule(
+            DropRule(
+                drops=2, kind=MsgKind.INVALIDATE.value, source=0, dest=1
+            )
+        )
+        protocol.set_mode(0, 0, Mode.GLOBAL_READ)
+
+        assert protocol.uncacheable_blocks == {0}
+        assert protocol.mode_of(0) is None
+        (exhausted,) = [
+            e for e in protocol.stats.fault_event_log()
+            if e["event"] == ev.FAULT_RETRY_EXHAUSTED
+        ]
+        assert exhausted["kind"] == MsgKind.INVALIDATE.value
+        assert exhausted["dests"] == [1]
+        direct = protocol.stats.events[ev.FAULT_DIRECT_READS]
+        for reader in range(4):
+            assert protocol.read(reader, addr(0)) == 10
+        assert protocol.stats.events[ev.FAULT_DIRECT_READS] == direct + 4
+        protocol.check_invariants()
 
 
 @pytest.mark.parametrize("n_nodes", [4, 8])

@@ -15,11 +15,16 @@ def corrupt(state: MCState, block: int, **overrides) -> MCState:
 
 
 class TestExhaustiveExploration:
+    # The (states, transitions) counts are pinned.  Two runs of one tree
+    # always agree (mc-smoke checks that); the pins also fail when a
+    # change to the model alters what it can reach.  A change that does
+    # so on purpose updates them and says why.
+
     def test_n2_one_block_is_clean_and_exhaustive(self):
         result = explore(ModelConfig(n_nodes=2, n_blocks=1))
         assert result.ok
         assert result.complete
-        assert result.n_states > 0 and result.n_transitions > 0
+        assert (result.n_states, result.n_transitions) == (30, 297)
 
     def test_two_runs_report_identical_counts(self):
         first = explore(ModelConfig(n_nodes=2, n_blocks=1))
@@ -29,14 +34,17 @@ class TestExhaustiveExploration:
     def test_n4_one_block_is_clean(self):
         result = explore(ModelConfig(n_nodes=4, n_blocks=1))
         assert result.ok and result.complete
+        assert (result.n_states, result.n_transitions) == (3814, 56133)
 
     def test_n2_two_blocks_is_clean(self):
         result = explore(ModelConfig(n_nodes=2, n_blocks=2))
         assert result.ok and result.complete
+        assert (result.n_states, result.n_transitions) == (896, 16632)
 
     def test_dw_default_mode_also_clean(self):
         result = explore(ModelConfig(n_nodes=2, n_blocks=1, default_dw=True))
         assert result.ok and result.complete
+        assert (result.n_states, result.n_transitions) == (30, 297)
 
     def test_state_cap_reports_incomplete(self):
         result = explore(

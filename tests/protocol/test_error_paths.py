@@ -15,14 +15,43 @@ from repro.types import Address
 from tests.protocol.conftest import addr, build, field_of
 
 
+#: The text the ownership transfer raises when the block store names a
+#: cache that does not own the block.
+NON_OWNER_TEXT = "block store says cache 6 owns block 0, but it does not"
+
+#: The read miss, then every entry into the shared ownership transfer.
+ENTRIES_NAMING_THE_OWNER = {
+    "read_miss": (
+        lambda p: p.read(3, addr(0)),
+        "cache 6 asked to serve block 0 it does not own",
+    ),
+    "write_miss": (lambda p: p.write(3, addr(0), 2), NON_OWNER_TEXT),
+    "write_hit_on_unowned_copy": (
+        lambda p: p.write(1, addr(0), 2),
+        NON_OWNER_TEXT,
+    ),
+    "set_mode_from_non_owner": (
+        lambda p: p.set_mode(3, 0, Mode.GLOBAL_READ),
+        NON_OWNER_TEXT,
+    ),
+    "evict_non_exclusive_owner": (
+        lambda p: p.evict(0, 0),
+        NON_OWNER_TEXT,
+    ),
+}
+
+
 class TestCorruptedOwnerBookkeeping:
-    def test_block_store_pointing_at_non_owner(self):
-        system, protocol = build()
+    @pytest.mark.parametrize("entry", list(ENTRIES_NAMING_THE_OWNER))
+    def test_block_store_pointing_at_non_owner(self, entry):
+        operation, text = ENTRIES_NAMING_THE_OWNER[entry]
+        system, protocol = build(default_mode=Mode.DISTRIBUTED_WRITE)
         protocol.write(0, addr(0), 1)
+        protocol.read(1, addr(0))  # an UnOwned copy at node 1
         # Corrupt: block store names a cache with no entry at all.
         system.memory_for(0).block_store.set_owner(0, 6)
-        with pytest.raises(ProtocolError):
-            protocol.read(3, addr(0))
+        with pytest.raises(ProtocolError, match=text):
+            operation(protocol)
 
     def test_placeholder_without_owner_field(self):
         system, protocol = build()
@@ -55,8 +84,20 @@ class TestCorruptedOwnerBookkeeping:
     def test_ownership_request_for_owned_block(self):
         system, protocol = build()
         protocol.write(0, addr(0), 1)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="it already owns"):
             protocol._acquire_ownership(0, 0)
+
+    def test_write_miss_at_the_recorded_owner_is_a_self_transfer(self):
+        system, protocol = build()
+        protocol.write(0, addr(0), 1)
+        # Corrupt: the owner's copy turns invalid but stays owned, so its
+        # next write misses and asks the transfer for its own block.
+        field_of(system, 0, 0).valid = False
+        with pytest.raises(
+            ProtocolError,
+            match="cache 0 requested ownership of block 0 it already owns",
+        ):
+            protocol.write(0, addr(0), 2)
 
 
 class TestCorruptedPresentVector:
