@@ -13,16 +13,16 @@ it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.cache.entry import CacheEntry
 from repro.cache.replacement import ReplacementPolicy, make_policy
+from repro.cache.state import StateField
 from repro.errors import ConfigurationError, ProtocolError
 from repro.types import BlockId, NodeId
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     """A concrete location ``(set_index, way)`` within a cache."""
 
     set_index: int
@@ -108,6 +108,16 @@ class Cache:
             return None
         return self._sets[location[0]][location[1]]
 
+    def _lookup(self, block: BlockId) -> CacheEntry | None:
+        """:meth:`find`, and a valid entry's recency refreshed: a hit."""
+        location = self._index.get(block)
+        if location is None:
+            return None
+        entry = self._sets[location[0]][location[1]]
+        if entry.state_field.valid:
+            self.policy._touch(*location)
+        return entry
+
     def locate(self, block: BlockId) -> tuple[int, int] | None:
         """The ``(set_index, way)`` of ``block``'s entry, if tagged."""
         return self._index.get(block)
@@ -145,7 +155,14 @@ class Cache:
         previous occupant; installing over live *owned* state is a protocol
         bug and raises.
         """
-        entry = slot.entry
+        entry = self._claim(slot, block)
+        entry.state_field = StateField()
+        entry.data = [0] * self.block_size_words
+        return entry
+
+    def _claim(self, slot: Slot, block: BlockId) -> CacheEntry:
+        """:meth:`install` for a caller that sets state field and data."""
+        set_index, way, entry = slot
         if entry.occupied and entry.tag != block and entry.state_field.owned:
             raise ProtocolError(
                 f"cache {self.node_id}: installing block {block} over "
@@ -153,11 +170,9 @@ class Cache:
             )
         if entry.tag is not None:
             del self._index[entry.tag]
-        entry.clear()
         entry.tag = block
-        entry.data = [0] * self.block_size_words
-        self._index[block] = (slot.set_index, slot.way)
-        self.policy.touch(slot.set_index, slot.way)
+        self._index[block] = (set_index, way)
+        self.policy._touch(set_index, way)
         return entry
 
     def touch(self, block: BlockId) -> None:
@@ -167,7 +182,7 @@ class Cache:
             raise ProtocolError(
                 f"cache {self.node_id}: touch of non-resident block {block}"
             )
-        self.policy.touch(location[0], location[1])
+        self.policy._touch(*location)
 
     def drop(self, block: BlockId) -> None:
         """Clear the entry tagged ``block`` (protocol already cleaned up)."""

@@ -3,8 +3,8 @@
 Block replacement triggers real protocol work in this system (§2.2 item 5:
 write-backs, ownership hand-off, present-flag clearing), so which entry gets
 evicted is experimentally interesting.  Policies are deliberately tiny state
-machines over ``(set_index, way)`` pairs; the cache calls :meth:`touch` on
-every access and :meth:`choose_victim` when it needs a way.
+machines over ``(set_index, way)`` pairs; the cache calls the unchecked
+``_touch`` on every access and :meth:`choose_victim` when it needs a way.
 """
 
 from __future__ import annotations
@@ -27,9 +27,13 @@ class ReplacementPolicy(abc.ABC):
         self.n_sets = n_sets
         self.n_ways = n_ways
 
-    @abc.abstractmethod
     def touch(self, set_index: int, way: int) -> None:
         """Record an access to ``(set_index, way)``."""
+        self._check(set_index, way)
+        self._touch(set_index, way)
+
+    def _touch(self, set_index: int, way: int) -> None:
+        """:meth:`touch` of a slot the cache located itself: unchecked."""
 
     @abc.abstractmethod
     def choose_victim(self, set_index: int) -> int:
@@ -66,7 +70,10 @@ class LruPolicy(ReplacementPolicy):
 
     def touch(self, set_index: int, way: int) -> None:
         self._check(set_index, way)
-        # (Inlined: the one call every reference of every tier makes.)
+        # (_touch inlined: the kernel makes this call on every batched hit.)
+        (self._order[set_index] or self._ways(set_index)).move_to_end(way)
+
+    def _touch(self, set_index: int, way: int) -> None:
         (self._order[set_index] or self._ways(set_index)).move_to_end(way)
 
     def choose_victim(self, set_index: int) -> int:
@@ -86,9 +93,6 @@ class FifoPolicy(ReplacementPolicy):
         super().__init__(n_sets, n_ways)
         self._next: list[int] = [0] * n_sets
 
-    def touch(self, set_index: int, way: int) -> None:
-        self._check(set_index, way)
-
     def choose_victim(self, set_index: int) -> int:
         self._check(set_index, 0)
         victim = self._next[set_index]
@@ -102,9 +106,6 @@ class RandomPolicy(ReplacementPolicy):
     def __init__(self, n_sets: int, n_ways: int, seed: int = 0) -> None:
         super().__init__(n_sets, n_ways)
         self._rng = random.Random(seed)
-
-    def touch(self, set_index: int, way: int) -> None:
-        self._check(set_index, way)
 
     def choose_victim(self, set_index: int) -> int:
         self._check(set_index, 0)

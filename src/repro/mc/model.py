@@ -14,8 +14,8 @@ can demand *lockstep equality* between the two, not mere similarity:
 =================================  ===============================
 concrete (``StenstromProtocol``)   model
 =================================  ===============================
-``read`` / ``_read_body``          ``_apply_read``
-``write`` / ``_write_body``        ``_apply_write``
+``_read`` / ``_read_body``         ``_apply_read``
+``_write`` / ``_write_body``       ``_apply_write``
 ``evict`` / ``_evict_body``        ``_apply_evict``
 ``set_mode`` / ``_set_mode_body``  ``_apply_set_mode``
 ``_exclusive_load`` (2a, 4a)       ``_exclusive_load``

@@ -57,6 +57,10 @@ class MemoryModule:
     def read_block(self, block: BlockId) -> list[int]:
         """A copy of the data words of ``block`` (zeros if never written)."""
         self._check_home(block)
+        return self._read_block(block)
+
+    def _read_block(self, block: BlockId) -> list[int]:
+        """:meth:`read_block` for a caller that found the home itself."""
         data = self._data.get(block)
         if data is None:
             return [0] * self.block_size_words

@@ -3,10 +3,11 @@
 A protocol is an object driving one :class:`~repro.sim.system.System`:
 :meth:`read` and :meth:`write` perform a processor reference *atomically*
 (all consequent protocol messages included) and account every message's
-network cost.  The atomic-reference, trace-driven methodology follows
-Archibald & Baer (1986), which the paper itself cites for protocol
-evaluation; the paper's metric is traffic, not timing, so no cycle model is
-needed.
+network cost.  They check the address and call the unchecked ``_read`` /
+``_write``, which are all a protocol implements.  The atomic-reference,
+trace-driven methodology follows Archibald & Baer (1986), which the paper
+itself cites for protocol evaluation; the paper's metric is traffic, not
+timing, so no cycle model is needed.
 
 Inside an accounting window (:meth:`CoherenceProtocol.open_window`, held
 by :func:`~repro.sim.engine.run_trace` for the length of a replay) a
@@ -52,7 +53,8 @@ class LoggedMessage(NamedTuple):
 class CoherenceProtocol(abc.ABC):
     """Base class for all protocols.
 
-    Subclasses implement :meth:`read` and :meth:`write`; the helpers here
+    Subclasses implement the unchecked :meth:`_read` and :meth:`_write`
+    behind the checked :meth:`read` and :meth:`write`; the helpers here
     send protocol messages through the system's multicaster and keep the
     per-kind traffic ledger, so every protocol is costed identically.
     """
@@ -131,29 +133,46 @@ class CoherenceProtocol(abc.ABC):
     # The processor-facing interface
     # ------------------------------------------------------------------
 
-    @abc.abstractmethod
     def read(self, node: NodeId, address: Address) -> int:
         """Processor ``node`` reads one word; returns the value observed."""
+        self.system.check_address(address)
+        block, offset = address
+        return self._read(node, block, offset)
 
-    @abc.abstractmethod
     def write(self, node: NodeId, address: Address, value: int) -> None:
         """Processor ``node`` writes ``value`` to one word."""
+        self.system.check_address(address)
+        block, offset = address
+        self._write(node, block, offset, value)
+
+    @abc.abstractmethod
+    def _read(self, node: NodeId, block: BlockId, offset: int) -> int:
+        """:meth:`read` of a word already checked against the geometry."""
+
+    @abc.abstractmethod
+    def _write(
+        self, node: NodeId, block: BlockId, offset: int, value: int
+    ) -> None:
+        """:meth:`write` of a word already checked against the geometry."""
 
     # ------------------------------------------------------------------
     # Messaging helpers (cost accounting)
     # ------------------------------------------------------------------
 
-    def _sends_watched(self) -> bool:
-        """Whether faults, a recorder or the message log see each send.
+    def _sends_watched(self) -> str | None:
+        """What sees each send: ``"faults"``, ``"recorder"``,
+        ``"message_log"`` (the first that applies), or ``None``.
 
         Each needs every message sent one by one, and every reference
         replayed in full, so each shuts the ledger and the fast tiers.
         """
-        return (
-            self.system.fault_injector is not None
-            or self.recorder is not None
-            or self.message_log is not None
-        )
+        if self.system.fault_injector is not None:
+            return "faults"
+        if self.recorder is not None:
+            return "recorder"
+        if self.message_log is not None:
+            return "message_log"
+        return None
 
     def _plain_multicaster(self) -> bool:
         """Whether sends go through a plain :class:`Multicaster`.

@@ -17,9 +17,10 @@ write-through leaving the copy Reserved rather than Dirty), the limited
 directory's pointer overflow to broadcast
 (:meth:`~DirectoryProtocol._add_sharer`), and each protocol's invariants.
 
-A copy's state is its V/O/M bits, read directly: Invalid ``V = 0``,
-Valid/Shared ``V = 1, O = 0``, Reserved ``V = O = 1, M = 0`` and Dirty
-``V = O = M = 1``.
+A copy's state is its V/O/M bits, read and written in place: Invalid
+``V = O = M = 0``, Valid/Shared ``V = 1, O = M = 0``, Reserved ``V = O = 1,
+M = 0`` and Dirty ``V = O = M = 1``; no other field of a
+:class:`~repro.cache.state.StateField` is used.
 """
 
 from __future__ import annotations
@@ -28,12 +29,11 @@ import abc
 
 from repro.cache.cache import Cache
 from repro.cache.entry import CacheEntry
-from repro.cache.state import StateField
 from repro.errors import ProtocolError
 from repro.protocol.base import CoherenceProtocol
 from repro.protocol.messages import MsgKind
 from repro.sim import stats as ev
-from repro.types import Address, BlockId, NodeId
+from repro.types import BlockId, NodeId
 
 
 class _DirectoryEntry:
@@ -71,32 +71,28 @@ class DirectoryProtocol(CoherenceProtocol):
 
     # ------------------------------------------------------------------
 
-    def read(self, node: NodeId, address: Address) -> int:
-        self.system.check_address(address)
+    def _read(self, node: NodeId, block: BlockId, offset: int) -> int:
         events = self.stats.events
         events[ev.READS] += 1
-        block, offset = address
         cache = self._caches[node]
-        entry = cache.find(block)
+        entry = cache._lookup(block)
         if entry is not None and entry.state_field.valid:
             events[ev.READ_HITS] += 1
-            cache.touch(block)
             return entry.data[offset]
         events[ev.READ_MISSES] += 1
         home = block % self._n_nodes
         return self._fetch(node, block, home, cache, entry).data[offset]
 
-    def write(self, node: NodeId, address: Address, value: int) -> None:
-        self.system.check_address(address)
+    def _write(
+        self, node: NodeId, block: BlockId, offset: int, value: int
+    ) -> None:
         events = self.stats.events
         events[ev.WRITES] += 1
-        block, offset = address
         cache = self._caches[node]
-        entry = cache.find(block)
+        entry = cache._lookup(block)
         home = block % self._n_nodes
         if entry is not None and entry.state_field.valid:
             events[ev.WRITE_HITS] += 1
-            cache.touch(block)
             if entry.state_field.owned:
                 # Reserved or Dirty: a local write, and the copy is Dirty.
                 entry.data[offset] = value
@@ -138,7 +134,7 @@ class DirectoryProtocol(CoherenceProtocol):
 
         ``entry`` is the block's own (invalidated) entry at ``node``, if it
         has one: it is refreshed in place, which touches its slot exactly
-        as reinstalling it would; data and state are overwritten below.
+        as reinstalling it would.  Either way its state field is Invalid.
         """
         memory = self._memories[home]
         directory = self._dir(block)
@@ -162,11 +158,11 @@ class DirectoryProtocol(CoherenceProtocol):
             slot = cache.slot_for(block)
             if slot.needs_eviction(block):
                 self._replace_entry(node, slot.entry)
-            entry = cache.install(slot, block)
+            entry = cache._claim(slot, block)
         else:
             cache.touch(block)
-        entry.data = memory.read_block(block)
-        entry.state_field = StateField(valid=True)
+        entry.data = memory._read_block(block)
+        entry.state_field.valid = True
         self._add_sharer(directory, node)
         return entry
 
@@ -188,8 +184,9 @@ class DirectoryProtocol(CoherenceProtocol):
             invalidated = 0
             for other in targets:
                 copy = self._caches[other].find(block)
-                if copy is not None and copy.state_field.valid:
-                    copy.state_field = StateField()
+                field = None if copy is None else copy.state_field
+                if field is not None and field.valid:
+                    field.valid = field.owned = field.modified = False
                     invalidated += 1
             self.stats.events[ev.INVALIDATIONS] += invalidated
         directory.sharers = {node}
@@ -216,7 +213,7 @@ class DirectoryProtocol(CoherenceProtocol):
                 )
             if directory.holder == node:
                 directory.holder = None
-            entry.state_field = StateField()
+            field.valid = field.owned = field.modified = False
         directory.sharers.discard(node)
 
     # ------------------------------------------------------------------

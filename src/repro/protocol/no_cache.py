@@ -19,7 +19,7 @@ from collections import Counter
 from repro.protocol.base import CoherenceProtocol
 from repro.protocol.messages import MsgKind
 from repro.sim import stats as ev
-from repro.types import Address, NodeId
+from repro.types import BlockId, NodeId
 
 
 class NoCacheProtocol(CoherenceProtocol):
@@ -31,20 +31,18 @@ class NoCacheProtocol(CoherenceProtocol):
         super().__init__(system)
         self._kernel: NoCacheKernel | None = None
 
-    def read(self, node: NodeId, address: Address) -> int:
-        self.system.check_address(address)
+    def _read(self, node: NodeId, block: BlockId, offset: int) -> int:
         self.stats.count(ev.READS)
-        block, offset = address
         home = self.home(block)
         self._send(MsgKind.MEM_READ, node, home, self._cost_request)
         self._send(MsgKind.WORD_REPLY, home, node, self._cost_word)
         return self.system.memory_for(block).read_word(block, offset)
 
-    def write(self, node: NodeId, address: Address, value: int) -> None:
-        self.system.check_address(address)
+    def _write(
+        self, node: NodeId, block: BlockId, offset: int, value: int
+    ) -> None:
         self.stats.count(ev.WRITES)
         self.stats.count(ev.REMOTE_WORD_WRITES)
-        block, offset = address
         home = self.home(block)
         self._send(MsgKind.MEM_WRITE, node, home, self._cost_word)
         self.system.memory_for(block).write_word(block, offset, value)

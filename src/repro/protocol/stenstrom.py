@@ -53,7 +53,7 @@ from repro.protocol.modes import ModePolicy
 from repro.sim import stats as ev
 from repro.sim.kernel import BatchedKernel
 from repro.sim.system import System
-from repro.types import Address, BlockId, NodeId, Op
+from repro.types import BlockId, NodeId, Op
 
 
 class StenstromProtocol(CoherenceProtocol):
@@ -154,61 +154,57 @@ class StenstromProtocol(CoherenceProtocol):
     # Processor interface
     # ------------------------------------------------------------------
 
-    def read(self, node: NodeId, address: Address) -> int:
+    def _read(self, node: NodeId, block: BlockId, offset: int) -> int:
         """§2.2 items 1 and 2: a read hit, or a read miss served via the
         home module (2a/2b) or the invalid placeholder's OWNER field."""
-        self.system.check_address(address)
         self.stats.count(ev.READS)
         if self.system.fault_injector is None:
-            return self._read_body(node, address)
+            return self._read_body(node, block, offset)
         return self._with_recovery(
-            self._read_body, address.block, node, address
+            self._read_body, block, node, block, offset
         )
 
-    def _read_body(self, node: NodeId, address: Address) -> int:
-        block, offset = address
+    def _read_body(self, node: NodeId, block: BlockId, offset: int) -> int:
         if block in self._uncacheable:
-            return self._memory_direct_read(node, address)
+            return self._memory_direct_read(node, block, offset)
         self._active_block = block
-        entry = self._cache(node).find(block)
+        entry = self._cache(node)._lookup(block)
         if entry is not None and entry.state_field.valid:
             self.stats.count(ev.READ_HITS)
-            self._cache(node).touch(block)
             value = entry.read_word(offset)
         else:
             self.stats.count(ev.READ_MISSES)
             self._classify_miss(block)
             if entry is not None:
-                value = self._read_miss_direct(node, address, entry)
+                value = self._read_miss_direct(node, block, offset, entry)
             else:
-                value = self._read_miss_via_memory(node, address)
+                value = self._read_miss_via_memory(node, block, offset)
         self._consult_mode_policy(node, block, Op.READ)
         return value
 
-    def write(self, node: NodeId, address: Address, value: int) -> None:
+    def _write(
+        self, node: NodeId, block: BlockId, offset: int, value: int
+    ) -> None:
         """§2.2 items 3 and 4: a write hit at the owner (3a-c) or on an
         UnOwned copy (3d), or a write miss loading with ownership (4)."""
-        self.system.check_address(address)
         self.stats.count(ev.WRITES)
         if self.system.fault_injector is None:
-            self._write_body(node, address, value)
+            self._write_body(node, block, offset, value)
         else:
             self._with_recovery(
-                self._write_body, address.block, node, address, value
+                self._write_body, block, node, block, offset, value
             )
 
     def _write_body(
-        self, node: NodeId, address: Address, value: int
+        self, node: NodeId, block: BlockId, offset: int, value: int
     ) -> None:
-        block, offset = address
         if block in self._uncacheable:
-            self._memory_direct_write(node, address, value)
+            self._memory_direct_write(node, block, offset, value)
             return
         self._active_block = block
-        entry = self._cache(node).find(block)
+        entry = self._cache(node)._lookup(block)
         if entry is not None and entry.state_field.valid:
             self.stats.count(ev.WRITE_HITS)
-            self._cache(node).touch(block)
             if not entry.state_field.owned:
                 # Write hit on an UnOwned copy: acquire ownership (3d).
                 self._acquire_ownership(node, block, entry)
@@ -244,7 +240,7 @@ class StenstromProtocol(CoherenceProtocol):
     def _with_recovery(self, body, block: BlockId, *args):
         """Run ``body(*args)`` until it completes, recovering on the way.
 
-        The one fault-retry loop of :meth:`read`, :meth:`write`,
+        The one fault-retry loop of :meth:`_read`, :meth:`_write`,
         :meth:`set_mode` and :meth:`evict`, reached only under fault
         injection (fault-free entries call their body directly).  Each
         recovery degrades the block the fault names (``block`` when it
@@ -367,9 +363,10 @@ class StenstromProtocol(CoherenceProtocol):
         if self.recorder is not None:
             self.recorder.fault(ev.FAULT_DEGRADED_BLOCKS, home, block=block)
 
-    def _memory_direct_read(self, node: NodeId, address: Address) -> int:
+    def _memory_direct_read(
+        self, node: NodeId, block: BlockId, offset: int
+    ) -> int:
         """Serve a degraded block like the no-cache baseline would."""
-        block, offset = address
         home = self.home(block)
         self.stats.count(ev.FAULT_DIRECT_READS)
         if self.recorder is not None:
@@ -381,9 +378,8 @@ class StenstromProtocol(CoherenceProtocol):
         return self.system.memory_for(block).read_word(block, offset)
 
     def _memory_direct_write(
-        self, node: NodeId, address: Address, value: int
+        self, node: NodeId, block: BlockId, offset: int, value: int
     ) -> None:
-        block, offset = address
         home = self.home(block)
         self.stats.count(ev.FAULT_DIRECT_WRITES)
         if self.recorder is not None:
@@ -472,9 +468,10 @@ class StenstromProtocol(CoherenceProtocol):
     # Read misses
     # ------------------------------------------------------------------
 
-    def _read_miss_via_memory(self, node: NodeId, address: Address) -> int:
+    def _read_miss_via_memory(
+        self, node: NodeId, block: BlockId, offset: int
+    ) -> int:
         """Read miss, copy nonexistent: request the home module (2a/2b)."""
-        block, offset = address
         home = self.home(block)
         self._send(MsgKind.LOAD_REQ, node, home, self._cost_request)
         owner = self._owner_of(block)
@@ -483,10 +480,11 @@ class StenstromProtocol(CoherenceProtocol):
             return self._exclusive_load(node, block).read_word(offset)
         # 2(b): forward to the owner, which serves per its mode.
         self._send(MsgKind.LOAD_FWD, home, owner, self._cost_request)
-        return self._serve_read_at_owner(node, address, owner)
+        return self._serve_read_at_owner(node, block, offset, owner)
 
     def _read_miss_direct(
-        self, node: NodeId, address: Address, placeholder: CacheEntry
+        self, node: NodeId, block: BlockId, offset: int,
+        placeholder: CacheEntry,
     ) -> int:
         """Read miss on an invalid placeholder: bypass via the OWNER field.
 
@@ -496,7 +494,6 @@ class StenstromProtocol(CoherenceProtocol):
         is forwarded along it, falling back to the home module at a dead
         end or after touring ``N`` caches.
         """
-        block, _ = address
         target = placeholder.state_field.owner
         if target is None:
             raise ProtocolError(
@@ -512,7 +509,9 @@ class StenstromProtocol(CoherenceProtocol):
             and entry.state_field.valid
             and entry.state_field.owned
         ):
-            return self._serve_read_at_owner(node, address, target, entry)
+            return self._serve_read_at_owner(
+                node, block, offset, target, entry
+            )
         visited: set[NodeId] = {target}
         while True:
             next_hop = (
@@ -521,7 +520,7 @@ class StenstromProtocol(CoherenceProtocol):
             if next_hop is None or next_hop in visited:
                 # Dead end: answer with a NAK and retry through memory.
                 self._send(MsgKind.NAK, target, node, self._cost_ack)
-                return self._read_miss_via_memory(node, address)
+                return self._read_miss_via_memory(node, block, offset)
             self._send(
                 MsgKind.LOAD_FWD, target, next_hop, self._cost_request
             )
@@ -533,12 +532,15 @@ class StenstromProtocol(CoherenceProtocol):
                 and entry.state_field.valid
                 and entry.state_field.owned
             ):
-                return self._serve_read_at_owner(node, address, target, entry)
+                return self._serve_read_at_owner(
+                    node, block, offset, target, entry
+                )
 
     def _serve_read_at_owner(
         self,
         node: NodeId,
-        address: Address,
+        block: BlockId,
+        offset: int,
         owner: NodeId,
         owner_entry: CacheEntry | None = None,
     ) -> int:
@@ -547,7 +549,6 @@ class StenstromProtocol(CoherenceProtocol):
         ``owner_entry`` may be passed by a caller that already located the
         owner's entry (the direct-load path); ``None`` looks it up here.
         """
-        block, offset = address
         if owner_entry is None:
             owner_entry = self._cache(owner).find(block)
         if owner_entry is None or not owner_entry.state_field.owned:
@@ -583,7 +584,7 @@ class StenstromProtocol(CoherenceProtocol):
             MsgKind.BLOCK_REPLY, self.home(block), node, self._cost_block
         )
         entry = self._reuse_or_allocate(node, block)
-        entry.data = memory.read_block(block)
+        entry.data = memory._read_block(block)
         entry.state_field = StateField(
             valid=True,
             owned=True,

@@ -67,6 +67,7 @@ from repro.runner.journal import RunJournal
 from repro.runner.spec import ExperimentSpec, SweepSpec
 from repro.sim.engine import SimulationReport, run_trace
 from repro.sim.system import System
+from repro.types import Op
 
 #: How long the scheduler sleeps in :func:`multiprocessing.connection.wait`
 #: between bookkeeping passes (timeout checks, launches).
@@ -119,19 +120,20 @@ def _run_cell(spec: ExperimentSpec, trace=None, recorder=None):
     protocol = factories[spec.protocol](system)
     if trace is None:
         trace = _build_trace(spec)
+    shadow = None
     if spec.warmup:
-        run_trace(
-            protocol,
-            trace[: spec.warmup],
-            verify=False,
-            check_invariants_every=0,
-        )
+        warm = trace[: spec.warmup]
+        run_trace(protocol, warm, verify=False, check_invariants_every=0)
+        if spec.verify:
+            # The caches hold the warm-up's writes: verify against them.
+            shadow = {r.address: r.value for r in warm if r.op is Op.WRITE}
     report = run_trace(
         protocol,
         trace[spec.warmup :],
         verify=spec.verify,
         check_invariants_every=spec.check_invariants_every,
         recorder=recorder,
+        _shadow=shadow,
     )
     return report, system
 

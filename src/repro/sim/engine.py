@@ -107,6 +107,7 @@ def run_trace(
     check_invariants_every: int | None = None,
     timer=None,
     recorder=None,
+    _shadow: dict | None = None,
 ) -> SimulationReport:
     """Run ``trace`` through ``protocol`` and report traffic and events.
 
@@ -127,7 +128,8 @@ def run_trace(
     Two independent checks are controlled by two independent knobs:
 
     * ``verify`` turns *value* verification on or off: every read is
-      compared against a shadow memory of the most recent writes;
+      compared against a shadow memory of the most recent writes (which
+      the runner's private ``_shadow`` seeds with a warm-up's writes);
     * ``check_invariants_every`` sets the stride of *structural* invariant
       re-checks (single owner, present-vector accuracy).  ``0`` means
       never; ``None`` (the default) derives the stride from ``verify`` --
@@ -208,6 +210,7 @@ def run_trace(
                 verify=verify,
                 check_invariants_every=check_invariants_every,
                 recorder=recorder,
+                shadow=_shadow,
             )
     finally:
         protocol.close_window()
@@ -251,30 +254,42 @@ def _replay_columns(
     check_invariants_every: int,
     recorder,
     start: int = 0,
+    shadow: dict | None = None,
 ) -> tuple[int, int]:
     """The slow loop: one ``read``/``write`` per column row.
 
     Taken whenever the batched kernel is not: with verification, an
     invariant stride, a recorder, a protocol without a kernel, or any
     input that is not a compiled trace -- which is packed into columns
-    first, unvalidated, so a bad row still raises here at its own index.
+    first, unvalidated, so a bad row still raises here at its own index;
+    a trace proven to fit (``trace.fits``) calls ``_read``/``_write``.
     The kernel hands it the references it cannot batch, as a slice whose
     first row is row ``start`` of the whole trace.  Returns ``(n_reads,
     n_writes)``.
     """
+    n_nodes = protocol.system.n_nodes
     if isinstance(trace, CompiledTrace):
         columns = (
             trace.nodes, trace.ops, trace.blocks, trace.offsets, trace.values
         )
+        proven = trace.fits(n_nodes, protocol.system.config.block_size_words)
     else:
-        columns = _pack_columns(trace)
-    n_nodes = protocol.system.n_nodes
-    shadow: dict[tuple[int, int], int] = {}
+        columns, proven = _pack_columns(trace), False
+    if proven:
+        read, write = protocol._read, protocol._write
+    else:
+        def read(node, block, offset):
+            return protocol.read(node, Address(block, offset))
+
+        def write(node, block, offset, value):
+            protocol.write(node, Address(block, offset), value)
+
+    shadow = {} if shadow is None else shadow
     n_reads = n_writes = 0
     for index, (node, op, block, offset, value) in enumerate(
         zip(*columns), start
     ):
-        if not 0 <= node < n_nodes:
+        if not proven and not 0 <= node < n_nodes:
             raise TraceError(
                 f"reference {index}: node {node} outside this "
                 f"{n_nodes}-node system"
@@ -283,22 +298,21 @@ def _replay_columns(
             recorder.begin_reference(
                 index, node, "write" if op else "read", block, offset
             )
-        address = Address(block, offset)
         if op:
             n_writes += 1
-            protocol.write(node, address, value)
+            write(node, block, offset, value)
             if verify:
-                shadow[address] = value
+                shadow[block, offset] = value
         else:
             n_reads += 1
-            observed = protocol.read(node, address)
+            observed = read(node, block, offset)
             if verify:
-                expected = shadow.get(address, 0)
+                expected = shadow.get((block, offset), 0)
                 if observed != expected:
                     raise CoherenceError(
                         f"reference {index}: node {node} read "
-                        f"{observed} from {address}, but the most "
-                        f"recent write stored {expected}",
+                        f"{observed} from {Address(block, offset)}, but "
+                        f"the most recent write stored {expected}",
                         block=block,
                         node=node,
                         detail=f"read {observed}, expected {expected}",

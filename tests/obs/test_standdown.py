@@ -152,20 +152,32 @@ class TestRecorderStandDown:
             lambda: OracleModePolicy(32),
             lambda: AdaptiveModePolicy(32),
         ):
-            assert fresh(make_policy()).batched_kernel() is not None
+            plain = fresh(make_policy())
+            assert plain.batched_kernel() is not None
+            assert plain._sends_watched() is None
 
             observed = fresh(make_policy())
             attach_recorder(observed, TraceRecorder())
             assert observed.batched_kernel() is None
+            assert observed._sends_watched() == "recorder"
 
             logged = fresh(make_policy())
             logged.enable_message_log()
             assert logged.batched_kernel() is None
+            assert logged._sends_watched() == "message_log"
 
             faulty = fresh(
                 make_policy(), FaultPlan(drop_probability=0.1, seed=3)
             )
             assert faulty.batched_kernel() is None
+            assert faulty._sends_watched() == "faults"
+
+            # The first reason that applies is the one reported.
+            attach_recorder(faulty, TraceRecorder())
+            faulty.enable_message_log()
+            assert faulty._sends_watched() == "faults"
+            attach_recorder(logged, TraceRecorder())
+            assert logged._sends_watched() == "recorder"
 
             for checks in (
                 {"verify": True},
@@ -216,6 +228,11 @@ class TestNoCacheStandDown:
             assert kernel.batched_refs == len(trace)
         else:
             assert kernel is None
+        # A net recorder is not a watcher of sends: the multicaster test
+        # (``_plain_multicaster``) is what withdraws the closed form.
+        reason = None if consumer == "net_recorder" else consumer
+        assert protocol._sends_watched() == reason
+        assert protocol._plain_multicaster() is (consumer != "net_recorder")
         report["stats"].pop("metrics", None)
         return report
 

@@ -97,13 +97,13 @@ class TestGating:
                 system, default_mode=Mode.DISTRIBUTED_WRITE
             )
             ledgers = []
-            write = protocol.write
+            write = protocol._write
 
             def spying_write(*args):
                 ledgers.append(protocol._ledger)
                 return write(*args)
 
-            protocol.write = spying_write
+            protocol._write = spying_write
             report = run_trace(
                 protocol,
                 markov_block_trace(

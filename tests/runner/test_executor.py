@@ -308,6 +308,79 @@ class TestCompiledReplay:
         ) == json.dumps(reference_report.to_dict(), sort_keys=True)
 
 
+class TestVerifiedWarmup:
+    """A verified run after a warm-up starts from the warm-up's writes.
+
+    The caches and memory hold what the warm-up wrote, so the measured
+    run's value check has to expect it: every protocol, both trace forms,
+    a cell built by hand and one from a sweep grid.
+    """
+
+    def spec(self, protocol, **changes):
+        return ExperimentSpec(
+            protocol=protocol,
+            workload=WorkloadSpec(
+                kind="markov",
+                n_nodes=16,
+                n_references=2000,
+                write_fraction=0.5,
+                seed=3,
+                tasks=(0, 1, 2, 3),
+            ),
+            config=SystemConfig(n_nodes=16),
+            warmup=500,
+            verify=True,
+            check_invariants_every=0,
+            **changes,
+        )
+
+    @pytest.mark.parametrize(
+        "compiled", [True, False], ids=["compiled", "refs"]
+    )
+    @pytest.mark.parametrize("protocol", sorted(default_factories()))
+    def test_a_correct_protocol_verifies(self, protocol, compiled):
+        from dataclasses import replace
+
+        spec = self.spec(protocol, compiled=compiled)
+        verified = execute_spec(spec).to_dict()
+        assert verified.pop("verified") is True
+        assert verified["n_references"] == 1500
+        plain = execute_spec(replace(spec, verify=False)).to_dict()
+        assert plain.pop("verified") is False
+        assert verified == plain
+
+    def test_a_sweep_grid_cell_verifies(self):
+        sweep = SweepSpec.from_grid(
+            "verified-warmup",
+            protocols=["full-map"],
+            workloads=[self.spec("full-map").workload],
+            configs=[SystemConfig(n_nodes=16)],
+            warmup=500,
+            verify=True,
+        )
+        (result,) = Executor(workers=0).run(sweep)
+        assert result.report.verified
+
+    def test_the_seed_is_what_the_check_expects(self):
+        from repro.errors import CoherenceError
+        from repro.sim.engine import run_trace
+        from repro.types import Address, Op, Reference
+
+        protocol = default_factories()["no-cache"](
+            System(SystemConfig(n_nodes=4))
+        )
+        with pytest.raises(
+            CoherenceError,
+            match=r"read 0 from Address\(block=0, offset=1\), but the "
+            r"most recent write stored 7$",
+        ):
+            run_trace(
+                protocol,
+                [Reference(2, Op.READ, Address(0, 1))],
+                _shadow={Address(0, 1): 7},
+            )
+
+
 class TestCycleFreeCells:
     """A finished cell is freed by reference counting alone.
 

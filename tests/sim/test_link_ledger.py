@@ -315,13 +315,13 @@ def test_the_ledger_stays_shut_when_sends_are_consumed(
     def run():
         system, protocol, kwargs = _consumers()[consumer]()
         seen = []
-        write = protocol.write
+        write = protocol._write
 
         def spying_write(*args):
             seen.append(protocol._ledger)
             return write(*args)
 
-        protocol.write = spying_write
+        protocol._write = spying_write
         report = run_trace(
             protocol, _trace(True, 300), verify=False,
             check_invariants_every=0, **kwargs,
@@ -414,9 +414,13 @@ class TestLazyWalk:
 
 
 def _die_after(protocol, n_calls, error):
-    """Make the ``n_calls``-th read or write of ``protocol`` raise."""
+    """Make the ``n_calls``-th read or write of ``protocol`` raise.
+
+    Spies on ``_read`` / ``_write``: the slow loop calls them directly on
+    a proven trace, and ``read`` / ``write`` reach them on any other.
+    """
     calls = [0]
-    read, write = protocol.read, protocol.write
+    read, write = protocol._read, protocol._write
 
     def counted(fn):
         def call(*args):
@@ -426,7 +430,7 @@ def _die_after(protocol, n_calls, error):
             return fn(*args)
         return call
 
-    protocol.read, protocol.write = counted(read), counted(write)
+    protocol._read, protocol._write = counted(read), counted(write)
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "refs"])
