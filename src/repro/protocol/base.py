@@ -76,9 +76,9 @@ class CoherenceProtocol(abc.ABC):
         #: Monotonic generation counter for stable-state fast paths.  Any
         #: event that can invalidate a cached "this reference needs no
         #: messages" answer -- ownership transfer, mode switch, replacement,
-        #: fault degradation -- bumps it, and every
-        #: :class:`~repro.protocol.fastpath.FastPathTable` record carries
-        #: the epoch it was minted under (docs/PERF.md).
+        #: fault degradation -- bumps it, and every stable-state record
+        #: of the :class:`~repro.sim.kernel.BatchedKernel` carries the
+        #: epoch it was minted under (docs/PERF.md).
         self.fastpath_epoch = 0
         #: Companion generation counter for the *membership* of present
         #: vectors.  Some membership changes (a reader joining at the
@@ -496,27 +496,21 @@ class CoherenceProtocol(abc.ABC):
         return self.system.home(block)
 
     def fastpath(self):
-        """A stable-state fast-path table for the batched kernel, or ``None``.
-
-        Protocols that can answer "this reference is a hit" without a
-        full :meth:`read`/:meth:`write` dispatch return a
-        :class:`~repro.protocol.fastpath.FastPathTable`; the base class --
-        and any protocol in a configuration where the shortcut would be
-        unsound (fault injection, attached recorder) -- returns ``None``
-        and the engine replays every reference on the slow path.
-        """
+        # Read only by bench's sim.fastpath_hit_share; goes with that probe.
         return None
 
     def batched_kernel(self):
         """A batched columnar replay kernel, or ``None``.
 
-        Protocols whose :meth:`fastpath` records can additionally be
-        validated once per *chunk* of references (rather than once per
-        reference) return a :class:`~repro.sim.kernel.BatchedKernel`,
-        the one code that executes those records, which hands what it
-        cannot batch to the engine's slow loop; everything that gates
-        the fast path gates this too.  The base class returns ``None``
-        and the engine replays every reference on the slow path.
+        Protocols that can answer "this reference is a hit" once per
+        *chunk* of references return a kernel: the Stenström protocol a
+        :class:`~repro.sim.kernel.BatchedKernel`, which builds, checks,
+        executes and flushes its own stable-state records, ``no-cache``
+        a closed form.  A kernel hands what it cannot batch to the
+        engine's slow loop.  The base class -- and any protocol in a
+        configuration where the shortcut would be unsound
+        (:meth:`_sends_watched`) -- returns ``None`` and the engine
+        replays every reference on the slow loop.
         """
         return None
 

@@ -46,7 +46,6 @@ from repro.errors import (
     UnreachableRouteError,
 )
 from repro.protocol.base import CoherenceProtocol
-from repro.protocol.fastpath import FastPathTable
 from repro.protocol.invariants import check_stenstrom
 from repro.protocol.messages import MsgKind
 from repro.protocol.modes import ModePolicy
@@ -90,7 +89,6 @@ class StenstromProtocol(CoherenceProtocol):
         #: made their owner (or a sharer) unreachable.  Only ever grows;
         #: empty for the lifetime of a fault-free system.
         self._uncacheable: set[BlockId] = set()
-        self._fastpath: FastPathTable | None = None
         self._batched_kernel: BatchedKernel | None = None
 
     # ------------------------------------------------------------------
@@ -118,36 +116,28 @@ class StenstromProtocol(CoherenceProtocol):
     # Stable-state fast path
     # ------------------------------------------------------------------
 
-    def fastpath(self) -> FastPathTable | None:
-        """The fast-path records the batched kernel executes, when sound.
+    def fastpath(self) -> BatchedKernel | None:
+        # Read only by bench's sim.fastpath_hit_share; goes with that probe.
+        return self.batched_kernel()
+
+    def batched_kernel(self) -> BatchedKernel | None:
+        """The batched kernel, which builds and executes the stable-state
+        records, when chunked replay is sound.
 
         Fault injection can degrade blocks and kill routes mid-reference,
         an attached recorder must see every reference as a span, and the
         message log must receive a ``LoggedMessage`` per send; each makes
-        the memoised per-reference answer incomplete, so those
+        a memoised per-reference answer incomplete, so those
         configurations (:meth:`_sends_watched`) replay entirely on the
-        slow path.
+        slow loop.  Nothing else gates it: the kernel asks the mode
+        policy how far each chunk may run
+        (:meth:`~repro.protocol.modes.ModePolicy.fold`) and hands the
+        references it cannot batch to the engine's slow loop.
         """
         if self._sends_watched():
             return None
-        if self._fastpath is None:
-            self._fastpath = FastPathTable(self)
-        return self._fastpath
-
-    def batched_kernel(self) -> BatchedKernel | None:
-        """The batched columnar kernel, when chunked replay is sound.
-
-        Everything that gates :meth:`fastpath` gates this too, and nothing
-        else does: the kernel asks the mode policy how far each chunk may
-        run (:meth:`~repro.protocol.modes.ModePolicy.fold`), rebuilds the
-        table's records itself and hands the references it cannot batch
-        to the engine's slow loop.
-        """
-        table = self.fastpath()
-        if table is None:
-            return None
         if self._batched_kernel is None:
-            self._batched_kernel = BatchedKernel(self, table)
+            self._batched_kernel = BatchedKernel(self)
         return self._batched_kernel
 
     # ------------------------------------------------------------------

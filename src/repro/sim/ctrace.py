@@ -94,11 +94,15 @@ class CompiledTrace:
         self._proven = validate
 
     # ------------------------------------------------------------------
-    # Validation (same contract as Trace.validate)
+    # Validation (the one contract: Trace.validate delegates here)
     # ------------------------------------------------------------------
 
     def validate(self) -> None:
-        """Check the columns against the declared geometry."""
+        """Check the columns against the declared geometry.
+
+        A failure names the earliest failing row, and within it the
+        first failing field: node, block, offset, op.
+        """
         if self.n_nodes <= 0:
             raise TraceError(f"n_nodes must be positive, got {self.n_nodes}")
         if self.block_size_words <= 0:
@@ -117,44 +121,43 @@ class CompiledTrace:
             raise TraceError(
                 f"ragged columns: lengths {sorted(lengths)} must agree"
             )
-        if not self.nodes:
-            return
-        # min/max run at C speed; the index hunt only happens on failure.
-        if min(self.nodes) < 0 or max(self.nodes) >= self.n_nodes:
-            index, node = next(
-                (i, n)
-                for i, n in enumerate(self.nodes)
-                if not 0 <= n < self.n_nodes
-            )
-            raise TraceError(
-                f"reference {index}: node {node} outside "
-                f"0..{self.n_nodes - 1}"
-            )
-        if min(self.blocks) < 0:
-            index = next(
-                i for i, b in enumerate(self.blocks) if b < 0
-            )
-            raise TraceError(
-                f"reference {index}: negative block {self.blocks[index]}"
-            )
-        if min(self.offsets) < 0 or max(self.offsets) >= self.block_size_words:
-            index = next(
-                i
-                for i, o in enumerate(self.offsets)
-                if not 0 <= o < self.block_size_words
-            )
-            raise TraceError(
-                f"reference {index}: offset {self.offsets[index]} "
-                f"outside block of {self.block_size_words} words"
-            )
-        if min(self.ops) < _READ or max(self.ops) > _WRITE:
-            index = next(
-                i for i, op in enumerate(self.ops) if op not in (0, 1)
-            )
-            raise TraceError(
-                f"reference {index}: op column holds {self.ops[index]}, "
-                f"expected 0 (read) or 1 (write)"
-            )
+        nodes, ops, blocks, offsets = (
+            self.nodes, self.ops, self.blocks, self.offsets
+        )
+        n_nodes, block_size = self.n_nodes, self.block_size_words
+        # min/max run at C speed; the row hunt only happens on failure,
+        # and reports the earliest failing row, its fields in this order.
+        if nodes and (
+            min(nodes) < 0
+            or max(nodes) >= n_nodes
+            or min(blocks) < 0
+            or min(offsets) < 0
+            or max(offsets) >= block_size
+            or min(ops) < _READ
+            or max(ops) > _WRITE
+        ):
+            for index, (node, op, block, offset) in enumerate(
+                zip(nodes, ops, blocks, offsets)
+            ):
+                if not 0 <= node < n_nodes:
+                    raise TraceError(
+                        f"reference {index}: node {node} outside "
+                        f"0..{n_nodes - 1}"
+                    )
+                if block < 0:
+                    raise TraceError(
+                        f"reference {index}: negative block {block}"
+                    )
+                if not 0 <= offset < block_size:
+                    raise TraceError(
+                        f"reference {index}: offset {offset} "
+                        f"outside block of {block_size} words"
+                    )
+                if op not in (_READ, _WRITE):
+                    raise TraceError(
+                        f"reference {index}: op column holds {op}, "
+                        f"expected 0 (read) or 1 (write)"
+                    )
 
     def fits(self, n_nodes: int, block_size_words: int) -> bool:
         """Whether every row is already proven to fit such a system.

@@ -121,9 +121,9 @@ def run_trace(
     every per-reference check is off (``verify=False``, invariant stride
     ``0``) and the protocol offers one, replays through its batched
     kernel (:meth:`~repro.protocol.base.CoherenceProtocol.batched_kernel`,
-    withheld while a recorder is attached), which hands what it cannot
-    batch back to that one loop.  Both routes are bit-identical; see
-    docs/PERF.md.
+    withheld while faults, a recorder or the message log watch each
+    send), which hands what it cannot batch back to that one loop.  Both
+    routes are bit-identical; see docs/PERF.md.
 
     Two independent checks are controlled by two independent knobs:
 

@@ -1,11 +1,38 @@
-"""Batched columnar replay: the one interpreter of fast-path records.
+"""Batched columnar replay: the stable-state records, built and executed.
 
-A :class:`~repro.protocol.fastpath.FastPathTable` memoises, per ``(node,
-block, op)``, the answer to "this reference is a hit".
-:class:`BatchedKernel` executes those records a chunk at a time, so
-steady-state replay pays no Python-level dispatch per reference.  What
-depends on the *trace* alone the trace computes once, for every slice
-and every cell that replays it: the proof that its rows fit the system
+Most references in a steady-state workload are *message-free*: a read hit
+on a valid local copy, or a write by an exclusive owner.  A
+:class:`BatchedKernel` memoises, per ``(node, block, op)``, the answer to
+"this reference is a hit" as a *record* built from the current state and
+stamped with the protocol's ``fastpath_epoch``.  Four kinds, told apart
+by length:
+
+* local read hit (§2.2 item 1): ``(epoch, entry, policy, set_index, way,
+  owner, owner_entry)`` -- the live cache entry, its replacement-policy
+  slot and the owner's entry;
+* global-read remote read (item 2(b)ii, via the OWNER field): the same
+  plus ``node``; its request and word-and-owner unicasts are a pure
+  function of ``(node, owner)``;
+* message-free write (item 3): ``(epoch, entry, policy, set_index,
+  way)`` -- the writer *is* the owner;
+* distributed-write owner write with sharers (item 3(b)): the write
+  record plus ``(present_epoch, copy_entries, owner, copies)``; its
+  WRITE_UPDATE multicast is a pure function of ``(owner, copies)``, so
+  any present-vector membership change retires it.
+
+Any event that could change a "no messages needed" answer -- ownership
+transfer, mode switch, replacement, fault degradation -- bumps the epoch.
+What the epoch deliberately does not cover (the present vector gaining
+or losing sharers) is re-checked live, because a record's entry is the
+protocol's own object, not a copy.  Message-bearing hits are counted per
+record and posted, scaled, into the protocol's message ledger
+(:meth:`~repro.protocol.base.CoherenceProtocol._post`), which prices
+them exactly as the slow path's sends.
+
+The kernel executes records a chunk at a time, so steady-state replay
+pays no Python-level dispatch per reference.  What depends on the
+*trace* alone the trace computes once, for every slice and every cell
+that replays it: the proof that its rows fit the system
 (``CompiledTrace.fits``; an unproven trace has each chunk's bounds
 tested here) and one folded column, ``((block * N + node) * 2 + op) * B
 + offset`` per reference (``CompiledTrace.folded``).  A chunk of that
@@ -57,9 +84,10 @@ Nothing inside a clean run can invalidate its own validation: every
 executed reference is a hit, hits send no un-memoised messages, never
 bump ``fastpath_epoch``/``present_epoch`` and leave each block's mode and
 present vector -- all a policy's verdict may depend on -- as they were.
-Everything that gates the fast path (faults, recorder, message log,
-verification) gates the kernel too, so batched replay is bit-identical
-to the slow loop (tests/sim/test_kernel.py and test_kernel_policies.py;
+The protocol hands the kernel out only where nothing watches individual
+sends (faults, recorder, message log), and the engine engages it only
+with verification off, so batched replay is bit-identical to the slow
+loop (tests/sim/test_kernel.py and test_kernel_policies.py;
 docs/PERF.md, "Where each proof lives").
 """
 
@@ -72,10 +100,11 @@ from operator import itemgetter, or_
 from typing import TYPE_CHECKING
 
 from repro.cache.state import Mode
+from repro.protocol.messages import MsgKind
+from repro.sim import stats as ev
 from repro.sim.engine import _replay_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
-    from repro.protocol.fastpath import FastPathTable
     from repro.protocol.stenstrom import StenstromProtocol
     from repro.sim.ctrace import CompiledTrace
 
@@ -131,48 +160,177 @@ def _first_row(fold, key, block_size):
 
 
 class BatchedKernel:
-    """Chunked replay over a :class:`FastPathTable`'s records.
+    """Chunked replay over per-``(node, block)`` stable-state records.
 
-    ``batched_refs`` counts references executed by clean chunks and
-    ``fallback_refs`` those handed to the slow loop, across all
-    :meth:`replay` calls -- the observability hook for benchmarks and
-    the eligibility tests; the table's ``hits`` and ``misses`` move with
-    them.  ``fallback_reasons`` counts the slow-loop runs by what cut the
-    chunk: ``bounds``, ``miss`` or ``policy_switch``.
+    Records are keyed by the integer ``block * n_nodes + node`` (never
+    negative for a registered block, so malformed trace rows simply
+    miss), reads in ``_reads`` and writes in ``_writes``; their kinds are
+    in the module docstring.  ``batched_refs`` counts references
+    executed by clean chunks and ``fallback_refs`` those handed to the
+    slow loop, across all :meth:`replay` calls -- the observability hook
+    for benchmarks and the eligibility tests.  ``fallback_reasons``
+    counts the slow-loop runs by what cut the chunk: ``bounds``,
+    ``miss`` or ``policy_switch``.
 
-    Like its table, the kernel is owned by the protocol and reaches it
-    through a weak reference: no cycle keeps a finished cell alive.
+    The protocol owns its kernel, whose records last from warm-up into
+    the measured replay; the kernel reaches the protocol through a weak
+    reference, so a finished cell is freed by reference counting and
+    leaves the cyclic collector nothing to trace.
     """
 
     __slots__ = (
         "_protocol",
-        "_table",
+        "_reads",
+        "_writes",
         "batched_refs",
         "fallback_refs",
         "fallback_reasons",
     )
 
-    def __init__(
-        self, protocol: "StenstromProtocol", table: "FastPathTable"
-    ) -> None:
+    def __init__(self, protocol: "StenstromProtocol") -> None:
         self._protocol = weakref.ref(protocol)
-        self._table = table
+        self._reads: dict[int, tuple] = {}
+        self._writes: dict[int, tuple] = {}
         self.batched_refs = 0
         self.fallback_refs = 0
         self.fallback_reasons: Counter[str] = Counter()
 
+    @property
+    def hits(self) -> int:
+        # Read only by bench's sim.fastpath_hit_share; goes with that probe.
+        return self.batched_refs
+
+    # Registration: off the hot path, run when a key's record is
+    # missing, stale or dead at the start of a chunk.
+
+    def _register_read(self, node: int, block: int) -> None:
+        protocol = self._protocol()
+        system = protocol.system
+        cache = system.caches[node]
+        location = cache.locate(block)
+        if location is None:
+            return
+        entry = cache.find(block)
+        owner = protocol._owner_of(block)
+        if owner is None:
+            return
+        owner_entry = system.caches[owner].find(block)
+        if owner_entry is None or not owner_entry.state_field.owned:
+            return
+        key = block * system.n_nodes + node
+        record = (
+            protocol.fastpath_epoch, entry, cache.policy, *location,
+            owner, owner_entry,
+        )
+        if entry.state_field.valid:
+            self._reads[key] = record
+            return
+        # Invalid placeholder in global-read mode: the steady-state remote
+        # read (2b ii via the OWNER field) is two deterministic unicasts
+        # between node and owner.
+        if owner_entry.state_field.distributed_write:
+            return
+        if entry.state_field.owner != owner:
+            return
+        self._reads[key] = (*record, node)
+
+    def _register_write(self, node: int, block: int) -> None:
+        protocol = self._protocol()
+        system = protocol.system
+        cache = system.caches[node]
+        location = cache.locate(block)
+        if location is None:
+            return
+        entry = cache.find(block)
+        field = entry.state_field
+        if not (field.valid and field.owned):
+            return
+        key = block * system.n_nodes + node
+        record = (protocol.fastpath_epoch, entry, cache.policy, *location)
+        if not field.distributed_write or len(field.present) == 1:
+            self._writes[key] = record
+            return
+        # Non-exclusive distributed-write owner (3b): the steady-state
+        # write is one WRITE_UPDATE multicast to the copy holders plus a
+        # data-word store at every copy; recorded only where its posted
+        # price is what a send would have cost.
+        if not protocol._plain_multicaster():
+            return
+        copy_entries = []
+        caches = system.caches
+        for copy in field.others(node):
+            copy_entry = caches[copy].find(block)
+            if copy_entry is None or not copy_entry.state_field.valid:
+                return
+            copy_entries.append(copy_entry)
+        self._writes[key] = (
+            *record,
+            protocol.present_epoch,
+            tuple(copy_entries),
+            node,
+            field.others(node),
+        )
+
+    def _flush(
+        self,
+        local_read_hits: int,
+        fast_write_hits: int,
+        gr_pending: dict[int, list],
+        dw_pending: dict[int, list],
+    ) -> None:
+        """Apply a replay's deferred hit accounting.
+
+        The pending dicts map ``id(record)`` to ``[record, hit count]``
+        (keyed by id: the tuples hold unhashable entries, and the value
+        keeps the record alive so ids cannot be recycled); each record's
+        messages are posted scaled by its count.
+        """
+        protocol = self._protocol()
+        events = protocol.stats.events
+        post = protocol._post
+        # Driven by hand, outside run_trace's window: one of its own.
+        own_window = protocol._ledger is None and protocol.open_window()
+        gr_hits = 0
+        if gr_pending:
+            request_bits = protocol._cost_request
+            word_owner_bits = protocol._cost_word_owner
+            for record, count in gr_pending.values():
+                gr_hits += count
+                owner, node = record[5], record[7]
+                post(MsgKind.LOAD_DIRECT, node, owner, request_bits, count)
+                post(MsgKind.WORD_REPLY, owner, node, word_owner_bits, count)
+            events[ev.READ_MISSES] += gr_hits
+            events[ev.COHERENCE_MISSES] += gr_hits
+            events[ev.GLOBAL_READS] += gr_hits
+        dw_hits = 0
+        if dw_pending:
+            word_bits = protocol._cost_word
+            for record, count in dw_pending.values():
+                dw_hits += count
+                owner, copies = record[7:]
+                post(MsgKind.WRITE_UPDATE, owner, copies, word_bits, count)
+            events[ev.WRITE_UPDATES] += dw_hits
+        if own_window:
+            protocol.close_window()
+        if local_read_hits or gr_hits:
+            events[ev.READS] += local_read_hits + gr_hits
+        if local_read_hits:
+            events[ev.READ_HITS] += local_read_hits
+        if fast_write_hits or dw_hits:
+            events[ev.WRITES] += fast_write_hits + dw_hits
+            events[ev.WRITE_HITS] += fast_write_hits + dw_hits
+
     def replay(self, trace: "CompiledTrace") -> tuple[int, int]:
         """Replay every column row; returns ``(n_reads, n_writes)``."""
         protocol = self._protocol()
-        table = self._table
         system = protocol.system
         n_nodes = system.n_nodes
         block_size = system.config.block_size_words
         policy = protocol.mode_policy
-        reads = table._reads
-        writes = table._writes
-        register_read = table._register_read
-        register_write = table._register_write
+        reads = self._reads
+        writes = self._writes
+        register_read = self._register_read
+        register_write = self._register_write
         dw = Mode.DISTRIBUTED_WRITE
         gr = Mode.GLOBAL_READ
         nodes_col = trace.nodes
@@ -389,17 +547,16 @@ class BatchedKernel:
                 fallback += j - i
                 i = j
         finally:
-            table._flush(
+            self._flush(
                 local_read_hits, fast_write_hits, gr_pending, dw_pending
             )
-            table.hits += batched
-            table.misses += fallback
             self.batched_refs += batched
             self.fallback_refs += fallback
         return n_reads, n_writes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"BatchedKernel(batched={self.batched_refs}, "
+            f"BatchedKernel(reads={len(self._reads)}, "
+            f"writes={len(self._writes)}, batched={self.batched_refs}, "
             f"fallback={self.fallback_refs})"
         )

@@ -41,30 +41,13 @@ class Trace:
         self.validate()
 
     def validate(self) -> None:
-        """Check every reference against the declared geometry."""
-        if self.n_nodes <= 0:
-            raise TraceError(f"n_nodes must be positive, got {self.n_nodes}")
-        if self.block_size_words <= 0:
-            raise TraceError(
-                f"block_size_words must be positive, "
-                f"got {self.block_size_words}"
-            )
-        for index, ref in enumerate(self.references):
-            if not 0 <= ref.node < self.n_nodes:
-                raise TraceError(
-                    f"reference {index}: node {ref.node} outside "
-                    f"0..{self.n_nodes - 1}"
-                )
-            if ref.address.block < 0:
-                raise TraceError(
-                    f"reference {index}: negative block "
-                    f"{ref.address.block}"
-                )
-            if not 0 <= ref.address.offset < self.block_size_words:
-                raise TraceError(
-                    f"reference {index}: offset {ref.address.offset} "
-                    f"outside block of {self.block_size_words} words"
-                )
+        """Check every reference against the declared geometry.
+
+        The contract is :meth:`CompiledTrace.validate
+        <repro.sim.ctrace.CompiledTrace.validate>`'s, run on this
+        trace's columns, so both forms name the same failing row.
+        """
+        self.compile()
 
     def __len__(self) -> int:
         return len(self.references)

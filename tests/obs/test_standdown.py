@@ -1,10 +1,10 @@
 """Stand-down coverage: observers must disable the replay shortcuts.
 
-The fast-path table and the batched kernel are only sound when nothing
-needs to see individual references.  When a :class:`TraceRecorder` is
-attached, both must hand back ``None`` and the replay must fall back to
-the per-reference loop -- with results bit-identical to the shortcut
-runs.  A :class:`TelemetrySampler` is the opposite case: it only *reads*
+The batched kernels are only sound when nothing needs to see
+individual references.  When a :class:`TraceRecorder` is attached,
+``batched_kernel()`` must hand back ``None`` and the replay must fall
+back to the per-reference loop -- with results bit-identical to the
+shortcut runs.  A :class:`TelemetrySampler` is the opposite case: it only *reads*
 a registry, so it must neither disable the shortcuts nor perturb the
 replay it observes.
 """
@@ -74,7 +74,6 @@ class TestRecorderStandDown:
         )
         recorder = TraceRecorder()
         attach_recorder(traced, recorder)
-        assert traced.fastpath() is None
         assert traced.batched_kernel() is None
 
         traced_report = run_trace(
@@ -189,8 +188,6 @@ class TestRecorderStandDown:
                 kernel = checked.batched_kernel()
                 assert kernel.batched_refs == kernel.fallback_refs == 0
                 assert not kernel.fallback_reasons
-                table = checked.fastpath()
-                assert table.hits == table.misses == 0
 
 
 @SIZES
@@ -263,7 +260,6 @@ class TestSamplerIsPassive:
         )
         # A sampler over a detached registry: the shortcuts stay engaged.
         sampler = TelemetrySampler(MetricsRegistry())
-        assert protocol.fastpath() is not None
         assert protocol.batched_kernel() is not None
         sampler.sample()
         report = run_trace(

@@ -1,16 +1,16 @@
-"""Tests for the stable-state fast-path table.
+"""Tests for the batched kernel's stable-state records.
 
-Three concerns: the table must only be handed out when the shortcut is
+Three concerns: the kernel must only be handed out when the shortcut is
 sound (gating), every event that could change a memoised answer must
 bump ``fastpath_epoch`` (invalidation), and replaying a compiled trace
-through ``run_trace`` -- the batched kernel executing the table's
-records -- must be bit-identical to the slow path (equivalence),
-including under ownership churn and for the message-bearing global-read
-records.
+through ``run_trace`` -- the kernel executing its records -- must be
+bit-identical to the slow path (equivalence), including under ownership
+churn and for the message-bearing global-read records.
 """
 
 import pytest
 
+from repro.analysis.compare import default_factories
 from repro.cache.state import Mode
 from repro.errors import TraceError
 from repro.faults.plan import FaultPlan
@@ -36,9 +36,30 @@ def compiled(references, n_nodes, block_size_words=2):
 class TestGating:
     def test_clean_protocol_offers_a_table(self):
         _, protocol = build()
-        table = protocol.fastpath()
-        assert table is not None
-        assert protocol.fastpath() is table  # memoised, counters persist
+        kernel = protocol.batched_kernel()
+        assert kernel is not None
+        assert protocol.batched_kernel() is kernel  # memoised, counters persist
+
+    def test_fastpath_is_the_kernel_under_its_old_name(self):
+        # ``fastpath()`` and ``hits`` survive only for the benchmark's
+        # fastpath_hit_share probe: the kernel on Stenstrom, None on the
+        # baselines, and the kernel's batched count.
+        for name, factory in default_factories().items():
+            protocol = factory(System(SystemConfig(n_nodes=8)))
+            if isinstance(protocol, StenstromProtocol):
+                kernel = protocol.batched_kernel()
+                assert protocol.fastpath() is kernel is not None, name
+                run_trace(
+                    protocol,
+                    markov_block_trace(
+                        8, range(4), 0.3, 300, seed=2, compiled=True
+                    ),
+                    verify=False,
+                    check_invariants_every=0,
+                )
+                assert kernel.hits == kernel.batched_refs > 0, name
+            else:
+                assert protocol.fastpath() is None, name
 
     def test_fault_injection_disables_the_table(self):
         system = System(
@@ -47,31 +68,31 @@ class TestGating:
         )
         protocol = StenstromProtocol(system)
         assert system.fault_injector is not None
-        assert protocol.fastpath() is None
+        assert protocol.batched_kernel() is None
 
     def test_recorder_disables_the_table(self):
         _, protocol = build()
         attach_recorder(protocol, TraceRecorder())
-        assert protocol.fastpath() is None
+        assert protocol.batched_kernel() is None
 
     def test_message_log_disables_the_table(self):
         _, protocol = build()
         protocol.enable_message_log()
-        assert protocol.fastpath() is None
+        assert protocol.batched_kernel() is None
 
     def test_engine_skips_table_when_verifying(self):
         _, protocol = build(n_nodes=4)
         trace = compiled([Reference(0, Op.WRITE, Address(0, 0), 1)] * 50, 4)
         run_trace(protocol, trace, verify=True)
-        table = protocol.fastpath()
-        assert table.hits == table.misses == 0
+        kernel = protocol.batched_kernel()
+        assert kernel.batched_refs == kernel.fallback_refs == 0
 
     def test_engine_skips_table_under_invariant_stride(self):
         _, protocol = build(n_nodes=4)
         trace = compiled([Reference(0, Op.WRITE, Address(0, 0), 1)] * 50, 4)
         run_trace(protocol, trace, verify=False, check_invariants_every=10)
-        table = protocol.fastpath()
-        assert table.hits == table.misses == 0
+        kernel = protocol.batched_kernel()
+        assert kernel.batched_refs == kernel.fallback_refs == 0
 
     @pytest.mark.parametrize("multicaster", ["subclass", "net-recorder"])
     def test_a_multicaster_that_is_not_plain_shuts_the_window(
@@ -114,7 +135,7 @@ class TestGating:
             )
             multicast_records = [
                 record
-                for record in protocol.fastpath()._writes.values()
+                for record in protocol.batched_kernel()._writes.values()
                 if len(record) == 9
             ]
             return report, ledgers, multicast_records
@@ -167,20 +188,20 @@ class TestEpochInvalidation:
     def test_stale_record_falls_back_and_re_registers(self):
         n = 4
         _, protocol = build(n_nodes=n)
-        table = protocol.fastpath()
+        kernel = protocol.batched_kernel()
         # A cold block: the slow loop takes the first MIN_CHUNK writes,
         # then node 0's write record is built and the rest hit.
         warm = compiled([Reference(0, Op.WRITE, Address(0, 0), 1)] * 100, n)
         run_trace(protocol, warm, verify=False, check_invariants_every=0)
-        assert (table.hits, table.misses) == (36, 64)
+        assert (kernel.batched_refs, kernel.fallback_refs) == (36, 64)
         # Steal ownership via the slow path: the record's epoch stamp is
         # now stale and node 0 holds only a placeholder, so no rebuild
         # makes its write a hit -- the slow loop takes the first writes
         # back, and the rebuilt record serves the rest.
         protocol.write(1, Address(0, 0), 9)
         run_trace(protocol, warm, verify=False, check_invariants_every=0)
-        assert (table.hits, table.misses) == (72, 128)
-        assert table._writes[0][0] == protocol.fastpath_epoch
+        assert (kernel.batched_refs, kernel.fallback_refs) == (72, 128)
+        assert kernel._writes[0][0] == protocol.fastpath_epoch
 
 class TestCounters:
     def test_hits_and_misses_cover_every_reference(self):
@@ -195,20 +216,20 @@ class TestCounters:
         )
         _, protocol = build(n_nodes=n, block_size_words=4)
         run_trace(protocol, trace, verify=False, check_invariants_every=0)
-        table = protocol.fastpath()
-        assert table.hits + table.misses == len(trace)
-        assert table.hits > table.misses  # steady state dominates
+        kernel = protocol.batched_kernel()
+        assert kernel.batched_refs + kernel.fallback_refs == len(trace)
+        assert kernel.batched_refs > kernel.fallback_refs  # steady state
 
     def test_counters_accumulate_across_replays(self):
         n = 4
         _, protocol = build(n_nodes=n)
         trace = compiled([Reference(0, Op.WRITE, Address(0, 0), 1)] * 10, n)
         run_trace(protocol, trace, verify=False, check_invariants_every=0)
-        table = protocol.fastpath()
-        first = (table.hits, table.misses)
+        kernel = protocol.batched_kernel()
+        first = (kernel.batched_refs, kernel.fallback_refs)
         run_trace(protocol, trace, verify=False, check_invariants_every=0)
-        assert table.hits > first[0]
-        assert table.hits + table.misses == 2 * len(trace)
+        assert kernel.batched_refs > first[0]
+        assert kernel.batched_refs + kernel.fallback_refs == 2 * len(trace)
 
     def test_malformed_node_raises_through_fast_loop(self):
         _, protocol = build(n_nodes=4)

@@ -17,7 +17,6 @@ import pytest
 from repro.analysis.compare import default_factories
 from repro.errors import ConfigurationError, ExecutionError
 from repro.protocol.base import CoherenceProtocol
-from repro.protocol.fastpath import FastPathTable
 from repro.runner import (
     Executor,
     ResultCache,
@@ -407,7 +406,7 @@ class TestCycleFreeCells:
             warmup=50,
             compiled=compiled,
         )
-        cell_types = (System, CoherenceProtocol, FastPathTable, BatchedKernel)
+        cell_types = (System, CoherenceProtocol, BatchedKernel)
         gc.collect()
         enabled = gc.isenabled()
         gc.disable()

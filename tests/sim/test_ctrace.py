@@ -252,6 +252,64 @@ class TestValidation:
                 *columns((0, 0, 0, 0, 0), (9, 0, 0, 0, 0)), 4, 2
             )
 
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            # The earliest failing row wins over an earlier-checked field.
+            (
+                [(0, 0, 0, 0, 0), (0, 1, 0, 9, 1), (7, 0, 0, 0, 0)],
+                "reference 1: offset 9 outside block of 4 words",
+            ),
+            # Within a row: node, then block, then offset.
+            (
+                [(0, 0, 0, 0, 0), (0, 0, -1, 9, 0), (7, 0, 0, 0, 0)],
+                "reference 1: negative block -1",
+            ),
+            (
+                [(0, 0, 0, 0, 0), (7, 0, -1, 9, 0)],
+                "reference 1: node 7 outside 0..3",
+            ),
+        ],
+        ids=["earliest-row", "block-before-offset", "node-first"],
+    )
+    @pytest.mark.parametrize(
+        "form", ["Trace", "CompiledTrace", "load_trace", "load_compiled_trace"]
+    )
+    def test_both_forms_and_loaders_name_the_same_row(
+        self, tmp_path, rows, error, form
+    ):
+        path = tmp_path / "bad.trace"
+        path.write_text(
+            "# repro-trace v1 n_nodes=4 block_size=4\n"
+            + "".join(
+                f"{node} {'W' if op else 'R'} {block}:{offset} {value}\n"
+                for node, op, block, offset, value in rows
+            )
+        )
+        make = {
+            "Trace": lambda: Trace(
+                [
+                    Reference(
+                        node, Op.WRITE if op else Op.READ,
+                        Address(block, offset), value,
+                    )
+                    for node, op, block, offset, value in rows
+                ],
+                4,
+                4,
+            ),
+            "CompiledTrace": lambda: CompiledTrace(*columns(*rows), 4, 4),
+            "load_trace": lambda: load_trace(path),
+            "load_compiled_trace": lambda: load_compiled_trace(path),
+        }[form]
+        with pytest.raises(TraceError) as raised:
+            make()
+        assert str(raised.value) == error
+
+    def test_the_op_is_checked_after_the_address(self):
+        with pytest.raises(TraceError, match="reference 0: offset 9"):
+            CompiledTrace(*columns((0, 5, 0, 9, 0)), 4, 4)
+
 
 class TestBuilders:
     def test_builder_emits_the_stream_it_was_fed(self):

@@ -1,6 +1,6 @@
 """Tests for the batched columnar kernel (:mod:`repro.sim.kernel`).
 
-Four concerns, mirroring the fast-path table's suite: the kernel must
+Four concerns, mirroring tests/protocol/test_fastpath.py: the kernel must
 only be handed out when chunked execution is sound (gating), everything
 that can invalidate a memoised answer must be caught by the per-chunk
 revalidation (epoch and present-vector stamps, live checks) and either
@@ -138,7 +138,7 @@ class TestEquivalence:
             verify=False,
             check_invariants_every=0,
         )
-        assert logged_protocol.fastpath() is None
+        assert logged_protocol.batched_kernel() is None
         assert logged_report.to_dict() == slow_report.to_dict()
 
     @pytest.mark.parametrize(
@@ -157,8 +157,8 @@ class TestEquivalence:
                 "two-mode", 64, range(16), 0, 20_000,
                 MulticastScheme.COMBINED,
                 {
-                    "fastpath_hits": 19_802,
-                    "fastpath_misses": 198,
+                    "batched_refs": 19_802,
+                    "fallback_refs": 198,
                     "total_bits": 4_229_455,
                 },
             ),
@@ -187,17 +187,11 @@ class TestEquivalence:
         report = run_trace(
             protocol, trace, verify=False, check_invariants_every=0
         )
-        kernel, table = protocol.batched_kernel(), protocol.fastpath()
+        kernel = protocol.batched_kernel()
         assert kernel.batched_refs + kernel.fallback_refs == n_references
-        assert (table.hits, table.misses) == (
-            kernel.batched_refs,
-            kernel.fallback_refs,
-        )
         measured = {
             "batched_refs": kernel.batched_refs,
             "fallback_refs": kernel.fallback_refs,
-            "fastpath_hits": table.hits,
-            "fastpath_misses": table.misses,
             "total_bits": report.network_total_bits,
         }
         assert {name: measured[name] for name in expected} == expected
@@ -255,7 +249,6 @@ class TestGating:
     def test_message_log_gates_the_kernel(self):
         _, protocol = build()
         protocol.enable_message_log()
-        assert protocol.fastpath() is None
         assert protocol.batched_kernel() is None
 
     def test_recorder_gates_the_kernel(self):
@@ -282,7 +275,6 @@ class TestGating:
         ):
             _, protocol = build(mode_policy=policy)
             assert protocol.batched_kernel() is not None
-            assert protocol.fastpath() is not None
 
     def test_counting_policies_run_in_the_kernel_and_agree_with_the_slow_loop(
         self,
@@ -342,9 +334,6 @@ class TestGating:
         assert first == 200
         run_trace(protocol, trace, verify=False, check_invariants_every=0)
         assert kernel.batched_refs + kernel.fallback_refs == 400
-        # The table's counters move with the kernel's.
-        table = protocol.fastpath()
-        assert table.hits + table.misses == 400
 
 
 class TestFallbackReasons:
@@ -357,7 +346,7 @@ class TestFallbackReasons:
     N_NODES = 8
 
     @pytest.fixture
-    def table_runs(self, monkeypatch):
+    def slow_runs(self, monkeypatch):
         """The lengths of the runs the kernel hands the slow loop."""
         runs = []
         real_replay = kernel_module._replay_columns
@@ -384,27 +373,27 @@ class TestFallbackReasons:
         return kernel.fallback_reasons - before
 
     def _warm(self, **build_kwargs):
-        """A protocol whose table knows node 0's write to block 0."""
+        """A protocol whose kernel knows node 0's write to block 0."""
         _, protocol = build(n_nodes=self.N_NODES, **build_kwargs)
         assert self._replay(protocol, self._writes()) == {"miss": 1}
         assert self._replay(protocol, self._writes()) == {}
         return protocol
 
-    def test_unknown_key_then_clean(self, table_runs):
+    def test_unknown_key_then_clean(self, slow_runs):
         # An uncached block is a miss at row 0: the slow loop takes up to
         # MIN_CHUNK references, and the next replay rebuilds the record.
         protocol = self._warm()
-        assert table_runs == [10]
+        assert slow_runs == [10]
         kernel = protocol.batched_kernel()
         assert (kernel.batched_refs, kernel.fallback_refs) == (10, 10)
 
-    def test_stale_epoch(self, table_runs):
+    def test_stale_epoch(self, slow_runs):
         protocol = self._warm()
         protocol.set_mode(0, 0, Mode.DISTRIBUTED_WRITE)  # bumps the epoch
         assert self._replay(protocol, self._writes()) == {}
-        assert table_runs == [10]
+        assert slow_runs == [10]
 
-    def test_stale_present(self, table_runs):
+    def test_stale_present(self, slow_runs):
         # A distributed-write owner with one copy out: the multicast
         # record is stamped with present_epoch, which a new reader bumps
         # without touching fastpath_epoch.  The rebuilt record multicasts
@@ -419,11 +408,11 @@ class TestFallbackReasons:
         protocol.read(2, Address(0, 0))
         assert protocol.fastpath_epoch == epoch
         assert self._replay(protocol, self._writes(value_base=20)) == {}
-        assert table_runs == []
+        assert slow_runs == []
         for reader in (1, 2):
             assert protocol.read(reader, Address(0, 0)) == 30
 
-    def test_live_state(self, table_runs):
+    def test_live_state(self, slow_runs):
         # An exclusive distributed-write owner's record carries no
         # stamp for the present vector; a reader joining leaves both
         # epochs' records "current" but the write no longer local: the
@@ -433,9 +422,9 @@ class TestFallbackReasons:
         protocol.read(1, Address(0, 0))
         assert protocol.fastpath_epoch == epoch
         assert self._replay(protocol, self._writes()) == {}
-        assert len(protocol.fastpath()._writes[0]) == 9
+        assert len(protocol.batched_kernel()._writes[0]) == 9
 
-    def test_bounds(self, table_runs):
+    def test_bounds(self, slow_runs):
         protocol = self._warm()
         with pytest.raises(TraceError, match="reference 3"):
             self._replay(
@@ -458,12 +447,12 @@ class TestFallbackReasons:
         ids=["unvalidated", "wider-blocks"],
     )
     def test_bounds_of_an_unproven_trace(
-        self, table_runs, declared, validate, bad_row, error
+        self, slow_runs, declared, validate, bad_row, error
     ):
         # Like a trace declared for more nodes than the system has
         # (test_bounds), one never validated or declared with wider
         # blocks carries no proof: every chunk's bounds are tested, as
-        # they always were, and the table reports the bad row.
+        # they always were, and the slow loop reports the bad row.
         protocol = self._warm()
         rows = [(0, 1, 0, 0, 1)] * 3 + [bad_row]
         trace = CompiledTrace(
@@ -475,7 +464,7 @@ class TestFallbackReasons:
         with pytest.raises(ReproError, match=error):
             self._replay(protocol, trace)
         assert protocol.batched_kernel().fallback_reasons["bounds"] == 1
-        assert table_runs[-1] == 4
+        assert slow_runs[-1] == 4
 
     @pytest.mark.parametrize(
         "protocol_name", ["distributed-write", "global-read", "two-mode"]
@@ -487,8 +476,8 @@ class TestFallbackReasons:
         # Node 0 writes and node 1 reads one word, turn about.  Folded, an
         # op of 2 is a read by the next node and -1 a write by the
         # previous one -- here both registered hits -- so an unproven
-        # chunk must test its ops too, and the table's ``if op:`` (the
-        # slow loop's) decide the row.
+        # chunk must test its ops too, and the slow loop's ``if op:``
+        # decide the row.
         rows = [(k % 2, 1 - k % 2, 0, 0, k) for k in range(400)]
         at = 300 if op == 2 else 301
         rows[at] = (rows[at][0], op, *rows[at][2:])
@@ -517,7 +506,7 @@ class TestFallbackReasons:
         "declared", [(N_NODES // 2, 1), (N_NODES, 2)], ids=["smaller", "equal"]
     )
     def test_a_proven_trace_skips_the_bounds_test(
-        self, table_runs, declared, monkeypatch
+        self, slow_runs, declared, monkeypatch
     ):
         # validate() ran, on a geometry the system contains: no chunk is
         # tested again (``max`` is a name only the bounds test looks up).
@@ -530,7 +519,7 @@ class TestFallbackReasons:
         assert self._replay(protocol, trace) == {}
         assert protocol.batched_kernel().batched_refs == 10 + 200
 
-    def test_policy_switch_cuts_the_chunk(self, table_runs):
+    def test_policy_switch_cuts_the_chunk(self, slow_runs):
         # An exclusive owner (threshold 2/3) under an 8-reference window.
         # Seven references pass, the eighth completes a read-heavy window
         # and switches the block: seven run batched, the eighth alone
@@ -552,18 +541,18 @@ class TestFallbackReasons:
         assert self._replay(protocol, compiled([write] * 3 + [read])) == {}
         assert policy._counters[0].references == 0
         assert protocol.stats.events["mode_switches"] == 0
-        del table_runs[:]
+        del slow_runs[:]
         kernel = protocol.batched_kernel()
         batched = kernel.batched_refs
         assert self._replay(
             protocol, compiled([write] * 2 + [read] * 10)
         ) == {"policy_switch": 1}
-        assert table_runs == [1]
+        assert slow_runs == [1]
         assert kernel.batched_refs - batched == 11
         assert protocol.stats.events["mode_switches"] == 1
         assert policy._counters[0].references == 4
 
-    def test_reasons_sum_to_fallback_runs(self, table_runs):
+    def test_reasons_sum_to_fallback_runs(self, slow_runs):
         # A churning multi-writer trace under a counting policy: many
         # runs, several reasons, and the ledger accounts for each run.
         n_nodes = 16
@@ -575,9 +564,9 @@ class TestFallbackReasons:
         run_trace(protocol, trace, verify=False, check_invariants_every=0)
         kernel = protocol.batched_kernel()
         assert len(kernel.fallback_reasons) > 1
-        assert sum(kernel.fallback_reasons.values()) == len(table_runs)
-        assert sum(table_runs) == kernel.fallback_refs
-        assert max(table_runs) <= 64
+        assert sum(kernel.fallback_reasons.values()) == len(slow_runs)
+        assert sum(slow_runs) == kernel.fallback_refs
+        assert max(slow_runs) <= 64
 
 
 @pytest.fixture
@@ -825,15 +814,15 @@ class TestPresentEpochInvalidation:
         protocol.write(0, Address(0, 0), 1)
         protocol.read(1, Address(0, 0))
         protocol.read(2, Address(0, 0))
-        table = protocol.fastpath()
+        kernel = protocol.batched_kernel()
         warm = Trace(
             [Reference(0, Op.WRITE, Address(0, 0), v) for v in (2, 3, 4)],
             n_nodes,
             2,
         ).compile()
         run_trace(protocol, warm, verify=False, check_invariants_every=0)
-        assert (table.hits, table.misses) == (3, 0)
-        record = table._writes[0]
+        assert (kernel.batched_refs, kernel.fallback_refs) == (3, 0)
+        record = kernel._writes[0]
         # A new reader grows the present vector without touching
         # fastpath_epoch; only the present stamp can catch it.
         epoch = protocol.fastpath_epoch
@@ -843,8 +832,8 @@ class TestPresentEpochInvalidation:
         assert protocol.present_epoch > stamp
         # The kernel rebuilds the record on sight; every row hits again.
         run_trace(protocol, warm, verify=False, check_invariants_every=0)
-        assert (table.hits, table.misses) == (6, 0)
-        assert table._writes[0] is not record
+        assert (kernel.batched_refs, kernel.fallback_refs) == (6, 0)
+        assert kernel._writes[0] is not record
         # The refreshed record multicasts to all three copies now.
         for reader in (1, 2, 3):
             assert protocol.read(reader, Address(0, 0)) == 4

@@ -116,11 +116,6 @@ def _three_ways(
     kernel_system, kernel_protocol, kernel_report = replay(pieces)
     kernel = kernel_protocol.batched_kernel()
     assert kernel.batched_refs + kernel.fallback_refs == len(compiled)
-    table = kernel_protocol.fastpath()
-    assert (table.hits, table.misses) == (
-        kernel.batched_refs,
-        kernel.fallback_refs,
-    )
     logged_system, logged_protocol, logged_report = replay(pieces, True)
     assert logged_protocol.batched_kernel() is None
     slow_system, slow_protocol, slow_report = replay(

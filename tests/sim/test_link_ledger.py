@@ -658,7 +658,7 @@ def test_hand_driven_replay_tiers_account_before_returning(
                 protocol, _trace(True), verify=False,
                 check_invariants_every=0,
             )
-        assert protocol.fastpath().hits > 0
+        assert protocol.batched_kernel().batched_refs > 0
         assert system.network._ledger is None and protocol._ledger is None
         assert system.network.total_bits == protocol.stats.total_bits > 0
         return system, protocol

@@ -1,10 +1,13 @@
 """Documentation rot protection.
 
 DESIGN.md's inventory and experiment index point at modules and benchmark
-files; EXPERIMENTS.md embeds exhibit files.  These tests keep those
-references real, so the documentation cannot silently drift from the code.
+files; EXPERIMENTS.md embeds exhibit files; docs/*.md cite the tests that
+prove their claims.  These tests keep those references real, so the
+documentation cannot silently drift from the code.
 """
 
+import ast
+import glob
 import importlib
 import os
 import re
@@ -90,3 +93,69 @@ class TestReadme:
         text = read("README.md")
         for match in set(re.findall(r"examples/\w+\.py", text)):
             assert os.path.exists(os.path.join(ROOT, match))
+
+
+#: A test file, optionally ``::``-qualified, or a bare ``::`` chain right
+#: after a backtick or an ellipsis, which names a test in the file cited
+#: last before it.  A parametrised id (``[...]``) is not part of the match.
+CITATION = re.compile(r"(tests/[\w/]+\.py|(?<=[`\u2026])(?=::))((?:::\w+)*)")
+
+
+def _citations():
+    """``(document, file, names, relative)`` for every test citation in
+    docs/*.md, in order of appearance."""
+    found = []
+    for document in sorted(glob.glob(os.path.join(ROOT, "docs", "*.md"))):
+        with open(document, encoding="utf-8") as stream:
+            text = stream.read()
+        cited = None
+        for match in CITATION.finditer(text):
+            relative = not match.group(1)
+            if not relative:
+                cited = match.group(1)
+            names = match.group(2).split("::")[1:]
+            if cited is not None:
+                found.append(
+                    (os.path.basename(document), cited, names, relative)
+                )
+    return found
+
+
+def _defines(node, names, anywhere):
+    """Whether ``node`` defines the ``names`` chain: the first at its top
+    level (or at any depth, if ``anywhere``), each next inside the last."""
+    scope = ast.walk(node) if anywhere else ast.iter_child_nodes(node)
+    return any(
+        isinstance(child, (ast.ClassDef, ast.FunctionDef))
+        and child.name == names[0]
+        and (len(names) == 1 or _defines(child, names[1:], False))
+        for child in scope
+    )
+
+
+class TestDocsCiteRealTests:
+    def test_every_cited_test_file_exists(self):
+        citations = _citations()
+        assert citations, "the citation pattern no longer matches"
+        missing = sorted(
+            {
+                f"{document}: {cited}"
+                for document, cited, _, _ in citations
+                if not os.path.exists(os.path.join(ROOT, cited))
+            }
+        )
+        assert not missing, missing
+
+    def test_every_cited_test_exists(self):
+        missing = []
+        qualified = [citation for citation in _citations() if citation[2]]
+        assert qualified, "no ::-qualified citation found"
+        for document, cited, names, relative in qualified:
+            path = os.path.join(ROOT, cited)
+            if not os.path.exists(path):
+                continue  # reported by the file test
+            with open(path, encoding="utf-8") as stream:
+                tree = ast.parse(stream.read())
+            if not _defines(tree, names, relative):
+                missing.append(f"{document}: {cited}::{'::'.join(names)}")
+        assert not missing, missing
