@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import io
 from array import array
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -37,16 +38,49 @@ _WRITE = 1
 _READ = 0
 
 
+def _frozen(ints) -> "memoryview | tuple":
+    """``ints`` (a re-iterable) as an immutable sequence: a read-only view
+    of an ``array('q')``, or a tuple where a value does not fit int64."""
+    try:
+        return memoryview(array("q", ints)).toreadonly()
+    except OverflowError:  # block numbers near 2**63
+        return tuple(ints)
+
+
+def _key_counts(fold, block_size):
+    """``(keys, counts)``: references per ``(node, block, op)`` key of a
+    folded window, keys in first-occurrence order.
+
+    One C-speed count of the folded values, regrouped over the distinct
+    ones (at most ``block_size`` per key) by dropping the offset.
+    """
+    counts: dict[int, int] = {}
+    for folded, count in Counter(fold).items():
+        key = folded // block_size
+        counts[key] = counts.get(key, 0) + count
+    return _frozen(counts), _frozen(counts.values())
+
+
+def _last_rows(fold):
+    """``(values, rows)``: the distinct folded values of a window in
+    last-occurrence order, each with the row it occurs at last."""
+    last = dict(zip(fold, range(len(fold))))
+    values = sorted(last, key=last.__getitem__)
+    return _frozen(values), _frozen([last[value] for value in values])
+
+
 class CompiledTrace:
     """A reference stream as five parallel ``array('q')`` columns.
 
     The columns are **immutable once the trace is constructed** (build a
-    new trace instead).  Two facts rely on it, each established at most
-    once and shared with every contiguous slice: the bounds proof
-    (:meth:`fits` -- the constructor validated, or the generator's own
-    checks bound every row, so a replay need not look at a row's bounds
-    again) and the folded column (:meth:`folded`, handed over by the
-    generators for their declared geometry).
+    new trace instead).  Three facts rely on it, each established at most
+    once on the root and shared with every contiguous slice: the bounds
+    proof (:meth:`fits` -- the constructor validated, or the generator's
+    own checks bound every row, so a replay need not look at a row's
+    bounds again), the folded column (:meth:`folded`, handed over by the
+    generators for their declared geometry) and the statistics of the
+    column's windows that a replay asked for (:meth:`_window` -- counted
+    once per window, read by every cell that replays the trace).
     """
 
     __slots__ = (
@@ -61,6 +95,7 @@ class CompiledTrace:
         "_root",
         "_start",
         "_fold",
+        "_windows",
     )
 
     def __init__(
@@ -88,6 +123,9 @@ class CompiledTrace:
         self._start = 0
         #: ``((n_nodes, block_size_words), column)``, on a root only.
         self._fold: tuple | None = None
+        #: ``(start, stop, last)`` -> that window's statistics of the
+        #: column in ``_fold``; emptied whenever ``_fold`` is rebuilt.
+        self._windows: dict[tuple, tuple] = {}
         if validate:
             self.validate()
         #: Whether these rows (or a superset) are known to be in bounds.
@@ -183,13 +221,38 @@ class CompiledTrace:
         such a system.  It is built on first use (unless the trace's maker
         handed it over, see :meth:`_with_fold`), kept on the root and
         shared by every contiguous slice (whose rows start at ``start``);
-        asking for another geometry rebuilds it.
+        asking for another geometry rebuilds it and drops the statistics
+        of the old one's windows.
         """
         root = self._root or self
         geometry = (n_nodes, block_size_words)
         if root._fold is None or root._fold[0] != geometry:
             root._fold = (geometry, root._build_fold(*geometry))
+            root._windows = {}
         return root._fold[1], self._start
+
+    def _window(self, start: int, stop: int, last: bool = False):
+        """One window's statistics of the folded column :meth:`folded`
+        last returned, and whether this call counted them.
+
+        ``start`` and ``stop`` are rows of the root.  The statistics are
+        :func:`_key_counts` of the window, or :func:`_last_rows` with
+        ``last``; both are immutable, counted on the first request and
+        kept on the root, so every slice and every cell that replays the
+        trace reads the one copy.  Kept, they hold at most four int64s
+        per row of the window (four times its fold), plus a few hundred
+        bytes of headers, however many distinct values the window has.
+        """
+        root = self._root or self
+        window = (start, stop, last)
+        kept = root._windows.get(window)
+        if kept is not None:
+            return kept, False
+        (_, block_size), column = root._fold
+        fold = column[start:stop]
+        kept = _last_rows(fold) if last else _key_counts(fold, block_size)
+        root._windows[window] = kept
+        return kept, True
 
     @classmethod
     def _with_fold(cls, *columns, fold, proven: bool) -> "CompiledTrace":

@@ -34,20 +34,22 @@ pays no Python-level dispatch per reference.  What depends on the
 *trace* alone the trace computes once, for every slice and every cell
 that replays it: the proof that its rows fit the system
 (``CompiledTrace.fits``; an unproven trace has each chunk's bounds
-tested here) and one folded column, ``((block * N + node) * 2 + op) * B
-+ offset`` per reference (``CompiledTrace.folded``).  A chunk of that
-column is counted by distinct value in one C-speed pass, regrouped to
-its ``(node, block, op)`` keys, and the record behind each key is
+tested here), one folded column, ``((block * N + node) * 2 + op) * B +
+offset`` per reference (``CompiledTrace.folded``), and two statistics
+of each window of that column a replay meets
+(``CompiledTrace._window``): the references per ``(node, block, op)``
+key, counted by distinct value in one C-speed pass and regrouped, and
+where each distinct value occurs last.  The record behind each key is
 validated *once per chunk*.  A validated chunk then executes without
 touching Python per reference again:
 
-* reference counts per record come from that :class:`collections.Counter`
-  pass, and identical per-hit ledger/Stats deltas are accumulated as plain
+* reference counts per record come from the first statistic, and
+  identical per-hit ledger/Stats deltas are accumulated as plain
   integers and flushed once at the end of the replay;
-* a second pass finds where each distinct value occurs last.
-  Replacement-policy touches collapse to one per value, in that order --
-  for a recency policy the final per-set order depends only on each way's
-  *last* touch, and that one is among them, so this is exact;
+* replacement-policy touches collapse to one per distinct value, in
+  last-occurrence order (the second statistic) -- for a recency policy
+  the final per-set order depends only on each way's *last* touch, and
+  that one is among them, so this is exact;
 * data-word stores collapse to the value at a write's last position
   (``divmod`` by ``B`` gives key and word back) -- earlier values are
   never observed, because hits do not read data words and value
@@ -77,8 +79,16 @@ The reference at the cut goes to the engine's one slow loop
 row in the whole trace).  After progress that is one reference.  A cut
 at row 0 -- a churning phase, an unproven chunk out of bounds, a policy
 that folds nothing -- hands over ``MIN_CHUNK`` references and halves the
-chunk size, which doubles on clean chunks up to a cap so a steady-state phase
-amortises validation over thousands of references.
+chunk size, which doubles on clean chunks up to ``MAX_CHUNK`` so a
+steady-state phase amortises validation over thousands of references.
+
+**Aligned windows.**  The chunk schedule depends on position alone: a
+chunk of size C covers the window of the root's rows from a multiple of
+C to the next, C doubles only at a multiple of 2C, and a replay that
+starts or resumes in mid-window runs to the window's end first.  So two
+protocols, or a warm-up split and the whole trace, meet the same windows
+and read their statistics off the trace; only a cut's prefix and the
+rest of its window are counted by the replay that cut them.
 
 Nothing inside a clean run can invalidate its own validation: every
 executed reference is a hit, hits send no un-memoised messages, never
@@ -96,12 +106,13 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from operator import itemgetter, or_
+from operator import or_
 from typing import TYPE_CHECKING
 
 from repro.cache.state import Mode
 from repro.protocol.messages import MsgKind
 from repro.sim import stats as ev
+from repro.sim.ctrace import _key_counts, _last_rows
 from repro.sim.engine import _replay_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
@@ -109,7 +120,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
     from repro.sim.ctrace import CompiledTrace
 
 #: Chunk-size bounds.  The kernel starts small (cheap warmup misses),
-#: doubles on every clean chunk and halves back on every cut at row 0,
+#: doubles after a clean chunk that ends at a multiple of twice its size
+#: (never past ``MAX_CHUNK``) and halves back on every cut at row 0,
 #: which hands the slow loop ``MIN_CHUNK`` references.
 MIN_CHUNK = 64
 MAX_CHUNK = 8192
@@ -134,26 +146,12 @@ def _block_view(ops, nodes, rows, owner, mode):
     return ops, map(or_, ops, map(owner.__eq__, nodes))
 
 
-def _key_counts(fold, block_size):
-    """References per ``(node, block, op)`` key of a folded chunk.
-
-    One C-speed count of the folded values, regrouped over the distinct
-    ones (at most ``block_size`` per key) by dropping the offset.  Keys
-    come in first-occurrence order.
-    """
-    counts: dict[int, int] = {}
-    for folded, count in Counter(fold).items():
-        key = folded // block_size
-        counts[key] = counts.get(key, 0) + count
-    return counts
-
-
-def _first_row(fold, key, block_size):
-    """The row of ``key``'s first reference in a folded chunk."""
-    row = len(fold)
+def _first_row(fold, start, stop, key, block_size):
+    """The row of ``key``'s first reference in ``fold[start:stop]``."""
+    row = stop
     for folded in range(key * block_size, (key + 1) * block_size):
         try:
-            row = fold.index(folded, 0, row)
+            row = fold.index(folded, start, row)
         except ValueError:
             pass
     return row
@@ -170,7 +168,11 @@ class BatchedKernel:
     slow loop, across all :meth:`replay` calls -- the observability hook
     for benchmarks and the eligibility tests.  ``fallback_reasons``
     counts the slow-loop runs by what cut the chunk: ``bounds``,
-    ``miss`` or ``policy_switch``.
+    ``miss`` or ``policy_switch``.  ``counted_refs`` counts the
+    references whose window statistics the kernel counted itself (a
+    window's first replay, a cut's prefix, the rest of a window after a
+    cut) and ``shared_refs`` those whose statistics it read from the
+    trace, counted by an earlier replay.
 
     The protocol owns its kernel, whose records last from warm-up into
     the measured replay; the kernel reaches the protocol through a weak
@@ -185,6 +187,8 @@ class BatchedKernel:
         "batched_refs",
         "fallback_refs",
         "fallback_reasons",
+        "counted_refs",
+        "shared_refs",
     )
 
     def __init__(self, protocol: "StenstromProtocol") -> None:
@@ -194,6 +198,8 @@ class BatchedKernel:
         self.batched_refs = 0
         self.fallback_refs = 0
         self.fallback_reasons: Counter[str] = Counter()
+        self.counted_refs = 0
+        self.shared_refs = 0
 
     @property
     def hits(self) -> int:
@@ -352,12 +358,21 @@ class BatchedKernel:
         fast_write_hits = 0
         gr_pending: dict[int, list] = {}
         dw_pending: dict[int, list] = {}
+        n_counted = n_shared = 0
         chunk = MIN_CHUNK
         i = 0
         try:
             while i < n:
-                j = min(i + chunk, n)
+                # The window runs to the next multiple of ``chunk`` in the
+                # root's rows (or to this trace's end), so every replay of
+                # the root meets the same windows and reads their
+                # statistics from the trace.  The rest of a window after a
+                # cut is this replay's own, counted here.
+                start = base + i
+                j = min(start - start % chunk + chunk - base, n)
                 run = j - i
+                stop = base + j
+                shareable = not (i and start % chunk)
                 reason = None
                 if not proven:
                     nodes = nodes_col[i:j]
@@ -378,9 +393,16 @@ class BatchedKernel:
                     pepoch = protocol.present_epoch
                     # What the policy needs per block: (owner, mode, sharers).
                     owners: dict[int, tuple] = {}
-                    fold = fold_col[base + i : base + j]
-                    counts = _key_counts(fold, block_size)
-                    for key in counts:
+                    if shareable:
+                        counts, fresh = trace._window(start, stop)
+                    else:
+                        counts = _key_counts(fold_col[start:stop], block_size)
+                        fresh = True
+                    if fresh:
+                        n_counted += run
+                    else:
+                        n_shared += run
+                    for key in counts[0]:
                         records = writes if key & 1 else reads
                         record = records.get(key >> 1)
                         for rebuilt in (False, True):
@@ -429,7 +451,9 @@ class BatchedKernel:
                                 register_read(node, block)
                             record = records.get(key >> 1)
                         if not live:
-                            run = _first_row(fold, key, block_size)
+                            run = _first_row(
+                                fold_col, start, stop, key, block_size
+                            ) - start
                             reason = "miss"
                             break
                         if policy is not None:
@@ -476,12 +500,19 @@ class BatchedKernel:
                             )
                 if run:
                     if run < j - i:
-                        fold = fold[:run]
+                        # A cut's prefix: this replay's own statistics.
+                        fold = fold_col[start : start + run]
                         counts = _key_counts(fold, block_size)
+                        last = _last_rows(fold)
+                        n_counted += run
+                    elif shareable:
+                        last = trace._window(start, stop, last=True)[0]
+                    else:
+                        last = _last_rows(fold_col[start:stop])
                     # Clean run: every reference is a hit of a validated
                     # record and nothing below can invalidate one.
                     chunk_writes = 0
-                    for key, count in counts.items():
+                    for key, count in zip(*counts):
                         if key & 1:
                             chunk_writes += count
                             record = writes[key >> 1]
@@ -504,8 +535,7 @@ class BatchedKernel:
                     # Per distinct (key, offset), in last-occurrence
                     # order: one touch and, for a write, the last value
                     # stored (exactness: the module docstring).
-                    last = dict(zip(fold, range(run)))
-                    for folded, at in sorted(last.items(), key=itemgetter(1)):
+                    for folded, at in zip(*last):
                         key, offset = divmod(folded, block_size)
                         if key & 1:
                             record = writes[key >> 1]
@@ -522,8 +552,10 @@ class BatchedKernel:
                     batched += run
                     i += run
                 if reason is None:
-                    if chunk < MAX_CHUNK:
-                        chunk <<= 1
+                    # Doubled only at a multiple of the doubled size, so
+                    # the next window is aligned too; never past the cap.
+                    if chunk < MAX_CHUNK and (base + i) % (chunk << 1) == 0:
+                        chunk = min(chunk << 1, MAX_CHUNK)
                     continue
                 # The slow loop takes the reference at the cut (and
                 # reports a malformed row by its index in the whole trace).
@@ -552,6 +584,8 @@ class BatchedKernel:
             )
             self.batched_refs += batched
             self.fallback_refs += fallback
+            self.counted_refs += n_counted
+            self.shared_refs += n_shared
         return n_reads, n_writes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -214,6 +214,81 @@ class TestProofAndFold:
         huge = CompiledTrace(*columns((1, 1, 2**62, 1, 7)), 4, 2)
         column, _ = huge.folded(4, 2)
         assert list(column) == _fold(huge, 4, 2)
+        (keys, counts), _ = huge._window(0, 1)
+        assert list(keys) == [column[0] // 2] and list(counts) == [1]
+
+
+def _window_statistics(fold, block_size):
+    """What a window's two statistics hold, by definition."""
+    counts = {}
+    last = {}
+    for row, value in enumerate(fold):
+        key = value // block_size
+        counts[key] = counts.get(key, 0) + 1
+        last.pop(value, None)
+        last[value] = row
+    return (
+        (list(counts), list(counts.values())),
+        (list(last), list(last.values())),
+    )
+
+
+class TestWindowStatistics:
+    """A window of the folded column is counted once, on the root."""
+
+    def _root(self):
+        return CompiledTrace(
+            *columns(
+                *(
+                    (row % 3, row % 2, row // 5, row % 4, row)
+                    for row in range(40)
+                )
+            ),
+            4,
+            4,
+        )
+
+    def test_statistics_match_their_definition(self):
+        root = self._root()
+        column, _ = root.folded(4, 4)
+        for start, stop in ((0, 40), (3, 17), (39, 40)):
+            counts, fresh = root._window(start, stop)
+            last, _ = root._window(start, stop, last=True)
+            assert fresh
+            assert (
+                (list(counts[0]), list(counts[1])),
+                (list(last[0]), list(last[1])),
+            ) == _window_statistics(column[start:stop], 4)
+
+    def test_every_slice_reads_the_roots_copy(self):
+        root = self._root()
+        root.folded(4, 4)
+        counts, fresh = root[5:30]._window(8, 16)
+        assert fresh
+        for piece in (root, root[8:], root[2:20][3:]):
+            again, fresh = piece._window(8, 16)
+            assert again is counts and not fresh
+        # A window is its (start, stop): another stop is another window.
+        assert root._window(8, 15)[1]
+
+    def test_statistics_are_immutable(self):
+        root = self._root()
+        root.folded(4, 4)
+        for last in (False, True):
+            for sequence in root._window(0, 10, last=last)[0]:
+                with pytest.raises(TypeError):
+                    sequence[0] = 0
+
+    def test_a_refold_drops_them(self):
+        root = self._root()
+        root.folded(4, 4)
+        first, _ = root._window(0, 10)
+        root.folded(4, 4)
+        assert root._window(0, 10) == (first, False)
+        column, _ = root.folded(8, 4)
+        counts, fresh = root._window(0, 10)
+        assert fresh and counts is not first
+        assert list(counts[0]) == _window_statistics(column[:10], 4)[0][0]
 
 
 class TestValidation:

@@ -12,7 +12,9 @@ policies).
 """
 
 import gc
+import random
 import sys
+import tracemalloc
 from array import array
 from collections import Counter
 
@@ -34,8 +36,9 @@ from repro.protocol.modes import (
 )
 from repro.protocol.stenstrom import StenstromProtocol
 from repro.runner import Executor, SweepSpec, WorkloadSpec
+from repro.sim import ctrace as ctrace_module
 from repro.sim import kernel as kernel_module
-from repro.sim.ctrace import CompiledTrace
+from repro.sim.ctrace import CompiledTrace, CompiledTraceBuilder
 from repro.sim.engine import run_trace
 from repro.sim.kernel import BatchedKernel
 from repro.sim.system import System, SystemConfig
@@ -590,13 +593,16 @@ class TestFoldedColumn:
         # The column's arithmetic depends on the system's (N, B): a second
         # system must not read the first one's.  The generator handed the
         # trace over folded for (16, 4), so only the other systems fold.
+        # The statistics of the old column's windows go with it: each
+        # geometry's first replay counts every window, its second reads.
         n_nodes = 16
         make = _workloads(n_nodes)["markov_block"]
         trace = make(True)
         geometries = [(16, 4), (32, 8), (16, 4)]
         for n, block_size_words in geometries:
             reports = []
-            for references in (trace, make(False).references):
+            kernels = []
+            for references in (trace, trace, make(False).references):
                 _, protocol = build(
                     n_nodes=n, block_size_words=block_size_words
                 )
@@ -609,9 +615,14 @@ class TestFoldedColumn:
                     ).to_dict()
                 )
                 if references is trace:
+                    kernel = protocol.batched_kernel()
                     # A stale column would decode to unknown keys.
-                    assert protocol.batched_kernel().batched_refs > 300
-            assert reports[0] == reports[1]
+                    assert kernel.batched_refs > 300
+                    kernels.append((kernel.counted_refs, kernel.shared_refs))
+            assert reports[0] == reports[1] == reports[2]
+            (counted, first_shared), (_, second_shared) = kernels
+            assert first_shared == 0 < counted
+            assert second_shared > 0
         assert fold_builds == [(len(trace), 32, 8), (len(trace), 16, 4)]
 
     @pytest.mark.parametrize("warmup", [0, 150])
@@ -635,6 +646,117 @@ class TestFoldedColumn:
         # Folded once, in the generator's draw loop: no cell folds again.
         assert fold_builds == []
 
+    @pytest.mark.parametrize("warmup", [0, 150])
+    def test_a_protocol_sweep_counts_each_window_once(
+        self, monkeypatch, warmup
+    ):
+        # The first cell counts every row once; the others read its
+        # windows off the shared trace and count only what their own cuts
+        # leave: a cut's prefix and the rest of its window.  (The two-mode
+        # cell is cut 34 times, by misses and by its policy.)
+        kernels = []
+        init = BatchedKernel.__init__
+
+        def recording_init(kernel, protocol):
+            init(kernel, protocol)
+            kernels.append(kernel)
+
+        monkeypatch.setattr(BatchedKernel, "__init__", recording_init)
+        sweep = SweepSpec.from_grid(
+            "one-workload",
+            protocols=["distributed-write", "global-read", "two-mode"],
+            workloads=[
+                WorkloadSpec(
+                    kind="markov", n_nodes=16, n_references=6000,
+                    write_fraction=0.3, seed=5, tasks=tuple(range(8)),
+                )
+            ],
+            configs=[SystemConfig(n_nodes=16)],
+            warmup=warmup,
+        )
+        results = Executor(workers=0).run(sweep)
+        assert not any(result.failed for result in results)
+        counters = [
+            (kernel.counted_refs, kernel.shared_refs) for kernel in kernels
+        ]
+        assert counters == {
+            0: [(6000, 0), (0, 6000), (11127, 1024)],
+            150: [(6000, 0), (0, 6000), (10359, 1024)],
+        }[warmup]
+
+    def test_kept_statistics_stay_within_four_times_the_fold(self):
+        # A window's statistics hold at most four int64s per row (keys,
+        # counts, distinct values, last rows), so a trace that keeps them
+        # costs at most four times its folded column, however many
+        # distinct values its clean windows hold -- here every word of
+        # 128 private blocks per node, each read once per round.
+        n_nodes, n_blocks, block_size = 16, 128, 4
+        builder = CompiledTraceBuilder(n_nodes, block_size)
+        words = [
+            (node, node * n_blocks + block, offset)
+            for node in range(n_nodes)
+            for block in range(n_blocks)
+            for offset in range(block_size)
+        ]
+        for node, block, offset in words[::block_size]:
+            builder.read(node, block, offset)
+        warm = len(words) // block_size
+        rng = random.Random(3)
+        for _ in range(2):
+            rng.shuffle(words)
+            for word in words:
+                builder.read(*word)
+        trace = builder.build()
+        column, _ = trace.folded(n_nodes, block_size)
+        fold_bytes = column.itemsize * len(column)
+        ctrace_file = tracemalloc.Filter(True, ctrace_module.__file__)
+
+        def kept_bytes():
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot().filter_traces([ctrace_file])
+            return sum(stat.size for stat in snapshot.statistics("filename"))
+
+        tracemalloc.start()
+        try:
+            before = kept_bytes()
+            # Two cells on two schedules: the whole trace, and a warm-up
+            # split whose second piece starts in mid-window.
+            split = warm + 100
+            for name, pieces in (
+                ("distributed-write", [trace]),
+                ("global-read", [trace[:split], trace[split:]]),
+            ):
+                system = System(
+                    SystemConfig(
+                        n_nodes=n_nodes,
+                        block_size_words=block_size,
+                        cache_entries=n_blocks,
+                        associativity=1,
+                    )
+                )
+                protocol = default_factories()[name](system)
+                for piece in pieces:
+                    run_trace(
+                        protocol, piece, verify=False,
+                        check_invariants_every=0,
+                    )
+                # Only the cold reads miss: every window after them is
+                # clean.
+                kernel = protocol.batched_kernel()
+                assert kernel.fallback_refs == warm
+                del system, protocol, kernel
+            del pieces, piece  # a slice owns copies of its rows
+            kept = kept_bytes() - before
+        finally:
+            tracemalloc.stop()
+        distinct = rows = 0
+        for (start, stop, last), (values, _) in trace._windows.items():
+            if last:
+                distinct += len(values)
+                rows += stop - start
+        assert rows > len(trace) - 2 * warm and distinct > 0.75 * rows
+        assert 0 < kept <= 4 * fold_bytes
+
     def test_clean_chunks_do_no_work_per_reference(self):
         # The alarm for Python work creeping back into a clean chunk,
         # independent of the host: count profile events (Python calls and
@@ -645,10 +767,18 @@ class TestFoldedColumn:
         # than one event per added reference.  (Counts repeat exactly,
         # rates do not; a loop that calls nothing raises no event, so
         # this complements bench-smoke's share check, not replaces it.)
+        # The repeat replays a fresh trace of the same rows: the first
+        # trace keeps the statistics of every window it counted, and a
+        # slice it already counted is replayed without counting at all.
         n_nodes, tasks, warm, n = 1024, range(0, 1024, 16), 20_000, 30_000
-        trace = markov_block_trace(
-            n_nodes, list(tasks), 0.3, warm + 3 * n, seed=11, compiled=True
-        )
+
+        def make():
+            return markov_block_trace(
+                n_nodes, list(tasks), 0.3, warm + 3 * n, seed=11,
+                compiled=True,
+            )
+
+        trace = make()
         system = System(
             SystemConfig(
                 n_nodes=n_nodes,
@@ -688,7 +818,8 @@ class TestFoldedColumn:
 
         small = events_and_chunks(trace[warm : warm + n])
         large = events_and_chunks(trace[warm + n :])
-        assert events_and_chunks(trace[warm : warm + n]) == small
+        assert events_and_chunks(make()[warm : warm + n]) == small
+        assert events_and_chunks(trace[warm : warm + n])[1] == 0
         per_chunk = 6 * len(tasks) * 2 * trace.block_size_words
         assert small[0] <= per_chunk * small[1]
         assert large[1] > small[1]

@@ -25,6 +25,7 @@ from repro.protocol.modes import (
     ModePolicy,
     OracleModePolicy,
 )
+from repro.sim import ctrace as ctrace_module
 from repro.sim import kernel as kernel_module
 from repro.sim.engine import run_trace
 from repro.sim.trace import Trace
@@ -34,7 +35,7 @@ from repro.workloads.synthetic import random_trace
 
 from tests.protocol.conftest import build
 from tests.sim.test_kernel import _workloads, fold_builds  # noqa: F401
-from tests.sim.test_link_ledger import arrays
+from tests.sim.test_link_ledger import arrays, in_order
 
 POLICIES = pytest.mark.parametrize(
     "policy_cls",
@@ -189,8 +190,8 @@ class TestThreeWayEquivalence:
         self, name, policy_cls, monkeypatch
     ):
         # A chunk's rows are regrouped per block by one ``enumerate`` over
-        # it, not by a scan per block: hook the two names the kernel
-        # looks up and compare walks against chunks keyed.
+        # it, not by a scan per block: hook the two names the kernel's
+        # chunks look up and compare walks against windows counted.
         n_nodes = 16
         walks = []
         keyed = []
@@ -207,8 +208,9 @@ class TestThreeWayEquivalence:
         monkeypatch.setattr(
             kernel_module, "enumerate", counting_enumerate, raising=False
         )
-        monkeypatch.setattr(kernel_module, "Counter", CountingCounter)
+        monkeypatch.setattr(ctrace_module, "Counter", CountingCounter)
         tasks = list(range(6))
+        bounds = [(kernel_module.MIN_CHUNK, kernel_module.MAX_CHUNK)]
         if name == "owned_blocks":
             make = lambda compiled: _owned_blocks_trace(n_nodes, compiled)
         elif name == "shared_structure":
@@ -217,21 +219,25 @@ class TestThreeWayEquivalence:
             )
         else:
             # Any node may write any block: ownership moves too often
-            # for a 64-row chunk to validate, so grow them from one row.
+            # for a 64-row chunk to validate, so grow them from one row
+            # -- to a cap that doubling from 1 or from 3 would pass.
             make = lambda compiled: random_trace(
                 n_nodes, 3000, write_fraction=0.05, nodes=tasks[:4],
                 seed=9, compiled=compiled,
             )
-            monkeypatch.setattr(kernel_module, "MIN_CHUNK", 1)
-            monkeypatch.setattr(kernel_module, "MAX_CHUNK", 16)
-        protocol = _three_ways(
-            make, lambda: policy_cls(32), n_nodes, cache_entries=64
-        )
-        kernel = protocol.batched_kernel()
-        assert kernel.batched_refs > 1000
-        # (One Counter() is the kernel's own reasons ledger.)
-        assert 0 < len(walks) < len(keyed)
-        assert max(walks) <= kernel_module.MAX_CHUNK
+            bounds = [(1, 16), (1, 3), (3, 16)]
+        for low, high in bounds:
+            walks.clear()
+            keyed.clear()
+            monkeypatch.setattr(kernel_module, "MIN_CHUNK", low)
+            monkeypatch.setattr(kernel_module, "MAX_CHUNK", high)
+            protocol = _three_ways(
+                make, lambda: policy_cls(32), n_nodes, cache_entries=64
+            )
+            kernel = protocol.batched_kernel()
+            assert kernel.batched_refs > 1000
+            assert 0 < len(walks) < len(keyed)
+            assert max(walks) <= high
         if name == "owned_blocks":
             # Every switch retires every record (one epoch for all
             # blocks), so eight blocks switching in turn batch far less
@@ -335,6 +341,99 @@ class TestAdversarialChunking:
 
         protocol = _three_ways(make, lambda: policy_cls(3), n_nodes)
         assert protocol.stats.events["mode_switches"] > 10
+
+
+def _cache_states(system):
+    """Every cache line's tag, state field and words, and each set's
+    replacement order, cache by cache."""
+    states = []
+    for cache in system.caches:
+        lines = [
+            (
+                entry.tag,
+                entry.state_field.valid,
+                entry.state_field.owned,
+                entry.state_field.modified,
+                entry.state_field.distributed_write,
+                sorted(entry.state_field.present),
+                entry.state_field.owner,
+                list(entry.data),
+            )
+            for entry in cache.iter_entries()
+        ]
+        order = getattr(cache.policy, "_order", ())
+        states.append((lines, [list(ways or ()) for ways in order]))
+    return states
+
+
+#: The cells of one protocol grid: what each builds its protocol with.
+GRID = {
+    "distributed-write": lambda window: {
+        "default_mode": Mode.DISTRIBUTED_WRITE
+    },
+    "global-read": lambda window: {},
+    "oracle": lambda window: {"mode_policy": OracleModePolicy(window)},
+    "adaptive": lambda window: {"mode_policy": AdaptiveModePolicy(window)},
+}
+
+
+class TestSharedWindowStatistics:
+    """The cells of a grid read each window's statistics off the trace.
+
+    Every cell replaying one trace reads the statistics the first cell
+    counted; each must end exactly where it ends replaying a private
+    copy of the trace, which it counts for itself.
+    """
+
+    @ALL_VIEWS
+    @pytest.mark.parametrize(
+        "bounds",
+        [None, (1, 1), (3, 3), (1, 3), "window-1", "window+1"],
+        ids=str,
+    )
+    @pytest.mark.parametrize("name", ["markov_block", "shared_structure"])
+    def test_a_shared_trace_replays_as_a_private_copy(
+        self, name, bounds, view, monkeypatch
+    ):
+        window = 32
+        if bounds == "window-1":
+            bounds = (window - 1,) * 2
+        elif bounds == "window+1":
+            bounds = (window + 1,) * 2
+        if bounds is not None:
+            monkeypatch.setattr(kernel_module, "MIN_CHUNK", bounds[0])
+            monkeypatch.setattr(kernel_module, "MAX_CHUNK", bounds[1])
+        n_nodes = 16
+        make = _workloads(n_nodes)[name]
+        shared = make(True)
+
+        def replay(cell, trace):
+            system, protocol = build(
+                n_nodes=n_nodes, block_size_words=4, **GRID[cell](window)
+            )
+            for piece in VIEWS[view](trace):
+                run_trace(
+                    protocol, piece, verify=False, check_invariants_every=0
+                )
+            observed = (
+                in_order(protocol.stats),
+                arrays(system.network),
+                system.network.bits_by_level(),
+                _cache_states(system),
+            )
+            return observed, protocol.batched_kernel()
+
+        read_from_trace = 0
+        for index, cell in enumerate(GRID):
+            observed, kernel = replay(cell, shared)
+            private, own = replay(cell, make(True))
+            assert observed == private
+            assert own.shared_refs == 0
+            if index:
+                read_from_trace += kernel.shared_refs
+            else:
+                assert kernel.shared_refs == 0
+        assert read_from_trace > 0
 
 
 def test_default_mode_and_counting_policy_cover_both_modes():
