@@ -16,16 +16,16 @@ from repro.protocol.modes import (
     StaticModePolicy,
 )
 from repro.protocol.stenstrom import StenstromProtocol
+from repro.sim.ctrace import CompiledTrace
 from repro.sim.engine import run_trace
 from repro.sim.system import System, SystemConfig
-from repro.sim.trace import Trace
 from repro.workloads.markov import markov_block_trace
 
 N_NODES = 16
 TASKS = list(range(8))
 
 
-def _trace() -> Trace:
+def _trace() -> CompiledTrace:
     read_mostly = markov_block_trace(
         N_NODES, TASKS, write_fraction=0.03, n_references=2000,
         block=0, seed=7,
@@ -34,7 +34,7 @@ def _trace() -> Trace:
         N_NODES, TASKS, write_fraction=0.8, n_references=2000,
         block=1, seed=8,
     )
-    return Trace.interleave([read_mostly, write_heavy])
+    return CompiledTrace.interleave([read_mostly, write_heavy])
 
 
 TRACE = _trace()

@@ -31,7 +31,7 @@ TASKS = list(range(8))
 
 
 def _trace():
-    from repro.sim.trace import Trace
+    from repro.sim.ctrace import CompiledTrace
 
     read_mostly = markov_block_trace(
         N_NODES, TASKS, 0.03, 2000, block=0, seed=61
@@ -39,7 +39,7 @@ def _trace():
     write_heavy = markov_block_trace(
         N_NODES, TASKS, 0.85, 2000, block=1, seed=62
     )
-    return Trace.interleave([read_mostly, write_heavy])
+    return CompiledTrace.interleave([read_mostly, write_heavy])
 
 
 def test_compiler_vs_hardware_mode_selection(benchmark):

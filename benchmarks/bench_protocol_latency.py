@@ -31,7 +31,7 @@ def test_protocol_latency(benchmark):
                 seed=21,
             )
             results[w] = latency_comparison(
-                trace.references,
+                trace,
                 SystemConfig(n_nodes=N_NODES),
                 default_factories(),
             )

@@ -34,6 +34,7 @@ from repro.protocol.modes import (
     StaticModePolicy,
 )
 from repro.protocol.stenstrom import StenstromProtocol
+from repro.sim.ctrace import CompiledTrace
 from repro.sim.engine import run_trace
 from repro.sim.system import System, SystemConfig
 from repro.workloads import markov_block_trace
@@ -48,13 +49,14 @@ PHASES = (
 
 
 def phase_trace():
-    references = []
-    for index, (_, write_fraction, length) in enumerate(PHASES):
-        phase = markov_block_trace(
-            N_NODES, TASKS, write_fraction, length, seed=index + 1
-        )
-        references.extend(phase.references)
-    return references
+    return CompiledTrace.concatenate(
+        [
+            markov_block_trace(
+                N_NODES, TASKS, write_fraction, length, seed=index + 1
+            )
+            for index, (_, write_fraction, length) in enumerate(PHASES)
+        ]
+    )
 
 
 def run(policy_name, policy):

@@ -34,7 +34,7 @@ Quickstart::
 
     system = System(SystemConfig(n_nodes=8))
     protocol = StenstromProtocol(system)
-    trace = markov_block_trace(
+    trace = markov_block_trace(  # a CompiledTrace, like every generator's
         8, tasks=range(4), write_fraction=0.1, n_references=500
     )
     report = run_trace(protocol, trace)
@@ -77,6 +77,7 @@ from repro.protocol import (
     write_fraction_threshold,
 )
 from repro.sim import (
+    CompiledTrace,
     SimulationReport,
     System,
     SystemConfig,
@@ -97,6 +98,7 @@ __all__ = [
     "CacheState",
     "CoherenceError",
     "CoherenceProtocol",
+    "CompiledTrace",
     "ConfigurationError",
     "ExecutionError",
     "FaultInjectionError",

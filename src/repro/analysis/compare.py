@@ -26,9 +26,9 @@ from repro.protocol.modes import OracleModePolicy
 from repro.protocol.no_cache import NoCacheProtocol
 from repro.protocol.stenstrom import StenstromProtocol
 from repro.protocol.write_once import WriteOnceProtocol
+from repro.sim.ctrace import CompiledTrace
 from repro.sim.engine import SimulationReport, run_trace
 from repro.sim.system import System, SystemConfig
-from repro.sim.trace import Trace
 from repro.workloads.markov import markov_block_trace
 
 ProtocolFactory = Callable[[System], CoherenceProtocol]
@@ -91,7 +91,7 @@ class ProtocolComparison:
 
 
 def compare_protocols(
-    trace: Trace,
+    trace: CompiledTrace,
     config: SystemConfig,
     factories: Mapping[str, ProtocolFactory] | None = None,
     *,
@@ -161,13 +161,13 @@ def simulated_cost_curve(
             protocol = factory(system)
             run_trace(
                 protocol,
-                trace.references[:warmup],
+                trace[:warmup],
                 verify=False,
                 check_invariants_every=0,
             )
             report = run_trace(
                 protocol,
-                trace.references[warmup:],
+                trace[warmup:],
                 verify=False,
                 check_invariants_every=0,
             )

@@ -62,9 +62,11 @@ from repro.analysis.figures import (
     table4_data,
 )
 from repro.analysis.report import render_series
+from repro.errors import TraceError
+from repro.sim.ctrace import CompiledTrace
 from repro.sim.engine import run_trace
 from repro.sim.system import System, SystemConfig
-from repro.sim.trace import Trace, load_trace
+from repro.sim.trace import load_trace
 from repro.workloads.markov import markov_block_trace
 from repro.workloads.synthetic import random_trace
 
@@ -650,9 +652,19 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_trace(args: argparse.Namespace) -> Trace:
+def _make_trace(args: argparse.Namespace) -> CompiledTrace | None:
+    """The trace a workload command replays; ``None``, after one
+    ``error:`` line on stderr, when the ``--trace`` file cannot be read.
+    """
     if args.trace:
-        return load_trace(args.trace)
+        try:
+            return load_trace(args.trace)
+        except OSError as exc:
+            message = exc.strerror or exc
+        except TraceError as exc:
+            message = exc
+        print(f"error: {args.trace}: {message}", file=sys.stderr)
+        return None
     if args.workload == "markov":
         return markov_block_trace(
             args.nodes,
@@ -707,6 +719,8 @@ def _command_figures(args: argparse.Namespace) -> int:
 
 def _command_simulate(args: argparse.Namespace) -> int:
     trace = _make_trace(args)
+    if trace is None:
+        return 2
     config = SystemConfig(n_nodes=trace.n_nodes or args.nodes,
                           block_size_words=trace.block_size_words)
     factory = default_factories()[args.protocol]
@@ -718,6 +732,8 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
 def _command_compare(args: argparse.Namespace) -> int:
     trace = _make_trace(args)
+    if trace is None:
+        return 2
     config = SystemConfig(n_nodes=trace.n_nodes or args.nodes,
                           block_size_words=trace.block_size_words)
     comparison = compare_protocols(
@@ -733,11 +749,11 @@ def _command_latency(args: argparse.Namespace) -> int:
     from repro.analysis.report import render_table
 
     trace = _make_trace(args)
+    if trace is None:
+        return 2
     config = SystemConfig(n_nodes=trace.n_nodes or args.nodes,
                           block_size_words=trace.block_size_words)
-    reports = latency_comparison(
-        trace.references, config, default_factories()
-    )
+    reports = latency_comparison(trace, config, default_factories())
     rows = [
         (
             name,

@@ -11,11 +11,12 @@ Two entry points:
   up without further plumbing);
 * :func:`execute_spec_traced` is the traced twin of
   :func:`repro.runner.executor.execute_spec` -- the executor substitutes
-  it as the task body when built with ``trace_dir=...``.  It runs the
-  cell with a recorder attached and exports three artifacts named by the
-  spec hash: ``<hash>.trace.jsonl``, ``<hash>.chrome.json`` (Perfetto)
-  and ``<hash>.heatmap.json``.  It is a module-level function so it
-  survives pickling under the ``spawn`` start method.
+  it as the task body when built with ``trace_dir=...``.  It replays the
+  trace an untraced cell replays, with a recorder attached, and exports
+  three artifacts named by the spec hash: ``<hash>.trace.jsonl``,
+  ``<hash>.chrome.json`` (Perfetto) and ``<hash>.heatmap.json``.  It is
+  a module-level function so it survives pickling under the ``spawn``
+  start method.
 """
 
 from __future__ import annotations
@@ -46,21 +47,21 @@ def detach_recorder(protocol) -> None:
     protocol.recorder = None
 
 
-def execute_spec_traced(spec, trace_dir: str | Path):
+def execute_spec_traced(spec, trace_dir: str | Path, trace=None):
     """Run one cell with tracing on; export trace + heatmap artifacts.
 
     Same build-warmup-measure body as
-    :func:`~repro.runner.executor.execute_spec`, over the reference-list
-    form of the workload; the recorder is attached only to the measured
-    run, so the artifacts (and the metrics folded into the report)
-    describe exactly what the report's counters count.
+    :func:`~repro.runner.executor.execute_spec`, over the same trace: the
+    one ``spec.workload.build()`` returns, or ``trace`` when the
+    sequential executor shares one generation between a workload's
+    cells.  The recorder is attached only to the measured run, so the
+    artifacts (and the metrics folded into the report) describe exactly
+    what the report's counters count.
     """
     from repro.runner.executor import _run_cell
 
     recorder = TraceRecorder()
-    report, system = _run_cell(
-        spec, spec.workload.build().references, recorder
-    )
+    report, system = _run_cell(spec, trace, recorder)
     trace_dir = Path(trace_dir)
     trace_dir.mkdir(parents=True, exist_ok=True)
     stem = spec.spec_hash[:_HASH_PREFIX]
@@ -78,9 +79,8 @@ def execute_spec_with_heatmaps(spec):
     """Run one cell in-process; return ``(report, heatmaps-dict)``.
 
     Same build-warmup-measure body as
-    :func:`~repro.runner.executor.execute_spec` (compiled traces
-    included, unlike the traced twin above -- no recorder is attached,
-    so the fast paths stay eligible), plus a
+    :func:`~repro.runner.executor.execute_spec` (no recorder is
+    attached, so the batched kernel stays eligible), plus a
     :func:`~repro.obs.heatmap.network_heatmaps` snapshot of the
     network the measured run just drove.  The serve daemon's
     ``--stream-artifacts`` mode uses this as the task body so every

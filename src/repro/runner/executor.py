@@ -88,25 +88,13 @@ PERMANENT_ERROR_CLASSES = frozenset(
 )
 
 
-def _build_trace(spec: ExperimentSpec):
-    """The replayable form of ``spec``'s workload, freshly generated.
-
-    Both forms slice and replay to bit-identical reports; the compiled
-    default takes the columnar loop (and, where the protocol offers one,
-    its stable-state fast path -- see docs/PERF.md).
-    """
-    if spec.compiled:
-        return spec.workload.build_compiled()
-    return spec.workload.build().references
-
-
 def _run_cell(spec: ExperimentSpec, trace=None, recorder=None):
     """Build the machine, warm it up, measure: ``(report, system)``.
 
     The one cell body behind :func:`execute_spec` and its two twins in
     :mod:`repro.obs.hooks`.  ``trace``, when given, is replayed instead
-    of a fresh :func:`_build_trace`, never modified; ``recorder``, when
-    given, watches the measured run only.
+    of a fresh ``spec.workload.build()``, never modified; ``recorder``,
+    when given, watches the measured run only.
     """
     from repro.analysis.compare import default_factories
 
@@ -119,16 +107,23 @@ def _run_cell(spec: ExperimentSpec, trace=None, recorder=None):
     system = System(spec.config, fault_plan=spec.fault_plan)
     protocol = factories[spec.protocol](system)
     if trace is None:
-        trace = _build_trace(spec)
+        trace = spec.workload.build()
+
+    def replay(rows, **checks):
+        # compiled=False hands the rows over as a plain iterable, which
+        # run_trace replays on its checked slow loop, never the kernel.
+        return run_trace(
+            protocol, rows if spec.compiled else iter(rows), **checks
+        )
+
     shadow = None
     if spec.warmup:
         warm = trace[: spec.warmup]
-        run_trace(protocol, warm, verify=False, check_invariants_every=0)
+        replay(warm, verify=False, check_invariants_every=0)
         if spec.verify:
             # The caches hold the warm-up's writes: verify against them.
             shadow = {r.address: r.value for r in warm if r.op is Op.WRITE}
-    report = run_trace(
-        protocol,
+    report = replay(
         trace[spec.warmup :],
         verify=spec.verify,
         check_invariants_every=spec.check_invariants_every,
@@ -144,10 +139,9 @@ def execute_spec(spec: ExperimentSpec, trace=None) -> SimulationReport:
     The sequential path calls this directly and the worker processes
     call it on a deserialised copy of the spec, which is what makes the
     two paths bit-identical.  ``trace``, when given, must be what this
-    function would have built for ``spec`` -- ``workload.build_compiled()``,
-    or ``workload.build().references`` with ``compiled`` off.  It is
-    replayed, never modified, so the sequential path hands one generation
-    to every cell with an equal ``(workload, compiled)``.
+    function would have built for ``spec``, ``spec.workload.build()``.
+    It is replayed, never modified, so the sequential path hands one
+    generation to every cell with an equal workload.
     """
     return _run_cell(spec, trace)[0]
 
@@ -284,6 +278,9 @@ class Executor:
             )
         else:
             self._task_fn = task_fn
+        #: Whether the task body takes a shared trace, as execute_spec
+        #: and its traced twin do (a testing hook never gets one).
+        self._shares_trace = task_fn is None
 
     def _backoff_for(self, attempt: int) -> float:
         """Delay before re-running a cell that just failed ``attempt``.
@@ -354,12 +351,12 @@ class Executor:
     # ------------------------------------------------------------------
 
     def _run_sequential(self, pending, results) -> None:
-        # The default task body replays one generated trace for every
-        # consecutive cell with an equal (workload, compiled) -- a grid
-        # is workload-major, so that is once per workload.  The slot is
+        # execute_spec and its traced twin replay one generated trace for
+        # every consecutive cell with an equal workload -- a grid is
+        # workload-major, so that is once per workload.  The slot is
         # this frame's: emptied before the next workload is generated,
         # gone when run() returns.
-        shared_key = shared_trace = None
+        shared_workload = shared_trace = None
         for index, spec in pending:
             attempt = 0
             while True:
@@ -367,15 +364,15 @@ class Executor:
                 self.journal.task_start(spec, attempt)
                 t0 = time.perf_counter()
                 try:
-                    if self._task_fn is not None:
+                    if not self._shares_trace:
                         report = self._task_fn(spec)
                     else:
-                        key = (spec.workload, spec.compiled)
-                        if key != shared_key:
-                            shared_key = shared_trace = None
-                            shared_trace = _build_trace(spec)
-                            shared_key = key
-                        report = execute_spec(spec, shared_trace)
+                        if spec.workload != shared_workload:
+                            shared_workload = shared_trace = None
+                            shared_trace = spec.workload.build()
+                            shared_workload = spec.workload
+                        body = self._task_fn or execute_spec
+                        report = body(spec, trace=shared_trace)
                 except Exception as exc:
                     error = traceback.format_exc()
                     error_class = type(exc).__name__

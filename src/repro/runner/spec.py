@@ -29,7 +29,6 @@ from repro.faults.plan import FaultPlan
 from repro.network.multicast import MulticastScheme
 from repro.protocol.messages import MessageCosts
 from repro.sim.system import SystemConfig
-from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.ctrace import CompiledTrace
@@ -94,20 +93,8 @@ class WorkloadSpec:
 
     # ------------------------------------------------------------------
 
-    def build(self) -> Trace:
+    def build(self) -> CompiledTrace:
         """Generate the trace this spec describes (deterministic)."""
-        return self._build(compiled=False)
-
-    def build_compiled(self) -> "CompiledTrace":
-        """The same trace in columnar form.
-
-        Every generator emits the identical reference stream under either
-        form (the seeded round-trip property tests), so a spec's report is
-        the same whichever one the executor replays.
-        """
-        return self._build(compiled=True)
-
-    def _build(self, *, compiled: bool):
         if self.kind == "markov":
             from repro.workloads.markov import markov_block_trace
 
@@ -118,7 +105,6 @@ class WorkloadSpec:
                 n_references=self.n_references,
                 block_size_words=self.block_size_words,
                 seed=self.seed,
-                compiled=compiled,
             )
         if self.kind == "shared-structure":
             from repro.workloads.markov import shared_structure_trace
@@ -131,7 +117,6 @@ class WorkloadSpec:
                 n_blocks=self.n_blocks,
                 block_size_words=self.block_size_words,
                 seed=self.seed,
-                compiled=compiled,
             )
         from repro.workloads.synthetic import random_trace
 
@@ -143,8 +128,10 @@ class WorkloadSpec:
             write_fraction=self.write_fraction,
             locality=self.locality,
             seed=self.seed,
-            compiled=compiled,
         )
+
+    #: The benchmark's probes (``bench/``) call :meth:`build` by this name.
+    build_compiled = build
 
     def to_dict(self) -> dict:
         return {
@@ -243,13 +230,16 @@ class ExperimentSpec:
     benchmark exhibits) is unchanged, while any *non*-empty plan changes
     the hash and can never be served a cached fault-free result.
 
-    ``compiled`` selects the trace form the executor replays: columnar
-    (:meth:`WorkloadSpec.build_compiled`, the default) or per-reference
-    (:meth:`WorkloadSpec.build`).  The two replays are bit-identical
-    (docs/PERF.md), so the knob cannot change a report; like
-    ``fault_plan`` it is serialised only in its non-default state, which
-    keeps every existing spec hash -- and therefore every cache key and
-    committed exhibit -- unchanged.
+    ``compiled`` selects the route the executor replays
+    :meth:`WorkloadSpec.build`'s trace on: where eligible, the
+    protocol's batched kernel (the default), or with ``compiled=False``
+    never -- the rows are handed over as a plain iterable, which
+    :func:`~repro.sim.engine.run_trace` replays on its checked slow
+    loop.  The two replays are bit-identical (docs/PERF.md), so the
+    knob cannot change a report; like ``fault_plan`` it is serialised
+    only in its non-default state, which keeps every existing spec
+    hash -- and therefore every cache key and committed exhibit --
+    unchanged.
     """
 
     protocol: str

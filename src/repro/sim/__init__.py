@@ -2,11 +2,15 @@
 
 * :mod:`repro.sim.stats` -- event and traffic counters;
 * :mod:`repro.sim.system` -- the machine: caches + memories + omega network;
-* :mod:`repro.sim.trace` -- reference traces and their on-disk format;
+* :mod:`repro.sim.ctrace` -- the compiled (columnar) trace every
+  generator returns;
+* :mod:`repro.sim.trace` -- the trace text format and the hand-written
+  reference-list trace;
 * :mod:`repro.sim.engine` -- runs a trace through a protocol, verifying that
   every read returns the most recently written value.
 """
 
+from repro.sim.ctrace import CompiledTrace
 from repro.sim.engine import SimulationReport, run_trace
 from repro.sim.snapshot import block_snapshot, system_snapshot
 from repro.sim.stats import Stats
@@ -15,6 +19,7 @@ from repro.sim.timing import TimingReport, makespan, schedule
 from repro.sim.trace import Trace, load_trace, save_trace
 
 __all__ = [
+    "CompiledTrace",
     "SimulationReport",
     "Stats",
     "System",

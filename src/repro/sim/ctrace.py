@@ -1,37 +1,27 @@
-"""Columnar compiled traces: the replay-speed form of a reference stream.
+"""Columnar compiled traces: the one form of a reference stream.
 
-A :class:`~repro.sim.trace.Trace` is a list of
-:class:`~repro.types.Reference` NamedTuples -- convenient to build and
-inspect, but every replayed reference pays for attribute access and (when
-generated) a heap allocation.  A :class:`CompiledTrace` stores the same
-stream as five parallel ``array('q')`` columns::
+Every workload generator returns a :class:`CompiledTrace`, the text
+format of :mod:`repro.sim.trace` reads into one, and
+:func:`repro.sim.engine.run_trace` replays one.  It stores the stream as
+five parallel ``array('q')`` columns::
 
     nodes[i] ops[i] blocks[i] offsets[i] values[i]
 
-with ``ops[i]`` equal to 1 for a write and 0 for a read.  The batched loop
-in :func:`repro.sim.engine.run_trace` iterates the columns directly (C-speed
-``zip`` over arrays, no NamedTuple construction), and every workload
-generator builds these columns first, handing out their ``to_trace()``
-view only when asked for the reference list.
-
-Both forms describe *exactly* the same stream: ``Trace.compile()`` /
-:meth:`CompiledTrace.to_trace` round-trip losslessly, the text format of
-:mod:`repro.sim.trace` reads and writes both, and replaying either through
-the same protocol produces bit-identical
-:class:`~repro.sim.engine.SimulationReport` results (docs/PERF.md, "Where
-each proof lives").
+with ``ops[i]`` equal to 1 for a write and 0 for a read, so the replay
+loops iterate the columns directly (C-speed ``zip`` over arrays, no
+NamedTuple construction).  Iterating or indexing a trace still yields
+:class:`~repro.types.Reference` items, for code that wants to look at
+one reference at a time.
 """
 
 from __future__ import annotations
 
-import io
 from array import array
 from collections import Counter
-from pathlib import Path
-from typing import Iterable, Iterator
+from itertools import chain, zip_longest
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import TraceError
-from repro.sim.trace import Trace, _parse_header
 from repro.types import Address, Op, Reference
 
 _WRITE = 1
@@ -352,22 +342,45 @@ class CompiledTrace:
         )
 
     # ------------------------------------------------------------------
-    # Conversions
+    # Combining generated traces
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_trace(cls, trace: Trace) -> "CompiledTrace":
-        """Compile an in-memory :class:`Trace` (see ``Trace.compile``)."""
-        return cls(
-            *_pack_columns(trace.references),
-            trace.n_nodes,
-            trace.block_size_words,
+    def concatenate(cls, traces: Sequence[CompiledTrace]) -> CompiledTrace:
+        """One trace after another (phased workloads).
+
+        Geometries must agree on block size; the node count is the
+        maximum of the parts.
+        """
+        return cls._combine("concatenate", traces, chain(*traces))
+
+    @classmethod
+    def interleave(cls, traces: Sequence[CompiledTrace]) -> CompiledTrace:
+        """Round-robin merge (concurrently active workloads).
+
+        References are taken one at a time from each trace in turn;
+        when a trace runs out the remaining ones continue.
+        """
+        rounds = zip_longest(*traces)  # None once a trace has run out
+        return cls._combine(
+            "interleave",
+            traces,
+            (ref for round_ in rounds for ref in round_ if ref is not None),
         )
 
-    def to_trace(self) -> Trace:
-        """The equivalent reference-list :class:`Trace` (lossless)."""
-        return Trace(
-            list(self), self.n_nodes, self.block_size_words
+    @classmethod
+    def _combine(cls, verb, traces, references) -> CompiledTrace:
+        if not traces:
+            raise TraceError(f"cannot {verb} zero traces")
+        block_sizes = {trace.block_size_words for trace in traces}
+        if len(block_sizes) != 1:
+            raise TraceError(
+                f"mismatched block sizes {sorted(block_sizes)}"
+            )
+        return cls(
+            *_pack_columns(references),
+            max(trace.n_nodes for trace in traces),
+            block_sizes.pop(),
         )
 
 
@@ -450,76 +463,3 @@ class CompiledTraceBuilder:
             *columns, self.n_nodes, self.block_size_words,
             fold=fold, proven=False,
         )
-
-
-# ----------------------------------------------------------------------
-# Text format (same on-disk format as repro.sim.trace)
-# ----------------------------------------------------------------------
-
-
-def parse_compiled_trace(stream: Iterable[str]) -> CompiledTrace:
-    """Read the v1 text format straight into columns."""
-    lines = iter(stream)
-    try:
-        header = next(lines)
-    except StopIteration:
-        raise TraceError("empty trace file") from None
-    n_nodes, block_size = _parse_header(header)
-    nodes = array("q")
-    ops = array("q")
-    blocks = array("q")
-    offsets = array("q")
-    values = array("q")
-    for line_no, line in enumerate(lines, start=2):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split()
-        if len(parts) != 4:
-            raise TraceError(
-                f"line {line_no}: expected 'node op block:offset value', "
-                f"got {text!r}"
-            )
-        node_text, op_text, addr_text, value_text = parts
-        if op_text not in ("R", "W"):
-            raise TraceError(
-                f"line {line_no}: unknown operation {op_text!r}"
-            )
-        try:
-            block_text, offset_text = addr_text.split(":")
-            nodes.append(int(node_text))
-            blocks.append(int(block_text))
-            offsets.append(int(offset_text))
-            values.append(int(value_text))
-        except ValueError:
-            raise TraceError(
-                f"line {line_no}: malformed fields in {text!r}"
-            ) from None
-        ops.append(op_text == "W")
-    return CompiledTrace(nodes, ops, blocks, offsets, values, n_nodes, block_size)
-
-
-def dump_compiled_trace(trace: CompiledTrace, stream: io.TextIOBase) -> None:
-    """Write ``trace`` to an open text stream (v1 format)."""
-    stream.write(
-        f"# repro-trace v1 n_nodes={trace.n_nodes} "
-        f"block_size={trace.block_size_words}\n"
-    )
-    for node, op, block, offset, value in zip(
-        trace.nodes, trace.ops, trace.blocks, trace.offsets, trace.values
-    ):
-        stream.write(
-            f"{node} {'W' if op else 'R'} {block}:{offset} {value}\n"
-        )
-
-
-def load_compiled_trace(path: str | Path) -> CompiledTrace:
-    """Read a trace from ``path`` directly into compiled form."""
-    with open(path, "r", encoding="ascii") as stream:
-        return parse_compiled_trace(stream)
-
-
-def save_compiled_trace(trace: CompiledTrace, path: str | Path) -> None:
-    """Write a compiled trace to ``path`` (readable by both loaders)."""
-    with open(path, "w", encoding="ascii") as stream:
-        dump_compiled_trace(trace, stream)

@@ -1,9 +1,9 @@
-"""Reference traces and their on-disk format.
+"""The text format of a reference stream, and the hand-written trace.
 
-A trace is an ordered list of :class:`~repro.types.Reference` items -- the
-interleaved memory references of all processors, exactly what a trace-driven
-coherence simulator of the period consumed.  The text format is one
-reference per line::
+A reference stream is a :class:`~repro.sim.ctrace.CompiledTrace` -- the
+interleaved memory references of all processors, exactly what a
+trace-driven coherence simulator of the period consumed.  The text
+format is one reference per line::
 
     # repro-trace v1 n_nodes=8 block_size=4
     0 R 3:1 0
@@ -11,27 +11,30 @@ reference per line::
 
 i.e. ``node op block:offset value``.  Comments and blank lines are ignored
 after the header.
+
+:class:`Trace` is a list of :class:`~repro.types.Reference` items plus
+its geometry: the form a test or an example writes by hand.  Its
+:meth:`Trace.compile` is the stream the simulator replays.
 """
 
 from __future__ import annotations
 
 import io
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.errors import TraceError
-from repro.types import Address, NodeId, Op, Reference
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
-    from repro.sim.ctrace import CompiledTrace
+from repro.sim.ctrace import CompiledTrace, _pack_columns
+from repro.types import NodeId, Reference
 
 _HEADER_PREFIX = "# repro-trace v1"
 
 
 @dataclass
 class Trace:
-    """An ordered reference stream plus the geometry it was built for."""
+    """A hand-written reference list plus the geometry it was built for."""
 
     references: list[Reference] = field(default_factory=list)
     n_nodes: int = 0
@@ -45,7 +48,7 @@ class Trace:
 
         The contract is :meth:`CompiledTrace.validate
         <repro.sim.ctrace.CompiledTrace.validate>`'s, run on this
-        trace's columns, so both forms name the same failing row.
+        trace's columns, so both name the same failing row.
         """
         self.compile()
 
@@ -58,16 +61,13 @@ class Trace:
     def append(self, reference: Reference) -> None:
         self.references.append(reference)
 
-    def compile(self) -> "CompiledTrace":
-        """The columnar :class:`~repro.sim.ctrace.CompiledTrace` form.
-
-        Lossless: ``trace.compile().to_trace()`` reproduces the exact
-        reference list, and replaying either form is bit-identical.
-        """
-        # Imported lazily: ctrace sits above this module.
-        from repro.sim.ctrace import CompiledTrace
-
-        return CompiledTrace.from_trace(self)
+    def compile(self) -> CompiledTrace:
+        """The same stream as a :class:`~repro.sim.ctrace.CompiledTrace`."""
+        return CompiledTrace(
+            *_pack_columns(self.references),
+            self.n_nodes,
+            self.block_size_words,
+        )
 
     @property
     def write_fraction(self) -> float:
@@ -83,92 +83,10 @@ class Trace:
             ref.node for ref in self.references if ref.address.block == block
         )
 
-    @staticmethod
-    def concatenate(traces: "Sequence[Trace]") -> "Trace":
-        """One trace after another (phased workloads).
-
-        Geometries must agree on block size; the node count is the
-        maximum of the parts.
-        """
-        if not traces:
-            raise TraceError("cannot concatenate zero traces")
-        block_sizes = {trace.block_size_words for trace in traces}
-        if len(block_sizes) != 1:
-            raise TraceError(
-                f"mismatched block sizes {sorted(block_sizes)}"
-            )
-        references = []
-        for trace in traces:
-            references.extend(trace.references)
-        return Trace(
-            references,
-            max(trace.n_nodes for trace in traces),
-            block_sizes.pop(),
-        )
-
-    @staticmethod
-    def interleave(traces: "Sequence[Trace]") -> "Trace":
-        """Round-robin merge (concurrently active workloads).
-
-        References are taken one at a time from each trace in turn;
-        when a trace runs out the remaining ones continue.
-        """
-        if not traces:
-            raise TraceError("cannot interleave zero traces")
-        block_sizes = {trace.block_size_words for trace in traces}
-        if len(block_sizes) != 1:
-            raise TraceError(
-                f"mismatched block sizes {sorted(block_sizes)}"
-            )
-        references = []
-        iterators = [iter(trace.references) for trace in traces]
-        while iterators:
-            remaining = []
-            for iterator in iterators:
-                item = next(iterator, None)
-                if item is not None:
-                    references.append(item)
-                    remaining.append(iterator)
-            iterators = remaining
-        return Trace(
-            references,
-            max(trace.n_nodes for trace in traces),
-            block_sizes.pop(),
-        )
-
 
 # ----------------------------------------------------------------------
 # Serialisation
 # ----------------------------------------------------------------------
-
-
-def _format_reference(ref: Reference) -> str:
-    return (
-        f"{ref.node} {ref.op.value} "
-        f"{ref.address.block}:{ref.address.offset} {ref.value}"
-    )
-
-
-def _parse_reference(line: str, line_no: int) -> Reference:
-    parts = line.split()
-    if len(parts) != 4:
-        raise TraceError(
-            f"line {line_no}: expected 'node op block:offset value', "
-            f"got {line!r}"
-        )
-    node_text, op_text, addr_text, value_text = parts
-    try:
-        op = Op(op_text)
-    except ValueError:
-        raise TraceError(
-            f"line {line_no}: unknown operation {op_text!r}"
-        ) from None
-    try:
-        block_text, offset_text = addr_text.split(":")
-        address = Address(int(block_text), int(offset_text))
-        return Reference(int(node_text), op, address, int(value_text))
-    except ValueError:
-        raise TraceError(f"line {line_no}: malformed fields in {line!r}") from None
 
 
 def _parse_header(header: str) -> tuple[int, int]:
@@ -191,46 +109,75 @@ def _parse_header(header: str) -> tuple[int, int]:
         ) from None
 
 
-def dump_trace(trace: "Trace | CompiledTrace", stream: io.TextIOBase) -> None:
-    """Write either trace form to an open text stream (same format)."""
-    if not isinstance(trace, Trace):
-        # Imported lazily: ctrace sits above this module.
-        from repro.sim.ctrace import dump_compiled_trace
-
-        dump_compiled_trace(trace, stream)
-        return
-    stream.write(
-        f"{_HEADER_PREFIX} n_nodes={trace.n_nodes} "
-        f"block_size={trace.block_size_words}\n"
-    )
-    for ref in trace.references:
-        stream.write(_format_reference(ref) + "\n")
-
-
-def parse_trace(stream: Iterable[str]) -> Trace:
-    """Read a trace from an iterable of text lines."""
+def parse_trace(stream: Iterable[str]) -> CompiledTrace:
+    """Read the text format from an iterable of lines, into columns."""
     lines = iter(stream)
     try:
         header = next(lines)
     except StopIteration:
         raise TraceError("empty trace file") from None
     n_nodes, block_size = _parse_header(header)
-    references = []
+    nodes = array("q")
+    ops = array("q")
+    blocks = array("q")
+    offsets = array("q")
+    values = array("q")
     for line_no, line in enumerate(lines, start=2):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        references.append(_parse_reference(text, line_no))
-    return Trace(references, n_nodes, block_size)
+        parts = text.split()
+        if len(parts) != 4:
+            raise TraceError(
+                f"line {line_no}: expected 'node op block:offset value', "
+                f"got {text!r}"
+            )
+        node_text, op_text, addr_text, value_text = parts
+        if op_text not in ("R", "W"):
+            raise TraceError(
+                f"line {line_no}: unknown operation {op_text!r}"
+            )
+        try:
+            block_text, offset_text = addr_text.split(":")
+            nodes.append(int(node_text))
+            blocks.append(int(block_text))
+            offsets.append(int(offset_text))
+            values.append(int(value_text))
+        except ValueError:
+            raise TraceError(
+                f"line {line_no}: malformed fields in {text!r}"
+            ) from None
+        except OverflowError:
+            raise TraceError(
+                f"line {line_no}: a field of {text!r} is outside int64"
+            ) from None
+        ops.append(op_text == "W")
+    return CompiledTrace(
+        nodes, ops, blocks, offsets, values, n_nodes, block_size
+    )
 
 
-def save_trace(trace: "Trace | CompiledTrace", path: str | Path) -> None:
-    """Write either trace form to ``path``."""
+def dump_trace(trace: CompiledTrace, stream: io.TextIOBase) -> None:
+    """Write ``trace`` to an open text stream."""
+    stream.write(
+        f"{_HEADER_PREFIX} n_nodes={trace.n_nodes} "
+        f"block_size={trace.block_size_words}\n"
+    )
+    for node, op, block, offset, value in zip(
+        trace.nodes, trace.ops, trace.blocks, trace.offsets, trace.values
+    ):
+        stream.write(
+            f"{node} {'W' if op else 'R'} {block}:{offset} {value}\n"
+        )
+
+
+def save_trace(trace: CompiledTrace, path: str | Path) -> None:
+    """Write ``trace`` to ``path``."""
     with open(path, "w", encoding="ascii") as stream:
         dump_trace(trace, stream)
 
 
-def load_trace(path: str | Path) -> Trace:
+def load_trace(path: str | Path) -> CompiledTrace:
     """Read a trace from ``path``."""
     with open(path, "r", encoding="ascii") as stream:
         return parse_trace(stream)

@@ -19,7 +19,6 @@ from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.ctrace import CompiledTrace, CompiledTraceBuilder
-from repro.sim.trace import Trace
 from repro.types import NodeId
 from repro.workloads.markov import _check_at_least, _check_tasks
 
@@ -34,8 +33,7 @@ def spinlock_trace(
     spin_reads: int = 2,
     data_words: int = 2,
     block_size_words: int = 4,
-    compiled: bool = False,
-) -> Trace | CompiledTrace:
+) -> CompiledTrace:
     """``n_acquisitions`` critical sections, round-robin over ``tasks``.
 
     Per acquisition by task ``t``:
@@ -73,5 +71,4 @@ def spinlock_trace(
             next_value += 1
         builder.write(holder, lock_block, 0, next_value)
         next_value += 1
-    columns = builder.build()
-    return columns if compiled else columns.to_trace()
+    return builder.build()

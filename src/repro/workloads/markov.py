@@ -19,7 +19,6 @@ from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.ctrace import CompiledTrace
-from repro.sim.trace import Trace
 from repro.types import NodeId
 
 
@@ -53,23 +52,22 @@ def _fold_column(low: int, high: int):
 
 def _emit(
     nodes, ops, blocks, offsets, values, fold, proven,
-    n_nodes, block_size_words, compiled,
-) -> Trace | CompiledTrace:
-    """A seeded generator's columns, in the requested form.
+    n_nodes, block_size_words,
+) -> CompiledTrace:
+    """A seeded generator's columns as its trace.
 
     The draw loop made ``values`` (1, 2, ... on the writes, 0 on the
     reads) and ``fold`` (for the declared geometry); ``proven`` says its
     argument checks bound every row, else (a negative block) they are
     validated.
     """
-    columns = CompiledTrace._with_fold(
+    return CompiledTrace._with_fold(
         *(
             column if isinstance(column, array) else array("q", column)
             for column in (nodes, ops, blocks, offsets)
         ),
         values, n_nodes, block_size_words, fold=fold, proven=proven,
     )
-    return columns if compiled else columns.to_trace()
 
 
 def markov_block_trace(
@@ -82,8 +80,7 @@ def markov_block_trace(
     block_size_words: int = 4,
     writer: NodeId | None = None,
     seed: int = 0,
-    compiled: bool = False,
-) -> Trace | CompiledTrace:
+) -> CompiledTrace:
     """References of ``tasks`` to one shared block, one writing task.
 
     Each reference is a write with probability ``write_fraction`` (issued
@@ -93,8 +90,7 @@ def markov_block_trace(
     Draw order, per reference: ``randrange(block_size_words)`` (offset),
     ``random()`` (a write when below ``write_fraction``) and, for a read
     only, ``randrange(len(tasks))`` (reader).  The bounded draws are
-    CPython's ``_randbelow`` inlined on ``getrandbits`` (docs/WORKLOADS.md);
-    ``compiled=True`` returns the columns, the default their ``to_trace()``.
+    CPython's ``_randbelow`` inlined on ``getrandbits`` (docs/WORKLOADS.md).
     """
     _check_tasks(tasks, n_nodes)
     if not 0.0 <= write_fraction <= 1.0:
@@ -140,7 +136,7 @@ def markov_block_trace(
     blocks = array("q", [block]) * n_references
     return _emit(
         nodes, ops, blocks, offsets, values, fold, block >= 0,
-        n_nodes, block_size_words, compiled,
+        n_nodes, block_size_words,
     )
 
 
@@ -154,8 +150,7 @@ def shared_structure_trace(
     first_block: int = 0,
     block_size_words: int = 4,
     seed: int = 0,
-    compiled: bool = False,
-) -> Trace | CompiledTrace:
+) -> CompiledTrace:
     """References to a structure of ``n_blocks`` blocks, writers rotating.
 
     Block ``first_block + i`` is written (only) by ``tasks[i % len(tasks)]``
@@ -209,5 +204,5 @@ def shared_structure_trace(
             values.append(0)
     return _emit(
         nodes, ops, blocks, offsets, values, fold, first_block >= 0,
-        n_nodes, block_size_words, compiled,
+        n_nodes, block_size_words,
     )

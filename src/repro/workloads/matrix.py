@@ -26,7 +26,6 @@ from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.ctrace import CompiledTrace, CompiledTraceBuilder
-from repro.sim.trace import Trace
 from repro.types import NodeId
 from repro.workloads.markov import _check_at_least
 
@@ -69,8 +68,7 @@ def jacobi_trace(
     sweeps: int = 2,
     block_size_words: int = 4,
     first_block: int = 0,
-    compiled: bool = False,
-) -> Trace | CompiledTrace:
+) -> CompiledTrace:
     """Jacobi relaxation, rows banded across ``tasks``.
 
     Each sweep, every task reads its own rows plus the rows adjacent to its
@@ -105,8 +103,7 @@ def jacobi_trace(
                 ):
                     builder.write(task, block, offset, next_value)
                     next_value += 1
-    columns = builder.build()
-    return columns if compiled else columns.to_trace()
+    return builder.build()
 
 
 def matrix_multiply_trace(
@@ -116,8 +113,7 @@ def matrix_multiply_trace(
     size: int = 8,
     block_size_words: int = 4,
     first_block: int = 0,
-    compiled: bool = False,
-) -> Trace | CompiledTrace:
+) -> CompiledTrace:
     """Blocked ``C = A x B`` with ``C``/``A`` rows partitioned by task.
 
     ``B`` occupies the blocks after ``A`` and is only ever read -- the
@@ -150,5 +146,4 @@ def matrix_multiply_trace(
                     builder.read(task, *b_row[j])
                 builder.write(task, *c_row[j], next_value)
                 next_value += 1
-    columns = builder.build()
-    return columns if compiled else columns.to_trace()
+    return builder.build()

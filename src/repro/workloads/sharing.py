@@ -8,10 +8,6 @@
   increases the network traffic");
 * :func:`ping_pong_trace` -- two tasks alternately writing one block, the
   degenerate migratory case.
-
-Every generator accepts ``compiled=True`` to emit a columnar
-:class:`~repro.sim.ctrace.CompiledTrace` (identical stream, no
-``Reference`` objects).
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.sim.ctrace import CompiledTrace, CompiledTraceBuilder
-from repro.sim.trace import Trace
 from repro.types import NodeId
 from repro.workloads.markov import _check_at_least, _check_tasks
 
@@ -32,8 +27,7 @@ def producer_consumer_trace(
     *,
     block: int = 0,
     block_size_words: int = 4,
-    compiled: bool = False,
-) -> Trace | CompiledTrace:
+) -> CompiledTrace:
     """``n_rounds`` of: producer writes every word, consumers read them."""
     _check_tasks([producer, *consumers], n_nodes)
     _check_at_least(0, n_rounds=n_rounds)
@@ -46,8 +40,7 @@ def producer_consumer_trace(
         for consumer in consumers:
             for offset in range(block_size_words):
                 builder.read(consumer, block, offset)
-    columns = builder.build()
-    return columns if compiled else columns.to_trace()
+    return builder.build()
 
 
 def migratory_trace(
@@ -57,8 +50,7 @@ def migratory_trace(
     *,
     block: int = 0,
     block_size_words: int = 4,
-    compiled: bool = False,
-) -> Trace | CompiledTrace:
+) -> CompiledTrace:
     """Each task in turn reads then updates the block (lock-like sharing)."""
     _check_tasks(tasks, n_nodes)
     _check_at_least(0, n_rounds=n_rounds)
@@ -69,8 +61,7 @@ def migratory_trace(
             builder.read(task, block, 0)
             builder.write(task, block, 0, next_value)
             next_value += 1
-    columns = builder.build()
-    return columns if compiled else columns.to_trace()
+    return builder.build()
 
 
 def ping_pong_trace(
@@ -81,8 +72,7 @@ def ping_pong_trace(
     *,
     block: int = 0,
     block_size_words: int = 4,
-    compiled: bool = False,
-) -> Trace | CompiledTrace:
+) -> CompiledTrace:
     """Two tasks alternately writing (and reading back) one word."""
     _check_tasks([first, second], n_nodes)
     _check_at_least(0, n_rounds=n_rounds)
@@ -93,5 +83,4 @@ def ping_pong_trace(
             builder.write(task, block, 0, next_value)
             builder.read(task, block, 0)
             next_value += 1
-    columns = builder.build()
-    return columns if compiled else columns.to_trace()
+    return builder.build()

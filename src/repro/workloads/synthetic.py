@@ -14,7 +14,6 @@ from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.ctrace import CompiledTrace
-from repro.sim.trace import Trace
 from repro.types import NodeId
 from repro.workloads.markov import _check_at_least, _emit, _fold_column
 
@@ -29,8 +28,7 @@ def random_trace(
     locality: float = 0.5,
     nodes: Sequence[NodeId] | None = None,
     seed: int = 0,
-    compiled: bool = False,
-) -> Trace | CompiledTrace:
+) -> CompiledTrace:
     """A seeded random reference stream.
 
     ``locality`` is the probability that a reference repeats the issuing
@@ -103,5 +101,5 @@ def random_trace(
             values.append(0)
     return _emit(
         nodes, ops, blocks, offsets, values, fold, True,
-        n_nodes, block_size_words, compiled,
+        n_nodes, block_size_words,
     )

@@ -10,13 +10,11 @@ from repro.analysis.compiler import (
 from repro.cache.state import Mode
 from repro.protocol.modes import PerBlockModePolicy, StaticModePolicy
 from repro.protocol.stenstrom import StenstromProtocol
+from repro.sim.ctrace import CompiledTrace
 from repro.sim.engine import run_trace
 from repro.sim.system import System, SystemConfig
 from repro.types import Address, Op, Reference
 from repro.workloads.markov import markov_block_trace
-
-
-from repro.sim.trace import Trace
 
 
 class TestProfileTrace:
@@ -54,7 +52,7 @@ class TestRecommendModes:
             8, tasks=[0, 1, 2, 3], write_fraction=0.05,
             n_references=1000, seed=1,
         )
-        modes = recommend_modes(trace.references)
+        modes = recommend_modes(trace)
         assert modes[0] is Mode.DISTRIBUTED_WRITE
 
     def test_write_heavy_block_gets_global_read(self):
@@ -62,7 +60,7 @@ class TestRecommendModes:
             8, tasks=[0, 1, 2, 3], write_fraction=0.9,
             n_references=1000, seed=2,
         )
-        modes = recommend_modes(trace.references)
+        modes = recommend_modes(trace)
         assert modes[0] is Mode.GLOBAL_READ
 
     def test_threshold_uses_the_block_sharer_count(self):
@@ -72,7 +70,7 @@ class TestRecommendModes:
             8, tasks=[0, 1], write_fraction=0.4,
             n_references=2000, seed=3,
         )
-        assert recommend_modes(trace.references)[0] is (
+        assert recommend_modes(trace)[0] is (
             Mode.DISTRIBUTED_WRITE
         )
 
@@ -81,7 +79,7 @@ class TestRecommendModes:
             8, tasks=[0, 1], write_fraction=0.2, n_references=100,
             seed=4,
         )
-        rows = profile_summary(profile_trace(trace.references))
+        rows = profile_summary(profile_trace(trace))
         assert len(rows) == 1
         block, refs, w, sharers, single, mode = rows[0]
         assert refs == 100
@@ -97,7 +95,7 @@ class TestCompilerAssignedModesInTheMachine:
         write_heavy = markov_block_trace(
             16, list(range(8)), 0.85, 1500, block=1, seed=6
         )
-        return Trace.interleave([read_mostly, write_heavy])
+        return CompiledTrace.interleave([read_mostly, write_heavy])
 
     def _cost(self, policy):
         protocol = StenstromProtocol(

@@ -73,7 +73,7 @@ class TestLatencyComparison:
             n_references=600, seed=1,
         )
         reports = latency_comparison(
-            trace.references,
+            trace,
             SystemConfig(n_nodes=8),
             {
                 "distributed-write": lambda system: StenstromProtocol(
@@ -101,7 +101,7 @@ class TestLatencyComparison:
             seed=2,
         )
         reports = latency_comparison(
-            trace.references,
+            trace,
             SystemConfig(n_nodes=8),
             default_factories(),
         )

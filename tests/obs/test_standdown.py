@@ -39,10 +39,8 @@ MODES = pytest.mark.parametrize(
 SIZES = pytest.mark.parametrize("n_nodes", [16, 64])
 
 
-def _trace(n_nodes, *, compiled):
-    return markov_block_trace(
-        n_nodes, list(range(8)), 0.3, 600, seed=5, compiled=compiled
-    )
+def _trace(n_nodes):
+    return markov_block_trace(n_nodes, list(range(8)), 0.3, 600, seed=5)
 
 
 def _run_batched(n_nodes, default_mode):
@@ -52,7 +50,7 @@ def _run_batched(n_nodes, default_mode):
     )
     report = run_trace(
         protocol,
-        _trace(n_nodes, compiled=True),
+        _trace(n_nodes),
         verify=False,
         check_invariants_every=0,
     )
@@ -78,7 +76,7 @@ class TestRecorderStandDown:
 
         traced_report = run_trace(
             traced,
-            _trace(n_nodes, compiled=True),
+            _trace(n_nodes),
             verify=False,
             check_invariants_every=0,
             recorder=recorder,
@@ -101,7 +99,7 @@ class TestRecorderStandDown:
         def replay(protocol, recorder=None):
             return run_trace(
                 protocol,
-                _trace(n_nodes, compiled=True),
+                _trace(n_nodes),
                 verify=False,
                 check_invariants_every=0,
                 recorder=recorder,
@@ -184,7 +182,7 @@ class TestRecorderStandDown:
                 {"verify": False, "check_invariants_every": 50},
             ):
                 checked = fresh(make_policy())
-                run_trace(checked, _trace(n_nodes, compiled=True), **checks)
+                run_trace(checked, _trace(n_nodes), **checks)
                 kernel = checked.batched_kernel()
                 assert kernel.batched_refs == kernel.fallback_refs == 0
                 assert not kernel.fallback_reasons
@@ -212,10 +210,10 @@ class TestNoCacheStandDown:
             protocol.enable_message_log()
         elif consumer == "net_recorder":
             system.multicaster.recorder = TraceRecorder()
-        trace = _trace(n_nodes, compiled=compiled)
+        trace = _trace(n_nodes)
         report = run_trace(
             protocol,
-            trace if compiled else trace.references,
+            trace if compiled else list(trace),
             verify=False,
             check_invariants_every=0,
             recorder=recorder,
@@ -264,7 +262,7 @@ class TestSamplerIsPassive:
         sampler.sample()
         report = run_trace(
             protocol,
-            _trace(n_nodes, compiled=True),
+            _trace(n_nodes),
             verify=False,
             check_invariants_every=0,
         )
@@ -286,7 +284,7 @@ class TestSamplerIsPassive:
         sampler = TelemetrySampler(recorder.metrics)
         report = run_trace(
             traced,
-            _trace(n_nodes, compiled=True),
+            _trace(n_nodes),
             verify=False,
             check_invariants_every=0,
             recorder=recorder,

@@ -96,7 +96,7 @@ def test_run_trace_reports_phases():
     system = System(SystemConfig(n_nodes=8, costs=MessageCosts.uniform(20)))
     protocol = StenstromProtocol(system)
     timer = PhaseTimer()
-    report = run_trace(protocol, trace.references, timer=timer)
+    report = run_trace(protocol, trace, timer=timer)
     assert report.n_references == 200
     assert set(timer.laps) == {"reset", "replay", "report"}
     assert all(seconds >= 0.0 for seconds in timer.laps.values())

@@ -69,7 +69,7 @@ VICTIMS = {
 def _trace():
     return random_trace(
         8, 1500, n_blocks=12, block_size_words=2, write_fraction=0.35,
-        locality=0.5, seed=1989, compiled=True,
+        locality=0.5, seed=1989,
     )
 
 

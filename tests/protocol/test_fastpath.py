@@ -52,7 +52,7 @@ class TestGating:
                 run_trace(
                     protocol,
                     markov_block_trace(
-                        8, range(4), 0.3, 300, seed=2, compiled=True
+                        8, range(4), 0.3, 300, seed=2
                     ),
                     verify=False,
                     check_invariants_every=0,
@@ -128,7 +128,7 @@ class TestGating:
             report = run_trace(
                 protocol,
                 markov_block_trace(
-                    16, range(4), 0.3, 1200, seed=3, compiled=True
+                    16, range(4), 0.3, 1200, seed=3
                 ),
                 verify=False,
                 check_invariants_every=0,
@@ -212,7 +212,6 @@ class TestCounters:
             write_fraction=0.3,
             n_references=500,
             seed=5,
-            compiled=True,
         )
         _, protocol = build(n_nodes=n, block_size_words=4)
         run_trace(protocol, trace, verify=False, check_invariants_every=0)

@@ -1,11 +1,13 @@
 """One trace per workload per sequential run -- and nothing else changes.
 
 ``Executor._run_sequential`` hands the trace it generated for a cell to
-the following cells with an equal ``(workload, compiled)``
-(docs/RUNNER.md, "Trace reuse").  These tests pin the scope of that:
-reports, journal events and failure classes are what a cell-by-cell
-``execute_spec(spec)`` loop produces, only the default task body on the
-sequential path takes part, and no trace outlives ``run()``.
+the following cells with an equal workload (docs/RUNNER.md, "Trace
+reuse"), traced or not, compiled or not.  These tests pin the scope of
+that: reports, journal events and failure classes are what a
+cell-by-cell ``execute_spec(spec)`` loop produces, only ``execute_spec``
+and its traced twin on the sequential path take part, a
+``compiled=False`` cell still never reaches a kernel, and no trace
+outlives ``run()``.
 """
 
 import gc
@@ -18,6 +20,9 @@ import pytest
 
 from repro.analysis.compare import default_factories
 from repro.errors import ConfigurationError, ExecutionError
+from repro.network.multicast import MulticastScheme
+from repro.protocol.messages import MessageCosts
+from repro.protocol.no_cache import NoCacheKernel
 from repro.runner import (
     Executor,
     RunJournal,
@@ -26,6 +31,7 @@ from repro.runner import (
     execute_spec,
 )
 from repro.sim.ctrace import CompiledTrace
+from repro.sim.kernel import BatchedKernel
 from repro.sim.system import SystemConfig
 
 
@@ -63,16 +69,55 @@ def report_bytes(report) -> str:
 
 
 def count_generations(monkeypatch) -> list[WorkloadSpec]:
-    """Patch ``WorkloadSpec._build``; returns the list it logs calls to."""
+    """Patch ``WorkloadSpec.build``; returns the list it logs calls to."""
     calls: list[WorkloadSpec] = []
-    original = WorkloadSpec._build
+    original = WorkloadSpec.build
 
-    def counting(self, *, compiled):
+    def counting(self):
         calls.append(self)
-        return original(self, compiled=compiled)
+        return original(self)
 
-    monkeypatch.setattr(WorkloadSpec, "_build", counting)
+    monkeypatch.setattr(WorkloadSpec, "build", counting)
     return calls
+
+
+def spy_replays(monkeypatch) -> list:
+    """Patch the executor's ``run_trace``; returns the inputs it replays."""
+    from repro.runner import executor as executor_module
+
+    replayed = []
+    original = executor_module.run_trace
+
+    def spying(protocol, trace, **checks):
+        replayed.append(trace)
+        return original(protocol, trace, **checks)
+
+    monkeypatch.setattr(executor_module, "run_trace", spying)
+    return replayed
+
+
+def kernel_grid() -> list:
+    """``kernel_n1024``'s shape scaled down: three Stenstrom protocols on
+    one strided-task workload, vector multicast, no warm-up."""
+    return list(
+        SweepSpec.from_grid(
+            "kernel-small",
+            protocols=["distributed-write", "global-read", "two-mode"],
+            workloads=[
+                WorkloadSpec(
+                    kind="markov", n_nodes=64, n_references=600,
+                    write_fraction=0.3, seed=1989,
+                    tasks=tuple(range(0, 64, 4)),
+                )
+            ],
+            configs=[
+                SystemConfig(
+                    n_nodes=64, costs=MessageCosts.uniform(20),
+                    multicast_scheme=MulticastScheme.VECTOR,
+                )
+            ],
+        )
+    )
 
 
 class TestReportsAreUnchanged:
@@ -109,13 +154,64 @@ class TestReportsAreUnchanged:
         assert [report_bytes(r.report) for r in results] == expected
         assert len(calls) == len(cells)
 
-    def test_compiled_and_reference_cells_do_not_share(self, monkeypatch):
+    def test_compiled_and_reference_cells_share_one_generation(
+        self, monkeypatch
+    ):
         cell = make_grid()[0]
         cells = [cell, replace(cell, compiled=False), cell]
         calls = count_generations(monkeypatch)
         results = Executor(workers=0).run(cells)
-        assert len(calls) == 3
+        assert len(calls) == 1
         assert len({report_bytes(r.report) for r in results}) == 1
+
+
+class TestTracedCells:
+    def test_a_traced_grid_generates_once(self, monkeypatch, tmp_path):
+        cells = kernel_grid()
+        expected = [report_bytes(execute_spec(cell)) for cell in cells]
+        calls = count_generations(monkeypatch)
+        results = Executor(workers=0, trace_dir=tmp_path).run(cells)
+        assert calls == [cells[0].workload]
+        for result, untraced in zip(results, expected):
+            report = result.report.to_dict()
+            assert report["stats"].pop("metrics")
+            assert json.dumps(report, sort_keys=True) == untraced
+        assert len(list(tmp_path.glob("*.trace.jsonl"))) == len(cells)
+
+    def test_traced_and_untraced_cells_replay_one_trace(
+        self, monkeypatch, tmp_path
+    ):
+        cell = kernel_grid()[0]
+        trace = cell.workload.build()
+        monkeypatch.setattr(WorkloadSpec, "build", lambda self: trace)
+        replayed = spy_replays(monkeypatch)
+        Executor(workers=0).run([cell])
+        Executor(workers=0, trace_dir=tmp_path).run([cell])
+        assert len(replayed) == 2
+        assert all(rows is trace for rows in replayed)
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_a_reference_cell_never_reaches_a_kernel(
+        self, monkeypatch, tmp_path, traced
+    ):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a compiled=False cell reached a kernel")
+
+        monkeypatch.setattr(BatchedKernel, "replay", no_kernel)
+        monkeypatch.setattr(NoCacheKernel, "replay", no_kernel)
+        replayed = spy_replays(monkeypatch)
+        cells = [
+            replace(cell, compiled=False, warmup=100)
+            for cell in make_grid()[:6]
+        ]
+        expected = [report_bytes(execute_spec(cell)) for cell in cells]
+        trace_dir = tmp_path if traced else None
+        results = Executor(workers=0, trace_dir=trace_dir).run(cells)
+        assert replayed and not any(
+            isinstance(rows, CompiledTrace) for rows in replayed
+        )
+        if not traced:
+            assert [report_bytes(r.report) for r in results] == expected
 
 
 class TestJournalAndFailures:
@@ -137,13 +233,13 @@ class TestJournalAndFailures:
     def test_first_cell_of_a_workload_carries_the_generation(
         self, monkeypatch
     ):
-        original = WorkloadSpec._build
+        original = WorkloadSpec.build
 
-        def slow(self, *, compiled):
+        def slow(self):
             time.sleep(0.05)
-            return original(self, compiled=compiled)
+            return original(self)
 
-        monkeypatch.setattr(WorkloadSpec, "_build", slow)
+        monkeypatch.setattr(WorkloadSpec, "build", slow)
         cells = make_grid()
         results = Executor(workers=0).run(cells)
         n_protocols = len(default_factories())
@@ -209,13 +305,13 @@ class TestScope:
 
     def test_no_trace_outlives_run(self, monkeypatch):
         built: list[CompiledTrace] = []
-        original = WorkloadSpec.build_compiled
+        original = WorkloadSpec.build
 
         def capturing(self):
             built.append(original(self))
             return built[-1]
 
-        monkeypatch.setattr(WorkloadSpec, "build_compiled", capturing)
+        monkeypatch.setattr(WorkloadSpec, "build", capturing)
         executor = Executor(workers=0, journal=RunJournal())
         results = executor.run(make_grid())
         assert len(built) == len(make_workloads())

@@ -1,9 +1,10 @@
 """Unit and property tests for columnar compiled traces.
 
 The load-bearing guarantee is at the bottom: for *every* workload
-generator, the compiled and reference-list forms describe the identical
-stream and replay to bit-identical ``SimulationReport`` dictionaries --
-through both the verifying loop and the fast-path loop.
+generator, the compiled trace and its rows handed over as plain
+``Reference`` items describe the identical stream and replay to
+bit-identical ``SimulationReport`` dictionaries -- through both the
+verifying loop and the batched kernel.
 """
 
 import io
@@ -13,17 +14,16 @@ import pytest
 
 from repro.analysis.compare import default_factories
 from repro.errors import TraceError
-from repro.sim.ctrace import (
-    CompiledTrace,
-    CompiledTraceBuilder,
-    dump_compiled_trace,
-    load_compiled_trace,
-    parse_compiled_trace,
-    save_compiled_trace,
-)
+from repro.sim.ctrace import CompiledTrace, CompiledTraceBuilder
 from repro.sim.engine import run_trace
 from repro.sim.system import System, SystemConfig
-from repro.sim.trace import Trace, dump_trace, load_trace, save_trace
+from repro.sim.trace import (
+    Trace,
+    dump_trace,
+    load_trace,
+    parse_trace,
+    save_trace,
+)
 from repro.types import Address, Op, Reference
 from repro.workloads.locks import spinlock_trace
 from repro.workloads.markov import markov_block_trace, shared_structure_trace
@@ -63,17 +63,6 @@ class TestRoundTrip:
         assert list(compiled) == trace.references
         assert compiled.n_nodes == trace.n_nodes
         assert compiled.block_size_words == trace.block_size_words
-
-    def test_to_trace_round_trips(self):
-        trace = sample_trace()
-        back = trace.compile().to_trace()
-        assert back.references == trace.references
-        assert back.n_nodes == trace.n_nodes
-        assert back.block_size_words == trace.block_size_words
-
-    def test_compile_of_to_trace_is_equal(self):
-        compiled = sample_trace().compile()
-        assert compiled.to_trace().compile() == compiled
 
     def test_write_fraction_matches(self):
         trace = sample_trace()
@@ -347,9 +336,7 @@ class TestValidation:
         ],
         ids=["earliest-row", "block-before-offset", "node-first"],
     )
-    @pytest.mark.parametrize(
-        "form", ["Trace", "CompiledTrace", "load_trace", "load_compiled_trace"]
-    )
+    @pytest.mark.parametrize("form", ["Trace", "CompiledTrace", "load_trace"])
     def test_both_forms_and_loaders_name_the_same_row(
         self, tmp_path, rows, error, form
     ):
@@ -375,7 +362,6 @@ class TestValidation:
             ),
             "CompiledTrace": lambda: CompiledTrace(*columns(*rows), 4, 4),
             "load_trace": lambda: load_trace(path),
-            "load_compiled_trace": lambda: load_compiled_trace(path),
         }[form]
         with pytest.raises(TraceError) as raised:
             make()
@@ -394,7 +380,7 @@ class TestBuilders:
         builder.read(1, 0, 0)
         built = builder.build()
         assert built == sample_trace().compile()
-        assert built.to_trace() == sample_trace()
+        assert list(built) == sample_trace().references
 
     def test_build_hands_the_columns_over(self):
         # A trace's columns are immutable (its bounds proof and folded
@@ -420,24 +406,25 @@ class TestTextFormat:
     def test_compiled_stream_round_trip(self):
         compiled = sample_trace().compile()
         buffer = io.StringIO()
-        dump_compiled_trace(compiled, buffer)
-        assert parse_compiled_trace(buffer.getvalue().splitlines()) == compiled
+        dump_trace(compiled, buffer)
+        assert parse_trace(buffer.getvalue().splitlines()) == compiled
 
     def test_dump_trace_accepts_compiled_form(self):
-        trace = sample_trace()
-        plain, columnar = io.StringIO(), io.StringIO()
-        dump_trace(trace, plain)
-        dump_trace(trace.compile(), columnar)
-        assert plain.getvalue() == columnar.getvalue()
+        buffer = io.StringIO()
+        dump_trace(sample_trace().compile(), buffer)
+        assert buffer.getvalue() == (
+            "# repro-trace v1 n_nodes=4 block_size=2\n"
+            "0 W 3:1 42\n"
+            "2 R 3:1 0\n"
+            "1 R 0:0 0\n"
+        )
 
     def test_file_round_trip_across_forms(self, tmp_path):
         trace = sample_trace()
         path = tmp_path / "stream.trace"
         save_trace(trace.compile(), path)
-        assert load_trace(path).references == trace.references
-        assert load_compiled_trace(path) == trace.compile()
-        save_compiled_trace(trace.compile(), path)
-        assert load_trace(path).references == trace.references
+        assert list(load_trace(path)) == trace.references
+        assert load_trace(path) == trace.compile()
 
     def test_comments_and_blanks_ignored(self):
         text = [
@@ -446,58 +433,57 @@ class TestTextFormat:
             "# a comment",
             "0 W 3:1 42",
         ]
-        compiled = parse_compiled_trace(text)
+        compiled = parse_trace(text)
         assert list(compiled) == [Reference(0, Op.WRITE, Address(3, 1), 42)]
 
     def test_empty_file_rejected(self):
         with pytest.raises(TraceError, match="empty"):
-            parse_compiled_trace([])
+            parse_trace([])
 
     def test_malformed_line_rejected(self):
         header = "# repro-trace v1 n_nodes=4 block_size=2"
         with pytest.raises(TraceError, match="line 2"):
-            parse_compiled_trace([header, "0 W 3:1"])
+            parse_trace([header, "0 W 3:1"])
         with pytest.raises(TraceError, match="unknown operation"):
-            parse_compiled_trace([header, "0 X 3:1 0"])
+            parse_trace([header, "0 X 3:1 0"])
         with pytest.raises(TraceError, match="malformed"):
-            parse_compiled_trace([header, "0 W three:1 0"])
+            parse_trace([header, "0 W three:1 0"])
 
 
 # ----------------------------------------------------------------------
-# Property tests: every generator, both forms, identical replays
+# Property tests: every generator, both inputs, identical replays
 # ----------------------------------------------------------------------
 
-# name -> builder(n_nodes, compiled) covering every workload generator.
+# name -> builder(n_nodes) covering every workload generator.
 GENERATORS = {
-    "markov": lambda n, c: markov_block_trace(
+    "markov": lambda n: markov_block_trace(
         n, tasks=list(range(min(n, 6))), write_fraction=0.3,
-        n_references=300, seed=11, compiled=c,
+        n_references=300, seed=11,
     ),
-    "shared-structure": lambda n, c: shared_structure_trace(
+    "shared-structure": lambda n: shared_structure_trace(
         n, tasks=list(range(min(n, 6))), write_fraction=0.4,
-        n_references=300, n_blocks=5, seed=13, compiled=c,
+        n_references=300, n_blocks=5, seed=13,
     ),
-    "random": lambda n, c: random_trace(
-        n, 300, n_blocks=6, write_fraction=0.25, seed=17, compiled=c,
+    "random": lambda n: random_trace(
+        n, 300, n_blocks=6, write_fraction=0.25, seed=17,
     ),
-    "spinlock": lambda n, c: spinlock_trace(
-        n, tasks=list(range(min(n, 4))), n_acquisitions=20, compiled=c,
+    "spinlock": lambda n: spinlock_trace(
+        n, tasks=list(range(min(n, 4))), n_acquisitions=20,
     ),
-    "producer-consumer": lambda n, c: producer_consumer_trace(
+    "producer-consumer": lambda n: producer_consumer_trace(
         n, producer=0, consumers=list(range(1, min(n, 5))), n_rounds=15,
-        compiled=c,
     ),
-    "migratory": lambda n, c: migratory_trace(
-        n, tasks=list(range(min(n, 5))), n_rounds=15, compiled=c,
+    "migratory": lambda n: migratory_trace(
+        n, tasks=list(range(min(n, 5))), n_rounds=15,
     ),
-    "ping-pong": lambda n, c: ping_pong_trace(
-        n, first=0, second=1, n_rounds=25, compiled=c,
+    "ping-pong": lambda n: ping_pong_trace(
+        n, first=0, second=1, n_rounds=25,
     ),
-    "jacobi": lambda n, c: jacobi_trace(
-        n, tasks=list(range(min(n, 4))), rows=8, sweeps=1, compiled=c,
+    "jacobi": lambda n: jacobi_trace(
+        n, tasks=list(range(min(n, 4))), rows=8, sweeps=1,
     ),
-    "matrix-multiply": lambda n, c: matrix_multiply_trace(
-        n, tasks=list(range(min(n, 4))), size=4, compiled=c,
+    "matrix-multiply": lambda n: matrix_multiply_trace(
+        n, tasks=list(range(min(n, 4))), size=4,
     ),
 }
 
@@ -505,16 +491,18 @@ GENERATORS = {
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 @pytest.mark.parametrize("n_nodes", [8, 16])
 def test_generator_forms_describe_identical_streams(name, n_nodes):
-    build = GENERATORS[name]
-    trace = build(n_nodes, False)
-    compiled = build(n_nodes, True)
+    compiled = GENERATORS[name](n_nodes)
     assert isinstance(compiled, CompiledTrace)
-    assert compiled == trace.compile()
-    assert compiled.to_trace().references == trace.references
-    # ... and survive the text format in either form.
+    # The columns and the Reference items they yield are one stream ...
+    references = list(compiled)
+    assert Trace(references, n_nodes, compiled.block_size_words).compile() == (
+        compiled
+    )
+    assert [compiled[row] for row in range(len(compiled))] == references
+    # ... and survive the text format.
     buffer = io.StringIO()
     dump_trace(compiled, buffer)
-    assert parse_compiled_trace(buffer.getvalue().splitlines()) == compiled
+    assert parse_trace(buffer.getvalue().splitlines()) == compiled
 
 
 def _replay(trace, n_nodes, *, verify, memoise=True):
@@ -534,22 +522,17 @@ def _replay(trace, n_nodes, *, verify, memoise=True):
 @pytest.mark.parametrize("n_nodes", [8, 16])
 def test_generator_forms_replay_identically(name, n_nodes):
     build = GENERATORS[name]
-    reference_report = _replay(
-        build(n_nodes, False).references, n_nodes, verify=False
-    )
-    # The fast-path column loop (all per-reference checks off) ...
-    fast_report = _replay(build(n_nodes, True), n_nodes, verify=False)
+    reference_report = _replay(list(build(n_nodes)), n_nodes, verify=False)
+    # The batched kernel (all per-reference checks off) ...
+    fast_report = _replay(build(n_nodes), n_nodes, verify=False)
     assert fast_report.to_dict() == reference_report.to_dict()
-    # ... and the verifying column loop must agree with the classic loop.
-    verified_columns = _replay(build(n_nodes, True), n_nodes, verify=True)
-    verified_reference = _replay(
-        build(n_nodes, False).references, n_nodes, verify=True
-    )
+    # ... and the verifying column loop must agree with the checked loop.
+    verified_columns = _replay(build(n_nodes), n_nodes, verify=True)
+    verified_reference = _replay(list(build(n_nodes)), n_nodes, verify=True)
     assert verified_columns.to_dict() == verified_reference.to_dict()
     # Route-plan memoisation and the message ledger change nothing: the
     # same references with every send walked switch by switch.
     cold_report = _replay(
-        build(n_nodes, False).references, n_nodes, verify=False,
-        memoise=False,
+        list(build(n_nodes)), n_nodes, verify=False, memoise=False,
     )
     assert cold_report.to_dict() == reference_report.to_dict()

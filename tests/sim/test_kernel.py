@@ -62,33 +62,32 @@ def _workloads(n_nodes):
     """Every trace generator in the repo, at test-friendly sizes."""
     tasks = list(range(8))
     return {
-        "jacobi": lambda compiled: jacobi_trace(
+        "jacobi": lambda: jacobi_trace(
             n_nodes, tasks[:4], rows=8, row_words=8, sweeps=2,
-            compiled=compiled,
         ),
-        "markov_block": lambda compiled: markov_block_trace(
-            n_nodes, tasks, 0.3, 600, seed=3, compiled=compiled
+        "markov_block": lambda: markov_block_trace(
+            n_nodes, tasks, 0.3, 600, seed=3
         ),
-        "matrix_multiply": lambda compiled: matrix_multiply_trace(
-            n_nodes, tasks[:4], size=6, compiled=compiled
+        "matrix_multiply": lambda: matrix_multiply_trace(
+            n_nodes, tasks[:4], size=6
         ),
-        "migratory": lambda compiled: migratory_trace(
-            n_nodes, tasks[:3], 40, compiled=compiled
+        "migratory": lambda: migratory_trace(
+            n_nodes, tasks[:3], 40
         ),
-        "ping_pong": lambda compiled: ping_pong_trace(
-            n_nodes, 0, 1, 60, compiled=compiled
+        "ping_pong": lambda: ping_pong_trace(
+            n_nodes, 0, 1, 60
         ),
-        "producer_consumer": lambda compiled: producer_consumer_trace(
-            n_nodes, 0, tasks[1:4], 40, compiled=compiled
+        "producer_consumer": lambda: producer_consumer_trace(
+            n_nodes, 0, tasks[1:4], 40
         ),
-        "random": lambda compiled: random_trace(
-            n_nodes, 600, seed=9, compiled=compiled
+        "random": lambda: random_trace(
+            n_nodes, 600, seed=9
         ),
-        "shared_structure": lambda compiled: shared_structure_trace(
-            n_nodes, tasks[:6], 0.3, 600, seed=4, compiled=compiled
+        "shared_structure": lambda: shared_structure_trace(
+            n_nodes, tasks[:6], 0.3, 600, seed=4
         ),
-        "spinlock": lambda compiled: spinlock_trace(
-            n_nodes, tasks[:3], 25, compiled=compiled
+        "spinlock": lambda: spinlock_trace(
+            n_nodes, tasks[:3], 25
         ),
     }
 
@@ -103,7 +102,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("name", sorted(_workloads(16)))
     def test_batched_matches_per_reference(self, name, n_nodes, default_mode):
         make = _workloads(n_nodes)[name]
-        compiled_trace = make(True)
+        compiled_trace = make()
         _, batched_protocol = build(
             n_nodes=n_nodes, block_size_words=4, default_mode=default_mode
         )
@@ -124,7 +123,7 @@ class TestEquivalence:
         )
         slow_report = run_trace(
             slow_protocol,
-            make(False).references,
+            list(make()),
             verify=False,
             check_invariants_every=0,
         )
@@ -177,7 +176,7 @@ class TestEquivalence:
         # lost record kind, a new epoch-bump site or a chunk-validation
         # regression moves them, where a host rate would only drift.
         trace = markov_block_trace(
-            n_nodes, list(tasks), 0.3, n_references, seed=seed, compiled=True
+            n_nodes, list(tasks), 0.3, n_references, seed=seed
         )
         system = System(
             SystemConfig(
@@ -208,13 +207,7 @@ class TestEquivalence:
         reports = []
         for compiled in (True, False):
             trace = shared_structure_trace(
-                n_nodes,
-                list(range(4)),
-                0.4,
-                600,
-                n_blocks=4,
-                seed=12,
-                compiled=compiled,
+                n_nodes, list(range(4)), 0.4, 600, n_blocks=4, seed=12
             )
             _, protocol = build(
                 n_nodes=n_nodes,
@@ -224,7 +217,7 @@ class TestEquivalence:
             reports.append(
                 run_trace(
                     protocol,
-                    trace if compiled else trace.references,
+                    trace if compiled else list(trace),
                     verify=False,
                     check_invariants_every=0,
                 )
@@ -288,7 +281,7 @@ class TestGating:
         # ledgers, same counters.
         n_nodes = 16
         trace = markov_block_trace(
-            n_nodes, list(range(8)), 0.05, 4000, seed=3, compiled=True
+            n_nodes, list(range(8)), 0.05, 4000, seed=3
         )
         for policy_cls in (OracleModePolicy, AdaptiveModePolicy):
             protocols = []
@@ -563,7 +556,7 @@ class TestFallbackReasons:
             n_nodes=n_nodes, block_size_words=4,
             mode_policy=OracleModePolicy(2),
         )
-        trace = _workloads(n_nodes)["shared_structure"](True)
+        trace = _workloads(n_nodes)["shared_structure"]()
         run_trace(protocol, trace, verify=False, check_invariants_every=0)
         kernel = protocol.batched_kernel()
         assert len(kernel.fallback_reasons) > 1
@@ -597,12 +590,12 @@ class TestFoldedColumn:
         # geometry's first replay counts every window, its second reads.
         n_nodes = 16
         make = _workloads(n_nodes)["markov_block"]
-        trace = make(True)
+        trace = make()
         geometries = [(16, 4), (32, 8), (16, 4)]
         for n, block_size_words in geometries:
             reports = []
             kernels = []
-            for references in (trace, trace, make(False).references):
+            for references in (trace, trace, list(make())):
                 _, protocol = build(
                     n_nodes=n, block_size_words=block_size_words
                 )
@@ -774,8 +767,7 @@ class TestFoldedColumn:
 
         def make():
             return markov_block_trace(
-                n_nodes, list(tasks), 0.3, warm + 3 * n, seed=11,
-                compiled=True,
+                n_nodes, list(tasks), 0.3, warm + 3 * n, seed=11
             )
 
         trace = make()
@@ -864,14 +856,14 @@ class TestNoCacheClosedForm:
         self, name, n_nodes, view, fold_builds
     ):
         make = _workloads(n_nodes)[name]
-        compiled_trace = make(True)
+        compiled_trace = make()
         batched, protocol = self._replay(n_nodes, compiled_trace, view)
         # Every view read the fold the generator handed over.
         assert fold_builds == []
         kernel = protocol.batched_kernel()
         assert kernel.batched_refs == sum(map(sum, batched[3])) > 0
         slow, slow_protocol = self._replay(
-            n_nodes, make(False).references, view
+            n_nodes, list(make()), view
         )
         assert slow_protocol.batched_kernel().batched_refs == 0
         assert batched == slow
@@ -879,13 +871,11 @@ class TestNoCacheClosedForm:
     def test_modules_store_blocks_in_first_write_order(self):
         # Four nodes, sixteen blocks: each module homes four, first
         # written out of block order, which the kernel must keep.
-        def make(compiled):
-            return random_trace(
-                4, 400, n_blocks=16, seed=7, compiled=compiled
-            )
+        def make():
+            return random_trace(4, 400, n_blocks=16, seed=7)
 
-        batched, _ = self._replay(4, make(True), "root")
-        slow, _ = self._replay(4, make(False).references, "root")
+        batched, _ = self._replay(4, make(), "root")
+        slow, _ = self._replay(4, list(make()), "root")
         assert batched == slow
         orders = [[block for block, _ in module] for module in batched[2]]
         assert any(order != sorted(order) for order in orders)

@@ -27,6 +27,7 @@ from repro.protocol.modes import (
 )
 from repro.sim import ctrace as ctrace_module
 from repro.sim import kernel as kernel_module
+from repro.sim.ctrace import CompiledTrace
 from repro.sim.engine import run_trace
 from repro.sim.trace import Trace
 from repro.types import Address, Op, Reference
@@ -44,7 +45,7 @@ POLICIES = pytest.mark.parametrize(
 )
 
 
-def _owned_blocks_trace(n_nodes, compiled, n_blocks=8, n_references=6000):
+def _owned_blocks_trace(n_nodes, n_blocks=8, n_references=6000):
     """Interleaved blocks with one writer each, in write-heavy and
     read-heavy phases: ownership never moves, so multi-block chunks
     validate, and every block's mode keeps crossing the threshold."""
@@ -61,8 +62,7 @@ def _owned_blocks_trace(n_nodes, compiled, n_blocks=8, n_references=6000):
         else:
             reader = (owner + rng.randrange(4)) % n_nodes
             refs.append(Reference(reader, Op.READ, Address(block, index % 4)))
-    trace = Trace(refs, n_nodes, 4)
-    return trace.compile() if compiled else trace
+    return Trace(refs, n_nodes, 4).compile()
 
 
 def _observed(system, protocol):
@@ -100,7 +100,7 @@ def _three_ways(
     Returns the kernel-route protocol for further inspection.
     """
     build_kwargs = {"n_nodes": n_nodes, "block_size_words": 4, **build_kwargs}
-    compiled = make_trace(True)
+    compiled = make_trace()
     pieces = VIEWS[view](compiled)
     assert sum(map(len, pieces)) == len(compiled)
 
@@ -120,7 +120,7 @@ def _three_ways(
     logged_system, logged_protocol, logged_report = replay(pieces, True)
     assert logged_protocol.batched_kernel() is None
     slow_system, slow_protocol, slow_report = replay(
-        VIEWS[view](make_trace(False).references)
+        VIEWS[view](list(make_trace()))
     )
 
     assert kernel_report == logged_report == slow_report
@@ -149,16 +149,21 @@ class TestThreeWayEquivalence:
         self, name, view, policy_cls, fold_builds
     ):
         # Whole, split at a warm-up boundary or cut twice: every piece
-        # replays out of the one column folded on the root.  A compiled
-        # reference list arrives unfolded, so that one fold is counted.
+        # replays out of the one column folded on the root.  The rows
+        # rewrapped in a trace of their own arrive unfolded, so that one
+        # fold is counted.
         n_nodes = 16
         make = _workloads(n_nodes)[name]
 
-        def make_unfolded(compiled):
-            return make(False).compile() if compiled else make(False)
+        def make_unfolded():
+            trace = make()
+            return CompiledTrace(
+                trace.nodes, trace.ops, trace.blocks, trace.offsets,
+                trace.values, trace.n_nodes, trace.block_size_words,
+            )
 
         _three_ways(make_unfolded, lambda: policy_cls(32), n_nodes, view=view)
-        assert fold_builds == [(len(make(True)), n_nodes, 4)]
+        assert fold_builds == [(len(make()), n_nodes, 4)]
 
     @POLICIES
     def test_the_kernel_does_the_work(self, policy_cls):
@@ -167,9 +172,8 @@ class TestThreeWayEquivalence:
         # one cut chunk.
         n_nodes = 64
         protocol = _three_ways(
-            lambda compiled: markov_block_trace(
-                n_nodes, list(range(16)), 0.3, 10_000, seed=1,
-                compiled=compiled,
+            lambda: markov_block_trace(
+                n_nodes, list(range(16)), 0.3, 10_000, seed=1
             ),
             lambda: policy_cls(32),
             n_nodes,
@@ -212,18 +216,17 @@ class TestThreeWayEquivalence:
         tasks = list(range(6))
         bounds = [(kernel_module.MIN_CHUNK, kernel_module.MAX_CHUNK)]
         if name == "owned_blocks":
-            make = lambda compiled: _owned_blocks_trace(n_nodes, compiled)
+            make = lambda: _owned_blocks_trace(n_nodes)
         elif name == "shared_structure":
-            make = lambda compiled: shared_structure_trace(
-                n_nodes, tasks, 0.05, 6000, seed=4, compiled=compiled
+            make = lambda: shared_structure_trace(
+                n_nodes, tasks, 0.05, 6000, seed=4
             )
         else:
             # Any node may write any block: ownership moves too often
             # for a 64-row chunk to validate, so grow them from one row
             # -- to a cap that doubling from 1 or from 3 would pass.
-            make = lambda compiled: random_trace(
-                n_nodes, 3000, write_fraction=0.05, nodes=tasks[:4],
-                seed=9, compiled=compiled,
+            make = lambda: random_trace(
+                n_nodes, 3000, write_fraction=0.05, nodes=tasks[:4], seed=9
             )
             bounds = [(1, 16), (1, 3), (3, 16)]
         for low, high in bounds:
@@ -323,7 +326,7 @@ class TestAdversarialChunking:
         monkeypatch.setattr(kernel_module, "MAX_CHUNK", 4)
         n_nodes = 16
 
-        def make(compiled):
+        def make():
             refs = []
             value = 0
             for phase in range(40):
@@ -336,8 +339,7 @@ class TestAdversarialChunking:
                         )
                     else:
                         refs.append(Reference(node, Op.READ, Address(0, 0)))
-            trace = Trace(refs, n_nodes, 4)
-            return trace.compile() if compiled else trace
+            return Trace(refs, n_nodes, 4).compile()
 
         protocol = _three_ways(make, lambda: policy_cls(3), n_nodes)
         assert protocol.stats.events["mode_switches"] > 10
@@ -405,7 +407,7 @@ class TestSharedWindowStatistics:
             monkeypatch.setattr(kernel_module, "MAX_CHUNK", bounds[1])
         n_nodes = 16
         make = _workloads(n_nodes)[name]
-        shared = make(True)
+        shared = make()
 
         def replay(cell, trace):
             system, protocol = build(
@@ -426,7 +428,7 @@ class TestSharedWindowStatistics:
         read_from_trace = 0
         for index, cell in enumerate(GRID):
             observed, kernel = replay(cell, shared)
-            private, own = replay(cell, make(True))
+            private, own = replay(cell, make())
             assert observed == private
             assert own.shared_refs == 0
             if index:

@@ -110,17 +110,20 @@ def window_shut(monkeypatch):
 
 
 def _trace(compiled, n_references=600, workload="markov"):
+    """The generated trace, or (``compiled`` off) its rows as a list."""
     if workload == "migratory":
         # Any node writes any block: ownership moves, destination sets
         # rarely repeat (bench's ``migratory_n64`` is this kind).
-        return random_trace(
+        trace = random_trace(
             N_NODES, n_references, n_blocks=8, write_fraction=0.3,
-            locality=0.5, seed=2, compiled=compiled,
+            locality=0.5, seed=2,
         )
-    return markov_block_trace(
-        N_NODES, tasks=range(4), write_fraction=0.3,
-        n_references=n_references, seed=2, compiled=compiled,
-    )
+    else:
+        trace = markov_block_trace(
+            N_NODES, tasks=range(4), write_fraction=0.3,
+            n_references=n_references, seed=2,
+        )
+    return trace if compiled else list(trace)
 
 
 def _run(protocol_name, compiled, fault_plan, workload="markov"):

@@ -38,10 +38,10 @@ def _proven(workload):
     if workload == "random":
         return random_trace(
             N_NODES, 800, n_blocks=24, write_fraction=0.4, locality=0.5,
-            seed=11, compiled=True,
+            seed=11,
         )
     return markov_block_trace(
-        N_NODES, range(6), 0.3, 800, seed=11, compiled=True
+        N_NODES, range(6), 0.3, 800, seed=11
     )
 
 

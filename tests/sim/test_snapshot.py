@@ -5,6 +5,7 @@ import pytest
 from repro.cache.state import Mode
 from repro.errors import TraceError
 from repro.protocol.stenstrom import StenstromProtocol
+from repro.sim.ctrace import CompiledTrace
 from repro.sim.snapshot import (
     block_snapshot,
     blocks_in_play,
@@ -71,48 +72,48 @@ class TestTraceCombinators:
 
     def test_concatenate_orders_phases(self):
         first, second = self._traces()
-        combined = Trace.concatenate([first, second])
+        combined = CompiledTrace.concatenate([first, second])
         assert len(combined) == 16
-        assert combined.references[:10] == first.references
-        assert combined.references[10:] == second.references
+        assert list(combined[:10]) == list(first)
+        assert list(combined[10:]) == list(second)
 
     def test_interleave_round_robins(self):
         first, second = self._traces()
-        combined = Trace.interleave([first, second])
+        combined = CompiledTrace.interleave([first, second])
         assert len(combined) == 16
-        assert combined.references[0] == first.references[0]
-        assert combined.references[1] == second.references[0]
+        assert combined[0] == first[0]
+        assert combined[1] == second[0]
         # After the shorter runs out, the longer continues.
-        assert combined.references[-1] == first.references[-1]
+        assert combined[-1] == first[-1]
 
     def test_combined_traces_still_validate(self):
         first, second = self._traces()
-        Trace.interleave([first, second]).validate()
-        Trace.concatenate([first, second]).validate()
+        CompiledTrace.interleave([first, second]).validate()
+        CompiledTrace.concatenate([first, second]).validate()
 
     def test_mismatched_block_sizes_rejected(self):
-        a = Trace([], n_nodes=4, block_size_words=2)
-        b = Trace([], n_nodes=4, block_size_words=4)
+        a = Trace([], n_nodes=4, block_size_words=2).compile()
+        b = Trace([], n_nodes=4, block_size_words=4).compile()
         with pytest.raises(TraceError):
-            Trace.concatenate([a, b])
+            CompiledTrace.concatenate([a, b])
         with pytest.raises(TraceError):
-            Trace.interleave([a, b])
+            CompiledTrace.interleave([a, b])
 
     def test_empty_input_rejected(self):
         with pytest.raises(TraceError):
-            Trace.concatenate([])
+            CompiledTrace.concatenate([])
         with pytest.raises(TraceError):
-            Trace.interleave([])
+            CompiledTrace.interleave([])
 
     def test_node_count_is_the_maximum(self):
         a = Trace(
             [Reference(0, Op.READ, Address(0, 0))],
             n_nodes=2,
             block_size_words=2,
-        )
+        ).compile()
         b = Trace(
             [Reference(7, Op.READ, Address(0, 0))],
             n_nodes=8,
             block_size_words=2,
-        )
-        assert Trace.concatenate([a, b]).n_nodes == 8
+        ).compile()
+        assert CompiledTrace.concatenate([a, b]).n_nodes == 8

@@ -1,4 +1,4 @@
-"""Unit tests for traces and their file format."""
+"""Unit tests for hand-written traces and the one trace file format."""
 
 import io
 
@@ -76,17 +76,17 @@ class TestSerialisation:
     def test_stream_roundtrip(self):
         trace = sample_trace()
         buffer = io.StringIO()
-        dump_trace(trace, buffer)
+        dump_trace(trace.compile(), buffer)
         parsed = parse_trace(io.StringIO(buffer.getvalue()))
-        assert parsed.references == trace.references
+        assert list(parsed) == trace.references
         assert parsed.n_nodes == trace.n_nodes
         assert parsed.block_size_words == trace.block_size_words
 
     def test_file_roundtrip(self, tmp_path):
         trace = sample_trace()
         path = tmp_path / "t.trace"
-        save_trace(trace, path)
-        assert load_trace(path).references == trace.references
+        save_trace(trace.compile(), path)
+        assert list(load_trace(path)) == trace.references
 
     def test_comments_and_blanks_ignored(self):
         text = (
@@ -115,6 +115,21 @@ class TestSerialisation:
         text = "# repro-trace v1 n_nodes=4 block_size=2\n0 Z 3:1 42\n"
         with pytest.raises(TraceError, match="unknown operation"):
             parse_trace(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "9223372036854775808 R 0:0 0",
+            "0 R 9223372036854775808:0 0",
+            "0 W 0:0 -9223372036854775809",
+        ],
+        ids=["node", "block", "value"],
+    )
+    def test_field_outside_int64_rejected(self, tmp_path, line):
+        path = tmp_path / "huge.trace"
+        path.write_text(f"# repro-trace v1 n_nodes=4 block_size=2\n{line}\n")
+        with pytest.raises(TraceError, match="line 2: .* outside int64"):
+            load_trace(path)
 
     def test_header_missing_fields_rejected(self):
         with pytest.raises(TraceError):

@@ -79,9 +79,38 @@ class TestSimulate:
             block_size_words=2,
         )
         path = tmp_path / "small.trace"
-        save_trace(trace, path)
+        save_trace(trace.compile(), path)
         assert main(["simulate", "--trace", str(path)]) == 0
         assert "references        : 2" in capsys.readouterr().out
+
+
+class TestBadTraceFile:
+    """A ``--trace`` file that cannot be read is one line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0 X 1:0 0", "line 2: unknown operation 'X'"),
+            ("0 R 9223372036854775808:0 0", "line 2: a field of"),
+        ],
+        ids=["bad-op", "int64-overflow"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "compare", "latency"])
+    def test_malformed_file(self, tmp_path, capsys, command, line, message):
+        path = tmp_path / "bad.trace"
+        path.write_text(f"# repro-trace v1 n_nodes=4 block_size=2\n{line}\n")
+        assert main([command, "--trace", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {message}")
+        assert captured.err.count("\n") == 1
+
+    def test_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.trace"
+        assert main(["simulate", "--trace", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: No such file or directory\n"
+        )
 
 
 class TestCompare:

@@ -10,7 +10,8 @@ Three things keep that honest:
   of silently changing every exhibit;
 * the five columns of every generator hash to digests pinned from the
   per-reference ``randrange`` implementation this one replaced;
-* ``WorkloadSpec.build()`` is ``build_compiled().to_trace()``.
+* ``WorkloadSpec.build()`` is the generator's own trace, and the
+  ``Reference`` items a trace yields are its columns.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runner import WorkloadSpec
+from repro.sim.trace import Trace
 from repro.workloads import (
     jacobi_trace,
     markov_block_trace,
@@ -190,15 +192,14 @@ class TestPinnedColumns:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_columns_match_the_pinned_digest(self, case):
         generator, args, kwargs = CASES[case]
-        columns = generator(*args, **kwargs, compiled=True)
+        columns = generator(*args, **kwargs)
         assert column_digest(columns) == PINNED[case]
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_reference_form_is_the_columns_as_a_trace(self, case):
         generator, args, kwargs = CASES[case]
-        columns = generator(*args, **kwargs, compiled=True)
-        trace = generator(*args, **kwargs)
-        assert trace == columns.to_trace()
+        columns = generator(*args, **kwargs)
+        trace = Trace(list(columns), columns.n_nodes, columns.block_size_words)
         assert trace.compile() == columns
 
 
@@ -216,5 +217,16 @@ class TestWorkloadSpecForms:
             kind=kind, n_nodes=16, n_references=300, write_fraction=0.3,
             seed=604, **extra,
         )
-        assert spec.build() == spec.build_compiled().to_trace()
-        assert spec.build().compile() == spec.build_compiled()
+        assert WorkloadSpec.build_compiled is WorkloadSpec.build
+        if kind == "random":
+            expected = random_trace(
+                16, 300, write_fraction=0.3, seed=604, **extra
+            )
+        else:
+            generator = (
+                markov_block_trace if kind == "markov"
+                else shared_structure_trace
+            )
+            expected = generator(16, write_fraction=0.3, n_references=300,
+                                 seed=604, **extra)
+        assert spec.build() == expected

@@ -58,7 +58,7 @@ def test_emitted_proof_and_fold_equal_validate_and_build_fold(
     case, validations
 ):
     generator, args, kwargs = CASES[case]
-    trace = generator(*args, **kwargs, compiled=True)
+    trace = generator(*args, **kwargs)
     seeded = generator.__name__ in SEEDED
     # Seeded rows are proven by their draws; builder rows by validate().
     assert validations == ([] if seeded else [len(trace)])
@@ -80,12 +80,12 @@ class TestEdges:
         with pytest.raises(
             TraceError, match=r"^reference 0: negative block -1$"
         ):
-            markov_block_trace(16, [0, 3], 0.3, 5, block=-1, compiled=True)
+            markov_block_trace(16, [0, 3], 0.3, 5, block=-1)
 
     def test_a_negative_first_block_fails_at_its_first_row(self):
         # Blocks are first_block + index with the index drawn first, so
         # the draws (and the first negative row) do not depend on it.
-        kwargs = dict(n_blocks=6, seed=7, compiled=True)
+        kwargs = dict(n_blocks=6, seed=7)
         drawn = shared_structure_trace(16, [0, 3], 0.3, 50, **kwargs).blocks
         index = next(i for i, block in enumerate(drawn) if block < 3)
         with pytest.raises(
@@ -97,30 +97,29 @@ class TestEdges:
             )
 
     def test_an_empty_trace_with_a_negative_block_is_valid(self):
-        trace = markov_block_trace(16, [0], 0.5, 0, block=-1, compiled=True)
+        trace = markov_block_trace(16, [0], 0.5, 0, block=-1)
         assert len(trace) == 0 and trace.fits(16, 4)
 
     @pytest.mark.parametrize(
         "make",
         [
-            lambda compiled: markov_block_trace(
+            lambda: markov_block_trace(
                 16, [0, 3, 5], 0.3, 400, block=2**62, seed=1,
-                compiled=compiled,
             ),
-            lambda compiled: shared_structure_trace(
+            lambda: shared_structure_trace(
                 16, [0, 3, 5], 0.3, 400, first_block=2**62, n_blocks=5,
-                seed=1, compiled=compiled,
+                seed=1,
             ),
         ],
         ids=["markov", "shared-structure"],
     )
     def test_a_fold_past_int64_stays_exact_and_replays_alike(self, make):
-        trace = make(True)
+        trace = make()
         fold = _handed_over(trace)
         assert type(fold) is list
         assert fold == trace._build_fold(16, 4)
         reports = []
-        for references in (trace, make(False).references):
+        for references in (trace, list(make())):
             protocol = StenstromProtocol(System(SystemConfig(n_nodes=16)))
             reports.append(
                 run_trace(
@@ -141,7 +140,6 @@ def test_generation_peaks_near_its_own_columns():
     try:
         trace = markov_block_trace(
             1024, list(range(0, 1024, 16)), 0.3, 100_000, seed=1989,
-            compiled=True,
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
