@@ -174,29 +174,25 @@ class CoherenceProtocol(abc.ABC):
             return "message_log"
         return None
 
-    def _plain_multicaster(self) -> bool:
-        """Whether sends go through a plain :class:`Multicaster`.
-
-        A subclass, or one with a net recorder, may account a send
-        differently from the closed form that prices posted messages.
-        """
-        multicaster = self.system.multicaster
-        return (
-            type(multicaster) is Multicaster and multicaster.recorder is None
-        )
-
     def open_window(self) -> bool:
         """Post messages instead of sending them, until :meth:`close_window`.
 
         Only where nothing consumes individual sends
-        (:meth:`_sends_watched`, :meth:`_plain_multicaster`) and the
-        network keeps a ledger (it has a plan cache); otherwise every
-        message is still sent one by one.  Returns whether a window is
-        now open.
+        (:meth:`_sends_watched`), sends go through a plain
+        :class:`Multicaster` -- a subclass, or one with a net recorder,
+        may account a send differently from the closed form that prices
+        posted messages -- and the network keeps a ledger (it has a plan
+        cache); otherwise every message is still sent one by one.
+        Returns whether a window is now open.
         """
-        if not self._sends_watched() and self._plain_multicaster():
+        multicaster = self.system.multicaster
+        if (
+            not self._sends_watched()
+            and type(multicaster) is Multicaster
+            and multicaster.recorder is None
+        ):
             self._ledger = self.system.network.open_window(
-                self.system.multicaster.scheme, self.stats.record_traffic
+                multicaster.scheme, self.stats.record_traffic
             )
         return self._ledger is not None
 
@@ -213,15 +209,14 @@ class CoherenceProtocol(abc.ABC):
         bits: int,
         count: int,
     ) -> None:
-        """``count`` identical messages: a replay tier's deferred hits."""
+        """Post ``count`` identical messages: a replay tier's deferred hits.
+
+        Only inside an open window (:meth:`open_window`), which is the
+        only place :func:`~repro.sim.engine.run_trace` engages a tier.
+        """
         ledger = self._ledger
-        if ledger is not None:
-            key = (kind._value_, source, dests, bits)
-            ledger[key] = ledger.get(key, 0) + count
-            return
-        send = self._send if type(dests) is int else self._multicast
-        for _ in range(count):
-            send(kind, source, dests, bits)
+        key = (kind._value_, source, dests, bits)
+        ledger[key] = ledger.get(key, 0) + count
 
     def _send(
         self, kind: MsgKind, source: NodeId, dest: NodeId, bits: int
@@ -507,10 +502,11 @@ class CoherenceProtocol(abc.ABC):
         :class:`~repro.sim.kernel.BatchedKernel`, which builds, checks,
         executes and flushes its own stable-state records, ``no-cache``
         a closed form.  A kernel hands what it cannot batch to the
-        engine's slow loop.  The base class -- and any protocol in a
-        configuration where the shortcut would be unsound
-        (:meth:`_sends_watched`) -- returns ``None`` and the engine
-        replays every reference on the slow loop.
+        engine's slow loop.  The base class returns ``None`` and the
+        engine replays every reference on the slow loop.  Whether a
+        kernel runs at all is :func:`~repro.sim.engine.run_trace`'s
+        decision alone: only inside an open window, on a trace proven to
+        fit, with every per-reference check off.
         """
         return None
 

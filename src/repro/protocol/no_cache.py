@@ -47,14 +47,9 @@ class NoCacheProtocol(CoherenceProtocol):
         self._send(MsgKind.MEM_WRITE, node, home, self._cost_word)
         self.system.memory_for(block).write_word(block, offset, value)
 
-    def batched_kernel(self) -> NoCacheKernel | None:
-        """The closed-form replay, unless something sees each send.
-
-        Refused under :meth:`_sends_watched` or a non-plain multicaster:
-        both need every message sent one by one, in reference order.
-        """
-        if self._sends_watched() or not self._plain_multicaster():
-            return None
+    def batched_kernel(self) -> NoCacheKernel:
+        """The closed-form replay; :func:`~repro.sim.engine.run_trace`
+        decides when it runs."""
         if self._kernel is None:
             self._kernel = NoCacheKernel(self)
         return self._kernel
@@ -80,20 +75,12 @@ class NoCacheKernel:
         self.batched_refs = 0
 
     def replay(self, trace) -> tuple[int, int]:
-        """Replay every row of a compiled trace; ``(n_reads, n_writes)``."""
+        """Replay every row of a compiled trace proven to fit the system
+        (``trace.fits``); returns ``(n_reads, n_writes)``."""
         protocol = self._protocol()
         system = protocol.system
         n_nodes = system.n_nodes
         block_size = system.config.block_size_words
-        if not trace.fits(n_nodes, block_size):
-            # An unproven row may be out of range: the slow loop raises
-            # at its index.
-            from repro.sim.engine import _replay_columns
-
-            return _replay_columns(
-                protocol, trace, verify=False, check_invariants_every=0,
-                recorder=None,
-            )
         n = len(trace)
         fold_col, base = trace.folded(n_nodes, block_size)
         fold = fold_col[base : base + n]

@@ -116,29 +116,20 @@ class StenstromProtocol(CoherenceProtocol):
     # Stable-state fast path
     # ------------------------------------------------------------------
 
-    def fastpath(self) -> BatchedKernel | None:
-        # Read only by bench's sim.fastpath_hit_share; goes with that probe.
-        return self.batched_kernel()
-
-    def batched_kernel(self) -> BatchedKernel | None:
+    def batched_kernel(self) -> BatchedKernel:
         """The batched kernel, which builds and executes the stable-state
-        records, when chunked replay is sound.
+        records; :func:`~repro.sim.engine.run_trace` decides when it runs.
 
-        Fault injection can degrade blocks and kill routes mid-reference,
-        an attached recorder must see every reference as a span, and the
-        message log must receive a ``LoggedMessage`` per send; each makes
-        a memoised per-reference answer incomplete, so those
-        configurations (:meth:`_sends_watched`) replay entirely on the
-        slow loop.  Nothing else gates it: the kernel asks the mode
-        policy how far each chunk may run
+        The kernel asks the mode policy how far each chunk may run
         (:meth:`~repro.protocol.modes.ModePolicy.fold`) and hands the
         references it cannot batch to the engine's slow loop.
         """
-        if self._sends_watched():
-            return None
         if self._batched_kernel is None:
             self._batched_kernel = BatchedKernel(self)
         return self._batched_kernel
+
+    # Read only by bench's sim.fastpath_hit_share; goes with that probe.
+    fastpath = batched_kernel
 
     # ------------------------------------------------------------------
     # Processor interface

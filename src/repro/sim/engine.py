@@ -117,13 +117,16 @@ def run_trace(
     :class:`~repro.sim.trace.Trace`, a list, a generator), which is
     packed into unvalidated columns first.  Every reference replays
     through one loop over the columns -- the slow path, one
-    ``read``/``write`` call each -- except that a compiled trace, when
-    every per-reference check is off (``verify=False``, invariant stride
-    ``0``) and the protocol offers one, replays through its batched
-    kernel (:meth:`~repro.protocol.base.CoherenceProtocol.batched_kernel`,
-    withheld while faults, a recorder or the message log watch each
-    send), which hands what it cannot batch back to that one loop.  Both
-    routes are bit-identical; see docs/PERF.md.
+    ``read``/``write`` call each -- except where this function engages
+    the protocol's batched kernel
+    (:meth:`~repro.protocol.base.CoherenceProtocol.batched_kernel`),
+    which hands what it cannot batch back to that one loop.  That is the
+    one tier decision, made here alone: the kernel runs iff the ledger
+    window opened (nothing watches individual sends), the trace is a
+    :class:`~repro.sim.ctrace.CompiledTrace` proven to fit the system
+    (``trace.fits``), and every per-reference check is off
+    (``verify=False``, invariant stride ``0``).  Both routes are
+    bit-identical; see docs/PERF.md.
 
     Two independent checks are controlled by two independent knobs:
 
@@ -187,20 +190,23 @@ def run_trace(
         timer.lap("reset")
     if check_invariants_every is None:
         check_invariants_every = 1 if verify else 0
-    kernel = None
-    if (
-        isinstance(trace, CompiledTrace)
-        and not verify
-        and not check_invariants_every
-    ):
-        kernel = protocol.batched_kernel()
     # The one place the message ledger is opened and settled, whichever
     # tier replays: messages are counted during the loop and priced once
     # here, also when the loop raises, so Stats and the network always
     # end as per-send accounting leaves them.
     network = system.network
-    protocol.open_window()
+    opened = protocol.open_window()
     try:
+        # The one place a tier is chosen.
+        kernel = (
+            protocol.batched_kernel()
+            if opened
+            and not verify
+            and not check_invariants_every
+            and isinstance(trace, CompiledTrace)
+            and trace.fits(system.n_nodes, system.config.block_size_words)
+            else None
+        )
         if kernel is not None:
             n_reads, n_writes = kernel.replay(trace)
         else:
@@ -258,11 +264,12 @@ def _replay_columns(
 ) -> tuple[int, int]:
     """The slow loop: one ``read``/``write`` per column row.
 
-    Taken whenever the batched kernel is not: with verification, an
-    invariant stride, a recorder, a protocol without a kernel, or any
-    input that is not a compiled trace -- which is packed into columns
-    first, unvalidated, so a bad row still raises here at its own index;
-    a trace proven to fit (``trace.fits``) calls ``_read``/``_write``.
+    Taken whenever :func:`run_trace` does not engage the batched kernel:
+    with verification, an invariant stride, the ledger window shut, a
+    protocol without a kernel, an unproven trace, or any input that is
+    not a compiled trace -- which is packed into columns first,
+    unvalidated, so a bad row still raises here at its own index; a
+    trace proven to fit (``trace.fits``) calls ``_read``/``_write``.
     The kernel hands it the references it cannot batch, as a slice whose
     first row is row ``start`` of the whole trace.  Returns ``(n_reads,
     n_writes)``.

@@ -33,13 +33,13 @@ The kernel executes records a chunk at a time, so steady-state replay
 pays no Python-level dispatch per reference.  What depends on the
 *trace* alone the trace computes once, for every slice and every cell
 that replays it: the proof that its rows fit the system
-(``CompiledTrace.fits``; an unproven trace has each chunk's bounds
-tested here), one folded column, ``((block * N + node) * 2 + op) * B +
-offset`` per reference (``CompiledTrace.folded``), and two statistics
-of each window of that column a replay meets
-(``CompiledTrace._window``): the references per ``(node, block, op)``
-key, counted by distinct value in one C-speed pass and regrouped, and
-where each distinct value occurs last.  The record behind each key is
+(``CompiledTrace.fits``; the kernel runs only on a proven trace), one
+folded column, ``((block * N + node) * 2 + op) * B + offset`` per
+reference (``CompiledTrace.folded``), and two statistics of each window
+of that column a replay meets (``CompiledTrace._window``): the
+references per ``(node, block, op)`` key, counted by distinct value in
+one C-speed pass and regrouped, and where each distinct value occurs
+last.  The record behind each key is
 validated *once per chunk*.  A validated chunk then executes without
 touching Python per reference again:
 
@@ -77,10 +77,10 @@ policy observes exactly that prefix
 The reference at the cut goes to the engine's one slow loop
 (:func:`~repro.sim.engine._replay_columns`, numbering errors by their
 row in the whole trace).  After progress that is one reference.  A cut
-at row 0 -- a churning phase, an unproven chunk out of bounds, a policy
-that folds nothing -- hands over ``MIN_CHUNK`` references and halves the
-chunk size, which doubles on clean chunks up to ``MAX_CHUNK`` so a
-steady-state phase amortises validation over thousands of references.
+at row 0 -- a churning phase, a policy that folds nothing -- hands over
+``MIN_CHUNK`` references and halves the chunk size, which doubles on
+clean chunks up to ``MAX_CHUNK`` so a steady-state phase amortises
+validation over thousands of references.
 
 **Aligned windows.**  The chunk schedule depends on position alone: a
 chunk of size C covers the window of the root's rows from a multiple of
@@ -94,11 +94,12 @@ Nothing inside a clean run can invalidate its own validation: every
 executed reference is a hit, hits send no un-memoised messages, never
 bump ``fastpath_epoch``/``present_epoch`` and leave each block's mode and
 present vector -- all a policy's verdict may depend on -- as they were.
-The protocol hands the kernel out only where nothing watches individual
-sends (faults, recorder, message log), and the engine engages it only
-with verification off, so batched replay is bit-identical to the slow
-loop (tests/sim/test_kernel.py and test_kernel_policies.py;
-docs/PERF.md, "Where each proof lives").
+:func:`~repro.sim.engine.run_trace` alone decides that the kernel runs:
+only inside an open ledger window, which nothing that watches individual
+sends (faults, a recorder, the message log, a net recorder) lets open,
+on a trace proven to fit, with every per-reference check off.  So
+batched replay is bit-identical to the slow loop (tests/sim/test_kernel.py
+and test_kernel_policies.py; docs/PERF.md, "Where each proof lives").
 """
 
 from __future__ import annotations
@@ -160,15 +161,14 @@ def _first_row(fold, start, stop, key, block_size):
 class BatchedKernel:
     """Chunked replay over per-``(node, block)`` stable-state records.
 
-    Records are keyed by the integer ``block * n_nodes + node`` (never
-    negative for a registered block, so malformed trace rows simply
-    miss), reads in ``_reads`` and writes in ``_writes``; their kinds are
-    in the module docstring.  ``batched_refs`` counts references
+    Records are keyed by the integer ``block * n_nodes + node``, reads
+    in ``_reads`` and writes in ``_writes``; their kinds are in the
+    module docstring.  ``batched_refs`` counts references
     executed by clean chunks and ``fallback_refs`` those handed to the
     slow loop, across all :meth:`replay` calls -- the observability hook
     for benchmarks and the eligibility tests.  ``fallback_reasons``
-    counts the slow-loop runs by what cut the chunk: ``bounds``,
-    ``miss`` or ``policy_switch``.  ``counted_refs`` counts the
+    counts the slow-loop runs by what cut the chunk: ``miss`` or
+    ``policy_switch``.  ``counted_refs`` counts the
     references whose window statistics the kernel counted itself (a
     window's first replay, a cut's prefix, the rest of a window after a
     cut) and ``shared_refs`` those whose statistics it read from the
@@ -258,10 +258,7 @@ class BatchedKernel:
             return
         # Non-exclusive distributed-write owner (3b): the steady-state
         # write is one WRITE_UPDATE multicast to the copy holders plus a
-        # data-word store at every copy; recorded only where its posted
-        # price is what a send would have cost.
-        if not protocol._plain_multicaster():
-            return
+        # data-word store at every copy.
         copy_entries = []
         caches = system.caches
         for copy in field.others(node):
@@ -294,8 +291,6 @@ class BatchedKernel:
         protocol = self._protocol()
         events = protocol.stats.events
         post = protocol._post
-        # Driven by hand, outside run_trace's window: one of its own.
-        own_window = protocol._ledger is None and protocol.open_window()
         gr_hits = 0
         if gr_pending:
             request_bits = protocol._cost_request
@@ -316,8 +311,6 @@ class BatchedKernel:
                 owner, copies = record[7:]
                 post(MsgKind.WRITE_UPDATE, owner, copies, word_bits, count)
             events[ev.WRITE_UPDATES] += dw_hits
-        if own_window:
-            protocol.close_window()
         if local_read_hits or gr_hits:
             events[ev.READS] += local_read_hits + gr_hits
         if local_read_hits:
@@ -342,12 +335,10 @@ class BatchedKernel:
         nodes_col = trace.nodes
         ops_col = trace.ops
         blocks_col = trace.blocks
-        offsets_col = trace.offsets
         values_col = trace.values
         n = len(nodes_col)
         # The trace's own facts: ``fold_col`` is its root's folded column,
         # in which this trace's rows start at ``base``.
-        proven = trace.fits(n_nodes, block_size)
         fold_col, base = trace.folded(n_nodes, block_size)
         n_reads = n_writes = 0
         batched = fallback = 0
@@ -374,94 +365,79 @@ class BatchedKernel:
                 stop = base + j
                 shareable = not (i and start % chunk)
                 reason = None
-                if not proven:
-                    nodes = nodes_col[i:j]
-                    ops = ops_col[i:j]
-                    offsets = offsets_col[i:j]
-                    if not (
-                        min(nodes) >= 0
-                        and max(nodes) < n_nodes
-                        and min(offsets) >= 0
-                        and max(offsets) < block_size
-                        and min(ops) >= 0
-                        and max(ops) <= 1
-                    ):
-                        run = 0
-                        reason = "bounds"
-                if run:
-                    epoch = protocol.fastpath_epoch
-                    pepoch = protocol.present_epoch
-                    # What the policy needs per block: (owner, mode, sharers).
-                    owners: dict[int, tuple] = {}
-                    if shareable:
-                        counts, fresh = trace._window(start, stop)
-                    else:
-                        counts = _key_counts(fold_col[start:stop], block_size)
-                        fresh = True
-                    if fresh:
-                        n_counted += run
-                    else:
-                        n_shared += run
-                    for key in counts[0]:
-                        records = writes if key & 1 else reads
-                        record = records.get(key >> 1)
-                        for rebuilt in (False, True):
-                            live = False
-                            if record is not None and record[0] == epoch:
-                                field = record[1].state_field
-                                if key & 1:
-                                    # The writer is the owner.
-                                    owner = (key >> 1) % n_nodes
-                                    owner_field = field
-                                    live = (
-                                        field.valid
-                                        and field.owned
-                                        and (
-                                            not field.distributed_write
-                                            or len(field.present) == 1
-                                        )
-                                        if len(record) == 5
-                                        else field.valid
-                                        and field.owned
-                                        and field.distributed_write
-                                        and record[5] == pepoch
-                                    )
-                                elif len(record) == 7:
-                                    owner = record[5]
-                                    owner_field = record[6].state_field
-                                    live = field.valid
-                                else:
-                                    # A placeholder outside the present
-                                    # vector is a real miss: the slow path
-                                    # adds it there.
-                                    owner = record[5]
-                                    owner_field = record[6].state_field
-                                    live = (
-                                        not field.valid
-                                        and owner_field.owned
-                                        and not owner_field.distributed_write
-                                        and record[7] in owner_field.present
-                                    )
-                            if live or rebuilt:
-                                break
-                            block, node = divmod(key >> 1, n_nodes)
+                epoch = protocol.fastpath_epoch
+                pepoch = protocol.present_epoch
+                # What the policy needs per block: (owner, mode, sharers).
+                owners: dict[int, tuple] = {}
+                if shareable:
+                    counts, fresh = trace._window(start, stop)
+                else:
+                    counts = _key_counts(fold_col[start:stop], block_size)
+                    fresh = True
+                if fresh:
+                    n_counted += run
+                else:
+                    n_shared += run
+                for key in counts[0]:
+                    records = writes if key & 1 else reads
+                    record = records.get(key >> 1)
+                    for rebuilt in (False, True):
+                        live = False
+                        if record is not None and record[0] == epoch:
+                            field = record[1].state_field
                             if key & 1:
-                                register_write(node, block)
+                                # The writer is the owner.
+                                owner = (key >> 1) % n_nodes
+                                owner_field = field
+                                live = (
+                                    field.valid
+                                    and field.owned
+                                    and (
+                                        not field.distributed_write
+                                        or len(field.present) == 1
+                                    )
+                                    if len(record) == 5
+                                    else field.valid
+                                    and field.owned
+                                    and field.distributed_write
+                                    and record[5] == pepoch
+                                )
+                            elif len(record) == 7:
+                                owner = record[5]
+                                owner_field = record[6].state_field
+                                live = field.valid
                             else:
-                                register_read(node, block)
-                            record = records.get(key >> 1)
-                        if not live:
-                            run = _first_row(
-                                fold_col, start, stop, key, block_size
-                            ) - start
-                            reason = "miss"
+                                # A placeholder outside the present
+                                # vector is a real miss: the slow path
+                                # adds it there.
+                                owner = record[5]
+                                owner_field = record[6].state_field
+                                live = (
+                                    not field.valid
+                                    and owner_field.owned
+                                    and not owner_field.distributed_write
+                                    and record[7] in owner_field.present
+                                )
+                        if live or rebuilt:
                             break
-                        if policy is not None:
-                            owners[(key >> 1) // n_nodes] = (
-                                owner,
-                                dw if owner_field.distributed_write else gr,
-                                len(owner_field.present),
-                            )
+                        block, node = divmod(key >> 1, n_nodes)
+                        if key & 1:
+                            register_write(node, block)
+                        else:
+                            register_read(node, block)
+                        record = records.get(key >> 1)
+                    if not live:
+                        run = _first_row(
+                            fold_col, start, stop, key, block_size
+                        ) - start
+                        reason = "miss"
+                        break
+                    if policy is not None:
+                        owners[(key >> 1) // n_nodes] = (
+                            owner,
+                            dw if owner_field.distributed_write else gr,
+                            len(owner_field.present),
+                        )
                 if run and policy is not None:
                     # Ask the policy block by block how far the hits run
                     # before it would switch a mode, cut the chunk at the
@@ -557,8 +533,7 @@ class BatchedKernel:
                     if chunk < MAX_CHUNK and (base + i) % (chunk << 1) == 0:
                         chunk = min(chunk << 1, MAX_CHUNK)
                     continue
-                # The slow loop takes the reference at the cut (and
-                # reports a malformed row by its index in the whole trace).
+                # The slow loop takes the reference at the cut.
                 self.fallback_reasons[reason] += 1
                 if run:
                     j = i + 1

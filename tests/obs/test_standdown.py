@@ -1,12 +1,15 @@
 """Stand-down coverage: observers must disable the replay shortcuts.
 
-The batched kernels are only sound when nothing needs to see
-individual references.  When a :class:`TraceRecorder` is attached,
-``batched_kernel()`` must hand back ``None`` and the replay must fall
-back to the per-reference loop -- with results bit-identical to the
-shortcut runs.  A :class:`TelemetrySampler` is the opposite case: it only *reads*
-a registry, so it must neither disable the shortcuts nor perturb the
-replay it observes.
+The batched kernels are only sound when nothing needs to see individual
+references, and ``run_trace`` alone decides: it engages
+``batched_kernel()`` only inside an open ledger window, on a compiled
+trace proven to fit, with every per-reference check off.  The gate
+table holds each term of that decision on a protocol with a record
+kernel, on ``no-cache``'s closed form and on a baseline without a
+kernel: the kernel batches nothing, and the report equals a slow run
+forced by the message log.  A :class:`TelemetrySampler` is the opposite
+case: it only *reads* a registry, so it must neither disable the
+shortcuts nor perturb the replay it observes.
 """
 
 import pytest
@@ -14,6 +17,8 @@ import pytest
 from repro.analysis.compare import default_factories
 from repro.cache.state import Mode
 from repro.faults.plan import FaultPlan
+from repro.network.multicast import Multicaster
+from repro.network.selector import RegisterMulticaster, compile_registers
 from repro.obs.hooks import attach_recorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import TraceRecorder
@@ -25,6 +30,7 @@ from repro.protocol.modes import (
     StaticModePolicy,
 )
 from repro.protocol.stenstrom import StenstromProtocol
+from repro.sim.ctrace import CompiledTrace
 from repro.sim.engine import run_trace
 from repro.sim.system import System, SystemConfig
 from repro.workloads.markov import markov_block_trace
@@ -54,9 +60,149 @@ def _run_batched(n_nodes, default_mode):
         verify=False,
         check_invariants_every=0,
     )
-    kernel = protocol.batched_kernel()
-    assert kernel is not None and kernel.batched_refs > 0
+    assert protocol.batched_kernel().batched_refs > 0
     return report
+
+
+def _batched(protocol):
+    """References the protocol's kernel batched (``0`` without one)."""
+    kernel = protocol.batched_kernel()
+    return 0 if kernel is None else kernel.batched_refs
+
+
+def _rewrapped(trace, n_nodes, **kwargs):
+    """The same rows, declared for ``n_nodes``."""
+    return CompiledTrace(
+        trace.nodes, trace.ops, trace.blocks, trace.offsets, trace.values,
+        n_nodes, trace.block_size_words, **kwargs,
+    )
+
+
+class _Subclassed(Multicaster):
+    pass
+
+
+def _no_route_plans(system):
+    system.network.route_plans = None
+
+
+#: One row per term of run_trace's gate, each enough on its own to keep
+#: the kernel off: keyword arguments for the system, a change to the
+#: built system or protocol, a change to the trace, keyword arguments
+#: for the run.
+GATE = {
+    "verify": {"run": {"verify": True, "check_invariants_every": 0}},
+    "invariant_stride": {"run": {"check_invariants_every": 50}},
+    "iterable": {"trace": list},
+    # The form the executor hands over for ExperimentSpec(compiled=False).
+    "compiled=False": {"trace": iter},
+    "unvalidated": {
+        "trace": lambda trace: _rewrapped(
+            trace, trace.n_nodes, validate=False
+        ),
+    },
+    "declared_larger": {
+        "trace": lambda trace: _rewrapped(trace, 2 * trace.n_nodes),
+    },
+    "recorder": {"run": {"recorder": TraceRecorder}},
+    "message_log": {"protocol": lambda p: p.enable_message_log()},
+    "faults": {
+        "system": {"fault_plan": FaultPlan(drop_probability=0.1, seed=3)},
+    },
+    "net_recorder": {
+        "system": {
+            "multicaster_factory": lambda network: Multicaster(
+                network, recorder=TraceRecorder()
+            ),
+        },
+    },
+    "multicaster_subclass": {"system": {"multicaster_factory": _Subclassed}},
+    "register_multicaster": {
+        "system": {
+            "multicaster_factory": lambda network: RegisterMulticaster(
+                network, compile_registers(network.n_ports, 4, 20)
+            ),
+        },
+    },
+    "no_route_plans": {"built": _no_route_plans},
+}
+
+
+class TestTheGate:
+    """Every term of ``run_trace``'s one gate, on every kind of protocol."""
+
+    N_NODES = 16
+    PROTOCOLS = ["two-mode", "no-cache", "full-map"]
+
+    def _replay(self, protocol_name, row, forced_slow=False):
+        """``(references batched, report)`` of one cell."""
+        system = System(
+            SystemConfig(n_nodes=self.N_NODES, block_size_words=4),
+            **row.get("system", {}),
+        )
+        protocol = default_factories()[protocol_name](system)
+        if "built" in row:
+            row["built"](system)
+        if "protocol" in row:
+            row["protocol"](protocol)
+        if forced_slow:
+            protocol.enable_message_log()
+        checks = {"verify": False, "check_invariants_every": 0}
+        checks.update(row.get("run", {}))
+        if "recorder" in checks:
+            checks["recorder"] = checks["recorder"]()
+        trace = _trace(self.N_NODES)
+        if "trace" in row:
+            trace = row["trace"](trace)
+        report = run_trace(protocol, trace, **checks)
+        return _batched(protocol), report.to_dict()
+
+    @pytest.mark.parametrize("protocol_name", PROTOCOLS)
+    def test_the_open_gate_engages_every_kernel(self, protocol_name):
+        batched, report = self._replay(protocol_name, {})
+        assert (batched > 0) is (protocol_name != "full-map")
+        assert report == self._replay(protocol_name, {}, forced_slow=True)[1]
+
+    @pytest.mark.parametrize("protocol_name", PROTOCOLS)
+    @pytest.mark.parametrize("term", list(GATE))
+    def test_each_term_stands_the_kernel_down(self, term, protocol_name):
+        batched, report = self._replay(protocol_name, GATE[term])
+        assert batched == 0
+        forced, slow_report = self._replay(
+            protocol_name, GATE[term], forced_slow=True
+        )
+        assert forced == 0
+        assert report == slow_report
+
+
+@pytest.mark.parametrize("protocol_name", ["global-read", "two-mode"])
+def test_a_net_recorder_hears_every_send_in_reference_order(protocol_name):
+    # A net recorder hears each raw multicaster send.  Batched, the
+    # deferred hits would reach it at the flush, out of reference order;
+    # it keeps the window shut, so the kernel never runs.
+    def replay(forced_slow):
+        recorder = TraceRecorder()
+        system = System(
+            SystemConfig(n_nodes=16),
+            multicaster_factory=lambda network: Multicaster(
+                network, recorder=recorder
+            ),
+        )
+        protocol = default_factories()[protocol_name](system)
+        if forced_slow:
+            protocol.enable_message_log()
+        run_trace(
+            protocol,
+            markov_block_trace(16, range(8), 0.3, 3000, seed=5),
+            verify=False,
+            check_invariants_every=0,
+        )
+        return [event.to_dict() for event in recorder.events], protocol
+
+    events, protocol = replay(forced_slow=False)
+    assert protocol.batched_kernel().batched_refs == 0
+    slow_events, _ = replay(forced_slow=True)
+    assert events and events == slow_events
 
 
 @MODES
@@ -72,7 +218,6 @@ class TestRecorderStandDown:
         )
         recorder = TraceRecorder()
         attach_recorder(traced, recorder)
-        assert traced.batched_kernel() is None
 
         traced_report = run_trace(
             traced,
@@ -81,6 +226,7 @@ class TestRecorderStandDown:
             check_invariants_every=0,
             recorder=recorder,
         )
+        assert traced.batched_kernel().batched_refs == 0
         # The recorder saw every reference as a span...
         assert len(recorder.events) > 0
         # ...and the replay stayed bit-identical.  Only the recorder's
@@ -132,16 +278,23 @@ class TestRecorderStandDown:
         self, n_nodes, default_mode
     ):
         # Every policy runs in the kernel -- none has a say in whether
-        # it is offered.  A recorder, the message log and fault
-        # injection must still withdraw it, and value verification or
-        # an invariant stride must still keep the engine off it, for
-        # the pinned and the counting policies alike.
+        # it runs.  A recorder, the message log and fault injection must
+        # still keep the window shut and the kernel off, and value
+        # verification or an invariant stride must still keep the engine
+        # off it, for the pinned and the counting policies alike.
         def fresh(policy, fault_plan=None):
             system = System(
                 SystemConfig(n_nodes=n_nodes, block_size_words=4),
                 fault_plan=fault_plan,
             )
             return StenstromProtocol(system, mode_policy=policy)
+
+        def batched(protocol):
+            run_trace(
+                protocol, _trace(n_nodes), verify=False,
+                check_invariants_every=0,
+            )
+            return protocol.batched_kernel().batched_refs
 
         for make_policy in (
             lambda: StaticModePolicy(default_mode),
@@ -150,24 +303,24 @@ class TestRecorderStandDown:
             lambda: AdaptiveModePolicy(32),
         ):
             plain = fresh(make_policy())
-            assert plain.batched_kernel() is not None
             assert plain._sends_watched() is None
+            assert batched(plain) > 0
 
             observed = fresh(make_policy())
             attach_recorder(observed, TraceRecorder())
-            assert observed.batched_kernel() is None
             assert observed._sends_watched() == "recorder"
+            assert batched(observed) == 0
 
             logged = fresh(make_policy())
             logged.enable_message_log()
-            assert logged.batched_kernel() is None
             assert logged._sends_watched() == "message_log"
+            assert batched(logged) == 0
 
             faulty = fresh(
                 make_policy(), FaultPlan(drop_probability=0.1, seed=3)
             )
-            assert faulty.batched_kernel() is None
             assert faulty._sends_watched() == "faults"
+            assert batched(faulty) == 0
 
             # The first reason that applies is the one reported.
             attach_recorder(faulty, TraceRecorder())
@@ -219,15 +372,11 @@ class TestNoCacheStandDown:
             recorder=recorder,
         ).to_dict()
         kernel = protocol.batched_kernel()
-        if consumer is None:
-            assert kernel.batched_refs == len(trace)
-        else:
-            assert kernel is None
+        assert kernel.batched_refs == (len(trace) if consumer is None else 0)
         # A net recorder is not a watcher of sends: the multicaster test
-        # (``_plain_multicaster``) is what withdraws the closed form.
+        # in ``open_window`` is what keeps the closed form off.
         reason = None if consumer == "net_recorder" else consumer
         assert protocol._sends_watched() == reason
-        assert protocol._plain_multicaster() is (consumer != "net_recorder")
         report["stats"].pop("metrics", None)
         return report
 

@@ -1,11 +1,12 @@
 """Tests for the batched kernel's stable-state records.
 
-Three concerns: the kernel must only be handed out when the shortcut is
-sound (gating), every event that could change a memoised answer must
-bump ``fastpath_epoch`` (invalidation), and replaying a compiled trace
+Two concerns: every event that could change a memoised answer must bump
+``fastpath_epoch`` (invalidation), and replaying a compiled trace
 through ``run_trace`` -- the kernel executing its records -- must be
 bit-identical to the slow path (equivalence), including under ownership
-churn and for the message-bearing global-read records.
+churn and for the message-bearing global-read records.  When the kernel
+may run at all is ``run_trace``'s one gate, whose full table is in
+tests/obs/test_standdown.py; ``TestGating`` keeps the observers' rows.
 """
 
 import pytest
@@ -14,7 +15,6 @@ from repro.analysis.compare import default_factories
 from repro.cache.state import Mode
 from repro.errors import TraceError
 from repro.faults.plan import FaultPlan
-from repro.network.multicast import Multicaster
 from repro.obs.hooks import attach_recorder
 from repro.obs.recorder import TraceRecorder
 from repro.protocol.stenstrom import StenstromProtocol
@@ -31,6 +31,28 @@ from tests.protocol.conftest import build
 
 def compiled(references, n_nodes, block_size_words=2):
     return Trace(references, n_nodes, block_size_words).compile()
+
+
+def _replay(observe=None, **system_kwargs):
+    """``(references batched, report)`` of a trace the table would batch.
+
+    ``observe(protocol)`` runs first, to attach whatever watches the run.
+    """
+    system = System(SystemConfig(n_nodes=8), **system_kwargs)
+    protocol = StenstromProtocol(system)
+    if observe is not None:
+        observe(protocol)
+    report = run_trace(
+        protocol,
+        markov_block_trace(8, range(4), 0.3, 300, seed=2),
+        verify=False,
+        check_invariants_every=0,
+    )
+    return protocol.batched_kernel().batched_refs, report.to_dict()
+
+
+def _log_messages(protocol):
+    protocol.enable_message_log()
 
 
 class TestGating:
@@ -61,92 +83,32 @@ class TestGating:
             else:
                 assert protocol.fastpath() is None, name
 
+    # An observer keeps run_trace's window shut: the table serves none of
+    # the trace, and the report is the one the table would have given.
     def test_fault_injection_disables_the_table(self):
-        system = System(
-            SystemConfig(n_nodes=4),
-            fault_plan=FaultPlan(drop_probability=0.1, seed=3),
-        )
-        protocol = StenstromProtocol(system)
-        assert system.fault_injector is not None
-        assert protocol.batched_kernel() is None
+        plan = FaultPlan(drop_probability=0.1, seed=3)
+        batched, report = _replay(fault_plan=plan)
+        assert batched == 0
+        assert report == _replay(_log_messages, fault_plan=plan)[1]
 
     def test_recorder_disables_the_table(self):
-        _, protocol = build()
-        attach_recorder(protocol, TraceRecorder())
-        assert protocol.batched_kernel() is None
+        def record(protocol):
+            attach_recorder(protocol, TraceRecorder())
+
+        def record_and_log(protocol):
+            record(protocol)
+            _log_messages(protocol)
+
+        batched, report = _replay(record)
+        assert batched == 0
+        assert report == _replay(record_and_log)[1]
 
     def test_message_log_disables_the_table(self):
-        _, protocol = build()
-        protocol.enable_message_log()
-        assert protocol.batched_kernel() is None
-
-    def test_engine_skips_table_when_verifying(self):
-        _, protocol = build(n_nodes=4)
-        trace = compiled([Reference(0, Op.WRITE, Address(0, 0), 1)] * 50, 4)
-        run_trace(protocol, trace, verify=True)
-        kernel = protocol.batched_kernel()
-        assert kernel.batched_refs == kernel.fallback_refs == 0
-
-    def test_engine_skips_table_under_invariant_stride(self):
-        _, protocol = build(n_nodes=4)
-        trace = compiled([Reference(0, Op.WRITE, Address(0, 0), 1)] * 50, 4)
-        run_trace(protocol, trace, verify=False, check_invariants_every=10)
-        kernel = protocol.batched_kernel()
-        assert kernel.batched_refs == kernel.fallback_refs == 0
-
-    @pytest.mark.parametrize("multicaster", ["subclass", "net-recorder"])
-    def test_a_multicaster_that_is_not_plain_shuts_the_window(
-        self, multicaster
-    ):
-        # Only a plain Multicaster prices a posted message as a sent one:
-        # a subclass, or a net recorder, keeps the ledger shut and gets
-        # no distributed-write multicast record -- and the replay reports
-        # exactly what the plain run reports.
-        class Subclassed(Multicaster):
-            pass
-
-        def run(kind):
-            system = System(
-                SystemConfig(n_nodes=16, cache_entries=4, block_size_words=4),
-                multicaster_factory=(
-                    Subclassed if kind == "subclass" else None
-                ),
-            )
-            if kind == "net-recorder":
-                system.multicaster.recorder = TraceRecorder()
-            protocol = StenstromProtocol(
-                system, default_mode=Mode.DISTRIBUTED_WRITE
-            )
-            ledgers = []
-            write = protocol._write
-
-            def spying_write(*args):
-                ledgers.append(protocol._ledger)
-                return write(*args)
-
-            protocol._write = spying_write
-            report = run_trace(
-                protocol,
-                markov_block_trace(
-                    16, range(4), 0.3, 1200, seed=3
-                ),
-                verify=False,
-                check_invariants_every=0,
-            )
-            multicast_records = [
-                record
-                for record in protocol.batched_kernel()._writes.values()
-                if len(record) == 9
-            ]
-            return report, ledgers, multicast_records
-
-        plain_report, plain_ledgers, plain_records = run("plain")
-        assert plain_records
-        assert plain_ledgers and None not in plain_ledgers
-        report, ledgers, records = run(multicaster)
-        assert ledgers and all(ledger is None for ledger in ledgers)
-        assert records == []
-        assert report.to_dict() == plain_report.to_dict()
+        batched, report = _replay(_log_messages)
+        assert batched == 0
+        plain_batched, plain_report = _replay()
+        assert plain_batched > 0
+        assert report == plain_report
 
 
 class TestEpochInvalidation:

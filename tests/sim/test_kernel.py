@@ -1,14 +1,13 @@
 """Tests for the batched columnar kernel (:mod:`repro.sim.kernel`).
 
-Four concerns, mirroring tests/protocol/test_fastpath.py: the kernel must
-only be handed out when chunked execution is sound (gating), everything
-that can invalidate a memoised answer must be caught by the per-chunk
-revalidation (epoch and present-vector stamps, live checks) and either
-rebuilt or handed to the slow loop, counted by cause (fallback reasons),
-and batched replay must be bit-identical to the per-``Reference``
-dispatch loop for every workload generator in the repo (equivalence;
-tests/sim/test_kernel_policies.py does the same under the counting mode
-policies).
+Three concerns: everything that can invalidate a memoised answer must
+be caught by the per-chunk revalidation (epoch and present-vector
+stamps, live checks) and either rebuilt or handed to the slow loop,
+counted by cause (fallback reasons), and batched replay must be
+bit-identical to the per-``Reference`` dispatch loop for every workload
+generator in the repo (equivalence; tests/sim/test_kernel_policies.py
+does the same under the counting mode policies).  When the kernel runs at all is ``run_trace``'s one gate,
+whose table is in tests/obs/test_standdown.py.
 """
 
 import gc
@@ -22,7 +21,7 @@ import pytest
 
 from repro.analysis.compare import default_factories
 from repro.cache.state import Mode
-from repro.errors import ReproError, TraceError
+from repro.errors import TraceError
 from repro.faults.plan import FaultPlan
 from repro.network.multicast import MulticastScheme
 from repro.obs.hooks import attach_recorder
@@ -128,8 +127,9 @@ class TestEquivalence:
             check_invariants_every=0,
         )
         assert batched_report.to_dict() == slow_report.to_dict()
-        # The column loop with both shortcuts withdrawn (the message log
-        # gates them) is the third way through the same references.
+        # The column loop with the kernel stood down (the message log
+        # keeps the window shut) is the third way through the same
+        # references.
         _, logged_protocol = build(
             n_nodes=n_nodes, block_size_words=4, default_mode=default_mode
         )
@@ -140,7 +140,7 @@ class TestEquivalence:
             verify=False,
             check_invariants_every=0,
         )
-        assert logged_protocol.batched_kernel() is None
+        assert logged_protocol.batched_kernel().batched_refs == 0
         assert logged_report.to_dict() == slow_report.to_dict()
 
     @pytest.mark.parametrize(
@@ -225,8 +225,9 @@ class TestEquivalence:
         assert reports[0].to_dict() == reports[1].to_dict()
 
     def test_malformed_row_raises_with_absolute_index(self):
-        # The bad row lands in a later chunk, so the index in the error
-        # must survive the kernel handing a slice to the slow loop.
+        # Declared for more nodes than the system has, the trace carries
+        # no proof: the slow loop takes it whole and stops at the bad
+        # row, after 100 good ones.
         good = [Reference(0, Op.WRITE, Address(0, 0), 1)] * 100
         bad = good + [Reference(7, Op.READ, Address(0, 0))]
         trace = Trace(bad, 8, 2).compile()
@@ -242,23 +243,51 @@ class TestGating:
         assert isinstance(kernel, BatchedKernel)
         assert protocol.batched_kernel() is kernel
 
-    def test_message_log_gates_the_kernel(self):
-        _, protocol = build()
-        protocol.enable_message_log()
-        assert protocol.batched_kernel() is None
+    @staticmethod
+    def _replay(observe=None, **system_kwargs):
+        """``(references batched, report)`` of a trace the kernel batches.
 
-    def test_recorder_gates_the_kernel(self):
-        _, protocol = build()
-        attach_recorder(protocol, TraceRecorder())
-        assert protocol.batched_kernel() is None
-
-    def test_fault_injection_gates_the_kernel(self):
+        ``observe(protocol)`` runs first, to attach whatever watches the
+        run.
+        """
         system = System(
-            SystemConfig(n_nodes=4),
-            fault_plan=FaultPlan(drop_probability=0.1, seed=3),
+            SystemConfig(n_nodes=16, block_size_words=4), **system_kwargs
         )
         protocol = StenstromProtocol(system)
-        assert protocol.batched_kernel() is None
+        if observe is not None:
+            observe(protocol)
+        trace = markov_block_trace(16, list(range(8)), 0.3, 600, seed=5)
+        report = run_trace(
+            protocol, trace, verify=False, check_invariants_every=0
+        )
+        return protocol.batched_kernel().batched_refs, report.to_dict()
+
+    # Each observer keeps run_trace's window shut, so the kernel batches
+    # none of the trace, and the report is the one a forced slow run
+    # (the message log's) gives.
+    def test_message_log_gates_the_kernel(self):
+        batched, report = self._replay(lambda p: p.enable_message_log())
+        assert batched == 0
+        plain_batched, plain_report = self._replay()
+        assert plain_batched > 0
+        assert report == plain_report
+
+    def test_recorder_gates_the_kernel(self):
+        def record(protocol, log=False):
+            attach_recorder(protocol, TraceRecorder())
+            if log:
+                protocol.enable_message_log()
+
+        batched, report = self._replay(record)
+        assert batched == 0
+        assert report == self._replay(lambda p: record(p, log=True))[1]
+
+    def test_fault_injection_gates_the_kernel(self):
+        plan = FaultPlan(drop_probability=0.1, seed=3)
+        batched, report = self._replay(fault_plan=plan)
+        assert batched == 0
+        forced = self._replay(lambda p: p.enable_message_log(), fault_plan=plan)
+        assert report == forced[1]
 
     def test_batchable_policies_allow_the_kernel(self):
         # Every policy is: none is asked whether it can be batched, only
@@ -420,48 +449,6 @@ class TestFallbackReasons:
         assert self._replay(protocol, self._writes()) == {}
         assert len(protocol.batched_kernel()._writes[0]) == 9
 
-    def test_bounds(self, slow_runs):
-        protocol = self._warm()
-        with pytest.raises(TraceError, match="reference 3"):
-            self._replay(
-                protocol,
-                Trace(
-                    [Reference(0, Op.WRITE, Address(0, 0), 1)] * 3
-                    + [Reference(self.N_NODES, Op.READ, Address(0, 0))],
-                    self.N_NODES + 1,
-                    2,
-                ).compile(),
-            )
-        assert protocol.batched_kernel().fallback_reasons["bounds"] == 1
-
-    @pytest.mark.parametrize(
-        "declared, validate, bad_row, error",
-        [
-            ((N_NODES, 2), False, (N_NODES, 0, 0, 0, 0), "reference 3"),
-            ((N_NODES, 4), True, (0, 1, 0, 3, 1), "offset 3 outside"),
-        ],
-        ids=["unvalidated", "wider-blocks"],
-    )
-    def test_bounds_of_an_unproven_trace(
-        self, slow_runs, declared, validate, bad_row, error
-    ):
-        # Like a trace declared for more nodes than the system has
-        # (test_bounds), one never validated or declared with wider
-        # blocks carries no proof: every chunk's bounds are tested, as
-        # they always were, and the slow loop reports the bad row.
-        protocol = self._warm()
-        rows = [(0, 1, 0, 0, 1)] * 3 + [bad_row]
-        trace = CompiledTrace(
-            *(array("q", column) for column in zip(*rows)),
-            *declared,
-            validate=validate,
-        )
-        assert not trace.fits(self.N_NODES, 2)
-        with pytest.raises(ReproError, match=error):
-            self._replay(protocol, trace)
-        assert protocol.batched_kernel().fallback_reasons["bounds"] == 1
-        assert slow_runs[-1] == 4
-
     @pytest.mark.parametrize(
         "protocol_name", ["distributed-write", "global-read", "two-mode"]
     )
@@ -472,8 +459,8 @@ class TestFallbackReasons:
         # Node 0 writes and node 1 reads one word, turn about.  Folded, an
         # op of 2 is a read by the next node and -1 a write by the
         # previous one -- here both registered hits -- so an unproven
-        # chunk must test its ops too, and the slow loop's ``if op:``
-        # decide the row.
+        # trace never reaches the kernel: the slow loop takes it whole,
+        # and its ``if op:`` decides the row.
         rows = [(k % 2, 1 - k % 2, 0, 0, k) for k in range(400)]
         at = 300 if op == 2 else 301
         rows[at] = (rows[at][0], op, *rows[at][2:])
@@ -496,24 +483,9 @@ class TestFallbackReasons:
 
         protocol, report = replay(slow=False)
         assert report == replay(slow=True)[1]
-        assert protocol.batched_kernel().fallback_reasons["bounds"] >= 1
-
-    @pytest.mark.parametrize(
-        "declared", [(N_NODES // 2, 1), (N_NODES, 2)], ids=["smaller", "equal"]
-    )
-    def test_a_proven_trace_skips_the_bounds_test(
-        self, slow_runs, declared, monkeypatch
-    ):
-        # validate() ran, on a geometry the system contains: no chunk is
-        # tested again (``max`` is a name only the bounds test looks up).
-        protocol = self._warm()
-        trace = Trace(
-            [Reference(0, Op.WRITE, Address(0, 0), 1)] * 200, *declared
-        ).compile()
-        assert trace.fits(self.N_NODES, 2)
-        monkeypatch.setattr(kernel_module, "max", pytest.fail, raising=False)
-        assert self._replay(protocol, trace) == {}
-        assert protocol.batched_kernel().batched_refs == 10 + 200
+        assert report["n_references"] == len(rows)
+        kernel = protocol.batched_kernel()
+        assert kernel.batched_refs == kernel.fallback_refs == 0
 
     def test_policy_switch_cuts_the_chunk(self, slow_runs):
         # An exclusive owner (threshold 2/3) under an 8-reference window.
@@ -799,12 +771,16 @@ class TestFoldedColumn:
             # left by earlier tests and count their events.
             gc.collect()
             gc.disable()
+            # Driven by hand, the kernel runs in a window its driver
+            # opens, as run_trace does.
+            assert protocol.open_window()
             sys.setprofile(hook)
             try:
                 kernel.replay(piece)
             finally:
                 sys.setprofile(previous)
                 gc.enable()
+                protocol.close_window()
             assert kernel.fallback_refs == fallback  # all chunks clean
             return sum(counts.values()), counts["_key_counts"]
 

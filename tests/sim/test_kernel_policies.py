@@ -118,7 +118,7 @@ def _three_ways(
     kernel = kernel_protocol.batched_kernel()
     assert kernel.batched_refs + kernel.fallback_refs == len(compiled)
     logged_system, logged_protocol, logged_report = replay(pieces, True)
-    assert logged_protocol.batched_kernel() is None
+    assert logged_protocol.batched_kernel().batched_refs == 0
     slow_system, slow_protocol, slow_report = replay(
         VIEWS[view](list(make_trace()))
     )

@@ -16,9 +16,10 @@ window's edges:
   end as per-send accounting leaves them at the failing reference;
 * **``reset_traffic()`` inside a window** leaves the messages posted
   before it counted in ``Stats`` and absent from the links;
-* **the kernel driven by hand, no window open**
-  (``BatchedKernel.replay``) has accounted everything when it returns,
-  with a plan cache or without, as ``run_trace`` has;
+* **a replay tier driven by hand** has accounted everything when it
+  returns, as ``run_trace`` has: the kernel runs only inside a window,
+  which its driver opens and closes, and without a plan cache no window
+  opens and the slow loop sends one by one;
 * **the lazy walk**: a report needs no ``RoutePlan``; the first per-link
   read builds them, once;
 * **a posted unicast to a port outside the network** raises the per-send
@@ -59,7 +60,8 @@ from repro.protocol.messages import MsgKind
 from repro.sim.engine import run_trace
 from repro.sim.stats import Stats
 from repro.sim.system import System, SystemConfig
-from repro.types import Address, Op
+from repro.sim.trace import Trace
+from repro.types import Address, Op, Reference
 from repro.workloads.markov import markov_block_trace
 from repro.workloads.synthetic import random_trace
 
@@ -219,7 +221,12 @@ def test_an_out_of_range_unicast_raises_before_anything_is_priced(
         protocol.open_window()
     with pytest.raises(ConfigurationError, match=r"^port 99 outside 0\.\.7$"):
         try:
-            protocol._post(MsgKind.MEM_READ, source, dests, 10, 1)
+            if window:
+                protocol._post(MsgKind.MEM_READ, source, dests, 10, 1)
+            elif type(dests) is int:
+                protocol._send(MsgKind.MEM_READ, source, dests, 10)
+            else:
+                protocol._multicast(MsgKind.MEM_READ, source, dests, 10)
         finally:
             protocol.close_window()
     assert system.network._ledger is None
@@ -459,25 +466,44 @@ def test_coherence_error_mid_trace_leaves_per_send_arrays(
     assert system.network.total_bits == protocol.stats.total_bits
 
 
-def test_error_mid_kernel_replay_settles_the_deferred_hits(window_shut):
+def test_error_mid_kernel_replay_settles_the_deferred_hits():
     # The kernel holds hit counts of its own: its ``finally`` posts them
     # before run_trace's settles the ledger.  The error is planted in a
-    # slow-loop run after the kernel has batched.
-    def run():
+    # slow-loop run after the kernel has batched, on the one write to a
+    # block nothing else touches, which no record can hold; the reference
+    # is the slow loop (the message log stands the kernel down) failing
+    # at the same row.
+    generated = _trace(True)
+    rows = list(generated)
+    trace = Trace(
+        rows[:500] + [Reference(5, Op.WRITE, Address(99, 0), 1)] + rows[500:],
+        N_NODES,
+        generated.block_size_words,
+    ).compile()
+
+    def run(logged):
         system = System(SystemConfig(n_nodes=N_NODES))
         protocol = default_factories()["two-mode"](system)
-        _die_after(protocol, 100, CoherenceError("planted", block=0, node=0))
+        if logged:
+            protocol.enable_message_log()
+        write = protocol._write
+
+        def planted(node, block, offset, value):
+            if block == 99:
+                raise CoherenceError("planted", block=block, node=node)
+            write(node, block, offset, value)
+
+        protocol._write = planted
         with pytest.raises(CoherenceError, match="planted"):
             run_trace(
-                protocol, _trace(True), verify=False,
-                check_invariants_every=0,
+                protocol, trace, verify=False, check_invariants_every=0
             )
         return system, protocol
 
-    system, protocol = run()
+    system, protocol = run(logged=False)
     assert protocol.batched_kernel().batched_refs > 0
-    window_shut()
-    shut_system, shut_protocol = run()
+    shut_system, shut_protocol = run(logged=True)
+    assert shut_protocol.batched_kernel().batched_refs == 0
     assert in_order(protocol.stats) == in_order(shut_protocol.stats)
     assert totals(system.network) == totals(shut_system.network)
     assert arrays(system.network) == arrays(shut_system.network)
@@ -548,7 +574,8 @@ def _grouped(protocol):
     The first kind posted is an empty multicast (counted, never walked),
     so a settle that accounts unicasts before multicasts reorders
     ``Stats``; one price group holds unicasts posted by port, by
-    one-element set and as a scaled deferred hit.
+    one-element set and as a scaled deferred hit (which, with the window
+    shut, are as many unicasts sent one by one).
     """
     word = protocol._cost_word
     protocol._multicast(MsgKind.INVALIDATE, 2, frozenset(), word)
@@ -556,7 +583,11 @@ def _grouped(protocol):
     protocol._send(MsgKind.ACK, 3, 1, protocol._cost_ack)
     protocol._send(MsgKind.MEM_READ, 4, 7, word)
     protocol._multicast(MsgKind.INVALIDATE, 2, frozenset({1, 6, 7}), word)
-    protocol._post(MsgKind.MEM_READ, 1, 3, word, 3)
+    if protocol._ledger is not None:
+        protocol._post(MsgKind.MEM_READ, 1, 3, word, 3)
+    else:
+        for _ in range(3):
+            protocol._send(MsgKind.MEM_READ, 1, 3, word)
 
 
 class TestResetTraffic:
@@ -646,22 +677,26 @@ def test_hand_driven_references_account_immediately(protocol_name):
 def test_hand_driven_replay_tiers_account_before_returning(
     tier, protocol_name
 ):
-    # Driven by hand no window is open: the flush of the deferred hits
-    # holds its own, or -- where none can open (no plan cache) -- sends
-    # them one by one.  Through run_trace the flush lands in its window.
+    # Driven by hand, the kernel runs inside a window its driver opens
+    # and closes, as run_trace does, and the flush of its deferred hits
+    # lands there.  Where no window can open (no plan cache) the kernel
+    # cannot run: run_trace replays on the slow loop, send by send.
     def replay(plan_cache):
         system = System(SystemConfig(n_nodes=N_NODES))
         if not plan_cache:
             system.network.route_plans = None
         protocol = default_factories()[protocol_name](system)
-        if tier == "kernel":
-            protocol.batched_kernel().replay(_trace(True))
+        if tier == "kernel" and protocol.open_window():
+            try:
+                protocol.batched_kernel().replay(_trace(True))
+            finally:
+                protocol.close_window()
         else:
             run_trace(
                 protocol, _trace(True), verify=False,
                 check_invariants_every=0,
             )
-        assert protocol.batched_kernel().batched_refs > 0
+        assert (protocol.batched_kernel().batched_refs > 0) is plan_cache
         assert system.network._ledger is None and protocol._ledger is None
         assert system.network.total_bits == protocol.stats.total_bits > 0
         return system, protocol

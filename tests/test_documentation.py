@@ -2,17 +2,22 @@
 
 DESIGN.md's inventory and experiment index point at modules and benchmark
 files; EXPERIMENTS.md embeds exhibit files; docs/*.md cite the tests that
-prove their claims.  These tests keep those references real, so the
+prove their claims and, like README.md and DESIGN.md, name the classes'
+attributes.  These tests keep those references real, so the
 documentation cannot silently drift from the code.
 """
 
 import ast
 import glob
 import importlib
+import inspect
 import os
+import pkgutil
 import re
 
 import pytest
+
+import repro
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -158,4 +163,77 @@ class TestDocsCiteRealTests:
                 tree = ast.parse(stream.read())
             if not _defines(tree, names, relative):
                 missing.append(f"{document}: {cited}::{'::'.join(names)}")
+        assert not missing, missing
+
+
+#: ```Class.attr``` or ```Class.attr()```, whole inside one pair of backticks.
+ATTRIBUTE = re.compile(r"`([A-Z]\w*)\.(\w+)(?:\(\))?`")
+
+
+def _repro_classes():
+    """Every class defined in a ``repro`` module, by name."""
+    classes = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue  # runs the CLI
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if inspect.isclass(obj) and obj.__module__ == info.name:
+                classes.setdefault(obj.__name__, []).append(obj)
+    return classes
+
+
+def _assigned_on_self(cls):
+    """The names ``self.name = ...`` binds in ``cls`` or a ``repro`` base."""
+    names = set()
+    for klass in cls.__mro__:
+        if not klass.__module__.startswith("repro."):
+            continue
+        for node in ast.walk(ast.parse(inspect.getsource(klass))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            names.update(
+                target.attr
+                for target in targets
+                if isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            )
+    return names
+
+
+def _resolves(cls, attr):
+    """A class attribute (method, slot, enum member), a dataclass field,
+    or an attribute an instance method assigns."""
+    return (
+        hasattr(cls, attr)
+        or attr in getattr(cls, "__dataclass_fields__", {})
+        or attr in _assigned_on_self(cls)
+    )
+
+
+class TestDocsNameRealAttributes:
+    def test_every_named_class_attribute_exists(self):
+        classes = _repro_classes()
+        documents = sorted(glob.glob(os.path.join(ROOT, "docs", "*.md")))
+        documents += [os.path.join(ROOT, "README.md")]
+        documents += [os.path.join(ROOT, "DESIGN.md")]
+        named = set()
+        for document in documents:
+            with open(document, encoding="utf-8") as stream:
+                for match in ATTRIBUTE.finditer(stream.read()):
+                    if match.group(1) in classes:
+                        named.add(
+                            (os.path.basename(document), *match.groups())
+                        )
+        assert named, "the attribute pattern no longer matches"
+        missing = sorted(
+            f"{document}: {name}.{attr}"
+            for document, name, attr in named
+            if not any(_resolves(cls, attr) for cls in classes[name])
+        )
         assert not missing, missing
