@@ -8,9 +8,9 @@ Two layers:
 * an *empirical* Figure 8 (extension): the same workloads run through the
   actual protocol machines on the simulated network, normalized the same
   way -- who-wins and crossover locations must agree with the analysis.
-  The empirical grid is declared as a :class:`repro.runner.SweepSpec`
-  (write fraction x protocol, with the cold-start warm-up split) and
-  executed through the runner, asserting the parallel fan-out equals the
+  The empirical grid is :func:`repro.analysis.sweep.fig8_grid` (write
+  fraction x protocol, with the cold-start warm-up split), executed
+  through the runner, asserting the parallel fan-out equals the
   sequential reference path.
 """
 
@@ -19,9 +19,9 @@ import json
 import pytest
 from conftest import save_exhibit
 
-from repro.analysis.compare import default_factories
 from repro.analysis.figures import fig8_data
 from repro.analysis.report import render_series
+from repro.analysis.sweep import fig8_grid, series_by_protocol, sweep_records
 from repro.protocol.costs import (
     normalized_no_cache,
     normalized_two_mode,
@@ -29,10 +29,8 @@ from repro.protocol.costs import (
     one_traversal,
     two_mode_peak,
 )
-from repro.protocol.messages import MessageCosts
 from repro.protocol.modes import write_fraction_threshold
-from repro.runner import Executor, SweepSpec, WorkloadSpec
-from repro.sim.system import SystemConfig
+from repro.runner import Executor
 
 N_VALUES = (4, 16, 64)
 
@@ -67,28 +65,15 @@ def test_fig8_analytic(benchmark):
 def test_fig8_simulated(benchmark):
     """Empirical Figure 8 on the trace-driven simulator, via the runner."""
     write_fractions = (0.05, 0.2, 0.5, 0.8, 0.95)
-    n_nodes, n_sharers, warmup, references = 16, 8, 500, 2500
-
-    sweep = SweepSpec.from_grid(
+    n_nodes, n_sharers = 16, 8
+    sweep = fig8_grid(
         "fig8-simulated",
-        protocols=sorted(default_factories()),
-        workloads=[
-            WorkloadSpec(
-                kind="markov",
-                n_nodes=n_nodes,
-                n_references=warmup + references,
-                write_fraction=w,
-                seed=17,
-                tasks=tuple(range(n_sharers)),
-            )
-            for w in write_fractions
-        ],
-        configs=[
-            SystemConfig(
-                n_nodes=n_nodes, costs=MessageCosts.uniform(20)
-            )
-        ],
-        warmup=warmup,
+        write_fractions,
+        n_sharers,
+        n_nodes=n_nodes,
+        references=2500,
+        warmup=500,
+        seed=17,
     )
     results = benchmark.pedantic(
         Executor(workers=0).run, args=(sweep,), iterations=1, rounds=1
@@ -102,16 +87,16 @@ def test_fig8_simulated(benchmark):
         ) == json.dumps(parallel_cell.report.to_dict(), sort_keys=True)
 
     unit = one_traversal(n_nodes, 20)
-    curves: dict[str, list[tuple[float, float]]] = {}
-    for result in results:
-        curves.setdefault(result.spec.protocol, []).append(
-            (
-                result.spec.workload.write_fraction,
-                result.report.cost_per_reference / unit,
-            )
-        )
-    for points in curves.values():
-        points.sort()
+    records = sweep_records(
+        [(result.spec, result.report) for result in results],
+        "write_fraction",
+    )
+    curves = {
+        name: [(w, cost / unit) for w, cost in points]
+        for name, points in series_by_protocol(
+            records, "write_fraction"
+        ).items()
+    }
 
     no_cache = dict(curves["no-cache"])
     two_mode = dict(curves["two-mode"])

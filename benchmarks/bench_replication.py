@@ -10,11 +10,10 @@ significant, not seed luck).
 
 from conftest import save_exhibit
 
-from repro.analysis.compare import default_factories
 from repro.analysis.replication import replicated_cost
 from repro.analysis.report import render_table
+from repro.runner import WorkloadSpec
 from repro.sim.system import SystemConfig
-from repro.workloads.markov import markov_block_trace
 
 N_NODES = 16
 N_SHARERS = 8
@@ -26,27 +25,23 @@ CASES = (
 PROTOCOLS = ("two-mode", "no-cache", "write-once")
 
 
-def _trace_factory(write_fraction):
-    return lambda seed: markov_block_trace(
-        N_NODES,
-        tasks=list(range(N_SHARERS)),
-        write_fraction=write_fraction,
+def _workload(write_fraction):
+    return WorkloadSpec(
+        kind="markov",
+        n_nodes=N_NODES,
         n_references=2000,
-        seed=seed,
+        write_fraction=write_fraction,
+        tasks=tuple(range(N_SHARERS)),
     )
 
 
 def test_headline_results_are_significant(benchmark):
-    factories = default_factories()
     config = SystemConfig(n_nodes=N_NODES)
 
     def sweep():
         return {
             (label, name): replicated_cost(
-                factories[name],
-                _trace_factory(w),
-                config,
-                SEEDS,
+                name, _workload(w), config, SEEDS
             )
             for label, w in CASES
             for name in PROTOCOLS

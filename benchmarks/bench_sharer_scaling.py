@@ -14,51 +14,28 @@ probing the §4 upper-bound claim from the other axis.  The analysis says:
   (abstract).
 
 All four behaviours are asserted on the measured series.  The grid is
-declared as a :class:`repro.runner.SweepSpec` and executed through the
-runner; the parallel fan-out must reproduce the sequential reference
-path cell for cell.
+:func:`repro.analysis.sweep.sharer_grid`, executed through the runner;
+the parallel fan-out must reproduce the sequential reference path cell
+for cell.
 """
 
 import json
 
 from conftest import save_exhibit
 
-from repro.analysis.compare import default_factories
 from repro.analysis.report import render_table
-from repro.protocol.messages import MessageCosts
-from repro.runner import Executor, SweepSpec, WorkloadSpec
-from repro.sim.system import SystemConfig
+from repro.analysis.sweep import series_by_protocol, sharer_grid, sweep_records
+from repro.runner import Executor
 
 SHARERS = (2, 4, 8, 16, 32)
 WRITE_FRACTION = 0.3
 N_NODES = 64
 
 
-def build_sweep() -> SweepSpec:
-    return SweepSpec.from_grid(
-        "sharer-scaling",
-        protocols=sorted(default_factories()),
-        workloads=[
-            WorkloadSpec(
-                kind="markov",
-                n_nodes=N_NODES,
-                n_references=2500,
-                write_fraction=WRITE_FRACTION,
-                seed=13,
-                tasks=tuple(range(n)),
-            )
-            for n in SHARERS
-        ],
-        configs=[
-            SystemConfig(
-                n_nodes=N_NODES, costs=MessageCosts.uniform(20)
-            )
-        ],
-    )
-
-
 def test_sharer_scaling(benchmark):
-    sweep = build_sweep()
+    sweep = sharer_grid(
+        "sharer-scaling", SHARERS, WRITE_FRACTION, n_nodes=N_NODES, seed=13
+    )
     results = benchmark.pedantic(
         Executor(workers=0).run, args=(sweep,), iterations=1, rounds=1
     )
@@ -70,16 +47,13 @@ def test_sharer_scaling(benchmark):
             sequential_cell.report.to_dict(), sort_keys=True
         ) == json.dumps(parallel_cell.report.to_dict(), sort_keys=True)
 
-    series: dict[str, list[tuple[int, float]]] = {}
-    for result in results:
-        series.setdefault(result.spec.protocol, []).append(
-            (
-                len(result.spec.workload.tasks),
-                result.report.cost_per_reference,
-            )
-        )
-    for points in series.values():
-        points.sort()
+    series = series_by_protocol(
+        sweep_records(
+            [(result.spec, result.report) for result in results],
+            "n_sharers",
+        ),
+        "n_sharers",
+    )
 
     def costs(name):
         return [cost for _, cost in series[name]]

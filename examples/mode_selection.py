@@ -83,7 +83,7 @@ def simulated_table() -> str:
         ("w",) + names,
         rows,
         title=(
-            f"Simulated (verifying machine, n={N_SHARERS} sharers, "
+            f"Simulated (n={N_SHARERS} sharers, "
             f"N=16, uniform M=20)"
         ),
     )

@@ -5,6 +5,8 @@
   for side-by-side comparison;
 * :mod:`repro.analysis.compare` -- end-to-end protocol comparisons on the
   trace-driven simulator (the empirical counterpart of Figure 8);
+* :mod:`repro.analysis.sweep` -- the Figure 8 and sharer-count grids,
+  each declared once and run on :mod:`repro.runner`;
 * :mod:`repro.analysis.report` -- ASCII rendering of tables and line
   charts for terminal output.
 """
@@ -25,7 +27,7 @@ from repro.analysis.latency import (
     latency_comparison,
     trace_latency,
 )
-from repro.analysis.sweep import run_sweep, series_by_protocol, sharer_sweep
+from repro.analysis.sweep import series_by_protocol, sharer_sweep
 from repro.analysis.figures import (
     fig5_data,
     fig6_data,
@@ -62,7 +64,6 @@ __all__ = [
     "render_table",
     "replicate",
     "replicated_cost",
-    "run_sweep",
     "save_records",
     "series_by_protocol",
     "sharer_sweep",

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from repro.analysis.report import render_table
+from repro.analysis.sweep import fig8_grid, series_by_protocol, sweep_records
 from repro.cache.state import Mode
-from repro.errors import ConfigurationError
 from repro.protocol.base import CoherenceProtocol
 from repro.protocol.costs import one_traversal
 from repro.protocol.full_map import FullMapProtocol
-from repro.protocol.messages import MessageCosts
 from repro.protocol.modes import OracleModePolicy
 from repro.protocol.no_cache import NoCacheProtocol
 from repro.protocol.stenstrom import StenstromProtocol
@@ -29,7 +28,6 @@ from repro.protocol.write_once import WriteOnceProtocol
 from repro.sim.ctrace import CompiledTrace
 from repro.sim.engine import SimulationReport, run_trace
 from repro.sim.system import System, SystemConfig
-from repro.workloads.markov import markov_block_trace
 
 ProtocolFactory = Callable[[System], CoherenceProtocol]
 
@@ -116,60 +114,27 @@ def simulated_cost_curve(
     message_bits: int = 20,
     references: int = 4000,
     warmup: int = 500,
-    factories: Mapping[str, ProtocolFactory] | None = None,
     seed: int = 0,
 ) -> dict[str, list[tuple[float, float]]]:
     """Empirical Figure 8: normalized measured cost vs write fraction.
 
-    For each ``w``, a §4 Markov trace (``n_sharers`` tasks, one writer,
-    one shared block) runs through each protocol under the *uniform*
-    message-cost model; the measured steady-state traffic per reference is
-    divided by ``CC1(1)`` so the curves land on Figure 8's axes.
+    Runs :func:`~repro.analysis.sweep.fig8_grid` and divides each
+    protocol's measured steady-state traffic per reference by ``CC1(1)``
+    so the curves land on Figure 8's axes.
     """
-    if n_sharers < 1 or n_sharers > n_nodes:
-        raise ConfigurationError(
-            f"need 1 <= n_sharers <= n_nodes, "
-            f"got {n_sharers} of {n_nodes}"
-        )
-    if warmup < 0 or references <= 0:
-        raise ConfigurationError(
-            f"need warmup >= 0 and references > 0, "
-            f"got {warmup} and {references}"
-        )
-    if factories is None:
-        factories = default_factories()
-    config = SystemConfig(
-        n_nodes=n_nodes,
-        costs=MessageCosts.uniform(message_bits),
+    from repro.runner import Executor
+
+    sweep = fig8_grid(
+        "simulated-cost-curve", write_fractions, n_sharers, n_nodes=n_nodes,
+        message_bits=message_bits, references=references, warmup=warmup,
+        seed=seed,
+    )
+    pairs = [(result.spec, result.report) for result in Executor().run(sweep)]
+    series = series_by_protocol(
+        sweep_records(pairs, "write_fraction"), "write_fraction"
     )
     unit = one_traversal(n_nodes, message_bits)
-    curves: dict[str, list[tuple[float, float]]] = {
-        name: [] for name in factories
+    return {
+        name: [(w, cost / unit) for w, cost in points]
+        for name, points in series.items()
     }
-    tasks = list(range(n_sharers))
-    for w in write_fractions:
-        trace = markov_block_trace(
-            n_nodes,
-            tasks,
-            w,
-            warmup + references,
-            block_size_words=config.block_size_words,
-            seed=seed,
-        )
-        for name, factory in factories.items():
-            system = System(config)
-            protocol = factory(system)
-            run_trace(
-                protocol,
-                trace[:warmup],
-                verify=False,
-                check_invariants_every=0,
-            )
-            report = run_trace(
-                protocol,
-                trace[warmup:],
-                verify=False,
-                check_invariants_every=0,
-            )
-            curves[name].append((w, report.cost_per_reference / unit))
-    return curves

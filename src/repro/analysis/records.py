@@ -53,9 +53,8 @@ def records_from_json(text: str) -> tuple[list[SweepRecord], dict]:
             f"not a {_FORMAT} document "
             f"(format={payload.get('format') if isinstance(payload, dict) else None!r})"
         )
-    records = []
-    for item in payload["records"]:
-        records.append(
+    try:
+        records = [
             SweepRecord(
                 protocol=item["protocol"],
                 parameters=tuple(sorted(item["parameters"].items())),
@@ -63,8 +62,12 @@ def records_from_json(text: str) -> tuple[list[SweepRecord], dict]:
                 total_bits=int(item["total_bits"]),
                 events=tuple(sorted(item["events"].items())),
             )
-        )
-    return records, dict(payload.get("metadata", {}))
+            for item in payload["records"]
+        ]
+        metadata = dict(payload.get("metadata", {}))
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise ConfigurationError(f"malformed record file: {error!r}") from None
+    return records, metadata
 
 
 def save_records(

@@ -5,19 +5,21 @@ reproduction worth trusting states its uncertainty.  :func:`replicate`
 runs any seed-parameterised measurement over several seeds and returns
 the mean with a Student-t confidence interval (scipy);
 :func:`replicated_cost` packages the common case -- cost per reference of
-a protocol on a seeded workload.
+one runner cell (:func:`~repro.runner.executor.execute_spec`) whose
+workload is reseeded per replicate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import ConfigurationError
-from repro.protocol.base import CoherenceProtocol
-from repro.sim.engine import run_trace
-from repro.sim.system import System, SystemConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runner.spec import WorkloadSpec
+    from repro.sim.system import SystemConfig
 
 
 @dataclass(frozen=True)
@@ -91,23 +93,19 @@ def replicate(
 
 
 def replicated_cost(
-    protocol_factory: Callable[[System], CoherenceProtocol],
-    trace_factory: Callable[[int], object],
+    protocol: str,
+    workload: WorkloadSpec,
     config: SystemConfig,
     seeds: Sequence[int],
     *,
     confidence: float = 0.95,
 ) -> ReplicatedMeasurement:
-    """Cost per reference, replicated over workload seeds."""
+    """Cost per reference of the ``protocol`` cell on ``workload``,
+    replicated over workload seeds (each replaces ``workload.seed``)."""
+    from repro.runner import ExperimentSpec, execute_spec
 
     def measure(seed: int) -> float:
-        protocol = protocol_factory(System(config))
-        report = run_trace(
-            protocol,
-            trace_factory(seed),
-            verify=False,
-            check_invariants_every=0,
-        )
-        return report.cost_per_reference
+        spec = ExperimentSpec(protocol, replace(workload, seed=seed), config)
+        return execute_spec(spec).cost_per_reference
 
     return replicate(measure, seeds, confidence=confidence)

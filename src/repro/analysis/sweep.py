@@ -1,28 +1,32 @@
-"""Structured parameter sweeps over the trace-driven simulator.
+"""The paper's two empirical grids, declared once and run on the runner.
 
-A sweep runs one workload template across a grid of parameters and
-protocols and returns flat records -- the long-form data the benchmark
-exhibits and any external analysis (numpy/pandas) can consume directly.
-
-The central experiment built on it, :func:`sharer_sweep`, measures the
-§4 quantities empirically: cost per reference as the number of sharers
-``n`` grows, at fixed write fraction.  Eq. 10 says write-once grows like
-``w(1-w)(n+2)``; eq. 11/12 say the two-mode protocol is bounded by
-``min(wn, 2(1-w))`` -- so as ``n`` grows at fixed ``w`` the two-mode curve
-must flatten at the global-read ceiling while write-once keeps climbing.
+:func:`fig8_grid` sweeps the write fraction ``w`` (Figure 8) and
+:func:`sharer_grid` the sharer count ``n`` at fixed ``w`` (§4: eq. 10 grows
+write-once like ``w(1-w)(n+2)``, eqs. 11/12 cap two-mode at
+``min(wn, 2(1-w))``).  Callers run them on
+:class:`~repro.runner.executor.Executor`, then :func:`sweep_records` and
+:func:`series_by_protocol`.  The runner imports this package, so the
+function bodies import the runner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import ConfigurationError
-from repro.protocol.base import CoherenceProtocol
 from repro.protocol.messages import MessageCosts
-from repro.sim.engine import run_trace
-from repro.sim.system import System, SystemConfig
-from repro.workloads.markov import markov_block_trace
+from repro.sim.system import SystemConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runner.spec import ExperimentSpec, SweepSpec
+    from repro.sim.engine import SimulationReport
+
+#: How :func:`sweep_records` reads each grid's swept parameter off a cell.
+_PARAMETERS = {
+    "n_sharers": lambda spec: len(spec.workload.tasks),
+    "write_fraction": lambda spec: spec.workload.write_fraction,
+}
 
 
 @dataclass(frozen=True)
@@ -36,54 +40,100 @@ class SweepRecord:
     events: tuple[tuple[str, int], ...]
 
     def parameter(self, name: str) -> object:
-        for key, value in self.parameters:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return dict(self.parameters)[name]
 
 
-def run_sweep(
-    points: Sequence[Mapping[str, object]],
-    trace_for: Callable[[Mapping[str, object]], object],
-    config_for: Callable[[Mapping[str, object]], SystemConfig],
-    factories: Mapping[str, Callable[[System], CoherenceProtocol]],
+def _markov_grid(
+    name, points, n_nodes, message_bits, references, seed, warmup=0
+) -> SweepSpec:
+    """Every default protocol, sorted, at each ``(w, n_sharers)`` point."""
+    from repro.analysis.compare import default_factories
+    from repro.runner import SweepSpec, WorkloadSpec
+
+    for _, n in points:
+        if not 1 <= n <= n_nodes:
+            raise ConfigurationError(
+                f"sharer count {n} outside 1..{n_nodes}"
+            )
+    workloads = [
+        WorkloadSpec(
+            kind="markov",
+            n_nodes=n_nodes,
+            n_references=warmup + references,
+            write_fraction=w,
+            seed=seed,
+            tasks=tuple(range(n)),
+        )
+        for w, n in points
+    ]
+    costs = MessageCosts.uniform(message_bits)
+    return SweepSpec.from_grid(
+        name,
+        protocols=sorted(default_factories()),
+        workloads=workloads,
+        configs=[SystemConfig(n_nodes=n_nodes, costs=costs)],
+        warmup=warmup,
+    )
+
+
+def fig8_grid(
+    name: str,
+    write_fractions: Sequence[float],
+    n_sharers: int,
     *,
-    verify: bool = False,
-) -> list[SweepRecord]:
-    """Run every protocol at every parameter point.
+    n_nodes: int = 16,
+    message_bits: int = 20,
+    references: int = 4000,
+    warmup: int = 500,
+    seed: int = 0,
+) -> SweepSpec:
+    """Figure 8's grid: per ``w``, a ``warmup + references`` trace whose
+    first ``warmup`` references run unmeasured (steady-state traffic)."""
+    if references <= 0:
+        raise ConfigurationError(f"need references > 0, got {references}")
+    points = [(w, n_sharers) for w in write_fractions]
+    return _markov_grid(
+        name, points, n_nodes, message_bits, references, seed, warmup
+    )
 
-    ``trace_for`` and ``config_for`` build the workload and machine for a
-    point; verification is off by default (sweeps are bulk measurement --
-    the correctness suite verifies the same machinery separately).
-    """
-    records = []
-    for point in points:
-        trace = trace_for(point)
-        config = config_for(point)
-        for name, factory in factories.items():
-            protocol = factory(System(config))
-            report = run_trace(
-                protocol,
-                trace,
-                verify=verify,
-                check_invariants_every=0 if not verify else None,
-            )
-            records.append(
-                SweepRecord(
-                    protocol=name,
-                    parameters=tuple(sorted(point.items())),
-                    cost_per_reference=report.cost_per_reference,
-                    total_bits=report.network_total_bits,
-                    events=tuple(sorted(report.stats.events.items())),
-                )
-            )
-    return records
+
+def sharer_grid(
+    name: str,
+    sharer_counts: Sequence[int],
+    write_fraction: float,
+    *,
+    n_nodes: int = 64,
+    references: int = 2500,
+    message_bits: int = 20,
+    seed: int = 0,
+) -> SweepSpec:
+    """The sharer sweep's grid: one workload per ``n``, every protocol."""
+    points = [(write_fraction, n) for n in sharer_counts]
+    return _markov_grid(name, points, n_nodes, message_bits, references, seed)
+
+
+def sweep_records(
+    results: Iterable[tuple[ExperimentSpec, SimulationReport]],
+    parameter: str,
+) -> list[SweepRecord]:
+    """``(spec, report)`` pairs -> one record per cell, carrying the
+    swept ``parameter``: ``"n_sharers"`` or ``"write_fraction"``."""
+    value_of = _PARAMETERS[parameter]
+    return [
+        SweepRecord(
+            protocol=spec.protocol,
+            parameters=((parameter, value_of(spec)),),
+            cost_per_reference=report.cost_per_reference,
+            total_bits=report.network_total_bits,
+            events=tuple(sorted(report.stats.events.items())),
+        )
+        for spec, report in results
+    ]
 
 
 def sharer_sweep(
     sharer_counts: Sequence[int],
     write_fraction: float,
-    factories: Mapping[str, Callable[[System], CoherenceProtocol]],
     *,
     n_nodes: int = 64,
     references: int = 2500,
@@ -91,32 +141,14 @@ def sharer_sweep(
     seed: int = 0,
 ) -> list[SweepRecord]:
     """Measured cost per reference vs the number of sharers ``n``."""
-    for n in sharer_counts:
-        if not 1 <= n <= n_nodes:
-            raise ConfigurationError(
-                f"sharer count {n} outside 1..{n_nodes}"
-            )
+    from repro.runner import Executor
 
-    def trace_for(point):
-        return markov_block_trace(
-            n_nodes,
-            tasks=list(range(point["n_sharers"])),
-            write_fraction=write_fraction,
-            n_references=references,
-            seed=seed,
-        )
-
-    def config_for(point):
-        return SystemConfig(
-            n_nodes=n_nodes, costs=MessageCosts.uniform(message_bits)
-        )
-
-    return run_sweep(
-        [{"n_sharers": n} for n in sharer_counts],
-        trace_for,
-        config_for,
-        factories,
+    sweep = sharer_grid(
+        "sharer-sweep", sharer_counts, write_fraction, n_nodes=n_nodes,
+        references=references, message_bits=message_bits, seed=seed,
     )
+    pairs = [(result.spec, result.report) for result in Executor().run(sweep)]
+    return sweep_records(pairs, "n_sharers")
 
 
 def series_by_protocol(

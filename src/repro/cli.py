@@ -61,7 +61,8 @@ from repro.analysis.figures import (
     table3_data,
     table4_data,
 )
-from repro.analysis.report import render_series
+from repro.analysis.report import render_series, render_table
+from repro.analysis.sweep import series_by_protocol, sharer_grid, sweep_records
 from repro.errors import TraceError
 from repro.sim.ctrace import CompiledTrace
 from repro.sim.engine import run_trace
@@ -746,7 +747,6 @@ def _command_compare(args: argparse.Namespace) -> int:
 
 def _command_latency(args: argparse.Namespace) -> int:
     from repro.analysis.latency import latency_comparison
-    from repro.analysis.report import render_table
 
     trace = _make_trace(args)
     if trace is None:
@@ -777,61 +777,17 @@ def _command_latency(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sharer_sweep(args: argparse.Namespace):
-    """The sharer-sweep grid shared by ``sweep`` and ``submit``."""
-    from repro.protocol.messages import MessageCosts
-    from repro.runner import SweepSpec, WorkloadSpec
-
-    workloads = [
-        WorkloadSpec(
-            kind="markov",
-            n_nodes=args.nodes,
-            n_references=args.references,
-            write_fraction=args.write_fraction,
-            seed=args.seed,
-            tasks=tuple(range(n)),
-        )
-        for n in args.sharers
-    ]
-    return SweepSpec.from_grid(
-        "cli-sharer-sweep",
-        protocols=sorted(default_factories()),
-        workloads=workloads,
-        configs=[
-            SystemConfig(
-                n_nodes=args.nodes, costs=MessageCosts.uniform(20)
-            )
-        ],
-    )
-
-
-def _sharer_records(pairs):
-    """``(spec, report)`` pairs -> sweep records for the shared table."""
-    from repro.analysis.sweep import SweepRecord
-
-    return [
-        SweepRecord(
-            protocol=spec.protocol,
-            parameters=(("n_sharers", len(spec.workload.tasks)),),
-            cost_per_reference=report.cost_per_reference,
-            total_bits=report.network_total_bits,
-            events=tuple(sorted(report.stats.events.items())),
-        )
-        for spec, report in pairs
-    ]
-
-
 def _print_sharer_table(records, args: argparse.Namespace) -> None:
-    from repro.analysis.report import render_table
-    from repro.analysis.sweep import series_by_protocol
-
+    """One row per sharer count; a cell with no record prints ``failed``."""
     series = series_by_protocol(records, "n_sharers")
-    names = sorted(series)
-    rows = [
-        (f"n={n}",)
-        + tuple(f"{dict(series[name])[n]:.1f}" for name in names)
-        for n in sorted(args.sharers)
-    ]
+    names = sorted(default_factories())
+    rows = []
+    for n in sorted(args.sharers):
+        costs = [dict(series.get(name, ())).get(n) for name in names]
+        rows.append(
+            (f"n={n}",)
+            + tuple("failed" if c is None else f"{c:.1f}" for c in costs)
+        )
     print(
         render_table(
             ("sharers",) + tuple(names),
@@ -848,7 +804,10 @@ def _command_sweep(args: argparse.Namespace) -> int:
     from repro.analysis.records import save_records
     from repro.runner import Executor, ResultCache, RunJournal
 
-    sweep = _sharer_sweep(args)
+    sweep = sharer_grid(
+        "cli-sharer-sweep", args.sharers, args.write_fraction,
+        n_nodes=args.nodes, references=args.references, seed=args.seed,
+    )
     journal = RunJournal(args.journal)
     executor = Executor(
         workers=args.workers,
@@ -857,8 +816,8 @@ def _command_sweep(args: argparse.Namespace) -> int:
         trace_dir=args.trace_dir,
     )
     results = executor.run(sweep)
-    records = _sharer_records(
-        [(result.spec, result.report) for result in results]
+    records = sweep_records(
+        [(result.spec, result.report) for result in results], "n_sharers"
     )
     _print_sharer_table(records, args)
     counts = journal.counts()
@@ -1136,7 +1095,10 @@ def _command_submit(args: argparse.Namespace) -> int:
         print(json.dumps(client.drain(), sort_keys=True))
         return 0
 
-    sweep = _sharer_sweep(args)
+    sweep = sharer_grid(
+        "cli-sharer-sweep", args.sharers, args.write_fraction,
+        n_nodes=args.nodes, references=args.references, seed=args.seed,
+    )
 
     def show_event(frame: dict) -> None:
         task = frame.get("task", "?")
@@ -1158,12 +1120,12 @@ def _command_submit(args: argparse.Namespace) -> int:
     by_hash = {
         frame["spec_hash"]: frame["report"] for frame in outcome.results
     }
+    finished = [spec for spec in sweep.cells if spec.spec_hash in by_hash]
     pairs = [
         (spec, SimulationReport.from_dict(by_hash[spec.spec_hash]))
-        for spec in sweep.cells
-        if spec.spec_hash in by_hash
+        for spec in finished
     ]
-    records = _sharer_records(pairs)
+    records = sweep_records(pairs, "n_sharers")
     _print_sharer_table(records, args)
     accepted = outcome.accepted
     print(
@@ -1187,8 +1149,7 @@ def _command_submit(args: argparse.Namespace) -> int:
                     "spec_hash": spec.spec_hash,
                     "report": by_hash[spec.spec_hash],
                 }
-                for spec in sweep.cells
-                if spec.spec_hash in by_hash
+                for spec in finished
             ],
         }
         Path(args.output).write_text(

@@ -217,7 +217,7 @@ class ExperimentSpec:
     ``protocol`` names a factory from
     :func:`repro.analysis.compare.default_factories`.  ``warmup``
     references run first without being measured (the cold-start split of
-    :func:`repro.analysis.compare.simulated_cost_curve`); the report covers
+    :func:`repro.analysis.sweep.fig8_grid`); the report covers
     only the remaining ``n_references - warmup``.  ``verify`` and
     ``check_invariants_every`` pass straight to
     :func:`repro.sim.engine.run_trace`.
@@ -387,9 +387,8 @@ class SweepSpec:
     ) -> "SweepSpec":
         """The full cross product, workload-major then config then protocol.
 
-        That order mirrors :func:`repro.analysis.sweep.run_sweep` (one
-        parameter point at a time, every protocol at that point), so
-        migrated benchmarks keep their record order.
+        One parameter point at a time, every protocol at that point, so
+        the sequential executor generates each workload's trace once.
         """
         if not protocols or not workloads or not configs:
             raise ConfigurationError(

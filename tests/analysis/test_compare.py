@@ -81,9 +81,6 @@ class TestSimulatedCostCurve:
             n_nodes=8,
             references=1000,
             warmup=100,
-            factories={
-                "no-cache": default_factories()["no-cache"],
-            },
             seed=6,
         )
         for w, normalized in curves["no-cache"]:

@@ -9,10 +9,7 @@ from repro.analysis.fitting import (
     relative_error,
 )
 from repro.analysis.sweep import series_by_protocol, sharer_sweep
-from repro.cache.state import Mode
 from repro.errors import ConfigurationError
-from repro.protocol.no_cache import NoCacheProtocol
-from repro.protocol.stenstrom import StenstromProtocol
 from repro.protocol.write_once import WriteOnceProtocol
 
 
@@ -59,7 +56,6 @@ class TestMeasuredCurvesFitTheModel:
             n_nodes=8,
             references=2000,
             warmup=100,
-            factories={"no-cache": NoCacheProtocol},
             seed=1,
         )
         fit = fit_linear(curves["no-cache"])
@@ -112,7 +108,6 @@ class TestMeasuredCurvesFitTheModel:
         records = sharer_sweep(
             (2, 8, 32),
             0.3,
-            {"write-once": WriteOnceProtocol},
             n_nodes=64,
             references=2500,
             seed=2,
@@ -130,14 +125,9 @@ class TestMeasuredCurvesFitTheModel:
             n_nodes=16,
             references=2500,
             warmup=300,
-            factories={
-                "dw": lambda system: StenstromProtocol(
-                    system, default_mode=Mode.DISTRIBUTED_WRITE
-                )
-            },
             seed=3,
         )
-        fit = fit_linear(curves["dw"])
+        fit = fit_linear(curves["distributed-write"])
         assert fit.r_squared > 0.98
         assert fit.slope > 0
         # Through (near) the origin: no writes, no traffic.
@@ -151,14 +141,9 @@ class TestMeasuredCurvesFitTheModel:
             n_nodes=16,
             references=2500,
             warmup=300,
-            factories={
-                "gr": lambda system: StenstromProtocol(
-                    system, default_mode=Mode.GLOBAL_READ
-                )
-            },
             seed=4,
         )
-        fit = fit_linear(curves["gr"])
+        fit = fit_linear(curves["global-read"])
         assert fit.r_squared > 0.98
         assert fit.slope < 0
         assert abs(fit.predict(1.0)) < 0.3

@@ -1,5 +1,7 @@
 """Tests for the JSON experiment-record format."""
 
+import json
+
 import pytest
 
 from repro.analysis.records import (
@@ -65,19 +67,37 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             records_from_json("[1, 2, 3]")
 
+    @staticmethod
+    def _torn(tear):
+        """A valid document with ``tear(payload)`` applied to it."""
+        payload = json.loads(records_to_json(sample_records()))
+        tear(payload)
+        return json.dumps(payload)
+
+    def test_missing_records_rejected(self):
+        text = self._torn(lambda payload: payload.pop("records"))
+        with pytest.raises(ConfigurationError, match="malformed record"):
+            records_from_json(text)
+
+    def test_record_missing_parameters_rejected(self):
+        text = self._torn(lambda doc: doc["records"][0].pop("parameters"))
+        with pytest.raises(ConfigurationError, match="malformed record"):
+            records_from_json(text)
+
+    def test_parameters_as_a_list_rejected(self):
+        def tear(payload):
+            payload["records"][0]["parameters"] = [["n_sharers", 4]]
+
+        with pytest.raises(ConfigurationError, match="malformed record"):
+            records_from_json(self._torn(tear))
+
 
 class TestEndToEnd:
     def test_real_sweep_survives_the_roundtrip(self, tmp_path):
         from repro.analysis.sweep import sharer_sweep
-        from repro.protocol.no_cache import NoCacheProtocol
 
         records = sharer_sweep(
-            [2, 4],
-            0.3,
-            {"no-cache": NoCacheProtocol},
-            n_nodes=8,
-            references=200,
-            seed=1,
+            [2, 4], 0.3, n_nodes=8, references=200, seed=1
         )
         path = tmp_path / "sweep.json"
         save_records(records, path)

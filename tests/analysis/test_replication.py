@@ -8,12 +8,9 @@ from repro.analysis.replication import (
     replicate,
     replicated_cost,
 )
-from repro.cache.state import Mode
 from repro.errors import ConfigurationError
-from repro.protocol.no_cache import NoCacheProtocol
-from repro.protocol.stenstrom import StenstromProtocol
+from repro.runner import WorkloadSpec
 from repro.sim.system import SystemConfig
-from repro.workloads.markov import markov_block_trace
 
 
 class TestReplicate:
@@ -55,10 +52,10 @@ class TestReplicate:
 
 
 class TestReplicatedCost:
-    def _trace_factory(self, w):
-        return lambda seed: markov_block_trace(
-            8, tasks=[0, 1, 2, 3], write_fraction=w,
-            n_references=800, seed=seed,
+    def _workload(self, w):
+        return WorkloadSpec(
+            kind="markov", n_nodes=8, n_references=800,
+            write_fraction=w, tasks=(0, 1, 2, 3),
         )
 
     def test_protocols_separate_significantly(self):
@@ -67,15 +64,10 @@ class TestReplicatedCost:
         config = SystemConfig(n_nodes=8)
         seeds = list(range(5))
         dw = replicated_cost(
-            lambda system: StenstromProtocol(
-                system, default_mode=Mode.DISTRIBUTED_WRITE
-            ),
-            self._trace_factory(0.05),
-            config,
-            seeds,
+            "distributed-write", self._workload(0.05), config, seeds
         )
         uncached = replicated_cost(
-            NoCacheProtocol, self._trace_factory(0.05), config, seeds
+            "no-cache", self._workload(0.05), config, seeds
         )
         assert dw.mean < uncached.mean
         assert not dw.overlaps(uncached)
@@ -83,9 +75,6 @@ class TestReplicatedCost:
     def test_replicates_have_modest_spread(self):
         config = SystemConfig(n_nodes=8)
         result = replicated_cost(
-            NoCacheProtocol,
-            self._trace_factory(0.3),
-            config,
-            list(range(4)),
+            "no-cache", self._workload(0.3), config, list(range(4))
         )
         assert result.half_width < 0.1 * result.mean

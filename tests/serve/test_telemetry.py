@@ -285,6 +285,44 @@ class TestCliVerbs:
         assert out.startswith("# TYPE")
         assert "repro_serve_requests" in out
 
+    def test_submit_prints_failed_cells_and_exits_1(
+        self, socket_path, capsys
+    ):
+        """A failed cell has no record: its table cell reads ``failed``
+        and the command still reaches its ``FAILED:`` lines."""
+        from repro.cli import main
+
+        def broken(spec):
+            if (spec.protocol, len(spec.workload.tasks)) == ("write-once", 4):
+                raise CoherenceError("scripted failure")
+            return execute_spec(spec)
+
+        config = ServeConfig(
+            socket_path=socket_path, retries=0, task_fn=broken
+        )
+        with DaemonThread(config):
+            rc = main(
+                [
+                    "submit", "--socket", socket_path, "--nodes", "8",
+                    "--sharers", "2", "4", "--references", "200",
+                    "--quiet-events",
+                ]
+            )
+        assert rc == 1
+        out = capsys.readouterr().out
+        table = {
+            cells[0]: cells
+            for cells in (
+                [cell.strip() for cell in line.split("|")]
+                for line in out.splitlines()
+                if "|" in line
+            )
+        }
+        column = table["sharers"].index("write-once")
+        assert table["n=4"][column] == "failed"
+        assert "failed" not in table["n=2"]
+        assert "FAILED:" in out
+
     def test_top_once_renders_a_frame(self, socket_path, capsys):
         from repro.cli import main
 

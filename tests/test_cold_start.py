@@ -20,7 +20,7 @@ import pytest
 
 from repro.analysis import fit_linear, replicate, replicated_cost
 from repro.errors import ConfigurationError
-from repro.protocol.no_cache import NoCacheProtocol
+from repro.runner import WorkloadSpec
 from repro.sim.system import SystemConfig
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -209,8 +209,14 @@ class TestExtrasAreNeededOnlyAtTheCall:
 
     def test_replicated_cost_names_the_extra(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "scipy", None)
+        # An unknown protocol would fail its first cell with another
+        # ConfigurationError: matching the extra's message shows that
+        # scipy is checked before any cell runs.
+        workload = WorkloadSpec(
+            kind="random", n_nodes=4, n_references=10, write_fraction=0.5
+        )
         with pytest.raises(ConfigurationError, match="'analysis' extra"):
             replicated_cost(
-                NoCacheProtocol, lambda seed: [], SystemConfig(n_nodes=4),
+                "no-such-protocol", workload, SystemConfig(n_nodes=4),
                 seeds=[0, 1],
             )

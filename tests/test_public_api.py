@@ -1,8 +1,13 @@
 """The public API surface: ``__all__`` accuracy and import hygiene."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 PACKAGES = [
     "repro",
@@ -60,12 +65,31 @@ def test_no_circular_import_from_any_leaf():
         "repro.protocol.limited_pointer",
         "repro.analysis.latency",
         "repro.analysis.replication",
+        "repro.analysis.sweep",
+        "repro.analysis.compare",
         "repro.sim.timing",
         "repro.workloads.locks",
         "repro.cli",
     ]
     for leaf in leaves:
         importlib.import_module(leaf)
+
+
+def test_the_sweep_module_imports_first_and_leaves_the_runner_lazy():
+    """``repro.runner``'s journal imports ``repro.analysis``, and the
+    sweep helpers call the runner: imported first in a fresh interpreter,
+    :mod:`repro.analysis.sweep` must load without loading the runner."""
+    probe = (
+        "import sys, repro.analysis.sweep\n"
+        "assert 'repro.runner' not in sys.modules, 'runner imported'\n"
+        "from repro.analysis.sweep import sharer_sweep\n"
+        "assert len(sharer_sweep([2], 0.3, n_nodes=4, references=20)) == 6\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": SRC},
+        check=True,
+    )
 
 
 def test_every_public_callable_has_a_docstring():
