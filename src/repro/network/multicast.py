@@ -806,24 +806,17 @@ class Multicaster:
             return MulticastResult(
                 self.scheme, source, dest_set, dest_set, ()
             )
+        if len(dest_set) == 1:
+            # A single destination is plain unicast under every scheme.
+            (dest,) = dest_set
+            return self.send_payload_one(source, payload_bits, dest)
         injector = self.network.fault_injector
         if injector is not None:
             for dest in dest_set:
                 injector.check_route(source, dest)
-        if len(dest_set) == 1:
-            # A single destination is plain unicast under every scheme.
-            (dest,) = dest_set
-            result = _replay(
-                self.network,
-                unicast_plan(self.network, source, dest),
-                payload_bits,
-                True,
-            )
-        else:
-            result = _payload_send(
-                self.network, self.scheme, source, payload_bits, dest_set,
-                True,
-            )
+        result = _payload_send(
+            self.network, self.scheme, source, payload_bits, dest_set, True
+        )
         if self.recorder is not None:
             self.recorder.net_send(source, payload_bits, result)
         return result

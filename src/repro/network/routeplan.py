@@ -22,7 +22,10 @@ Two classes:
   ``cost_for(M)`` and ``loads_for(M)`` reconstitute the exact per-payload
   numbers the switch-by-switch walk would have produced; ``cost_for`` is
   two multiplications, ``loads_for`` allocates one ``LinkLoad`` per link
-  and is only called when something reads a result's ``.loads``.
+  and is only called when something reads a result's ``.loads``.  A plan
+  memoises the one :class:`~repro.network.multicast.MulticastResult` it
+  replays into per payload size -- a unicast's plan as well as a
+  multicast's -- and that result builds its loads once.
 * :class:`RoutePlanCache` -- a :class:`~repro.lru.BoundedLRU` of plans
   and of the price records multicasts are priced from before any plan
   exists.  Each :class:`~repro.network.topology.OmegaNetwork` instance
@@ -39,7 +42,7 @@ per-link and per-switch counter increments, the same delivered sets
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Sequence
 
 from repro.lru import BoundedLRU
 from repro.network.link import LinkLoad
@@ -88,7 +91,6 @@ class RoutePlan:
         "n_loads",
         "over_delivers",
         "_links_used",
-        "_memo",
         "_results",
     )
 
@@ -127,11 +129,7 @@ class RoutePlan:
         self.n_loads = len(self.entries)
         self.over_delivers = delivered != requested
         self._links_used: int | None = None
-        # payload_bits -> loads tuple (plus scheme-specific keys); results
-        # are attached lazily by the replay layer that owns the result type.
-        self._memo: dict[Hashable, object] = {}
-        # payload_bits -> replayed result object, on the hottest lookup
-        # path (plain int keys, no tuple allocation per send).
+        # payload_bits -> replayed result object (which caches its loads).
         self._results: dict[int, object] = {}
 
     # ------------------------------------------------------------------
@@ -154,31 +152,17 @@ class RoutePlan:
     def loads_for(self, payload_bits: int) -> tuple[LinkLoad, ...]:
         """The exact :class:`LinkLoad` tuple the cold path would build.
 
-        Tuples are memoised per payload size; loads are frozen, so sharing
-        one tuple across results is safe.
+        Not memoised here: the replayed result memoised per payload size
+        builds its loads once, on first read.
         """
-        loads = self._memo.get(payload_bits)
-        if loads is None:
-            loads = tuple(
-                LinkLoad(level, position, payload_bits + tag, parent)
-                for level, position, tag, parent in self.entries
-            )
-            self.remember(payload_bits, loads)
-        return loads
+        return tuple(
+            LinkLoad(level, position, payload_bits + tag, parent)
+            for level, position, tag, parent in self.entries
+        )
 
     # ------------------------------------------------------------------
-    # Per-payload memo (loads and scheme-specific result objects)
+    # Per-payload memo of replayed results
     # ------------------------------------------------------------------
-
-    def memo_get(self, key: Hashable) -> object | None:
-        """Look up a memoised per-payload value (loads or result)."""
-        return self._memo.get(key)
-
-    def remember(self, key: Hashable, value: object) -> None:
-        """Memoise a per-payload value, bounding the memo size."""
-        if len(self._memo) >= _PAYLOAD_MEMO_LIMIT:
-            self._memo.clear()
-        self._memo[key] = value
 
     def result_get(self, payload_bits: int) -> object | None:
         """The memoised replayed-result object for this payload size."""

@@ -6,36 +6,26 @@ output ``d_i`` and strips that bit.  A message of ``M`` payload bits therefore
 places ``M + (m - i)`` bits on its link at level ``i`` -- the term summed in
 eq. 2 of the paper.
 
-Routes are memoised: the ``(level, position)`` path and its tag remainders
-depend only on ``(source, dest)``, so :func:`unicast` builds a
-:class:`~repro.network.routeplan.RoutePlan` once per pair (stored in the
-network's plan cache) and replays it -- identical loads, identical counter
-increments -- on every subsequent call.
+A unicast is the one-destination send: the ``(level, position)`` path and
+its tag remainders depend only on ``(source, dest)``, so :func:`unicast`
+builds a :class:`~repro.network.routeplan.RoutePlan` once per pair (stored
+in the network's plan cache) and replays it exactly as a multicast's plan
+is replayed, returning the same
+:class:`~repro.network.multicast.MulticastResult` -- identical loads,
+identical counter increments -- on every subsequent call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.network.link import LinkLoad
 from repro.network.message import Message
 from repro.network.routeplan import RoutePlan
 from repro.network.topology import OmegaNetwork
 from repro.types import NodeId
 
-
-@dataclass(frozen=True)
-class UnicastResult:
-    """Outcome of routing one message to one destination."""
-
-    source: NodeId
-    dest: NodeId
-    loads: tuple[LinkLoad, ...]
-
-    @property
-    def cost(self) -> int:
-        """Bits placed on links by this message (its share of eq. 1)."""
-        return sum(load.bits for load in self.loads)
+if TYPE_CHECKING:
+    from repro.network.multicast import MulticastResult
 
 
 def tag_bits_scheme1(network: OmegaNetwork, level: int) -> int:
@@ -113,21 +103,19 @@ def unicast(
     dest: NodeId,
     *,
     commit: bool = True,
-) -> UnicastResult:
+) -> MulticastResult:
     """Route ``message`` from its source to ``dest``, accounting traffic.
 
-    With ``commit=True`` (the default) the traversed links and switches
-    accumulate the traffic; with ``commit=False`` the result is computed
-    without touching any counter (a "what would this cost" probe).
+    The result is the one-destination
+    :class:`~repro.network.multicast.MulticastResult` (scheme 1) that
+    :meth:`~repro.network.multicast.Multicaster.send_payload_one` returns
+    for the same pair.  With ``commit=True`` (the default) the traversed
+    links and switches accumulate the traffic; with ``commit=False`` the
+    result is computed without touching any counter (a "what would this
+    cost" probe).
     """
+    # Imported here: the multicast layer is built on this module.
+    from repro.network.multicast import _replay
+
     plan = unicast_plan(network, message.source, dest)
-    payload_bits = message.payload_bits
-    result = plan.memo_get(("result", payload_bits))
-    if result is None:
-        result = UnicastResult(
-            message.source, dest, plan.loads_for(payload_bits)
-        )
-        plan.remember(("result", payload_bits), result)
-    if commit:
-        network.apply_plan_traffic(plan, payload_bits)
-    return result
+    return _replay(network, plan, message.payload_bits, commit)

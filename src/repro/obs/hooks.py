@@ -26,9 +26,6 @@ from pathlib import Path
 from repro.obs.export import write_chrome_trace, write_heatmaps, write_jsonl
 from repro.obs.recorder import TraceRecorder
 
-#: Artifact filenames use the same spec-hash prefix as the run journal.
-_HASH_PREFIX = 12
-
 
 def attach_recorder(protocol, recorder: TraceRecorder) -> TraceRecorder:
     """Bind ``recorder`` to ``protocol`` (and its stats); returns it.
@@ -59,6 +56,7 @@ def execute_spec_traced(spec, trace_dir: str | Path, trace=None):
     what the report's counters count.
     """
     from repro.runner.executor import _run_cell
+    from repro.runner.journal import _HASH_PREFIX
 
     recorder = TraceRecorder()
     report, system = _run_cell(spec, trace, recorder)

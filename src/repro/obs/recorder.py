@@ -10,11 +10,11 @@ Event vocabulary (the ``kind`` field):
 
 * ``reference`` -- one processor reference as a span (``ts`` .. ``ts +
   dur``), opened/closed by :func:`repro.sim.engine.run_trace`;
-* ``message`` -- one protocol message paying network cost, emitted at
-  **every** :meth:`~repro.sim.stats.Stats.record_traffic` site in
-  :mod:`repro.protocol.base` (primary sends, duplicates, acks, re-sends),
-  so the number of ``message`` events always equals
-  ``Stats.total_messages``;
+* ``message`` -- one protocol message paying network cost, emitted by
+  ``CoherenceProtocol._account``, the one place a sent message reaches
+  :meth:`~repro.sim.stats.Stats.record_traffic` (primary sends,
+  duplicates, acks, re-sends), so the number of ``message`` events
+  always equals ``Stats.total_messages``;
 * ``net_send`` -- one raw :class:`~repro.network.multicast.Multicaster`
   operation, for network-only studies (no protocol attached);
 * ``mode_switches`` / ``ownership_transfers`` -- the §2.2 state events,
@@ -22,8 +22,8 @@ Event vocabulary (the ``kind`` field):
 * ``fault_*`` -- the fault/recovery events of :mod:`repro.faults`, again
   named after their counters (``fault_drops``, ``fault_retries``, ...),
   so trace event counts reconcile exactly with ``Stats``;
-* ``multicast_round`` -- fan-out per recovery round of a multicast
-  re-send (round 0 is the initial delivery attempt).
+* ``multicast_round`` -- fan-out per delivery round of a recovering
+  send, unicasts included (round 0 is the initial delivery attempt).
 
 The recorder also feeds a :class:`~repro.obs.metrics.MetricsRegistry`
 (fan-out and retry-depth histograms, per-scheme bits/messages counters),
@@ -215,7 +215,7 @@ class TraceRecorder:
     def multicast_round(
         self, source: int, round_index: int, n_pending: int
     ) -> None:
-        """Fan-out of one delivery round of a recovering multicast."""
+        """Fan-out of one delivery round of a recovering send."""
         self.instant(
             "multicast_round",
             f"round {round_index}",

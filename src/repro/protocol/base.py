@@ -11,11 +11,16 @@ timing, so no cycle model is needed.
 
 Inside an accounting window (:meth:`CoherenceProtocol.open_window`, held
 by :func:`~repro.sim.engine.run_trace` for the length of a replay) a
-message is *posted*, not sent: ``_send``, ``_send_unguarded`` and
-``_multicast`` count it in the network's message ledger, which prices each
-distinct message once when the window settles
-(:mod:`repro.network.topology`, "The message ledger").  ``Stats.traffic_*``
-lag the posts until then; nothing in ``src/`` reads them inside a window.
+message is *posted*, not sent: ``_send`` and ``_multicast`` count it in
+the network's message ledger, which prices each distinct message once when
+the window settles (:mod:`repro.network.topology`, "The message ledger").
+``Stats.traffic_*`` lag the posts until then; nothing in ``src/`` reads
+them inside a window.
+
+Outside a window a message is sent and accounted by one call,
+:meth:`CoherenceProtocol._account`.  Under a fault injector (which keeps
+the window shut) a unicast is the one-destination multicast of one
+recovery loop, :meth:`CoherenceProtocol._deliver`.
 """
 
 from __future__ import annotations
@@ -113,21 +118,6 @@ class CoherenceProtocol(abc.ABC):
         exact §2.2 message sequences against this log.
         """
         self.message_log = []
-
-    def _log(
-        self,
-        kind: MsgKind,
-        source: NodeId,
-        dests: frozenset[NodeId],
-        bits: int,
-        result: MulticastResult,
-    ) -> None:
-        if self.message_log is not None:
-            self.message_log.append(
-                LoggedMessage(
-                    kind, source, dests, bits, result.cost, result.loads
-                )
-            )
 
     # ------------------------------------------------------------------
     # The processor-facing interface
@@ -229,10 +219,14 @@ class CoherenceProtocol(abc.ABC):
             key = (kind._value_, source, dest, bits)
             ledger[key] = ledger.get(key, 0) + 1
         elif self.system.fault_injector is not None:
-            self._send_recovering(kind, source, dest, bits)
+            self._deliver(
+                kind, source, frozenset((dest,)), bits, multicast=False
+            )
         else:
-            # No injector: an unguarded send is a plain accounted send.
-            self._send_unguarded(kind, source, dest, bits)
+            self._account(
+                kind, source, bits,
+                self.system.multicaster.send_payload_one(source, bits, dest),
+            )
 
     def _multicast(
         self,
@@ -249,14 +243,29 @@ class CoherenceProtocol(abc.ABC):
             ledger[key] = ledger.get(key, 0) + 1
             return None
         if self.system.fault_injector is not None:
-            return self._multicast_recovering(kind, source, dest_set, bits)
+            return self._deliver(kind, source, dest_set, bits, multicast=True)
         result = self.system.multicaster.send_payload(source, bits, dest_set)
+        self._account(kind, source, bits, result)
+        return result
+
+    def _account(
+        self, kind: MsgKind, source: NodeId, bits: int, result: MulticastResult
+    ) -> None:
+        """Account one sent message: first send, re-send, duplicate or ack.
+
+        The one place a sent message reaches ``stats``, the recorder and
+        the message log, so the three reconcile exactly.
+        """
+        dests = result.requested
         self.stats.record_traffic(kind.value, result.cost)
         if self.recorder is not None:
-            self.recorder.message(kind.value, source, dest_set, bits, result)
+            self.recorder.message(kind.value, source, dests, bits, result)
         if self.message_log is not None:
-            self._log(kind, source, dest_set, bits, result)
-        return result
+            self.message_log.append(
+                LoggedMessage(
+                    kind, source, dests, bits, result.cost, result.loads
+                )
+            )
 
     # ------------------------------------------------------------------
     # Fault-aware messaging (only reached when a fault plan is active)
@@ -264,15 +273,17 @@ class CoherenceProtocol(abc.ABC):
     #
     # The recovery contract (docs/FAULTS.md): every delivery is judged by
     # the injector; a dropped delivery is detected by ack timeout and the
-    # message re-sent (each attempt pays its network cost), bounded by
-    # the plan's retry budget; a successful delivery is confirmed by an
-    # ack whose cost is also accounted.  A dead route -- the unique omega
-    # path crossing a failed link or switch, in either direction, since
-    # the ack must travel back -- cannot be retried around, so it raises
-    # UnreachableRouteError tagged with the block being operated on;
-    # protocols catch it at the reference level and degrade that block.
-    # Recovery-control traffic (the acks) is assumed fault-free: re-acking
-    # acks would recurse without changing what the protocol can observe.
+    # message re-sent to the destinations that missed it (each attempt
+    # pays its network cost), bounded by the plan's retry budget; a
+    # successful delivery is confirmed by an ack whose cost is also
+    # accounted.  A unicast is the one-destination case of the same loop.
+    # A dead route -- the unique omega path crossing a failed link or
+    # switch, in either direction, since the ack must travel back --
+    # cannot be retried around, so it raises UnreachableRouteError tagged
+    # with the block being operated on; protocols catch it at the
+    # reference level and degrade that block.  Recovery-control traffic
+    # (the acks) is assumed fault-free: re-acking acks would recurse
+    # without changing what the protocol can observe.
 
     def _dead_route(
         self, source: NodeId, dest: NodeId
@@ -295,94 +306,34 @@ class CoherenceProtocol(abc.ABC):
             block=self._active_block,
         )
 
-    def _send_recovering(
-        self, kind: MsgKind, source: NodeId, dest: NodeId, bits: int
-    ) -> None:
-        injector = self.system.fault_injector
-        if not injector.pair_alive(source, dest):
-            raise self._dead_route(source, dest)
-        multicaster = self.system.multicaster
-        stats = self.stats
-        recorder = self.recorder
-        ack_bits = self.system.costs.ack()
-        attempt = 0
-        while True:
-            result = multicaster.send_payload_one(source, bits, dest)
-            stats.record_traffic(kind.value, result.cost)
-            if recorder is not None:
-                recorder.message(kind.value, source, (dest,), bits, result)
-            if self.message_log is not None:
-                self._log(kind, source, result.requested, bits, result)
-            outcome = injector.draw(
-                kind=kind.value, source=source, dest=dest
-            )
-            if outcome.duplicated:
-                # The fabric delivered a second copy; its traffic is real.
-                dup = multicaster.send_payload_one(source, bits, dest)
-                stats.record_traffic(kind.value, dup.cost)
-                stats.count(ev.FAULT_DUPLICATES)
-                if recorder is not None:
-                    recorder.message(kind.value, source, (dest,), bits, dup)
-                    recorder.fault(ev.FAULT_DUPLICATES, dest, source=source)
-            if outcome.delayed:
-                stats.count(ev.FAULT_DELAYS)
-                if recorder is not None:
-                    recorder.fault(ev.FAULT_DELAYS, dest, source=source)
-            if not outcome.dropped:
-                ack = multicaster.send_payload_one(dest, ack_bits, source)
-                stats.record_traffic(MsgKind.ACK.value, ack.cost)
-                if recorder is not None:
-                    recorder.message(
-                        MsgKind.ACK.value, dest, (source,), ack_bits, ack
-                    )
-                return
-            stats.count(ev.FAULT_DROPS)
-            if recorder is not None:
-                recorder.fault(ev.FAULT_DROPS, dest, source=source)
-            attempt += 1
-            if attempt > injector.plan.max_retries:
-                raise TransientNetworkError(
-                    f"{kind.value} from {source} to {dest} dropped "
-                    f"{attempt} times; retry budget "
-                    f"({injector.plan.max_retries}) exhausted",
-                    kind=kind.value,
-                    source=source,
-                    dests=(dest,),
-                    block=self._active_block,
-                    multicast=False,
-                )
-            stats.count(ev.FAULT_RETRIES)
-            if recorder is not None:
-                recorder.fault(
-                    ev.FAULT_RETRIES, source, attempt=attempt, dest=dest
-                )
-
-    def _multicast_recovering(
+    def _deliver(
         self,
         kind: MsgKind,
         source: NodeId,
         dest_set: frozenset[NodeId],
         bits: int,
+        *,
+        multicast: bool,
     ) -> MulticastResult:
+        """Send under the injector, re-sending until every copy is acked.
+
+        ``multicast`` only tags the :class:`TransientNetworkError` raised
+        when the retry budget runs out: a multicast's partial delivery
+        makes the protocol degrade the block, a unicast's propagates.
+        """
         injector = self.system.fault_injector
-        if not dest_set:
-            return self.system.multicaster.send_payload(source, bits, dest_set)
-        for dest in sorted(dest_set):
+        pending: tuple[NodeId, ...] = tuple(sorted(dest_set))
+        for dest in pending:
             if not injector.pair_alive(source, dest):
                 raise self._dead_route(source, dest)
         multicaster = self.system.multicaster
         stats = self.stats
         recorder = self.recorder
-        ack_bits = self.system.costs.ack()
+        ack_bits = self._cost_ack
         result = multicaster.send_payload(source, bits, dest_set)
-        stats.record_traffic(kind.value, result.cost)
-        if recorder is not None:
-            recorder.message(kind.value, source, dest_set, bits, result)
-        if self.message_log is not None:
-            self._log(kind, source, dest_set, bits, result)
-        pending: tuple[NodeId, ...] = tuple(sorted(dest_set))
+        self._account(kind, source, bits, result)
         rounds = 0
-        while True:
+        while pending:
             if recorder is not None:
                 recorder.multicast_round(source, rounds, len(pending))
             missed: list[NodeId] = []
@@ -394,13 +345,13 @@ class CoherenceProtocol(abc.ABC):
                     kind=kind.value, source=source, dest=dest
                 )
                 if outcome.duplicated:
-                    dup = multicaster.send_payload_one(source, bits, dest)
-                    stats.record_traffic(kind.value, dup.cost)
+                    # A second copy crossed the fabric: real traffic.
+                    self._account(
+                        kind, source, bits,
+                        multicaster.send_payload_one(source, bits, dest),
+                    )
                     stats.count(ev.FAULT_DUPLICATES)
                     if recorder is not None:
-                        recorder.message(
-                            kind.value, source, (dest,), bits, dup
-                        )
                         recorder.fault(
                             ev.FAULT_DUPLICATES, dest, source=source
                         )
@@ -414,44 +365,37 @@ class CoherenceProtocol(abc.ABC):
                         recorder.fault(ev.FAULT_DROPS, dest, source=source)
                     missed.append(dest)
                 else:
-                    ack = multicaster.send_payload_one(
-                        dest, ack_bits, source
+                    self._account(
+                        MsgKind.ACK, dest, ack_bits,
+                        multicaster.send_payload_one(dest, ack_bits, source),
                     )
-                    stats.record_traffic(MsgKind.ACK.value, ack.cost)
-                    if recorder is not None:
-                        recorder.message(
-                            MsgKind.ACK.value, dest, (source,), ack_bits,
-                            ack,
-                        )
             if not missed:
-                return result
+                break
             rounds += 1
             if rounds > injector.plan.max_retries:
                 raise TransientNetworkError(
-                    f"{kind.value} multicast from {source} to "
-                    f"{sorted(dest_set)} still undelivered at "
-                    f"{sorted(missed)} after {rounds} rounds; retry "
-                    f"budget ({injector.plan.max_retries}) exhausted",
+                    f"{kind.value} from {source} to {sorted(dest_set)} "
+                    f"still undelivered at {sorted(missed)} after "
+                    f"{rounds} rounds; retry budget "
+                    f"({injector.plan.max_retries}) exhausted",
                     kind=kind.value,
                     source=source,
-                    dests=tuple(sorted(missed)),
+                    dests=tuple(missed),
                     block=self._active_block,
-                    multicast=True,
+                    multicast=multicast,
                 )
             stats.count(ev.FAULT_RETRIES)
             if recorder is not None:
                 recorder.fault(
-                    ev.FAULT_RETRIES, source, attempt=rounds,
-                    dests=sorted(missed),
+                    ev.FAULT_RETRIES, source, attempt=rounds, dests=missed,
                 )
-            # Re-send only to the destinations that missed the update.
-            resend = multicaster.send_payload(
-                source, bits, frozenset(missed)
+            # Re-send only to the destinations that missed the message.
+            self._account(
+                kind, source, bits,
+                multicaster.send_payload(source, bits, frozenset(missed)),
             )
-            stats.record_traffic(kind.value, resend.cost)
-            if recorder is not None:
-                recorder.message(kind.value, source, missed, bits, resend)
             pending = tuple(missed)
+        return result
 
     def _send_unguarded(
         self, kind: MsgKind, source: NodeId, dest: NodeId, bits: int
@@ -459,28 +403,24 @@ class CoherenceProtocol(abc.ABC):
         """Best-effort accounting send for degraded-mode operation.
 
         Used on paths that must never raise (write-backs during
-        degradation, memory-direct service of uncacheable blocks): if the
+        degradation, memory-direct service of uncacheable blocks), which
+        only run under an injector, so never inside a window: if the
         round trip is alive the cost is accounted normally, otherwise the
         attempt is only counted.  No delivery verdict is drawn -- the
         data moves by direct state manipulation as everywhere else in the
         atomic-reference model, and degraded-mode accounting stays a
         deterministic function of the reference stream.
         """
-        if self._ledger is not None:
-            self._post(kind, source, dest, bits, 1)
-            return
         injector = self.system.fault_injector
         if injector is not None and not injector.pair_alive(source, dest):
             self.stats.count(ev.FAULT_UNROUTABLE)
             if self.recorder is not None:
                 self.recorder.fault(ev.FAULT_UNROUTABLE, source, dest=dest)
             return
-        result = self.system.multicaster.send_payload_one(source, bits, dest)
-        self.stats.record_traffic(kind.value, result.cost)
-        if self.recorder is not None:
-            self.recorder.message(kind.value, source, (dest,), bits, result)
-        if self.message_log is not None:
-            self._log(kind, source, result.requested, bits, result)
+        self._account(
+            kind, source, bits,
+            self.system.multicaster.send_payload_one(source, bits, dest),
+        )
 
     # ------------------------------------------------------------------
     # Common structure

@@ -63,7 +63,7 @@ from typing import Callable, Sequence
 from repro.errors import ConfigurationError, ExecutionError
 from repro.obs.metrics import LATENCY_BUCKETS_MS, MetricsRegistry
 from repro.runner.cache import ResultCache
-from repro.runner.journal import RunJournal
+from repro.runner.journal import _HASH_PREFIX, RunJournal
 from repro.runner.spec import ExperimentSpec, SweepSpec
 from repro.sim.engine import SimulationReport, run_trace
 from repro.sim.system import System
@@ -596,6 +596,6 @@ class Executor:
             )
             return
         raise ExecutionError(
-            f"task {spec.spec_hash[:12]} ({spec.describe()}) failed "
-            f"after {attempts} attempt(s) [{error_class}]:\n{error}"
+            f"task {spec.spec_hash[:_HASH_PREFIX]} ({spec.describe()}) "
+            f"failed after {attempts} attempt(s) [{error_class}]:\n{error}"
         )

@@ -86,10 +86,17 @@ class WorkloadSpec:
                 f"unknown workload kind {self.kind!r}; "
                 f"expected one of {_WORKLOAD_KINDS}"
             )
-        if self.kind in ("markov", "shared-structure") and not self.tasks:
-            raise ConfigurationError(
-                f"workload kind {self.kind!r} needs a non-empty tasks tuple"
-            )
+        if self.kind in ("markov", "shared-structure"):
+            if not self.tasks:
+                raise ConfigurationError(
+                    f"workload kind {self.kind!r} needs a non-empty tasks "
+                    f"tuple"
+                )
+            # The generators' own rule, imported here so that importing
+            # the runner does not load every generator.
+            from repro.workloads.markov import _check_tasks
+
+            _check_tasks(self.tasks, self.n_nodes)
 
     # ------------------------------------------------------------------
 

@@ -47,6 +47,15 @@ class TestWorkloadSpec:
         with pytest.raises(ConfigurationError, match="tasks"):
             make_workload(tasks=())
 
+    @pytest.mark.parametrize("kind", ["markov", "shared-structure"])
+    @pytest.mark.parametrize(
+        "tasks, error",
+        [((0, 8), "task 8 outside 0..7"), ((1, 1), "duplicate tasks")],
+    )
+    def test_tasks_checked_by_the_generators_rule(self, kind, tasks, error):
+        with pytest.raises(ConfigurationError, match=error):
+            make_workload(kind=kind, tasks=tasks)
+
     def test_tasks_normalised_to_tuple(self):
         workload = make_workload(tasks=[0, 1])
         assert workload.tasks == (0, 1)

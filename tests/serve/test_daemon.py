@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.errors import ConfigurationError, OverloadedError, ServeError
-from repro.runner import execute_spec
+from repro.runner import execute_spec, read_journal
 from repro.runner.spec import ExperimentSpec, WorkloadSpec
 from repro.serve import DaemonThread, ServeClient, ServeConfig
 from repro.serve.protocol import read_frame_sync, write_frame_sync
@@ -363,6 +363,36 @@ class TestValidation:
                 answer = read_frame_sync(stream)
         assert answer["type"] == "error"
         assert "cell 0" in answer["error"]
+
+    def test_out_of_range_task_is_refused_before_queueing(
+        self, socket_path, tmp_path
+    ):
+        # A task outside the machine fails the spec's own check, so the
+        # daemon answers an error and never admits, queues or runs it.
+        broken = make_spec().to_dict()
+        broken["workload"]["tasks"] = [0, 7]
+        journal = tmp_path / "serve.jsonl"
+        config = ServeConfig(socket_path=socket_path, journal_path=journal)
+        with DaemonThread(config):
+            sock = socket_module.socket(
+                socket_module.AF_UNIX, socket_module.SOCK_STREAM
+            )
+            sock.settimeout(30)
+            sock.connect(socket_path)
+            with sock, sock.makefile("rwb") as stream:
+                write_frame_sync(
+                    stream, {"op": "submit", "cells": [broken]}
+                )
+                answer = read_frame_sync(stream)
+            status = ServeClient(socket_path).status()
+        assert answer["type"] == "error"
+        assert "cell 0" in answer["error"]
+        assert "task 7 outside 0..3" in answer["error"]
+        assert status["executed"] == {}
+        assert status["queue_depth"] == 0
+        events = [entry["event"] for entry in read_journal(journal)]
+        assert "serve_invalid" in events
+        assert "task_start" not in events
 
     def test_unknown_op_answers_an_error_frame(self, socket_path):
         with DaemonThread(ServeConfig(socket_path=socket_path)):
