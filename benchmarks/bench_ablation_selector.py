@@ -3,10 +3,10 @@
 The combined scheme (eq. 8) as implemented probes all three schemes per
 multicast -- fine for a simulator, impossible for a switch.  §5's hardware
 answer is two precompiled break-even registers consulted with a popcount
-of the present-flag vector.  This benchmark runs the same
-distributed-write workload under the probing multicaster, the register
-multicaster, and each pinned scheme, and checks that the O(1) register
-decision recovers nearly all of the oracle's savings.
+of the present-flag vector, a scheme choice like any other.  This
+benchmark runs the same distributed-write workload under the probing
+scheme, the registers, and each pinned scheme, and checks that the O(1)
+register decision recovers nearly all of the oracle's savings.
 """
 
 from conftest import save_exhibit
@@ -14,7 +14,7 @@ from conftest import save_exhibit
 from repro.analysis.report import render_table
 from repro.cache.state import Mode
 from repro.network.multicast import MulticastScheme
-from repro.network.selector import RegisterMulticaster, compile_registers
+from repro.network.selector import compile_registers
 from repro.protocol.stenstrom import StenstromProtocol
 from repro.sim.engine import run_trace
 from repro.sim.system import System, SystemConfig
@@ -33,12 +33,8 @@ TRACE = markov_block_trace(
 )
 
 
-def _run_with(multicaster_factory=None, scheme=None):
-    config = SystemConfig(
-        n_nodes=N_NODES,
-        multicast_scheme=scheme or MulticastScheme.COMBINED,
-    )
-    system = System(config, multicaster_factory=multicaster_factory)
+def _run_with(scheme=MulticastScheme.COMBINED):
+    system = System(SystemConfig(n_nodes=N_NODES, multicast_scheme=scheme))
     protocol = StenstromProtocol(
         system, default_mode=Mode.DISTRIBUTED_WRITE
     )
@@ -53,11 +49,7 @@ def test_register_selector_vs_probing(benchmark):
     def sweep():
         return {
             "probing oracle (eq. 8)": _run_with(),
-            "§5 registers (popcount)": _run_with(
-                multicaster_factory=lambda net: RegisterMulticaster(
-                    net, registers
-                )
-            ),
+            "§5 registers (popcount)": _run_with(registers),
             "pinned scheme 1": _run_with(scheme=MulticastScheme.UNICAST),
             "pinned scheme 2": _run_with(scheme=MulticastScheme.VECTOR),
             "pinned scheme 3": _run_with(

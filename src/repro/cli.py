@@ -653,33 +653,42 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_trace(args: argparse.Namespace) -> CompiledTrace | None:
-    """The trace a workload command replays; ``None``, after one
-    ``error:`` line on stderr, when the ``--trace`` file cannot be read.
+def _replay_inputs(
+    args: argparse.Namespace,
+) -> tuple[CompiledTrace, SystemConfig] | None:
+    """The trace a workload command replays and the system it fits.
+
+    The one preamble of every command that replays a trace: ``None``,
+    after one ``error:`` line on stderr, when the ``--trace`` file
+    cannot be read (the command then exits 2).
     """
     if args.trace:
         try:
-            return load_trace(args.trace)
-        except OSError as exc:
-            message = exc.strerror or exc
-        except TraceError as exc:
-            message = exc
-        print(f"error: {args.trace}: {message}", file=sys.stderr)
-        return None
-    if args.workload == "markov":
-        return markov_block_trace(
+            trace = load_trace(args.trace)
+        except (OSError, TraceError) as exc:
+            message = getattr(exc, "strerror", None) or exc
+            print(f"error: {args.trace}: {message}", file=sys.stderr)
+            return None
+    elif args.workload == "markov":
+        trace = markov_block_trace(
             args.nodes,
             tasks=list(range(args.sharers)),
             write_fraction=args.write_fraction,
             n_references=args.references,
             seed=args.seed,
         )
-    return random_trace(
-        args.nodes,
-        args.references,
-        write_fraction=args.write_fraction,
-        seed=args.seed,
+    else:
+        trace = random_trace(
+            args.nodes,
+            args.references,
+            write_fraction=args.write_fraction,
+            seed=args.seed,
+        )
+    config = SystemConfig(
+        n_nodes=trace.n_nodes or args.nodes,
+        block_size_words=trace.block_size_words,
     )
+    return trace, config
 
 
 def _command_tables(_args: argparse.Namespace) -> int:
@@ -719,11 +728,10 @@ def _command_figures(args: argparse.Namespace) -> int:
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
-    trace = _make_trace(args)
-    if trace is None:
+    inputs = _replay_inputs(args)
+    if inputs is None:
         return 2
-    config = SystemConfig(n_nodes=trace.n_nodes or args.nodes,
-                          block_size_words=trace.block_size_words)
+    trace, config = inputs
     factory = default_factories()[args.protocol]
     protocol = factory(System(config))
     report = run_trace(protocol, trace, verify=not args.no_verify)
@@ -732,11 +740,10 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
 
 def _command_compare(args: argparse.Namespace) -> int:
-    trace = _make_trace(args)
-    if trace is None:
+    inputs = _replay_inputs(args)
+    if inputs is None:
         return 2
-    config = SystemConfig(n_nodes=trace.n_nodes or args.nodes,
-                          block_size_words=trace.block_size_words)
+    trace, config = inputs
     comparison = compare_protocols(
         trace, config, verify=not args.no_verify
     )
@@ -748,11 +755,10 @@ def _command_compare(args: argparse.Namespace) -> int:
 def _command_latency(args: argparse.Namespace) -> int:
     from repro.analysis.latency import latency_comparison
 
-    trace = _make_trace(args)
-    if trace is None:
+    inputs = _replay_inputs(args)
+    if inputs is None:
         return 2
-    config = SystemConfig(n_nodes=trace.n_nodes or args.nodes,
-                          block_size_words=trace.block_size_words)
+    trace, config = inputs
     reports = latency_comparison(trace, config, default_factories())
     rows = [
         (
@@ -919,9 +925,10 @@ def _command_trace(args: argparse.Namespace) -> int:
         write_jsonl,
     )
 
-    trace = _make_trace(args)
-    config = SystemConfig(n_nodes=trace.n_nodes or args.nodes,
-                          block_size_words=trace.block_size_words)
+    inputs = _replay_inputs(args)
+    if inputs is None:
+        return 2
+    trace, config = inputs
     factory = default_factories()[args.protocol]
     protocol = factory(System(config))
     recorder = TraceRecorder()
@@ -955,9 +962,10 @@ def _command_trace(args: argparse.Namespace) -> int:
 def _command_heatmap(args: argparse.Namespace) -> int:
     from repro.obs import link_heatmap, switch_heatmap, write_heatmaps
 
-    trace = _make_trace(args)
-    config = SystemConfig(n_nodes=trace.n_nodes or args.nodes,
-                          block_size_words=trace.block_size_words)
+    inputs = _replay_inputs(args)
+    if inputs is None:
+        return 2
+    trace, config = inputs
     factory = default_factories()[args.protocol]
     protocol = factory(System(config))
     run_trace(protocol, trace, verify=not args.no_verify)

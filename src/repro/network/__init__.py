@@ -38,7 +38,6 @@ from repro.network.routeplan import RoutePlan, RoutePlanCache
 from repro.network.routing import route_path, unicast
 from repro.network.selector import (
     BreakEvenRegisters,
-    RegisterMulticaster,
     compile_registers,
 )
 from repro.network.switch import Switch
@@ -53,7 +52,6 @@ __all__ = [
     "MulticastScheme",
     "Multicaster",
     "OmegaNetwork",
-    "RegisterMulticaster",
     "RoutePlan",
     "RoutePlanCache",
     "Switch",

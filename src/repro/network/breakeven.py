@@ -1,4 +1,4 @@
-"""Break-even analysis between the multicast schemes (Tables 2-4).
+"""Break-even analysis between the multicast schemes.
 
 The paper proves three qualitative facts from eq. 4 (and three more from
 eq. 7) and tabulates break-even points.  This module computes those points
@@ -7,8 +7,12 @@ from the cost functions of :mod:`repro.network.cost`:
 * :func:`breakeven_scheme2_vs_scheme1` -- the ``n`` above which the
   present-flag-vector scheme beats repeated unicast (Table 2);
 * :func:`breakeven_scheme3_vs_scheme2` -- the ``n`` above which broadcast-bit
-  subcube routing beats vector routing within a partition;
-* :func:`scheme_choice_table` -- the cheapest scheme per cell (Tables 3, 4).
+  subcube routing beats vector routing within a partition.
+
+The tables themselves (Table 2's break-even grid, and Tables 3 and 4's
+cheapest scheme per cell from :func:`~repro.network.cost.cheapest_scheme`)
+are built by :mod:`repro.analysis.figures` (``table2_data``,
+``table3_data``, ``table4_data``).
 
 Two notions of break-even are reported because the paper restricts ``n`` to
 powers of two while its proofs treat ``n`` as continuous:
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.network import cost
@@ -170,57 +174,3 @@ def breakeven_scheme3_vs_scheme2(
         float(n1),
     )
     return BreakEven(network_size, message_bits, first, crossover)
-
-
-# ----------------------------------------------------------------------
-# Table generators
-# ----------------------------------------------------------------------
-
-
-def table2(
-    network_sizes: Sequence[int], message_sizes: Sequence[int]
-) -> dict[tuple[int, int], int | None]:
-    """Break-even between schemes 1 and 2, per ``(N, M)`` (Table 2)."""
-    return {
-        (big_n, big_m): breakeven_scheme2_vs_scheme1(
-            big_n, big_m
-        ).first_winning_n
-        for big_n in network_sizes
-        for big_m in message_sizes
-    }
-
-
-def scheme_choice_table(
-    ns: Sequence[int],
-    *,
-    network_sizes: Sequence[int] | None = None,
-    message_sizes: Sequence[int] | None = None,
-    network_size: int = 1024,
-    message_bits: int = 20,
-    n1: int = 128,
-) -> dict[tuple[int, int], int]:
-    """Cheapest scheme per cell for Tables 3 and 4.
-
-    Pass ``message_sizes`` to sweep ``M`` at fixed ``N`` (Table 3's layout)
-    or ``network_sizes`` to sweep ``N`` at fixed ``M`` (Table 4's layout);
-    exactly one of the two must be given.  Keys are ``(row_value, n)``.
-    """
-    if (network_sizes is None) == (message_sizes is None):
-        raise ConfigurationError(
-            "pass exactly one of network_sizes / message_sizes"
-        )
-    table: dict[tuple[int, int], int] = {}
-    if message_sizes is not None:
-        for big_m in message_sizes:
-            for n in ns:
-                table[(big_m, n)] = cost.cheapest_scheme(
-                    n, n1, network_size, big_m
-                )
-    else:
-        assert network_sizes is not None
-        for big_n in network_sizes:
-            for n in ns:
-                table[(big_n, n)] = cost.cheapest_scheme(
-                    n, n1, big_n, message_bits
-                )
-    return table

@@ -54,15 +54,18 @@ from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.errors import MulticastError
+from repro.errors import ConfigurationError, MulticastError
 from repro.network.link import LinkLoad
 from repro.network.message import Message
 from repro.network.routeplan import RoutePlan
 from repro.network.routing import unicast_plan
 from repro.network.topology import OmegaNetwork
 from repro.types import NodeId
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.network.selector import BreakEvenRegisters
 
 
 class MulticastScheme(enum.Enum):
@@ -72,6 +75,15 @@ class MulticastScheme(enum.Enum):
     VECTOR = 2  # scheme 2: present-flag vector as routing tag
     BROADCAST_TAG = 3  # scheme 3: Wen's broadcast-bit subcube routing
     COMBINED = 4  # eq. 8: cheapest of the three
+
+    def choose(self, n_destinations: int) -> "MulticastScheme":
+        """The scheme that sends to ``n_destinations``: this one, always.
+
+        The same question §5's
+        :class:`~repro.network.selector.BreakEvenRegisters` answer from a
+        present-flag popcount; a fixed scheme ignores the count.
+        """
+        return self
 
 
 class MulticastResult:
@@ -635,7 +647,7 @@ def _record_plan(
 
 def message_levels(
     network: OmegaNetwork,
-    scheme: MulticastScheme,
+    scheme: MulticastScheme | BreakEvenRegisters,
     source: NodeId,
     dests: frozenset[NodeId],
     payload_bits: int,
@@ -644,12 +656,14 @@ def message_levels(
 
     Level ``i`` carries ``links[i] * (payload_bits + tags[i])`` bits,
     which is what the committed plan's ``loads_for(payload_bits)`` sum to
-    there.
+    there.  ``scheme`` resolves the destination count as
+    :class:`Multicaster` resolves it.
     """
     tags = level_tags(network.n_stages)
     if len(dests) < 2:
         # No destination, or one: plain unicast under every scheme.
         return (len(dests),) * len(tags[0]), tags[0]
+    scheme = scheme.choose(len(dests))
     record = _price_record(network, scheme, source, dests)
     winner = record.winner(scheme, payload_bits)
     return record.levels[winner], tags[winner]
@@ -724,7 +738,7 @@ def multicast(
 
 def multicast_plan_for(
     network: OmegaNetwork,
-    scheme: MulticastScheme,
+    scheme: MulticastScheme | BreakEvenRegisters,
     source: NodeId,
     dest_set: frozenset[NodeId],
     payload_bits: int,
@@ -748,7 +762,9 @@ def multicast_plan_for(
         return unicast_plan(network, source, dest)
     # Scheme 3 over-delivers (exact=False) for arbitrary sets, as the
     # send path does.
-    return _record_plan(network, scheme, source, dest_set, payload_bits)
+    return _record_plan(
+        network, scheme.choose(len(dest_set)), source, dest_set, payload_bits
+    )
 
 
 class Multicaster:
@@ -756,7 +772,12 @@ class Multicaster:
 
     The coherence protocols talk to the network exclusively through this
     object, so switching the protocol between schemes (for the ablation
-    benchmarks) is a one-argument change.
+    benchmarks) is a one-argument change.  ``scheme`` is a
+    :class:`MulticastScheme` or §5's
+    :class:`~repro.network.selector.BreakEvenRegisters`: each send asks
+    it ``choose(len(dests))`` which scheme carries that destination set,
+    as the network's ledger does for a posted multicast.  One
+    destination is a plain unicast whatever the scheme.
 
     The :class:`~repro.network.message.Message`-free ``send_payload`` /
     ``send_payload_one`` entry points carry the two fields the fabric
@@ -775,18 +796,20 @@ class Multicaster:
     def __init__(
         self,
         network: OmegaNetwork,
-        scheme: MulticastScheme = MulticastScheme.COMBINED,
-        *,
-        recorder=None,
+        scheme: MulticastScheme | BreakEvenRegisters = (
+            MulticastScheme.COMBINED
+        ),
     ) -> None:
+        if (
+            not isinstance(scheme, MulticastScheme)
+            and scheme.network_size != network.n_ports
+        ):
+            raise ConfigurationError(
+                f"registers compiled for N={scheme.network_size}, "
+                f"network has {network.n_ports} ports"
+            )
         self.network = network
         self.scheme = scheme
-        #: Optional :class:`~repro.obs.recorder.TraceRecorder` for
-        #: network-only studies (no protocol in front): every payload
-        #: entry point emits one ``net_send`` event when set.  Protocols
-        #: trace at their own layer instead (``message`` events), so a
-        #: protocol-driven multicaster keeps this ``None``.
-        self.recorder = recorder
 
     def send(
         self, message: Message, dests: Sequence[NodeId] | frozenset[NodeId]
@@ -803,9 +826,11 @@ class Multicaster:
         """Deliver ``payload_bits`` from ``source`` to ``dests``."""
         dest_set = _freeze(dests)
         if not dest_set:
-            return MulticastResult(
-                self.scheme, source, dest_set, dest_set, ()
-            )
+            scheme = self.scheme
+            if not isinstance(scheme, MulticastScheme):
+                # Registers choose for one destination or more.
+                scheme = MulticastScheme.COMBINED
+            return MulticastResult(scheme, source, dest_set, dest_set, ())
         if len(dest_set) == 1:
             # A single destination is plain unicast under every scheme.
             (dest,) = dest_set
@@ -814,12 +839,10 @@ class Multicaster:
         if injector is not None:
             for dest in dest_set:
                 injector.check_route(source, dest)
-        result = _payload_send(
-            self.network, self.scheme, source, payload_bits, dest_set, True
+        return _payload_send(
+            self.network, self.scheme.choose(len(dest_set)), source,
+            payload_bits, dest_set, True,
         )
-        if self.recorder is not None:
-            self.recorder.net_send(source, payload_bits, result)
-        return result
 
     def send_payload_one(
         self, source: NodeId, payload_bits: int, dest: NodeId
@@ -829,9 +852,6 @@ class Multicaster:
         injector = network.fault_injector
         if injector is not None:
             injector.check_route(source, dest)
-        result = _replay(
+        return _replay(
             network, unicast_plan(network, source, dest), payload_bits, True
         )
-        if self.recorder is not None:
-            self.recorder.net_send(source, payload_bits, result)
-        return result

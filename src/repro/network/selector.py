@@ -14,9 +14,13 @@ oracle; §5 sketches the hardware realisation:
 
 :class:`BreakEvenRegisters` is that mechanism: two thresholds computed
 once per data structure (from ``N``, ``n1`` and ``M``), consulted at send
-time with nothing but a popcount of the present-flag vector.  The ablation
-benchmark measures how close this O(1) decision gets to the probing
-oracle.
+time with nothing but a popcount of the present-flag vector.  It is a
+scheme choice like any :class:`~repro.network.multicast.MulticastScheme`:
+both answer ``choose(n_destinations)``, so a system selects by registers
+through ``SystemConfig(multicast_scheme=registers)`` and its one
+:class:`~repro.network.multicast.Multicaster` and the network's ledger
+resolve every destination set with that call.  The ablation benchmark
+measures how close this O(1) decision gets to the probing oracle.
 """
 
 from __future__ import annotations
@@ -25,15 +29,8 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.network import cost
-from repro.network.message import Message
-from repro.network.multicast import (
-    MulticastResult,
-    MulticastScheme,
-    _freeze,
-    _payload_send,
-)
-from repro.network.topology import OmegaNetwork
-from repro.types import NodeId, is_power_of_two
+from repro.network.multicast import MulticastScheme
+from repro.types import is_power_of_two
 
 
 @dataclass(frozen=True)
@@ -119,55 +116,6 @@ def compile_registers(
         scheme2_threshold=scheme2,
         scheme3_threshold=max(scheme3, scheme2),
     )
-
-
-class RegisterMulticaster:
-    """A multicaster that decides by registers instead of probing.
-
-    Drop-in alternative to
-    :class:`~repro.network.multicast.Multicaster`: the protocol hands it
-    a destination set; it popcounts, consults the registers, and commits
-    one scheme.  Scheme 3 addresses the destination set's minimal
-    enclosing subcube (over-delivering, as in §3.4).
-    """
-
-    def __init__(
-        self, network: OmegaNetwork, registers: BreakEvenRegisters
-    ) -> None:
-        if registers.network_size != network.n_ports:
-            raise ConfigurationError(
-                f"registers compiled for N={registers.network_size}, "
-                f"network has {network.n_ports} ports"
-            )
-        self.network = network
-        self.registers = registers
-
-    def send(
-        self, message: Message, dests
-    ) -> MulticastResult:
-        return self.send_payload(message.source, message.payload_bits, dests)
-
-    def send_payload(
-        self, source: NodeId, payload_bits: int, dests
-    ) -> MulticastResult:
-        """Deliver ``payload_bits`` from ``source``, deciding by registers."""
-        # Already-frozen destination sets pass through unchanged, so
-        # repeated sends to the same copy-set hit the network's plan cache
-        # without re-hashing a rebuilt set.
-        dest_set = _freeze(dests)
-        if not dest_set:
-            return MulticastResult(
-                MulticastScheme.COMBINED, source, dest_set, dest_set, ()
-            )
-        scheme = self.registers.choose(len(dest_set))
-        return _payload_send(
-            self.network, scheme, source, payload_bits, dest_set, True
-        )
-
-    def send_payload_one(
-        self, source: NodeId, payload_bits: int, dest: NodeId
-    ) -> MulticastResult:
-        return self.send_payload(source, payload_bits, (dest,))
 
 
 def register_table(

@@ -15,8 +15,6 @@ Event vocabulary (the ``kind`` field):
   :meth:`~repro.sim.stats.Stats.record_traffic` (primary sends,
   duplicates, acks, re-sends), so the number of ``message`` events
   always equals ``Stats.total_messages``;
-* ``net_send`` -- one raw :class:`~repro.network.multicast.Multicaster`
-  operation, for network-only studies (no protocol attached);
 * ``mode_switches`` / ``ownership_transfers`` -- the §2.2 state events,
   named exactly after their :mod:`repro.sim.stats` counters;
 * ``fault_*`` -- the fault/recovery events of :mod:`repro.faults`, again
@@ -224,23 +222,6 @@ class TraceRecorder:
             round=round_index,
         )
         self.metrics.observe("round_fanout", n_pending)
-
-    # ------------------------------------------------------------------
-    # Network hook (see repro.network.multicast.Multicaster)
-    # ------------------------------------------------------------------
-
-    def net_send(self, source: int, payload_bits: int, result) -> None:
-        """One raw multicaster operation (network-only studies)."""
-        self.instant(
-            "net_send",
-            result.scheme.name,
-            source,
-            bits=payload_bits,
-            cost=result.cost,
-            dests=len(result.requested),
-            links=result.links_used,
-        )
-        self.metrics.inc("net_sends")
 
     # ------------------------------------------------------------------
 

@@ -29,7 +29,7 @@ import abc
 from typing import NamedTuple
 
 from repro.errors import TransientNetworkError, UnreachableRouteError
-from repro.network.multicast import Multicaster, MulticastResult
+from repro.network.multicast import MulticastResult
 from repro.protocol.messages import MsgKind
 from repro.sim import stats as ev
 from repro.sim.stats import Stats
@@ -168,21 +168,15 @@ class CoherenceProtocol(abc.ABC):
         """Post messages instead of sending them, until :meth:`close_window`.
 
         Only where nothing consumes individual sends
-        (:meth:`_sends_watched`), sends go through a plain
-        :class:`Multicaster` -- a subclass, or one with a net recorder,
-        may account a send differently from the closed form that prices
-        posted messages -- and the network keeps a ledger (it has a plan
-        cache); otherwise every message is still sent one by one.
-        Returns whether a window is now open.
+        (:meth:`_sends_watched`) and the network keeps a ledger (it has a
+        plan cache); otherwise every message is still sent one by one.
+        The ledger resolves each posted destination set by the
+        multicaster's scheme, as a send does.  Returns whether a window
+        is now open.
         """
-        multicaster = self.system.multicaster
-        if (
-            not self._sends_watched()
-            and type(multicaster) is Multicaster
-            and multicaster.recorder is None
-        ):
+        if not self._sends_watched():
             self._ledger = self.system.network.open_window(
-                multicaster.scheme, self.stats.record_traffic
+                self.system.multicaster.scheme, self.stats.record_traffic
             )
         return self._ledger is not None
 

@@ -86,16 +86,22 @@ class WorkloadSpec:
                 f"unknown workload kind {self.kind!r}; "
                 f"expected one of {_WORKLOAD_KINDS}"
             )
+        # The generators' own rules, imported here so that importing the
+        # runner does not load every generator.
+        from repro.workloads.markov import (
+            _check_at_least,
+            _check_fraction,
+            _check_tasks,
+        )
+
+        _check_at_least(0, n_references=self.n_references)
+        _check_fraction(self.write_fraction)
         if self.kind in ("markov", "shared-structure"):
             if not self.tasks:
                 raise ConfigurationError(
                     f"workload kind {self.kind!r} needs a non-empty tasks "
                     f"tuple"
                 )
-            # The generators' own rule, imported here so that importing
-            # the runner does not load every generator.
-            from repro.workloads.markov import _check_tasks
-
             _check_tasks(self.tasks, self.n_nodes)
 
     # ------------------------------------------------------------------
@@ -261,6 +267,11 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.protocol:
             raise ConfigurationError("protocol name must be non-empty")
+        if not isinstance(self.config.multicast_scheme, MulticastScheme):
+            raise ConfigurationError(
+                "a spec names its multicast scheme by MulticastScheme; "
+                f"got {self.config.multicast_scheme!r}"
+            )
         if not 0 <= self.warmup <= self.workload.n_references:
             raise ConfigurationError(
                 f"warmup {self.warmup} outside "

@@ -92,10 +92,11 @@ class RouterConfig:
     shard daemons bind private unix sockets under ``shard_dir``
     (default: ``<socket_path>.shards/``).  The executor-shaped knobs
     (``workers``, ``exec_workers``, ``max_queue``, ``hot_capacity``,
-    ``retries``, cache and expiry settings) are forwarded to every
-    shard; ``cache_dir`` and ``journal_dir`` get one subdirectory /
-    file per shard so the stores stay disjoint.  ``restart_backoff`` /
-    ``max_restarts`` bound crash recovery.
+    ``sample_interval``, the disk bounds and ``stream_artifacts``) are
+    forwarded to every shard's command line; ``cache_dir`` and
+    ``journal_dir`` get one subdirectory / file per shard so the stores
+    stay disjoint.  ``restart_backoff`` / ``max_restarts`` bound crash
+    recovery.
     """
 
     socket_path: str | Path
@@ -108,7 +109,6 @@ class RouterConfig:
     hot_capacity: int = 256
     cache_dir: str | Path | None = None
     journal_dir: str | Path | None = None
-    retries: int = 1
     sample_interval: float = 1.0
     disk_max_bytes: int | None = None
     disk_max_age: float | None = None

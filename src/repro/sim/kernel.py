@@ -96,7 +96,7 @@ bump ``fastpath_epoch``/``present_epoch`` and leave each block's mode and
 present vector -- all a policy's verdict may depend on -- as they were.
 :func:`~repro.sim.engine.run_trace` alone decides that the kernel runs:
 only inside an open ledger window, which nothing that watches individual
-sends (faults, a recorder, the message log, a net recorder) lets open,
+sends (faults, a recorder, the message log) lets open,
 on a trace proven to fit, with every per-reference check off.  So
 batched replay is bit-identical to the slow loop (tests/sim/test_kernel.py
 and test_kernel_policies.py; docs/PERF.md, "Where each proof lives").

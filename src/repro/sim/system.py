@@ -12,6 +12,7 @@ reproducible from a single frozen value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro.cache.cache import Cache
 from repro.errors import ConfigurationError
@@ -22,6 +23,9 @@ from repro.network.topology import OmegaNetwork
 from repro.protocol.messages import MessageCosts
 from repro.types import Address, BlockId, NodeId, is_power_of_two
 
+if TYPE_CHECKING:
+    from repro.network.selector import BreakEvenRegisters
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -31,7 +35,10 @@ class SystemConfig:
     (a power of two, >= 2); ``block_size_words`` the block size; the cache
     geometry and replacement policy shape the replacement traffic of §2.2
     item 5; ``costs`` sets message payload sizes; ``multicast_scheme``
-    selects among the §3 schemes for every one-to-many protocol action.
+    selects among the §3 schemes for every one-to-many protocol action --
+    a fixed :class:`~repro.network.multicast.MulticastScheme`, or §5's
+    :class:`~repro.network.selector.BreakEvenRegisters`, which choose one
+    per destination count.
     """
 
     n_nodes: int
@@ -40,7 +47,9 @@ class SystemConfig:
     associativity: int | None = None
     replacement: str = "lru"
     costs: MessageCosts = field(default_factory=MessageCosts)
-    multicast_scheme: MulticastScheme = MulticastScheme.COMBINED
+    multicast_scheme: MulticastScheme | BreakEvenRegisters = (
+        MulticastScheme.COMBINED
+    )
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -58,20 +67,15 @@ class SystemConfig:
                 f"cache_entries must be positive, got {self.cache_entries}"
             )
 
-    def with_scheme(self, scheme: MulticastScheme) -> "SystemConfig":
+    def with_scheme(
+        self, scheme: MulticastScheme | BreakEvenRegisters
+    ) -> SystemConfig:
         """This config with a different multicast scheme (for ablations)."""
         return replace(self, multicast_scheme=scheme)
 
 
 class System:
     """A fully built multiprocessor ready for a protocol to drive.
-
-    ``multicaster_factory`` optionally replaces the default
-    :class:`~repro.network.multicast.Multicaster` with any object offering
-    the same ``send`` / ``send_payload`` / ``send_payload_one``
-    interface built over this system's network --
-    e.g. the §5 register-driven selector
-    (:class:`~repro.network.selector.RegisterMulticaster`).
 
     ``fault_plan`` optionally subjects the network to a
     :class:`~repro.faults.plan.FaultPlan`: a non-empty plan builds a
@@ -86,7 +90,6 @@ class System:
         self,
         config: SystemConfig,
         *,
-        multicaster_factory=None,
         fault_plan=None,
     ) -> None:
         self.config = config
@@ -95,12 +98,7 @@ class System:
         if fault_plan is not None and not fault_plan.is_empty:
             self.fault_injector = FaultInjector(self.network, fault_plan)
             self.network.fault_injector = self.fault_injector
-        if multicaster_factory is None:
-            self.multicaster = Multicaster(
-                self.network, config.multicast_scheme
-            )
-        else:
-            self.multicaster = multicaster_factory(self.network)
+        self.multicaster = Multicaster(self.network, config.multicast_scheme)
         self.caches: list[Cache] = [
             Cache(
                 node,

@@ -44,6 +44,13 @@ def _check_at_least(minimum: int, **arguments: int) -> None:
             raise ConfigurationError(f"{name} must be {kind}, got {value}")
 
 
+def _check_fraction(write_fraction: float) -> None:
+    if not 0.0 <= write_fraction <= 1.0:
+        raise ConfigurationError(
+            f"write_fraction must be in [0, 1], got {write_fraction}"
+        )
+
+
 def _fold_column(low: int, high: int):
     """An empty folded column for keys in ``[low, high)``: ``array('q')``
     if they fit int64, else a list of exact ints (as ``_build_fold``)."""
@@ -93,10 +100,7 @@ def markov_block_trace(
     CPython's ``_randbelow`` inlined on ``getrandbits`` (docs/WORKLOADS.md).
     """
     _check_tasks(tasks, n_nodes)
-    if not 0.0 <= write_fraction <= 1.0:
-        raise ConfigurationError(
-            f"write fraction must be in [0, 1], got {write_fraction}"
-        )
+    _check_fraction(write_fraction)
     _check_at_least(0, n_references=n_references)
     chosen_writer = tasks[0] if writer is None else writer
     if chosen_writer not in tasks:
@@ -164,6 +168,8 @@ def shared_structure_trace(
     :func:`markov_block_trace`.
     """
     _check_tasks(tasks, n_nodes)
+    _check_fraction(write_fraction)
+    _check_at_least(0, n_references=n_references)
     _check_at_least(1, n_blocks=n_blocks, block_size_words=block_size_words)
     rng = random.Random(seed)
     getrandbits, uniform = rng.getrandbits, rng.random

@@ -15,7 +15,12 @@ from typing import Sequence
 from repro.errors import ConfigurationError
 from repro.sim.ctrace import CompiledTrace
 from repro.types import NodeId
-from repro.workloads.markov import _check_at_least, _emit, _fold_column
+from repro.workloads.markov import (
+    _check_at_least,
+    _check_fraction,
+    _emit,
+    _fold_column,
+)
 
 
 def random_trace(
@@ -45,10 +50,7 @@ def random_trace(
     """
     _check_at_least(0, n_references=n_references)
     _check_at_least(1, n_blocks=n_blocks, block_size_words=block_size_words)
-    if not 0.0 <= write_fraction <= 1.0:
-        raise ConfigurationError(
-            f"write_fraction must be in [0, 1], got {write_fraction}"
-        )
+    _check_fraction(write_fraction)
     if not 0.0 <= locality <= 1.0:
         raise ConfigurationError(
             f"locality must be in [0, 1], got {locality}"

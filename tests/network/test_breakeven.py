@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.figures import table2_data, table3_data, table4_data
 from repro.errors import ConfigurationError
 from repro.network import cost
 from repro.network.breakeven import (
@@ -10,8 +11,6 @@ from repro.network.breakeven import (
     cc1_real,
     cc2_prime_real,
     cc2_worst_real,
-    scheme_choice_table,
-    table2,
 )
 
 
@@ -124,30 +123,22 @@ class TestScheme3VsScheme2:
 
 
 class TestTables:
+    """Cells of the Table 2-4 builders in :mod:`repro.analysis.figures`."""
+
     def test_table2_generator_shape(self):
-        data = table2((64, 128), (0, 40))
-        assert set(data) == {(64, 0), (64, 40), (128, 0), (128, 40)}
-        assert all(value is not None for value in data.values())
+        ours = table2_data().ours
+        for cell in ((64, 0), (64, 40), (128, 0), (128, 40)):
+            first = breakeven_scheme2_vs_scheme1(*cell).first_winning_n
+            assert first is not None
+            assert ours[cell] == first
 
     def test_scheme_choice_table_by_message_size(self):
-        table = scheme_choice_table(
-            (4, 128), message_sizes=(0, 20), network_size=1024, n1=128
-        )
-        assert set(table) == {(0, 4), (0, 128), (20, 4), (20, 128)}
+        table = table3_data(network_size=1024, n_partition=128).ours
+        assert {(0, 4), (0, 128), (20, 4), (20, 128)} <= set(table)
         assert table[(20, 4)] == 1  # scheme 1 for few destinations
         assert table[(20, 128)] == 3  # scheme 3 for the full partition
 
     def test_scheme_choice_table_by_network_size(self):
-        table = scheme_choice_table(
-            (8, 128), network_sizes=(256, 2048), message_bits=20, n1=128
-        )
+        table = table4_data(message_bits=20, n_partition=128).ours
         assert table[(256, 128)] == 3
         assert table[(2048, 128)] == 3
-
-    def test_scheme_choice_table_requires_exactly_one_axis(self):
-        with pytest.raises(ConfigurationError):
-            scheme_choice_table((4,))
-        with pytest.raises(ConfigurationError):
-            scheme_choice_table(
-                (4,), message_sizes=(0,), network_sizes=(64,)
-            )

@@ -1,4 +1,4 @@
-"""Tests for the §5 break-even registers and register-driven multicaster."""
+"""Tests for the §5 break-even registers, a scheme choice by popcount."""
 
 import pytest
 
@@ -6,16 +6,18 @@ from repro.errors import ConfigurationError
 from repro.network import cost
 from repro.network.message import Message
 from repro.network.multicast import (
+    Multicaster,
     MulticastScheme,
     multicast_combined,
 )
 from repro.network.selector import (
     BreakEvenRegisters,
-    RegisterMulticaster,
     compile_registers,
     register_table,
 )
 from repro.network.topology import OmegaNetwork
+from repro.runner.spec import ExperimentSpec, WorkloadSpec
+from repro.sim.system import System, SystemConfig
 
 
 class TestCompileRegisters:
@@ -58,15 +60,17 @@ class TestCompileRegisters:
 
 
 class TestRegisterMulticaster:
+    """A :class:`Multicaster` whose scheme is a register file."""
+
     def test_small_sets_go_unicast(self):
         net = OmegaNetwork(64)
-        caster = RegisterMulticaster(net, compile_registers(64, 16, 20))
+        caster = Multicaster(net, compile_registers(64, 16, 20))
         result = caster.send(Message(source=0, payload_bits=20), [3])
         assert result.scheme is MulticastScheme.UNICAST
 
     def test_large_sets_go_scheme3(self):
         net = OmegaNetwork(1024)
-        caster = RegisterMulticaster(
+        caster = Multicaster(
             net, compile_registers(1024, 128, 20)
         )
         result = caster.send(
@@ -77,13 +81,56 @@ class TestRegisterMulticaster:
 
     def test_empty_send(self):
         net = OmegaNetwork(64)
-        caster = RegisterMulticaster(net, compile_registers(64, 16, 20))
-        assert caster.send(Message(source=0, payload_bits=20), []).cost == 0
+        caster = Multicaster(net, compile_registers(64, 16, 20))
+        result = caster.send(Message(source=0, payload_bits=20), [])
+        assert result.cost == 0
+        assert result.scheme is MulticastScheme.COMBINED
 
     def test_network_size_mismatch_rejected(self):
         net = OmegaNetwork(64)
         with pytest.raises(ConfigurationError):
-            RegisterMulticaster(net, compile_registers(128, 16, 20))
+            Multicaster(net, compile_registers(128, 16, 20))
+        with pytest.raises(ConfigurationError):
+            System(
+                SystemConfig(
+                    n_nodes=64, multicast_scheme=compile_registers(128, 16, 20)
+                )
+            )
+
+    def test_one_destination_is_a_plain_unicast(self):
+        # Hand-built registers that would pick scheme 2 for a single
+        # destination: one destination is a unicast under every scheme.
+        net = OmegaNetwork(64)
+        caster = Multicaster(net, BreakEvenRegisters(64, 16, 20, 1, 8))
+        result = caster.send(Message(source=0, payload_bits=20), [3])
+        assert result.scheme is MulticastScheme.UNICAST
+
+    def test_a_fixed_scheme_chooses_itself(self):
+        for scheme in MulticastScheme:
+            assert scheme.choose(1) is scheme is scheme.choose(1024)
+
+    def test_compiled_registers_send_one_destination_by_unicast(self):
+        network_size = 4
+        while network_size <= 2048:
+            n_partition = 1
+            while n_partition <= network_size:
+                for message_bits in (0, 20, 60, 200):
+                    registers = compile_registers(
+                        network_size, n_partition, message_bits
+                    )
+                    assert registers.choose(1) is MulticastScheme.UNICAST
+                n_partition *= 2
+            network_size *= 2
+
+    def test_a_spec_refuses_registers(self):
+        config = SystemConfig(
+            n_nodes=64, multicast_scheme=compile_registers(64, 16, 20)
+        )
+        workload = WorkloadSpec(
+            "markov", 64, 100, 0.3, tasks=tuple(range(16))
+        )
+        with pytest.raises(ConfigurationError, match="MulticastScheme"):
+            ExperimentSpec("two-mode", workload, config)
 
     def test_register_decision_close_to_probing_oracle(self):
         """The whole §5 point: an O(1) popcount decision should recover
@@ -91,7 +138,7 @@ class TestRegisterMulticaster:
         destinations inside the partition."""
         net = OmegaNetwork(256)
         registers = compile_registers(256, 32, 20)
-        caster = RegisterMulticaster(net, registers)
+        caster = Multicaster(net, registers)
         message = Message(source=7, payload_bits=20)
         register_total = 0
         probing_total = 0

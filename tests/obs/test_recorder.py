@@ -94,20 +94,3 @@ class TestEvents:
         }
         assert recorder.counts_by_name()["global-read"] == 1
 
-
-class TestMulticasterHook:
-    def test_net_send_recorded_for_both_entry_points(self):
-        recorder = TraceRecorder()
-        network = OmegaNetwork(8)
-        caster = Multicaster(
-            network, MulticastScheme.COMBINED, recorder=recorder
-        )
-        caster.send_payload(0, 20, frozenset((3, 5)))
-        caster.send_payload_one(1, 20, 6)
-        assert recorder.counts_by_kind() == {"net_send": 2}
-        assert recorder.metrics.counters["net_sends"] == 2
-
-    def test_default_multicaster_records_nothing(self):
-        network = OmegaNetwork(8)
-        caster = Multicaster(network, MulticastScheme.COMBINED)
-        assert caster.recorder is None

@@ -17,8 +17,7 @@ import pytest
 from repro.analysis.compare import default_factories
 from repro.cache.state import Mode
 from repro.faults.plan import FaultPlan
-from repro.network.multicast import Multicaster
-from repro.network.selector import RegisterMulticaster, compile_registers
+from repro.network.selector import compile_registers
 from repro.obs.hooks import attach_recorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import TraceRecorder
@@ -78,10 +77,6 @@ def _rewrapped(trace, n_nodes, **kwargs):
     )
 
 
-class _Subclassed(Multicaster):
-    pass
-
-
 def _no_route_plans(system):
     system.network.route_plans = None
 
@@ -109,21 +104,6 @@ GATE = {
     "faults": {
         "system": {"fault_plan": FaultPlan(drop_probability=0.1, seed=3)},
     },
-    "net_recorder": {
-        "system": {
-            "multicaster_factory": lambda network: Multicaster(
-                network, recorder=TraceRecorder()
-            ),
-        },
-    },
-    "multicaster_subclass": {"system": {"multicaster_factory": _Subclassed}},
-    "register_multicaster": {
-        "system": {
-            "multicaster_factory": lambda network: RegisterMulticaster(
-                network, compile_registers(network.n_ports, 4, 20)
-            ),
-        },
-    },
     "no_route_plans": {"built": _no_route_plans},
 }
 
@@ -137,7 +117,11 @@ class TestTheGate:
     def _replay(self, protocol_name, row, forced_slow=False):
         """``(references batched, report)`` of one cell."""
         system = System(
-            SystemConfig(n_nodes=self.N_NODES, block_size_words=4),
+            SystemConfig(
+                n_nodes=self.N_NODES,
+                block_size_words=4,
+                **row.get("config", {}),
+            ),
             **row.get("system", {}),
         )
         protocol = default_factories()[protocol_name](system)
@@ -164,6 +148,19 @@ class TestTheGate:
         assert report == self._replay(protocol_name, {}, forced_slow=True)[1]
 
     @pytest.mark.parametrize("protocol_name", PROTOCOLS)
+    def test_break_even_registers_leave_the_gate_open(self, protocol_name):
+        # §5's registers are a scheme choice: the ledger resolves each
+        # posted destination set by them, as a send does.
+        row = {
+            "config": {
+                "multicast_scheme": compile_registers(self.N_NODES, 4, 20)
+            },
+        }
+        batched, report = self._replay(protocol_name, row)
+        assert (batched > 0) is (protocol_name != "full-map")
+        assert report == self._replay(protocol_name, row, forced_slow=True)[1]
+
+    @pytest.mark.parametrize("protocol_name", PROTOCOLS)
     @pytest.mark.parametrize("term", list(GATE))
     def test_each_term_stands_the_kernel_down(self, term, protocol_name):
         batched, report = self._replay(protocol_name, GATE[term])
@@ -173,36 +170,6 @@ class TestTheGate:
         )
         assert forced == 0
         assert report == slow_report
-
-
-@pytest.mark.parametrize("protocol_name", ["global-read", "two-mode"])
-def test_a_net_recorder_hears_every_send_in_reference_order(protocol_name):
-    # A net recorder hears each raw multicaster send.  Batched, the
-    # deferred hits would reach it at the flush, out of reference order;
-    # it keeps the window shut, so the kernel never runs.
-    def replay(forced_slow):
-        recorder = TraceRecorder()
-        system = System(
-            SystemConfig(n_nodes=16),
-            multicaster_factory=lambda network: Multicaster(
-                network, recorder=recorder
-            ),
-        )
-        protocol = default_factories()[protocol_name](system)
-        if forced_slow:
-            protocol.enable_message_log()
-        run_trace(
-            protocol,
-            markov_block_trace(16, range(8), 0.3, 3000, seed=5),
-            verify=False,
-            check_invariants_every=0,
-        )
-        return [event.to_dict() for event in recorder.events], protocol
-
-    events, protocol = replay(forced_slow=False)
-    assert protocol.batched_kernel().batched_refs == 0
-    slow_events, _ = replay(forced_slow=True)
-    assert events and events == slow_events
 
 
 @MODES
@@ -361,8 +328,6 @@ class TestNoCacheStandDown:
             recorder = attach_recorder(protocol, TraceRecorder())
         elif consumer == "message_log":
             protocol.enable_message_log()
-        elif consumer == "net_recorder":
-            system.multicaster.recorder = TraceRecorder()
         trace = _trace(n_nodes)
         report = run_trace(
             protocol,
@@ -373,16 +338,11 @@ class TestNoCacheStandDown:
         ).to_dict()
         kernel = protocol.batched_kernel()
         assert kernel.batched_refs == (len(trace) if consumer is None else 0)
-        # A net recorder is not a watcher of sends: the multicaster test
-        # in ``open_window`` is what keeps the closed form off.
-        reason = None if consumer == "net_recorder" else consumer
-        assert protocol._sends_watched() == reason
+        assert protocol._sends_watched() == consumer
         report["stats"].pop("metrics", None)
         return report
 
-    @pytest.mark.parametrize(
-        "consumer", ["recorder", "message_log", "net_recorder"]
-    )
+    @pytest.mark.parametrize("consumer", ["recorder", "message_log"])
     def test_observers_withdraw_it_and_see_the_same_run(
         self, n_nodes, consumer
     ):

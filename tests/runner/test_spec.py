@@ -56,6 +56,22 @@ class TestWorkloadSpec:
         with pytest.raises(ConfigurationError, match=error):
             make_workload(kind=kind, tasks=tasks)
 
+    @pytest.mark.parametrize("kind", ["markov", "shared-structure", "random"])
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("write_fraction", 1.5, r"write_fraction must be in \[0, 1\]"),
+            ("write_fraction", -0.2, r"write_fraction must be in \[0, 1\]"),
+            ("n_references", -5, "n_references must be non-negative"),
+        ],
+    )
+    def test_fraction_and_length_checked_by_the_generators_rule(
+        self, kind, field, value, error
+    ):
+        tasks = () if kind == "random" else (0, 1, 2)
+        with pytest.raises(ConfigurationError, match=error):
+            make_workload(kind=kind, tasks=tasks, **{field: value})
+
     def test_tasks_normalised_to_tuple(self):
         workload = make_workload(tasks=[0, 1])
         assert workload.tasks == (0, 1)

@@ -33,6 +33,7 @@ from repro.runner import (
 from repro.sim.ctrace import CompiledTrace
 from repro.sim.kernel import BatchedKernel
 from repro.sim.system import SystemConfig
+from repro.workloads import markov
 
 
 def make_workloads(n_references=240) -> list[WorkloadSpec]:
@@ -270,13 +271,23 @@ class TestJournalAndFailures:
         assert journal.counts()["retried"] == 1
         assert len(calls) == 1
 
-    def test_generator_error_fails_every_sharing_cell_alike(self):
-        # Only the generator checks the write fraction: the spec builds
-        # and hashes, and the error surfaces where the trace is made.
+    def test_generator_error_fails_every_sharing_cell_alike(
+        self, monkeypatch
+    ):
+        # A generator that refuses one workload: the spec builds and
+        # hashes, and the error surfaces where the trace is made.
         bad = WorkloadSpec(
             kind="markov", n_nodes=8, n_references=50,
-            write_fraction=1.5, seed=1, tasks=(0, 1),
+            write_fraction=0.5, seed=1, tasks=(0, 1),
         )
+        generate = markov.markov_block_trace
+
+        def refusing(*args, **kwargs):
+            if kwargs["seed"] == bad.seed:
+                raise ConfigurationError("the generator refuses seed 1")
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(markov, "markov_block_trace", refusing)
         sweep = SweepSpec.from_grid(
             "bad-then-good",
             protocols=["no-cache", "two-mode"],

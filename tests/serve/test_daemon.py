@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.errors import ConfigurationError, OverloadedError, ServeError
+from repro.obs.hooks import execute_spec_with_heatmaps
 from repro.runner import execute_spec, read_journal
 from repro.runner.spec import ExperimentSpec, WorkloadSpec
 from repro.serve import DaemonThread, ServeClient, ServeConfig
@@ -220,6 +221,33 @@ class TestTiers:
         )
         assert finish["refs_per_sec"] is None or finish["refs_per_sec"] > 0
         assert [frame["event"] for frame in again.events] == ["task_hot"]
+
+
+class TestStreamArtifacts:
+    def test_a_fresh_cell_streams_one_artifact_a_repeat_none(
+        self, socket_path
+    ):
+        spec = make_spec()
+        config = ServeConfig(socket_path=socket_path, stream_artifacts=True)
+        with DaemonThread(config):
+            client = ServeClient(socket_path)
+            first = client.submit([spec])
+            again = client.submit([spec])
+        assert [frame["spec_hash"] for frame in first.artifacts] == [
+            spec.spec_hash
+        ]
+        heatmaps = execute_spec_with_heatmaps(spec)[1]
+        assert first.artifacts[0]["heatmaps"] == json.loads(
+            json.dumps(heatmaps)
+        )
+        assert again.results[0]["source"] == "hot"
+        assert again.artifacts == []
+
+    def test_needs_the_in_process_task_body(self, socket_path):
+        with pytest.raises(ConfigurationError, match="exec_workers=0"):
+            ServeConfig(
+                socket_path=socket_path, stream_artifacts=True, exec_workers=1
+            )
 
 
 class TestBackpressure:

@@ -10,6 +10,7 @@ the router unlinks every socket it bound.
 """
 
 import contextlib
+import dataclasses
 import json
 import os
 import signal
@@ -30,6 +31,7 @@ from repro.serve import (
     encode_frame,
     shard_for,
 )
+from repro.serve.router import ShardProcess
 from repro.sim.system import SystemConfig
 
 
@@ -107,6 +109,47 @@ class TestRouterConfig:
             RouterConfig(socket_path="r.sock", listen="/not/a/port")
         with pytest.raises(ConfigurationError, match="restart_backoff"):
             RouterConfig(socket_path="r.sock", restart_backoff=0)
+
+    def test_every_forwarded_field_reaches_the_shard_command(self, tmp_path):
+        # Fields the router keeps for itself; every other one must be
+        # on each shard's command line, with its value.
+        own = {
+            "socket_path", "shards", "listen", "shard_dir",
+            "restart_backoff", "max_restarts",
+        }
+        config = RouterConfig(
+            socket_path=tmp_path / "r.sock",
+            workers=3,
+            exec_workers=2,
+            max_queue=7,
+            hot_capacity=9,
+            cache_dir=tmp_path / "cache",
+            journal_dir=tmp_path / "journal",
+            sample_interval=0.5,
+            disk_max_bytes=4096,
+            disk_max_age=60.0,
+            stream_artifacts=True,
+        )
+        argv = ShardProcess(0, config)._command()
+        flags = dict(zip(argv, argv[1:]))
+        expected = {
+            "workers": ("--workers", "3"),
+            "exec_workers": ("--exec-workers", "2"),
+            "max_queue": ("--max-queue", "7"),
+            "hot_capacity": ("--hot-capacity", "9"),
+            "cache_dir": ("--cache-dir", str(tmp_path / "cache" / "shard-0")),
+            "journal_dir": (
+                "--journal", str(tmp_path / "journal" / "shard-0.jsonl")
+            ),
+            "sample_interval": ("--sample-interval", "0.5"),
+            "disk_max_bytes": ("--disk-max-bytes", "4096"),
+            "disk_max_age": ("--disk-max-age", "60.0"),
+        }
+        forwarded = {field.name for field in dataclasses.fields(config)}
+        assert forwarded - own == {*expected, "stream_artifacts"}
+        for flag, value in expected.values():
+            assert flags[flag] == value
+        assert "--stream-artifacts" in argv
 
 
 class TestRouterEndToEnd:
@@ -215,6 +258,27 @@ class TestRouterEndToEnd:
                 for frame in outcome.results
             }
         assert after == before
+
+    def test_stream_artifacts_reach_the_client_through_the_router(
+        self, tmp_path
+    ):
+        """A fresh cell streams one heatmap artifact from its shard; the
+        cached repeat streams none."""
+        socket_path = tmp_path / "router.sock"
+        config = RouterConfig(
+            socket_path=socket_path, shards=2, stream_artifacts=True
+        )
+        spec = make_spec(seed=3)
+        with RouterThread(config):
+            client = ServeClient(socket_path, timeout=120)
+            first = client.submit([spec])
+            again = client.submit([spec])
+        assert [frame["spec_hash"] for frame in first.artifacts] == [
+            spec.spec_hash
+        ]
+        assert first.artifacts[0]["heatmaps"]
+        assert again.results[0]["source"] == "hot"
+        assert again.artifacts == []
 
     def test_drain_unlinks_every_socket(self, tmp_path):
         socket_path = tmp_path / "router.sock"

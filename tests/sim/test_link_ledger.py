@@ -10,8 +10,7 @@ accounting (the window forced shut), and name the cases around the
 window's edges:
 
 * **something consumes individual sends** -- fault injector, recorder,
-  message log, net recorder, custom multicaster, no plan cache: the
-  ledger stays shut and nothing changes;
+  message log, no plan cache: the ledger stays shut and nothing changes;
 * **an exception mid-trace** settles what was posted: ledgers and arrays
   end as per-send accounting leaves them at the failing reference;
 * **``reset_traffic()`` inside a window** leaves the messages posted
@@ -51,7 +50,6 @@ from repro.network.multicast import (
     MulticastScheme,
 )
 from repro.network.routing import unicast_plan
-from repro.network.selector import RegisterMulticaster, compile_registers
 from repro.network.topology import OmegaNetwork
 from repro.obs.heatmap import network_heatmaps
 from repro.obs.recorder import TraceRecorder
@@ -299,22 +297,10 @@ def _consumers():
         system, protocol, _ = plain()()
         return system, protocol, {"recorder": TraceRecorder()}
 
-    def net_recorder():
-        system, protocol, _ = plain()()
-        system.multicaster.recorder = TraceRecorder()
-        return system, protocol, {}
-
-    registers = compile_registers(N_NODES, 4, 20)
     return {
         "faults": plain(fault_plan=FAULTY_PLAN),
         "recorder": recorder,
         "message_log": message_log,
-        "net_recorder": net_recorder,
-        "custom_multicaster": plain(
-            multicaster_factory=lambda net: RegisterMulticaster(
-                net, registers
-            )
-        ),
     }
 
 

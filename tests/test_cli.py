@@ -84,6 +84,10 @@ class TestSimulate:
         assert "references        : 2" in capsys.readouterr().out
 
 
+#: Every command that replays a workload or a ``--trace`` file.
+REPLAYING_COMMANDS = ["simulate", "compare", "latency", "trace", "heatmap"]
+
+
 class TestBadTraceFile:
     """A ``--trace`` file that cannot be read is one line, not a traceback."""
 
@@ -95,7 +99,7 @@ class TestBadTraceFile:
         ],
         ids=["bad-op", "int64-overflow"],
     )
-    @pytest.mark.parametrize("command", ["simulate", "compare", "latency"])
+    @pytest.mark.parametrize("command", REPLAYING_COMMANDS)
     def test_malformed_file(self, tmp_path, capsys, command, line, message):
         path = tmp_path / "bad.trace"
         path.write_text(f"# repro-trace v1 n_nodes=4 block_size=2\n{line}\n")
@@ -107,10 +111,11 @@ class TestBadTraceFile:
 
     def test_missing_file(self, tmp_path, capsys):
         path = tmp_path / "absent.trace"
-        assert main(["simulate", "--trace", str(path)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {path}: No such file or directory\n"
-        )
+        for command in REPLAYING_COMMANDS:
+            assert main([command, "--trace", str(path)]) == 2
+            assert capsys.readouterr() == (
+                "", f"error: {path}: No such file or directory\n"
+            )
 
 
 class TestCompare:
