@@ -60,7 +60,6 @@ from repro.errors import ConfigurationError, MulticastError
 from repro.network.link import LinkLoad
 from repro.network.message import Message
 from repro.network.routeplan import RoutePlan
-from repro.network.routing import unicast_plan
 from repro.network.topology import OmegaNetwork
 from repro.types import NodeId
 
@@ -133,8 +132,7 @@ class MulticastResult:
         """The result of replaying ``plan`` with ``payload_bits`` payload."""
         result = cls.__new__(cls)
         result._fill(
-            # Plain unicast plans carry no scheme tag: they are scheme 1.
-            plan.scheme or MulticastScheme.UNICAST,
+            plan.scheme,
             plan.source,
             plan.requested,
             plan.delivered,
@@ -241,18 +239,15 @@ def _replay(
     payload_bits: int,
     commit: bool,
 ) -> MulticastResult:
-    """Replay ``plan`` for one payload size.
+    """Replay ``plan`` for one payload size, accounting it if ``commit``.
 
-    The :class:`MulticastResult` (immutable throughout) is memoised per
-    payload size on the plan, so repeat sends allocate nothing.
+    Only a watched send (faults, a recorder, the message log) or a
+    network-level caller gets here: a protocol inside a ledger window
+    posts instead, so the result is built per send, not memoised.
     """
-    result = plan.result_get(payload_bits)
-    if result is None:
-        result = MulticastResult.from_plan(plan, payload_bits)
-        plan.result_put(payload_bits, result)
     if commit:
         network.apply_plan_traffic(plan, payload_bits)
-    return result
+    return MulticastResult.from_plan(plan, payload_bits)
 
 
 # ----------------------------------------------------------------------
@@ -285,6 +280,26 @@ def _build_scheme1_plan(
         n_ports=network.n_ports,
         n_switches_per_stage=network.n_ports // 2,
     )
+
+
+def unicast_plan(
+    network: OmegaNetwork, source: NodeId, dest: NodeId
+) -> RoutePlan:
+    """The (memoised) plan of one unicast: scheme 1 to ``{dest}``.
+
+    Kept under its own ``("u", source, dest)`` key, not counted as a
+    walk, and cached only once both ports are validated.
+    """
+    cache = network.route_plans
+    key = ("u", source, dest)
+    plan = cache.get(key) if cache is not None else None
+    if plan is None:
+        network._check_port(source)
+        network._check_port(dest)
+        plan = _build_scheme1_plan(network, source, frozenset((dest,)))
+        if cache is not None:
+            cache.put(key, plan)
+    return plan
 
 
 def multicast_scheme1(

@@ -1,16 +1,19 @@
 """Memoised route plans: compute a multicast tree once, replay it forever.
 
-Every multicast scheme in :mod:`repro.network.multicast` (and the unicast
-routing of :mod:`repro.network.routing`) walks the omega network switch by
-switch to discover *which links carry how many tag bits* and *which switches
+Every multicast scheme in :mod:`repro.network.multicast` (a unicast is
+scheme 1 to one destination) walks the omega network switch by switch to
+discover *which links carry how many tag bits* and *which switches
 forward (and split) the message*.  That walk depends only on
 ``(scheme, source, destination set, topology)`` -- never on the payload
 size, whose contribution to every link is a flat ``+M`` -- so its outcome
-can be computed once and replayed.  The paper's §4 Markov model guarantees
-the same destination sets recur heavily across a trace (blocks cycle
-through a small set of present-flag vectors), which is what makes the
-memoisation pay off; precomputed routing tables are likewise the standard
-device in the wormhole-routing MIN and NoC multicast literature.
+can be computed once and replayed.  How often a plan is replayed is
+measured, not assumed: ``bench/run.py --trace 1`` reports
+``network.plan_hit_share``, which read 0.035 on ``fig8_sweep``, 0.0 on
+``migratory_n64`` and 0.033 on ``kernel_n1024`` (seed 1989, ROADMAP.md):
+the message ledger settles each distinct message once per window, so a
+destination set rarely meets its own cache entry twice.  Precomputed
+routing tables are the standard device in the wormhole-routing MIN and
+NoC multicast literature.
 
 Two classes:
 
@@ -22,10 +25,9 @@ Two classes:
   ``cost_for(M)`` and ``loads_for(M)`` reconstitute the exact per-payload
   numbers the switch-by-switch walk would have produced; ``cost_for`` is
   two multiplications, ``loads_for`` allocates one ``LinkLoad`` per link
-  and is only called when something reads a result's ``.loads``.  A plan
-  memoises the one :class:`~repro.network.multicast.MulticastResult` it
-  replays into per payload size -- a unicast's plan as well as a
-  multicast's -- and that result builds its loads once.
+  and is only called when something reads a result's ``.loads``.  Each
+  send gets its own :class:`~repro.network.multicast.MulticastResult`,
+  which builds its loads once, on first read.
 * :class:`RoutePlanCache` -- a :class:`~repro.lru.BoundedLRU` of plans
   and of the price records multicasts are priced from before any plan
   exists.  Each :class:`~repro.network.topology.OmegaNetwork` instance
@@ -47,12 +49,6 @@ from typing import Sequence
 from repro.lru import BoundedLRU
 from repro.network.link import LinkLoad
 
-#: How many distinct payload sizes one plan memoises results for before
-#: starting over; protocols use a handful of message sizes, so this is
-#: effectively unbounded while still guarding pathological callers.
-_PAYLOAD_MEMO_LIMIT = 32
-
-
 class RoutePlan:
     """The payload-independent part of one routing or multicast operation.
 
@@ -60,7 +56,7 @@ class RoutePlan:
     ----------
     scheme:
         The :class:`~repro.network.multicast.MulticastScheme` this plan
-        replays (``None`` for plain unicast plans).
+        replays (``UNICAST`` for a unicast, scheme 1 to one destination).
     source:
         Injection port.
     requested / delivered:
@@ -91,7 +87,6 @@ class RoutePlan:
         "n_loads",
         "over_delivers",
         "_links_used",
-        "_results",
     )
 
     def __init__(
@@ -129,8 +124,6 @@ class RoutePlan:
         self.n_loads = len(self.entries)
         self.over_delivers = delivered != requested
         self._links_used: int | None = None
-        # payload_bits -> replayed result object (which caches its loads).
-        self._results: dict[int, object] = {}
 
     # ------------------------------------------------------------------
 
@@ -152,27 +145,13 @@ class RoutePlan:
     def loads_for(self, payload_bits: int) -> tuple[LinkLoad, ...]:
         """The exact :class:`LinkLoad` tuple the cold path would build.
 
-        Not memoised here: the replayed result memoised per payload size
-        builds its loads once, on first read.
+        Not memoised here: the replayed result builds its loads once, on
+        first read.
         """
         return tuple(
             LinkLoad(level, position, payload_bits + tag, parent)
             for level, position, tag, parent in self.entries
         )
-
-    # ------------------------------------------------------------------
-    # Per-payload memo of replayed results
-    # ------------------------------------------------------------------
-
-    def result_get(self, payload_bits: int) -> object | None:
-        """The memoised replayed-result object for this payload size."""
-        return self._results.get(payload_bits)
-
-    def result_put(self, payload_bits: int, result: object) -> None:
-        """Memoise a replayed result, bounding the memo size."""
-        if len(self._results) >= _PAYLOAD_MEMO_LIMIT:
-            self._results.clear()
-        self._results[payload_bits] = result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -6,26 +6,20 @@ output ``d_i`` and strips that bit.  A message of ``M`` payload bits therefore
 places ``M + (m - i)`` bits on its link at level ``i`` -- the term summed in
 eq. 2 of the paper.
 
-A unicast is the one-destination send: the ``(level, position)`` path and
-its tag remainders depend only on ``(source, dest)``, so :func:`unicast`
-builds a :class:`~repro.network.routeplan.RoutePlan` once per pair (stored
-in the network's plan cache) and replays it exactly as a multicast's plan
-is replayed, returning the same
+A unicast is scheme 1 to one destination: :func:`unicast` replays the
+plan :func:`~repro.network.multicast.unicast_plan` builds with scheme 1's
+own builder (once per ``(source, dest)`` pair, kept in the network's plan
+cache), so it returns the same
 :class:`~repro.network.multicast.MulticastResult` -- identical loads,
-identical counter increments -- on every subsequent call.
+identical counter increments -- as a scheme-1 multicast to ``{dest}``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.network.message import Message
-from repro.network.routeplan import RoutePlan
+from repro.network.multicast import MulticastResult, _replay, unicast_plan
 from repro.network.topology import OmegaNetwork
 from repro.types import NodeId
-
-if TYPE_CHECKING:
-    from repro.network.multicast import MulticastResult
 
 
 def tag_bits_scheme1(network: OmegaNetwork, level: int) -> int:
@@ -49,54 +43,6 @@ def route_path(
     ]
 
 
-def build_unicast_plan(
-    network: OmegaNetwork, source: NodeId, dest: NodeId
-) -> RoutePlan:
-    """The payload-independent plan of one destination-tag unicast.
-
-    Validates both ports (once each, via
-    :meth:`OmegaNetwork.route_positions`, whose walk is then unchecked),
-    so a plan-cache hit may skip re-validation.
-    """
-    positions = network.route_positions(source, dest)
-    m = network.n_stages
-    entries = [
-        (level, position, m - level, level - 1 if level > 0 else None)
-        for level, position in enumerate(positions)
-    ]
-    # The switch traversed at stage i only rewrites the low bit of the
-    # shuffled position, so it is identified by its *output* position,
-    # which is the level-(i+1) link position.
-    switch_ops = [
-        (stage, positions[stage + 1] // 2, False) for stage in range(m)
-    ]
-    return RoutePlan(
-        None,
-        source,
-        frozenset((dest,)),
-        frozenset((dest,)),
-        entries,
-        switch_ops,
-        n_ports=network.n_ports,
-        n_switches_per_stage=network.n_ports // 2,
-    )
-
-
-def unicast_plan(
-    network: OmegaNetwork, source: NodeId, dest: NodeId
-) -> RoutePlan:
-    """The (memoised) route plan from ``source`` to ``dest``."""
-    cache = network.route_plans
-    if cache is None:
-        return build_unicast_plan(network, source, dest)
-    key = ("u", source, dest)
-    plan = cache.get(key)
-    if plan is None:
-        plan = build_unicast_plan(network, source, dest)
-        cache.put(key, plan)
-    return plan
-
-
 def unicast(
     network: OmegaNetwork,
     message: Message,
@@ -114,8 +60,5 @@ def unicast(
     result is computed without touching any counter (a "what would this
     cost" probe).
     """
-    # Imported here: the multicast layer is built on this module.
-    from repro.network.multicast import _replay
-
     plan = unicast_plan(network, message.source, dest)
     return _replay(network, plan, message.payload_bits, commit)

@@ -154,7 +154,9 @@ class OmegaNetwork:
         #: Memoised route plans for this topology (see
         #: :mod:`repro.network.routeplan`).  Setting this to ``None``
         #: disables memoisation -- every operation re-walks the fabric --
-        #: which is the cold reference path the tests compare against.
+        #: and nothing else: the ledger still opens.  With the message
+        #: log on too, every send is walked cold, one by one: the
+        #: reference path the tests compare against.
         self.route_plans: RoutePlanCache | None = RoutePlanCache()
         #: Optional :class:`~repro.faults.injector.FaultInjector` attached
         #: by :class:`~repro.sim.system.System` when its fault plan is
@@ -348,7 +350,7 @@ class OmegaNetwork:
         ):
             buffer[:] = array("q", bytes(8 * len(buffer)))
 
-    def open_window(self, scheme, account) -> dict[tuple, int] | None:
+    def open_window(self, scheme, account) -> dict[tuple, int]:
         """Start a message ledger and return it for the caller to post in.
 
         A post is ``ledger[kind, source, dests, payload_bits] += 1`` with
@@ -356,12 +358,9 @@ class OmegaNetwork:
         ``scheme``; settling calls ``account(kind, bits, messages)`` once
         per kind, in first-post order.  Whoever opens a window
         closes it in a ``finally``; outside one, traffic reaches the
-        arrays send by send.  Without a plan cache (``route_plans =
-        None``, the switch-by-switch reference path) nothing is priced
-        ahead of its walk, and the window stays closed: ``None``.
+        arrays send by send.  Pricing and the walk need no plan cache:
+        with ``route_plans = None`` they only memoise nothing.
         """
-        if self.route_plans is None:
-            return None
         self._window = (scheme, account)
         self._ledger = {}
         return self._ledger

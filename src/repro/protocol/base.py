@@ -168,11 +168,10 @@ class CoherenceProtocol(abc.ABC):
         """Post messages instead of sending them, until :meth:`close_window`.
 
         Only where nothing consumes individual sends
-        (:meth:`_sends_watched`) and the network keeps a ledger (it has a
-        plan cache); otherwise every message is still sent one by one.
-        The ledger resolves each posted destination set by the
-        multicaster's scheme, as a send does.  Returns whether a window
-        is now open.
+        (:meth:`_sends_watched`); otherwise every message is still sent
+        one by one.  The ledger resolves each posted destination set by
+        the multicaster's scheme, as a send does.  Returns whether a
+        window is now open.
         """
         if not self._sends_watched():
             self._ledger = self.system.network.open_window(

@@ -95,8 +95,13 @@ class WorkloadSpec:
         )
 
         _check_at_least(0, n_references=self.n_references)
+        _check_at_least(1, block_size_words=self.block_size_words)
         _check_fraction(self.write_fraction)
-        if self.kind in ("markov", "shared-structure"):
+        if self.kind in ("random", "shared-structure"):
+            _check_at_least(1, n_blocks=self.n_blocks)
+        if self.kind == "random":
+            _check_fraction(self.locality, "locality")
+        else:
             if not self.tasks:
                 raise ConfigurationError(
                     f"workload kind {self.kind!r} needs a non-empty tasks "

@@ -208,15 +208,14 @@ class Listener:
                         admitted = self._admit(frame)
                     except ConfigurationError as exc:
                         self._on_invalid(exc)
-                        await self._send(
-                            writer,
-                            lock,
-                            {
-                                "type": "error",
-                                "error": str(exc),
-                                "id": frame.get("id"),
-                            },
-                        )
+                        refusal = {
+                            "type": "error",
+                            "error": str(exc),
+                            "id": frame.get("id"),
+                        }
+                        if isinstance(exc, wire.CellError):
+                            refusal.update(cell=exc.index, reason=exc.reason)
+                        await self._send(writer, lock, refusal)
                         continue
                     if len(raw) <= _MEMO_MAX_FRAME:
                         self._memo.put(raw, admitted)

@@ -294,6 +294,20 @@ def _submit_shape(frame: dict) -> tuple[str, list]:
     return name, cells
 
 
+class CellError(ConfigurationError):
+    """Cell ``index`` of a ``submit`` frame is invalid, for ``reason``.
+
+    The ``error`` frame answering it carries both as fields (``cell``,
+    ``reason``) beside the text, so a router can name the cell by the
+    client's own index without reading the text.
+    """
+
+    def __init__(self, index: int, reason: str) -> None:
+        super().__init__(f"cell {index}: {reason}")
+        self.index = index
+        self.reason = reason
+
+
 def parse_submit_cells(frame: dict) -> tuple[str, list[ExperimentSpec]]:
     """Validate a ``submit`` frame into ``(name, specs)``.
 
@@ -301,24 +315,23 @@ def parse_submit_cells(frame: dict) -> tuple[str, list[ExperimentSpec]]:
     :class:`~repro.runner.spec.ExperimentSpec` objects; every cell is
     fully validated (spec construction re-runs all the constructor
     checks), so nothing malformed ever reaches the execution pipeline.
-    Raises :class:`~repro.errors.ConfigurationError` with a cell index
-    in the message so clients can fix the right one.
+    Raises :class:`CellError` naming the first invalid cell, so clients
+    can fix the right one.
     """
     name, cells = _submit_shape(frame)
     specs = []
     for index, cell in enumerate(cells):
         if not isinstance(cell, dict):
-            raise ConfigurationError(
-                f"cell {index} is not an object "
-                f"(got {type(cell).__name__})"
+            raise CellError(
+                index, f"not an object (got {type(cell).__name__})"
             )
         try:
             specs.append(ExperimentSpec.from_dict(cell))
         except ConfigurationError as exc:
-            raise ConfigurationError(f"cell {index}: {exc}") from None
+            raise CellError(index, str(exc)) from None
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"cell {index} is not a valid experiment spec: {exc!r}"
+            raise CellError(
+                index, f"not a valid experiment spec: {exc!r}"
             ) from None
     return name, specs
 
@@ -334,8 +347,9 @@ def route_submit_cells(frame: dict) -> tuple[str, list, list[str]]:
     every client of this protocol sends) the hash equals
     :attr:`~repro.runner.spec.ExperimentSpec.spec_hash`, so the cell
     routes to the shard that owns the spec.  The owning shard remains
-    the validation authority: a malformed cell is refused there and the
-    refusal relays to the client unchanged.
+    the validation authority: a malformed cell is refused there, and
+    the refusal reaches the client naming the client's index of the
+    cell (:class:`CellError`).
     """
     name, cells = _submit_shape(frame)
     hashes = [

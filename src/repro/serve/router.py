@@ -441,11 +441,13 @@ class ServeRouter(Listener):
     def _admit(self, frame: dict) -> tuple:
         """Split a submission by owning shard.
 
-        The plan is ``(name, request_id, n_cells, hashes, subframes)``
-        where ``hashes`` maps shard index to the spec hashes it owns
-        and ``subframes`` holds the pre-encoded per-shard submit frame
-        -- or ``None`` when every cell lands on one shard, which is
-        the verbatim-relay path.  Cell order is preserved within
+        The plan is ``(name, request_id, n_cells, hashes, subframes,
+        positions)``: ``positions`` maps shard index to the client's
+        index of each cell it owns (so a shard's refusal of its cell
+        ``k`` names the client's cell), ``hashes`` to the spec hashes it
+        owns, and ``subframes`` holds the pre-encoded per-shard submit
+        frame -- or ``None`` when every cell lands on one shard, which
+        is the verbatim-relay path.  Cell order is preserved within
         each shard (the shard streams results in cell order, keeping
         the relayed stream deterministic per shard), and cells are
         forwarded exactly as received: the shard is the validation
@@ -454,17 +456,16 @@ class ServeRouter(Listener):
         """
         name, cells, cell_hashes = wire.route_submit_cells(frame)
         request_id = frame.get("id")
-        groups: dict[int, list] = {}
-        owned: dict[int, set] = {}
-        for cell, cell_hash in zip(cells, cell_hashes):
+        positions: dict[int, list[int]] = {}
+        for position, cell_hash in enumerate(cell_hashes):
             index = shard_for(cell_hash, self.config.shards)
-            groups.setdefault(index, []).append(cell)
-            owned.setdefault(index, set()).add(cell_hash)
+            positions.setdefault(index, []).append(position)
         hashes = {
-            index: frozenset(group) for index, group in owned.items()
+            index: frozenset(cell_hashes[p] for p in owned)
+            for index, owned in positions.items()
         }
         subframes: dict[int, bytes] | None = None
-        if len(groups) > 1:
+        if len(positions) > 1:
             stream_events = bool(frame.get("stream", True))
             subframes = {
                 index: wire.encode_frame(
@@ -472,13 +473,13 @@ class ServeRouter(Listener):
                         "op": "submit",
                         "name": name,
                         "stream": stream_events,
-                        "cells": groups[index],
+                        "cells": [cells[p] for p in owned],
                         "id": request_id,
                     }
                 )
-                for index in groups
+                for index, owned in positions.items()
             }
-        return (name, request_id, len(cells), hashes, subframes)
+        return (name, request_id, len(cells), hashes, subframes, positions)
 
     async def _handle_submit(self, plan, raw, writer, lock) -> None:
         """Fan a submission out to its shards and relay their streams.
@@ -490,7 +491,7 @@ class ServeRouter(Listener):
         and the router's own ``done``.
         """
         self.metrics.inc("router.requests")
-        name, request_id, n_cells, hashes, subframes = plan
+        name, request_id, n_cells, hashes, subframes, positions = plan
         if self._draining:
             self.metrics.inc("router.rejected")
             await self._send(
@@ -537,6 +538,13 @@ class ServeRouter(Listener):
                 elif kind == "rejected":
                     reason = f"shard {index}: {first.get('reason')}"
                     refusal = {"type": kind, "reason": reason}
+                elif "cell" in first:  # named by the client's index
+                    cell = positions[index][first["cell"]]
+                    error = wire.CellError(cell, first["reason"])
+                    refusal = {
+                        "type": "error", "error": str(error),
+                        "cell": cell, "reason": error.reason,
+                    }
                 else:
                     error = f"shard {index}: {first.get('error', first)}"
                     refusal = {"type": "error", "error": error}

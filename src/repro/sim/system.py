@@ -150,8 +150,8 @@ class System:
     def route_plan_stats(self) -> dict[str, int | float] | None:
         """The network's route-plan cache statistics (hits, misses, size).
 
-        Returns ``None`` when plan memoisation is disabled
-        (``network.route_plans = None``, the cold reference path).
+        Returns ``None`` when plan memoisation is off
+        (``network.route_plans = None``).
         """
         cache = self.network.route_plans
         if cache is None:

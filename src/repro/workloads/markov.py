@@ -44,11 +44,9 @@ def _check_at_least(minimum: int, **arguments: int) -> None:
             raise ConfigurationError(f"{name} must be {kind}, got {value}")
 
 
-def _check_fraction(write_fraction: float) -> None:
-    if not 0.0 <= write_fraction <= 1.0:
-        raise ConfigurationError(
-            f"write_fraction must be in [0, 1], got {write_fraction}"
-        )
+def _check_fraction(value: float, name: str = "write_fraction") -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
 
 
 def _fold_column(low: int, high: int):

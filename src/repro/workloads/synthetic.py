@@ -51,10 +51,7 @@ def random_trace(
     _check_at_least(0, n_references=n_references)
     _check_at_least(1, n_blocks=n_blocks, block_size_words=block_size_words)
     _check_fraction(write_fraction)
-    if not 0.0 <= locality <= 1.0:
-        raise ConfigurationError(
-            f"locality must be in [0, 1], got {locality}"
-        )
+    _check_fraction(locality, "locality")
     chosen_nodes = list(range(n_nodes)) if nodes is None else list(nodes)
     for node in chosen_nodes:
         if not 0 <= node < n_nodes:

@@ -77,14 +77,9 @@ def _rewrapped(trace, n_nodes, **kwargs):
     )
 
 
-def _no_route_plans(system):
-    system.network.route_plans = None
-
-
 #: One row per term of run_trace's gate, each enough on its own to keep
 #: the kernel off: keyword arguments for the system, a change to the
-#: built system or protocol, a change to the trace, keyword arguments
-#: for the run.
+#: protocol, a change to the trace, keyword arguments for the run.
 GATE = {
     "verify": {"run": {"verify": True, "check_invariants_every": 0}},
     "invariant_stride": {"run": {"check_invariants_every": 50}},
@@ -104,7 +99,6 @@ GATE = {
     "faults": {
         "system": {"fault_plan": FaultPlan(drop_probability=0.1, seed=3)},
     },
-    "no_route_plans": {"built": _no_route_plans},
 }
 
 
@@ -125,8 +119,6 @@ class TestTheGate:
             **row.get("system", {}),
         )
         protocol = default_factories()[protocol_name](system)
-        if "built" in row:
-            row["built"](system)
         if "protocol" in row:
             row["protocol"](protocol)
         if forced_slow:

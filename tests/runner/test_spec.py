@@ -72,6 +72,58 @@ class TestWorkloadSpec:
         with pytest.raises(ConfigurationError, match=error):
             make_workload(kind=kind, tasks=tasks, **{field: value})
 
+    @pytest.mark.parametrize(
+        "kind, field, value, error",
+        [
+            ("random", "locality", 2.0, "locality must be in [0, 1], got 2.0"),
+            (
+                "random", "locality", -0.5,
+                "locality must be in [0, 1], got -0.5",
+            ),
+            ("random", "n_blocks", 0, "n_blocks must be positive, got 0"),
+            (
+                "shared-structure", "n_blocks", -1,
+                "n_blocks must be positive, got -1",
+            ),
+        ]
+        + [
+            (kind, "block_size_words", 0,
+             "block_size_words must be positive, got 0")
+            for kind in ("markov", "shared-structure", "random")
+        ],
+    )
+    def test_generator_arguments_refused_at_construction(
+        self, kind, field, value, error
+    ):
+        # The generator's own rule and text, raised before build().
+        from repro.workloads.markov import (
+            markov_block_trace,
+            shared_structure_trace,
+        )
+        from repro.workloads.synthetic import random_trace
+
+        tasks = () if kind == "random" else (0, 1, 2)
+        with pytest.raises(ConfigurationError) as refused:
+            make_workload(kind=kind, tasks=tasks, **{field: value})
+        assert str(refused.value) == error
+        generate = {
+            "markov": lambda **kw: markov_block_trace(
+                8, [0, 1, 2], 0.3, 100, **kw
+            ),
+            "shared-structure": lambda **kw: shared_structure_trace(
+                8, [0, 1, 2], 0.3, 100, **kw
+            ),
+            "random": lambda **kw: random_trace(8, 100, **kw),
+        }[kind]
+        with pytest.raises(ConfigurationError) as generated:
+            generate(**{field: value})
+        assert str(generated.value) == error
+
+    def test_markov_ignores_the_arguments_it_does_not_take(self):
+        # n_blocks and locality are not markov_block_trace arguments.
+        workload = make_workload(n_blocks=0, locality=2.0)
+        assert len(workload.build()) == workload.n_references
+
     def test_tasks_normalised_to_tuple(self):
         workload = make_workload(tasks=[0, 1])
         assert workload.tasks == (0, 1)

@@ -422,6 +422,48 @@ class TestValidation:
         assert "serve_invalid" in events
         assert "task_start" not in events
 
+    @pytest.mark.parametrize(
+        "workload, reason",
+        [
+            (
+                {"kind": "random", "locality": 2.0},
+                "locality must be in [0, 1], got 2.0",
+            ),
+            (
+                {"kind": "shared-structure", "n_blocks": 0},
+                "n_blocks must be positive, got 0",
+            ),
+            (
+                {"block_size_words": 0},
+                "block_size_words must be positive, got 0",
+            ),
+        ],
+        ids=["locality", "n_blocks", "block_size_words"],
+    )
+    def test_generator_argument_is_refused_before_queueing(
+        self, socket_path, workload, reason
+    ):
+        # Refused by the spec at construction, not by build() on a worker.
+        broken = make_spec().to_dict()
+        broken["workload"].update(workload)
+        with DaemonThread(ServeConfig(socket_path=socket_path)):
+            sock = socket_module.socket(
+                socket_module.AF_UNIX, socket_module.SOCK_STREAM
+            )
+            sock.settimeout(30)
+            sock.connect(socket_path)
+            with sock, sock.makefile("rwb") as stream:
+                write_frame_sync(
+                    stream, {"op": "submit", "cells": [broken]}
+                )
+                answer = read_frame_sync(stream)
+            status = ServeClient(socket_path).status()
+        assert answer["type"] == "error"
+        assert answer["error"] == f"cell 0: {reason}"
+        assert (answer["cell"], answer["reason"]) == (0, reason)
+        assert status["executed"] == {}
+        assert status["queue_depth"] == 0
+
     def test_unknown_op_answers_an_error_frame(self, socket_path):
         with DaemonThread(ServeConfig(socket_path=socket_path)):
             sock = socket_module.socket(

@@ -31,6 +31,11 @@ from repro.serve import (
     encode_frame,
     shard_for,
 )
+from repro.serve.protocol import (
+    read_frame_sync,
+    route_submit_cells,
+    write_frame_sync,
+)
 from repro.serve.router import ShardProcess
 from repro.sim.system import SystemConfig
 
@@ -321,6 +326,40 @@ class TestRouterEndToEnd:
             "accepted", "result", "result", "done",
         ]
         assert routed[1] == direct
+
+    def test_a_refused_cell_is_named_by_the_clients_index(self, tmp_path):
+        """Client cell 1 is invalid and lives on shard 1, beside a valid
+        cell on shard 0: the refusal names cell 1, as one daemon would,
+        not the shard-local cell 0."""
+
+        def placed(write_fraction, shard):
+            """The first cell of this write fraction that ``shard`` owns."""
+            for seed in range(64):
+                cell = make_spec(seed=seed).to_dict()
+                cell["workload"]["write_fraction"] = write_fraction
+                (cell_hash,) = route_submit_cells({"cells": [cell]})[2]
+                if shard_for(cell_hash, 2) == shard:
+                    return cell
+            raise AssertionError(f"no seed below 64 lands on {shard}")
+
+        valid, invalid = placed(0.3, shard=0), placed(1.5, shard=1)
+        socket_path = tmp_path / "router.sock"
+        config = RouterConfig(socket_path=socket_path, shards=2)
+        with RouterThread(config):
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.settimeout(60)
+                sock.connect(str(socket_path))
+                with sock.makefile("rwb") as stream:
+                    write_frame_sync(
+                        stream,
+                        {"op": "submit", "id": "r", "cells": [valid, invalid]},
+                    )
+                    answer = read_frame_sync(stream)
+        text = "write_fraction must be in [0, 1], got 1.5"
+        assert answer == {
+            "type": "error", "error": f"cell 1: {text}", "cell": 1,
+            "reason": text, "id": "r",
+        }
 
     def test_failed_start_leaves_no_shard_running(self, tmp_path):
         """The shards spawn, then the TCP port turns out to be taken:

@@ -507,9 +507,10 @@ def test_generator_forms_describe_identical_streams(name, n_nodes):
 
 def _replay(trace, n_nodes, *, verify, memoise=True):
     system = System(SystemConfig(n_nodes=n_nodes))
-    if not memoise:
-        system.network.route_plans = None  # walk every send cold
     protocol = default_factories()["two-mode"](system)
+    if not memoise:  # walk every send cold, one by one
+        system.network.route_plans = None
+        protocol.enable_message_log()
     return run_trace(
         protocol,
         trace,

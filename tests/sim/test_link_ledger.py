@@ -10,15 +10,18 @@ accounting (the window forced shut), and name the cases around the
 window's edges:
 
 * **something consumes individual sends** -- fault injector, recorder,
-  message log, no plan cache: the ledger stays shut and nothing changes;
+  message log: the ledger stays shut and nothing changes;
+* **no plan cache** (``route_plans = None``) memoises nothing and shuts
+  nothing: the window opens, the kernels batch, and every report and
+  array equals both the cached run and a per-send one;
 * **an exception mid-trace** settles what was posted: ledgers and arrays
   end as per-send accounting leaves them at the failing reference;
 * **``reset_traffic()`` inside a window** leaves the messages posted
   before it counted in ``Stats`` and absent from the links;
 * **a replay tier driven by hand** has accounted everything when it
   returns, as ``run_trace`` has: the kernel runs only inside a window,
-  which its driver opens and closes, and without a plan cache no window
-  opens and the slow loop sends one by one;
+  which its driver opens and closes, and where a watcher keeps the
+  window shut the slow loop sends one by one;
 * **the lazy walk**: a report needs no ``RoutePlan``; the first per-link
   read builds them, once;
 * **a posted unicast to a port outside the network** raises the per-send
@@ -49,7 +52,6 @@ from repro.network.multicast import (
     MulticastResult,
     MulticastScheme,
 )
-from repro.network.routing import unicast_plan
 from repro.network.topology import OmegaNetwork
 from repro.obs.heatmap import network_heatmaps
 from repro.obs.recorder import TraceRecorder
@@ -267,16 +269,42 @@ def test_a_settle_prices_each_multicast_and_no_unicast(
     assert system.network.total_bits == protocol.stats.total_bits > 0
 
 
-def test_no_window_without_a_plan_cache():
-    # The cold reference path walks switch by switch, send by send.
-    system = System(SystemConfig(n_nodes=8))
-    system.network.route_plans = None
-    protocol = default_factories()["full-map"](system)
-    protocol.open_window()
-    assert system.network._ledger is None and protocol._ledger is None
-    protocol.write(0, Address(5, 0), 1)
-    assert sum(system.network._link_bits) == protocol.stats.total_bits > 0
-    protocol.close_window()
+@pytest.mark.parametrize("workload", ["markov", "migratory"])
+@pytest.mark.parametrize("protocol_name", list(FACTORIES))
+def test_no_plan_cache_only_turns_off_memoising(protocol_name, workload):
+    # route_plans = None keeps the window and the kernels: pricing and
+    # the walk build what they need without memoising it.
+    def run(plan_cache, message_log=False):
+        system = System(SystemConfig(n_nodes=N_NODES))
+        if not plan_cache:
+            system.network.route_plans = None
+        protocol = FACTORIES[protocol_name](system)
+        if message_log:
+            protocol.enable_message_log()
+        windows = []
+        open_window = protocol.open_window
+
+        def spying_open_window():
+            windows.append(open_window())
+            return windows[-1]
+
+        protocol.open_window = spying_open_window
+        report = run_trace(
+            protocol, _trace(True, workload=workload), verify=False,
+            check_invariants_every=0,
+        )
+        assert windows == [not message_log]
+        kernel = protocol.batched_kernel()
+        batched = 0 if kernel is None else kernel.batched_refs
+        return batched, report.to_dict(), arrays(system.network)
+
+    batched, report, walked = run(plan_cache=False)
+    kernels = ("no-cache", "distributed-write", "global-read", "two-mode")
+    assert (batched > 0) is (protocol_name in kernels)
+    assert run(plan_cache=True) == (batched, report, walked)
+    forced, slow_report, slow_walked = run(False, message_log=True)
+    assert forced == 0
+    assert (slow_report, slow_walked) == (report, walked)
 
 
 def _consumers():
@@ -665,13 +693,15 @@ def test_hand_driven_replay_tiers_account_before_returning(
 ):
     # Driven by hand, the kernel runs inside a window its driver opens
     # and closes, as run_trace does, and the flush of its deferred hits
-    # lands there.  Where no window can open (no plan cache) the kernel
-    # cannot run: run_trace replays on the slow loop, send by send.
+    # lands there.  Where no window can open (the message log watches
+    # every send) the kernel cannot run: run_trace replays on the slow
+    # loop, send by send, each walked cold.
     def replay(plan_cache):
         system = System(SystemConfig(n_nodes=N_NODES))
+        protocol = default_factories()[protocol_name](system)
         if not plan_cache:
             system.network.route_plans = None
-        protocol = default_factories()[protocol_name](system)
+            protocol.enable_message_log()
         if tier == "kernel" and protocol.open_window():
             try:
                 protocol.batched_kernel().replay(_trace(True))
