@@ -288,14 +288,17 @@ def unicast_plan(
     """The (memoised) plan of one unicast: scheme 1 to ``{dest}``.
 
     Kept under its own ``("u", source, dest)`` key, not counted as a
-    walk, and cached only once both ports are validated.
+    walk, and cached only once both ports are validated.  A key not yet
+    cached is validated before the lookup counts its miss, so a refused
+    send counts none.
     """
     cache = network.route_plans
     key = ("u", source, dest)
-    plan = cache.get(key) if cache is not None else None
-    if plan is None:
+    if cache is None or key not in cache:
         network._check_port(source)
         network._check_port(dest)
+    plan = cache.get(key) if cache is not None else None
+    if plan is None:
         plan = _build_scheme1_plan(network, source, frozenset((dest,)))
         if cache is not None:
             cache.put(key, plan)
@@ -629,12 +632,17 @@ def _price_record(
     source: NodeId,
     dest_set: frozenset[NodeId],
 ) -> _PriceRecord:
-    """Fetch (or validate, price and cache) one multicast's record."""
+    """Fetch (or validate, price and cache) one multicast's record.
+
+    A key not yet cached is validated before the lookup counts its miss,
+    so a refused send counts none.
+    """
     cache = getattr(network, "route_plans", None)
     key = (scheme, source, dest_set)
+    if cache is None or key not in cache:
+        _validate(network, source, dest_set)
     record = cache.get(key) if cache is not None else None
     if record is None:
-        _validate(network, source, dest_set)
         record = _PriceRecord(network, dest_set)
         if cache is not None:
             cache.put(key, record)

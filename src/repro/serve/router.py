@@ -50,6 +50,7 @@ import signal
 import sys
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from repro.errors import ConfigurationError, FrameError, ServeError
@@ -523,8 +524,13 @@ class ServeRouter(Listener):
         # shard refuses, the whole submission refuses (all-or-nothing,
         # matching the daemon's own admission) and the accepted shards'
         # connections are dropped -- their work completes harmlessly
-        # into their caches.
+        # into their caches.  Of several refusals the one of the lowest
+        # client cell is answered, as one daemon names its first bad
+        # cell: a shard's refusal of its cell ``k`` by that cell's
+        # client index, any other by the shard's first client cell.
+        refusals = []
         for index, answer in zip(indices, answers):
+            cell = positions[index][0]
             if isinstance(answer, BaseException):
                 kind = "error"
                 refusal = {"type": kind, "error": str(answer)}
@@ -548,6 +554,9 @@ class ServeRouter(Listener):
                 else:
                     error = f"shard {index}: {first.get('error', first)}"
                     refusal = {"type": "error", "error": error}
+            refusals.append((cell, kind, refusal))
+        if refusals:
+            _, kind, refusal = min(refusals, key=itemgetter(0))
             if isinstance(refusal, dict):
                 refusal = wire.encode_frame({**refusal, "id": request_id})
             for owner, conn in shard_conns.items():

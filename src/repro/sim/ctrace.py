@@ -2,16 +2,22 @@
 
 Every workload generator returns a :class:`CompiledTrace`, the text
 format of :mod:`repro.sim.trace` reads into one, and
-:func:`repro.sim.engine.run_trace` replays one.  It stores the stream as
-five parallel ``array('q')`` columns::
+:func:`repro.sim.engine.run_trace` replays one.  A generated trace holds
+two ``array('q')`` columns, the folded key and the value written::
 
-    nodes[i] ops[i] blocks[i] offsets[i] values[i]
+    fold[i] = ((blocks[i] * n_nodes + nodes[i]) * 2 + ops[i])
+              * block_size_words + offsets[i]
+    values[i]
 
-with ``ops[i]`` equal to 1 for a write and 0 for a read, so the replay
-loops iterate the columns directly (C-speed ``zip`` over arrays, no
-NamedTuple construction).  Iterating or indexing a trace still yields
-:class:`~repro.types.Reference` items, for code that wants to look at
-one reference at a time.
+with ``ops[i]`` equal to 1 for a write and 0 for a read.  The kernel
+replays from those two alone.  ``nodes``, ``ops``, ``blocks`` and
+``offsets`` are views decoded from the fold on first use, once per root
+and shared by its slices; the slow loop decodes only the rows it
+replays.  A trace built from raw columns (the text codec,
+:class:`CompiledTraceBuilder`, the constructor) keeps the four as given
+and folds on first use instead.  Iterating or indexing a trace still
+yields :class:`~repro.types.Reference` items, for code that wants to look
+at one reference at a time.
 """
 
 from __future__ import annotations
@@ -59,32 +65,66 @@ def _last_rows(fold):
     return _frozen(values), _frozen([last[value] for value in values])
 
 
+class _Rows(dict):
+    """Folded value -> ``(node, op, block, offset)`` for one geometry,
+    each distinct value decoded on its first lookup and kept."""
+
+    __slots__ = ("_n_nodes", "_block_size")
+
+    def __init__(self, n_nodes: int, block_size: int) -> None:
+        self._n_nodes = n_nodes
+        self._block_size = block_size
+
+    def __missing__(self, folded: int) -> tuple:
+        key, offset = divmod(folded, self._block_size)
+        block, node = divmod(key >> 1, self._n_nodes)
+        row = self[folded] = (node, key & 1, block, offset)
+        return row
+
+
+def _column(ints):
+    """``ints`` as an ``array('q')``, or a list where one does not fit
+    int64 (block numbers near 2**63)."""
+    try:
+        return array("q", ints)
+    except OverflowError:
+        return list(ints)
+
+
 class CompiledTrace:
-    """A reference stream as five parallel ``array('q')`` columns.
+    """A reference stream as columns: the folded key and ``values``, or
+    the four raw columns and ``values``.
+
+    ``nodes``, ``ops``, ``blocks`` and ``offsets`` read the same either
+    way.  A trace handed over folded (:meth:`_from_fold`, every seeded
+    generator) decodes them from its fold on first use, once per root;
+    a trace built from raw columns keeps them as given and folds on first
+    use instead.  The replay tiers read neither more than they need: the
+    kernel reads the fold and ``values``, the slow loop a trace's own
+    rows (:meth:`_rows`).
 
     The columns are **immutable once the trace is constructed** (build a
     new trace instead).  Three facts rely on it, each established at most
-    once on the root and shared with every contiguous slice: the bounds
-    proof (:meth:`fits` -- the constructor validated, or the generator's
-    own checks bound every row, so a replay need not look at a row's
-    bounds again), the folded column (:meth:`folded`, handed over by the
-    generators for their declared geometry) and the statistics of the
+    once on the root and shared with every contiguous slice (a slice is a
+    window of its root's rows and copies none of them): the bounds proof
+    (:meth:`fits` -- the constructor validated, or the generator's own
+    checks bound every row, so a replay need not look at a row's bounds
+    again), the folded column (:meth:`folded`) and the statistics of the
     column's windows that a replay asked for (:meth:`_window` -- counted
     once per window, read by every cell that replays the trace).
     """
 
     __slots__ = (
-        "nodes",
-        "ops",
-        "blocks",
-        "offsets",
-        "values",
         "n_nodes",
         "block_size_words",
+        "_columns",
+        "_values",
+        "_length",
         "_proven",
         "_root",
         "_start",
         "_fold",
+        "_decoder",
         "_windows",
     )
 
@@ -100,26 +140,127 @@ class CompiledTrace:
         *,
         validate: bool = True,
     ) -> None:
-        self.nodes = nodes
-        self.ops = ops
-        self.blocks = blocks
-        self.offsets = offsets
-        self.values = values
+        self._init(
+            (nodes, ops, blocks, offsets), values, len(nodes),
+            n_nodes, block_size_words,
+        )
+        if validate:
+            self.validate()
+        #: Whether these rows (or a superset) are known to be in bounds.
+        self._proven = validate
+
+    def _init(self, columns, values, length, n_nodes, block_size_words):
         self.n_nodes = n_nodes
         self.block_size_words = block_size_words
+        #: ``(nodes, ops, blocks, offsets)`` as given, decoded or sliced
+        #: from the root's; ``None`` until first use on a folded trace.
+        self._columns = columns
+        #: ``None`` on a slice until first use.
+        self._values = values
+        self._length = length
+        self._proven = False
         #: The trace this one is a contiguous slice of, and where in it
         #: this one starts; ``None`` on a trace that is nobody's slice.
         self._root: CompiledTrace | None = None
         self._start = 0
         #: ``((n_nodes, block_size_words), column)``, on a root only.
         self._fold: tuple | None = None
+        #: The rows of ``_fold`` decoded so far, on a root without
+        #: columns only (:meth:`_rows`).
+        self._decoder: _Rows | None = None
         #: ``(start, stop, last)`` -> that window's statistics of the
         #: column in ``_fold``; emptied whenever ``_fold`` is rebuilt.
         self._windows: dict[tuple, tuple] = {}
-        if validate:
-            self.validate()
-        #: Whether these rows (or a superset) are known to be in bounds.
-        self._proven = validate
+
+    @classmethod
+    def _from_fold(
+        cls, fold, values, n_nodes: int, block_size_words: int, *,
+        proven: bool,
+    ) -> "CompiledTrace":
+        """A trace of its folded column for its declared geometry and its
+        ``values``: how every seeded generator hands its rows over.
+
+        ``proven``: its maker's checks bound every row, so :meth:`validate`
+        does not run (otherwise it runs, on the decoded columns).
+        """
+        trace = cls.__new__(cls)
+        trace._init(None, values, len(values), n_nodes, block_size_words)
+        trace._fold = ((n_nodes, block_size_words), fold)
+        if not proven:
+            trace.validate()
+        trace._proven = True
+        return trace
+
+    # ------------------------------------------------------------------
+    # The columns
+    # ------------------------------------------------------------------
+
+    @property
+    def nodes(self):
+        return self._decoded()[0]
+
+    @property
+    def ops(self):
+        return self._decoded()[1]
+
+    @property
+    def blocks(self):
+        return self._decoded()[2]
+
+    @property
+    def offsets(self):
+        return self._decoded()[3]
+
+    @property
+    def values(self):
+        values = self._values
+        if values is None:
+            start = self._start
+            values = self._root._values[start : start + self._length]
+            self._values = values
+        return values
+
+    def _decoded(self) -> tuple:
+        """``(nodes, ops, blocks, offsets)``: a folded root decodes all
+        its rows once; a slice slices its root's columns."""
+        columns = self._columns
+        if columns is None:
+            root = self._root
+            if root is None:
+                columns = tuple(map(_column, zip(*self._rows()))) or tuple(
+                    array("q") for _ in range(4)
+                )
+                self._decoder = None  # the columns answer from now on
+            else:
+                rows = slice(self._start, self._start + self._length)
+                columns = tuple(column[rows] for column in root._decoded())
+            self._columns = columns
+        return columns
+
+    def _rows(self) -> Iterator[tuple]:
+        """This trace's ``(node, op, block, offset)`` rows, in order.
+
+        Read from the columns where the root has them; otherwise looked
+        up row by row from this trace's own rows of the fold -- what the
+        slow loop reads, so a replay of a few rows decodes those rows
+        only.  Each distinct folded value is decoded once per root, into
+        a dict kept there for every slice and cell: one entry (≈ 150
+        bytes) per distinct value the slow loop met.
+        """
+        root = self._root or self
+        if root._columns is not None:
+            return zip(*self._decoded())
+        fold = root._fold[1]
+        if root is not self:
+            fold = fold[self._start : self._start + self._length]
+        return map(root._row_decoder().__getitem__, fold)
+
+    def _row_decoder(self) -> _Rows:
+        """The root's :class:`_Rows` for the geometry of its fold."""
+        decoder = self._decoder
+        if decoder is None:
+            decoder = self._decoder = _Rows(*self._fold[0])
+        return decoder
 
     # ------------------------------------------------------------------
     # Validation (the one contract: Trace.validate delegates here)
@@ -138,20 +279,14 @@ class CompiledTrace:
                 f"block_size_words must be positive, "
                 f"got {self.block_size_words}"
             )
+        nodes, ops, blocks, offsets = self._decoded()
         lengths = {
-            len(self.nodes),
-            len(self.ops),
-            len(self.blocks),
-            len(self.offsets),
-            len(self.values),
+            len(nodes), len(ops), len(blocks), len(offsets), len(self.values)
         }
         if len(lengths) != 1:
             raise TraceError(
                 f"ragged columns: lengths {sorted(lengths)} must agree"
             )
-        nodes, ops, blocks, offsets = (
-            self.nodes, self.ops, self.blocks, self.offsets
-        )
         n_nodes, block_size = self.n_nodes, self.block_size_words
         # min/max run at C speed; the row hunt only happens on failure,
         # and reports the earliest failing row, its fields in this order.
@@ -208,16 +343,17 @@ class CompiledTrace:
         block_size_words + offset`` per reference of the *root* trace --
         one integer that tells two references apart exactly when node,
         block, operation or word differ, given rows within the bounds of
-        such a system.  It is built on first use (unless the trace's maker
-        handed it over, see :meth:`_with_fold`), kept on the root and
-        shared by every contiguous slice (whose rows start at ``start``);
-        asking for another geometry rebuilds it and drops the statistics
-        of the old one's windows.
+        such a system.  A folded trace holds it for its declared geometry;
+        a trace of raw columns builds it on first use.  It is kept on the
+        root and shared by every contiguous slice (whose rows start at
+        ``start``); asking for another geometry rebuilds it from the
+        decoded columns and drops the statistics of the old one's windows.
         """
         root = self._root or self
         geometry = (n_nodes, block_size_words)
         if root._fold is None or root._fold[0] != geometry:
             root._fold = (geometry, root._build_fold(*geometry))
+            root._decoder = None
             root._windows = {}
         return root._fold[1], self._start
 
@@ -244,25 +380,11 @@ class CompiledTrace:
         root._windows[window] = kept
         return kept, True
 
-    @classmethod
-    def _with_fold(cls, *columns, fold, proven: bool) -> "CompiledTrace":
-        """A trace handed over with its fold for its declared geometry.
-
-        ``proven``: its maker's checks bound every row, so :meth:`validate`
-        does not run (otherwise the constructor validates as usual).
-        """
-        trace = cls(*columns, validate=not proven)
-        trace._proven = True
-        trace._fold = ((trace.n_nodes, trace.block_size_words), fold)
-        return trace
-
     def _build_fold(self, n_nodes: int, block_size_words: int):
         stride = 2 * block_size_words
         column = [
             (block * n_nodes + node) * stride + op * block_size_words + offset
-            for node, op, block, offset in zip(
-                self.nodes, self.ops, self.blocks, self.offsets
-            )
+            for node, op, block, offset in zip(*self._decoded())
         ]
         try:
             return array("q", column)
@@ -274,11 +396,11 @@ class CompiledTrace:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return self._length
 
     def __iter__(self) -> Iterator[Reference]:
-        for node, op, block, offset, value in zip(
-            self.nodes, self.ops, self.blocks, self.offsets, self.values
+        for (node, op, block, offset), value in zip(
+            self._rows(), self.values
         ):
             yield Reference(
                 node,
@@ -292,26 +414,37 @@ class CompiledTrace:
             start, stop, step = item.indices(len(self))
             if (start, stop, step) == (0, len(self), 1):
                 return self  # immutable, so the whole trace is its own slice
-            piece = CompiledTrace(
-                self.nodes[item],
-                self.ops[item],
-                self.blocks[item],
-                self.offsets[item],
-                self.values[item],
-                self.n_nodes,
-                self.block_size_words,
-                validate=False,
-            )
-            piece._proven = self._proven
-            if step == 1:
+            if step != 1:
+                piece = CompiledTrace(
+                    *(column[item] for column in self._decoded()),
+                    self.values[item],
+                    self.n_nodes,
+                    self.block_size_words,
+                    validate=False,
+                )
+            else:
+                piece = CompiledTrace.__new__(CompiledTrace)
+                piece._init(
+                    None, None, max(stop - start, 0),
+                    self.n_nodes, self.block_size_words,
+                )
                 piece._root = self._root or self
                 piece._start = self._start + start
+            piece._proven = self._proven
             return piece
+        index = range(len(self))[item]
+        root = self._root or self
+        at = self._start + index
+        if root._columns is None:
+            row = root._row_decoder()[root._fold[1][at]]
+        else:
+            row = [column[at] for column in root._columns]
+        node, op, block, offset = row
         return Reference(
-            self.nodes[item],
-            Op.WRITE if self.ops[item] else Op.READ,
-            Address(self.blocks[item], self.offsets[item]),
-            self.values[item],
+            node,
+            Op.WRITE if op else Op.READ,
+            Address(block, offset),
+            root._values[at],
         )
 
     def __eq__(self, other: object) -> bool:
@@ -320,19 +453,16 @@ class CompiledTrace:
         return (
             self.n_nodes == other.n_nodes
             and self.block_size_words == other.block_size_words
-            and self.nodes == other.nodes
-            and self.ops == other.ops
-            and self.blocks == other.blocks
-            and self.offsets == other.offsets
             and self.values == other.values
+            and self._decoded() == other._decoded()
         )
 
     @property
     def write_fraction(self) -> float:
         """Observed fraction of writes (the paper's ``w``)."""
-        if not self.ops:
+        if not len(self):
             return 0.0
-        return sum(self.ops) / len(self.ops)
+        return sum(self.ops) / len(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -458,8 +588,8 @@ class CompiledTraceBuilder:
             self._nodes, self._ops, self._blocks, self._offsets, self._values
         )
         fold = self._fold
-        self.__init__(self.n_nodes, self.block_size_words)
-        return CompiledTrace._with_fold(
-            *columns, self.n_nodes, self.block_size_words,
-            fold=fold, proven=False,
-        )
+        geometry = (self.n_nodes, self.block_size_words)
+        self.__init__(*geometry)
+        trace = CompiledTrace(*columns, *geometry)
+        trace._fold = (geometry, fold)
+        return trace

@@ -262,7 +262,7 @@ def _replay_columns(
     start: int = 0,
     shadow: dict | None = None,
 ) -> tuple[int, int]:
-    """The slow loop: one ``read``/``write`` per column row.
+    """The slow loop: one ``read``/``write`` per row.
 
     Taken whenever :func:`run_trace` does not engage the batched kernel:
     with verification, an invariant stride, the ledger window shut, a
@@ -270,18 +270,18 @@ def _replay_columns(
     not a compiled trace -- which is packed into columns first,
     unvalidated, so a bad row still raises here at its own index; a
     trace proven to fit (``trace.fits``) calls ``_read``/``_write``.
-    The kernel hands it the references it cannot batch, as a slice whose
-    first row is row ``start`` of the whole trace.  Returns ``(n_reads,
-    n_writes)``.
+    A compiled trace's rows are read through ``trace._rows()``, so a
+    folded one decodes only the rows replayed here.  The kernel hands it
+    the references it cannot batch, as a slice whose first row is row
+    ``start`` of the whole trace.  Returns ``(n_reads, n_writes)``.
     """
     n_nodes = protocol.system.n_nodes
     if isinstance(trace, CompiledTrace):
-        columns = (
-            trace.nodes, trace.ops, trace.blocks, trace.offsets, trace.values
-        )
+        rows, values = trace._rows(), trace.values
         proven = trace.fits(n_nodes, protocol.system.config.block_size_words)
     else:
-        columns, proven = _pack_columns(trace), False
+        *columns, values = _pack_columns(trace)
+        rows, proven = zip(*columns), False
     if proven:
         read, write = protocol._read, protocol._write
     else:
@@ -293,8 +293,8 @@ def _replay_columns(
 
     shadow = {} if shadow is None else shadow
     n_reads = n_writes = 0
-    for index, (node, op, block, offset, value) in enumerate(
-        zip(*columns), start
+    for index, ((node, op, block, offset), value) in enumerate(
+        zip(rows, values), start
     ):
         if not proven and not 0 <= node < n_nodes:
             raise TraceError(

@@ -49,30 +49,13 @@ def _check_fraction(value: float, name: str = "write_fraction") -> None:
         raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
 
 
-def _fold_column(low: int, high: int):
-    """An empty folded column for keys in ``[low, high)``: ``array('q')``
-    if they fit int64, else a list of exact ints (as ``_build_fold``)."""
-    return array("q") if -(1 << 63) <= low and high <= 1 << 63 else []
-
-
-def _emit(
-    nodes, ops, blocks, offsets, values, fold, proven,
-    n_nodes, block_size_words,
-) -> CompiledTrace:
-    """A seeded generator's columns as its trace.
-
-    The draw loop made ``values`` (1, 2, ... on the writes, 0 on the
-    reads) and ``fold`` (for the declared geometry); ``proven`` says its
-    argument checks bound every row, else (a negative block) they are
-    validated.
-    """
-    return CompiledTrace._with_fold(
-        *(
-            column if isinstance(column, array) else array("q", column)
-            for column in (nodes, ops, blocks, offsets)
-        ),
-        values, n_nodes, block_size_words, fold=fold, proven=proven,
-    )
+def _fold_column(low: int, high: int, length: int):
+    """A zeroed folded column of ``length`` rows for keys in ``[low,
+    high)``: ``array('q')`` if they fit int64, else a list of exact ints
+    (as ``_build_fold``)."""
+    if -(1 << 63) <= low and high <= 1 << 63:
+        return array("q", [0]) * length
+    return [0] * length
 
 
 def markov_block_trace(
@@ -114,31 +97,23 @@ def markov_block_trace(
     stride, row = 2 * block_size_words, 2 * block_size_words * n_nodes
     read_keys = [block * row + task * stride for task in tasks]
     write_key = block * row + chosen_writer * stride + block_size_words
-    fold = _fold_column(block * row, (block + 1) * row)
-    nodes, ops, offsets, values, written = [], [], [], array("q"), 0
-    for _ in range(n_references):
+    fold = _fold_column(block * row, (block + 1) * row, n_references)
+    values, written = array("q", [0]) * n_references, 0
+    for at in range(n_references):
         offset = getrandbits(offset_bits)
         while offset >= block_size_words:
             offset = getrandbits(offset_bits)
-        offsets.append(offset)
         if uniform() < write_fraction:
-            nodes.append(chosen_writer)
-            ops.append(1)
-            fold.append(write_key + offset)
+            fold[at] = write_key + offset
             written += 1
-            values.append(written)
+            values[at] = written
         else:
             reader = getrandbits(task_bits)
             while reader >= n_tasks:
                 reader = getrandbits(task_bits)
-            nodes.append(tasks[reader])
-            ops.append(0)
-            fold.append(read_keys[reader] + offset)
-            values.append(0)
-    blocks = array("q", [block]) * n_references
-    return _emit(
-        nodes, ops, blocks, offsets, values, fold, block >= 0,
-        n_nodes, block_size_words,
+            fold[at] = read_keys[reader] + offset
+    return CompiledTrace._from_fold(
+        fold, values, n_nodes, block_size_words, proven=block >= 0
     )
 
 
@@ -178,35 +153,27 @@ def shared_structure_trace(
     stride, row = 2 * block_size_words, 2 * block_size_words * n_nodes
     read_keys = [task * stride for task in tasks]
     write_keys = [key + block_size_words for key in read_keys]
-    fold = _fold_column(first_block * row, (first_block + n_blocks) * row)
-    nodes, ops, blocks, offsets, values = [], [], [], [], array("q")
-    written = 0
-    for _ in range(n_references):
+    fold = _fold_column(
+        first_block * row, (first_block + n_blocks) * row, n_references
+    )
+    values, written = array("q", [0]) * n_references, 0
+    for at in range(n_references):
         index = getrandbits(block_bits)
         while index >= n_blocks:
             index = getrandbits(block_bits)
-        block = first_block + index
-        blocks.append(block)
+        key = (first_block + index) * row
         offset = getrandbits(offset_bits)
         while offset >= block_size_words:
             offset = getrandbits(offset_bits)
-        offsets.append(offset)
         if uniform() < write_fraction:
-            writer = index % n_tasks
-            nodes.append(tasks[writer])
-            ops.append(1)
-            fold.append(block * row + write_keys[writer] + offset)
+            fold[at] = key + write_keys[index % n_tasks] + offset
             written += 1
-            values.append(written)
+            values[at] = written
         else:
             reader = getrandbits(task_bits)
             while reader >= n_tasks:
                 reader = getrandbits(task_bits)
-            nodes.append(tasks[reader])
-            ops.append(0)
-            fold.append(block * row + read_keys[reader] + offset)
-            values.append(0)
-    return _emit(
-        nodes, ops, blocks, offsets, values, fold, first_block >= 0,
-        n_nodes, block_size_words,
+            fold[at] = key + read_keys[reader] + offset
+    return CompiledTrace._from_fold(
+        fold, values, n_nodes, block_size_words, proven=first_block >= 0
     )

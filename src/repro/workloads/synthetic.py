@@ -18,7 +18,6 @@ from repro.types import NodeId
 from repro.workloads.markov import (
     _check_at_least,
     _check_fraction,
-    _emit,
     _fold_column,
 )
 
@@ -66,11 +65,10 @@ def random_trace(
     block_bits = n_blocks.bit_length()
     offset_bits = block_size_words.bit_length()
     stride = 2 * block_size_words
-    fold = _fold_column(0, n_blocks * n_nodes * stride)
+    fold = _fold_column(0, n_blocks * n_nodes * stride, n_references)
     last_block: dict[NodeId, int] = {}
-    nodes, ops, blocks, offsets, values = [], [], [], [], array("q")
-    written = 0
-    for _ in range(n_references):
+    values, written = array("q", [0]) * n_references, 0
+    for at in range(n_references):
         pick = getrandbits(node_bits)
         while pick >= n_chosen:
             pick = getrandbits(node_bits)
@@ -85,20 +83,13 @@ def random_trace(
         offset = getrandbits(offset_bits)
         while offset >= block_size_words:
             offset = getrandbits(offset_bits)
-        nodes.append(node)
-        blocks.append(block)
-        offsets.append(offset)
         key = (block * n_nodes + node) * stride + offset
         if uniform() < write_fraction:
-            ops.append(1)
-            fold.append(key + block_size_words)
+            fold[at] = key + block_size_words
             written += 1
-            values.append(written)
+            values[at] = written
         else:
-            ops.append(0)
-            fold.append(key)
-            values.append(0)
-    return _emit(
-        nodes, ops, blocks, offsets, values, fold, True,
-        n_nodes, block_size_words,
+            fold[at] = key
+    return CompiledTrace._from_fold(
+        fold, values, n_nodes, block_size_words, proven=True
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MulticastError
 from repro.network import cost
 from repro.network.message import Message
 from repro.network.multicast import (
@@ -166,3 +166,28 @@ class TestPortContract:
         if cached:
             assert len(net.route_plans) == 0  # nothing invalid was kept
         call(net, 2, 3)  # a valid pair still goes through
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["empty", "warm"])
+    @pytest.mark.parametrize(
+        "entry", [*ONE_DESTINATION_ENTRIES, "send_payload"]
+    )
+    def test_a_refused_send_counts_no_plan_lookup(self, entry, warm):
+        # Validated before the lookup: a refused send is no miss (bench
+        # reads each miss as a plan build), on an empty cache and on one
+        # that already holds the valid sends of the same source.
+        call = {
+            **ONE_DESTINATION_ENTRIES,
+            "send_payload": lambda net, source, dest: Multicaster(
+                net
+            ).send_payload(source, 20, [1, dest, 5]),
+        }[entry]
+        net = OmegaNetwork(8)
+        if warm:
+            for _ in range(2):
+                call(net, 2, 3)
+        before = net.route_plans.stats()
+        for source, dest in ((2, 99), (-1, 3), (2, 99)):
+            with pytest.raises((ConfigurationError, MulticastError)):
+                call(net, source, dest)
+        assert net.route_plans.stats() == before
+        assert before["misses"] == (1 if warm else 0)

@@ -361,6 +361,44 @@ class TestRouterEndToEnd:
             "reason": text, "id": "r",
         }
 
+    def test_of_two_refusing_shards_the_lowest_client_cell_is_named(
+        self, tmp_path
+    ):
+        """Client cell 0 is invalid on shard 1 and client cell 1 on shard
+        0: the answer names cell 0, as one daemon names its first bad
+        cell, not the refusal of the lower shard."""
+
+        def placed(shard):
+            """An invalid cell that ``shard`` owns."""
+            for seed in range(64):
+                cell = make_spec(seed=seed).to_dict()
+                cell["workload"]["write_fraction"] = 1.5
+                (cell_hash,) = route_submit_cells({"cells": [cell]})[2]
+                if shard_for(cell_hash, 2) == shard:
+                    return cell
+            raise AssertionError(f"no seed below 64 lands on {shard}")
+
+        socket_path = tmp_path / "router.sock"
+        config = RouterConfig(socket_path=socket_path, shards=2)
+        with RouterThread(config):
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.settimeout(60)
+                sock.connect(str(socket_path))
+                with sock.makefile("rwb") as stream:
+                    write_frame_sync(
+                        stream,
+                        {
+                            "op": "submit", "id": "r",
+                            "cells": [placed(shard=1), placed(shard=0)],
+                        },
+                    )
+                    answer = read_frame_sync(stream)
+        text = "write_fraction must be in [0, 1], got 1.5"
+        assert answer == {
+            "type": "error", "error": f"cell 0: {text}", "cell": 0,
+            "reason": text, "id": "r",
+        }
+
     def test_failed_start_leaves_no_shard_running(self, tmp_path):
         """The shards spawn, then the TCP port turns out to be taken:
         every shard is terminated and no socket is left on disk."""

@@ -91,6 +91,21 @@ def _workloads(n_nodes):
     }
 
 
+@pytest.mark.parametrize(
+    "block_size", [1, 2, 3, 4, 6, 128, 256, 1 << 20, 1 << 40]
+)
+def test_ops_read_off_a_fold_are_its_definition(block_size):
+    # The kernel picks each row's op out of the fold's bytes for a
+    # power-of-two block size, and divides otherwise (or on a list fold).
+    rng = random.Random(block_size)
+    fold = array("q", (rng.randrange(1 << 62) for _ in range(500)))
+    expected = [value // block_size & 1 for value in fold]
+    for column in (fold, fold[7:300], list(fold)):
+        assert list(kernel_module._ops(column, block_size)) == (
+            expected[7:300] if len(column) == 293 else expected
+        )
+
+
 class TestEquivalence:
     @pytest.mark.parametrize(
         "default_mode",

@@ -166,6 +166,33 @@ class TestThreeWayEquivalence:
         assert fold_builds == [(len(make()), n_nodes, 4)]
 
     @POLICIES
+    @pytest.mark.parametrize("block_size_words", [3, 6, 256])
+    @pytest.mark.parametrize(
+        "generator", [markov_block_trace, shared_structure_trace]
+    )
+    def test_ops_read_off_the_fold_at_any_block_size(
+        self, generator, block_size_words, policy_cls
+    ):
+        # The policy's ops come off the folded rows: one bit of each
+        # int64 for a power-of-two block size (in the second byte at
+        # 256), arithmetic otherwise; one block per chunk, or several.
+        n_nodes = 16
+        write_fraction = 0.3 if generator is markov_block_trace else 0.05
+        protocol = _three_ways(
+            lambda: generator(
+                n_nodes, list(range(6)), write_fraction, 4000,
+                block_size_words=block_size_words, seed=2,
+            ),
+            lambda: policy_cls(32),
+            n_nodes,
+            block_size_words=block_size_words,
+            cache_entries=64,
+        )
+        kernel = protocol.batched_kernel()
+        assert kernel.batched_refs > 2000
+        assert kernel.fallback_reasons["policy_switch"] > 0
+
+    @POLICIES
     def test_the_kernel_does_the_work(self, policy_cls):
         # A long single-block trace with a handful of switches: nearly
         # everything must run batched, and each switch must show up as

@@ -149,3 +149,20 @@ def test_generation_peaks_near_its_own_columns():
         _handed_over(trace),
     )
     assert peak <= 1.6 * sum(map(sys.getsizeof, columns))
+
+
+def test_generation_peaks_near_its_fold_and_values():
+    # A seeded generator stores only the fold and values columns, each
+    # allocated at its final length before the draw loop fills it; the
+    # four decoded views are not built (measured 1.00x).
+    tracemalloc.start()
+    try:
+        trace = markov_block_trace(
+            1024, list(range(0, 1024, 16)), 0.3, 100_000, seed=1989,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace._columns is None
+    columns = (trace.values, _handed_over(trace))
+    assert peak <= 1.6 * sum(map(sys.getsizeof, columns))
