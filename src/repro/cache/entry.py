@@ -15,7 +15,7 @@ from repro.errors import ProtocolError
 from repro.types import BlockId, NodeId
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     """One line of a cache's tag/state/data table.
 

@@ -101,7 +101,19 @@ _OWNED = frozenset(
 )
 
 
-@dataclass
+# Bound once: on Python 3.11 every ``Mode.X`` / ``CacheState.X`` read is
+# an ``EnumType.__getattr__`` call (≈ 0.1 µs; a module global ≈ 0.01 µs).
+DISTRIBUTED_WRITE = Mode.DISTRIBUTED_WRITE
+GLOBAL_READ = Mode.GLOBAL_READ
+INVALID = CacheState.INVALID
+UNOWNED = CacheState.UNOWNED
+OWNED_EXCLUSIVE_DW = CacheState.OWNED_EXCLUSIVE_DW
+OWNED_EXCLUSIVE_GR = CacheState.OWNED_EXCLUSIVE_GR
+OWNED_NONEXCLUSIVE_DW = CacheState.OWNED_NONEXCLUSIVE_DW
+OWNED_NONEXCLUSIVE_GR = CacheState.OWNED_NONEXCLUSIVE_GR
+
+
+@dataclass(slots=True)
 class StateField:
     """The per-entry state field of §2.1.
 
@@ -132,18 +144,14 @@ class StateField:
     @property
     def mode(self) -> Mode:
         """Operating mode encoded by the DW bit."""
-        return (
-            Mode.DISTRIBUTED_WRITE
-            if self.distributed_write
-            else Mode.GLOBAL_READ
-        )
+        return DISTRIBUTED_WRITE if self.distributed_write else GLOBAL_READ
 
     def state(self, cache_id: NodeId) -> CacheState:
         """Derive the Table 1 state of this entry as seen by ``cache_id``."""
         if not self.valid:
-            return CacheState.INVALID
+            return INVALID
         if not self.owned:
-            return CacheState.UNOWNED
+            return UNOWNED
         if cache_id not in self.present:
             raise ProtocolError(
                 f"owner {cache_id} missing from its own present vector "
@@ -151,16 +159,8 @@ class StateField:
             )
         exclusive = self.present == {cache_id}
         if self.distributed_write:
-            return (
-                CacheState.OWNED_EXCLUSIVE_DW
-                if exclusive
-                else CacheState.OWNED_NONEXCLUSIVE_DW
-            )
-        return (
-            CacheState.OWNED_EXCLUSIVE_GR
-            if exclusive
-            else CacheState.OWNED_NONEXCLUSIVE_GR
-        )
+            return OWNED_EXCLUSIVE_DW if exclusive else OWNED_NONEXCLUSIVE_DW
+        return OWNED_EXCLUSIVE_GR if exclusive else OWNED_NONEXCLUSIVE_GR
 
     def others(self, cache_id: NodeId) -> frozenset[NodeId]:
         """Present-flagged caches other than ``cache_id``."""

@@ -28,10 +28,10 @@ Two classes:
   and is only called when something reads a result's ``.loads``.  Each
   send gets its own :class:`~repro.network.multicast.MulticastResult`,
   which builds its loads once, on first read.
-* :class:`RoutePlanCache` -- a :class:`~repro.lru.BoundedLRU` of plans
-  and of the price records multicasts are priced from before any plan
-  exists.  Each :class:`~repro.network.topology.OmegaNetwork` instance
-  owns one, so plans
+* :class:`RoutePlanCache` -- a :class:`~repro.lru.BoundedLRU` of
+  unicast plans and of one entry per multicast, which holds the plans
+  walked for it.  Each :class:`~repro.network.topology.OmegaNetwork`
+  instance owns one, so plans
   can never leak across topologies: a different network (or port count)
   starts from an empty cache, and :meth:`OmegaNetwork.reset_traffic` zeroes
   counters while leaving the plans -- they describe wiring, not traffic.
@@ -164,14 +164,16 @@ class RoutePlanCache(BoundedLRU):
     """A bounded LRU of :class:`RoutePlan` values keyed by route identity.
 
     Keys are ``(scheme tag, source, frozen destination set)`` tuples.  The
-    value under a multicast key is that destination set's price record
-    (closed-form loads by level first, each plan only once something
-    walks it), so a send is one lookup and one entry under every scheme.
+    value under a multicast key is its entry: one shared, empty entry
+    until something walks it, then its own (eq. 8's totals under the
+    combined scheme and the plans built so far; a price itself is
+    recomputed by closed form), so a send is one lookup and one entry
+    under every scheme.
     The cache itself is owned by one network instance, so topology is
     implied by ownership and plans can never be replayed against a
     network with different wiring.  ``hits`` / ``misses`` make the cache
     observable (``bench/`` reports the hit share); ``walks`` counts the
-    plans built from a price record.
+    plans built from an entry.
     """
 
     __slots__ = ("walks",)

@@ -46,7 +46,7 @@ sent but *posted*: the ledger counts each distinct ``(kind, source,
 dests, payload)``.  Settling -- at the close, or before any read through
 the accessors below -- prices the ledger by closed form: a unicast
 crosses every level whatever its ports, so unicasts are priced once per
-``(kind, payload)``, a multicast by its record
+``(kind, payload)``, a multicast by one call per distinct message
 (:func:`~repro.network.multicast.message_levels`).  The bits reach the
 window's ``account`` sink once per kind and the network's per-level
 totals, which is all ``total_bits``, ``bits_by_level()`` and
@@ -71,8 +71,8 @@ path"), also around the window's edges
 from __future__ import annotations
 
 from array import array
-from operator import itemgetter
-from typing import NamedTuple
+from operator import add, itemgetter
+from typing import NamedTuple, Sequence
 
 from repro.errors import ConfigurationError
 from repro.network.link import Link
@@ -377,8 +377,10 @@ class OmegaNetwork:
 
         A unicast crosses all ``m + 1`` levels whatever its ports, so
         unicasts are priced once per ``(kind, payload)``, a multicast by
-        its record.  Nothing is accounted until all of it is priced and
-        every unicast's ports are checked.
+        one :func:`~repro.network.multicast.message_levels` call, and
+        its links are summed per ``(kind, payload, tags)`` and turned
+        into bits once per group.  Nothing is accounted until all of it
+        is priced and every port is checked.
         """
         ledger = self._ledger
         if not ledger:
@@ -392,8 +394,8 @@ class OmegaNetwork:
         # leaves in ``Stats``.
         spent = dict.fromkeys(map(itemgetter(0), ledger), 0)
         sent = dict.fromkeys(spent, 0)
-        levels = [0] * (self.n_stages + 1)
-        hops = 0
+        # Multicast links by level, summed per (kind, payload, tags).
+        multicasts: dict[tuple, Sequence[int]] = {}
         unicasts: dict[tuple, int] = {}
         for (kind, source, dest, bits), count in ledger.items():
             if type(dest) is not int:
@@ -401,14 +403,15 @@ class OmegaNetwork:
                     links, tags = message_levels(
                         self, scheme, source, dest, bits
                     )
-                    cost = 0
-                    for level, (n_links, tag) in enumerate(zip(links, tags)):
-                        on_level = n_links * (bits + tag) * count
-                        levels[level] += on_level
-                        cost += on_level
-                    spent[kind] += cost
+                    if count != 1:
+                        links = [n_links * count for n_links in links]
+                    group = (kind, bits, tags)
+                    summed = multicasts.get(group)
+                    multicasts[group] = (
+                        links if summed is None
+                        else list(map(add, summed, links))
+                    )
                     sent[kind] += count
-                    hops += sum(links) * count
                     continue
                 (dest,) = dest
             if not (0 <= source < n_ports and 0 <= dest < n_ports):
@@ -416,6 +419,15 @@ class OmegaNetwork:
                 self._check_port(dest)
             group = (kind, bits)
             unicasts[group] = unicasts.get(group, 0) + count
+        levels = [0] * (self.n_stages + 1)
+        hops = 0
+        for (kind, bits, tags), links in multicasts.items():
+            on_level = [
+                n_links * (bits + tag) for n_links, tag in zip(links, tags)
+            ]
+            levels = list(map(add, levels, on_level))
+            spent[kind] += sum(on_level)
+            hops += sum(links)
         tags = level_tags(self.n_stages)[0]
         payload = messages = 0
         for (kind, bits), count in unicasts.items():

@@ -36,6 +36,10 @@ from repro.sim.stats import Stats
 from repro.sim.system import System
 from repro.types import Address, BlockId, NodeId
 
+# Bound once: on Python 3.11 every ``MsgKind.X`` read is an
+# ``EnumType.__getattr__`` call (≈ 0.1 µs; a module global ≈ 0.01 µs).
+ACK = MsgKind.ACK
+
 
 class LoggedMessage(NamedTuple):
     """One protocol message as seen by the (optional) message log.
@@ -102,6 +106,10 @@ class CoherenceProtocol(abc.ABC):
         #: The network's message ledger while this protocol posts instead
         #: of sending (:meth:`open_window`), else ``None``.
         self._ledger: dict[tuple, int] | None = None
+        # The system's parts, bound once for the per-reference paths.
+        self._caches = system.caches
+        self._memories = system.memories
+        self._n_nodes = system.n_nodes
         # Hot message sizes, computed once; each is a pure function of
         # the (immutable) system configuration.
         costs = system.costs
@@ -359,7 +367,7 @@ class CoherenceProtocol(abc.ABC):
                     missed.append(dest)
                 else:
                     self._account(
-                        MsgKind.ACK, dest, ack_bits,
+                        ACK, dest, ack_bits,
                         multicaster.send_payload_one(dest, ack_bits, source),
                     )
             if not missed:

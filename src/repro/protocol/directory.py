@@ -35,6 +35,16 @@ from repro.protocol.messages import MsgKind
 from repro.sim import stats as ev
 from repro.types import BlockId, NodeId
 
+# Bound once: on Python 3.11 every ``MsgKind.X`` read is an
+# ``EnumType.__getattr__`` call (≈ 0.1 µs; a module global ≈ 0.01 µs).
+BLOCK_REPLY = MsgKind.BLOCK_REPLY
+DIR_INVALIDATE = MsgKind.DIR_INVALIDATE
+DIR_RECALL = MsgKind.DIR_RECALL
+LOAD_REQ = MsgKind.LOAD_REQ
+OWN_REQ = MsgKind.OWN_REQ
+REPLACE_NOTIFY = MsgKind.REPLACE_NOTIFY
+WRITEBACK = MsgKind.WRITEBACK
+
 
 class _DirectoryEntry:
     """One block's entry at its home module."""
@@ -59,9 +69,6 @@ class DirectoryProtocol(CoherenceProtocol):
     def __init__(self, system) -> None:
         super().__init__(system)
         self._directory: dict[BlockId, _DirectoryEntry] = {}
-        self._caches = system.caches
-        self._memories = system.memories
-        self._n_nodes = system.n_nodes
 
     def _dir(self, block: BlockId) -> _DirectoryEntry:
         entry = self._directory.get(block)
@@ -117,7 +124,7 @@ class DirectoryProtocol(CoherenceProtocol):
         Asks the home for exclusivity; returns the copy's M bit once the
         write is done (Dirty).
         """
-        self._send(MsgKind.OWN_REQ, node, home, self._cost_request)
+        self._send(OWN_REQ, node, home, self._cost_request)
         return True
 
     def _add_sharer(self, directory: _DirectoryEntry, node: NodeId) -> None:
@@ -138,7 +145,7 @@ class DirectoryProtocol(CoherenceProtocol):
         """
         memory = self._memories[home]
         directory = self._dir(block)
-        self._send(MsgKind.LOAD_REQ, node, home, self._cost_request)
+        self._send(LOAD_REQ, node, home, self._cost_request)
         holder = directory.holder
         if holder is not None:
             held = self._caches[holder].find(block)
@@ -147,13 +154,13 @@ class DirectoryProtocol(CoherenceProtocol):
                     f"{self._error_prefix}directory says cache {holder} "
                     f"holds block {block} dirty, but it has no entry"
                 )
-            self._send(MsgKind.DIR_RECALL, home, holder, self._cost_request)
-            self._send(MsgKind.WRITEBACK, holder, home, self._cost_block)
+            self._send(DIR_RECALL, home, holder, self._cost_request)
+            self._send(WRITEBACK, holder, home, self._cost_block)
             self.stats.events[ev.WRITEBACKS] += 1
             memory.write_block(block, held.data)
             held.state_field.owned = held.state_field.modified = False
             directory.holder = None
-        self._send(MsgKind.BLOCK_REPLY, home, node, self._cost_block)
+        self._send(BLOCK_REPLY, home, node, self._cost_block)
         if entry is None:
             slot = cache.slot_for(block)
             if slot.needs_eviction(block):
@@ -179,7 +186,7 @@ class DirectoryProtocol(CoherenceProtocol):
             targets = frozenset(directory.sharers - {node})
         if targets:
             self._multicast(
-                MsgKind.DIR_INVALIDATE, home, targets, self._cost_request
+                DIR_INVALIDATE, home, targets, self._cost_request
             )
             invalidated = 0
             for other in targets:
@@ -203,13 +210,13 @@ class DirectoryProtocol(CoherenceProtocol):
         if field.valid:
             home = block % self._n_nodes
             if field.modified:
-                self._send(MsgKind.WRITEBACK, node, home, self._cost_block)
+                self._send(WRITEBACK, node, home, self._cost_block)
                 self.stats.events[ev.WRITEBACKS] += 1
                 self._memories[home].write_block(block, entry.data)
             else:
                 # Valid or Reserved: memory is current, just tell the home.
                 self._send(
-                    MsgKind.REPLACE_NOTIFY, node, home, self._cost_request
+                    REPLACE_NOTIFY, node, home, self._cost_request
                 )
             if directory.holder == node:
                 directory.holder = None

@@ -36,7 +36,6 @@ unspecified, are documented inline:
 
 from __future__ import annotations
 
-from repro.cache.cache import Cache
 from repro.cache.entry import CacheEntry
 from repro.cache.state import CacheState, Mode, StateField
 from repro.errors import (
@@ -53,6 +52,34 @@ from repro.sim import stats as ev
 from repro.sim.kernel import BatchedKernel
 from repro.sim.system import System
 from repro.types import BlockId, NodeId, Op
+
+# Bound once: on Python 3.11 every ``Mode.X`` / ``MsgKind.X`` / ``Op.X``
+# read is an ``EnumType.__getattr__`` call (≈ 0.1 µs; a module global
+# ≈ 0.01 µs).
+DISTRIBUTED_WRITE = Mode.DISTRIBUTED_WRITE
+GLOBAL_READ = Mode.GLOBAL_READ
+ACK = MsgKind.ACK
+BLOCK_REPLY = MsgKind.BLOCK_REPLY
+DATA_STATE_XFER = MsgKind.DATA_STATE_XFER
+INVALIDATE = MsgKind.INVALIDATE
+LOAD_DIRECT = MsgKind.LOAD_DIRECT
+LOAD_FWD = MsgKind.LOAD_FWD
+LOAD_REQ = MsgKind.LOAD_REQ
+MEM_READ = MsgKind.MEM_READ
+MEM_WRITE = MsgKind.MEM_WRITE
+NAK = MsgKind.NAK
+OWNER_UPDATE = MsgKind.OWNER_UPDATE
+OWN_FWD = MsgKind.OWN_FWD
+OWN_REQ = MsgKind.OWN_REQ
+PRESENT_CLEAR = MsgKind.PRESENT_CLEAR
+REPLACE_NOTIFY = MsgKind.REPLACE_NOTIFY
+STATE_XFER = MsgKind.STATE_XFER
+WORD_REPLY = MsgKind.WORD_REPLY
+WRITEBACK = MsgKind.WRITEBACK
+WRITE_UPDATE = MsgKind.WRITE_UPDATE
+XFER_OFFER = MsgKind.XFER_OFFER
+READ = Op.READ
+WRITE = Op.WRITE
 
 
 class StenstromProtocol(CoherenceProtocol):
@@ -79,12 +106,21 @@ class StenstromProtocol(CoherenceProtocol):
         self,
         system: System,
         *,
-        default_mode: Mode = Mode.GLOBAL_READ,
+        default_mode: Mode = GLOBAL_READ,
         mode_policy: ModePolicy | None = None,
     ) -> None:
         super().__init__(system)
         self.default_mode = default_mode
         self.mode_policy = mode_policy
+        # The ownership transfer's message sizes, computed once as the
+        # base class computes the others.
+        costs = system.costs
+        n_nodes = system.n_nodes
+        self._cost_state = costs.state_field(n_nodes)
+        self._cost_block_state = costs.block_and_state(
+            system.config.block_size_words, n_nodes
+        )
+        self._cost_owner_id = costs.owner_id(n_nodes)
         #: Blocks degraded to memory-direct service after a dead route
         #: made their owner (or a sharer) unreachable.  Only ever grows;
         #: empty for the lifetime of a fault-free system.
@@ -95,22 +131,18 @@ class StenstromProtocol(CoherenceProtocol):
     # Small accessors
     # ------------------------------------------------------------------
 
-    def _cache(self, node: NodeId) -> Cache:
-        return self.system.caches[node]
-
-    def _block_words(self) -> int:
-        return self.system.config.block_size_words
-
     def _owner_of(self, block: BlockId) -> NodeId | None:
-        return self.system.memory_for(block).block_store.owner_of(block)
+        return self._memories[block % self._n_nodes].block_store.owner_of(
+            block
+        )
 
     def _classify_miss(self, block: BlockId) -> None:
         """Cold (no cached copy anywhere) vs coherence miss accounting."""
-        self.stats.count(
+        self.stats.events[
             ev.COLD_MISSES
             if self._owner_of(block) is None
             else ev.COHERENCE_MISSES
-        )
+        ] += 1
 
     # ------------------------------------------------------------------
     # Stable-state fast path
@@ -138,7 +170,7 @@ class StenstromProtocol(CoherenceProtocol):
     def _read(self, node: NodeId, block: BlockId, offset: int) -> int:
         """§2.2 items 1 and 2: a read hit, or a read miss served via the
         home module (2a/2b) or the invalid placeholder's OWNER field."""
-        self.stats.count(ev.READS)
+        self.stats.events[ev.READS] += 1
         if self.system.fault_injector is None:
             return self._read_body(node, block, offset)
         return self._with_recovery(
@@ -149,18 +181,18 @@ class StenstromProtocol(CoherenceProtocol):
         if block in self._uncacheable:
             return self._memory_direct_read(node, block, offset)
         self._active_block = block
-        entry = self._cache(node)._lookup(block)
+        entry = self._caches[node]._lookup(block)
         if entry is not None and entry.state_field.valid:
-            self.stats.count(ev.READ_HITS)
+            self.stats.events[ev.READ_HITS] += 1
             value = entry.read_word(offset)
         else:
-            self.stats.count(ev.READ_MISSES)
+            self.stats.events[ev.READ_MISSES] += 1
             self._classify_miss(block)
             if entry is not None:
                 value = self._read_miss_direct(node, block, offset, entry)
             else:
                 value = self._read_miss_via_memory(node, block, offset)
-        self._consult_mode_policy(node, block, Op.READ)
+        self._consult_mode_policy(node, block, READ)
         return value
 
     def _write(
@@ -168,7 +200,7 @@ class StenstromProtocol(CoherenceProtocol):
     ) -> None:
         """§2.2 items 3 and 4: a write hit at the owner (3a-c) or on an
         UnOwned copy (3d), or a write miss loading with ownership (4)."""
-        self.stats.count(ev.WRITES)
+        self.stats.events[ev.WRITES] += 1
         if self.system.fault_injector is None:
             self._write_body(node, block, offset, value)
         else:
@@ -183,19 +215,19 @@ class StenstromProtocol(CoherenceProtocol):
             self._memory_direct_write(node, block, offset, value)
             return
         self._active_block = block
-        entry = self._cache(node)._lookup(block)
+        entry = self._caches[node]._lookup(block)
         if entry is not None and entry.state_field.valid:
-            self.stats.count(ev.WRITE_HITS)
+            self.stats.events[ev.WRITE_HITS] += 1
             if not entry.state_field.owned:
                 # Write hit on an UnOwned copy: acquire ownership (3d).
                 self._acquire_ownership(node, block, entry)
         else:
-            self.stats.count(ev.WRITE_MISSES)
+            self.stats.events[ev.WRITE_MISSES] += 1
             self._classify_miss(block)
             # Load with ownership (4a/4b).
             entry = self._acquire_ownership(node, block)
         self._perform_owner_write(node, entry, offset, value)
-        self._consult_mode_policy(node, block, Op.WRITE)
+        self._consult_mode_policy(node, block, WRITE)
 
     # ------------------------------------------------------------------
     # Graceful degradation under dead routes (fault injection only)
@@ -319,13 +351,13 @@ class StenstromProtocol(CoherenceProtocol):
                 and entry.state_field.modified
             ):
                 self._send_unguarded(
-                    MsgKind.WRITEBACK,
+                    WRITEBACK,
                     cache.node_id,
                     home,
                     self._cost_block,
                 )
                 memory.write_block(block, list(entry.data))
-                self.stats.count(ev.WRITEBACKS)
+                self.stats.events[ev.WRITEBACKS] += 1
                 break
         for cache in system.caches:
             if cache.find(block) is not None:
@@ -349,12 +381,12 @@ class StenstromProtocol(CoherenceProtocol):
     ) -> int:
         """Serve a degraded block like the no-cache baseline would."""
         home = self.home(block)
-        self.stats.count(ev.FAULT_DIRECT_READS)
+        self.stats.events[ev.FAULT_DIRECT_READS] += 1
         if self.recorder is not None:
             self.recorder.fault(ev.FAULT_DIRECT_READS, node, block=block)
-        self._send_unguarded(MsgKind.MEM_READ, node, home, self._cost_request)
+        self._send_unguarded(MEM_READ, node, home, self._cost_request)
         self._send_unguarded(
-            MsgKind.WORD_REPLY, home, node, self._cost_word
+            WORD_REPLY, home, node, self._cost_word
         )
         return self.system.memory_for(block).read_word(block, offset)
 
@@ -362,11 +394,11 @@ class StenstromProtocol(CoherenceProtocol):
         self, node: NodeId, block: BlockId, offset: int, value: int
     ) -> None:
         home = self.home(block)
-        self.stats.count(ev.FAULT_DIRECT_WRITES)
+        self.stats.events[ev.FAULT_DIRECT_WRITES] += 1
         if self.recorder is not None:
             self.recorder.fault(ev.FAULT_DIRECT_WRITES, node, block=block)
         self._send_unguarded(
-            MsgKind.MEM_WRITE, node, home, self._cost_word
+            MEM_WRITE, node, home, self._cost_word
         )
         self.system.memory_for(block).write_word(block, offset, value)
 
@@ -398,8 +430,8 @@ class StenstromProtocol(CoherenceProtocol):
         self._active_block = block
         entry = self._ensure_owner(node, block)
         field = entry.state_field
-        if mode is Mode.DISTRIBUTED_WRITE and not field.distributed_write:
-            self.stats.count(ev.MODE_SWITCHES)
+        if mode is DISTRIBUTED_WRITE and not field.distributed_write:
+            self.stats.events[ev.MODE_SWITCHES] += 1
             self.fastpath_epoch += 1
             if self.recorder is not None:
                 self.recorder.mode_switch(block, node, "distributed-write")
@@ -408,22 +440,22 @@ class StenstromProtocol(CoherenceProtocol):
             # docstring).  They re-register on their next read miss.
             field.present = {node}
             field.distributed_write = True
-        elif mode is Mode.GLOBAL_READ and field.distributed_write:
-            self.stats.count(ev.MODE_SWITCHES)
+        elif mode is GLOBAL_READ and field.distributed_write:
+            self.stats.events[ev.MODE_SWITCHES] += 1
             self.fastpath_epoch += 1
             if self.recorder is not None:
                 self.recorder.mode_switch(block, node, "global-read")
             copies = field.others(node)
             if copies:
                 self._multicast(
-                    MsgKind.INVALIDATE,
+                    INVALIDATE,
                     node,
                     copies,
                     self._cost_request,
                 )
-                self.stats.count(ev.INVALIDATIONS, len(copies))
+                self.stats.events[ev.INVALIDATIONS] += len(copies)
                 for other in copies:
-                    other_entry = self._cache(other).find(block)
+                    other_entry = self._caches[other].find(block)
                     if other_entry is None:
                         raise ProtocolError(
                             f"present vector of block {block} names cache "
@@ -440,7 +472,7 @@ class StenstromProtocol(CoherenceProtocol):
         owner = self._owner_of(block)
         if owner is None:
             return None
-        entry = self._cache(owner).find(block)
+        entry = self._caches[owner].find(block)
         if entry is None:
             return None
         return entry.state_field.mode
@@ -453,14 +485,14 @@ class StenstromProtocol(CoherenceProtocol):
         self, node: NodeId, block: BlockId, offset: int
     ) -> int:
         """Read miss, copy nonexistent: request the home module (2a/2b)."""
-        home = self.home(block)
-        self._send(MsgKind.LOAD_REQ, node, home, self._cost_request)
-        owner = self._owner_of(block)
+        home = block % self._n_nodes
+        self._send(LOAD_REQ, node, home, self._cost_request)
+        owner = self._memories[home].block_store.owner_of(block)
         if owner is None:
             # 2(a): no cached copy anywhere.
             return self._exclusive_load(node, block).read_word(offset)
         # 2(b): forward to the owner, which serves per its mode.
-        self._send(MsgKind.LOAD_FWD, home, owner, self._cost_request)
+        self._send(LOAD_FWD, home, owner, self._cost_request)
         return self._serve_read_at_owner(node, block, offset, owner)
 
     def _read_miss_direct(
@@ -481,10 +513,10 @@ class StenstromProtocol(CoherenceProtocol):
                 f"invalid placeholder for block {block} at cache {node} "
                 f"has no OWNER field"
             )
-        self._send(MsgKind.LOAD_DIRECT, node, target, self._cost_request)
+        self._send(LOAD_DIRECT, node, target, self._cost_request)
         # Steady state: the placeholder's OWNER field points straight at
         # the current owner, so no chain bookkeeping is needed.
-        entry = self._cache(target).find(block)
+        entry = self._caches[target].find(block)
         if (
             entry is not None
             and entry.state_field.valid
@@ -500,14 +532,14 @@ class StenstromProtocol(CoherenceProtocol):
             )
             if next_hop is None or next_hop in visited:
                 # Dead end: answer with a NAK and retry through memory.
-                self._send(MsgKind.NAK, target, node, self._cost_ack)
+                self._send(NAK, target, node, self._cost_ack)
                 return self._read_miss_via_memory(node, block, offset)
             self._send(
-                MsgKind.LOAD_FWD, target, next_hop, self._cost_request
+                LOAD_FWD, target, next_hop, self._cost_request
             )
             target = next_hop
             visited.add(target)
-            entry = self._cache(target).find(block)
+            entry = self._caches[target].find(block)
             if (
                 entry is not None
                 and entry.state_field.valid
@@ -531,7 +563,7 @@ class StenstromProtocol(CoherenceProtocol):
         owner's entry (the direct-load path); ``None`` looks it up here.
         """
         if owner_entry is None:
-            owner_entry = self._cache(owner).find(block)
+            owner_entry = self._caches[owner].find(block)
         if owner_entry is None or not owner_entry.state_field.owned:
             raise ProtocolError(
                 f"cache {owner} asked to serve block {block} it does not own"
@@ -542,7 +574,7 @@ class StenstromProtocol(CoherenceProtocol):
             self.present_epoch += 1
         if owner_field.distributed_write:
             # 2(b)i: ship a whole copy; requester becomes UnOwned.
-            self._send(MsgKind.BLOCK_REPLY, owner, node, self._cost_block)
+            self._send(BLOCK_REPLY, owner, node, self._cost_block)
             entry = self._reuse_or_allocate(node, block)
             entry.data = list(owner_entry.data)
             entry.state_field = StateField(
@@ -551,8 +583,8 @@ class StenstromProtocol(CoherenceProtocol):
             return entry.read_word(offset)
         # 2(b)ii: global read -- only the datum and the owner id travel;
         # the requester keeps (or creates) an invalid placeholder.
-        self.stats.count(ev.GLOBAL_READS)
-        self._send(MsgKind.WORD_REPLY, owner, node, self._cost_word_owner)
+        self.stats.events[ev.GLOBAL_READS] += 1
+        self._send(WORD_REPLY, owner, node, self._cost_word_owner)
         entry = self._reuse_or_allocate(node, block)
         entry.state_field = StateField(valid=False, owner=owner)
         return owner_entry.read_word(offset)
@@ -560,17 +592,16 @@ class StenstromProtocol(CoherenceProtocol):
     def _exclusive_load(self, node: NodeId, block: BlockId) -> CacheEntry:
         """2(a)/4(a): no cached copy anywhere; load the block from memory
         and own it exclusively in the default mode."""
-        memory = self.system.memory_for(block)
-        self._send(
-            MsgKind.BLOCK_REPLY, self.home(block), node, self._cost_block
-        )
+        home = block % self._n_nodes
+        memory = self._memories[home]
+        self._send(BLOCK_REPLY, home, node, self._cost_block)
         entry = self._reuse_or_allocate(node, block)
         entry.data = memory._read_block(block)
         entry.state_field = StateField(
             valid=True,
             owned=True,
             modified=False,
-            distributed_write=self.default_mode is Mode.DISTRIBUTED_WRITE,
+            distributed_write=self.default_mode is DISTRIBUTED_WRITE,
             present={node},
             owner=node,
         )
@@ -592,23 +623,26 @@ class StenstromProtocol(CoherenceProtocol):
             )
         entry.write_word(offset, value)
         field.modified = True
+        if not field.distributed_write:
+            return
         copies = field.others(node)
-        if field.distributed_write and copies:
+        if copies:
             # 3(b): distribute the write to every cache with a copy.
-            self._multicast(
-                MsgKind.WRITE_UPDATE, node, copies, self._cost_word
-            )
-            self.stats.count(ev.WRITE_UPDATES)
+            self._multicast(WRITE_UPDATE, node, copies, self._cost_word)
+            self.stats.events[ev.WRITE_UPDATES] += 1
             block = entry.tag
             assert block is not None
+            caches = self._caches
             for other in copies:
-                other_entry = self._cache(other).find(block)
+                other_entry = caches[other].find(block)
                 if other_entry is None or not other_entry.state_field.valid:
                     raise ProtocolError(
                         f"present vector of block {block} names cache "
                         f"{other}, which holds no valid copy"
                     )
-                other_entry.write_word(offset, value)
+                # A valid copy holds the whole block, like the owner's
+                # entry, which has just checked the offset.
+                other_entry.data[offset] = value
 
     def _acquire_ownership(
         self, node: NodeId, block: BlockId, entry: CacheEntry | None = None
@@ -629,16 +663,16 @@ class StenstromProtocol(CoherenceProtocol):
         and in GR mode the old owner repoints the placeholders at the new
         owner and keeps a placeholder itself (3(d)ii, 4(b), 5(b) in GR).
         """
-        home = self.home(block)
-        costs = self.system.costs
-        self._send(MsgKind.OWN_REQ, node, home, self._cost_request)
-        old_owner = self._owner_of(block)
+        home = block % self._n_nodes
+        block_store = self._memories[home].block_store
+        self._send(OWN_REQ, node, home, self._cost_request)
+        old_owner = block_store.owner_of(block)
         if old_owner is None:
             if entry is None:
                 # 4(a): no cached copy anywhere.
                 return self._exclusive_load(node, block)
             raise ProtocolError(f"block {block} has no recorded owner")
-        old_entry = self._cache(old_owner).find(block)
+        old_entry = self._caches[old_owner].find(block)
         if old_entry is None or not old_entry.state_field.owned:
             raise ProtocolError(
                 f"block store says cache {old_owner} owns block {block}, "
@@ -649,46 +683,38 @@ class StenstromProtocol(CoherenceProtocol):
                 f"cache {node} requested ownership of block {block} "
                 f"it already owns"
             )
-        self._send(MsgKind.OWN_FWD, home, old_owner, self._cost_request)
-        self.system.memory_for(block).block_store.set_owner(block, node)
-        self.stats.count(ev.OWNERSHIP_TRANSFERS)
+        self._send(OWN_FWD, home, old_owner, self._cost_request)
+        block_store.set_owner(block, node)
+        self.stats.events[ev.OWNERSHIP_TRANSFERS] += 1
         self.fastpath_epoch += 1
         if self.recorder is not None:
             self.recorder.ownership_transfer(block, old_owner, node)
 
+        # The old owner's field is replaced below, never mutated again:
+        # what it holds after this add is the state field that moves.
         old_field = old_entry.state_field
-        old_field.present.add(node)
-        transferred = old_field.copy()
-        n_nodes = self.system.n_nodes
-        if (
-            old_field.distributed_write
-            and entry is not None
-            and entry.state_field.valid
-        ):
+        present = old_field.present
+        present.add(node)
+        distributed_write = old_field.distributed_write
+        if distributed_write and entry is not None and entry.state_field.valid:
             data = None
-            kind, bits = MsgKind.STATE_XFER, costs.state_field(n_nodes)
+            kind, bits = STATE_XFER, self._cost_state
         else:
             data = list(old_entry.data)
-            kind = MsgKind.DATA_STATE_XFER
-            bits = costs.block_and_state(self._block_words(), n_nodes)
+            kind, bits = DATA_STATE_XFER, self._cost_block_state
         self._send(kind, old_owner, node, bits)
-        if old_field.distributed_write:
+        if distributed_write:
             old_entry.state_field = StateField(
                 valid=True, owned=False, owner=node
             )
         else:
-            placeholders = frozenset(
-                transferred.present - {old_owner, node}
-            )
+            placeholders = frozenset(present - {old_owner, node})
             if placeholders:
                 self._multicast(
-                    MsgKind.OWNER_UPDATE,
-                    old_owner,
-                    placeholders,
-                    costs.owner_id(n_nodes),
+                    OWNER_UPDATE, old_owner, placeholders, self._cost_owner_id
                 )
                 for other in placeholders:
-                    other_entry = self._cache(other).find(block)
+                    other_entry = self._caches[other].find(block)
                     if other_entry is not None:
                         other_entry.state_field.owner = node
             old_entry.state_field = StateField(valid=False, owner=node)
@@ -699,16 +725,16 @@ class StenstromProtocol(CoherenceProtocol):
         entry.state_field = StateField(
             valid=True,
             owned=True,
-            modified=transferred.modified,
-            distributed_write=transferred.distributed_write,
-            present=set(transferred.present),
+            modified=old_field.modified,
+            distributed_write=distributed_write,
+            present=set(present),
             owner=node,
         )
         return entry
 
     def _ensure_owner(self, node: NodeId, block: BlockId) -> CacheEntry:
         """Make ``node`` the owner of ``block`` (for ``set_mode``)."""
-        entry = self._cache(node).find(block)
+        entry = self._caches[node].find(block)
         if entry is None or not entry.state_field.valid:
             return self._acquire_ownership(node, block)
         if entry.state_field.owned:
@@ -721,7 +747,7 @@ class StenstromProtocol(CoherenceProtocol):
 
     def _allocate(self, node: NodeId, block: BlockId) -> CacheEntry:
         """Two-phase allocation: replace the victim, then claim the slot."""
-        cache = self._cache(node)
+        cache = self._caches[node]
         slot = cache.slot_for(block)
         if slot.needs_eviction(block):
             self._replace_entry(node, slot.entry)
@@ -738,7 +764,7 @@ class StenstromProtocol(CoherenceProtocol):
         (``install`` touches the slot, and so does this), and every
         caller overwrites ``state_field`` before the entry is next seen.
         """
-        cache = self._cache(node)
+        cache = self._caches[node]
         entry = cache.find(block)
         if entry is not None:
             cache.touch(block)
@@ -757,7 +783,7 @@ class StenstromProtocol(CoherenceProtocol):
         retiring the entry degrades the block -- which purges the entry
         everywhere, completing the eviction by a harder road.
         """
-        if self._cache(node).find(block) is None:
+        if self._caches[node].find(block) is None:
             raise ProtocolError(
                 f"cache {node} has no entry for block {block} to evict"
             )
@@ -769,16 +795,16 @@ class StenstromProtocol(CoherenceProtocol):
     def _evict_body(self, node: NodeId, block: BlockId) -> None:
         # Found afresh on each attempt: a recovery that degraded this
         # block purged the entry, and that completes the eviction.
-        entry = self._cache(node).find(block)
+        entry = self._caches[node].find(block)
         if entry is not None:
             self._replace_entry(node, entry)
-            self._cache(node).drop(block)
+            self._caches[node].drop(block)
 
     def _replace_entry(self, node: NodeId, entry: CacheEntry) -> None:
         """§2.2 item 5, dispatched on the victim's state."""
         block = entry.tag
         assert block is not None
-        self.stats.count(ev.REPLACEMENTS)
+        self.stats.events[ev.REPLACEMENTS] += 1
         self.fastpath_epoch += 1
         # A dead route hit while retiring the victim must degrade the
         # *victim's* block, not the block being allocated for.
@@ -801,14 +827,14 @@ class StenstromProtocol(CoherenceProtocol):
     def _replace_unowned(self, node: NodeId, block: BlockId) -> None:
         """5(c): tell the owner, via the home module, to clear our P flag."""
         home = self.home(block)
-        self._send(MsgKind.REPLACE_NOTIFY, node, home, self._cost_request)
+        self._send(REPLACE_NOTIFY, node, home, self._cost_request)
         owner = self._owner_of(block)
         if owner is None:
             # The placeholder outlived every copy (possible after mode
             # switches); nothing to clear.
             return
-        self._send(MsgKind.PRESENT_CLEAR, home, owner, self._cost_request)
-        owner_entry = self._cache(owner).find(block)
+        self._send(PRESENT_CLEAR, home, owner, self._cost_request)
+        owner_entry = self._caches[owner].find(block)
         if owner_entry is not None and node in owner_entry.state_field.present:
             owner_entry.state_field.present.discard(node)
             self.present_epoch += 1
@@ -828,15 +854,15 @@ class StenstromProtocol(CoherenceProtocol):
         memory = self.system.memory_for(block)
         if entry.state_field.modified:
             self._send(
-                MsgKind.WRITEBACK,
+                WRITEBACK,
                 node,
                 home,
                 self._cost_block,
             )
             memory.write_block(block, entry.data)
-            self.stats.count(ev.WRITEBACKS)
+            self.stats.events[ev.WRITEBACKS] += 1
         else:
-            self._send(MsgKind.REPLACE_NOTIFY, node, home, self._cost_request)
+            self._send(REPLACE_NOTIFY, node, home, self._cost_request)
         memory.block_store.clear(block)
 
     def _replace_nonexclusive_owner(
@@ -846,13 +872,13 @@ class StenstromProtocol(CoherenceProtocol):
         block = entry.tag
         assert block is not None
         for candidate in sorted(entry.state_field.others(node)):
-            self._send(MsgKind.XFER_OFFER, node, candidate, self._cost_request)
-            candidate_entry = self._cache(candidate).find(block)
+            self._send(XFER_OFFER, node, candidate, self._cost_request)
+            candidate_entry = self._caches[candidate].find(block)
             if candidate_entry is None:
                 # Candidate replaced its copy in the meantime: NAK.
-                self._send(MsgKind.NAK, candidate, node, self._cost_ack)
+                self._send(NAK, candidate, node, self._cost_ack)
                 continue
-            self._send(MsgKind.ACK, candidate, node, self._cost_ack)
+            self._send(ACK, candidate, node, self._cost_ack)
             # "It requests the ownership according to the protocol": the
             # candidate acquires ownership through the home module, after
             # which our entry is UnOwned (DW) or an invalid placeholder
@@ -883,14 +909,14 @@ class StenstromProtocol(CoherenceProtocol):
         owner = self._owner_of(block)
         if owner is None:
             return
-        owner_entry = self._cache(owner).find(block)
+        owner_entry = self._caches[owner].find(block)
         if owner_entry is None:
             return
         owner_field = owner_entry.state_field
         mode = owner_field.mode
         n_sharers = len(owner_field.present)
         owner_visible = (
-            node == owner or op is Op.WRITE or mode is Mode.GLOBAL_READ
+            node == owner or op is WRITE or mode is GLOBAL_READ
         )
         self.mode_policy.observe(
             block,

@@ -38,6 +38,10 @@ from repro.protocol.directory import DirectoryProtocol
 from repro.protocol.messages import MsgKind
 from repro.types import BlockId, NodeId
 
+# Bound once: on Python 3.11 every ``MsgKind.X`` read is an
+# ``EnumType.__getattr__`` call (≈ 0.1 µs; a module global ≈ 0.01 µs).
+DIR_WRITE_THROUGH = MsgKind.DIR_WRITE_THROUGH
+
 
 class WriteOnceState(enum.Enum):
     """Goodman's four block states."""
@@ -79,7 +83,7 @@ class WriteOnceProtocol(DirectoryProtocol):
 
     def _upgrade(self, node, block, offset, value, home) -> bool:
         """The "write once": write through to memory; the copy is Reserved."""
-        self._send(MsgKind.DIR_WRITE_THROUGH, node, home, self._cost_word)
+        self._send(DIR_WRITE_THROUGH, node, home, self._cost_word)
         self._memories[home].write_word(block, offset, value)
         return False
 

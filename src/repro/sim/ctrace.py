@@ -25,6 +25,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from itertools import chain, zip_longest
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import TraceError
@@ -82,13 +83,13 @@ class _Rows(dict):
         return row
 
 
-def _column(ints):
-    """``ints`` as an ``array('q')``, or a list where one does not fit
-    int64 (block numbers near 2**63)."""
+def _column(rows: list[tuple], field: int):
+    """Field ``field`` of ``rows`` as an ``array('q')``, or a list where
+    one does not fit int64 (block numbers near 2**63)."""
     try:
-        return array("q", ints)
+        return array("q", map(itemgetter(field), rows))
     except OverflowError:
-        return list(ints)
+        return list(map(itemgetter(field), rows))
 
 
 class CompiledTrace:
@@ -227,9 +228,10 @@ class CompiledTrace:
         if columns is None:
             root = self._root
             if root is None:
-                columns = tuple(map(_column, zip(*self._rows()))) or tuple(
-                    array("q") for _ in range(4)
-                )
+                # One pass through the decoder, then a C-level map per
+                # view: cheaper than transposing the rows with zip().
+                rows = list(self._rows())
+                columns = tuple(_column(rows, field) for field in range(4))
                 self._decoder = None  # the columns answer from now on
             else:
                 rows = slice(self._start, self._start + self._length)

@@ -181,7 +181,7 @@ class TestCombinedAccounting:
         stats = network.route_plans.stats()
         assert (stats["plans"], stats["hits"], stats["misses"]) == (1, 9, 1)
         assert stats["hit_rate"] == 0.9
-        # One plan was built from the price record, at the first send.
+        # One plan was built from the key's entry, at the first send.
         assert stats["walks"] == 1
 
     def test_record_key_is_scheme_source_destset(self):

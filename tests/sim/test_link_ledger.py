@@ -42,12 +42,14 @@ from repro.analysis.compare import default_factories
 from repro.errors import (
     CoherenceError,
     ConfigurationError,
+    MulticastError,
     TransientNetworkError,
 )
 from repro.faults.plan import FaultPlan
 from repro.network.contention import link_load_profile
 from repro.network.link import LinkLoad
 from repro.network.multicast import (
+    _PRICED,
     Multicaster,
     MulticastResult,
     MulticastScheme,
@@ -234,6 +236,22 @@ def test_an_out_of_range_unicast_raises_before_anything_is_priced(
     assert totals(system.network) == (0, [0] * 4, 0)
 
 
+def test_a_refused_multicast_raises_at_the_settle_and_counts_no_lookup():
+    # The settle checks a multicast's ports before its plan-cache lookup,
+    # so a refused destination set counts neither a hit nor a miss.
+    system = System(SystemConfig(n_nodes=8))
+    protocol = default_factories()["full-map"](system)
+    cache = system.network.route_plans
+    before = cache.stats()
+    protocol.open_window()
+    protocol._post(MsgKind.DIR_INVALIDATE, 0, frozenset({3, 99}), 10, 1)
+    refused = r"^destination 99 outside 0\.\.7$"
+    with pytest.raises(MulticastError, match=refused):
+        protocol.close_window()
+    assert system.network._ledger is None
+    assert cache.stats() == before
+
+
 @pytest.mark.parametrize("protocol_name", ["full-map", "two-mode"])
 def test_a_settle_prices_each_multicast_and_no_unicast(
     protocol_name, monkeypatch
@@ -267,6 +285,59 @@ def test_a_settle_prices_each_multicast_and_no_unicast(
     protocol.close_window()
     assert priced == multicasts
     assert system.network.total_bits == protocol.stats.total_bits > 0
+
+
+#: ``route_plan_stats()`` after one windowed replay of this module's
+#: traces: what bench's ``network.plan_builds`` / ``plan_hit_share`` read.
+PLAN_STATS = {
+    ("markov", "two-mode"): (3, 1, 3),
+    ("markov", "full-map"): (4, 0, 4),
+    ("migratory", "two-mode"): (139, 0, 139),
+    ("migratory", "full-map"): (93, 0, 93),
+}
+
+
+@pytest.mark.parametrize("workload, protocol_name", list(PLAN_STATS))
+def test_the_plan_cache_keeps_what_the_probes_read(
+    workload, protocol_name, monkeypatch
+):
+    # bench's probes read route_plan_stats() and harvest destination
+    # sets from the cache's (scheme, source, frozenset) keys: each
+    # distinct multicast a settle prices leaves exactly one such key.
+    system = System(SystemConfig(n_nodes=N_NODES))
+    protocol = FACTORIES[protocol_name](system)
+    module = importlib.import_module("repro.network.multicast")
+    message_levels = module.message_levels
+    priced = []
+
+    def counted(network, scheme, source, dests, bits):
+        priced.append((source, dests))
+        return message_levels(network, scheme, source, dests, bits)
+
+    monkeypatch.setattr(module, "message_levels", counted)
+    run_trace(
+        protocol, _trace(True, workload=workload), verify=False,
+        check_invariants_every=0,
+    )
+    plans, hits, misses = PLAN_STATS[workload, protocol_name]
+    assert system.route_plan_stats() == {
+        "plans": plans,
+        "maxsize": 4096,
+        "hits": hits,
+        "misses": misses,
+        "walks": 0,
+        "hit_rate": hits / (hits + misses),
+    }
+    scheme = system.config.multicast_scheme
+    keys = list(system.network.route_plans.keys())
+    assert all(
+        key[0] is scheme and type(key[2]) is frozenset for key in keys
+    )
+    distinct = {
+        (scheme, source, dests) for source, dests in priced if len(dests) > 1
+    }
+    assert len(keys) == len(distinct) == plans
+    assert set(keys) == distinct
 
 
 @pytest.mark.parametrize("workload", ["markov", "migratory"])
@@ -384,7 +455,7 @@ class TestLazyWalk:
         assert sum(report.network_bits_by_level) == report.network_total_bits
         assert system.route_plan_stats()["walks"] == 0
         records = [cache.get(key) for key in list(cache.keys())]
-        # Only price records, keyed as bench's probes harvest them.
+        # Only unwalked entries, keyed as bench's probes harvest them.
         assert records and all(
             record.plans == [None, None, None] for record in records
         )
@@ -408,6 +479,21 @@ class TestLazyWalk:
         window_shut()
         shut_system, _ = self._cell()
         assert arrays(shut_system.network) == walked
+
+    def test_a_walk_gives_its_key_an_entry_of_its_own(self):
+        # Every key a settle priced shares one never-written entry: were a
+        # walk to store its plan there, that plan would answer for every
+        # other destination set, in every network.
+        system, _ = self._cell()
+        cache = system.network.route_plans
+        priced = {key: cache.get(key) for key in list(cache.keys())}
+        assert set(map(id, priced.values())) == {id(_PRICED)}
+        arrays(system.network)
+        entries = [cache.get(key) for key in priced]
+        assert system.route_plan_stats()["walks"] >= len(entries) > 0
+        assert not any(entry is _PRICED for entry in entries)
+        assert all(any(entry.plans) for entry in entries)
+        assert _PRICED.plans == [None, None, None]
 
     def test_the_load_profile_and_the_recorder_gauge_see_the_walk(self):
         system = System(SystemConfig(n_nodes=N_NODES))
