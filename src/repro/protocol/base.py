@@ -446,8 +446,8 @@ class CoherenceProtocol(abc.ABC):
         engine's slow loop.  The base class returns ``None`` and the
         engine replays every reference on the slow loop.  Whether a
         kernel runs at all is :func:`~repro.sim.engine.run_trace`'s
-        decision alone: only inside an open window, on a trace proven to
-        fit, with every per-reference check off.
+        decision alone: only inside an open window, on an input that was
+        a compiled trace, with every per-reference check off.
         """
         return None
 

@@ -81,8 +81,8 @@ class NoCacheKernel:
         self.batched_refs = 0
 
     def replay(self, trace) -> tuple[int, int]:
-        """Replay every row of a compiled trace proven to fit the system
-        (``trace.fits``); returns ``(n_reads, n_writes)``."""
+        """Replay every row of a compiled trace valid for the system
+        (``run_trace`` validated it); returns ``(n_reads, n_writes)``."""
         protocol = self._protocol()
         system = protocol.system
         n_nodes = system.n_nodes

@@ -111,7 +111,7 @@ def _run_cell(spec: ExperimentSpec, trace=None, recorder=None):
 
     def replay(rows, **checks):
         # compiled=False hands the rows over as a plain iterable, which
-        # run_trace replays on its checked slow loop, never the kernel.
+        # run_trace compiles and replays on its slow loop, never the kernel.
         return run_trace(
             protocol, rows if spec.compiled else iter(rows), **checks
         )

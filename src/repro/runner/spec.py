@@ -252,8 +252,8 @@ class ExperimentSpec:
     :meth:`WorkloadSpec.build`'s trace on: where eligible, the
     protocol's batched kernel (the default), or with ``compiled=False``
     never -- the rows are handed over as a plain iterable, which
-    :func:`~repro.sim.engine.run_trace` replays on its checked slow
-    loop.  The two replays are bit-identical (docs/PERF.md), so the
+    :func:`~repro.sim.engine.run_trace` compiles and replays on its
+    slow loop.  The two replays are bit-identical (docs/PERF.md), so the
     knob cannot change a report; like ``fault_plan`` it is serialised
     only in its non-default state, which keeps every existing spec
     hash -- and therefore every cache key and committed exhibit --

@@ -104,15 +104,20 @@ class CompiledTrace:
     kernel reads the fold and ``values``, the slow loop a trace's own
     rows (:meth:`_rows`).
 
+    Every trace is **valid for its declared geometry**: the constructor
+    validates (:meth:`validate`), and so does :meth:`_from_fold` unless
+    its maker's own checks bound every row.  A slice holds rows of a
+    valid trace, so it is valid too and is not checked again.  So a
+    system at least as large as the declared geometry (:meth:`fits`) can
+    replay every row without looking at its bounds.
+
     The columns are **immutable once the trace is constructed** (build a
-    new trace instead).  Three facts rely on it, each established at most
+    new trace instead).  Two facts rely on it, each established at most
     once on the root and shared with every contiguous slice (a slice is a
-    window of its root's rows and copies none of them): the bounds proof
-    (:meth:`fits` -- the constructor validated, or the generator's own
-    checks bound every row, so a replay need not look at a row's bounds
-    again), the folded column (:meth:`folded`) and the statistics of the
-    column's windows that a replay asked for (:meth:`_window` -- counted
-    once per window, read by every cell that replays the trace).
+    window of its root's rows and copies none of them): the folded column
+    (:meth:`folded`) and the statistics of the column's windows that a
+    replay asked for (:meth:`_window` -- counted once per window, read by
+    every cell that replays the trace).
     """
 
     __slots__ = (
@@ -121,7 +126,6 @@ class CompiledTrace:
         "_columns",
         "_values",
         "_length",
-        "_proven",
         "_root",
         "_start",
         "_fold",
@@ -138,17 +142,12 @@ class CompiledTrace:
         values: array,
         n_nodes: int,
         block_size_words: int,
-        *,
-        validate: bool = True,
     ) -> None:
         self._init(
             (nodes, ops, blocks, offsets), values, len(nodes),
             n_nodes, block_size_words,
         )
-        if validate:
-            self.validate()
-        #: Whether these rows (or a superset) are known to be in bounds.
-        self._proven = validate
+        self.validate()
 
     def _init(self, columns, values, length, n_nodes, block_size_words):
         self.n_nodes = n_nodes
@@ -159,7 +158,6 @@ class CompiledTrace:
         #: ``None`` on a slice until first use.
         self._values = values
         self._length = length
-        self._proven = False
         #: The trace this one is a contiguous slice of, and where in it
         #: this one starts; ``None`` on a trace that is nobody's slice.
         self._root: CompiledTrace | None = None
@@ -189,7 +187,6 @@ class CompiledTrace:
         trace._fold = ((n_nodes, block_size_words), fold)
         if not proven:
             trace.validate()
-        trace._proven = True
         return trace
 
     # ------------------------------------------------------------------
@@ -325,16 +322,10 @@ class CompiledTrace:
                     )
 
     def fits(self, n_nodes: int, block_size_words: int) -> bool:
-        """Whether every row is already proven to fit such a system.
-
-        True when the constructor validated and the system is at least
-        as large as the declared geometry; a ``validate=False`` trace, or
-        a smaller system, has to be checked row by row by whoever
-        replays it.
-        """
+        """Whether such a system is at least as large as the declared
+        geometry, so every row (valid for that geometry) fits it."""
         return (
-            self._proven
-            and self.n_nodes <= n_nodes
+            self.n_nodes <= n_nodes
             and self.block_size_words <= block_size_words
         )
 
@@ -416,23 +407,22 @@ class CompiledTrace:
             start, stop, step = item.indices(len(self))
             if (start, stop, step) == (0, len(self), 1):
                 return self  # immutable, so the whole trace is its own slice
+            # A slice holds rows of this valid trace: no new validation.
+            piece = CompiledTrace.__new__(CompiledTrace)
             if step != 1:
-                piece = CompiledTrace(
-                    *(column[item] for column in self._decoded()),
-                    self.values[item],
-                    self.n_nodes,
-                    self.block_size_words,
-                    validate=False,
+                values = self.values[item]
+                piece._init(
+                    tuple(column[item] for column in self._decoded()),
+                    values, len(values),
+                    self.n_nodes, self.block_size_words,
                 )
             else:
-                piece = CompiledTrace.__new__(CompiledTrace)
                 piece._init(
                     None, None, max(stop - start, 0),
                     self.n_nodes, self.block_size_words,
                 )
                 piece._root = self._root or self
                 piece._start = self._start + start
-            piece._proven = self._proven
             return piece
         index = range(len(self))[item]
         root = self._root or self

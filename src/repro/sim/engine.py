@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from repro.errors import CoherenceError, TraceError
+from repro.errors import CoherenceError
 from repro.sim.ctrace import CompiledTrace, _pack_columns
 from repro.sim.stats import Stats
 from repro.types import Address, Reference
@@ -114,18 +114,26 @@ def run_trace(
     ``trace`` is either a columnar
     :class:`~repro.sim.ctrace.CompiledTrace` or any iterable of
     :class:`~repro.types.Reference` items (a
-    :class:`~repro.sim.trace.Trace`, a list, a generator), which is
-    packed into unvalidated columns first.  Every reference replays
-    through one loop over the columns -- the slow path, one
-    ``read``/``write`` call each -- except where this function engages
-    the protocol's batched kernel
+    :class:`~repro.sim.trace.Trace`, a list, a generator).  Whatever the
+    form, it is compiled first, at this system's geometry: an iterable is
+    packed into a ``CompiledTrace``, and a compiled trace declared larger
+    than the system (``not trace.fits``) is rebuilt from its rows.  So a
+    row the system cannot hold raises
+    :meth:`~repro.sim.ctrace.CompiledTrace.validate`'s
+    :class:`~repro.errors.TraceError`, naming the earliest such row,
+    before the traffic counters reset and before any row replays.
+
+    Every reference replays through one loop over the rows -- the slow
+    path, one ``_read``/``_write`` call each -- except where this
+    function engages the protocol's batched kernel
     (:meth:`~repro.protocol.base.CoherenceProtocol.batched_kernel`),
     which hands what it cannot batch back to that one loop.  That is the
     one tier decision, made here alone: the kernel runs iff the ledger
-    window opened (nothing watches individual sends), the trace is a
-    :class:`~repro.sim.ctrace.CompiledTrace` proven to fit the system
-    (``trace.fits``), and every per-reference check is off
-    (``verify=False``, invariant stride ``0``).  Both routes are
+    window opened (nothing watches individual sends), the input was a
+    :class:`~repro.sim.ctrace.CompiledTrace`, and every per-reference
+    check is off (``verify=False``, invariant stride ``0``).  An
+    iterable input keeps to the slow loop: it is the reference path
+    ``ExperimentSpec(compiled=False)`` takes.  Both routes are
     bit-identical; see docs/PERF.md.
 
     Two independent checks are controlled by two independent knobs:
@@ -178,6 +186,15 @@ def run_trace(
     no per-reference branch, no allocation.
     """
     system = protocol.system
+    geometry = (system.n_nodes, system.config.block_size_words)
+    # Every replay reads a trace valid for this system: anything else is
+    # compiled at its geometry here, and an invalid row raises before
+    # any row replays.
+    compiled = isinstance(trace, CompiledTrace)
+    if not compiled:
+        trace = CompiledTrace(*_pack_columns(trace), *geometry)
+    elif not trace.fits(*geometry):
+        trace = CompiledTrace(*trace._decoded(), trace.values, *geometry)
     system.reset_traffic()
     attached_here = False
     if recorder is not None:
@@ -201,10 +218,9 @@ def run_trace(
         kernel = (
             protocol.batched_kernel()
             if opened
+            and compiled
             and not verify
             and not check_invariants_every
-            and isinstance(trace, CompiledTrace)
-            and trace.fits(system.n_nodes, system.config.block_size_words)
             else None
         )
         if kernel is not None:
@@ -254,7 +270,7 @@ def run_trace(
 
 def _replay_columns(
     protocol: "CoherenceProtocol",
-    trace: "Iterable[Reference] | CompiledTrace",
+    trace: CompiledTrace,
     *,
     verify: bool,
     check_invariants_every: int,
@@ -262,45 +278,24 @@ def _replay_columns(
     start: int = 0,
     shadow: dict | None = None,
 ) -> tuple[int, int]:
-    """The slow loop: one ``read``/``write`` per row.
+    """The slow loop: one ``_read``/``_write`` per row.
 
     Taken whenever :func:`run_trace` does not engage the batched kernel:
     with verification, an invariant stride, the ledger window shut, a
-    protocol without a kernel, an unproven trace, or any input that is
-    not a compiled trace -- which is packed into columns first,
-    unvalidated, so a bad row still raises here at its own index; a
-    trace proven to fit (``trace.fits``) calls ``_read``/``_write``.
-    A compiled trace's rows are read through ``trace._rows()``, so a
-    folded one decodes only the rows replayed here.  The kernel hands it
-    the references it cannot batch, as a slice whose first row is row
-    ``start`` of the whole trace.  Returns ``(n_reads, n_writes)``.
+    protocol without a kernel, or an input that was not a compiled
+    trace.  ``trace`` is valid for the system (:func:`run_trace`
+    validated it), so no row is bounds-tested here.  Its rows are read
+    through ``trace._rows()``, so a folded one decodes only the rows
+    replayed here.  The kernel hands it the references it cannot batch,
+    as a slice whose first row is row ``start`` of the whole trace.
+    Returns ``(n_reads, n_writes)``.
     """
-    n_nodes = protocol.system.n_nodes
-    if isinstance(trace, CompiledTrace):
-        rows, values = trace._rows(), trace.values
-        proven = trace.fits(n_nodes, protocol.system.config.block_size_words)
-    else:
-        *columns, values = _pack_columns(trace)
-        rows, proven = zip(*columns), False
-    if proven:
-        read, write = protocol._read, protocol._write
-    else:
-        def read(node, block, offset):
-            return protocol.read(node, Address(block, offset))
-
-        def write(node, block, offset, value):
-            protocol.write(node, Address(block, offset), value)
-
+    read, write = protocol._read, protocol._write
     shadow = {} if shadow is None else shadow
     n_reads = n_writes = 0
     for index, ((node, op, block, offset), value) in enumerate(
-        zip(rows, values), start
+        zip(trace._rows(), trace.values), start
     ):
-        if not proven and not 0 <= node < n_nodes:
-            raise TraceError(
-                f"reference {index}: node {node} outside this "
-                f"{n_nodes}-node system"
-            )
         if recorder is not None:
             recorder.begin_reference(
                 index, node, "write" if op else "read", block, offset

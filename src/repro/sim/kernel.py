@@ -32,10 +32,10 @@ them exactly as the slow path's sends.
 The kernel executes records a chunk at a time, so steady-state replay
 pays no Python-level dispatch per reference.  What depends on the
 *trace* alone the trace computes once, for every slice and every cell
-that replays it: the proof that its rows fit the system
-(``CompiledTrace.fits``; the kernel runs only on a proven trace), one
-folded column, ``((block * N + node) * 2 + op) * B + offset`` per
-reference (``CompiledTrace.folded``), and two statistics of each window
+that replays it: one folded column, ``((block * N + node) * 2 + op) * B
++ offset`` per reference (``CompiledTrace.folded``; every row is in
+range, because ``run_trace`` hands over only a trace valid for the
+system), and two statistics of each window
 of that column a replay meets (``CompiledTrace._window``): the
 references per ``(node, block, op)`` key, counted by distinct value in
 one C-speed pass and regrouped, and where each distinct value occurs
@@ -75,8 +75,8 @@ policy observes exactly that prefix
 (:meth:`~repro.protocol.modes.ModePolicy.commit`).
 
 The reference at the cut goes to the engine's one slow loop
-(:func:`~repro.sim.engine._replay_columns`, numbering errors by their
-row in the whole trace).  After progress that is one reference.  A cut
+(:func:`~repro.sim.engine._replay_columns`, numbering rows by their
+index in the whole trace).  After progress that is one reference.  A cut
 at row 0 -- a churning phase, a policy that folds nothing -- hands over
 ``MIN_CHUNK`` references and halves the chunk size, which doubles on
 clean chunks up to ``MAX_CHUNK`` so a steady-state phase amortises
@@ -97,7 +97,8 @@ present vector -- all a policy's verdict may depend on -- as they were.
 :func:`~repro.sim.engine.run_trace` alone decides that the kernel runs:
 only inside an open ledger window, which nothing that watches individual
 sends (faults, a recorder, the message log) lets open,
-on a trace proven to fit, with every per-reference check off.  So
+on an input that was a compiled trace, with every per-reference check
+off, after it validated every row against the system.  So
 batched replay is bit-identical to the slow loop (tests/sim/test_kernel.py
 and test_kernel_policies.py; docs/PERF.md, "Where each proof lives").
 """

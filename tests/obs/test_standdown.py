@@ -2,14 +2,16 @@
 
 The batched kernels are only sound when nothing needs to see individual
 references, and ``run_trace`` alone decides: it engages
-``batched_kernel()`` only inside an open ledger window, on a compiled
-trace proven to fit, with every per-reference check off.  The gate
-table holds each term of that decision on a protocol with a record
-kernel, on ``no-cache``'s closed form and on a baseline without a
-kernel: the kernel batches nothing, and the report equals a slow run
-forced by the message log.  A :class:`TelemetrySampler` is the opposite
-case: it only *reads* a registry, so it must neither disable the
-shortcuts nor perturb the replay it observes.
+``batched_kernel()`` only inside an open ledger window, on an input
+that was a compiled trace, with every per-reference check off.  The
+gate table holds each term of that decision on a protocol with a
+record kernel, on ``no-cache``'s closed form and on a baseline without
+a kernel: the kernel batches nothing, and the report equals a slow run
+forced by the message log.  A compiled trace declared larger than the
+system is no term: it is rebuilt at the system's geometry and batches.
+A :class:`TelemetrySampler` is the opposite case: it only *reads* a
+registry, so it must neither disable the shortcuts nor perturb the
+replay it observes.
 """
 
 import pytest
@@ -69,11 +71,11 @@ def _batched(protocol):
     return 0 if kernel is None else kernel.batched_refs
 
 
-def _rewrapped(trace, n_nodes, **kwargs):
+def _rewrapped(trace, n_nodes):
     """The same rows, declared for ``n_nodes``."""
     return CompiledTrace(
         trace.nodes, trace.ops, trace.blocks, trace.offsets, trace.values,
-        n_nodes, trace.block_size_words, **kwargs,
+        n_nodes, trace.block_size_words,
     )
 
 
@@ -86,14 +88,6 @@ GATE = {
     "iterable": {"trace": list},
     # The form the executor hands over for ExperimentSpec(compiled=False).
     "compiled=False": {"trace": iter},
-    "unvalidated": {
-        "trace": lambda trace: _rewrapped(
-            trace, trace.n_nodes, validate=False
-        ),
-    },
-    "declared_larger": {
-        "trace": lambda trace: _rewrapped(trace, 2 * trace.n_nodes),
-    },
     "recorder": {"run": {"recorder": TraceRecorder}},
     "message_log": {"protocol": lambda p: p.enable_message_log()},
     "faults": {
@@ -138,6 +132,16 @@ class TestTheGate:
         batched, report = self._replay(protocol_name, {})
         assert (batched > 0) is (protocol_name != "full-map")
         assert report == self._replay(protocol_name, {}, forced_slow=True)[1]
+
+    @pytest.mark.parametrize("protocol_name", PROTOCOLS)
+    def test_a_declared_larger_trace_engages_every_kernel(
+        self, protocol_name
+    ):
+        row = {"trace": lambda trace: _rewrapped(trace, 2 * trace.n_nodes)}
+        batched, report = self._replay(protocol_name, row)
+        assert (batched > 0) is (protocol_name != "full-map")
+        assert report == self._replay(protocol_name, row, forced_slow=True)[1]
+        assert report == self._replay(protocol_name, {})[1]
 
     @pytest.mark.parametrize("protocol_name", PROTOCOLS)
     def test_break_even_registers_leave_the_gate_open(self, protocol_name):

@@ -9,6 +9,8 @@ may run at all is ``run_trace``'s one gate, whose full table is in
 tests/obs/test_standdown.py; ``TestGating`` keeps the observers' rows.
 """
 
+import json
+
 import pytest
 
 from repro.analysis.compare import default_factories
@@ -251,24 +253,55 @@ class TestEquivalence:
         assert fast.to_dict() == slow.to_dict()
 
     def test_partial_replay_flushes_exactly_on_error(self):
-        # A malformed row mid-trace aborts the replay; the finally-flush
-        # must still account for every reference replayed before it, so
-        # the two loops agree on everything up to the bad row.
-        n = 4
-        good = [Reference(0, Op.WRITE, Address(0, 0), 1)] * 10
-        # Node 7 is out of range for the 4-node system.
-        bad_tail = compiled(good + [Reference(7, Op.READ, Address(0, 0))], 8)
-        _, fast_protocol = build(n_nodes=n)
-        with pytest.raises(TraceError):
-            run_trace(
-                fast_protocol,
-                bad_tail,
-                verify=False,
-                check_invariants_every=0,
-            )
-        _, slow_protocol = build(n_nodes=n)
-        for ref in good:
-            slow_protocol.write(ref.node, ref.address, ref.value)
-        assert dict(fast_protocol.stats.events) == dict(
-            slow_protocol.stats.events
+        # The protocol refuses one reference mid-trace, after the kernel
+        # batched hundreds before it: the finally-flush must still
+        # account for every reference replayed before the refusal, so
+        # the replay ends exactly as a per-send replay of the prefix.
+        class Refused(Exception):
+            pass
+
+        n, bad_row, untouched = 16, 1500, 99
+        references = list(markov_block_trace(n, range(6), 0.3, 2000, seed=7))
+        assert all(ref.address.block != untouched for ref in references)
+        references.insert(
+            bad_row, Reference(0, Op.READ, Address(untouched, 0))
         )
+        trace = Trace(references, n, 4).compile()
+
+        def two_mode(slow):
+            system = System(SystemConfig(n_nodes=n, block_size_words=4))
+            protocol = default_factories()["two-mode"](system)
+            if slow:
+                protocol.enable_message_log()
+            for name in ("_read", "_write"):
+                method = getattr(protocol, name)
+
+                def refuse(node, block, *rest, method=method):
+                    if block == untouched:
+                        raise Refused
+                    return method(node, block, *rest)
+
+                setattr(protocol, name, refuse)
+            return system, protocol
+
+        fast_system, fast_protocol = two_mode(slow=False)
+        with pytest.raises(Refused):
+            run_trace(
+                fast_protocol, trace, verify=False, check_invariants_every=0
+            )
+        assert fast_protocol.batched_kernel().batched_refs > 0
+        slow_system, slow_protocol = two_mode(slow=True)
+        run_trace(
+            slow_protocol,
+            trace[:bad_row],
+            verify=False,
+            check_invariants_every=0,
+        )
+        assert slow_protocol.batched_kernel().batched_refs == 0
+        # Stats in key order, at every level.
+        assert json.dumps(fast_protocol.stats.to_dict()) == json.dumps(
+            slow_protocol.stats.to_dict()
+        )
+        fast, slow = fast_system.network, slow_system.network
+        assert fast.total_bits == slow.total_bits > 0
+        assert fast.bits_by_level() == slow.bits_by_level()

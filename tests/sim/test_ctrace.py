@@ -192,13 +192,6 @@ class TestProofAndFold:
         assert not root.fits(4, 1)
         assert root[2:7].fits(4, 2) and root[::3].fits(4, 2)
 
-    def test_an_unvalidated_trace_is_unproven(self):
-        raw = CompiledTrace(
-            *columns((1, 0, 0, 0, 0), (9, 0, 0, 0, 0)), 4, 2, validate=False
-        )
-        assert not raw.fits(4, 2) and not raw[:1].fits(4, 2)
-        assert not raw.fits(1024, 8)
-
     def test_a_fold_past_int64_stays_exact(self):
         huge = CompiledTrace(*columns((1, 1, 2**62, 1, 7)), 4, 2)
         column, _ = huge.folded(4, 2)
@@ -280,6 +273,40 @@ class TestWindowStatistics:
         assert list(counts[0]) == _window_statistics(column[:10], 4)[0][0]
 
 
+FORMS = ("Trace", "CompiledTrace", "load_trace")
+BAD_TRACES = {
+    # name: (rows, error, forms that can hold the rows)
+    # The earliest failing row wins over an earlier-checked field.
+    "earliest-row": (
+        [(0, 0, 0, 0, 0), (0, 1, 0, 9, 1), (7, 0, 0, 0, 0)],
+        "reference 1: offset 9 outside block of 4 words",
+        FORMS,
+    ),
+    # Within a row: node, then block, then offset.
+    "block-before-offset": (
+        [(0, 0, 0, 0, 0), (0, 0, -1, 9, 0), (7, 0, 0, 0, 0)],
+        "reference 1: negative block -1",
+        FORMS,
+    ),
+    "node-first": (
+        [(0, 0, 0, 0, 0), (7, 0, -1, 9, 0)],
+        "reference 1: node 7 outside 0..3",
+        FORMS,
+    ),
+    # An op outside {0, 1}: only raw columns can hold one.
+    "op-2": (
+        [(0, 0, 0, 0, 0), (1, 2, 0, 1, 0)],
+        "reference 1: op column holds 2, expected 0 (read) or 1 (write)",
+        ("CompiledTrace",),
+    ),
+    "op-minus-1": (
+        [(0, 1, 0, 0, 5), (1, -1, 0, 1, 0)],
+        "reference 1: op column holds -1, expected 0 (read) or 1 (write)",
+        ("CompiledTrace",),
+    ),
+}
+
+
 class TestValidation:
     def test_node_out_of_range_rejected(self):
         with pytest.raises(TraceError, match="node 4"):
@@ -317,26 +344,18 @@ class TestValidation:
             )
 
     @pytest.mark.parametrize(
-        "rows, error",
+        "rows, error, form",
         [
-            # The earliest failing row wins over an earlier-checked field.
-            (
-                [(0, 0, 0, 0, 0), (0, 1, 0, 9, 1), (7, 0, 0, 0, 0)],
-                "reference 1: offset 9 outside block of 4 words",
-            ),
-            # Within a row: node, then block, then offset.
-            (
-                [(0, 0, 0, 0, 0), (0, 0, -1, 9, 0), (7, 0, 0, 0, 0)],
-                "reference 1: negative block -1",
-            ),
-            (
-                [(0, 0, 0, 0, 0), (7, 0, -1, 9, 0)],
-                "reference 1: node 7 outside 0..3",
-            ),
+            (rows, error, form)
+            for rows, error, forms in BAD_TRACES.values()
+            for form in forms
         ],
-        ids=["earliest-row", "block-before-offset", "node-first"],
+        ids=[
+            f"{form}-{name}"
+            for name, (_, _, forms) in BAD_TRACES.items()
+            for form in forms
+        ],
     )
-    @pytest.mark.parametrize("form", ["Trace", "CompiledTrace", "load_trace"])
     def test_both_forms_and_loaders_name_the_same_row(
         self, tmp_path, rows, error, form
     ):

@@ -27,9 +27,9 @@ class BrokenProtocol(NoCacheProtocol):
         super().__init__(system)
         self._reads = 0
 
-    def read(self, node, address):
+    def _read(self, node, block, offset):
         self._reads += 1
-        value = super().read(node, address)
+        value = super()._read(node, block, offset)
         return value + 1 if self._reads == 3 else value
 
 
@@ -61,11 +61,11 @@ class TestVerification:
         assert not report.verified
 
     @pytest.mark.parametrize(
-        "form", ["references", "generator", "unvalidated-columns"]
+        "form", ["references", "generator", "declared-larger"]
     )
     def test_foreign_node_rejected(self, form):
         # Two good reads, then a node this 4-node system lacks: every
-        # input form runs the first two and stops at index 2.
+        # input form raises at index 2 before any reference replays.
         references = [
             Reference(0, Op.READ, Address(0, 0)),
             Reference(1, Op.READ, Address(0, 0)),
@@ -76,21 +76,20 @@ class TestVerification:
         elif form == "generator":
             trace = (ref for ref in references)
         else:
-            # Nodes 0, 1, 9; ops, blocks, offsets and values all zero.
+            # Nodes 0, 1, 9, valid for the 16 nodes it declares;
+            # ops, blocks, offsets and values all zero.
             trace = CompiledTrace(
                 array("q", [0, 1, 9]),
                 *(array("q", [0, 0, 0]) for _ in range(4)),
-                4,
+                16,
                 1,
-                validate=False,
             )
         protocol = build_protocol()
         with pytest.raises(
-            TraceError,
-            match=r"^reference 2: node 9 outside this 4-node system$",
+            TraceError, match=r"^reference 2: node 9 outside 0\.\.3$"
         ):
             run_trace(protocol, trace)
-        assert protocol.stats.events["reads"] == 2
+        assert protocol.stats.events["reads"] == 0
 
 
 class TestReportContents:

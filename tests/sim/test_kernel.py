@@ -464,44 +464,6 @@ class TestFallbackReasons:
         assert self._replay(protocol, self._writes()) == {}
         assert len(protocol.batched_kernel()._writes[0]) == 9
 
-    @pytest.mark.parametrize(
-        "protocol_name", ["distributed-write", "global-read", "two-mode"]
-    )
-    @pytest.mark.parametrize("op", [2, -1])
-    def test_an_out_of_range_op_takes_the_bounds_fallback(
-        self, op, protocol_name
-    ):
-        # Node 0 writes and node 1 reads one word, turn about.  Folded, an
-        # op of 2 is a read by the next node and -1 a write by the
-        # previous one -- here both registered hits -- so an unproven
-        # trace never reaches the kernel: the slow loop takes it whole,
-        # and its ``if op:`` decides the row.
-        rows = [(k % 2, 1 - k % 2, 0, 0, k) for k in range(400)]
-        at = 300 if op == 2 else 301
-        rows[at] = (rows[at][0], op, *rows[at][2:])
-
-        def replay(slow):
-            system = System(SystemConfig(n_nodes=self.N_NODES))
-            protocol = default_factories()[protocol_name](system)
-            if slow:
-                protocol.enable_message_log()  # stands the kernel down
-            trace = CompiledTrace(
-                *(array("q", column) for column in zip(*rows)),
-                self.N_NODES,
-                2,
-                validate=False,
-            )
-            report = run_trace(
-                protocol, trace, verify=False, check_invariants_every=0
-            )
-            return protocol, report.to_dict()
-
-        protocol, report = replay(slow=False)
-        assert report == replay(slow=True)[1]
-        assert report["n_references"] == len(rows)
-        kernel = protocol.batched_kernel()
-        assert kernel.batched_refs == kernel.fallback_refs == 0
-
     def test_policy_switch_cuts_the_chunk(self, slow_runs):
         # An exclusive owner (threshold 2/3) under an 8-reference window.
         # Seven references pass, the eighth completes a read-heavy window
@@ -871,25 +833,24 @@ class TestNoCacheClosedForm:
         orders = [[block for block, _ in module] for module in batched[2]]
         assert any(order != sorted(order) for order in orders)
 
-    def test_an_unproven_trace_raises_at_the_slow_loops_index(self):
-        # Nodes 0, 1, 9 on a 4-node system: the closed form never sees
-        # the rows, and the slow loop stops at the bad one.
+    def test_a_foreign_row_raises_before_any_row_replays(self):
+        # Nodes 0, 1, 9, valid for the 16 nodes the trace declares, on a
+        # 4-node system: run_trace rebuilds it at the system's geometry,
+        # whose validation names row 2 before either tier sees a row.
         trace = CompiledTrace(
             array("q", [0, 1, 9]),
             *(array("q", [0, 0, 0]) for _ in range(4)),
-            4,
+            16,
             1,
-            validate=False,
         )
         protocol = default_factories()["no-cache"](
             System(SystemConfig(n_nodes=4))
         )
         with pytest.raises(
-            TraceError,
-            match=r"^reference 2: node 9 outside this 4-node system$",
+            TraceError, match=r"^reference 2: node 9 outside 0\.\.3$"
         ):
             run_trace(protocol, trace, verify=False, check_invariants_every=0)
-        assert protocol.stats.events["reads"] == 2
+        assert protocol.stats.events["reads"] == 0
         assert protocol.batched_kernel().batched_refs == 0
 
 

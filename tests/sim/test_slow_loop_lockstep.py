@@ -1,15 +1,19 @@
-"""The slow loop's two entries agree: proven rows unchecked, others checked.
+"""Every input form ends in one state, and a bad row in any form raises
+before a row replays.
 
-``_replay_columns`` replays a compiled trace proven to fit the system
-through the protocols' unchecked ``_read`` / ``_write``, and anything
-else -- a ``validate=False`` copy, a list of references -- through the
-checked ``read`` / ``write``.  On rows that are in range the two must
-leave the machine in exactly the same state: reports, ``Stats`` key
-order, the network's four flat counter arrays, every memory module's
-words, and every cache's entries, tags and LRU order.  On rows that are
-not, the checked entry must raise what it always raised, at the same row.
-Value verification and an invariant stride each keep a run on the slow
-loop, so both are used to drive it.
+:func:`~repro.sim.engine.run_trace` compiles what it is given at the
+system's geometry -- a list or iterator of references or a
+:class:`~repro.sim.trace.Trace` is packed, a compiled trace declared
+larger than the system is rebuilt -- and the slow loop, like the kernel,
+only ever sees a validated :class:`~repro.sim.ctrace.CompiledTrace`.  So
+on rows that are in range every form must leave the machine in exactly
+the same state: reports, ``Stats`` key order, the network's four flat
+counter arrays, every memory module's words, and every cache's entries,
+tags and LRU order.  On a row that is not, every form must raise
+:meth:`~repro.sim.ctrace.CompiledTrace.validate`'s ``TraceError``, with
+its text, before any reference is counted or any bit is spent.  Value
+verification and an invariant stride each keep a run on the slow loop,
+so both are used to drive it.
 """
 
 import json
@@ -17,11 +21,13 @@ import json
 import pytest
 
 from repro.analysis.compare import default_factories
-from repro.errors import ConfigurationError, TraceError
+from repro.errors import TraceError
 from repro.protocol.limited_pointer import LimitedPointerProtocol
 from repro.sim.ctrace import CompiledTrace
 from repro.sim.engine import run_trace
 from repro.sim.system import System, SystemConfig
+from repro.sim.trace import Trace
+from repro.types import Address
 from repro.workloads.markov import markov_block_trace
 from repro.workloads.synthetic import random_trace
 
@@ -34,7 +40,7 @@ SLOW_LOOP = {
 }
 
 
-def _proven(workload):
+def _compiled(workload):
     if workload == "random":
         return random_trace(
             N_NODES, 800, n_blocks=24, write_fraction=0.4, locality=0.5,
@@ -45,17 +51,22 @@ def _proven(workload):
     )
 
 
-def _unvalidated(trace):
+def _declared(trace, n_nodes, block_size_words):
+    """The same rows, declared for another geometry."""
     return CompiledTrace(
         trace.nodes, trace.ops, trace.blocks, trace.offsets, trace.values,
-        trace.n_nodes, trace.block_size_words, validate=False,
+        n_nodes, block_size_words,
     )
 
 
 FORMS = {
-    "proven": lambda trace: trace,
-    "unvalidated": _unvalidated,
+    "compiled": lambda trace: trace,
     "references": list,
+    "iter": iter,
+    "Trace": lambda trace: Trace(list(trace), N_NODES, BLOCK),
+    "declared-larger": lambda trace: _declared(
+        trace, 2 * N_NODES, 2 * BLOCK
+    ),
 }
 
 
@@ -108,39 +119,61 @@ def _end_state(protocol_name, trace, checks):
 @pytest.mark.parametrize("workload", ["markov", "random"])
 @pytest.mark.parametrize("protocol_name", list(FACTORIES))
 def test_every_form_ends_in_the_same_state(protocol_name, workload, checks):
-    trace = _proven(workload)
-    assert trace.fits(N_NODES, BLOCK)
+    trace = _compiled(workload)
     states = {
         form: _end_state(protocol_name, make(trace), SLOW_LOOP[checks])
         for form, make in FORMS.items()
     }
-    assert states["proven"]["report"]["n_references"] == len(trace)
-    assert states["unvalidated"] == states["proven"]
-    assert states["references"] == states["proven"]
+    assert states["compiled"]["report"]["n_references"] == len(trace)
+    for form in FORMS:
+        assert states[form] == states["compiled"], form
 
 
 BAD_ROWS = {
-    # name: (column, value, error, text), one out-of-range row 5 each.
+    # name: (how row 5 goes bad, validate's text, the larger geometry a
+    # compiled trace may declare and still hold it).
     "foreign-node": (
-        "nodes", N_NODES, TraceError,
-        f"reference 5: node {N_NODES} outside this {N_NODES}-node system",
+        lambda ref: ref._replace(node=N_NODES),
+        f"reference 5: node {N_NODES} outside 0..{N_NODES - 1}",
+        (2 * N_NODES, BLOCK),
     ),
+    # No geometry holds a negative block: no declared-larger form.
     "negative-block": (
-        "blocks", -1, ConfigurationError, "negative block id -1",
+        lambda ref: ref._replace(address=Address(-1, ref.address.offset)),
+        "reference 5: negative block -1",
+        None,
     ),
     "offset-past-block": (
-        "offsets", BLOCK, ConfigurationError,
-        f"offset {BLOCK} outside block of {BLOCK} words",
+        lambda ref: ref._replace(address=Address(ref.address.block, BLOCK)),
+        f"reference 5: offset {BLOCK} outside block of {BLOCK} words",
+        (N_NODES, 2 * BLOCK),
     ),
 }
-# A trace validated for a larger machine than the one replaying it can
-# only hold rows the smaller system lacks: a foreign node.
 BAD_INPUTS = [
     (name, form)
-    for name in BAD_ROWS
-    for form in ("unvalidated", "references", "declared")
-    if form != "declared" or name == "foreign-node"
+    for name, (_, _, larger) in BAD_ROWS.items()
+    for form in ("references", "iter", "Trace", "declared")
+    if form != "declared" or larger is not None
 ]
+
+
+def _bad_input(name, form):
+    spoil, _, larger = BAD_ROWS[name]
+    references = list(_compiled("random")[:12])
+    references[5] = spoil(references[5])
+    if form == "references":
+        return references
+    if form == "iter":
+        return iter(references)
+    if form == "Trace":
+        # Trace validates what it is built with, not what it appends.
+        trace = Trace(references[:5], N_NODES, BLOCK)
+        for reference in references[5:]:
+            trace.append(reference)
+        return trace
+    trace = Trace(references, *larger).compile()
+    assert not trace.fits(N_NODES, BLOCK)
+    return trace
 
 
 @pytest.mark.parametrize(
@@ -148,33 +181,15 @@ BAD_INPUTS = [
 )
 @pytest.mark.parametrize("protocol_name", list(FACTORIES))
 def test_a_bad_row_raises_at_its_row(protocol_name, name, form):
-    column, value, error, text = BAD_ROWS[name]
-    good = _proven("random")[:12]
-    columns = {
-        key: getattr(good, key)[:]
-        for key in ("nodes", "ops", "blocks", "offsets", "values")
-    }
-    columns[column][5] = value
-    if form == "declared":
-        trace = CompiledTrace(
-            *columns.values(), 2 * N_NODES, BLOCK, validate=True
-        )
-        assert not trace.fits(N_NODES, BLOCK)
-    else:
-        trace = CompiledTrace(
-            *columns.values(), N_NODES, BLOCK, validate=False
-        )
-        if form == "references":
-            trace = list(trace)
-    for checks in SLOW_LOOP.values():
-        _, protocol = _system(protocol_name)
-        with pytest.raises(error) as raised:
-            run_trace(protocol, trace, **checks)
+    # Both slow-loop check modes, then the unchecked run the kernels
+    # would take: every one raises validate's error before any row.
+    text = BAD_ROWS[name][1]
+    unchecked = {"verify": False, "check_invariants_every": 0}
+    for checks in (*SLOW_LOOP.values(), unchecked):
+        system, protocol = _system(protocol_name)
+        with pytest.raises(TraceError) as raised:
+            run_trace(protocol, _bad_input(name, form), **checks)
         assert str(raised.value) == text
         events = protocol.stats.events
-        assert events["reads"] + events["writes"] == 5
-    # Without per-reference checks the kernels take what they can: the
-    # row still raises, with the same type and text.
-    _, protocol = _system(protocol_name)
-    with pytest.raises(error, match=f"^{text}$"):
-        run_trace(protocol, trace, verify=False, check_invariants_every=0)
+        assert events["reads"] + events["writes"] == 0
+        assert system.network.total_bits == 0
